@@ -17,6 +17,7 @@ from .engine import (
     Tolerances,
     factor_psd,
     positive_eigenvalue_bound,
+    positive_eigenvalue_bounds,
     symmetric_eigenvalues,
 )
 from .moments import (
@@ -61,6 +62,7 @@ from .partition import (
     partition_moment_matrix,
     quadrature_partial_moment,
     refined_bound,
+    refined_bounds,
 )
 from .markets import (
     AnnuityWeights,

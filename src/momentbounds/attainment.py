@@ -28,7 +28,7 @@ from .errors import (
     QuadratureBudgetExceeded,
 )
 from .models import BinomialModel, _gl_rule
-from .vanilla import vanilla_bound_via_engine
+from .vanilla import _vanilla_bounds_via_engine
 
 __all__ = [
     "AttainmentReport",
@@ -162,7 +162,7 @@ def local_attainment_scan(
     ks = np.asarray(strikes, dtype=float)
     if ks.ndim != 1 or ks.size == 0 or np.any(ks <= 0.0):
         raise ParameterOutOfRange("need a 1-d grid of positive strikes")
-    angles, lows, highs, prices, bounds = [], [], [], [], []
+    angles, lows, highs, prices = [], [], [], []
     for k in ks:
         chi = optimal_angle(f, nu, float(k))
         model = binomial_calibrate(f, nu, chi)
@@ -170,9 +170,8 @@ def local_attainment_scan(
         lows.append(model.low)
         highs.append(model.high)
         prices.append(binomial_call_price(model, float(k)))
-        bounds.append(vanilla_bound_via_engine(f, nu, float(k), tol))
     prices = np.asarray(prices)
-    bounds = np.asarray(bounds)
+    bounds = _vanilla_bounds_via_engine(f, nu, ks, tol)
     gaps = np.abs(prices - bounds) / np.maximum(np.abs(bounds), 1e-300)
     moment = carr_madan_sqrt_moment(nu)
     return AttainmentReport(

@@ -16,8 +16,9 @@ Grids are given either as explicit arrays or as {"start", "stop", "count"}.
 Unknown keys are rejected everywhere.  Outputs are CSV (LF line endings,
 header row, 12 significant digits) plus ``<output>_manifest.json`` carrying
 the config hash, effective tolerances and summary statistics.  Re-running an
-identical config reproduces the outputs byte for byte, regardless of the
-thread count.
+identical config reproduces the outputs byte for byte.  Every run is
+single-threaded: strike sweeps are batched into one engine call per fixed
+moment matrix instead, and ``--threads`` is accepted for compatibility only.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 """
@@ -29,7 +30,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +46,7 @@ from .markets import (
     cross_root_variance,
 )
 from .models import LognormalModel, bs_call_price, implied_normal_vol
-from .partition import flat_conditional_moments, linear_conditional_moments, refined_bound
+from .partition import flat_conditional_moments, linear_conditional_moments, refined_bounds
 from .vanilla import check_decreasing_convex, smile_curve, vanilla_bound
 
 __all__ = ["RunConfig", "load_config", "run", "main", "EXPERIMENTS"]
@@ -200,13 +200,6 @@ def load_config(path) -> RunConfig:
 # execute() turns a plan into (columns, rows, summary).
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class Experiment:
     name: str
@@ -235,13 +228,11 @@ def _prepare_vanilla_smile(config: RunConfig):
     return p
 
 
-def _run_vanilla_smile(plan, config: RunConfig, threads: int):
+def _run_vanilla_smile(plan, config: RunConfig):
     strikes = plan["strikes"]
-    curves = _ordered_map(
-        lambda nu: smile_curve(plan["forward"], nu, strikes, plan["expiry"]),
-        plan["root_variances"],
-        threads,
-    )
+    curves = [
+        smile_curve(plan["forward"], nu, strikes, plan["expiry"]) for nu in plan["root_variances"]
+    ]
     rows = []
     for nu, curve in zip(plan["root_variances"], curves):
         check_decreasing_convex(strikes, curve.bounds, label=f"smile bound (nu={nu})")
@@ -283,7 +274,7 @@ def _prepare_refine(config: RunConfig, kind: str):
     return {"model": model, "sets": parsed, "strikes": strikes, "kind": kind}
 
 
-def _run_refine(plan, config: RunConfig, threads: int):
+def _run_refine(plan, config: RunConfig):
     model, strikes = plan["model"], plan["strikes"]
     tol = config.tolerances
     columns = ["strike"]
@@ -298,9 +289,7 @@ def _run_refine(plan, config: RunConfig, threads: int):
         else:
             moments = linear_conditional_moments(model, grid, tol=tol)
             columns.append(f"bound_K{grid.size}")
-        curves.append(
-            np.array(_ordered_map(lambda k: refined_bound(moments, float(k), tol), strikes, threads))
-        )
+        curves.append(refined_bounds(moments, strikes, tol))
     reference = np.array([bs_call_price(model, float(k)) for k in strikes])
     columns.append("bs_price")
     for name, curve in zip(columns[1:], curves + [reference]):
@@ -343,16 +332,14 @@ def _prepare_fx_cross(config: RunConfig):
     return p
 
 
-def _run_fx_cross(plan, config: RunConfig, threads: int):
+def _run_fx_cross(plan, config: RunConfig):
     strikes = plan["strikes"]
     rows = []
     previous = None
     max_rho_increase = -math.inf
     for rho in plan["correlations"]:
         nu = cross_root_variance(plan["nu1"], plan["nu2"], rho)
-        bounds = np.array(
-            _ordered_map(lambda k: vanilla_bound(plan["forward"], nu, float(k)), strikes, threads)
-        )
+        bounds = np.array([vanilla_bound(plan["forward"], nu, float(k)) for k in strikes])
         check_decreasing_convex(strikes, bounds, label=f"fx bound (rho={rho})")
         if previous is not None:
             max_rho_increase = max(max_rho_increase, float(np.max(bounds - previous)))
@@ -416,7 +403,7 @@ def _caplet_forward(slice_: SwapCurveSlice, n: int) -> float:
     return (lam + 1.0) * float(slice_.forwards[n - 1]) - lam * float(slice_.forwards[n - 2])
 
 
-def _run_caplet(plan, config: RunConfig, threads: int):
+def _run_caplet(plan, config: RunConfig):
     tol = config.tolerances
     strikes = plan["strikes"]
     scan_shifts = plan["scan_shifts"]
@@ -433,11 +420,10 @@ def _run_caplet(plan, config: RunConfig, threads: int):
         scan = caplet_cdf_scan(slice_, plan["n"], strikes, tol)
         check_decreasing_convex(strikes, scan.bounds, label=f"caplet bound (alpha={alpha}, rho={rho})")
         forward = _caplet_forward(slice_, plan["n"])
-        vols = _ordered_map(
-            lambda i: implied_normal_vol(forward, float(strikes[i]), plan["expiry"], float(scan.bounds[i])),
-            range(strikes.size),
-            threads,
-        )
+        vols = [
+            implied_normal_vol(forward, float(k), plan["expiry"], float(b))
+            for k, b in zip(strikes, scan.bounds)
+        ]
         label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
         summary["switch_strikes"][label] = list(scan.switch_strikes)
         if scan_shifts:
@@ -467,7 +453,7 @@ def _prepare_local_attain(config: RunConfig):
     return p
 
 
-def _run_local_attain(plan, config: RunConfig, threads: int):
+def _run_local_attain(plan, config: RunConfig):
     report = local_attainment_scan(
         plan["forward"],
         plan["root_variance"],
@@ -505,7 +491,7 @@ def _prepare_global_attain(config: RunConfig):
     return p
 
 
-def _run_global_attain(plan, config: RunConfig, threads: int):
+def _run_global_attain(plan, config: RunConfig):
     curve = implied_root_variance_curve(plan["root_variances"])
     rows = [
         (curve.constraint_nu[i], curve.sqrt_moment[i], curve.implied_nu[i])
@@ -577,8 +563,11 @@ def _jsonable(obj):
 def run(config: RunConfig, out_dir, threads: int = 1) -> Path:
     """Execute one experiment; returns the manifest path.
 
-    Partially written outputs are removed if execution fails.
+    ``threads`` must be at least 1 and is otherwise ignored: runs are
+    single-threaded.  Partially written outputs are removed if execution fails.
     """
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     experiment = EXPERIMENTS[config.experiment]
@@ -587,7 +576,7 @@ def run(config: RunConfig, out_dir, threads: int = 1) -> Path:
     manifest_path = out / f"{config.output}_manifest.json"
     written = []
     try:
-        columns, rows, summary = experiment.execute(plan, config, threads)
+        columns, rows, summary = experiment.execute(plan, config)
         _write_csv(csv_path, columns, rows, config.sentinel)
         written.append(csv_path)
         manifest = {
@@ -620,7 +609,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", type=Path, help="path to the run configuration")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grid sweeps")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored (must be >= 1); runs are single-threaded",
+    )
     parser.add_argument(
         "--list-experiments", action="store_true", help="list experiment names and exit"
     )
@@ -643,9 +637,6 @@ def main(argv=None) -> int:
             return 0
         if args.out is None:
             print("error: ConfigError: --out is required", file=sys.stderr)
-            return 2
-        if args.threads < 1:
-            print("error: ConfigError: --threads must be >= 1", file=sys.stderr)
             return 2
         manifest = run(config, args.out, threads=args.threads)
     except ConfigError as exc:

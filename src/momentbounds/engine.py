@@ -8,7 +8,9 @@ not depend on the factorization chosen: the nonzero spectrum of S L S^T
 coincides with that of L Q up to similarity.
 
 Everything here is pure and reentrant; inputs are copied and frozen, so
-values can be shared freely across threads.
+values can be shared freely.  Strike sweeps hold Q fixed and vary only the
+quantities, so ``positive_eigenvalue_bounds`` factors Q once per sweep and
+solves the eigenproblems of all quantity vectors in stacks.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ __all__ = [
     "symmetric_eigenvalues",
     "factor_psd",
     "positive_eigenvalue_bound",
+    "positive_eigenvalue_bounds",
 ]
+
+# Largest stack of P matrices handed to one eigensolver call, in bytes.  It
+# bounds the memory of a sweep; a single matrix above it is solved on its own.
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -172,21 +179,26 @@ class BoundResult:
 def symmetric_eigenvalues(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, in descending order.
 
-    Raises ConvergenceFailure if the underlying QR iteration fails, which
-    signals pathological scaling of the inputs.
+    A stack of shape (k, n, n) gives a (k, n) array, one row per matrix, and
+    each matrix is checked for symmetry on its own scale.  Raises
+    ConvergenceFailure if the underlying QR iteration fails, which signals
+    pathological scaling of the inputs.
     """
     arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if scale > 0.0 and float(np.max(np.abs(arr - arr.T))) > 16.0 * np.finfo(float).eps * scale:
-        raise ParameterOutOfRange("matrix is not symmetric within representation")
-    sym = 0.5 * (arr + arr.T)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {arr.shape}")
+    transposed = arr.swapaxes(-1, -2)
+    if arr.size:
+        scale = np.max(np.abs(arr), axis=(-2, -1))
+        asymmetry = np.max(np.abs(arr - transposed), axis=(-2, -1))
+        if np.any((scale > 0.0) & (asymmetry > 16.0 * np.finfo(float).eps * scale)):
+            raise ParameterOutOfRange("matrix is not symmetric within representation")
+    sym = 0.5 * (arr + transposed)
     try:
         eigs = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return eigs[::-1].copy()
+    return eigs[..., ::-1].copy()
 
 
 def _pivoted_cholesky(q: np.ndarray, stop_tol: float):
@@ -278,28 +290,61 @@ def positive_eigenvalue_bound(
     positive eigenvalues of P.  Eigenvalues within ``tol.eig`` of zero
     (relative to the spectral radius) count as zero.
     """
+    if isinstance(quantities, QuantityVector):
+        quantities = quantities.weights
+    return positive_eigenvalue_bounds(q, [quantities], tol)[0]
+
+
+def positive_eigenvalue_bounds(
+    q: MomentMatrix,
+    quantities,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> list:
+    """``positive_eigenvalue_bound`` for each row of a (k, n) quantity array.
+
+    Q is validated and factored once; the P matrices are solved in stacks of
+    at most ``STACK_BYTES``.  Each row is checked as a QuantityVector would
+    be, and gets its own zero threshold and BoundResult, identical to what a
+    single-row call returns.
+    """
     if not isinstance(q, MomentMatrix):
         q = MomentMatrix(q)
-    if not isinstance(quantities, QuantityVector):
-        quantities = QuantityVector(quantities)
-    if quantities.dim != q.dim:
+    try:
+        weights = np.array(quantities, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"quantities must form a (k, n) array: {exc}") from exc
+    if weights.ndim != 2 or weights.shape[1] == 0:
         raise DimensionMismatch(
-            f"quantity vector has length {quantities.dim}, moment matrix is {q.dim}x{q.dim}"
+            f"quantities must form a (k, n) array of non-empty rows, got shape {weights.shape}"
+        )
+    if not np.all(np.isfinite(weights)):
+        raise ParameterOutOfRange("quantities must be finite")
+    if weights.shape[1] != q.dim:
+        raise DimensionMismatch(
+            f"quantity vector has length {weights.shape[1]}, moment matrix is {q.dim}x{q.dim}"
         )
     factor = factor_psd(q, tol)
     if factor.rank == 0:
-        return BoundResult(0.0, np.zeros(0), 0, factor.clipped_negative_mass, factor.method, 0)
-    p = (factor.matrix * quantities.weights[None, :]) @ factor.matrix.T
-    p = 0.5 * (p + p.T)
-    eigs = symmetric_eigenvalues(p, tol)
-    radius = float(np.max(np.abs(eigs)))
-    threshold = tol.eig * radius
-    positive = eigs[eigs > threshold]
-    return BoundResult(
-        bound=float(np.sum(positive)),
-        eigenvalues=eigs,
-        rank_q=factor.rank,
-        clipped_negative_mass=factor.clipped_negative_mass,
-        factorization=factor.method,
-        positive_count=int(positive.size),
-    )
+        empty = BoundResult(0.0, np.zeros(0), 0, factor.clipped_negative_mass, factor.method, 0)
+        return [empty] * len(weights)
+    s = factor.matrix
+    per_stack = max(1, STACK_BYTES // (s.itemsize * factor.rank * factor.rank))
+    results = []
+    for start in range(0, len(weights), per_stack):
+        p = np.array([(s * w[None, :]) @ s.T for w in weights[start : start + per_stack]])
+        p = 0.5 * (p + p.swapaxes(1, 2))
+        for eigs in symmetric_eigenvalues(p, tol):
+            radius = float(np.max(np.abs(eigs)))
+            threshold = tol.eig * radius
+            positive = eigs[eigs > threshold]
+            results.append(
+                BoundResult(
+                    bound=float(np.sum(positive)),
+                    eigenvalues=eigs,
+                    rank_q=factor.rank,
+                    clipped_negative_mass=factor.clipped_negative_mass,
+                    factorization=factor.method,
+                    positive_count=int(positive.size),
+                )
+            )
+    return results

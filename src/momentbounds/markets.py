@@ -20,9 +20,8 @@ import numpy as np
 from .engine import (
     BoundResult,
     DEFAULT_TOLERANCES,
-    QuantityVector,
     Tolerances,
-    positive_eigenvalue_bound,
+    positive_eigenvalue_bounds,
 )
 from .errors import NegativeShiftedRate, ParameterOutOfRange
 from .moments import AssetMoments, assemble_q, cross_term
@@ -189,7 +188,8 @@ def annuity_weights(slice_: SwapCurveSlice, n: int) -> AnnuityWeights:
     return AnnuityWeights(weights, lam, mean_daycount)
 
 
-def _shifted_inputs(slice_: SwapCurveSlice, n: int, strike: float):
+def _shifted_inputs(slice_: SwapCurveSlice, n: int):
+    """Inversion weight, shifted swap rates and strike shift of the n-th caplet."""
     if not 2 <= n <= slice_.periods:
         raise ParameterOutOfRange(
             f"caplet decomposition needs 2 <= n <= {slice_.periods}, got {n}"
@@ -199,12 +199,36 @@ def _shifted_inputs(slice_: SwapCurveSlice, n: int, strike: float):
     alpha = slice_.shift
     f_n = float(slice_.forwards[n - 1]) + alpha / here.mean_daycount
     f_prev = float(slice_.forwards[n - 2]) + alpha / prev.mean_daycount
-    k = strike + alpha / float(slice_.daycounts[n - 1])
+    strike_shift = alpha / float(slice_.daycounts[n - 1])
     if f_n <= 0.0 or f_prev <= 0.0:
         raise NegativeShiftedRate(
             f"shifted swap rates ({f_n}, {f_prev}) must be positive; increase the shift"
         )
-    return here.lam, f_n, f_prev, k
+    return here.lam, f_n, f_prev, strike_shift
+
+
+def _caplet_bound_results(
+    slice_: SwapCurveSlice, n: int, strikes, tol: Tolerances = DEFAULT_TOLERANCES
+) -> list:
+    """``caplet_bound_result`` for each strike of a grid, one engine result each.
+
+    The three-asset moment matrix does not depend on the strike, so it is
+    assembled and factored once for the whole grid.
+    """
+    lam, f_n, f_prev, strike_shift = _shifted_inputs(slice_, n)
+    rho = float(slice_.adjacent_correlations[n - 2])
+    assets = [
+        AssetMoments(f_n, float(slice_.root_variances[n - 1])),
+        AssetMoments(f_prev, float(slice_.root_variances[n - 2])),
+        AssetMoments(1.0, 0.0),
+    ]
+    q = assemble_q(assets, {(0, 1): rho}, tol)
+    shifted = np.asarray(strikes, dtype=float) + strike_shift
+    quantities = np.empty((shifted.size, 3))
+    quantities[:, 0] = lam + 1.0
+    quantities[:, 1] = -lam
+    quantities[:, 2] = -shifted
+    return positive_eigenvalue_bounds(q, quantities, tol)
 
 
 def caplet_bound_result(
@@ -216,16 +240,7 @@ def caplet_bound_result(
     quantity of the cash asset, and scanning below the shifted floor is what
     exposes the eigenvalue-regime switch.
     """
-    lam, f_n, f_prev, k = _shifted_inputs(slice_, n, strike)
-    rho = float(slice_.adjacent_correlations[n - 2])
-    assets = [
-        AssetMoments(f_n, float(slice_.root_variances[n - 1])),
-        AssetMoments(f_prev, float(slice_.root_variances[n - 2])),
-        AssetMoments(1.0, 0.0),
-    ]
-    q = assemble_q(assets, {(0, 1): rho}, tol)
-    quantities = QuantityVector([lam + 1.0, -lam, -k])
-    return positive_eigenvalue_bound(q, quantities, tol)
+    return _caplet_bound_results(slice_, n, [strike], tol)[0]
 
 
 def caplet_bound(
@@ -274,7 +289,7 @@ def caplet_cdf_scan(
         raise ParameterOutOfRange("need a 1-d grid of at least three strikes")
     if np.any(np.diff(ks) <= 0.0):
         raise ParameterOutOfRange("strikes must be strictly increasing")
-    results = [caplet_bound_result(slice_, n, float(k), tol) for k in ks]
+    results = _caplet_bound_results(slice_, n, ks, tol)
     bounds = np.array([r.bound for r in results])
     counts = np.array([r.positive_count for r in results], dtype=int)
     cdf = np.empty_like(bounds)
@@ -301,9 +316,8 @@ def caplet_point_mass(
     each from a second-order one-sided stencil, so a smooth bound reports
     O(step^2) instead of a spurious mass.
     """
-    b0 = caplet_bound(slice_, n, strike, tol)
-    up = [caplet_bound(slice_, n, strike + i * step, tol) for i in (1, 2)]
-    dn = [caplet_bound(slice_, n, strike - i * step, tol) for i in (1, 2)]
-    right = (-3.0 * b0 + 4.0 * up[0] - up[1]) / (2.0 * step)
-    left = (3.0 * b0 - 4.0 * dn[0] + dn[1]) / (2.0 * step)
+    stencil = [strike, strike + step, strike + 2 * step, strike - step, strike - 2 * step]
+    b0, up1, up2, dn1, dn2 = (r.bound for r in _caplet_bound_results(slice_, n, stencil, tol))
+    right = (-3.0 * b0 + 4.0 * up1 - up2) / (2.0 * step)
+    left = (3.0 * b0 - 4.0 * dn1 + dn2) / (2.0 * step)
     return right - left

@@ -25,9 +25,8 @@ import numpy as np
 from .engine import (
     DEFAULT_TOLERANCES,
     MomentMatrix,
-    QuantityVector,
     Tolerances,
-    positive_eigenvalue_bound,
+    positive_eigenvalue_bounds,
 )
 from .errors import DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
 from .models import LognormalModel, lognormal_partial_moment, _gl_rule
@@ -41,6 +40,7 @@ __all__ = [
     "linear_conditional_moments",
     "partition_moment_matrix",
     "refined_bound",
+    "refined_bounds",
     "flat_refined_bound",
     "linear_refined_bound",
     "LinearPartition",
@@ -431,15 +431,31 @@ def partition_moment_matrix(moments: ConditionalMoments) -> MomentMatrix:
     return MomentMatrix(q)
 
 
+def refined_bounds(
+    moments: ConditionalMoments, strikes, tol: Tolerances = DEFAULT_TOLERANCES
+) -> np.ndarray:
+    """Partition-refined upper bounds for E[(a - k)^+] over a strike grid.
+
+    The moment matrix does not depend on the strike, so it is assembled and
+    factored once for the whole grid.
+    """
+    ks = np.asarray(strikes, dtype=float)
+    if ks.ndim != 1:
+        raise ParameterOutOfRange("strikes must form a one-dimensional grid")
+    if not np.all(ks > 0.0):
+        raise ParameterOutOfRange(f"strikes must be positive, got {ks[~(ks > 0.0)][0]}")
+    n = moments.cells
+    quantities = np.ones((ks.size, 2 * n))
+    quantities[:, n:] = -ks[:, None]
+    results = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities, tol)
+    return np.array([r.bound for r in results])
+
+
 def refined_bound(
     moments: ConditionalMoments, strike: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Partition-refined upper bound for E[(a - k)^+] from conditional moments."""
-    if not strike > 0.0:
-        raise ParameterOutOfRange(f"strike must be positive, got {strike}")
-    n = moments.cells
-    quantities = QuantityVector(np.concatenate([np.ones(n), np.full(n, -strike)]))
-    return positive_eigenvalue_bound(partition_moment_matrix(moments), quantities, tol).bound
+    return float(refined_bounds(moments, [strike], tol)[0])
 
 
 def flat_refined_bound(
@@ -460,8 +476,8 @@ def linear_refined_bound(
 ) -> float:
     """Refined bound for the hat partition with moments implied by the model.
 
-    For strike sweeps, compute ``linear_conditional_moments`` once and call
-    ``refined_bound`` per strike; the moment matrix does not depend on the
-    option strike.
+    For strike sweeps, compute ``linear_conditional_moments`` once and pass
+    the whole grid to ``refined_bounds``, which factors the moment matrix
+    once; it does not depend on the option strike.
     """
     return refined_bound(linear_conditional_moments(model, strikes, n_nodes=n_nodes), strike, tol)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, QuantityVector, Tolerances, positive_eigenvalue_bound
+from .engine import DEFAULT_TOLERANCES, Tolerances, positive_eigenvalue_bounds
 from .errors import ParameterOutOfRange, ShapeViolation
 from .models import implied_lognormal_vol
 from .moments import AssetMoments, assemble_q
@@ -83,13 +83,24 @@ def vanilla_bound_via_engine(
     asset 1 and quantities (1, -k).  Agrees with the closed form to within
     eigensolver roundoff; kept as an independent route for cross-checks.
     """
-    _validate(f, nu, k)
+    return float(_vanilla_bounds_via_engine(f, nu, [k], tol)[0])
+
+
+def _vanilla_bounds_via_engine(
+    f: float, nu: float, strikes, tol: Tolerances = DEFAULT_TOLERANCES
+) -> np.ndarray:
+    """``vanilla_bound_via_engine`` over a strike grid, factoring the 2x2
+    moment matrix once."""
+    ks = np.asarray(strikes, dtype=float)
+    for k in ks:
+        _validate(f, nu, float(k))
     q = assemble_q(
         [AssetMoments(f, nu), AssetMoments(1.0, 0.0)],
         {(0, 1): 0.0},
         tol,
     )
-    return positive_eigenvalue_bound(q, QuantityVector([1.0, -k]), tol).bound
+    quantities = np.column_stack([np.ones(ks.size), -ks])
+    return np.array([r.bound for r in positive_eigenvalue_bounds(q, quantities, tol)])
 
 
 def implied_cdf(f: float, nu: float, k: float) -> float:

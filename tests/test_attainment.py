@@ -19,7 +19,7 @@ from momentbounds.errors import (
     ParameterOutOfRange,
     QuadratureBudgetExceeded,
 )
-from momentbounds.vanilla import vanilla_bound
+from momentbounds.vanilla import vanilla_bound, vanilla_bound_via_engine
 
 
 class TestBinomialCalibrate:
@@ -188,3 +188,13 @@ class TestGeneralMoment:
             general_moment(0.5, 0.0)
         with pytest.raises(ParameterOutOfRange):
             general_moment(0.5, 1.0)
+
+
+class TestLocalScanBatching:
+    def test_bounds_match_single_engine_calls_and_factor_once(self, factor_calls):
+        strikes = np.linspace(0.3, 2.5, 12)
+        expected = [vanilla_bound_via_engine(1.0, 0.04, float(k)) for k in strikes]
+        factor_calls.clear()
+        report = local_attainment_scan(1.0, 0.04, strikes)
+        assert report.bounds.tolist() == expected
+        assert len(factor_calls) == 1

@@ -120,6 +120,30 @@ class TestRun:
             tmp_path / "four" / "smile.csv"
         ).read_bytes()
 
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", smile_config())
+        with pytest.raises(ConfigError):
+            run(load_config(path), tmp_path / "zero", threads=0)
+        assert not (tmp_path / "zero").exists()
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+    def test_refine_factors_once_per_partition(self, tmp_path, factor_calls):
+        payload = {
+            "schema_version": 1,
+            "experiment": "FlatRefine",
+            "output": "flat",
+            "parameters": {
+                "forward": 1.0,
+                "sigma": 0.3,
+                "partitions": [[], [0.8, 1.25], [0.6, 0.9, 1.1, 1.5]],
+                "eval_strikes": {"start": 0.5, "stop": 2.0, "count": 13},
+            },
+        }
+        config = load_config(write_config(tmp_path / "c.json", payload))
+        run(config, tmp_path / "out")
+        assert len(factor_calls) == 3
+
     def test_infinite_vol_uses_sentinel(self, tmp_path):
         payload = smile_config(sentinel="NA")
         payload["parameters"]["root_variances"] = [1.0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from momentbounds import engine
 from momentbounds.engine import (
     BoundResult,
     MomentMatrix,
@@ -11,6 +12,7 @@ from momentbounds.engine import (
     _eigen_factor,
     factor_psd,
     positive_eigenvalue_bound,
+    positive_eigenvalue_bounds,
     symmetric_eigenvalues,
 )
 from momentbounds.errors import (
@@ -140,6 +142,22 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ParameterOutOfRange):
             symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
 
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((6, 4, 4))
+        stack = a + a.transpose(0, 2, 1)
+        eigs = symmetric_eigenvalues(stack)
+        assert eigs.shape == (6, 4)
+        for row, matrix in zip(eigs, stack):
+            assert np.array_equal(row, symmetric_eigenvalues(matrix))
+
+    def test_stack_checks_each_matrix_on_its_own_scale(self):
+        # The second matrix's asymmetry is tiny next to the first's entries
+        # but not next to its own.
+        stack = np.array([[[1e6, 0.0], [0.0, 1e6]], [[0.0, 1.0], [1.0 + 1e-12, 0.0]]])
+        with pytest.raises(ParameterOutOfRange):
+            symmetric_eigenvalues(stack)
+
 
 class TestPositiveEigenvalueBound:
     def test_identity_case(self):
@@ -240,3 +258,109 @@ class TestEngineProperties:
             result = positive_eigenvalue_bound(q, QuantityVector(lam))
             full_exercise = float(np.dot(lam, np.diag(q.entries)))
             assert result.bound >= max(0.0, full_exercise) - 1e-12
+
+
+def assert_same_result(got: BoundResult, want: BoundResult):
+    assert got.bound == want.bound
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.rank_q == want.rank_q
+    assert got.clipped_negative_mass == want.clipped_negative_mass
+    assert got.factorization == want.factorization
+    assert got.positive_count == want.positive_count
+
+
+def sweep_rows(rng, n):
+    """Mixed-sign rows plus all-long and all-short rows."""
+    mixed = rng.standard_normal((7, n))
+    return np.vstack([mixed, np.abs(mixed[:2]), -np.abs(mixed[2:4])])
+
+
+class TestPositiveEigenvalueBounds:
+    def check_rows_match(self, q, rows):
+        results = positive_eigenvalue_bounds(q, rows)
+        assert len(results) == len(rows)
+        fac = factor_psd(q)
+        for row, result in zip(rows, results):
+            assert_same_result(result, positive_eigenvalue_bound(q, QuantityVector(row)))
+            # The unbatched computation, one 2-D eigensolve per row.
+            p = (fac.matrix * row[None, :]) @ fac.matrix.T
+            eigs = symmetric_eigenvalues(0.5 * (p + p.T))
+            assert np.array_equal(result.eigenvalues, eigs)
+            assert result.bound == float(np.sum(eigs[eigs > 1e-12 * np.max(np.abs(eigs))]))
+
+    def test_full_rank_rows_match_single_calls_exactly(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 5, 8):
+            self.check_rows_match(random_psd(rng, n), sweep_rows(rng, n))
+
+    def test_rank_deficient_rows_match_single_calls_exactly(self):
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((2, 6))
+        q = MomentMatrix(a.T @ a + np.diag(np.full(6, 1e-14)))
+        assert factor_psd(q).rank == 2
+        self.check_rows_match(q, sweep_rows(rng, 6))
+
+    def test_eigen_fallback_rows_match_single_calls_exactly(self):
+        u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        v = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        q = MomentMatrix(np.outer(u, u) - 5e-11 * np.outer(v, v))
+        assert factor_psd(q).method == "eigen"
+        self.check_rows_match(q, sweep_rows(np.random.default_rng(53), 2))
+
+    def test_one_sign_rows_are_trivial(self):
+        rng = np.random.default_rng(59)
+        q = random_psd(rng, 4)
+        long, short = positive_eigenvalue_bounds(q, [[1.0, 2.0, 0.5, 1.0], [-1.0, -2.0, -0.5, -1.0]])
+        full = float(np.dot([1.0, 2.0, 0.5, 1.0], np.diag(q.entries)))
+        assert long.bound == pytest.approx(full, rel=1e-12)
+        assert long.positive_count == 4
+        assert short.bound == 0.0
+        assert short.positive_count == 0
+
+    def test_each_row_has_its_own_zero_threshold(self):
+        # A huge row in the same stack must not zero the small eigenvalue of
+        # the next row.
+        big, small = positive_eigenvalue_bounds(np.eye(3), [[1e9, -1.0, -1.0], [1.0, 1e-6, -1.0]])
+        assert big.positive_count == 1
+        assert small.positive_count == 2
+        assert small.bound == 1.0 + 1e-6
+
+    def test_stack_boundaries_do_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        q = random_psd(rng, 5)
+        rows = sweep_rows(rng, 5)
+        whole = positive_eigenvalue_bounds(q, rows)
+        # Two 5x5 P matrices per stack, so the rows split into uneven stacks.
+        monkeypatch.setattr(engine, "STACK_BYTES", 2 * 5 * 5 * 8)
+        for got, want in zip(positive_eigenvalue_bounds(q, rows), whole):
+            assert_same_result(got, want)
+
+    def test_factors_q_once(self, factor_calls):
+        rng = np.random.default_rng(67)
+        positive_eigenvalue_bounds(random_psd(rng, 3), sweep_rows(rng, 3))
+        assert len(factor_calls) == 1
+
+    def test_no_rows_gives_no_results(self):
+        assert positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), np.zeros((0, 2))) == []
+
+    def test_rejects_wrong_row_length(self):
+        q = MomentMatrix(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            positive_eigenvalue_bounds(q, np.ones((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            positive_eigenvalue_bounds(q, [[1.0, -1.0, 0.5], [1.0, -1.0]])
+
+    def test_rejects_non_finite_row(self):
+        rows = np.ones((3, 2))
+        rows[1, 0] = math.nan
+        with pytest.raises(ParameterOutOfRange):
+            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), rows)
+        rows[1, 0] = -math.inf
+        with pytest.raises(ParameterOutOfRange):
+            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), rows)
+
+    def test_rejects_one_dimensional_input(self):
+        with pytest.raises(DimensionMismatch):
+            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), [1.0, -1.0])
+        with pytest.raises(DimensionMismatch):
+            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), np.zeros((2, 0)))

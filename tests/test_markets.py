@@ -234,3 +234,31 @@ class TestEigenvalueRegime:
         assert caplet_bound_result(slice_, 10, -0.51).positive_count == 2
         assert caplet_bound_result(slice_, 10, -0.49).positive_count == 1
         assert caplet_bound_result(slice_, 10, 0.02).positive_count == 1
+
+
+class TestBatchedCaplets:
+    def test_scan_matches_single_strikes_exactly(self):
+        slice_ = figure_slice(0.8, 0.5)
+        strikes = np.linspace(-0.03, 0.06, 19)
+        scan = caplet_cdf_scan(slice_, 3, strikes)
+        for i, k in enumerate(strikes):
+            single = caplet_bound_result(slice_, 3, float(k))
+            assert scan.bounds[i] == single.bound
+            assert scan.positive_counts[i] == single.positive_count
+
+    def test_cdf_scan_factors_once(self, factor_calls):
+        caplet_cdf_scan(figure_slice(0.8, 0.5), 3, np.linspace(-0.03, 0.06, 91))
+        assert len(factor_calls) == 1
+
+    def test_point_mass_is_one_batch_of_the_stencil(self, factor_calls):
+        slice_ = figure_slice(0.8, 0.5)
+        step = 1e-6
+        b0, up1, up2, dn1, dn2 = (
+            caplet_bound(slice_, 3, k) for k in (0.0, step, 2 * step, -step, -2 * step)
+        )
+        expected = (-3.0 * b0 + 4.0 * up1 - up2) / (2.0 * step) - (
+            3.0 * b0 - 4.0 * dn1 + dn2
+        ) / (2.0 * step)
+        factor_calls.clear()
+        assert caplet_point_mass(slice_, 3, 0.0, step=step) == expected
+        assert len(factor_calls) == 1

@@ -18,6 +18,7 @@ from momentbounds.partition import (
     partition_moment_matrix,
     quadrature_partial_moment,
     refined_bound,
+    refined_bounds,
 )
 from momentbounds.vanilla import vanilla_bound
 
@@ -250,3 +251,29 @@ class TestConditionalMomentsType:
         q = partition_moment_matrix(moments)
         s = math.sqrt(0.96)
         assert np.allclose(q.entries, [[1.0, s], [s, 1.0]], rtol=1e-15)
+
+
+class TestRefinedBounds:
+    @pytest.mark.parametrize("kind", ["flat", "linear"])
+    def test_sweep_matches_single_strikes_exactly(self, kind):
+        build = flat_conditional_moments if kind == "flat" else linear_conditional_moments
+        moments = build(MODEL, FIG_BOUNDARIES_6)
+        sweep = refined_bounds(moments, EVAL_STRIKES)
+        assert sweep.shape == EVAL_STRIKES.shape
+        for k, value in zip(EVAL_STRIKES, sweep):
+            assert value == refined_bound(moments, float(k))
+
+    @pytest.mark.parametrize("kind", ["flat", "linear"])
+    def test_sweep_factors_once(self, kind, factor_calls):
+        build = flat_conditional_moments if kind == "flat" else linear_conditional_moments
+        moments = build(MODEL, FIG_BOUNDARIES_30)
+        refined_bounds(moments, EVAL_STRIKES)
+        assert len(factor_calls) == 1
+
+    def test_rejects_non_positive_strikes(self):
+        moments = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)
+        for bad in ([1.0, 0.0], [1.0, -0.5], [math.nan]):
+            with pytest.raises(ParameterOutOfRange):
+                refined_bounds(moments, bad)
+        with pytest.raises(ParameterOutOfRange):
+            refined_bound(moments, 0.0)
