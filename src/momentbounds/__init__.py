@@ -36,7 +36,9 @@ from .models import (
     bs_put_price,
     gauss_legendre,
     implied_lognormal_vol,
+    implied_lognormal_vols,
     implied_normal_vol,
+    implied_normal_vols,
     lognormal_partial_moment,
     norm_cdf,
 )

@@ -81,6 +81,20 @@ def binomial_call_price(model: BinomialModel, strike: float) -> float:
     )
 
 
+def _scanned_maximum(f: float, theta: float, strike: float) -> float:
+    """Largest two-state call price over an angle grid on the branch
+    [pi/2 - theta, pi/2): ``binomial_calibrate`` and ``binomial_call_price``
+    evaluated at every grid angle at once."""
+    chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, _SCAN_POINTS)[:-1]
+    weight_low, weight_high = np.sin(chi) ** 2, np.cos(chi) ** 2
+    low = f * np.cos(theta + chi) ** 2 / weight_low
+    high = f * np.sin(theta + chi) ** 2 / weight_high
+    prices = weight_low * np.maximum(low - strike, 0.0) + weight_high * np.maximum(
+        high - strike, 0.0
+    )
+    return float(np.max(prices))
+
+
 def optimal_angle(f: float, nu: float, strike: float, *, guard: bool = True) -> float:
     """Angle of the two-state model whose call price attains the bound.
 
@@ -96,12 +110,7 @@ def optimal_angle(f: float, nu: float, strike: float, *, guard: bool = True) -> 
         two_chi += math.pi
     chi = 0.5 * two_chi
     if guard:
-        lo = 0.5 * math.pi - theta
-        hi = 0.5 * math.pi
-        grid = np.linspace(lo, hi, _SCAN_POINTS)[:-1]
-        best = max(
-            binomial_call_price(binomial_calibrate(f, nu, float(c)), strike) for c in grid
-        )
+        best = _scanned_maximum(f, theta, strike)
         achieved = binomial_call_price(binomial_calibrate(f, nu, chi), strike)
         if achieved < best - 1e-9 * max(1.0, f):
             raise BranchResolutionFailure(

@@ -45,7 +45,7 @@ from .markets import (
     caplet_point_mass,
     cross_root_variance,
 )
-from .models import LognormalModel, bs_call_price, implied_normal_vol
+from .models import LognormalModel, bs_call_price, implied_normal_vols
 from .partition import flat_conditional_moments, linear_conditional_moments, refined_bounds
 from .vanilla import check_decreasing_convex, smile_curve, vanilla_bound
 
@@ -420,10 +420,7 @@ def _run_caplet(plan, config: RunConfig):
         scan = caplet_cdf_scan(slice_, plan["n"], strikes, tol)
         check_decreasing_convex(strikes, scan.bounds, label=f"caplet bound (alpha={alpha}, rho={rho})")
         forward = _caplet_forward(slice_, plan["n"])
-        vols = [
-            implied_normal_vol(forward, float(k), plan["expiry"], float(b))
-            for k, b in zip(strikes, scan.bounds)
-        ]
+        vols = implied_normal_vols(forward, strikes, plan["expiry"], scan.bounds)
         label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
         summary["switch_strikes"][label] = list(scan.switch_strikes)
         if scan_shifts:

@@ -2,6 +2,10 @@
 moments, implied lognormal/normal volatility inversion, a two-state binomial
 model, and Gauss-Legendre quadrature.
 
+The vol inversions run one bracketed bisection over a whole strike grid
+(``implied_lognormal_vols``, ``implied_normal_vols``); the one-strike forms
+are their one-element case.
+
 All prices are undiscounted forward values.  Discounting enters only through
 the rates application, via explicit discount factors.
 """
@@ -18,6 +22,7 @@ from scipy.special import ndtr
 
 from .errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     ParameterOutOfRange,
     PriceOutsideArbitrageBounds,
 )
@@ -31,7 +36,9 @@ __all__ = [
     "bs_put_price",
     "bachelier_call_price",
     "implied_lognormal_vol",
+    "implied_lognormal_vols",
     "implied_normal_vol",
+    "implied_normal_vols",
     "lognormal_partial_moment",
     "binomial_price",
     "gauss_legendre",
@@ -42,6 +49,10 @@ __all__ = [
 # than silently extrapolated.
 _VOL_BRACKET = (1e-8, 10.0)
 _BISECTION_ITERATIONS = 90
+# Doublings of the upper guess tried to bracket a normal vol.
+_BRACKET_DOUBLINGS = 200
+# Largest price residual accepted at an inverted vol.
+PRICE_TOL = 1e-10
 
 # Prices this close to the forward are treated as the upper arbitrage bound,
 # where the implied lognormal volatility diverges.
@@ -184,103 +195,202 @@ def bachelier_call_price(forward: float, strike: float, sigma: float, expiry: fl
     return (forward - strike) * float(ndtr(d)) + stdev * float(norm_pdf(d))
 
 
-def implied_lognormal_vol(
-    forward: float,
-    strike: float,
-    expiry: float,
-    price: float,
-    *,
-    price_tol: float = 1e-10,
-) -> float:
-    """Invert the Black call formula by bracketed bisection.
+def _as_grid(strikes, prices):
+    ks = np.asarray(strikes, dtype=float)
+    ps = np.asarray(prices, dtype=float)
+    if ks.ndim != 1 or ks.shape != ps.shape:
+        raise DimensionMismatch(
+            f"need matching 1-d strike and price grids, got {ks.shape} and {ps.shape}"
+        )
+    return ks, ps
 
-    Returns ``math.inf`` when the price sits at the upper arbitrage bound
+
+def _first(indices, error):
+    """``[(i, error(i))]`` for the first grid index ``i`` that fails a check.
+
+    The inversions collect these over all checks and raise the earliest, so
+    a grid fails exactly as a strike-by-strike loop would.
+    """
+    return [(indices[0], error(indices[0]))] if len(indices) else []
+
+
+def _raise_first(failures) -> None:
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def _black_calls(forward: float, strikes, log_moneyness, root_expiry: float):
+    """``sigma -> bs_call_price`` over a strike grid, in the scalar pricer's
+    floating-point operations; ``log_moneyness`` is log(f / k) per strike."""
+
+    def value(sigma):
+        stdev = sigma * root_expiry
+        d1 = (log_moneyness + 0.5 * stdev * stdev) / stdev
+        return forward * ndtr(d1) - strikes * ndtr(d1 - stdev)
+
+    return value
+
+
+def _bachelier_calls(moneyness, root_expiry: float):
+    """``sigma -> bachelier_call_price`` over a grid of f - k, for sigma > 0,
+    in the scalar pricer's floating-point operations."""
+
+    def value(sigma):
+        stdev = sigma * root_expiry
+        d = moneyness / stdev
+        return moneyness * ndtr(d) + stdev * norm_pdf(d)
+
+    return value
+
+
+def _bisect(value, lo, hi, prices):
+    """Fixed-step bisection of ``value(sigma) = prices``, elementwise.
+
+    Returns the midpoint vols and the mask of elements whose price residual
+    exceeds ``PRICE_TOL``.
+    """
+    for _ in range(_BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        below = value(mid) < prices
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    sigma = 0.5 * (lo + hi)
+    return sigma, np.abs(value(sigma) - prices) > PRICE_TOL
+
+
+def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np.ndarray:
+    """Invert the Black call formula by bracketed bisection on a strike grid.
+
+    Returns ``math.inf`` where the price sits at the upper arbitrage bound
     (within ``UPPER_BOUND_MARGIN`` of the forward), where the implied
-    volatility diverges.
+    volatility diverges.  Each element takes the same steps, in the same
+    floating-point operations, as a one-strike inversion.
 
-    Raises:
+    Raises, for the first failing strike in grid order:
+        ParameterOutOfRange: non-positive forward, strike or expiry.
         PriceOutsideArbitrageBounds: price outside [(f-k)^+, f].
         ConvergenceFailure: price requires a volatility above the bracket.
     """
-    if not forward > 0.0 or not strike > 0.0 or not expiry > 0.0:
-        raise ParameterOutOfRange("forward, strike and expiry must be positive")
-    intrinsic = max(forward - strike, 0.0)
+    if not forward > 0.0 or not expiry > 0.0:
+        raise ParameterOutOfRange(f"forward and expiry must be positive, got {forward}, {expiry}")
+    ks, ps = _as_grid(strikes, prices)
+    intrinsic = np.maximum(forward - ks, 0.0)
     slack = 1e-12 * max(1.0, forward)
-    if price < intrinsic - slack or price > forward + slack:
-        raise PriceOutsideArbitrageBounds(
-            f"price {price} outside [{intrinsic}, {forward}] for strike {strike}"
-        )
-    if price >= forward - UPPER_BOUND_MARGIN:
-        return math.inf
-    if price <= intrinsic + slack:
-        # Deep in the money the time value collapses below representable
-        # resolution; zero vol reproduces such prices within price_tol.
-        return 0.0
+    bad_strike = ~(ks > 0.0)
+    outside = ~bad_strike & ((ps < intrinsic - slack) | (ps > forward + slack))
+    at_upper = ~(bad_strike | outside) & (ps >= forward - UPPER_BOUND_MARGIN)
+    # Deep in the money the time value collapses below representable
+    # resolution; zero vol reproduces such prices within PRICE_TOL.
+    at_intrinsic = ~(bad_strike | outside | at_upper) & (ps <= intrinsic + slack)
+    failures = _first(
+        np.flatnonzero(bad_strike),
+        lambda i: ParameterOutOfRange(f"strike must be positive, got {ks[i]}"),
+    ) + _first(
+        np.flatnonzero(outside),
+        lambda i: PriceOutsideArbitrageBounds(
+            f"price {ps[i]} outside [{intrinsic[i]}, {forward}] for strike {ks[i]}"
+        ),
+    )
+    vols = np.where(at_upper, math.inf, 0.0)
 
+    solve = np.flatnonzero(~(bad_strike | outside | at_upper | at_intrinsic))
+    k, p = ks[solve], ps[solve]
+    # log(f / k) does not depend on sigma.  math.log keeps it bit-identical to
+    # the scalar pricer's; np.log differs from it by an ulp on rare inputs.
+    log_moneyness = np.array([math.log(forward / x) for x in k.tolist()])
+    root_expiry = math.sqrt(expiry)
     lo, hi = _VOL_BRACKET
+    unbracketed = _black_calls(forward, k, log_moneyness, root_expiry)(np.full(k.size, hi)) < p
+    failures += _first(
+        solve[unbracketed],
+        lambda i: ConvergenceFailure(
+            f"implied lognormal vol above bracket {hi} for price {ps[i]} at strike {ks[i]}"
+        ),
+    )
+    keep = ~unbracketed
+    n = int(keep.sum())
+    value = _black_calls(forward, k[keep], log_moneyness[keep], root_expiry)
+    sigma, off = _bisect(value, np.full(n, lo), np.full(n, hi), p[keep])
+    vols[solve[keep]] = sigma
+    failures += _first(
+        solve[keep][off],
+        lambda i: ConvergenceFailure(
+            f"bisection residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
+        ),
+    )
+    _raise_first(failures)
+    return vols
 
-    def value(sigma: float) -> float:
-        return bs_call_price(LognormalModel(forward, sigma, expiry), strike)
 
-    if value(hi) < price:
-        raise ConvergenceFailure(
-            f"implied lognormal vol above bracket {hi} for price {price}"
-        )
-    for _ in range(_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if value(mid) < price:
-            lo = mid
-        else:
-            hi = mid
-    sigma = 0.5 * (lo + hi)
-    if abs(value(sigma) - price) > max(price_tol, 1e-10):
-        raise ConvergenceFailure(
-            f"bisection residual exceeds tolerance at sigma={sigma}"
-        )
-    return sigma
+def implied_lognormal_vol(forward: float, strike: float, expiry: float, price: float) -> float:
+    """One-strike case of ``implied_lognormal_vols``."""
+    return float(implied_lognormal_vols(forward, [strike], expiry, [price])[0])
 
 
-def implied_normal_vol(
-    forward: float,
-    strike: float,
-    expiry: float,
-    price: float,
-    *,
-    price_tol: float = 1e-10,
-) -> float:
-    """Invert the Bachelier call formula; supports negative forwards and strikes."""
+def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.ndarray:
+    """Invert the Bachelier call formula on a strike grid; supports negative
+    forwards and strikes.
+
+    Prices at intrinsic give zero vol and at-the-money prices invert exactly.
+    The rest bracket each vol by doubling an upper guess, then bisect; each
+    element takes the same steps, in the same floating-point operations, as a
+    one-strike inversion.
+
+    Raises, for the first failing strike in grid order:
+        PriceOutsideArbitrageBounds: price below intrinsic.
+        ConvergenceFailure: the vol cannot be bracketed or bisected to
+            ``PRICE_TOL``.
+    """
     if not expiry > 0.0:
         raise ParameterOutOfRange(f"expiry must be positive, got {expiry}")
-    intrinsic = max(forward - strike, 0.0)
-    scale = max(1.0, abs(forward), abs(strike))
-    if price < intrinsic - 1e-12 * scale:
-        raise PriceOutsideArbitrageBounds(
-            f"price {price} below intrinsic {intrinsic}"
-        )
-    if price <= intrinsic:
-        return 0.0
-    if forward == strike:
-        # ATM Bachelier identity: price = sigma sqrt(T / 2 pi), inverted exactly.
-        return price * math.sqrt(2.0 * math.pi / expiry)
+    ks, ps = _as_grid(strikes, prices)
+    moneyness = forward - ks
+    intrinsic = np.maximum(moneyness, 0.0)
+    scale = np.maximum(max(1.0, abs(forward)), np.abs(ks))
+    below = ps < intrinsic - 1e-12 * scale
+    at_intrinsic = ~below & (ps <= intrinsic)
+    # ATM Bachelier identity: price = sigma sqrt(T / 2 pi), inverted exactly.
+    atm = ~(below | at_intrinsic) & (ks == forward)
+    failures = _first(
+        np.flatnonzero(below),
+        lambda i: PriceOutsideArbitrageBounds(
+            f"price {ps[i]} below intrinsic {intrinsic[i]} for strike {ks[i]}"
+        ),
+    )
+    vols = np.where(atm, ps * math.sqrt(2.0 * math.pi / expiry), 0.0)
 
-    lo = 0.0
-    hi = 2.0 * (price + abs(forward - strike)) / math.sqrt(expiry / (2.0 * math.pi))
-    for _ in range(200):
-        if bachelier_call_price(forward, strike, hi, expiry) >= price:
+    solve = np.flatnonzero(~(below | at_intrinsic | atm))
+    m, p = moneyness[solve], ps[solve]
+    root_expiry = math.sqrt(expiry)
+    hi = 2.0 * (p + np.abs(m)) / math.sqrt(expiry / (2.0 * math.pi))
+    unbracketed = np.ones(p.size, dtype=bool)
+    for _ in range(_BRACKET_DOUBLINGS):
+        active = np.flatnonzero(unbracketed)
+        if active.size == 0:
             break
-        hi *= 2.0
-    else:
-        raise ConvergenceFailure("could not bracket the normal vol")
-    for _ in range(_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if bachelier_call_price(forward, strike, mid, expiry) < price:
-            lo = mid
-        else:
-            hi = mid
-    sigma = 0.5 * (lo + hi)
-    if abs(bachelier_call_price(forward, strike, sigma, expiry) - price) > max(price_tol, 1e-10):
-        raise ConvergenceFailure(f"bisection residual exceeds tolerance at sigma={sigma}")
-    return sigma
+        unbracketed[active] = ~(_bachelier_calls(m[active], root_expiry)(hi[active]) >= p[active])
+        hi[unbracketed] *= 2.0
+    failures += _first(
+        solve[unbracketed],
+        lambda i: ConvergenceFailure(f"could not bracket the normal vol for strike {ks[i]}"),
+    )
+    keep = ~unbracketed
+    value = _bachelier_calls(m[keep], root_expiry)
+    sigma, off = _bisect(value, np.zeros(int(keep.sum())), hi[keep], p[keep])
+    vols[solve[keep]] = sigma
+    failures += _first(
+        solve[keep][off],
+        lambda i: ConvergenceFailure(
+            f"bisection residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
+        ),
+    )
+    _raise_first(failures)
+    return vols
+
+
+def implied_normal_vol(forward: float, strike: float, expiry: float, price: float) -> float:
+    """One-strike case of ``implied_normal_vols``."""
+    return float(implied_normal_vols(forward, [strike], expiry, [price])[0])
 
 
 def lognormal_partial_moment(

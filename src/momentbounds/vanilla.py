@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import DEFAULT_TOLERANCES, Tolerances, positive_eigenvalue_bounds
 from .errors import ParameterOutOfRange, ShapeViolation
-from .models import implied_lognormal_vol
+from .models import implied_lognormal_vols
 from .moments import AssetMoments, assemble_q
 
 __all__ = [
@@ -192,6 +192,6 @@ def smile_curve(f: float, nu: float, strikes, expiry: float) -> VanillaBoundCurv
     if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
         raise ParameterOutOfRange("strikes must be positive and strictly increasing")
     bounds = np.array([vanilla_bound(f, nu, k) for k in ks])
-    vols = np.array([implied_lognormal_vol(f, k, expiry, b) for k, b in zip(ks, bounds)])
+    vols = implied_lognormal_vols(f, ks, expiry, bounds)
     cdf = np.array([implied_cdf(f, nu, k) for k in ks])
     return VanillaBoundCurve(ks, bounds, vols, cdf)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from momentbounds import attainment
 from momentbounds.attainment import (
     binomial_calibrate,
     binomial_call_price,
@@ -16,6 +17,7 @@ from momentbounds.attainment import (
 )
 from momentbounds.errors import (
     AngleOutOfRange,
+    BranchResolutionFailure,
     ParameterOutOfRange,
     QuadratureBudgetExceeded,
 )
@@ -100,6 +102,33 @@ class TestOptimalAngle:
         for k in (0.2, 0.9, 1.0, 1.7, 4.0):
             chi = optimal_angle(1.0, nu, k)
             assert 0.5 * math.pi - theta - 1e-12 <= chi < 0.5 * math.pi
+
+
+class TestBranchGuard:
+    def test_scanned_maximum_matches_per_angle_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            f = float(rng.uniform(0.05, 20.0))
+            nu = float(rng.uniform(1e-4, 0.9999))
+            k = float(f * np.exp(rng.normal(0.0, 1.5)))
+            theta = math.acos(math.sqrt(nu))
+            grid = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, attainment._SCAN_POINTS)[:-1]
+            expected = max(
+                binomial_call_price(binomial_calibrate(f, nu, float(c)), k) for c in grid
+            )
+            got = attainment._scanned_maximum(f, theta, k)
+            assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_guard_still_rejects_a_beaten_angle(self, monkeypatch):
+        f, nu, k = 1.0, 0.04, 1.3
+        chi = optimal_angle(f, nu, k)
+        achieved = binomial_call_price(binomial_calibrate(f, nu, chi), k)
+        monkeypatch.setattr(
+            attainment, "_scanned_maximum", lambda *args: achieved + 2e-9 * max(1.0, f)
+        )
+        with pytest.raises(BranchResolutionFailure):
+            optimal_angle(f, nu, k)
+        assert optimal_angle(f, nu, k, guard=False) == chi
 
 
 class TestLocalAttainment:

@@ -7,6 +7,7 @@ from scipy.special import ndtri
 
 from momentbounds.errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     ParameterOutOfRange,
     PriceOutsideArbitrageBounds,
 )
@@ -19,7 +20,9 @@ from momentbounds.models import (
     bs_put_price,
     gauss_legendre,
     implied_lognormal_vol,
+    implied_lognormal_vols,
     implied_normal_vol,
+    implied_normal_vols,
     lognormal_partial_moment,
     norm_cdf,
 )
@@ -255,3 +258,195 @@ class TestVolBracket:
         if price < 1.0 - 1e-14:
             with pytest.raises(ConvergenceFailure):
                 implied_lognormal_vol(1.0, 1.0, 1.0, price)
+
+
+# ---------------------------------------------------------------------------
+# Array inversions against the strike-by-strike bisection they replaced.
+
+
+def scalar_lognormal_vol(forward, strike, expiry, price):
+    """Frozen copy of the one-strike Black bisection, the array form's oracle."""
+    if not forward > 0.0 or not strike > 0.0 or not expiry > 0.0:
+        raise ParameterOutOfRange("forward, strike and expiry must be positive")
+    intrinsic = max(forward - strike, 0.0)
+    slack = 1e-12 * max(1.0, forward)
+    if price < intrinsic - slack or price > forward + slack:
+        raise PriceOutsideArbitrageBounds(f"price {price} outside bounds")
+    if price >= forward - 1e-14:
+        return math.inf
+    if price <= intrinsic + slack:
+        return 0.0
+    lo, hi = 1e-8, 10.0
+
+    def value(sigma):
+        return bs_call_price(LognormalModel(forward, sigma, expiry), strike)
+
+    if value(hi) < price:
+        raise ConvergenceFailure("above bracket")
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if value(mid) < price:
+            lo = mid
+        else:
+            hi = mid
+    sigma = 0.5 * (lo + hi)
+    if abs(value(sigma) - price) > 1e-10:
+        raise ConvergenceFailure("residual")
+    return sigma
+
+
+def scalar_normal_vol(forward, strike, expiry, price):
+    """Frozen copy of the one-strike Bachelier bisection, the array form's oracle."""
+    if not expiry > 0.0:
+        raise ParameterOutOfRange("expiry must be positive")
+    intrinsic = max(forward - strike, 0.0)
+    scale = max(1.0, abs(forward), abs(strike))
+    if price < intrinsic - 1e-12 * scale:
+        raise PriceOutsideArbitrageBounds("below intrinsic")
+    if price <= intrinsic:
+        return 0.0
+    if forward == strike:
+        return price * math.sqrt(2.0 * math.pi / expiry)
+    lo = 0.0
+    hi = 2.0 * (price + abs(forward - strike)) / math.sqrt(expiry / (2.0 * math.pi))
+    for _ in range(200):
+        if bachelier_call_price(forward, strike, hi, expiry) >= price:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceFailure("could not bracket")
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if bachelier_call_price(forward, strike, mid, expiry) < price:
+            lo = mid
+        else:
+            hi = mid
+    sigma = 0.5 * (lo + hi)
+    if abs(bachelier_call_price(forward, strike, sigma, expiry) - price) > 1e-10:
+        raise ConvergenceFailure("residual")
+    return sigma
+
+
+def first_scalar_error(oracle, forward, strikes, expiry, prices):
+    """(index, error class) of the first strike the scalar loop fails on."""
+    for i, (k, p) in enumerate(zip(strikes, prices)):
+        try:
+            oracle(forward, float(k), expiry, float(p))
+        except Exception as exc:  # noqa: BLE001 - the class is the result
+            return i, type(exc)
+    return None
+
+
+def lognormal_grid(rng, size=60):
+    forward = float(rng.uniform(0.2, 5.0))
+    expiry = float(rng.choice([0.1, 1.0, 5.0]))
+    strikes = forward * np.exp(rng.normal(0.0, 1.0, size))
+    strikes[0] = forward  # at the money
+    sigmas = rng.uniform(0.0, 3.0, size)
+    prices = np.array(
+        [bs_call_price(LognormalModel(forward, s, expiry), k) for k, s in zip(strikes, sigmas)]
+    )
+    strikes[1], prices[1] = 0.05 * forward, 0.95 * forward  # deep in the money, zero vol
+    prices[2] = forward  # upper bound: inf
+    prices[3] = forward - 1e-15  # within the margin of the upper bound: inf
+    return forward, strikes, expiry, prices
+
+
+def normal_grid(rng, size=60):
+    forward = float(rng.normal(0.0, 0.03))  # negative forwards too
+    expiry = float(rng.choice([0.1, 1.0, 5.0, 30.0]))
+    strikes = forward + rng.normal(0.0, 0.03, size)  # negative strikes too
+    strikes[0] = forward  # exact ATM identity
+    sigmas = np.abs(rng.normal(0.01, 0.01, size))
+    prices = np.array(
+        [bachelier_call_price(forward, k, s, expiry) for k, s in zip(strikes, sigmas)]
+    )
+    prices[1] = max(forward - strikes[1], 0.0)  # at intrinsic: zero vol
+    strikes[2] = forward - 0.05
+    prices[2] = 0.05 * (1.0 - 1e-13)  # inside the below-intrinsic slack: zero vol
+    return forward, strikes, expiry, prices
+
+
+class TestArrayInversions:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lognormal_matches_scalar_bisection_exactly(self, seed):
+        forward, strikes, expiry, prices = lognormal_grid(np.random.default_rng(seed))
+        vols = implied_lognormal_vols(forward, strikes, expiry, prices)
+        expected = [scalar_lognormal_vol(forward, float(k), expiry, float(p)) for k, p in zip(strikes, prices)]
+        assert vols.tolist() == expected
+        assert vols[1] == 0.0 and vols[2] == math.inf and vols[3] == math.inf
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_normal_matches_scalar_bisection_exactly(self, seed):
+        forward, strikes, expiry, prices = normal_grid(np.random.default_rng(seed))
+        vols = implied_normal_vols(forward, strikes, expiry, prices)
+        expected = [scalar_normal_vol(forward, float(k), expiry, float(p)) for k, p in zip(strikes, prices)]
+        assert vols.tolist() == expected
+        assert vols[1] == 0.0 and vols[2] == 0.0
+
+    def test_scalar_forms_are_the_one_element_case(self):
+        forward, strikes, expiry, prices = lognormal_grid(np.random.default_rng(99), size=8)
+        for k, p in zip(strikes, prices):
+            assert implied_lognormal_vol(forward, k, expiry, p) == scalar_lognormal_vol(
+                forward, float(k), expiry, float(p)
+            )
+        forward, strikes, expiry, prices = normal_grid(np.random.default_rng(99), size=8)
+        for k, p in zip(strikes, prices):
+            assert implied_normal_vol(forward, k, expiry, p) == scalar_normal_vol(
+                forward, float(k), expiry, float(p)
+            )
+
+    def test_grid_shapes_checked(self):
+        with pytest.raises(DimensionMismatch):
+            implied_normal_vols(0.02, [0.01, 0.02], 1.0, [0.01])
+        with pytest.raises(DimensionMismatch):
+            implied_lognormal_vols(1.0, [[1.0]], 1.0, [[0.1]])
+        assert implied_lognormal_vols(1.0, [], 1.0, []).shape == (0,)
+
+
+class TestArrayInversionErrors:
+    """A bad element raises what the strike-by-strike loop raised first."""
+
+    @staticmethod
+    def check(array_form, oracle, forward, strikes, expiry, prices):
+        expected_index, expected = first_scalar_error(oracle, forward, strikes, expiry, prices)
+        with pytest.raises(expected) as info:
+            array_form(forward, np.asarray(strikes), expiry, np.asarray(prices))
+        assert f"strike {float(strikes[expected_index])}" in str(info.value)
+
+    def test_lognormal_first_failure_wins(self):
+        good = bs_call_price(LognormalModel(1.0, 0.3, 1.0), 1.2)
+        above_bracket = bs_call_price(LognormalModel(1.0, 12.0, 1.0), 1.0)
+        cases = [
+            # below intrinsic before above forward
+            ([1.2, 0.8, 1.0, 0.9], [good, 0.1, 1.1, 0.2]),
+            # above forward before below intrinsic
+            ([1.2, 1.3, 0.8], [good, 1.1, 0.1]),
+            # above bracket before below intrinsic
+            ([1.2, 1.0, 0.8], [good, above_bracket, 0.1]),
+            # below intrinsic before above bracket
+            ([0.8, 1.2, 1.0], [0.1, good, above_bracket]),
+            # non-positive strike after an above-bracket price
+            ([1.2, 1.0, -1.0], [good, above_bracket, 0.1]),
+        ]
+        for strikes, prices in cases:
+            self.check(implied_lognormal_vols, scalar_lognormal_vol, 1.0, strikes, 1.0, prices)
+
+    def test_normal_first_failure_wins(self):
+        good = bachelier_call_price(-0.01, -0.005, 0.008, 2.0)
+        cases = [
+            # below intrinsic before the unbracketable (NaN) price
+            ([-0.005, -0.02, -0.003], [good, 0.001, math.nan]),
+            # a NaN price runs all bracket doublings and fails first
+            ([-0.005, -0.003, -0.02], [good, math.nan, 0.001]),
+        ]
+        for strikes, prices in cases:
+            self.check(implied_normal_vols, scalar_normal_vol, -0.01, strikes, 2.0, prices)
+
+    def test_bad_forward_or_expiry(self):
+        with pytest.raises(ParameterOutOfRange):
+            implied_lognormal_vols(-1.0, [1.0], 1.0, [0.1])
+        with pytest.raises(ParameterOutOfRange):
+            implied_lognormal_vols(1.0, [1.0], 0.0, [0.1])
+        with pytest.raises(ParameterOutOfRange):
+            implied_normal_vols(0.01, [0.01], 0.0, [0.001])
