@@ -57,10 +57,7 @@ from .partition import (
     PartitionKind,
     PartitionSpec,
     flat_conditional_moments,
-    flat_refined_bound,
     linear_conditional_moments,
-    linear_partition_functions,
-    linear_refined_bound,
     partition_moment_matrix,
     quadrature_partial_moment,
     refined_bound,

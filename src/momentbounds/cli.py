@@ -8,7 +8,7 @@ Config layout (schema_version 1):
       "experiment": "VanillaSmile",
       "output": "smile",
       "sentinel": "inf",                  # optional, for diverging implied vols
-      "tolerances": {"psd": 1e-10, "factor": 1e-10, "eig": 1e-12},   # optional
+      "tolerances": {"psd": 1e-10, "eig": 1e-12},   # optional
       "parameters": { ... experiment specific ... }
     }
 
@@ -18,7 +18,7 @@ header row, 12 significant digits) plus ``<output>_manifest.json`` carrying
 the config hash, effective tolerances and summary statistics.  Re-running an
 identical config reproduces the outputs byte for byte.  Every run is
 single-threaded: strike sweeps are batched into one engine call per fixed
-moment matrix instead, and ``--threads`` is accepted for compatibility only.
+moment matrix instead.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 """
@@ -176,10 +176,9 @@ def load_config(path) -> RunConfig:
     if not isinstance(output, str) or not output or "/" in output or "\\" in output:
         raise ConfigError("'output' must be a non-empty file stem without path separators")
     tol_block = _require_mapping(raw.get("tolerances", {}), "tolerances")
-    _reject_unknown(tol_block, {"psd", "factor", "eig"}, "tolerances")
+    _reject_unknown(tol_block, {"psd", "eig"}, "tolerances")
     tolerances = Tolerances(
         psd=_number(tol_block.get("psd", DEFAULT_TOLERANCES.psd), "tolerances.psd"),
-        factor=_number(tol_block.get("factor", DEFAULT_TOLERANCES.factor), "tolerances.factor"),
         eig=_number(tol_block.get("eig", DEFAULT_TOLERANCES.eig), "tolerances.eig"),
     )
     sentinel = raw.get("sentinel", DEFAULT_SENTINEL)
@@ -557,14 +556,11 @@ def _jsonable(obj):
     return obj
 
 
-def run(config: RunConfig, out_dir, threads: int = 1) -> Path:
+def run(config: RunConfig, out_dir) -> Path:
     """Execute one experiment; returns the manifest path.
 
-    ``threads`` must be at least 1 and is otherwise ignored: runs are
-    single-threaded.  Partially written outputs are removed if execution fails.
+    Partially written outputs are removed if execution fails.
     """
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     experiment = EXPERIMENTS[config.experiment]
@@ -582,7 +578,6 @@ def run(config: RunConfig, out_dir, threads: int = 1) -> Path:
             "config_sha256": config.sha256,
             "tolerances": {
                 "psd": config.tolerances.psd,
-                "factor": config.tolerances.factor,
                 "eig": config.tolerances.eig,
             },
             "outputs": [csv_path.name],
@@ -607,12 +602,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, help="path to the run configuration")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored (must be >= 1); runs are single-threaded",
-    )
-    parser.add_argument(
         "--list-experiments", action="store_true", help="list experiment names and exit"
     )
     parser.add_argument(
@@ -635,7 +624,7 @@ def main(argv=None) -> int:
         if args.out is None:
             print("error: ConfigError: --out is required", file=sys.stderr)
             return 2
-        manifest = run(config, args.out, threads=args.threads)
+        manifest = run(config, args.out)
     except ConfigError as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 2

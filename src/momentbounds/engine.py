@@ -7,6 +7,9 @@ factorization of Q and L is the diagonal quantity matrix.  The result does
 not depend on the factorization chosen: the nonzero spectrum of S L S^T
 coincides with that of L Q up to similarity.
 
+Q is factored by the eigen square root of Q scaled to unit diagonal, keeping
+every eigenvalue above roundoff level (``factor_psd``).
+
 Everything here is pure and reentrant; inputs are copied and frozen, so
 values can be shared freely.  Strike sweeps hold Q fixed and vary only the
 quantities, so ``positive_eigenvalue_bounds`` factors Q once per sweep and
@@ -15,7 +18,6 @@ solves the eigenproblems of all quantity vectors in stacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +52,14 @@ class Tolerances:
     """Numerical tolerances for the bound engine.
 
     Attributes:
-        psd: PSD acceptance threshold, relative to max(1, max diagonal).
-            Eigenvalues in [-psd * scale, 0) are clipped to zero; anything
-            below raises NotPositiveSemiDefinite.
-        factor: max-norm reconstruction tolerance for Q = S^T S, relative to
-            the largest diagonal entry of Q.
+        psd: allowance for negative eigenvalues of Q scaled to unit
+            diagonal.  Eigenvalues in [-psd, 0) are clipped to zero;
+            anything below raises NotPositiveSemiDefinite.
         eig: relative threshold below which an eigenvalue of P counts as
             zero and is excluded from the positive sum.
     """
 
     psd: float = 1e-10
-    factor: float = 1e-10
     eig: float = 1e-12
 
 
@@ -90,6 +89,8 @@ class MomentMatrix:
             raise DimensionMismatch(f"moment matrix must be square, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise DimensionMismatch("moment matrix must be at least 1x1")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterOutOfRange("moment matrix entries must be finite")
         if not np.array_equal(arr, arr.T):
             raise ParameterOutOfRange("moment matrix must be exactly symmetric")
         if not np.all(np.diag(arr) > 0.0):
@@ -99,11 +100,6 @@ class MomentMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def scale(self) -> float:
-        """Scale used by relative PSD tests: max(1, largest diagonal entry)."""
-        return max(1.0, float(np.max(np.diag(self.entries))))
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,9 @@ class QuantityVector:
 class PsdFactor:
     """Rectangular factor S (rank x dim) with Q = S^T S.
 
-    ``method`` records the factorization path taken: "pivoted_cholesky" for
-    the triangular factor, "eigen" for the eigen-square-root fallback.
-    ``clipped_negative_mass`` is the total negative eigenvalue mass of Q
-    zeroed during factorization (nonzero only on the eigen path).
+    ``method`` names the factorization, always "eigen" (the eigen square
+    root).  ``clipped_negative_mass`` is the total negative eigenvalue mass
+    of Q scaled to unit diagonal, zeroed during factorization.
     """
 
     matrix: np.ndarray
@@ -160,8 +155,8 @@ class BoundResult:
         bound: sum of the positive eigenvalues of P (price units, >= 0).
         eigenvalues: eigenvalues of P in descending order.
         rank_q: numerical rank of Q detected during factorization.
-        clipped_negative_mass: negative eigenvalue mass of Q clipped to zero.
-        factorization: which factorization path produced S.
+        clipped_negative_mass: negative eigenvalue mass of Q, scaled to unit
+            diagonal, clipped to zero.
         positive_count: number of eigenvalues above the zero threshold.
     """
 
@@ -169,7 +164,6 @@ class BoundResult:
     eigenvalues: np.ndarray
     rank_q: int
     clipped_negative_mass: float
-    factorization: str
     positive_count: int
 
     def __post_init__(self):
@@ -201,82 +195,40 @@ def symmetric_eigenvalues(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nd
     return eigs[..., ::-1].copy()
 
 
-def _pivoted_cholesky(q: np.ndarray, stop_tol: float):
-    """Outer-product pivoted Cholesky with rank detection.
-
-    Returns (L, rank, residual_diag) where Q ~= L L^T with L of shape
-    (n, rank) in the original row order, and residual_diag is the residual
-    diagonal left when the pivot search stopped.
-    """
-    a = np.array(q, dtype=float)
-    n = a.shape[0]
-    perm = np.arange(n)
-    rank = n
-    for j in range(n):
-        d = np.diag(a)[j:]
-        pivot = j + int(np.argmax(d))
-        if a[pivot, pivot] <= stop_tol:
-            rank = j
-            break
-        if pivot != j:
-            a[:, [j, pivot]] = a[:, [pivot, j]]
-            a[[j, pivot], :] = a[[pivot, j], :]
-            perm[[j, pivot]] = perm[[pivot, j]]
-        a[j, j] = math.sqrt(a[j, j])
-        if j + 1 < n:
-            a[j + 1 :, j] /= a[j, j]
-            a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j + 1 :, j])
-        a[j, j + 1 :] = 0.0
-    lower = np.tril(a)[:, :rank]
-    residual = np.diag(a)[rank:].copy()
-    inverse = np.empty(n, dtype=int)
-    inverse[perm] = np.arange(n)
-    return lower[inverse, :], rank, residual
-
-
-def _eigen_factor(q: MomentMatrix, tol: Tolerances):
-    """Eigen-square-root factor with clipping of tolerably negative eigenvalues."""
-    w, v = np.linalg.eigh(q.entries)
-    floor = -tol.psd * q.scale
-    if w[0] < floor:
-        raise NotPositiveSemiDefinite(
-            f"min eigenvalue {w[0]:.3e} below {floor:.3e}; input moments are inconsistent"
-        )
-    clipped = float(-np.sum(w[w < 0.0]))
-    w = np.clip(w, 0.0, None)
-    keep = w > tol.psd * q.scale
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        # Positive diagonal makes a numerically zero matrix impossible in
-        # practice, but keep the shape contract intact.
-        return PsdFactor(np.zeros((0, q.dim)), 0, "eigen", clipped)
-    s = np.sqrt(w[keep])[:, None] * v[:, keep].T
-    return PsdFactor(s, rank, "eigen", clipped)
-
-
 def factor_psd(q: MomentMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdFactor:
-    """Factor Q = S^T S with numerical rank detection.
+    """Eigen square root of Q scaled to unit diagonal.
 
-    Uses pivoted triangular factorization; when the triangular path cannot
-    reproduce Q within the factor tolerance (rank-deficient inputs right at
-    the clipping edge, or mild indefiniteness), falls back to the
-    eigen-square-root with negative eigenvalues in [-psd * scale, 0) clipped
-    to zero.
+    With D = diag(sqrt(diag Q)) and D^-1 Q D^-1 = V diag(w) V^T, the factor
+    is S = diag(sqrt(w)) V^T D.  The scaling resolves each eigenvalue against
+    the diagonal entries it comes from rather than the largest one, so the
+    small eigenvalue of two nearly collinear assets far below the largest
+    price keeps its digits.  Eigenvalues in [-psd, 0) are roundoff in the
+    moments: they are clipped to zero and their mass is reported.  The rank
+    cutoff sits at roundoff level, ``dim * eps * w_max`` (Higham 1990), so
+    every direction Q resolves in double precision is kept and the bound is
+    never under-reported.
 
     Raises:
-        NotPositiveSemiDefinite: min eigenvalue below -psd * scale.
+        NotPositiveSemiDefinite: min eigenvalue below -psd.
+        ConvergenceFailure: the symmetric eigensolver failed.
     """
     if not isinstance(q, MomentMatrix):
         q = MomentMatrix(q)
-    stop = tol.psd * q.scale
-    lower, rank, residual = _pivoted_cholesky(q.entries, stop)
-    if residual.size and float(np.min(residual)) < -stop:
-        return _eigen_factor(q, tol)
-    s = lower.T
-    max_diag = float(np.max(np.diag(q.entries)))
-    if float(np.max(np.abs(s.T @ s - q.entries))) > tol.factor * max_diag:
-        return _eigen_factor(q, tol)
-    return PsdFactor(s, rank, "pivoted_cholesky", 0.0)
+    d = np.sqrt(np.diag(q.entries))
+    try:
+        w, v = np.linalg.eigh(q.entries / np.outer(d, d))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
+    if w[0] < -tol.psd:
+        raise NotPositiveSemiDefinite(
+            f"min eigenvalue {w[0]:.3e} of the unit-diagonal moment matrix is below "
+            f"{-tol.psd:.3e}; input moments are inconsistent"
+        )
+    clipped = float(-np.sum(w[w < 0.0]))
+    # The unit diagonal makes w_max >= 1, so at least one row is kept.
+    keep = w > q.dim * np.finfo(float).eps * w[-1]
+    s = (np.sqrt(w[keep])[:, None] * v[:, keep].T) * d[None, :]
+    return PsdFactor(s, s.shape[0], "eigen", clipped)
 
 
 def positive_eigenvalue_bound(
@@ -324,9 +276,6 @@ def positive_eigenvalue_bounds(
             f"quantity vector has length {weights.shape[1]}, moment matrix is {q.dim}x{q.dim}"
         )
     factor = factor_psd(q, tol)
-    if factor.rank == 0:
-        empty = BoundResult(0.0, np.zeros(0), 0, factor.clipped_negative_mass, factor.method, 0)
-        return [empty] * len(weights)
     s = factor.matrix
     per_stack = max(1, STACK_BYTES // (s.itemsize * factor.rank * factor.rank))
     results = []
@@ -343,7 +292,6 @@ def positive_eigenvalue_bounds(
                     eigenvalues=eigs,
                     rank_q=factor.rank,
                     clipped_negative_mass=factor.clipped_negative_mass,
-                    factorization=factor.method,
                     positive_count=int(positive.size),
                 )
             )

@@ -49,8 +49,6 @@ __all__ = [
 # than silently extrapolated.
 _VOL_BRACKET = (1e-8, 10.0)
 _BISECTION_ITERATIONS = 90
-# Doublings of the upper guess tried to bracket a normal vol.
-_BRACKET_DOUBLINGS = 200
 # Largest price residual accepted at an inverted vol.
 PRICE_TOL = 1e-10
 
@@ -268,7 +266,7 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
 
     Raises, for the first failing strike in grid order:
         ParameterOutOfRange: non-positive forward, strike or expiry.
-        PriceOutsideArbitrageBounds: price outside [(f-k)^+, f].
+        PriceOutsideArbitrageBounds: price not finite or outside [(f-k)^+, f].
         ConvergenceFailure: price requires a volatility above the bracket.
     """
     if not forward > 0.0 or not expiry > 0.0:
@@ -277,7 +275,7 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     intrinsic = np.maximum(forward - ks, 0.0)
     slack = 1e-12 * max(1.0, forward)
     bad_strike = ~(ks > 0.0)
-    outside = ~bad_strike & ((ps < intrinsic - slack) | (ps > forward + slack))
+    outside = ~bad_strike & ~((ps >= intrinsic - slack) & (ps <= forward + slack))
     at_upper = ~(bad_strike | outside) & (ps >= forward - UPPER_BOUND_MARGIN)
     # Deep in the money the time value collapses below representable
     # resolution; zero vol reproduces such prices within PRICE_TOL.
@@ -332,14 +330,13 @@ def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.nd
     forwards and strikes.
 
     Prices at intrinsic give zero vol and at-the-money prices invert exactly.
-    The rest bracket each vol by doubling an upper guess, then bisect; each
-    element takes the same steps, in the same floating-point operations, as a
-    one-strike inversion.
+    The rest bisect from a closed-form upper bracket; each element takes the
+    same steps, in the same floating-point operations, as a one-strike
+    inversion.
 
     Raises, for the first failing strike in grid order:
-        PriceOutsideArbitrageBounds: price below intrinsic.
-        ConvergenceFailure: the vol cannot be bracketed or bisected to
-            ``PRICE_TOL``.
+        PriceOutsideArbitrageBounds: price not finite or below intrinsic.
+        ConvergenceFailure: the vol cannot be bisected to ``PRICE_TOL``.
     """
     if not expiry > 0.0:
         raise ParameterOutOfRange(f"expiry must be positive, got {expiry}")
@@ -347,11 +344,15 @@ def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.nd
     moneyness = forward - ks
     intrinsic = np.maximum(moneyness, 0.0)
     scale = np.maximum(max(1.0, abs(forward)), np.abs(ks))
-    below = ps < intrinsic - 1e-12 * scale
-    at_intrinsic = ~below & (ps <= intrinsic)
+    nonfinite = ~np.isfinite(ps)
+    below = ~nonfinite & (ps < intrinsic - 1e-12 * scale)
+    at_intrinsic = ~(nonfinite | below) & (ps <= intrinsic)
     # ATM Bachelier identity: price = sigma sqrt(T / 2 pi), inverted exactly.
-    atm = ~(below | at_intrinsic) & (ks == forward)
+    atm = ~(nonfinite | below | at_intrinsic) & (ks == forward)
     failures = _first(
+        np.flatnonzero(nonfinite),
+        lambda i: PriceOutsideArbitrageBounds(f"price {ps[i]} is not finite for strike {ks[i]}"),
+    ) + _first(
         np.flatnonzero(below),
         lambda i: PriceOutsideArbitrageBounds(
             f"price {ps[i]} below intrinsic {intrinsic[i]} for strike {ks[i]}"
@@ -359,27 +360,16 @@ def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.nd
     )
     vols = np.where(atm, ps * math.sqrt(2.0 * math.pi / expiry), 0.0)
 
-    solve = np.flatnonzero(~(below | at_intrinsic | atm))
+    solve = np.flatnonzero(~(nonfinite | below | at_intrinsic | atm))
     m, p = moneyness[solve], ps[solve]
-    root_expiry = math.sqrt(expiry)
+    # The upper guess brackets every vol: its stdev s = 2 sqrt(2 pi) (p + |m|)
+    # has |m| / s < 0.2, so the Bachelier price there is at least
+    # s phi(0.2) - |m| / 2 >= 1.96 (p + |m|) - |m| / 2 > p.
     hi = 2.0 * (p + np.abs(m)) / math.sqrt(expiry / (2.0 * math.pi))
-    unbracketed = np.ones(p.size, dtype=bool)
-    for _ in range(_BRACKET_DOUBLINGS):
-        active = np.flatnonzero(unbracketed)
-        if active.size == 0:
-            break
-        unbracketed[active] = ~(_bachelier_calls(m[active], root_expiry)(hi[active]) >= p[active])
-        hi[unbracketed] *= 2.0
+    sigma, off = _bisect(_bachelier_calls(m, math.sqrt(expiry)), np.zeros(p.size), hi, p)
+    vols[solve] = sigma
     failures += _first(
-        solve[unbracketed],
-        lambda i: ConvergenceFailure(f"could not bracket the normal vol for strike {ks[i]}"),
-    )
-    keep = ~unbracketed
-    value = _bachelier_calls(m[keep], root_expiry)
-    sigma, off = _bisect(value, np.zeros(int(keep.sum())), hi[keep], p[keep])
-    vols[solve[keep]] = sigma
-    failures += _first(
-        solve[keep][off],
+        solve[off],
         lambda i: ConvergenceFailure(
             f"bisection residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
         ),

@@ -41,10 +41,7 @@ __all__ = [
     "partition_moment_matrix",
     "refined_bound",
     "refined_bounds",
-    "flat_refined_bound",
-    "linear_refined_bound",
     "LinearPartition",
-    "linear_partition_functions",
     "quadrature_partial_moment",
 ]
 
@@ -313,11 +310,6 @@ class LinearPartition:
         return out
 
 
-def linear_partition_functions(strikes) -> LinearPartition:
-    """Partition-of-unity family for the given strikes."""
-    return LinearPartition(strikes)
-
-
 def _ramp_panel(model, lo, hi, n_nodes):
     """Integrals of a^p x {ascending, descending} ramp x density on [lo, hi]."""
     nodes, weights = _gl_rule(n_nodes)
@@ -457,27 +449,3 @@ def refined_bound(
     """Partition-refined upper bound for E[(a - k)^+] from conditional moments."""
     return float(refined_bounds(moments, [strike], tol)[0])
 
-
-def flat_refined_bound(
-    moments: ConditionalMoments, strike: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Refined bound for a flat (digital) partition; reduces to the vanilla
-    bound when the partition has a single cell."""
-    return refined_bound(moments, strike, tol)
-
-
-def linear_refined_bound(
-    model: LognormalModel,
-    strikes,
-    strike: float,
-    *,
-    n_nodes: int = PANEL_NODES,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """Refined bound for the hat partition with moments implied by the model.
-
-    For strike sweeps, compute ``linear_conditional_moments`` once and pass
-    the whole grid to ``refined_bounds``, which factors the moment matrix
-    once; it does not depend on the option strike.
-    """
-    return refined_bound(linear_conditional_moments(model, strikes, n_nodes=n_nodes), strike, tol)

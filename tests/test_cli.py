@@ -112,22 +112,6 @@ class TestRun:
             tmp_path / "b" / "smile_manifest.json"
         ).read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        config = load_config(write_config(tmp_path / "c.json", smile_config()))
-        run(config, tmp_path / "one", threads=1)
-        run(config, tmp_path / "four", threads=4)
-        assert (tmp_path / "one" / "smile.csv").read_bytes() == (
-            tmp_path / "four" / "smile.csv"
-        ).read_bytes()
-
-    def test_threads_below_one_rejected(self, tmp_path, capsys):
-        path = write_config(tmp_path / "c.json", smile_config())
-        with pytest.raises(ConfigError):
-            run(load_config(path), tmp_path / "zero", threads=0)
-        assert not (tmp_path / "zero").exists()
-        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
-        assert "threads must be >= 1" in capsys.readouterr().err
-
     def test_refine_factors_once_per_partition(self, tmp_path, factor_calls):
         payload = {
             "schema_version": 1,

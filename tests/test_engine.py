@@ -9,7 +9,6 @@ from momentbounds.engine import (
     MomentMatrix,
     QuantityVector,
     Tolerances,
-    _eigen_factor,
     factor_psd,
     positive_eigenvalue_bound,
     positive_eigenvalue_bounds,
@@ -27,6 +26,20 @@ def random_psd(rng, n, rank=None):
     return MomentMatrix(a.T @ a + 1e-3 * np.eye(n))
 
 
+def exact_rank_two(rng, n):
+    """a^T a for a 2 x n Gaussian a, symmetrised: rank 2 up to roundoff."""
+    a = rng.standard_normal((2, n))
+    q = a.T @ a
+    return MomentMatrix(0.5 * (q + q.T))
+
+
+def bound_through(factor, quantities, tol=Tolerances()):
+    """Positive eigenvalue sum of S L S^T for a given factor S (Q = S^T S)."""
+    p = (factor * quantities[None, :]) @ factor.T
+    eigs = symmetric_eigenvalues(0.5 * (p + p.T), tol)
+    return float(np.sum(eigs[eigs > tol.eig * np.max(np.abs(eigs))]))
+
+
 class TestMomentMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -39,6 +52,11 @@ class TestMomentMatrix:
     def test_rejects_non_positive_diagonal(self):
         with pytest.raises(ParameterOutOfRange):
             MomentMatrix([[1.0, 0.0], [0.0, 0.0]])
+
+    def test_rejects_non_finite_entries(self):
+        for bad in ([[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]]):
+            with pytest.raises(ParameterOutOfRange):
+                MomentMatrix(bad)
 
     def test_entries_are_frozen(self):
         q = MomentMatrix(np.eye(2))
@@ -64,15 +82,18 @@ class TestFactorPsd:
 
     def test_vanilla_pair_matches_triangular_factor(self):
         # f = 1, nu = 0.04: the triangular factor has rows (1, 0) and
-        # (sqrt(0.96), 0.2) in asset-major layout.
+        # (sqrt(0.96), 0.2) in asset-major layout.  Any factor of Q gives
+        # the same bound.
         q = MomentMatrix([[1.0, math.sqrt(0.96)], [math.sqrt(0.96), 1.0]])
         fac = factor_psd(q)
-        assert fac.method == "pivoted_cholesky"
         assert fac.rank == 2
-        lower = fac.matrix.T
-        expected = np.array([[1.0, 0.0], [math.sqrt(0.96), 0.2]])
-        assert np.max(np.abs(np.abs(lower) - expected)) < 1e-14
-        assert np.max(np.abs(fac.matrix.T @ fac.matrix - q.entries)) <= 1e-12
+        assert np.max(np.abs(fac.matrix.T @ fac.matrix - q.entries)) <= 1e-15
+        triangular = np.array([[1.0, 0.0], [math.sqrt(0.96), 0.2]]).T
+        for k in (0.5, 0.8, 1.0, 1.3):
+            lam = np.array([1.0, -k])
+            assert bound_through(fac.matrix, lam) == pytest.approx(
+                bound_through(triangular, lam), rel=1e-14
+            )
 
     def test_rank_one_symmetric_case(self):
         fac = factor_psd(MomentMatrix([[1.0, 1.0], [1.0, 1.0]]))
@@ -89,14 +110,20 @@ class TestFactorPsd:
             assert err <= 1e-10 * np.max(np.diag(q.entries))
 
     def test_rank_deficient_detection(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((2, 5))
-        q = a.T @ a
-        q = MomentMatrix(q + np.diag(np.full(5, 1e-14)))
+        q = exact_rank_two(np.random.default_rng(11), 5)
         fac = factor_psd(q)
         assert fac.rank == 2
         err = np.max(np.abs(fac.matrix.T @ fac.matrix - q.entries))
         assert err <= 1e-10 * np.max(np.diag(q.entries))
+
+    def test_rank_cutoff_keeps_small_real_directions(self):
+        # Eigenvalue 1e-12 of a unit-diagonal Q is far above roundoff: it
+        # carries the whole bound sqrt(1 - r^2) for quantities (1, -1).
+        r = 1.0 - 1e-12
+        q = MomentMatrix([[1.0, r], [r, 1.0]])
+        assert factor_psd(q).rank == 2
+        bound = positive_eigenvalue_bound(q, QuantityVector([1.0, -1.0])).bound
+        assert bound == pytest.approx(math.sqrt((1.0 - r) * (1.0 + r)), rel=1e-3)
 
     def test_indefinite_raises(self):
         q = MomentMatrix([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -104,17 +131,50 @@ class TestFactorPsd:
             factor_psd(q)
 
     def test_eigen_fallback_clips_tolerable_negatives(self):
-        # Slightly indefinite within psd tolerance: the eigen path clips and
-        # reports the clipped mass.
+        # Slightly indefinite within psd tolerance (eigenvalue -5e-11 at unit
+        # diagonal): the factor clips and reports the clipped mass.
         u = np.array([1.0, 1.0]) / math.sqrt(2.0)
         v = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        q = MomentMatrix(np.outer(u, u) - 5e-11 * np.outer(v, v))
-        fac = _eigen_factor(q, Tolerances())
+        q = MomentMatrix(np.outer(u, u) - 2.5e-11 * np.outer(v, v))
+        fac = factor_psd(q)
         assert fac.method == "eigen"
         assert fac.rank == 1
         assert 0.0 < fac.clipped_negative_mass < 1e-10
         err = np.max(np.abs(fac.matrix.T @ fac.matrix - q.entries))
         assert err <= 1e-9
+
+    def test_psd_allowance_does_not_depend_on_scale(self):
+        # The allowance is measured on Q scaled to unit diagonal, so scaling
+        # Q changes neither the verdict nor the clipped mass.
+        u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        v = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        tolerable = np.outer(u, u) - 2.5e-11 * np.outer(v, v)
+        inconsistent = np.outer(u, u) - 1e-10 * np.outer(v, v)
+        masses = []
+        for c in (1e-6, 1.0, 1e6):
+            masses.append(factor_psd(MomentMatrix(c * tolerable)).clipped_negative_mass)
+            with pytest.raises(NotPositiveSemiDefinite):
+                factor_psd(MomentMatrix(c * inconsistent))
+        assert masses == pytest.approx([masses[1]] * 3, rel=1e-6)
+
+    def test_nearly_collinear_small_assets_match_cholesky(self):
+        # A caplet-like basket: two swap rates priced 0.01 and correlated
+        # close to 1, beside unit cash.  The factor must resolve their small
+        # eigenvalue against their own prices, not against the cash entry;
+        # resolved against the largest eigenvalue it is off by 6e-11.
+        f, nu = 0.01, 0.04
+        cash = math.sqrt(f * (1.0 - nu))
+        worst = 0.0
+        for rho in (0.999, 0.9999, 0.99999):
+            cross = f * ((1.0 - nu) + rho * nu)
+            q = MomentMatrix([[f, cross, cash], [cross, f, cash], [cash, cash, 1.0]])
+            cholesky = np.linalg.cholesky(q.entries).T
+            for k in (0.005, 0.01, 0.015, 0.02):
+                lam = np.array([10.0, -9.0, -k])
+                want = bound_through(cholesky, lam)
+                got = positive_eigenvalue_bound(q, QuantityVector(lam)).bound
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= 5e-12
 
 
 class TestSymmetricEigenvalues:
@@ -189,7 +249,7 @@ class TestPositiveEigenvalueBound:
         result = positive_eigenvalue_bound(q, QuantityVector(rng.standard_normal(4)))
         assert isinstance(result, BoundResult)
         assert result.rank_q == 4
-        assert result.factorization == "pivoted_cholesky"
+        assert result.clipped_negative_mass == 0.0
         assert result.eigenvalues.size == 4
         assert result.bound >= 0.0
 
@@ -206,20 +266,16 @@ class TestEngineProperties:
                 assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_factorization_independence(self):
-        # Bound through the pivoted triangular factor vs the eigen square
-        # root of Q: identical to 1e-10 relative.
+        # Bound through the engine's eigen square root vs a second factor of
+        # Q, its LAPACK Cholesky factor: identical to 1e-10 relative.
         rng = np.random.default_rng(23)
-        tol = Tolerances()
         for _ in range(25):
             q = random_psd(rng, 5)
             lam = rng.standard_normal(5)
-            via_cholesky = positive_eigenvalue_bound(q, QuantityVector(lam), tol).bound
-            eig_fac = _eigen_factor(q, tol)
-            p = (eig_fac.matrix * lam[None, :]) @ eig_fac.matrix.T
-            eigs = symmetric_eigenvalues(0.5 * (p + p.T), tol)
-            via_eigen = float(np.sum(eigs[eigs > tol.eig * np.max(np.abs(eigs))]))
+            via_engine = positive_eigenvalue_bound(q, QuantityVector(lam)).bound
+            via_cholesky = bound_through(np.linalg.cholesky(q.entries).T, lam)
             scale = max(1.0, abs(via_cholesky))
-            assert abs(via_cholesky - via_eigen) <= 1e-10 * scale
+            assert abs(via_engine - via_cholesky) <= 1e-10 * scale
 
     def test_schur_horn_domination_and_attainment(self):
         # Random orthonormal bases never beat the bound; the eigenbasis of P
@@ -265,7 +321,6 @@ def assert_same_result(got: BoundResult, want: BoundResult):
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert got.rank_q == want.rank_q
     assert got.clipped_negative_mass == want.clipped_negative_mass
-    assert got.factorization == want.factorization
     assert got.positive_count == want.positive_count
 
 
@@ -295,16 +350,15 @@ class TestPositiveEigenvalueBounds:
 
     def test_rank_deficient_rows_match_single_calls_exactly(self):
         rng = np.random.default_rng(47)
-        a = rng.standard_normal((2, 6))
-        q = MomentMatrix(a.T @ a + np.diag(np.full(6, 1e-14)))
+        q = exact_rank_two(rng, 6)
         assert factor_psd(q).rank == 2
         self.check_rows_match(q, sweep_rows(rng, 6))
 
     def test_eigen_fallback_rows_match_single_calls_exactly(self):
         u = np.array([1.0, 1.0]) / math.sqrt(2.0)
         v = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        q = MomentMatrix(np.outer(u, u) - 5e-11 * np.outer(v, v))
-        assert factor_psd(q).method == "eigen"
+        q = MomentMatrix(np.outer(u, u) - 2.5e-11 * np.outer(v, v))
+        assert factor_psd(q).clipped_negative_mass > 0.0
         self.check_rows_match(q, sweep_rows(np.random.default_rng(53), 2))
 
     def test_one_sign_rows_are_trivial(self):

@@ -434,14 +434,37 @@ class TestArrayInversionErrors:
 
     def test_normal_first_failure_wins(self):
         good = bachelier_call_price(-0.01, -0.005, 0.008, 2.0)
-        cases = [
-            # below intrinsic before the unbracketable (NaN) price
-            ([-0.005, -0.02, -0.003], [good, 0.001, math.nan]),
-            # a NaN price runs all bracket doublings and fails first
-            ([-0.005, -0.003, -0.02], [good, math.nan, 0.001]),
-        ]
-        for strikes, prices in cases:
-            self.check(implied_normal_vols, scalar_normal_vol, -0.01, strikes, 2.0, prices)
+        # the first of two below-intrinsic prices
+        strikes, prices = [-0.005, -0.02, -0.03], [good, 0.001, 0.002]
+        self.check(implied_normal_vols, scalar_normal_vol, -0.01, strikes, 2.0, prices)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prices_rejected_up_front(self, bad):
+        def fails_at(array_form, forward, strikes, expiry, prices, error):
+            with pytest.raises(error) as info:
+                array_form(forward, np.asarray(strikes), expiry, np.asarray(prices))
+            return str(info.value)
+
+        good = bachelier_call_price(-0.01, -0.005, 0.008, 2.0)
+        normal = (implied_normal_vols, -0.01)
+        # a non-finite price before a below-intrinsic one, and after it
+        assert "strike -0.003" in fails_at(
+            *normal, [-0.005, -0.003, -0.02], 2.0, [good, bad, 0.001], PriceOutsideArbitrageBounds
+        )
+        assert "strike -0.02" in fails_at(
+            *normal, [-0.005, -0.02, -0.003], 2.0, [good, 0.001, bad], PriceOutsideArbitrageBounds
+        )
+        good = bs_call_price(LognormalModel(1.0, 0.3, 1.0), 1.2)
+        above_bracket = bs_call_price(LognormalModel(1.0, 12.0, 1.0), 1.0)
+        lognormal = (implied_lognormal_vols, 1.0)
+        # before and after an above-bracket price, and after a bad strike
+        assert "strike 0.9" in fails_at(
+            *lognormal, [1.2, 0.9, 1.0], 1.0, [good, bad, above_bracket], PriceOutsideArbitrageBounds
+        )
+        assert "strike 1.0" in fails_at(
+            *lognormal, [1.2, 1.0, 0.9], 1.0, [good, above_bracket, bad], ConvergenceFailure
+        )
+        fails_at(*lognormal, [1.2, -1.0, 0.9], 1.0, [good, 0.1, bad], ParameterOutOfRange)
 
     def test_bad_forward_or_expiry(self):
         with pytest.raises(ParameterOutOfRange):

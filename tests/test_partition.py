@@ -11,10 +11,7 @@ from momentbounds.partition import (
     PartitionKind,
     PartitionSpec,
     flat_conditional_moments,
-    flat_refined_bound,
     linear_conditional_moments,
-    linear_partition_functions,
-    linear_refined_bound,
     partition_moment_matrix,
     quadrature_partial_moment,
     refined_bound,
@@ -83,12 +80,12 @@ class TestFlatRefinedBound:
         moments = flat_conditional_moments(MODEL, [])
         nu = MODEL.root_variance
         for k in (0.4, 0.8, 1.0, 1.7, 2.6):
-            refined = flat_refined_bound(moments, k)
+            refined = refined_bound(moments, k)
             assert refined == pytest.approx(vanilla_bound(1.0, nu, k), rel=1e-12)
 
     def test_six_cell_sandwich_at_atm(self):
         moments = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)
-        v6 = flat_refined_bound(moments, 1.0)
+        v6 = refined_bound(moments, 1.0)
         vanilla = vanilla_bound(1.0, MODEL.root_variance, 1.0)
         black = bs_call_price(MODEL, 1.0)
         assert black <= v6 <= vanilla
@@ -100,16 +97,42 @@ class TestFlatRefinedBound:
         nu = MODEL.root_variance
         for k in (0.5, 1.0, 1.6, 2.4):
             b1 = vanilla_bound(1.0, nu, k)
-            b6 = flat_refined_bound(m6, k)
-            b30 = flat_refined_bound(m30, k)
+            b6 = refined_bound(m6, k)
+            b30 = refined_bound(m30, k)
             assert b1 >= b6 - 1e-10
             assert b6 >= b30 - 1e-10
             assert b30 >= bs_call_price(MODEL, k) - 1e-10
 
 
+class TestFlatClosedForm:
+    """Disjoint cells make Q a direct sum of 2x2 vanilla blocks, so the flat
+    refined bound is exactly sum_n d_n * vanilla_bound(f_n, nu_n, k)."""
+
+    @pytest.mark.parametrize("cells", [16, 64, 256, 1024])
+    def test_engine_matches_per_cell_closed_form(self, cells):
+        model = LognormalModel(1.0, 0.2, 1.0)
+        # Evenly spaced boundaries 4 standard deviations either side of the median.
+        moments = flat_conditional_moments(model, np.linspace(0.45, 2.2, cells - 1))
+        assert moments.cells == cells
+        # Strikes within 1.5 standard deviations, where the bound is not small
+        # next to the spectral radius of P.
+        strikes = np.array([0.7, 0.85, 1.0, 1.15, 1.3])
+        closed = np.array(
+            [
+                sum(
+                    d * vanilla_bound(f, nu, k)
+                    for d, f, nu in zip(moments.digital, moments.price, moments.root_variance)
+                )
+                for k in strikes
+            ]
+        )
+        engine = refined_bounds(moments, strikes)
+        assert np.max(np.abs(engine - closed) / closed) <= 1e-12
+
+
 class TestLinearPartitionFunctions:
     def test_partition_of_unity(self):
-        part = linear_partition_functions([0.5, 1.0, 1.5, 2.0, 2.5])
+        part = LinearPartition([0.5, 1.0, 1.5, 2.0, 2.5])
         rng = np.random.default_rng(9)
         points = rng.uniform(0.01, 5.0, 200)
         total = sum(part.weight(n, points) for n in range(part.count))
@@ -188,7 +211,7 @@ class TestLinearConditionalMoments:
 
 class TestLinearRefinedBound:
     def test_far_tail_strikes_approach_vanilla(self):
-        bound = linear_refined_bound(MODEL, [0.02, 18.0], 1.0)
+        bound = refined_bound(linear_conditional_moments(MODEL, [0.02, 18.0]), 1.0)
         vanilla = vanilla_bound(1.0, MODEL.root_variance, 1.0)
         assert bound <= vanilla + 1e-12
         assert bound == pytest.approx(vanilla, abs=5e-3)

@@ -1,4 +1,4 @@
-"""Property-based tests of the implied-vol inversions."""
+"""Property-based tests of the engine bound and the implied-vol inversions."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentbounds.engine import MomentMatrix, positive_eigenvalue_bound
 from momentbounds.models import (
     LognormalModel,
     bachelier_call_price,
@@ -26,6 +27,48 @@ log_moneyness = st.floats(-2.0, 2.0)
 lognormal_vols = st.floats(0.01, 3.0)
 rates = st.floats(-0.05, 0.1)
 normal_vols = st.floats(1e-4, 0.05)
+
+
+@st.composite
+def moment_problems(draw):
+    """A PSD moment matrix a^T a + 1e-3 I of random rank and signed quantities."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, n))
+    entries = st.floats(-3.0, 3.0)
+    a = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=rank, max_size=rank)))
+    q = a.T @ a
+    q = 0.5 * (q + q.T) + 1e-3 * np.eye(n)
+    # Six decimals keep the quantities clear of subnormal products.
+    weights = st.floats(-5.0, 5.0).map(lambda x: round(x, 6))
+    quantities = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    return q, quantities
+
+
+def engine_bound(q, quantities):
+    return positive_eigenvalue_bound(MomentMatrix(q), quantities).bound
+
+
+def bound_slack(q, quantities):
+    """Roundoff allowance: the spectral radius of P is at most max|lam| tr(Q),
+    and eigenvalues below 1e-12 of it are dropped."""
+    return 1e-10 * float(np.max(np.abs(quantities))) * float(np.trace(q))
+
+
+@settings(deadline=None)
+@given(moment_problems(), st.data())
+def test_bound_invariant_under_permutation(problem, data):
+    q, quantities = problem
+    order = np.array(data.draw(st.permutations(range(len(quantities)))))
+    permuted = engine_bound(q[np.ix_(order, order)], quantities[order])
+    assert abs(permuted - engine_bound(q, quantities)) <= bound_slack(q, quantities)
+
+
+@settings(deadline=None)
+@given(moment_problems(), st.floats(1e-3, 1e3))
+def test_bound_positively_homogeneous_in_q(problem, scale):
+    q, quantities = problem
+    scaled = engine_bound(scale * q, quantities)
+    assert abs(scaled - scale * engine_bound(q, quantities)) <= scale * bound_slack(q, quantities)
 
 
 def black_price(forward, strike, expiry, sigma):
