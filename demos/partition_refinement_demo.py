@@ -39,7 +39,8 @@ def main():
     print(f"  sum f_n d_n        = {mean:.12f}   (forward)")
     print(f"  sum E[sqrt(a)u_n]  = {sqrt_mean:.12f}   (sqrt(f(1-nu)) = {np.sqrt(1-nu):.12f})\n")
 
-    # One sweep per partition: its moment matrix is factored once for all strikes.
+    # One sweep per partition: flat cells in closed form, hat partitions from one
+    # banded factorization of their moment matrix.
     curves = {
         label: refined_bounds(moments, STRIKES)
         for label, moments in (("flat x6", flat6), ("flat x30", flat30),

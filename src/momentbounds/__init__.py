@@ -49,6 +49,7 @@ from .vanilla import (
     smile_curve,
     vanilla_bound,
     vanilla_bound_via_engine,
+    vanilla_bounds,
     vanilla_put_bound,
 )
 from .partition import (

@@ -17,8 +17,8 @@ Unknown keys are rejected everywhere.  Outputs are CSV (LF line endings,
 header row, 12 significant digits) plus ``<output>_manifest.json`` carrying
 the config hash, effective tolerances and summary statistics.  Re-running an
 identical config reproduces the outputs byte for byte.  Every run is
-single-threaded: strike sweeps are batched into one engine call per fixed
-moment matrix instead.
+single-threaded: strike sweeps are batched into one solve per fixed moment
+matrix instead.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 """

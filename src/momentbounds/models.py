@@ -329,7 +329,8 @@ def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.nd
     """Invert the Bachelier call formula on a strike grid; supports negative
     forwards and strikes.
 
-    Prices at intrinsic give zero vol and at-the-money prices invert exactly.
+    Prices within 1e-12 (relative to the larger of 1, |f| and |k|) of
+    intrinsic give zero vol, and at-the-money prices invert exactly.
     The rest bisect from a closed-form upper bracket; each element takes the
     same steps, in the same floating-point operations, as a one-strike
     inversion.
@@ -346,7 +347,10 @@ def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.nd
     scale = np.maximum(max(1.0, abs(forward)), np.abs(ks))
     nonfinite = ~np.isfinite(ps)
     below = ~nonfinite & (ps < intrinsic - 1e-12 * scale)
-    at_intrinsic = ~(nonfinite | below) & (ps <= intrinsic)
+    # Prices within the same slack above intrinsic carry no resolvable time
+    # value: zero vol reproduces them within PRICE_TOL, where a bisection
+    # would turn the sign of a roundoff into a vol.
+    at_intrinsic = ~(nonfinite | below) & (ps <= intrinsic + 1e-12 * scale)
     # ATM Bachelier identity: price = sigma sqrt(T / 2 pi), inverted exactly.
     atm = ~(nonfinite | below | at_intrinsic) & (ks == forward)
     failures = _first(
@@ -405,7 +409,12 @@ def lognormal_partial_moment(
             return math.inf
         return (math.log(x / model.forward) + (0.5 - p) * model.total_variance) / stdev
 
-    return model.moment(p) * float(ndtr(h(upper)) - ndtr(h(lower)))
+    lo, hi = h(lower), h(upper)
+    if lo > 0.0:
+        # Upper tail: the complements are small and keep their digits, where
+        # ndtr(hi) - ndtr(lo) would cancel two numbers close to one.
+        return model.moment(p) * float(ndtr(-lo) - ndtr(-hi))
+    return model.moment(p) * float(ndtr(hi) - ndtr(lo))
 
 
 @lru_cache(maxsize=None)

@@ -2,14 +2,23 @@
 
 A partition of unity u_n splits the spread a - k into the portfolio
 sum_n a u_n[a] - k sum_n u_n[a] of 2N positive assets, whose moment matrix
-feeds the eigenvalue engine.  Two families are supported:
+bounds the option through the eigenvalue problem of the engine.  Two families
+are supported, and ``refined_bounds`` solves each by its structure:
 
 * Flat: digital indicators of a decomposition of (0, inf) into cells.  The
   moment matrix has diagonal quadrants built from per-cell digital prices,
-  conditional prices and conditional root-variances.
+  conditional prices and conditional root-variances.  Disjoint cells make it
+  a direct sum of 2x2 blocks, so the bound is a sum of per-cell vanilla
+  bounds in closed form.
 * Linear: hat functions anchored at a strike grid.  Only consecutive
   functions overlap, so the four quadrants are tridiagonal, with the
   off-diagonal moments computed by quadrature under a reference model.
+  Interleaving the components makes the matrix banded, and the bound is
+  solved as a banded eigenproblem per strike.
+
+``partition_moment_matrix`` assembles the full matrix for the dense engine,
+which is the fallback for a singular hat-partition matrix and the reference
+the tests hold both structured paths to.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .engine import (
 from .errors import DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
 from .models import LognormalModel, lognormal_partial_moment, _gl_rule
 from .moments import root_variance_from_moments
+from .vanilla import vanilla_bounds
 
 __all__ = [
     "PartitionKind",
@@ -128,6 +138,10 @@ class ConditionalMoments:
                     raise ParameterOutOfRange("cross sequences must have length cells - 1")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
+        sequences = (self.digital, self.price, self.root_variance, self.cross_price,
+                     self.cross_sqrt, self.cross_digital)
+        if not all(np.all(np.isfinite(s)) for s in sequences if s is not None):
+            raise ParameterOutOfRange("partition moments must be finite")
         if np.any(self.digital <= 0.0) or np.any(self.price <= 0.0):
             raise ParameterOutOfRange("digital prices and conditional prices must be positive")
         if np.any(self.root_variance < 0.0) or np.any(self.root_variance > 1.0):
@@ -423,24 +437,86 @@ def partition_moment_matrix(moments: ConditionalMoments) -> MomentMatrix:
     return MomentMatrix(q)
 
 
+def _dense_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Refined bounds through the dense engine, factoring Q once per grid."""
+    n = moments.cells
+    quantities = np.ones((ks.size, 2 * n))
+    quantities[:, n:] = -ks[:, None]
+    results = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities, tol)
+    return np.array([r.bound for r in results])
+
+
+def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Refined bounds of a hat partition from banded factorizations.
+
+    With the components interleaved as (a u_0, u_0, a u_1, u_1, ...), Q has
+    three bands above the diagonal.  Scaled to unit diagonal, as in
+    ``engine.factor_psd``, it factors as R^T R with R upper triangular and
+    banded alike, so S = R D and P = R (D L D) R^T keep the three bands and
+    each strike costs one banded eigensolve.  A Q that is not numerically
+    positive definite goes to the dense engine, which checks it for
+    positive semi-definiteness and cuts its rank.
+    """
+    # Imported here: scipy.linalg is slow to import and only hat partitions
+    # need it.
+    from scipy.linalg import cholesky_banded, eigvals_banded
+
+    dim = 2 * moments.cells
+    diag = np.empty(dim)
+    diag[0::2] = moments.price * moments.digital
+    diag[1::2] = moments.digital
+    # Upper band storage: band[3 - s, j] = Q[j - s, j].
+    band = np.zeros((4, dim))
+    band[3] = 1.0
+    band[2, 1::2] = moments.sqrt_scaled
+    band[2, 2::2] = moments.cross_sqrt
+    band[1, 2::2] = moments.cross_price
+    band[1, 3::2] = moments.cross_digital
+    band[0, 3::2] = moments.cross_sqrt
+    scale = 1.0 / np.sqrt(diag)
+    for s in (1, 2, 3):
+        band[3 - s, s:] *= scale[:-s] * scale[s:]
+    try:
+        r = cholesky_banded(band, lower=False, check_finite=False)
+    except np.linalg.LinAlgError:
+        return _dense_bounds(moments, ks, tol)
+    # Diagonal of D L D per strike: quantities 1 on a u_n and -k on u_n.
+    weights = np.tile(diag, (ks.size, 1))
+    weights[:, 1::2] *= -ks[:, None]
+    # P[j - o, j] = sum_t R[j - o, j + t] weights[j + t] R[j, j + t], 0 <= t <= 3 - o.
+    p = np.zeros((ks.size, 4, dim))
+    for o in range(4):
+        for t in range(4 - o):
+            factors = r[3 - o - t, o + t :] * r[3 - t, o + t :]
+            p[:, 3 - o, o : dim - t] += factors * weights[:, o + t :]
+    bounds = np.empty(ks.size)
+    for i, band_p in enumerate(p):
+        eigs = eigvals_banded(band_p, lower=False, check_finite=False)
+        positive = eigs[eigs > tol.eig * float(np.max(np.abs(eigs)))]
+        bounds[i] = float(np.sum(positive))
+    return bounds
+
+
 def refined_bounds(
     moments: ConditionalMoments, strikes, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """Partition-refined upper bounds for E[(a - k)^+] over a strike grid.
 
-    The moment matrix does not depend on the strike, so it is assembled and
-    factored once for the whole grid.
+    The method follows the structure of the moments.  Disjoint (flat) cells
+    split Q into one 2x2 vanilla block per cell, so the bound is exactly
+    sum_n d_n vanilla_bound(f_n, nu_n, k), with no rank cutoff to lower it.
+    Overlapping (hat) partitions have a banded Q and are solved as banded
+    eigenproblems, one per strike after one factorization of Q.
     """
     ks = np.asarray(strikes, dtype=float)
     if ks.ndim != 1:
         raise ParameterOutOfRange("strikes must form a one-dimensional grid")
     if not np.all(ks > 0.0):
         raise ParameterOutOfRange(f"strikes must be positive, got {ks[~(ks > 0.0)][0]}")
-    n = moments.cells
-    quantities = np.ones((ks.size, 2 * n))
-    quantities[:, n:] = -ks[:, None]
-    results = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities, tol)
-    return np.array([r.bound for r in results])
+    if moments.cross_price is None:
+        cells = vanilla_bounds(moments.price, moments.root_variance, ks[:, None])
+        return np.sum(cells * moments.digital, axis=1)
+    return _banded_bounds(moments, ks, tol)
 
 
 def refined_bound(

@@ -26,6 +26,7 @@ from .moments import AssetMoments, assemble_q
 __all__ = [
     "VanillaBoundCurve",
     "vanilla_bound",
+    "vanilla_bounds",
     "vanilla_put_bound",
     "vanilla_bound_via_engine",
     "implied_cdf",
@@ -63,6 +64,26 @@ def vanilla_bound(f: float, nu: float, k: float) -> float:
     if f >= k:
         return 0.5 * ((f - k) + root)
     return 2.0 * f * k * nu / (root + (k - f))
+
+
+def vanilla_bounds(f, nu, k) -> np.ndarray:
+    """``vanilla_bound`` elementwise over arrays of f, nu and k, broadcast
+    together, with the same cancellation-free branches."""
+    f, nu, k = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (f, nu, k)))
+    if not np.all(f > 0.0):
+        raise ParameterOutOfRange(f"forward must be positive, got {f[~(f > 0.0)][0]}")
+    if not np.all((nu >= 0.0) & (nu <= 1.0)):
+        raise ParameterOutOfRange(
+            f"root-variance must lie in [0, 1], got {nu[~((nu >= 0.0) & (nu <= 1.0))][0]}"
+        )
+    if not np.all(k > 0.0):
+        raise ParameterOutOfRange(f"strike must be positive, got {k[~(k > 0.0)][0]}")
+    root = np.sqrt((f - k) ** 2 + 4.0 * f * k * nu)
+    # The out-of-the-money form divides by zero at f = k, nu = 0, where the
+    # explicit root is taken instead.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        otm = 2.0 * f * k * nu / (root + (k - f))
+    return np.where(f >= k, 0.5 * ((f - k) + root), otm)
 
 
 def vanilla_put_bound(f: float, nu: float, k: float) -> float:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momentbounds
 from momentbounds.cli import EXPERIMENTS, load_config, main, run
 from momentbounds.errors import ConfigError
 from momentbounds.vanilla import check_decreasing_convex
@@ -126,7 +131,8 @@ class TestRun:
         }
         config = load_config(write_config(tmp_path / "c.json", payload))
         run(config, tmp_path / "out")
-        assert len(factor_calls) == 3
+        # Flat partitions are solved per cell in closed form, with no factor.
+        assert len(factor_calls) == 0
 
     def test_infinite_vol_uses_sentinel(self, tmp_path):
         payload = smile_config(sentinel="NA")
@@ -264,3 +270,16 @@ class TestMainEntry:
         path = write_config(tmp_path / "c.json", smile_config())
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "smile_manifest.json" in capsys.readouterr().out
+
+
+def test_import_does_not_load_scipy_linalg():
+    """Only hat-partition sweeps need scipy.linalg; importing the CLI must not
+    pay for it."""
+    source_root = str(Path(momentbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, momentbounds.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -26,6 +26,7 @@ from momentbounds.models import (
     lognormal_partial_moment,
     norm_cdf,
 )
+from momentbounds.partition import quadrature_partial_moment
 
 
 def erf_normal_cdf(x: float) -> float:
@@ -151,8 +152,23 @@ class TestImpliedNormalVol:
         with pytest.raises(PriceOutsideArbitrageBounds):
             implied_normal_vol(0.02, 0.01, 1.0, 0.005)
 
+    def test_roundoff_above_intrinsic_gives_zero(self):
+        # A bound equal to intrinsic in exact arithmetic lands a roundoff
+        # either side of it; both sides must give the same vol.
+        assert implied_normal_vol(0.02, -0.01, 1.0, 0.03 + 1.5e-16) == 0.0
+        assert implied_normal_vol(0.02, -0.01, 1.0, 0.03 - 1.5e-16) == 0.0
+        assert implied_normal_vol(0.02, -0.01, 1.0, 0.03 + 2e-11) > 0.0
+
 
 class TestPartialMoments:
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_upper_tail_cell_keeps_relative_digits(self, p):
+        # Both CDF values sit within 1e-9 of one; their difference cancels.
+        model = LognormalModel(1.0, 0.13243771936956214, 1.0)
+        closed = lognormal_partial_moment(model, p, 2.3, 2.31)
+        numeric = quadrature_partial_moment(model, p, 2.3, 2.31)
+        assert abs(closed - numeric) <= 1e-12 * numeric
+
     def test_normalisation(self):
         model = LognormalModel(1.0, 0.4, 1.0)
         assert lognormal_partial_moment(model, 0.0, 0.0, math.inf) == pytest.approx(1.0, rel=1e-14)
@@ -303,7 +319,7 @@ def scalar_normal_vol(forward, strike, expiry, price):
     scale = max(1.0, abs(forward), abs(strike))
     if price < intrinsic - 1e-12 * scale:
         raise PriceOutsideArbitrageBounds("below intrinsic")
-    if price <= intrinsic:
+    if price <= intrinsic + 1e-12 * scale:
         return 0.0
     if forward == strike:
         return price * math.sqrt(2.0 * math.pi / expiry)

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from momentbounds.errors import DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
+import scipy.linalg
+
+from momentbounds.engine import positive_eigenvalue_bounds
+from momentbounds.errors import (
+    DegenerateCell,
+    NotPositiveSemiDefinite,
+    ParameterOutOfRange,
+    QuadratureBudgetExceeded,
+)
 from momentbounds.models import LognormalModel, bs_call_price, lognormal_partial_moment, norm_cdf
 from momentbounds.partition import (
     ConditionalMoments,
@@ -104,9 +112,24 @@ class TestFlatRefinedBound:
             assert b30 >= bs_call_price(MODEL, k) - 1e-10
 
 
+def dense_engine_bounds(moments, strikes):
+    """The refined bounds from the dense engine on the full 2N x 2N moment
+    matrix: the oracle for both structured paths of ``refined_bounds``."""
+    n = moments.cells
+    quantities = np.ones((len(strikes), 2 * n))
+    quantities[:, n:] = -np.asarray(strikes)[:, None]
+    results = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities)
+    return np.array([r.bound for r in results])
+
+
+def max_relative_gap(values, reference):
+    return float(np.max(np.abs(values - reference) / reference))
+
+
 class TestFlatClosedForm:
     """Disjoint cells make Q a direct sum of 2x2 vanilla blocks, so the flat
-    refined bound is exactly sum_n d_n * vanilla_bound(f_n, nu_n, k)."""
+    refined bound is exactly sum_n d_n * vanilla_bound(f_n, nu_n, k), which
+    ``refined_bounds`` evaluates without the engine."""
 
     @pytest.mark.parametrize("cells", [16, 64, 256, 1024])
     def test_engine_matches_per_cell_closed_form(self, cells):
@@ -117,17 +140,59 @@ class TestFlatClosedForm:
         # Strikes within 1.5 standard deviations, where the bound is not small
         # next to the spectral radius of P.
         strikes = np.array([0.7, 0.85, 1.0, 1.15, 1.3])
-        closed = np.array(
-            [
-                sum(
-                    d * vanilla_bound(f, nu, k)
-                    for d, f, nu in zip(moments.digital, moments.price, moments.root_variance)
-                )
-                for k in strikes
-            ]
+        closed = refined_bounds(moments, strikes)
+        per_cell = [
+            sum(
+                d * vanilla_bound(f, nu, k)
+                for d, f, nu in zip(moments.digital, moments.price, moments.root_variance)
+            )
+            for k in strikes
+        ]
+        assert max_relative_gap(closed, np.array(per_cell)) <= 1e-14
+        assert max_relative_gap(closed, dense_engine_bounds(moments, strikes)) <= 1e-12
+
+    def test_rank_deficient_cells(self):
+        # nu = 0 cells are point masses: rank-1 blocks the engine cuts.
+        moments = ConditionalMoments(
+            digital=[0.3, 0.5, 0.2], price=[0.6, 1.0, 1.8], root_variance=[0.0, 0.05, 0.0]
         )
-        engine = refined_bounds(moments, strikes)
-        assert np.max(np.abs(engine - closed) / closed) <= 1e-12
+        strikes = np.array([0.5, 0.9, 1.2, 1.7])
+        assert max_relative_gap(
+            refined_bounds(moments, strikes), dense_engine_bounds(moments, strikes)
+        ) <= 1e-12
+
+
+class TestLinearBanded:
+    """Hat partitions are solved as banded eigenproblems; the dense engine on
+    the same moments is the oracle."""
+
+    @pytest.mark.parametrize("count", [2, 5, 16, 64, 256])
+    def test_matches_dense_engine(self, count, factor_calls):
+        moments = linear_conditional_moments(MODEL, np.linspace(0.3, 3.0, count))
+        strikes = np.linspace(0.4, 2.6, 12)
+        bounds = refined_bounds(moments, strikes)
+        # Solved as a band, not through the dense fallback.
+        assert len(factor_calls) == 0
+        assert max_relative_gap(bounds, dense_engine_bounds(moments, strikes)) <= 1e-12
+
+    def test_singular_q_falls_back_to_dense_engine(self, factor_calls):
+        # All moments 1: Q is the 4x4 matrix of ones, rank 1, so the banded
+        # Cholesky factorization fails and the dense engine takes over.
+        ones = [1.0, 1.0]
+        moments = ConditionalMoments(ones, ones, [0.0, 0.0], [1.0], [1.0], [1.0])
+        strikes = np.array([0.25, 0.5, 1.0, 1.5])
+        bounds = refined_bounds(moments, strikes)
+        assert len(factor_calls) == 1
+        assert np.array_equal(bounds, dense_engine_bounds(moments, strikes))
+        assert bounds == pytest.approx(np.maximum(2.0 - 2.0 * strikes, 0.0), abs=1e-14)
+
+    def test_inconsistent_cross_moments_raise(self):
+        # E[sqrt(u_0 u_1)] above sqrt(E[u_0] E[u_1]) breaks Cauchy-Schwarz.
+        moments = ConditionalMoments(
+            [0.5, 0.5], [0.8, 1.2], [0.1, 0.1], [0.3], [0.3], [0.9]
+        )
+        with pytest.raises(NotPositiveSemiDefinite):
+            refined_bounds(moments, [1.0])
 
 
 class TestLinearPartitionFunctions:
@@ -257,6 +322,22 @@ class TestConditionalMomentsType:
                 cross_digital=None,
             )
 
+    @pytest.mark.parametrize("field", ["digital", "root_variance", "cross_sqrt"])
+    def test_non_finite_moments_rejected(self, field):
+        # No solver path assembles a MomentMatrix for them any more, so the
+        # moments themselves must refuse NaN and inf.
+        values = dict(
+            digital=[0.5, 0.5],
+            price=[0.8, 1.2],
+            root_variance=[0.1, 0.1],
+            cross_price=[0.1],
+            cross_sqrt=[0.1],
+            cross_digital=[0.1],
+        )
+        values[field] = [math.nan] * len(values[field])
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            ConditionalMoments(**values)
+
     def test_externally_supplied_moments_are_usable(self):
         # Quote-implied conditional moments can bypass the reference model.
         moments = ConditionalMoments(
@@ -287,11 +368,22 @@ class TestRefinedBounds:
             assert value == refined_bound(moments, float(k))
 
     @pytest.mark.parametrize("kind", ["flat", "linear"])
-    def test_sweep_factors_once(self, kind, factor_calls):
+    def test_sweep_factors_once(self, kind, factor_calls, monkeypatch):
+        """Flat sweeps factor nothing; hat sweeps factor Q once, as a band.
+        Neither reaches the dense engine's factor_psd."""
+        banded = []
+        original = scipy.linalg.cholesky_banded
+
+        def counting(*args, **kwargs):
+            banded.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting)
         build = flat_conditional_moments if kind == "flat" else linear_conditional_moments
         moments = build(MODEL, FIG_BOUNDARIES_30)
         refined_bounds(moments, EVAL_STRIKES)
-        assert len(factor_calls) == 1
+        assert len(factor_calls) == 0
+        assert len(banded) == (0 if kind == "flat" else 1)
 
     def test_rejects_non_positive_strikes(self):
         moments = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)

@@ -1,18 +1,26 @@
-"""Property-based tests of the engine bound and the implied-vol inversions."""
+"""Property-based tests of the engine bound, the partition-refined bounds and
+the implied-vol inversions."""
 
 import math
+import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from momentbounds.engine import MomentMatrix, positive_eigenvalue_bound
+from momentbounds.errors import DegenerateCell
 from momentbounds.models import (
     LognormalModel,
     bachelier_call_price,
     bs_call_price,
     implied_lognormal_vols,
     implied_normal_vols,
+)
+from momentbounds.partition import (
+    flat_conditional_moments,
+    linear_conditional_moments,
+    refined_bounds,
 )
 
 # Prices this far inside the arbitrage bounds pin the vol down well enough
@@ -129,3 +137,54 @@ def test_normal_vol_increases_with_price(forward, strike, expiry, sigmas):
     prices = prices[prices > max(forward - strike, 0.0)]
     vols = implied_normal_vols(forward, np.full(prices.size, strike), expiry, prices)
     assert np.all(np.diff(vols) > 0.0)
+
+
+# Partition grids keep their points this far apart: in narrower cells the
+# closed-form root-variance 1 - E[sqrt(a)]^2 / E[a] cancels to roundoff.
+GRID_GAP = 1e-3
+partition_vols = st.floats(0.1, 0.6)
+partition_points = st.lists(st.floats(0.3, 2.5), min_size=1, max_size=13)
+eval_strikes = st.lists(st.floats(0.3, 2.5), min_size=1, max_size=8).map(np.array)
+
+
+def flat_moments(sigma, boundaries):
+    # Cells below CELL_FLOOR are dropped with a warning; dropping only lowers
+    # a bound, and a fine cell is never heavier than the coarse cell holding it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return flat_conditional_moments(LognormalModel(1.0, sigma, 1.0), boundaries)
+
+
+@settings(deadline=None)
+@given(partition_vols, partition_points, st.floats(0.3, 2.5), eval_strikes)
+def test_adding_a_flat_boundary_never_raises_the_bound(sigma, points, extra, strikes):
+    coarse = _increasing(points, GRID_GAP)
+    assume(np.min(np.abs(coarse - extra)) >= GRID_GAP)
+    fine = np.sort(np.append(coarse, extra))
+    coarser = refined_bounds(flat_moments(sigma, coarse), strikes)
+    finer = refined_bounds(flat_moments(sigma, fine), strikes)
+    assert np.all(finer <= coarser * (1.0 + 1e-12))
+
+
+# Refinement monotonicity is a property of nested partitions.  Adding a strike
+# to a hat partition does not nest: the new hat is shared between its two old
+# neighbours with fractional weights, so the old hats are not sums of new
+# ones, and only the flat case is tested above.
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["flat", "linear"]), partition_vols, partition_points, eval_strikes)
+def test_refined_bounds_dominate_black(kind, sigma, points, strikes):
+    model = LognormalModel(1.0, sigma, 1.0)
+    grid = _increasing(points, GRID_GAP)
+    if kind == "flat":
+        moments = flat_moments(sigma, grid)
+    elif grid.size < 2:
+        reject()
+    else:
+        try:
+            moments = linear_conditional_moments(model, grid)
+        except DegenerateCell:
+            reject()
+    black = np.array([bs_call_price(model, float(k)) for k in strikes])
+    assert np.all(refined_bounds(moments, strikes) >= black - 1e-12)

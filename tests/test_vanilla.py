@@ -12,6 +12,7 @@ from momentbounds.vanilla import (
     smile_curve,
     vanilla_bound,
     vanilla_bound_via_engine,
+    vanilla_bounds,
     vanilla_put_bound,
 )
 
@@ -67,6 +68,29 @@ class TestVanillaBound:
             vanilla_bound(1.0, -0.1, 1.0)
         with pytest.raises(ParameterOutOfRange):
             vanilla_bound(1.0, 0.1, 0.0)
+
+
+class TestVanillaBounds:
+    def test_matches_scalar_form_on_a_broadcast_grid(self):
+        rng = np.random.default_rng(3)
+        f = rng.uniform(0.05, 4.0, 400)
+        nu = rng.uniform(0.0, 1.0, 400) ** 6  # down to ~1e-18
+        nu[:20] = 0.0
+        ks = np.concatenate([[1.0], rng.uniform(0.05, 6.0, 30)])
+        f[0] = 1.0  # with nu = 0 and k = 1: the 0 / 0 of the out-of-the-money form
+        grid = vanilla_bounds(f, nu, ks[:, None])
+        assert grid.shape == (ks.size, f.size)
+        scalar = np.array([[vanilla_bound(a, b, k) for a, b in zip(f, nu)] for k in ks])
+        # The same branches; numpy's square and Python's pow may differ by an ulp.
+        assert np.all(np.abs(grid - scalar) <= 1e-15 * scalar)
+        assert grid[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "f, nu, k", [(0.0, 0.1, 1.0), (1.0, -0.1, 1.0), (1.0, 1.5, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, 0.0)]
+    )
+    def test_parameter_validation(self, f, nu, k):
+        with pytest.raises(ParameterOutOfRange):
+            vanilla_bounds([1.0, f], [0.1, nu], [1.0, k])
 
 
 class TestPutBound:
