@@ -10,6 +10,7 @@ FX cross-rate and caplet/swaption applications, and attainment diagnostics.
 
 from .engine import (
     BoundResult,
+    BoundSweep,
     DEFAULT_TOLERANCES,
     MomentMatrix,
     PsdFactor,

@@ -13,9 +13,10 @@ Config layout (schema_version 1):
     }
 
 Grids are given either as explicit arrays or as {"start", "stop", "count"}.
-Unknown keys are rejected everywhere.  Outputs are CSV (LF line endings,
-header row, 12 significant digits) plus ``<output>_manifest.json`` carrying
-the config hash, effective tolerances and summary statistics.  Re-running an
+Unknown keys, non-finite numbers and integers above ``MAX_COUNT`` are
+rejected everywhere.  Outputs are CSV (LF line endings, header row, 12
+significant digits) plus ``<output>_manifest.json`` carrying the config
+hash, effective tolerances and summary statistics.  Re-running an
 identical config reproduces the outputs byte for byte.  Every run is
 single-threaded: strike sweeps are batched into one solve per fixed moment
 matrix instead.
@@ -53,6 +54,9 @@ __all__ = ["RunConfig", "load_config", "run", "main", "EXPERIMENTS"]
 
 SCHEMA_VERSION = 1
 DEFAULT_SENTINEL = "inf"
+# Largest integer a config may give: integers size grids and curves, and a
+# bigger one would only exhaust memory.
+MAX_COUNT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +78,18 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{where} must be a number, got {obj!r}")
+    # JSON admits NaN and Infinity; the comparison also rejects integers
+    # too large for a float.
+    if not -sys.float_info.max <= obj <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite, got {obj!r}")
     return float(obj)
 
 
 def _integer(obj, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ConfigError(f"{where} must be an integer, got {obj!r}")
+    if obj > MAX_COUNT:
+        raise ConfigError(f"{where} must be at most {MAX_COUNT}, got {obj}")
     return int(obj)
 
 
@@ -196,7 +206,8 @@ def load_config(path) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Experiment runners.  Each prepare() validates parameters into a plan;
-# execute() turns a plan into (columns, rows, summary).
+# execute() turns a plan into (columns, values, summary), with one array of
+# values per column.
 
 
 @dataclass(frozen=True)
@@ -228,21 +239,19 @@ def _prepare_vanilla_smile(config: RunConfig):
 
 
 def _run_vanilla_smile(plan, config: RunConfig):
-    strikes = plan["strikes"]
-    curves = [
-        smile_curve(plan["forward"], nu, strikes, plan["expiry"]) for nu in plan["root_variances"]
-    ]
-    rows = []
-    for nu, curve in zip(plan["root_variances"], curves):
+    strikes, nus = plan["strikes"], plan["root_variances"]
+    curves = [smile_curve(plan["forward"], nu, strikes, plan["expiry"]) for nu in nus]
+    for nu, curve in zip(nus, curves):
         check_decreasing_convex(strikes, curve.bounds, label=f"smile bound (nu={nu})")
-        for i, k in enumerate(strikes):
-            rows.append((nu, k, curve.bounds[i], curve.implied_vols[i], curve.cdf[i]))
+    values = [np.repeat(nus, strikes.size), np.tile(strikes, len(curves))] + [
+        np.ravel([getattr(c, name) for c in curves]) for name in ("bounds", "implied_vols", "cdf")
+    ]
     summary = {
         "curve_count": len(curves),
         "strike_count": int(strikes.size),
         "max_bound": max(float(np.max(c.bounds)) for c in curves),
     }
-    return ["nu", "strike", "bound", "implied_vol", "cdf"], rows, summary
+    return ["nu", "strike", "bound", "implied_vol", "cdf"], values, summary
 
 
 def _prepare_refine(config: RunConfig, kind: str):
@@ -293,17 +302,13 @@ def _run_refine(plan, config: RunConfig):
     columns.append("bs_price")
     for name, curve in zip(columns[1:], curves + [reference]):
         check_decreasing_convex(strikes, curve, label=name)
-    rows = [
-        tuple([strikes[i]] + [curve[i] for curve in curves] + [reference[i]])
-        for i in range(strikes.size)
-    ]
     gaps = [float(np.max(curve - reference)) for curve in curves]
     summary = {
         "max_gap_by_column": dict(zip(columns[1:-1], gaps)),
         "convergence_ratio": gaps[-1] / gaps[0] if gaps[0] > 0.0 else 0.0,
         "reference_dominated": bool(all(float(np.min(c - reference)) >= -1e-10 for c in curves)),
     }
-    return columns, rows, summary
+    return columns, [strikes, *curves, reference], summary
 
 
 def _prepare_fx_cross(config: RunConfig):
@@ -332,21 +337,21 @@ def _prepare_fx_cross(config: RunConfig):
 
 
 def _run_fx_cross(plan, config: RunConfig):
-    strikes = plan["strikes"]
-    rows = []
-    previous = None
+    strikes, rhos = plan["strikes"], plan["correlations"]
+    nus, curves = [], []
     max_rho_increase = -math.inf
-    for rho in plan["correlations"]:
-        nu = cross_root_variance(plan["nu1"], plan["nu2"], rho)
-        bounds = np.array([vanilla_bound(plan["forward"], nu, float(k)) for k in strikes])
+    for rho in rhos:
+        nus.append(cross_root_variance(plan["nu1"], plan["nu2"], rho))
+        bounds = np.array([vanilla_bound(plan["forward"], nus[-1], float(k)) for k in strikes])
         check_decreasing_convex(strikes, bounds, label=f"fx bound (rho={rho})")
-        if previous is not None:
-            max_rho_increase = max(max_rho_increase, float(np.max(bounds - previous)))
-        previous = bounds
-        for i, k in enumerate(strikes):
-            rows.append((rho, k, nu, bounds[i]))
-    summary = {"max_bound_increase_with_rho": None if previous is None else max_rho_increase}
-    return ["rho", "strike", "cross_nu", "bound"], rows, summary
+        if curves:
+            max_rho_increase = max(max_rho_increase, float(np.max(bounds - curves[-1])))
+        curves.append(bounds)
+    size = strikes.size
+    values = [np.repeat(rhos, size), np.tile(strikes, len(rhos)), np.repeat(nus, size)]
+    values.append(np.ravel(curves))
+    summary = {"max_bound_increase_with_rho": None if not curves else max_rho_increase}
+    return ["rho", "strike", "cross_nu", "bound"], values, summary
 
 
 def _prepare_caplet(config: RunConfig, scan_shifts: bool):
@@ -403,34 +408,38 @@ def _caplet_forward(slice_: SwapCurveSlice, n: int) -> float:
 
 
 def _run_caplet(plan, config: RunConfig):
-    tol = config.tolerances
-    strikes = plan["strikes"]
+    tol, strikes, n = config.tolerances, plan["strikes"], plan["n"]
     scan_shifts = plan["scan_shifts"]
-    columns = (
-        ["alpha", "strike", "bound", "implied_normal_vol", "cdf", "positive_eigenvalues"]
-        if scan_shifts
-        else ["rho", "strike", "bound", "implied_normal_vol", "cdf"]
-    )
-    rows = []
+    columns = ["alpha" if scan_shifts else "rho", "strike", "bound", "implied_normal_vol", "cdf"]
     summary = {"switch_strikes": {}, "point_mass_at_zero": {}} if scan_shifts else {"switch_strikes": {}}
     keys = [(a, r) for a in plan["shifts"] for r in plan["rhos"]]
-    for alpha, rho in keys:
-        slice_ = plan["slices"][(alpha, rho)]
-        scan = caplet_cdf_scan(slice_, plan["n"], strikes, tol)
-        check_decreasing_convex(strikes, scan.bounds, label=f"caplet bound (alpha={alpha}, rho={rho})")
-        forward = _caplet_forward(slice_, plan["n"])
-        vols = implied_normal_vols(forward, strikes, plan["expiry"], scan.bounds)
-        label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
-        summary["switch_strikes"][label] = list(scan.switch_strikes)
-        if scan_shifts:
-            summary["point_mass_at_zero"][label] = caplet_point_mass(slice_, plan["n"], 0.0, tol=tol)
-        for i in range(strikes.size):
-            lead = alpha if scan_shifts else rho
-            row = [lead, strikes[i], scan.bounds[i], vols[i], scan.cdf[i]]
+    scans, forwards = [], []
+    try:
+        for alpha, rho in keys:
+            slice_ = plan["slices"][(alpha, rho)]
+            scan = caplet_cdf_scan(slice_, n, strikes, tol)
+            curve = f"caplet bound (alpha={alpha}, rho={rho})"
+            check_decreasing_convex(strikes, scan.bounds, label=curve)
+            scans.append(scan)
+            forwards.append(_caplet_forward(slice_, n))
+            label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
+            summary["switch_strikes"][label] = list(scan.switch_strikes)
             if scan_shifts:
-                row.append(int(scan.positive_counts[i]))
-            rows.append(tuple(row))
-    return columns, rows, summary
+                summary["point_mass_at_zero"][label] = caplet_point_mass(slice_, n, 0.0, tol=tol)
+    finally:
+        # The scanned slices invert in one call, also when a later slice
+        # failed: an earlier slice's vol error then wins, as slice by slice.
+        bounds = np.ravel([scan.bounds for scan in scans])
+        vols = implied_normal_vols(
+            np.repeat(forwards, strikes.size), np.tile(strikes, len(scans)), plan["expiry"], bounds
+        )
+    leads = [alpha if scan_shifts else rho for alpha, rho in keys]
+    values = [np.repeat(leads, strikes.size), np.tile(strikes, len(keys)), bounds, vols]
+    values.append(np.ravel([scan.cdf for scan in scans]))
+    if scan_shifts:
+        columns.append("positive_eigenvalues")
+        values.append(np.ravel([scan.positive_counts for scan in scans]))
+    return columns, values, summary
 
 
 def _prepare_local_attain(config: RunConfig):
@@ -458,25 +467,15 @@ def _run_local_attain(plan, config: RunConfig):
         tol=config.tolerances,
     )
     check_decreasing_convex(report.strikes, report.bounds, label="attainment bound")
-    rows = [
-        (
-            report.strikes[i],
-            report.angles[i],
-            report.lows[i],
-            report.highs[i],
-            report.binomial_prices[i],
-            report.bounds[i],
-            report.gaps[i],
-        )
-        for i in range(report.strikes.size)
-    ]
+    fields = ("strikes", "angles", "lows", "highs", "binomial_prices", "bounds", "gaps")
+    values = [getattr(report, name) for name in fields]
     summary = {
         "max_gap": report.max_gap,
         "implied_nu": report.implied_nu,
         "constraint_nu": report.constraint_nu,
     }
     columns = ["strike", "angle", "low_state", "high_state", "binomial_price", "bound", "gap"]
-    return columns, rows, summary
+    return columns, values, summary
 
 
 def _prepare_global_attain(config: RunConfig):
@@ -489,10 +488,6 @@ def _prepare_global_attain(config: RunConfig):
 
 def _run_global_attain(plan, config: RunConfig):
     curve = implied_root_variance_curve(plan["root_variances"])
-    rows = [
-        (curve.constraint_nu[i], curve.sqrt_moment[i], curve.implied_nu[i])
-        for i in range(curve.constraint_nu.size)
-    ]
     interior = curve.margins[1:-1] if curve.constraint_nu.size > 2 else curve.margins
     summary = {
         "min_interior_margin": float(np.min(interior)) if interior.size else None,
@@ -501,7 +496,8 @@ def _run_global_attain(plan, config: RunConfig):
             float(abs(curve.implied_nu[-1] - curve.constraint_nu[-1])),
         ],
     }
-    return ["nu", "implied_sqrt_moment", "implied_nu"], rows, summary
+    values = [curve.constraint_nu, curve.sqrt_moment, curve.implied_nu]
+    return ["nu", "implied_sqrt_moment", "implied_nu"], values, summary
 
 
 EXPERIMENTS = {
@@ -530,19 +526,18 @@ EXPERIMENTS = {
 # Output
 
 
-def _format_value(value, sentinel: str) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    value = float(value)
-    if math.isinf(value):
-        return sentinel
-    return f"{value:.11e}"
+def _format_column(values, sentinel: str) -> list:
+    """CSV cells of one column: integers as they are, other values to 12
+    significant digits and infinities as the sentinel."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return [str(v) for v in arr.tolist()]
+    return [sentinel if math.isinf(v) else f"{v:.11e}" for v in arr.astype(float).tolist()]
 
 
-def _write_csv(path: Path, columns, rows, sentinel: str) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_value(v, sentinel) for v in row))
+def _write_csv(path: Path, columns, values, sentinel: str) -> None:
+    cells = [_format_column(column, sentinel) for column in values]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
@@ -569,8 +564,8 @@ def run(config: RunConfig, out_dir) -> Path:
     manifest_path = out / f"{config.output}_manifest.json"
     written = []
     try:
-        columns, rows, summary = experiment.execute(plan, config)
-        _write_csv(csv_path, columns, rows, config.sentinel)
+        columns, values, summary = experiment.execute(plan, config)
+        _write_csv(csv_path, columns, values, config.sentinel)
         written.append(csv_path)
         manifest = {
             "schema_version": SCHEMA_VERSION,
@@ -581,7 +576,7 @@ def run(config: RunConfig, out_dir) -> Path:
                 "eig": config.tolerances.eig,
             },
             "outputs": [csv_path.name],
-            "rows": len(rows),
+            "rows": len(values[0]),
             "summary": _jsonable(summary),
         }
         manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

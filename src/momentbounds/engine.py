@@ -12,8 +12,9 @@ every eigenvalue above roundoff level (``factor_psd``).
 
 Everything here is pure and reentrant; inputs are copied and frozen, so
 values can be shared freely.  Strike sweeps hold Q fixed and vary only the
-quantities, so ``positive_eigenvalue_bounds`` factors Q once per sweep and
-solves the eigenproblems of all quantity vectors in stacks.
+quantities, so ``positive_eigenvalue_bounds`` factors Q once per sweep, solves
+the eigenproblems of all quantity vectors in stacks and returns the sweep as
+arrays (``BoundSweep``); ``positive_eigenvalue_bound`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ __all__ = [
     "QuantityVector",
     "PsdFactor",
     "BoundResult",
+    "BoundSweep",
     "symmetric_eigenvalues",
     "factor_psd",
     "positive_eigenvalue_bound",
     "positive_eigenvalue_bounds",
 ]
 
-# Largest stack of P matrices handed to one eigensolver call, in bytes.  It
-# bounds the memory of a sweep; a single matrix above it is solved on its own.
+# Largest stack of S L products formed at once, in bytes.  It bounds the
+# memory of a sweep; a single product above it is solved on its own.
 STACK_BYTES = 1 << 20
 
 
@@ -170,6 +172,35 @@ class BoundResult:
         object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
 
 
+@dataclass(frozen=True)
+class BoundSweep:
+    """``BoundResult`` of each row of a sweep, as arrays over the k rows.
+
+    Attributes:
+        bounds: (k,) bound of each row.
+        eigenvalues: (k, rank_q) eigenvalues of each row's P, descending.
+        rank_q: numerical rank of Q, shared by the sweep.
+        clipped_negative_mass: clipped negative mass of Q, shared likewise.
+        positive_counts: (k,) eigenvalues above each row's zero threshold.
+    """
+
+    bounds: np.ndarray
+    eigenvalues: np.ndarray
+    rank_q: int
+    clipped_negative_mass: float
+    positive_counts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("bounds", "eigenvalues", "positive_counts"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), None))
+
+    def row(self, i: int) -> BoundResult:
+        """The ``BoundResult`` of row ``i``."""
+        bound, count = float(self.bounds[i]), int(self.positive_counts[i])
+        mass = self.clipped_negative_mass
+        return BoundResult(bound, self.eigenvalues[i], self.rank_q, mass, count)
+
+
 def symmetric_eigenvalues(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, in descending order.
 
@@ -244,20 +275,20 @@ def positive_eigenvalue_bound(
     """
     if isinstance(quantities, QuantityVector):
         quantities = quantities.weights
-    return positive_eigenvalue_bounds(q, [quantities], tol)[0]
+    return positive_eigenvalue_bounds(q, [quantities], tol).row(0)
 
 
 def positive_eigenvalue_bounds(
     q: MomentMatrix,
     quantities,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list:
+) -> BoundSweep:
     """``positive_eigenvalue_bound`` for each row of a (k, n) quantity array.
 
-    Q is validated and factored once; the P matrices are solved in stacks of
-    at most ``STACK_BYTES``.  Each row is checked as a QuantityVector would
-    be, and gets its own zero threshold and BoundResult, identical to what a
-    single-row call returns.
+    Q is validated and factored once; the P matrices are formed and solved in
+    stacks of at most ``STACK_BYTES``.  Each row is checked as a
+    QuantityVector would be and gets its own zero threshold, so row ``i`` of
+    the sweep is identical to what a single-row call returns.
     """
     if not isinstance(q, MomentMatrix):
         q = MomentMatrix(q)
@@ -277,22 +308,16 @@ def positive_eigenvalue_bounds(
         )
     factor = factor_psd(q, tol)
     s = factor.matrix
-    per_stack = max(1, STACK_BYTES // (s.itemsize * factor.rank * factor.rank))
-    results = []
+    per_stack = max(1, STACK_BYTES // s.nbytes)
+    eigs = np.empty((len(weights), factor.rank))
     for start in range(0, len(weights), per_stack):
-        p = np.array([(s * w[None, :]) @ s.T for w in weights[start : start + per_stack]])
-        p = 0.5 * (p + p.swapaxes(1, 2))
-        for eigs in symmetric_eigenvalues(p, tol):
-            radius = float(np.max(np.abs(eigs)))
-            threshold = tol.eig * radius
-            positive = eigs[eigs > threshold]
-            results.append(
-                BoundResult(
-                    bound=float(np.sum(positive)),
-                    eigenvalues=eigs,
-                    rank_q=factor.rank,
-                    clipped_negative_mass=factor.clipped_negative_mass,
-                    positive_count=int(positive.size),
-                )
-            )
-    return results
+        p = (s[None] * weights[start : start + per_stack, None, :]) @ s.T
+        eigs[start : start + per_stack] = symmetric_eigenvalues(0.5 * (p + p.swapaxes(1, 2)), tol)
+    # Each row's positive eigenvalues are a prefix of its descending ones;
+    # rows with equal counts sum their prefixes together, as single rows would.
+    counts = np.sum(eigs > tol.eig * np.max(np.abs(eigs), axis=1)[:, None], axis=1)
+    bounds = np.zeros(len(weights))
+    for m in np.unique(counts[counts > 0]):
+        rows = counts == m
+        bounds[rows] = np.sum(eigs[rows, :m], axis=1)
+    return BoundSweep(bounds, eigs, factor.rank, factor.clipped_negative_mass, counts)

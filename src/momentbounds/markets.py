@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import (
     BoundResult,
+    BoundSweep,
     DEFAULT_TOLERANCES,
     Tolerances,
     positive_eigenvalue_bounds,
@@ -209,8 +210,8 @@ def _shifted_inputs(slice_: SwapCurveSlice, n: int):
 
 def _caplet_bound_results(
     slice_: SwapCurveSlice, n: int, strikes, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list:
-    """``caplet_bound_result`` for each strike of a grid, one engine result each.
+) -> BoundSweep:
+    """``caplet_bound_result`` for each strike of a grid, as one engine sweep.
 
     The three-asset moment matrix does not depend on the strike, so it is
     assembled and factored once for the whole grid.
@@ -240,7 +241,7 @@ def caplet_bound_result(
     quantity of the cash asset, and scanning below the shifted floor is what
     exposes the eigenvalue-regime switch.
     """
-    return _caplet_bound_results(slice_, n, [strike], tol)[0]
+    return _caplet_bound_results(slice_, n, [strike], tol).row(0)
 
 
 def caplet_bound(
@@ -289,16 +290,14 @@ def caplet_cdf_scan(
         raise ParameterOutOfRange("need a 1-d grid of at least three strikes")
     if np.any(np.diff(ks) <= 0.0):
         raise ParameterOutOfRange("strikes must be strictly increasing")
-    results = _caplet_bound_results(slice_, n, ks, tol)
-    bounds = np.array([r.bound for r in results])
-    counts = np.array([r.positive_count for r in results], dtype=int)
+    sweep = _caplet_bound_results(slice_, n, ks, tol)
+    bounds = sweep.bounds
     cdf = np.empty_like(bounds)
     cdf[1:-1] = 1.0 + (bounds[2:] - bounds[:-2]) / (ks[2:] - ks[:-2])
     cdf[0] = 1.0 + (bounds[1] - bounds[0]) / (ks[1] - ks[0])
     cdf[-1] = 1.0 + (bounds[-1] - bounds[-2]) / (ks[-1] - ks[-2])
-    switches = tuple(
-        float(ks[i]) for i in range(1, ks.size) if counts[i - 1] == 2 and counts[i] == 1
-    )
+    counts = sweep.positive_counts
+    switches = tuple(ks[1:][(counts[:-1] == 2) & (counts[1:] == 1)].tolist())
     return CapletScan(ks, bounds, cdf, counts, switches)
 
 
@@ -317,7 +316,7 @@ def caplet_point_mass(
     O(step^2) instead of a spurious mass.
     """
     stencil = [strike, strike + step, strike + 2 * step, strike - step, strike - 2 * step]
-    b0, up1, up2, dn1, dn2 = (r.bound for r in _caplet_bound_results(slice_, n, stencil, tol))
+    b0, up1, up2, dn1, dn2 = _caplet_bound_results(slice_, n, stencil, tol).bounds.tolist()
     right = (-3.0 * b0 + 4.0 * up1 - up2) / (2.0 * step)
     left = (3.0 * b0 - 4.0 * dn1 + dn2) / (2.0 * step)
     return right - left

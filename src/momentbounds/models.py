@@ -4,7 +4,9 @@ model, and Gauss-Legendre quadrature.
 
 The vol inversions run one bracketed bisection over a whole strike grid
 (``implied_lognormal_vols``, ``implied_normal_vols``); the one-strike forms
-are their one-element case.
+are their one-element case.  The bisection stops once it is stationary, at
+the first step that moves no bracket, which gives the same vols as running
+all of its steps.
 
 All prices are undiscounted forward values.  Discounting enters only through
 the rates application, via explicit discount factors.
@@ -242,14 +244,18 @@ def _bachelier_calls(moneyness, root_expiry: float):
 
 
 def _bisect(value, lo, hi, prices):
-    """Fixed-step bisection of ``value(sigma) = prices``, elementwise.
+    """Bisection of ``value(sigma) = prices``, elementwise.
 
-    Returns the midpoint vols and the mask of elements whose price residual
-    exceeds ``PRICE_TOL``.
+    Runs at most ``_BISECTION_ITERATIONS`` steps and stops at the first step
+    that leaves every bracket unchanged: the next bracket depends only on the
+    current one, so no later step would move either.  Returns the midpoint
+    vols and the mask of elements whose price residual exceeds ``PRICE_TOL``.
     """
     for _ in range(_BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
         below = value(mid) < prices
+        if np.all(np.where(below, mid == lo, mid == hi)):
+            break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     sigma = 0.5 * (lo + hi)
@@ -325,9 +331,10 @@ def implied_lognormal_vol(forward: float, strike: float, expiry: float, price: f
     return float(implied_lognormal_vols(forward, [strike], expiry, [price])[0])
 
 
-def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.ndarray:
+def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     """Invert the Bachelier call formula on a strike grid; supports negative
-    forwards and strikes.
+    forwards and strikes.  ``forward`` is a number or one forward per strike,
+    so several curves invert in one call.
 
     Prices within 1e-12 (relative to the larger of 1, |f| and |k|) of
     intrinsic give zero vol, and at-the-money prices invert exactly.
@@ -342,9 +349,12 @@ def implied_normal_vols(forward: float, strikes, expiry: float, prices) -> np.nd
     if not expiry > 0.0:
         raise ParameterOutOfRange(f"expiry must be positive, got {expiry}")
     ks, ps = _as_grid(strikes, prices)
+    forward = np.asarray(forward, dtype=float)
+    if forward.ndim and forward.shape != ks.shape:
+        raise DimensionMismatch(f"need one forward or one per strike, got {forward.shape}")
     moneyness = forward - ks
     intrinsic = np.maximum(moneyness, 0.0)
-    scale = np.maximum(max(1.0, abs(forward)), np.abs(ks))
+    scale = np.maximum(np.maximum(1.0, np.abs(forward)), np.abs(ks))
     nonfinite = ~np.isfinite(ps)
     below = ~nonfinite & (ps < intrinsic - 1e-12 * scale)
     # Prices within the same slack above intrinsic carry no resolvable time

@@ -442,8 +442,8 @@ def _dense_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances) 
     n = moments.cells
     quantities = np.ones((ks.size, 2 * n))
     quantities[:, n:] = -ks[:, None]
-    results = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities, tol)
-    return np.array([r.bound for r in results])
+    sweep = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities, tol)
+    return sweep.bounds.copy()  # writable, like the other paths' results
 
 
 def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances) -> np.ndarray:

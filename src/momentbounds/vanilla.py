@@ -121,7 +121,7 @@ def _vanilla_bounds_via_engine(
         tol,
     )
     quantities = np.column_stack([np.ones(ks.size), -ks])
-    return np.array([r.bound for r in positive_eigenvalue_bounds(q, quantities, tol)])
+    return positive_eigenvalue_bounds(q, quantities, tol).bounds
 
 
 def implied_cdf(f: float, nu: float, k: float) -> float:

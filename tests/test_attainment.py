@@ -60,7 +60,7 @@ class TestBinomialCalibrate:
         mirror_chi = 0.5 * math.pi - chi
         mirror_low = f * math.cos(theta - mirror_chi) ** 2 / math.sin(mirror_chi) ** 2
         mirror_high = f * math.sin(theta - mirror_chi) ** 2 / math.cos(mirror_chi) ** 2
-        assert mirror_low == pytest.approx(model.high, rel=1e-12)
+        assert mirror_low == pytest.approx(model.high, rel=1e-12, abs=0.0)
         assert mirror_high == pytest.approx(model.low, rel=1e-10, abs=1e-12)
 
     def test_angle_out_of_range(self):
@@ -94,7 +94,7 @@ class TestOptimalAngle:
         f, nu, k = 1.0, 0.01, 1.4
         chi = optimal_angle(f, nu, k)
         price = binomial_call_price(binomial_calibrate(f, nu, chi), k)
-        assert price == pytest.approx(vanilla_bound(f, nu, k), rel=1e-10)
+        assert price == pytest.approx(vanilla_bound(f, nu, k), rel=1e-10, abs=0.0)
 
     def test_angle_within_branch(self):
         nu = 0.25
@@ -149,7 +149,7 @@ class TestLocalAttainment:
         assert report.constraint_nu == 0.04
         assert report.implied_nu > report.constraint_nu
         assert report.implied_sqrt_moment == pytest.approx(
-            math.sqrt(1.0 - report.implied_nu), rel=1e-12
+            math.sqrt(1.0 - report.implied_nu), rel=1e-12, abs=0.0
         )
 
     def test_degenerate_variance_guard(self):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,9 @@ import numpy as np
 import pytest
 
 import momentbounds
+from momentbounds import cli
 from momentbounds.cli import EXPERIMENTS, load_config, main, run
-from momentbounds.errors import ConfigError
+from momentbounds.errors import ConfigError, NegativeShiftedRate
 from momentbounds.vanilla import check_decreasing_convex
 
 
@@ -270,6 +273,117 @@ class TestMainEntry:
         path = write_config(tmp_path / "c.json", smile_config())
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "smile_manifest.json" in capsys.readouterr().out
+
+
+def caplet_config(**parameters):
+    payload = {
+        "schema_version": 1,
+        "experiment": "CapletBound",
+        "output": "caplet",
+        "parameters": {
+            "discount_rate": 0.01,
+            "periods": 5,
+            "period_index": 5,
+            "swap_rate": 0.02,
+            "root_variance": 0.04,
+            "correlations": [0.99],
+            "strikes": {"start": 0.0, "stop": 0.04, "count": 5},
+        },
+    }
+    payload["parameters"].update(parameters)
+    return payload
+
+
+def with_parameters(payload, **parameters):
+    payload["parameters"].update(parameters)
+    return payload
+
+
+class TestExitCodes:
+    """One exit code per class of bad config: 2 for a config error, 3 for a
+    numerical error, 4 for an I/O error, and never a traceback."""
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (with_parameters(smile_config(), typo=3), "typo"),
+            (
+                with_parameters(
+                    smile_config(), strikes={"start": 0.5, "stop": math.inf, "count": 5}
+                ),
+                "finite",
+            ),
+            (with_parameters(smile_config(), forward=math.nan), "finite"),
+            (with_parameters(smile_config(), forward=10**400), "finite"),
+            (caplet_config(correlations=[math.nan]), "finite"),
+            (
+                with_parameters(
+                    smile_config(), strikes={"start": 0.5, "stop": 2.0, "count": 10**11}
+                ),
+                "at most",
+            ),
+            (caplet_config(periods=10**11), "at most"),
+        ],
+        ids=[
+            "unknown-key",
+            "infinite-grid-end",
+            "nan-number",
+            "integer-beyond-float",
+            "nan-in-list",
+            "oversize-count",
+            "oversize-periods",
+        ],
+    )
+    def test_config_errors_exit_2(self, tmp_path, capsys, payload, message):
+        path = write_config(tmp_path / "c.json", payload)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:")
+        assert message in err
+
+    def test_inconsistent_moments_exit_3(self, tmp_path, capsys):
+        # A negative psd tolerance demands a margin of positive definiteness
+        # that the nearly collinear swap rates do not have.
+        payload = caplet_config()
+        payload["tolerances"] = {"psd": -0.5}
+        path = write_config(tmp_path / "c.json", payload)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: NotPositiveSemiDefinite:")
+        assert not (tmp_path / "out" / "caplet.csv").exists()
+
+    @pytest.mark.parametrize("first_slice_bad", [True, False])
+    def test_multi_slice_caplet_error_order(
+        self, tmp_path, capsys, monkeypatch, first_slice_bad
+    ):
+        # The slices' vols are inverted in one call after the scans, yet a
+        # vol error of the first slice still wins over a scan error of the
+        # second, as it did when each slice was inverted after its scan.
+        real_scan = cli.caplet_cdf_scan
+        calls = []
+
+        def scan(slice_, n, strikes, tol):
+            calls.append(slice_)
+            if len(calls) == 2:
+                raise NegativeShiftedRate("second slice")
+            result = real_scan(slice_, n, strikes, tol)
+            # Half the bound is below intrinsic in the money, but still
+            # decreasing and convex.
+            if first_slice_bad:
+                return dataclasses.replace(result, bounds=0.5 * result.bounds)
+            return result
+
+        monkeypatch.setattr(cli, "caplet_cdf_scan", scan)
+        path = write_config(tmp_path / "c.json", caplet_config(correlations=[0.99, 0.995]))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        expected = "PriceOutsideArbitrageBounds" if first_slice_bad else "NegativeShiftedRate"
+        assert capsys.readouterr().err.startswith(f"error: {expected}:")
+
+    def test_unwritable_output_exit_4(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", smile_config())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["--config", str(path), "--out", str(blocker / "out")]) == 4
+        assert capsys.readouterr().err.startswith("error: IOError:")
 
 
 def test_import_does_not_load_scipy_linalg():

@@ -6,6 +6,7 @@ import pytest
 from momentbounds import engine
 from momentbounds.engine import (
     BoundResult,
+    BoundSweep,
     MomentMatrix,
     QuantityVector,
     Tolerances,
@@ -19,6 +20,7 @@ from momentbounds.errors import (
     NotPositiveSemiDefinite,
     ParameterOutOfRange,
 )
+from momentbounds.moments import AssetMoments, assemble_q
 
 
 def random_psd(rng, n, rank=None):
@@ -92,7 +94,7 @@ class TestFactorPsd:
         for k in (0.5, 0.8, 1.0, 1.3):
             lam = np.array([1.0, -k])
             assert bound_through(fac.matrix, lam) == pytest.approx(
-                bound_through(triangular, lam), rel=1e-14
+                bound_through(triangular, lam), rel=1e-14, abs=0.0
             )
 
     def test_rank_one_symmetric_case(self):
@@ -123,7 +125,7 @@ class TestFactorPsd:
         q = MomentMatrix([[1.0, r], [r, 1.0]])
         assert factor_psd(q).rank == 2
         bound = positive_eigenvalue_bound(q, QuantityVector([1.0, -1.0])).bound
-        assert bound == pytest.approx(math.sqrt((1.0 - r) * (1.0 + r)), rel=1e-3)
+        assert bound == pytest.approx(math.sqrt((1.0 - r) * (1.0 + r)), rel=1e-3, abs=0.0)
 
     def test_indefinite_raises(self):
         q = MomentMatrix([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -155,7 +157,9 @@ class TestFactorPsd:
             masses.append(factor_psd(MomentMatrix(c * tolerable)).clipped_negative_mass)
             with pytest.raises(NotPositiveSemiDefinite):
                 factor_psd(MomentMatrix(c * inconsistent))
-        assert masses == pytest.approx([masses[1]] * 3, rel=1e-6)
+        # The mass is an eigenvalue of a matrix with unit diagonal: it is
+        # resolved to roundoff of that unit scale, not of its own 5e-11.
+        assert masses == pytest.approx([masses[1]] * 3, rel=0.0, abs=1e-15)
 
     def test_nearly_collinear_small_assets_match_cholesky(self):
         # A caplet-like basket: two swap rates priced 0.01 and correlated
@@ -232,7 +236,7 @@ class TestPositiveEigenvalueBound:
         s = math.sqrt(f * (1.0 - nu))
         q = MomentMatrix([[f, s], [s, 1.0]])
         result = positive_eigenvalue_bound(q, QuantityVector([1.0, -k]))
-        assert result.bound == pytest.approx(math.sqrt(f * k * nu), rel=1e-14)
+        assert result.bound == pytest.approx(math.sqrt(f * k * nu), rel=1e-14, abs=0.0)
 
     def test_single_asset(self):
         q = MomentMatrix([[2.0]])
@@ -263,7 +267,7 @@ class TestEngineProperties:
             base = positive_eigenvalue_bound(q, lam).bound
             for c in (0.25, 3.0, 117.0):
                 scaled = positive_eigenvalue_bound(MomentMatrix(c * q.entries), lam).bound
-                assert scaled == pytest.approx(c * base, rel=1e-12)
+                assert scaled == pytest.approx(c * base, rel=1e-12, abs=0.0)
 
     def test_factorization_independence(self):
         # Bound through the engine's eigen square root vs a second factor of
@@ -315,6 +319,19 @@ class TestEngineProperties:
             full_exercise = float(np.dot(lam, np.diag(q.entries)))
             assert result.bound >= max(0.0, full_exercise) - 1e-12
 
+    def test_not_monotone_in_root_variance_under_correlation(self):
+        # The exchange option (a1 - a2)^+ with equal prices and square-root
+        # correlation 1: a deterministic a1 leaves the put bound on a2, but
+        # raising nu1 to nu2 makes the assets identical and the bound zero.
+        # Monotonicity in nu holds only for an asset uncorrelated with the
+        # others (test_properties).
+        def exchange_bound(nu1):
+            q = assemble_q([AssetMoments(1.0, nu1), AssetMoments(1.0, 0.25)], {(0, 1): 1.0})
+            return positive_eigenvalue_bound(q, QuantityVector([1.0, -1.0])).bound
+
+        assert exchange_bound(0.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)
+        assert exchange_bound(0.25) == 0.0
+
 
 def assert_same_result(got: BoundResult, want: BoundResult):
     assert got.bound == want.bound
@@ -322,6 +339,14 @@ def assert_same_result(got: BoundResult, want: BoundResult):
     assert got.rank_q == want.rank_q
     assert got.clipped_negative_mass == want.clipped_negative_mass
     assert got.positive_count == want.positive_count
+
+
+def assert_same_sweep(got: BoundSweep, want: BoundSweep):
+    assert np.array_equal(got.bounds, want.bounds)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.rank_q == want.rank_q
+    assert got.clipped_negative_mass == want.clipped_negative_mass
+    assert np.array_equal(got.positive_counts, want.positive_counts)
 
 
 def sweep_rows(rng, n):
@@ -332,21 +357,33 @@ def sweep_rows(rng, n):
 
 class TestPositiveEigenvalueBounds:
     def check_rows_match(self, q, rows):
-        results = positive_eigenvalue_bounds(q, rows)
-        assert len(results) == len(rows)
+        sweep = positive_eigenvalue_bounds(q, rows)
         fac = factor_psd(q)
-        for row, result in zip(rows, results):
-            assert_same_result(result, positive_eigenvalue_bound(q, QuantityVector(row)))
+        assert sweep.bounds.shape == sweep.positive_counts.shape == (len(rows),)
+        assert sweep.eigenvalues.shape == (len(rows), fac.rank)
+        for i, row in enumerate(rows):
+            assert_same_result(sweep.row(i), positive_eigenvalue_bound(q, QuantityVector(row)))
             # The unbatched computation, one 2-D eigensolve per row.
             p = (fac.matrix * row[None, :]) @ fac.matrix.T
             eigs = symmetric_eigenvalues(0.5 * (p + p.T))
-            assert np.array_equal(result.eigenvalues, eigs)
-            assert result.bound == float(np.sum(eigs[eigs > 1e-12 * np.max(np.abs(eigs))]))
+            assert np.array_equal(sweep.eigenvalues[i], eigs)
+            assert sweep.bounds[i] == float(np.sum(eigs[eigs > 1e-12 * np.max(np.abs(eigs))]))
 
     def test_full_rank_rows_match_single_calls_exactly(self):
         rng = np.random.default_rng(43)
         for n in (1, 2, 3, 5, 8):
             self.check_rows_match(random_psd(rng, n), sweep_rows(rng, n))
+
+    def test_many_positive_eigenvalues_match_single_calls_exactly(self):
+        # Rows with eight or more positive eigenvalues take numpy's unrolled
+        # summation, so each row's prefix must be summed as a row of its own.
+        rng = np.random.default_rng(71)
+        q = random_psd(rng, 24)
+        rows = np.vstack([sweep_rows(rng, 24), np.abs(rng.standard_normal((3, 24)))])
+        rows[-1, :20] *= -1.0
+        sweep = positive_eigenvalue_bounds(q, rows)
+        assert len(set(sweep.positive_counts.tolist()) & set(range(8, 25))) >= 2
+        self.check_rows_match(q, rows)
 
     def test_rank_deficient_rows_match_single_calls_exactly(self):
         rng = np.random.default_rng(47)
@@ -364,30 +401,33 @@ class TestPositiveEigenvalueBounds:
     def test_one_sign_rows_are_trivial(self):
         rng = np.random.default_rng(59)
         q = random_psd(rng, 4)
-        long, short = positive_eigenvalue_bounds(q, [[1.0, 2.0, 0.5, 1.0], [-1.0, -2.0, -0.5, -1.0]])
+        sweep = positive_eigenvalue_bounds(q, [[1.0, 2.0, 0.5, 1.0], [-1.0, -2.0, -0.5, -1.0]])
         full = float(np.dot([1.0, 2.0, 0.5, 1.0], np.diag(q.entries)))
-        assert long.bound == pytest.approx(full, rel=1e-12)
-        assert long.positive_count == 4
-        assert short.bound == 0.0
-        assert short.positive_count == 0
+        assert sweep.bounds[0] == pytest.approx(full, rel=1e-12, abs=0.0)
+        assert sweep.bounds[1] == 0.0
+        assert sweep.positive_counts.tolist() == [4, 0]
 
     def test_each_row_has_its_own_zero_threshold(self):
         # A huge row in the same stack must not zero the small eigenvalue of
         # the next row.
-        big, small = positive_eigenvalue_bounds(np.eye(3), [[1e9, -1.0, -1.0], [1.0, 1e-6, -1.0]])
-        assert big.positive_count == 1
-        assert small.positive_count == 2
-        assert small.bound == 1.0 + 1e-6
+        sweep = positive_eigenvalue_bounds(np.eye(3), [[1e9, -1.0, -1.0], [1.0, 1e-6, -1.0]])
+        assert sweep.positive_counts.tolist() == [1, 2]
+        assert sweep.bounds[1] == 1.0 + 1e-6
 
     def test_stack_boundaries_do_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(61)
         q = random_psd(rng, 5)
         rows = sweep_rows(rng, 5)
         whole = positive_eigenvalue_bounds(q, rows)
-        # Two 5x5 P matrices per stack, so the rows split into uneven stacks.
+        # Two 5x5 S L products per stack, so the rows split into uneven stacks.
         monkeypatch.setattr(engine, "STACK_BYTES", 2 * 5 * 5 * 8)
-        for got, want in zip(positive_eigenvalue_bounds(q, rows), whole):
-            assert_same_result(got, want)
+        assert_same_sweep(positive_eigenvalue_bounds(q, rows), whole)
+
+    def test_sweep_is_frozen(self):
+        sweep = positive_eigenvalue_bounds(np.eye(2), [[1.0, -1.0], [2.0, -1.0]])
+        for arr in (sweep.bounds, sweep.eigenvalues, sweep.positive_counts):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_factors_q_once(self, factor_calls):
         rng = np.random.default_rng(67)
@@ -395,7 +435,9 @@ class TestPositiveEigenvalueBounds:
         assert len(factor_calls) == 1
 
     def test_no_rows_gives_no_results(self):
-        assert positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), np.zeros((0, 2))) == []
+        sweep = positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), np.zeros((0, 2)))
+        assert sweep.bounds.shape == sweep.positive_counts.shape == (0,)
+        assert sweep.eigenvalues.shape == (0, 2)
 
     def test_rejects_wrong_row_length(self):
         q = MomentMatrix(np.eye(3))
@@ -405,13 +447,13 @@ class TestPositiveEigenvalueBounds:
             positive_eigenvalue_bounds(q, [[1.0, -1.0, 0.5], [1.0, -1.0]])
 
     def test_rejects_non_finite_row(self):
-        rows = np.ones((3, 2))
-        rows[1, 0] = math.nan
-        with pytest.raises(ParameterOutOfRange):
-            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), rows)
-        rows[1, 0] = -math.inf
-        with pytest.raises(ParameterOutOfRange):
-            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), rows)
+        # A bad entry in any row of the sweep, first, middle or last.
+        for bad_row in range(3):
+            for bad in (math.nan, -math.inf):
+                rows = np.ones((3, 2))
+                rows[bad_row, 1] = bad
+                with pytest.raises(ParameterOutOfRange):
+                    positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), rows)
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(DimensionMismatch):

@@ -36,7 +36,9 @@ class TestCrossRootVariance:
             assert abs(cross_root_variance(nu, 0.0, -0.8) - nu) <= 1e-15
 
     def test_uncorrelated_value(self):
-        assert cross_root_variance(0.04, 0.04, 0.0) == pytest.approx(1.0 - 0.96**2, rel=1e-14)
+        assert cross_root_variance(0.04, 0.04, 0.0) == pytest.approx(
+            1.0 - 0.96**2, rel=1e-14, abs=0.0
+        )
 
     def test_symmetric(self):
         rng = np.random.default_rng(12)
@@ -65,7 +67,7 @@ class TestFxCrossBound:
     def test_equals_vanilla_at_composed_variance(self):
         legs = FxLegMoments(0.04, 0.09, 0.5, 1.2)
         assert fx_cross_bound(legs, 1.0) == pytest.approx(
-            vanilla_bound(1.2, legs.cross_nu, 1.0), rel=1e-15
+            vanilla_bound(1.2, legs.cross_nu, 1.0), rel=1e-15, abs=0.0
         )
 
     def test_bound_decreasing_in_rho(self):
@@ -105,7 +107,7 @@ class TestAnnuityWeights:
             adjacent_correlations=np.full(2, 0.9),
         )
         aw = annuity_weights(slice_, 3)
-        assert aw.lam == pytest.approx((1.0 + 0.99) / 0.98, rel=1e-15)
+        assert aw.lam == pytest.approx((1.0 + 0.99) / 0.98, rel=1e-15, abs=0.0)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(21)

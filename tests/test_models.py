@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
+from momentbounds import models
 from momentbounds.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -45,12 +46,12 @@ class TestLognormalModel:
 
     def test_root_variance_identity(self):
         model = LognormalModel(1.0, 0.4, 1.0)
-        assert model.root_variance == pytest.approx(1.0 - math.exp(-0.04), rel=1e-14)
+        assert model.root_variance == pytest.approx(1.0 - math.exp(-0.04), rel=1e-14, abs=0.0)
 
     def test_moments(self):
         model = LognormalModel(2.0, 0.3, 2.0)
-        assert model.moment(1.0) == pytest.approx(2.0, rel=1e-15)
-        assert model.moment(0.0) == pytest.approx(1.0, rel=1e-15)
+        assert model.moment(1.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        assert model.moment(0.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
         assert model.moment(0.5) == pytest.approx(math.sqrt(2.0) * math.exp(-0.3**2 * 2.0 / 8.0))
 
 
@@ -137,11 +138,13 @@ class TestImpliedNormalVol:
     def test_atm_identity_exact(self):
         sigma = 0.0123
         price = sigma * math.sqrt(1.0 / (2.0 * math.pi))
-        assert implied_normal_vol(0.02, 0.02, 1.0, price) == pytest.approx(sigma, rel=1e-14)
+        assert implied_normal_vol(0.02, 0.02, 1.0, price) == pytest.approx(
+            sigma, rel=1e-14, abs=0.0
+        )
 
     def test_atm_example(self):
         assert implied_normal_vol(0.02, 0.02, 1.0, 0.002) == pytest.approx(
-            0.002 * math.sqrt(2.0 * math.pi), rel=1e-14
+            0.002 * math.sqrt(2.0 * math.pi), rel=1e-14, abs=0.0
         )
 
     def test_negative_rates_round_trip(self):
@@ -171,16 +174,20 @@ class TestPartialMoments:
 
     def test_normalisation(self):
         model = LognormalModel(1.0, 0.4, 1.0)
-        assert lognormal_partial_moment(model, 0.0, 0.0, math.inf) == pytest.approx(1.0, rel=1e-14)
+        assert lognormal_partial_moment(model, 0.0, 0.0, math.inf) == pytest.approx(
+            1.0, rel=1e-14, abs=0.0
+        )
 
     def test_martingale_mean(self):
         model = LognormalModel(1.7, 0.3, 0.5)
-        assert lognormal_partial_moment(model, 1.0, 0.0, math.inf) == pytest.approx(1.7, rel=1e-14)
+        assert lognormal_partial_moment(model, 1.0, 0.0, math.inf) == pytest.approx(
+            1.7, rel=1e-14, abs=0.0
+        )
 
     def test_half_moment_full_line(self):
         model = LognormalModel(1.0, 0.4, 1.0)
         value = lognormal_partial_moment(model, 0.5, 0.0, math.inf)
-        assert value == pytest.approx(math.exp(-0.02), rel=1e-14)
+        assert value == pytest.approx(math.exp(-0.02), rel=1e-14, abs=0.0)
 
     def test_half_moment_against_quadrature(self):
         model = LognormalModel(1.0, 0.4, 1.0)
@@ -204,7 +211,7 @@ class TestPartialMoments:
             split = lognormal_partial_moment(model, p, 0.3, 1.1) + lognormal_partial_moment(
                 model, p, 1.1, 2.7
             )
-            assert split == pytest.approx(whole, rel=1e-14)
+            assert split == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_partition_sums_to_full_moment(self):
         model = LognormalModel(1.0, 0.4, 1.0)
@@ -214,7 +221,7 @@ class TestPartialMoments:
                 lognormal_partial_moment(model, p, lo, hi)
                 for lo, hi in zip(edges[:-1], edges[1:])
             )
-            assert total == pytest.approx(model.moment(p), rel=1e-12)
+            assert total == pytest.approx(model.moment(p), rel=1e-12, abs=0.0)
 
     def test_zero_vol_point_mass(self):
         model = LognormalModel(1.5, 0.0, 1.0)
@@ -412,9 +419,39 @@ class TestArrayInversions:
                 forward, float(k), expiry, float(p)
             )
 
+    def test_normal_forward_per_strike_matches_per_curve_calls(self):
+        grids = [normal_grid(np.random.default_rng(seed), size=20) for seed in (3, 4, 5)]
+        forwards = np.concatenate([np.full(20, f) for f, _, _, _ in grids])
+        strikes = np.concatenate([k for _, k, _, _ in grids])
+        prices = np.concatenate([p for _, _, _, p in grids])
+        vols = implied_normal_vols(forwards, strikes, 2.0, prices)
+        expected = np.concatenate([implied_normal_vols(f, k, 2.0, p) for f, k, _, p in grids])
+        assert vols.tolist() == expected.tolist()
+
+    def test_bisection_stops_once_stationary(self):
+        # The identity "pricer" halves a [0, 1] bracket: every bracket has
+        # stopped moving after 58 steps, and the 59th finds it stationary.
+        calls = []
+
+        def value(sigma):
+            calls.append(sigma)
+            return sigma
+
+        targets = np.random.default_rng(11).uniform(0.0, 1.0, 50)
+        sigma, _ = models._bisect(value, np.zeros(50), np.ones(50), targets)
+        lo, hi = np.zeros(50), np.ones(50)
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            below = mid < targets
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        assert sigma.tolist() == (0.5 * (lo + hi)).tolist()
+        assert len(calls) == 59 + 1  # the steps and the residual check
+
     def test_grid_shapes_checked(self):
         with pytest.raises(DimensionMismatch):
             implied_normal_vols(0.02, [0.01, 0.02], 1.0, [0.01])
+        with pytest.raises(DimensionMismatch):
+            implied_normal_vols([0.02, 0.02, 0.02], [0.01, 0.02], 1.0, [0.01, 0.001])
         with pytest.raises(DimensionMismatch):
             implied_lognormal_vols(1.0, [[1.0]], 1.0, [[0.1]])
         assert implied_lognormal_vols(1.0, [], 1.0, []).shape == (0,)
@@ -453,6 +490,20 @@ class TestArrayInversionErrors:
         # the first of two below-intrinsic prices
         strikes, prices = [-0.005, -0.02, -0.03], [good, 0.001, 0.002]
         self.check(implied_normal_vols, scalar_normal_vol, -0.01, strikes, 2.0, prices)
+
+    def test_normal_per_strike_forwards_first_failure_wins(self):
+        # Two curves in one call: the first curve's failure comes first in
+        # grid order, though the second curve's sits at a lower index within
+        # its own curve.
+        forwards = [0.01, 0.01, 0.01, 0.02, 0.02, 0.02]
+        strikes = [0.0, 0.01, 0.005, -0.01, 0.0, 0.02]
+        prices = [0.011, 0.004, 0.001, 0.0, 0.021, 0.004]
+        with pytest.raises(PriceOutsideArbitrageBounds) as info:
+            implied_normal_vols(np.array(forwards), strikes, 1.0, prices)
+        assert "strike 0.005" in str(info.value)
+        with pytest.raises(PriceOutsideArbitrageBounds) as info:
+            implied_normal_vols(np.array(forwards[3:]), strikes[3:], 1.0, prices[3:])
+        assert "strike -0.01" in str(info.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_prices_rejected_up_front(self, bad):

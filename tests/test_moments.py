@@ -27,7 +27,9 @@ class TestAssetMoments:
             AssetMoments(1.0, 1.5)
 
     def test_sqrt_moment(self):
-        assert AssetMoments(1.0, 0.04).sqrt_moment == pytest.approx(math.sqrt(0.96), rel=1e-15)
+        assert AssetMoments(1.0, 0.04).sqrt_moment == pytest.approx(
+            math.sqrt(0.96), rel=1e-15, abs=0.0
+        )
 
 
 class TestCrossTerm:
@@ -44,7 +46,7 @@ class TestCrossTerm:
     def test_uncorrelated_value(self):
         a = AssetMoments(1.0, 0.04)
         b = AssetMoments(1.0, 0.09)
-        assert cross_term(a, b, 0.0) == pytest.approx(math.sqrt(0.96 * 0.91), rel=1e-15)
+        assert cross_term(a, b, 0.0) == pytest.approx(math.sqrt(0.96 * 0.91), rel=1e-15, abs=0.0)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(5)
@@ -127,7 +129,7 @@ class TestAssembleQ:
     def test_sparse_pair_irrelevant_when_variance_zero(self):
         moments = [AssetMoments(1.0, 0.1), AssetMoments(1.0, 0.0)]
         q = assemble_q(moments, {})
-        assert q.entries[0, 1] == pytest.approx(math.sqrt(0.9), rel=1e-15)
+        assert q.entries[0, 1] == pytest.approx(math.sqrt(0.9), rel=1e-15, abs=0.0)
 
     def test_entries_monotone_in_rho(self):
         moments = [AssetMoments(1.0, 0.2), AssetMoments(1.0, 0.4)]
@@ -152,7 +154,7 @@ class TestRootVarianceFromMoments:
         # E[a^p] = f^p exp(p (p-1) sigma^2 T / 2) with f = 1, sigma = 0.4,
         # T = 1 gives E[sqrt(a)] = exp(-0.02).
         nu = root_variance_from_moments(1.0, math.exp(-0.02))
-        assert nu == pytest.approx(1.0 - math.exp(-0.04), rel=1e-12)
+        assert nu == pytest.approx(1.0 - math.exp(-0.04), rel=1e-12, abs=0.0)
 
     def test_round_trip(self):
         f = 1.3

@@ -51,15 +51,15 @@ class TestFlatConditionalMoments:
     def test_single_cell_reproduces_model(self):
         moments = flat_conditional_moments(MODEL, [])
         assert moments.cells == 1
-        assert moments.digital[0] == pytest.approx(1.0, rel=1e-14)
-        assert moments.price[0] == pytest.approx(1.0, rel=1e-14)
-        assert moments.root_variance[0] == pytest.approx(MODEL.root_variance, rel=1e-12)
+        assert moments.digital[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert moments.price[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert moments.root_variance[0] == pytest.approx(MODEL.root_variance, rel=1e-12, abs=0.0)
 
     def test_two_cells_split_at_forward(self):
         moments = flat_conditional_moments(MODEL, [1.0])
         # P(a <= f) = Phi((log(1) + sigma^2 T / 2) / (sigma sqrt(T))) = Phi(0.2).
-        assert moments.digital[0] == pytest.approx(float(norm_cdf(0.2)), rel=1e-14)
-        assert moments.digital[1] == pytest.approx(1.0 - float(norm_cdf(0.2)), rel=1e-13)
+        assert moments.digital[0] == pytest.approx(float(norm_cdf(0.2)), rel=1e-14, abs=0.0)
+        assert moments.digital[1] == pytest.approx(1.0 - float(norm_cdf(0.2)), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("boundaries", [FIG_BOUNDARIES_6, FIG_BOUNDARIES_30])
     def test_normalisation_identities(self, boundaries):
@@ -89,7 +89,7 @@ class TestFlatRefinedBound:
         nu = MODEL.root_variance
         for k in (0.4, 0.8, 1.0, 1.7, 2.6):
             refined = refined_bound(moments, k)
-            assert refined == pytest.approx(vanilla_bound(1.0, nu, k), rel=1e-12)
+            assert refined == pytest.approx(vanilla_bound(1.0, nu, k), rel=1e-12, abs=0.0)
 
     def test_six_cell_sandwich_at_atm(self):
         moments = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)
@@ -118,8 +118,7 @@ def dense_engine_bounds(moments, strikes):
     n = moments.cells
     quantities = np.ones((len(strikes), 2 * n))
     quantities[:, n:] = -np.asarray(strikes)[:, None]
-    results = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities)
-    return np.array([r.bound for r in results])
+    return positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities).bounds
 
 
 def max_relative_gap(values, reference):
@@ -185,6 +184,9 @@ class TestLinearBanded:
         assert len(factor_calls) == 1
         assert np.array_equal(bounds, dense_engine_bounds(moments, strikes))
         assert bounds == pytest.approx(np.maximum(2.0 - 2.0 * strikes, 0.0), abs=1e-14)
+        # Writable like the results of the other paths, not the engine's
+        # frozen sweep array.
+        assert bounds.flags.writeable
 
     def test_inconsistent_cross_moments_raise(self):
         # E[sqrt(u_0 u_1)] above sqrt(E[u_0] E[u_1]) breaks Cauchy-Schwarz.

@@ -1,5 +1,5 @@
-"""Property-based tests of the engine bound, the partition-refined bounds and
-the implied-vol inversions."""
+"""Property-based tests of the engine bound, the vanilla bound, the
+partition-refined bounds and the implied-vol inversions."""
 
 import math
 import warnings
@@ -8,7 +8,11 @@ import numpy as np
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from momentbounds.engine import MomentMatrix, positive_eigenvalue_bound
+from momentbounds.engine import (
+    MomentMatrix,
+    positive_eigenvalue_bound,
+    positive_eigenvalue_bounds,
+)
 from momentbounds.errors import DegenerateCell
 from momentbounds.models import (
     LognormalModel,
@@ -17,11 +21,13 @@ from momentbounds.models import (
     implied_lognormal_vols,
     implied_normal_vols,
 )
+from momentbounds.moments import AssetMoments, CorrelationMatrix, assemble_q
 from momentbounds.partition import (
     flat_conditional_moments,
     linear_conditional_moments,
     refined_bounds,
 )
+from momentbounds.vanilla import vanilla_bounds
 
 # Prices this far inside the arbitrage bounds pin the vol down well enough
 # for the round trip; closer to a bound the vega vanishes (see
@@ -77,6 +83,90 @@ def test_bound_positively_homogeneous_in_q(problem, scale):
     q, quantities = problem
     scaled = engine_bound(scale * q, quantities)
     assert abs(scaled - scale * engine_bound(q, quantities)) <= scale * bound_slack(q, quantities)
+
+
+@settings(deadline=None)
+@given(moment_problems())
+def test_bound_within_price_limits(problem):
+    # Exercising always gives the intrinsic (sum lam_i f_i)^+, and the long
+    # legs alone cap the payoff at sum lam_i^+ f_i: for one asset against
+    # cash, (f - k)^+ <= bound <= f.
+    q, quantities = problem
+    bound = engine_bound(q, quantities)
+    prices = np.diag(q)
+    slack = bound_slack(q, quantities)
+    assert bound >= max(float(quantities @ prices), 0.0) - slack
+    assert bound <= float(np.maximum(quantities, 0.0) @ prices) + slack
+
+
+@settings(deadline=None)
+@given(moment_problems(), st.integers(1, 12), st.data())
+def test_sweep_rows_equal_single_row_calls(problem, rows, data):
+    # Exact at the n <= 6 drawn here.  From rank 8 a BLAS build may compute
+    # a stack of products differently from a single one, in the last bit.
+    q, quantities = problem
+    weights = st.floats(-5.0, 5.0).map(lambda x: round(x, 6))
+    sweep_rows = [quantities] + [
+        np.array(data.draw(st.lists(weights, min_size=q.shape[0], max_size=q.shape[0])))
+        for _ in range(rows - 1)
+    ]
+    sweep = positive_eigenvalue_bounds(MomentMatrix(q), sweep_rows)
+    for i, row in enumerate(sweep_rows):
+        single = positive_eigenvalue_bound(MomentMatrix(q), row)
+        assert sweep.bounds[i] == single.bound
+        assert sweep.positive_counts[i] == single.positive_count
+
+
+@st.composite
+def independent_asset_baskets(draw):
+    """Prices, root-variances and quantities of a basket plus cash, whose
+    first asset is uncorrelated with the others."""
+    n = draw(st.integers(1, 4))
+    prices = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    nus = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    corr = np.eye(n + 1)
+    if n > 2:
+        row = st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1)
+        a = np.array(draw(st.lists(row, min_size=n - 1, max_size=n - 1)))
+        c = a @ a.T + 1e-3 * np.eye(n - 1)
+        d = np.sqrt(np.diag(c))
+        c = c / np.outer(d, d)
+        c = 0.5 * (c + c.T)
+        np.fill_diagonal(c, 1.0)
+        corr[1:n, 1:n] = c
+    weights = st.floats(-3.0, 3.0).map(lambda x: round(x, 6))
+    quantities = np.array(draw(st.lists(weights, min_size=n + 1, max_size=n + 1)))
+    return prices, nus, CorrelationMatrix(corr), quantities
+
+
+def basket_q(prices, nus, corr):
+    assets = [AssetMoments(f, nu) for f, nu in zip(prices, nus)] + [AssetMoments(1.0, 0.0)]
+    return assemble_q(assets, corr).entries
+
+
+@settings(deadline=None)
+@given(independent_asset_baskets(), st.floats(0.0, 1.0))
+def test_engine_bound_monotone_in_root_variance(basket, raised):
+    # Raising the root-variance of an asset uncorrelated with the others
+    # never lowers the bound.  With correlation this fails: see
+    # test_engine.TestEngineProperties.test_not_monotone_in_root_variance_under_correlation.
+    prices, nus, corr, quantities = basket
+    low, high = sorted([nus[0], raised])
+    q_low = basket_q(prices, [low, *nus[1:]], corr)
+    q_high = basket_q(prices, [high, *nus[1:]], corr)
+    slack = bound_slack(q_high, quantities)
+    assert engine_bound(q_high, quantities) >= engine_bound(q_low, quantities) - slack
+
+
+@settings(deadline=None)
+@given(forwards, log_moneyness, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_vanilla_bounds_within_limits_and_monotone_in_nu(forward, x, nus):
+    strike = forward * math.exp(2.0 * x)
+    nu = np.sort(nus)
+    bounds = vanilla_bounds(forward, nu, strike)
+    assert np.all(bounds >= max(forward - strike, 0.0))
+    assert np.all(bounds <= forward * (1.0 + 4.0 * np.finfo(float).eps))
+    assert np.all(np.diff(bounds) >= -4.0 * np.finfo(float).eps * bounds[1:])
 
 
 def black_price(forward, strike, expiry, sigma):

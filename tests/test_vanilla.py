@@ -28,12 +28,12 @@ class TestVanillaBound:
 
     def test_full_variance_is_forward(self):
         for k in (0.3, 1.0, 4.0):
-            assert vanilla_bound(1.0, 1.0, k) == pytest.approx(1.0, rel=1e-14)
+            assert vanilla_bound(1.0, 1.0, k) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_quadratic_root_value(self):
         # f = 1, k = 0.8, nu = 0.04.
         expected = 0.5 * 0.2 + 0.5 * math.sqrt(0.04 + 0.128)
-        assert vanilla_bound(1.0, 0.04, 0.8) == pytest.approx(expected, rel=1e-15)
+        assert vanilla_bound(1.0, 0.04, 0.8) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_satisfies_quadratic_equation(self):
         rng = np.random.default_rng(2)
@@ -51,7 +51,7 @@ class TestVanillaBound:
         f, nu, k = 1.0, 1e-10, 5.0
         p = vanilla_bound(f, nu, k)
         p_minus = 0.5 * ((f - k) - math.sqrt((f - k) ** 2 + 4.0 * f * k * nu))
-        assert p == pytest.approx(f * k * nu / abs(p_minus), rel=1e-12)
+        assert p == pytest.approx(f * k * nu / abs(p_minus), rel=1e-12, abs=0.0)
         assert 0.0 < p < 1e-9
 
     def test_range(self):
@@ -107,7 +107,7 @@ class TestPutBound:
     def test_put_closed_form(self):
         f, nu, k = 1.0, 0.04, 1.3
         expected = 0.5 * (k - f) + 0.5 * math.sqrt((k - f) ** 2 + 4.0 * k * f * nu)
-        assert vanilla_put_bound(f, nu, k) == pytest.approx(expected, rel=1e-15)
+        assert vanilla_put_bound(f, nu, k) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestEngineEquivalence:
@@ -120,7 +120,7 @@ class TestEngineEquivalence:
                     assert abs(via_engine - closed) <= 1e-12 * max(closed, f * 1e-3)
 
     def test_examples(self):
-        assert vanilla_bound_via_engine(1.0, 0.04, 1.0) == pytest.approx(0.2, rel=1e-13)
+        assert vanilla_bound_via_engine(1.0, 0.04, 1.0) == pytest.approx(0.2, rel=1e-13, abs=0.0)
         assert vanilla_bound_via_engine(1.0, 0.0, 2.0) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -132,7 +132,9 @@ class TestImpliedCdf:
 
     def test_atm_value(self):
         for nu in (0.01, 0.25, 0.81):
-            assert implied_cdf(1.0, nu, 1.0) == pytest.approx(0.5 + math.sqrt(nu) / 2.0, rel=1e-13)
+            assert implied_cdf(1.0, nu, 1.0) == pytest.approx(
+                0.5 + math.sqrt(nu) / 2.0, rel=1e-13, abs=0.0
+            )
 
     def test_zero_variance_step(self):
         assert implied_cdf(1.0, 0.0, 0.5) == 0.0
