@@ -41,6 +41,7 @@ from .models import (
     implied_normal_vol,
     implied_normal_vols,
     lognormal_partial_moment,
+    lognormal_partial_moments,
     norm_cdf,
 )
 from .vanilla import (
@@ -48,6 +49,7 @@ from .vanilla import (
     check_decreasing_convex,
     implied_cdf,
     smile_curve,
+    smile_curves,
     vanilla_bound,
     vanilla_bound_via_engine,
     vanilla_bounds,

@@ -48,7 +48,7 @@ from .markets import (
 )
 from .models import LognormalModel, bs_call_price, implied_normal_vols
 from .partition import flat_conditional_moments, linear_conditional_moments, refined_bounds
-from .vanilla import check_decreasing_convex, smile_curve, vanilla_bound
+from .vanilla import check_decreasing_convex, smile_curves, vanilla_bound
 
 __all__ = ["RunConfig", "load_config", "run", "main", "EXPERIMENTS"]
 
@@ -240,9 +240,8 @@ def _prepare_vanilla_smile(config: RunConfig):
 
 def _run_vanilla_smile(plan, config: RunConfig):
     strikes, nus = plan["strikes"], plan["root_variances"]
-    curves = [smile_curve(plan["forward"], nu, strikes, plan["expiry"]) for nu in nus]
-    for nu, curve in zip(nus, curves):
-        check_decreasing_convex(strikes, curve.bounds, label=f"smile bound (nu={nu})")
+    # Each curve checks its own shape on construction.
+    curves = smile_curves(plan["forward"], nus, strikes, plan["expiry"])
     values = [np.repeat(nus, strikes.size), np.tile(strikes, len(curves))] + [
         np.ravel([getattr(c, name) for c in curves]) for name in ("bounds", "implied_vols", "cdf")
     ]
@@ -554,7 +553,8 @@ def _jsonable(obj):
 def run(config: RunConfig, out_dir) -> Path:
     """Execute one experiment; returns the manifest path.
 
-    Partially written outputs are removed if execution fails.
+    Once the config is prepared, earlier outputs are removed, so a failed run
+    leaves none; a config error leaves them as they are.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -562,11 +562,11 @@ def run(config: RunConfig, out_dir) -> Path:
     plan = experiment.prepare(config)
     csv_path = out / f"{config.output}.csv"
     manifest_path = out / f"{config.output}_manifest.json"
-    written = []
+    for path in (csv_path, manifest_path):
+        path.unlink(missing_ok=True)
     try:
         columns, values, summary = experiment.execute(plan, config)
         _write_csv(csv_path, columns, values, config.sentinel)
-        written.append(csv_path)
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "experiment": config.experiment,
@@ -580,11 +580,9 @@ def run(config: RunConfig, out_dir) -> Path:
             "summary": _jsonable(summary),
         }
         manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        written.append(manifest_path)
     except BaseException:
-        for path in written:
+        for path in (csv_path, manifest_path):
             path.unlink(missing_ok=True)
-        csv_path.unlink(missing_ok=True)
         raise
     return manifest_path
 

@@ -273,7 +273,8 @@ class CapletScan:
 
     def __post_init__(self):
         for name in ("strikes", "bounds", "cdf", "positive_counts"):
-            arr = np.asarray(getattr(self, name))
+            # A copy: freezing the caller's own array would make it read-only.
+            arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -42,6 +42,7 @@ __all__ = [
     "implied_normal_vol",
     "implied_normal_vols",
     "lognormal_partial_moment",
+    "lognormal_partial_moments",
     "binomial_price",
     "gauss_legendre",
 ]
@@ -397,34 +398,39 @@ def implied_normal_vol(forward: float, strike: float, expiry: float, price: floa
     return float(implied_normal_vols(forward, [strike], expiry, [price])[0])
 
 
-def lognormal_partial_moment(
-    model: LognormalModel, p: float, lower: float, upper: float
-) -> float:
-    """Truncated moment E[a^p 1{lower < a <= upper}] in closed form.
+def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
+    """Truncated moments E[a^p 1{e_i < a <= e_{i+1}}] in closed form, for the
+    cells between consecutive edges of a grid.
 
-    Cells are half-open on the left, ``(lower, upper]``, with the full line
-    recovered as (0, inf).  A zero-volatility model is treated as a point
-    mass at the forward.
+    Cells are half-open on the left, ``(e_i, e_{i+1}]``, with the full line
+    recovered as (0, inf).  ``p`` is one order or an array of them; the result
+    has shape ``np.shape(p) + (cells,)``.  A zero-volatility model is treated
+    as a point mass at the forward.
     """
-    if lower < 0.0 or not upper > lower:
-        raise ParameterOutOfRange(f"need 0 <= lower < upper, got ({lower}, {upper})")
+    p = np.asarray(p, dtype=float)
+    e = np.asarray(edges, dtype=float)
+    if e.ndim != 1 or e.size < 2:
+        raise ParameterOutOfRange("need a 1-d grid of at least two cell edges")
+    bad = np.flatnonzero(~((e[:-1] >= 0.0) & (e[1:] > e[:-1])))
+    if bad.size:
+        raise ParameterOutOfRange(f"need 0 <= lower < upper, got ({e[bad[0]]}, {e[bad[0] + 1]})")
+    moments = np.reshape([model.moment(q) for q in p.ravel().tolist()], p.shape + (1,))
     if model.sigma == 0.0:
-        return model.moment(p) if lower < model.forward <= upper else 0.0
+        return np.where((e[:-1] < model.forward) & (model.forward <= e[1:]), moments, 0.0)
     stdev = model.sigma * math.sqrt(model.expiry)
+    # log(e / f) once per edge, inf at infinity.  math.log keeps the values
+    # off numpy's vectorised log, which differs from it by an ulp on rare inputs.
+    logs = np.array([math.log(x / model.forward) if x > 0.0 else -math.inf for x in e.tolist()])
+    h = (logs + (0.5 - p[..., None]) * model.total_variance) / stdev
+    lo, hi = h[..., :-1], h[..., 1:]
+    # Upper tail: the complements are small and keep their digits, where
+    # ndtr(hi) - ndtr(lo) would cancel two numbers close to one.
+    return moments * np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
 
-    def h(x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        if math.isinf(x):
-            return math.inf
-        return (math.log(x / model.forward) + (0.5 - p) * model.total_variance) / stdev
 
-    lo, hi = h(lower), h(upper)
-    if lo > 0.0:
-        # Upper tail: the complements are small and keep their digits, where
-        # ndtr(hi) - ndtr(lo) would cancel two numbers close to one.
-        return model.moment(p) * float(ndtr(-lo) - ndtr(-hi))
-    return model.moment(p) * float(ndtr(hi) - ndtr(lo))
+def lognormal_partial_moment(model: LognormalModel, p: float, lower: float, upper: float) -> float:
+    """One-cell case of ``lognormal_partial_moments``: E[a^p 1{lower < a <= upper}]."""
+    return float(lognormal_partial_moments(model, p, [lower, upper])[0])
 
 
 @lru_cache(maxsize=None)

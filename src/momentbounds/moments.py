@@ -182,21 +182,27 @@ def assemble_q(
     return MomentMatrix(entries)
 
 
-def root_variance_from_moments(
-    e_a: float, e_sqrt_a: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def root_variance_from_moments(e_a, e_sqrt_a, tol: Tolerances = DEFAULT_TOLERANCES):
     """Root-variance nu = (E[a] - E[sqrt(a)]^2) / E[a] from raw moments.
 
     Raises MomentInconsistency when the moments violate Cauchy-Schwarz
     (E[sqrt(a)]^2 > E[a]) beyond tolerance; small violations are clamped.
+    Arrays of moments give an array of root-variances, and the first failing
+    element raises, as an element-by-element loop would.
     """
-    if not e_a > 0.0:
-        raise ParameterOutOfRange(f"E[a] must be positive, got {e_a}")
-    if e_sqrt_a < 0.0:
-        raise ParameterOutOfRange(f"E[sqrt(a)] must be non-negative, got {e_sqrt_a}")
-    ratio = (e_sqrt_a * e_sqrt_a) / e_a
-    if ratio > 1.0 + tol.psd:
-        raise MomentInconsistency(
-            f"E[sqrt(a)]^2 = {e_sqrt_a**2} exceeds E[a] = {e_a}; moments are inconsistent"
-        )
-    return min(1.0, max(0.0, 1.0 - ratio))
+    a, s = np.broadcast_arrays(np.asarray(e_a, dtype=float), np.asarray(e_sqrt_a, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (s * s) / a
+    checks = (
+        (~(a > 0.0), lambda i: ParameterOutOfRange(f"E[a] must be positive, got {a[i]}")),
+        (s < 0.0, lambda i: ParameterOutOfRange(f"E[sqrt(a)] must be non-negative, got {s[i]}")),
+        (ratio > 1.0 + tol.psd, lambda i: MomentInconsistency(
+            f"E[sqrt(a)]^2 = {s[i]**2} exceeds E[a] = {a[i]}; moments are inconsistent")),
+    )
+    bad = np.flatnonzero(np.any([mask.ravel() for mask, _ in checks], axis=0))
+    if bad.size:
+        i = np.unravel_index(bad[0], a.shape)
+        raise next(error(i) for mask, error in checks if mask[i])
+    # Clamped to [0, 1]; a NaN E[sqrt(a)] passes the checks and gives 0.
+    nu = np.where(1.0 - ratio > 0.0, np.minimum(1.0 - ratio, 1.0), 0.0)
+    return float(nu) if nu.ndim == 0 else nu

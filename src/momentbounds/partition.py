@@ -38,7 +38,7 @@ from .engine import (
     positive_eigenvalue_bounds,
 )
 from .errors import DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
-from .models import LognormalModel, lognormal_partial_moment, _gl_rule
+from .models import LognormalModel, lognormal_partial_moments, _gl_rule
 from .moments import root_variance_from_moments
 from .vanilla import vanilla_bounds
 
@@ -169,13 +169,6 @@ class ConditionalMoments:
         )
 
 
-def _log_grid_panel(model: LognormalModel, upper: float):
-    """Quadrature panel for (0, upper] in log coordinates, avoiding a = 0."""
-    stdev = model.sigma * math.sqrt(model.expiry)
-    y_low = math.log(model.forward) - 0.5 * model.total_variance - _TAIL_SIGMAS * stdev
-    return y_low, math.log(upper)
-
-
 def _density(model: LognormalModel, a: np.ndarray) -> np.ndarray:
     stdev = model.sigma * math.sqrt(model.expiry)
     z = (np.log(a / model.forward) + 0.5 * model.total_variance) / stdev
@@ -210,7 +203,10 @@ def quadrature_partial_moment(
         values = a**p * _density(model, a) * (lower / (t * t))
         return 0.5 * float(np.dot(weights, values))
     if lower == 0.0:
-        y_lo, y_hi = _log_grid_panel(model, upper)
+        # Log coordinates, cut _TAIL_SIGMAS standard deviations below the median.
+        stdev = model.sigma * math.sqrt(model.expiry)
+        y_lo = math.log(model.forward) - 0.5 * model.total_variance - _TAIL_SIGMAS * stdev
+        y_hi = math.log(upper)
         if y_hi <= y_lo:
             return 0.0
         mid, half = 0.5 * (y_hi + y_lo), 0.5 * (y_hi - y_lo)
@@ -226,10 +222,7 @@ def _moments_from_raw(
 ):
     """Convert raw partial moments (p = 0, 1, 1/2) to conditional quantities."""
     price = first / digital
-    nu = np.array(
-        [root_variance_from_moments(f, h / d, tol) for f, h, d in zip(price, half, digital)]
-    )
-    return price, nu
+    return price, root_variance_from_moments(price, half / digital, tol)
 
 
 def flat_conditional_moments(
@@ -252,33 +245,22 @@ def flat_conditional_moments(
         raise ParameterOutOfRange("flat conditional moments require sigma > 0")
     spec = PartitionSpec(PartitionKind.FLAT, np.asarray(boundaries, dtype=float))
     edges = np.concatenate([[0.0], spec.grid, [math.inf]])
-    digital, first, half = [], [], []
-    dropped = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        d = lognormal_partial_moment(model, 0.0, lo, hi)
-        if d < cell_floor:
-            if strict:
-                raise DegenerateCell(
-                    f"cell ({lo}, {hi}) has digital price {d:.3e} below {cell_floor}"
-                )
-            dropped.append((lo, hi, d))
-            continue
-        digital.append(d)
-        first.append(lognormal_partial_moment(model, 1.0, lo, hi))
-        half.append(lognormal_partial_moment(model, 0.5, lo, hi))
-    if dropped:
+    digital, first, half = lognormal_partial_moments(model, [0.0, 1.0, 0.5], edges)
+    keep = ~(digital < cell_floor)
+    dropped = np.flatnonzero(~keep)
+    if dropped.size and strict:
+        lo, hi, d = edges[dropped[0]], edges[dropped[0] + 1], digital[dropped[0]]
+        raise DegenerateCell(f"cell ({lo}, {hi}) has digital price {d:.3e} below {cell_floor}")
+    if dropped.size:
         warnings.warn(
-            f"dropped {len(dropped)} partition cell(s) with mass below {cell_floor}: "
-            + ", ".join(f"({lo:g}, {hi:g})" for lo, hi, _ in dropped),
+            f"dropped {dropped.size} partition cell(s) with mass below {cell_floor}: "
+            + ", ".join(f"({edges[i]:g}, {edges[i + 1]:g})" for i in dropped),
             stacklevel=2,
         )
-    if not digital:
+    if not keep.any():
         raise DegenerateCell("all partition cells are numerically empty")
-    digital = np.asarray(digital)
-    first = np.asarray(first)
-    half = np.asarray(half)
-    price, nu = _moments_from_raw(digital, first, half, tol)
-    return ConditionalMoments(digital, price, nu)
+    price, nu = _moments_from_raw(digital[keep], first[keep], half[keep], tol)
+    return ConditionalMoments(digital[keep], price, nu)
 
 
 class LinearPartition:
@@ -324,34 +306,14 @@ class LinearPartition:
         return out
 
 
-def _ramp_panel(model, lo, hi, n_nodes):
-    """Integrals of a^p x {ascending, descending} ramp x density on [lo, hi]."""
-    nodes, weights = _gl_rule(n_nodes)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    a = mid + half * nodes
-    dens = _density(model, a) * half
-    asc = (a - lo) / (hi - lo)
-    out = {}
-    for p in (0.0, 0.5, 1.0):
-        ap = a**p
-        out[("asc", p)] = float(np.dot(weights, ap * asc * dens))
-        out[("desc", p)] = float(np.dot(weights, ap * (1.0 - asc) * dens))
-    return out
+def _panel_sums(values, weights) -> np.ndarray:
+    """Quadrature sums weights . v over the last axis of ``values``.
 
-
-def _cross_panel(model, lo, hi, n_nodes):
-    """Integrals of a^p sqrt((a-lo)(hi-a))/(hi-lo) x density on [lo, hi].
-
-    The substitution a = lo + (hi - lo) sin^2(phi) removes the square-root
-    kinks at both endpoints, leaving a smooth trigonometric integrand.
+    Each row is one (1, nodes) @ (nodes, 1) product, which numpy sums with the
+    same BLAS dot as ``np.dot(weights, v)``; a matrix-vector product would sum
+    in another order and move the moments by an ulp.
     """
-    nodes, weights = _gl_rule(n_nodes)
-    width = hi - lo
-    phi = 0.25 * math.pi * (nodes + 1.0)
-    s2 = np.sin(2.0 * phi)
-    a = lo + width * np.sin(phi) ** 2
-    base = 0.25 * math.pi * 0.5 * width * s2 * s2 * _density(model, a)
-    return {p: float(np.dot(weights, a**p * base)) for p in (0.0, 0.5, 1.0)}
+    return (np.asarray(values)[..., None, :] @ weights[:, None])[..., 0, 0]
 
 
 def linear_conditional_moments(
@@ -366,8 +328,11 @@ def linear_conditional_moments(
     """Conditional and cross moments of the hat partition under the model.
 
     All six tridiagonal moment families are integrated against the model
-    density: per-strike-interval Gauss-Legendre panels, the head cell in log
-    coordinates and the tail cell via the a = k_N / t substitution.
+    density: one Gauss-Legendre panel per strike interval, laid out as one
+    node grid over all intervals, the head cell in log coordinates and the
+    tail cell via the a = k_N / t substitution.  On each interval the
+    descending ramp of u_i and the ascending ramp of u_{i+1} give the diagonal
+    moments, and sqrt(u_i u_{i+1}) the cross moments.
     """
     if model.sigma == 0.0:
         raise ParameterOutOfRange("linear conditional moments require sigma > 0")
@@ -379,26 +344,31 @@ def linear_conditional_moments(
             f"{planned} integrand evaluations exceed the budget {node_budget}"
         )
     k = part.strikes
-    digital = np.zeros(n)
-    first = np.zeros(n)
-    half = np.zeros(n)
+    orders = (0.0, 0.5, 1.0)
     # Head and tail cells, where the end functions sit flat at one.
-    for p, acc in ((0.0, digital), (0.5, half), (1.0, first)):
-        acc[0] += quadrature_partial_moment(model, p, 0.0, k[0], n_nodes)
-        acc[-1] += quadrature_partial_moment(model, p, k[-1], math.inf, n_nodes)
-    # Interior intervals: descending ramp of u_i, ascending ramp of u_{i+1}.
-    cross_price = np.zeros(n - 1)
-    cross_sqrt = np.zeros(n - 1)
-    cross_digital = np.zeros(n - 1)
-    for i in range(n - 1):
-        ramps = _ramp_panel(model, k[i], k[i + 1], n_nodes)
-        for p, acc in ((0.0, digital), (0.5, half), (1.0, first)):
-            acc[i] += ramps[("desc", p)]
-            acc[i + 1] += ramps[("asc", p)]
-        crosses = _cross_panel(model, k[i], k[i + 1], n_nodes)
-        cross_digital[i] = crosses[0.0]
-        cross_sqrt[i] = crosses[0.5]
-        cross_price[i] = crosses[1.0]
+    raw = np.zeros((len(orders), n))
+    raw[:, 0] = [quadrature_partial_moment(model, p, 0.0, k[0], n_nodes) for p in orders]
+    raw[:, -1] += [quadrature_partial_moment(model, p, k[-1], math.inf, n_nodes) for p in orders]
+    nodes, weights = _gl_rule(n_nodes)
+    lo, hi = k[:-1, None], k[1:, None]
+    width = hi - lo
+    # Ramps: a^p times the ascending ramp of u_{i+1} and the descending ramp
+    # of u_i, on every interval at once.
+    a = 0.5 * (hi + lo) + 0.5 * width * nodes
+    dens = _density(model, a) * (0.5 * width)
+    asc = (a - lo) / width
+    ramps = _panel_sums([[a**p * asc * dens, a**p * (1.0 - asc) * dens] for p in orders], weights)
+    raw[:, 1:] += ramps[:, 0]
+    raw[:, :-1] += ramps[:, 1]
+    digital, half, first = raw
+    # Crosses: the substitution a = lo + (hi - lo) sin^2(phi) removes the
+    # square-root kinks of sqrt(u_i u_{i+1}) at both ends of the interval.
+    phi = 0.25 * math.pi * (nodes + 1.0)
+    s2 = np.sin(2.0 * phi)
+    a = lo + width * np.sin(phi) ** 2
+    base = 0.25 * math.pi * 0.5 * width * s2 * s2 * _density(model, a)
+    crosses = _panel_sums([a**p * base for p in orders], weights)
+    cross_digital, cross_sqrt, cross_price = crosses
     if np.any(digital < cell_floor):
         raise DegenerateCell(
             "a hat function carries numerically zero mass; move its strike toward the forward"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import DEFAULT_TOLERANCES, Tolerances, positive_eigenvalue_bounds
-from .errors import ParameterOutOfRange, ShapeViolation
+from .errors import MomentBoundsError, ParameterOutOfRange, ShapeViolation
 from .models import implied_lognormal_vols
 from .moments import AssetMoments, assemble_q
 
@@ -31,6 +31,7 @@ __all__ = [
     "vanilla_bound_via_engine",
     "implied_cdf",
     "smile_curve",
+    "smile_curves",
     "check_decreasing_convex",
 ]
 
@@ -205,14 +206,30 @@ class VanillaBoundCurve:
             raise ShapeViolation("implied CDF must take values in [0, 1]")
 
 
-def smile_curve(f: float, nu: float, strikes, expiry: float) -> VanillaBoundCurve:
-    """Bound curve with implied lognormal vols and implied CDF on a strike grid."""
+def smile_curves(f: float, nus, strikes, expiry: float) -> list:
+    """Bound curves with implied lognormal vols and implied CDF on one strike
+    grid, one per root-variance in ``nus``.  All bounds invert in one call; if
+    it fails, the curves invert one by one, so the first failing curve raises
+    as it would on its own."""
     ks = np.asarray(strikes, dtype=float)
     if ks.ndim != 1 or ks.size < 2:
         raise ParameterOutOfRange("need a 1-d grid of at least two strikes")
     if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
         raise ParameterOutOfRange("strikes must be positive and strictly increasing")
-    bounds = np.array([vanilla_bound(f, nu, k) for k in ks])
-    vols = implied_lognormal_vols(f, ks, expiry, bounds)
-    cdf = np.array([implied_cdf(f, nu, k) for k in ks])
-    return VanillaBoundCurve(ks, bounds, vols, cdf)
+    nus = np.asarray(nus, dtype=float).reshape(-1)
+    bounds = vanilla_bounds(f, nus[:, None], ks)
+    cdf = [[implied_cdf(f, nu, k) for k in ks.tolist()] for nu in nus.tolist()]
+    try:
+        vols = implied_lognormal_vols(f, np.tile(ks, nus.size), expiry, bounds.ravel())
+        vols = vols.reshape(bounds.shape)
+    except MomentBoundsError:
+        vols = [None] * nus.size
+    return [
+        VanillaBoundCurve(ks, b, implied_lognormal_vols(f, ks, expiry, b) if v is None else v, c)
+        for b, v, c in zip(bounds, vols, cdf)
+    ]
+
+
+def smile_curve(f: float, nu: float, strikes, expiry: float) -> VanillaBoundCurve:
+    """One-curve case of ``smile_curves``."""
+    return smile_curves(f, [nu], strikes, expiry)[0]

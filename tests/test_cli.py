@@ -12,8 +12,8 @@ import pytest
 import momentbounds
 from momentbounds import cli
 from momentbounds.cli import EXPERIMENTS, load_config, main, run
-from momentbounds.errors import ConfigError, NegativeShiftedRate
-from momentbounds.vanilla import check_decreasing_convex
+from momentbounds.errors import ConfigError, DegenerateCell, NegativeShiftedRate
+from momentbounds.vanilla import check_decreasing_convex, smile_curve
 
 
 def write_config(path, payload):
@@ -166,6 +166,71 @@ class TestRun:
             run(config, tmp_path / "out")
         assert not (tmp_path / "out" / "caplet.csv").exists()
         assert not (tmp_path / "out" / "caplet_manifest.json").exists()
+
+
+    def linear_refine_config(self, strike_sets):
+        return {
+            "schema_version": 1,
+            "experiment": "LinearRefine",
+            "output": "x",
+            "parameters": {
+                "forward": 1.0,
+                "sigma": 0.2,
+                "strike_sets": strike_sets,
+                "eval_strikes": {"start": 0.6, "stop": 1.6, "count": 6},
+            },
+        }
+
+    def test_failed_rerun_leaves_no_stale_outputs(self, tmp_path):
+        good = self.linear_refine_config([[0.8, 1.2]])
+        good = load_config(write_config(tmp_path / "a.json", good))
+        run(good, tmp_path / "out")
+        assert (tmp_path / "out" / "x_manifest.json").exists()
+        # Hat strikes 50x the forward carry no mass: the re-run fails and
+        # must not leave the first run's manifest describing a missing CSV.
+        bad = self.linear_refine_config([[1.0, 50.0, 60.0]])
+        bad = load_config(write_config(tmp_path / "b.json", bad))
+        with pytest.raises(DegenerateCell):
+            run(bad, tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+
+    def test_config_error_leaves_earlier_outputs(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path / "a.json", smile_config()))
+        run(config, tmp_path / "out")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+        def refuse(config):
+            raise ConfigError("refused")
+
+        refusing = dataclasses.replace(EXPERIMENTS["VanillaSmile"], prepare=refuse)
+        monkeypatch.setitem(EXPERIMENTS, "VanillaSmile", refusing)
+        with pytest.raises(ConfigError):
+            run(config, tmp_path / "out")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+    def test_rerun_replaces_outputs(self, tmp_path):
+        payload = smile_config()
+        run(load_config(write_config(tmp_path / "a.json", payload)), tmp_path / "out")
+        payload["parameters"]["root_variances"] = [0.09]
+        config = load_config(write_config(tmp_path / "b.json", payload))
+        run(config, tmp_path / "out")
+        run(config, tmp_path / "fresh")
+        for name in ("smile.csv", "smile_manifest.json"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == fresh
+
+    def test_smile_csv_equals_per_curve_smile_curve(self, tmp_path):
+        payload = smile_config()
+        payload["parameters"]["root_variances"] = [0.0025, 0.04, 0.09]
+        payload["parameters"]["expiry"] = 0.75
+        run(load_config(write_config(tmp_path / "c.json", payload)), tmp_path / "out")
+        strikes = np.linspace(0.5, 2.0, 16)
+        lines = ["nu,strike,bound,implied_vol,cdf"]
+        for nu in payload["parameters"]["root_variances"]:
+            curve = smile_curve(1.0, nu, strikes, 0.75)
+            for row in zip(curve.strikes, curve.bounds, curve.implied_vols, curve.cdf):
+                lines.append(",".join(f"{v:.11e}" for v in (nu, *row)))
+        assert (tmp_path / "out" / "smile.csv").read_text() == "\n".join(lines) + "\n"
 
 
 class TestExperimentOutputs:

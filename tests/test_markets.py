@@ -221,6 +221,16 @@ class TestCapletScan:
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         assert abs(caplet_point_mass(slice_, 10, 0.02)) < 1e-8
 
+    def test_scan_leaves_caller_strikes_writable(self):
+        slice_ = figure_slice(rho=0.995, alpha=0.0)
+        ks = np.linspace(0.001, 0.04, 9)
+        assert ks.flags.writeable
+        scan = caplet_cdf_scan(slice_, 10, ks)
+        assert ks.flags.writeable
+        ks[0] = 0.5
+        assert scan.strikes[0] == 0.001
+        assert not scan.strikes.flags.writeable
+
     def test_scan_requires_increasing_grid(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         with pytest.raises(ParameterOutOfRange):

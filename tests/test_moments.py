@@ -165,3 +165,44 @@ class TestRootVarianceFromMoments:
     def test_inconsistent_moments_raise(self):
         with pytest.raises(MomentInconsistency):
             root_variance_from_moments(1.0, 1.1)
+
+    def test_arrays_match_elementwise_calls(self):
+        rng = np.random.default_rng(3)
+        e_a = rng.uniform(0.1, 3.0, 40)
+        e_sqrt_a = np.sqrt(e_a * rng.uniform(0.0, 1.0 + 5e-13, 40))
+        nu = root_variance_from_moments(e_a, e_sqrt_a)
+        assert isinstance(nu, np.ndarray)
+        assert nu.tolist() == [root_variance_from_moments(a, s) for a, s in zip(e_a, e_sqrt_a)]
+        assert np.all((nu >= 0.0) & (nu <= 1.0))
+
+    def test_scalar_inputs_give_a_float(self):
+        assert type(root_variance_from_moments(2.0, 1.0)) is float
+        # A NaN E[sqrt(a)] passes the checks and clamps to zero, as max(0, nan) does.
+        assert root_variance_from_moments(1.0, math.nan) == 0.0
+
+    @pytest.mark.parametrize(
+        "e_a, e_sqrt_a, error, message",
+        [
+            # The first failing element raises its own first failing check.
+            ([1.0, 1.0, 0.0], [1.0, 1.1, -1.0], MomentInconsistency, "exceeds E[a] = 1.0"),
+            ([1.0, -2.0, 1.0], [1.0, 1.1, -1.0], ParameterOutOfRange, "positive, got -2.0"),
+            ([1.0, 1.0, 1.0], [0.5, -0.5, 2.0], ParameterOutOfRange, "non-negative, got -0.5"),
+            ([1.0, math.nan], [0.5, 0.5], ParameterOutOfRange, "E[a] must be positive, got nan"),
+        ],
+    )
+    def test_arrays_raise_for_first_failing_element(self, e_a, e_sqrt_a, error, message):
+        with pytest.raises(error) as caught:
+            root_variance_from_moments(np.array(e_a), np.array(e_sqrt_a))
+        assert message in str(caught.value)
+        first_bad = next(i for i in range(len(e_a)) if not _passes(e_a[i], e_sqrt_a[i]))
+        with pytest.raises(error) as scalar:
+            root_variance_from_moments(e_a[first_bad], e_sqrt_a[first_bad])
+        assert str(scalar.value) == str(caught.value)
+
+
+def _passes(e_a, e_sqrt_a) -> bool:
+    try:
+        root_variance_from_moments(e_a, e_sqrt_a)
+    except (ParameterOutOfRange, MomentInconsistency):
+        return False
+    return True

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scipy.linalg
+from scipy.integrate import quad
 
 from momentbounds.engine import positive_eigenvalue_bounds
 from momentbounds.errors import (
@@ -12,7 +13,15 @@ from momentbounds.errors import (
     ParameterOutOfRange,
     QuadratureBudgetExceeded,
 )
-from momentbounds.models import LognormalModel, bs_call_price, lognormal_partial_moment, norm_cdf
+from momentbounds.models import (
+    LognormalModel,
+    bs_call_price,
+    gauss_legendre,
+    lognormal_partial_moment,
+    lognormal_partial_moments,
+    norm_cdf,
+)
+from momentbounds.moments import root_variance_from_moments
 from momentbounds.partition import (
     ConditionalMoments,
     LinearPartition,
@@ -394,3 +403,140 @@ class TestRefinedBounds:
                 refined_bounds(moments, bad)
         with pytest.raises(ParameterOutOfRange):
             refined_bound(moments, 0.0)
+
+
+def lognormal_density(model, a):
+    stdev = model.sigma * math.sqrt(model.expiry)
+    z = (np.log(a / model.forward) + 0.5 * stdev * stdev) / stdev
+    return np.exp(-0.5 * z * z) / (a * stdev * math.sqrt(2.0 * math.pi))
+
+
+def random_model_and_grid(seed, cells):
+    """A lognormal model and ``cells - 1`` sorted boundaries spread over about
+    three standard deviations of log-moneyness either side of the forward."""
+    rng = np.random.default_rng(seed)
+    model = LognormalModel(rng.uniform(0.5, 3.0), rng.uniform(0.1, 0.8), rng.uniform(0.25, 3.0))
+    stdev = model.sigma * math.sqrt(model.expiry)
+    grid = np.sort(model.forward * np.exp(rng.uniform(-3.0, 3.0, cells - 1) * stdev))
+    return model, grid
+
+
+class TestWholeGridMoments:
+    """The partition moments are built as arrays over all cells and panels at
+    once; each is held to an independent per-cell computation."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flat_moments_equal_per_cell_closed_form(self, seed):
+        model, grid = random_model_and_grid(seed, 12)
+        # Two boundaries 40 standard deviations out add a dropped cell between
+        # them and a dropped tail; about half the cells lie above the median,
+        # where the partial moment takes its upper-tail branch.
+        far = model.forward * math.exp(40.0 * model.sigma * math.sqrt(model.expiry))
+        edges = [0.0, *grid, far, 2.0 * far, math.inf]
+        with pytest.warns(UserWarning, match="dropped 2 partition cell"):
+            moments = flat_conditional_moments(model, edges[1:-1])
+        kept = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < far]
+        assert moments.cells == len(kept) == grid.size + 1
+        digital = [lognormal_partial_moment(model, 0.0, lo, hi) for lo, hi in kept]
+        first = [lognormal_partial_moment(model, 1.0, lo, hi) for lo, hi in kept]
+        half = [lognormal_partial_moment(model, 0.5, lo, hi) for lo, hi in kept]
+        price = [f / d for f, d in zip(first, digital)]
+        nu = [root_variance_from_moments(f, h / d) for f, h, d in zip(price, half, digital)]
+        assert moments.digital.tolist() == digital
+        assert moments.price.tolist() == price
+        assert moments.root_variance.tolist() == nu
+
+    def test_partial_moments_of_a_grid_equal_its_cells(self):
+        model, grid = random_model_and_grid(11, 9)
+        edges = [0.0, *grid, math.inf]
+        orders = [0.0, 0.5, 1.0]
+        table = lognormal_partial_moments(model, orders, edges)
+        assert table.shape == (3, len(edges) - 1)
+        for row, p in zip(table, orders):
+            cells = zip(edges[:-1], edges[1:])
+            assert row.tolist() == [lognormal_partial_moment(model, p, lo, hi) for lo, hi in cells]
+
+    def test_partial_moment_grid_rejects_first_bad_cell(self):
+        with pytest.raises(ParameterOutOfRange, match=r"got \(2\.0, 1\.5\)"):
+            lognormal_partial_moments(MODEL, 0.0, [0.0, 2.0, 1.5, 1.0])
+        with pytest.raises(ParameterOutOfRange, match=r"got \(-1\.0, 1\.0\)"):
+            lognormal_partial_moments(MODEL, 0.0, [-1.0, 1.0])
+
+    @pytest.mark.parametrize("seed, count", [(0, 2), (1, 5), (2, 17), (3, 40)])
+    def test_hat_moments_match_per_interval_quadrature(self, seed, count):
+        model, grid = random_model_and_grid(100 + seed, count + 1)
+        part = LinearPartition(grid)
+        k = part.strikes
+        moments = linear_conditional_moments(model, grid)
+
+        def ramp_moment(n, p):
+            # The head and tail cells, where u_0 and u_{N-1} are flat at one,
+            # plus Gauss-Legendre over each strike interval in the support.
+            total = 0.0
+            if n == 0:
+                total += quadrature_partial_moment(model, p, 0.0, k[0])
+            if n == count - 1:
+                total += quadrature_partial_moment(model, p, k[-1], math.inf)
+            for i in (n - 1, n):
+                if 0 <= i < count - 1:
+                    total += gauss_legendre(
+                        lambda a: part.weight(n, a) * a**p * lognormal_density(model, a),
+                        k[i],
+                        k[i + 1],
+                    )
+            return total
+
+        def cross_moment(i, p):
+            value, error = quad(
+                lambda a: a**p * float(part.sqrt_cross(i, a)) * lognormal_density(model, a),
+                k[i],
+                k[i + 1],
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=200,
+            )
+            return value
+
+        digital = np.array([ramp_moment(n, 0.0) for n in range(count)])
+        first = np.array([ramp_moment(n, 1.0) for n in range(count)])
+        half = np.array([ramp_moment(n, 0.5) for n in range(count)])
+        # Quadrature orders differ (one panel here, head/tail identical), so
+        # the two computations agree to roundoff, not bit for bit.
+        rel = 1e-13
+        assert np.all(np.abs(moments.digital - digital) <= rel * digital)
+        assert np.all(np.abs(moments.price * moments.digital - first) <= rel * first)
+        assert np.all(np.abs(moments.sqrt_scaled - half) <= 1e-12 * half)
+        for name, p in (("cross_digital", 0.0), ("cross_sqrt", 0.5), ("cross_price", 1.0)):
+            expected = np.array([cross_moment(i, p) for i in range(count - 1)])
+            assert np.all(np.abs(getattr(moments, name) - expected) <= 1e-10 * expected), name
+
+    @pytest.mark.parametrize("count, n_nodes", [(2, 8), (5, 16), (30, 64)])
+    def test_budget_boundary_unchanged(self, count, n_nodes):
+        # Head, tail, N - 1 ramp panels and N - 1 cross panels, three orders each.
+        strikes = np.linspace(0.5, 2.0, count)
+        planned = 2 * count * n_nodes * 3
+        linear_conditional_moments(MODEL, strikes, n_nodes=n_nodes, node_budget=planned)
+        with pytest.raises(QuadratureBudgetExceeded, match=f"^{planned} integrand"):
+            linear_conditional_moments(MODEL, strikes, n_nodes=n_nodes, node_budget=planned - 1)
+
+    def test_zero_mass_boundary_unchanged(self):
+        strikes = [0.5, 1.0, 2.0, 12.0]
+        lightest = float(np.min(linear_conditional_moments(MODEL, strikes).digital))
+        linear_conditional_moments(MODEL, strikes, cell_floor=lightest)
+        with pytest.raises(DegenerateCell, match="zero mass"):
+            linear_conditional_moments(MODEL, strikes, cell_floor=np.nextafter(lightest, 1.0))
+        # Strikes 50x the forward leave a hat function with no mass at all.
+        with pytest.raises(DegenerateCell, match="zero mass"):
+            linear_conditional_moments(MODEL, [1.0, 50.0, 60.0])
+
+    def test_flat_floor_boundary_unchanged(self):
+        moments = flat_conditional_moments(MODEL, [1.0, 4.0, 9.0])
+        lightest = float(moments.digital[-1])
+        assert flat_conditional_moments(MODEL, [1.0, 4.0, 9.0], cell_floor=lightest).cells == 4
+        with pytest.raises(DegenerateCell, match=r"cell \(9\.0, inf\)"):
+            flat_conditional_moments(
+                MODEL, [1.0, 4.0, 9.0], cell_floor=np.nextafter(lightest, 1.0), strict=True
+            )
+        with pytest.warns(UserWarning, match="dropped 2"):
+            with pytest.raises(DegenerateCell, match="all"):
+                flat_conditional_moments(MODEL, [1.0], cell_floor=0.9)

@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from momentbounds.errors import ParameterOutOfRange, ShapeViolation
+from momentbounds import vanilla as vanilla_module
+from momentbounds.errors import (
+    ConvergenceFailure,
+    ParameterOutOfRange,
+    PriceOutsideArbitrageBounds,
+    ShapeViolation,
+)
 from momentbounds.models import LognormalModel, bs_call_price
 from momentbounds.vanilla import (
     VanillaBoundCurve,
     check_decreasing_convex,
     implied_cdf,
     smile_curve,
+    smile_curves,
     vanilla_bound,
     vanilla_bound_via_engine,
     vanilla_bounds,
@@ -210,3 +217,52 @@ class TestSmileCurve:
         ks = np.array([1.0, 2.0, 3.0])
         with pytest.raises(ShapeViolation):
             VanillaBoundCurve(ks, np.array([0.1, 0.3, 0.2]), np.zeros(3), np.zeros(3))
+
+
+class TestSmileCurves:
+    def test_curves_equal_one_curve_calls(self):
+        ks = np.linspace(0.4, 2.6, 23)
+        nus = [0.0, 0.0025, 0.04, 0.09, 1.0]
+        curves = smile_curves(1.3, nus, ks, 0.7)
+        for nu, curve in zip(nus, curves):
+            alone = smile_curve(1.3, nu, ks, 0.7)
+            for name in ("strikes", "bounds", "implied_vols", "cdf"):
+                assert getattr(curve, name).tolist() == getattr(alone, name).tolist()
+            assert curve.bounds.tolist() == vanilla_bounds(1.3, nu, ks).tolist()
+
+    def test_all_curves_invert_in_one_call(self, monkeypatch):
+        calls = []
+        real = vanilla_module.implied_lognormal_vols
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vanilla_module, "implied_lognormal_vols", counting)
+        smile_curves(1.0, [0.01, 0.04, 0.09], np.linspace(0.5, 2.0, 7), 1.0)
+        assert len(calls) == 1
+
+    def test_first_failing_curve_raises_as_alone(self):
+        ks = np.linspace(0.5, 2.0, 7)
+        # The second curve's vols lie above the bracket; the third's too.
+        nus = [0.01, 0.999999, 0.9999999]
+        with pytest.raises(ConvergenceFailure) as caught:
+            smile_curves(1.0, nus, ks, 1.0)
+        with pytest.raises(ConvergenceFailure) as alone:
+            smile_curve(1.0, nus[1], ks, 1.0)
+        assert str(caught.value) == str(alone.value)
+
+    def test_shape_error_of_an_earlier_curve_wins(self, monkeypatch):
+        # Curve 0 inverts but increases in strike; curve 1 sits above the
+        # forward.  Curve by curve, curve 0's shape check fails first.
+        ks = np.linspace(0.5, 2.0, 7)
+
+        def bounds(f, nu, k):
+            rising = 0.5 + 0.2 * (k - 0.5) / 1.5
+            return np.where(np.asarray(nu) < 0.5, rising, 1.5 + 0.0 * k)
+
+        monkeypatch.setattr(vanilla_module, "vanilla_bounds", bounds)
+        with pytest.raises(PriceOutsideArbitrageBounds):
+            smile_curve(1.0, 0.9, ks, 1.0)
+        with pytest.raises(ShapeViolation):
+            smile_curves(1.0, [0.1, 0.9], ks, 1.0)
