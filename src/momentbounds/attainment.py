@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, Tolerances
+from .engine import DEFAULT_TOLERANCES, STACK_BYTES, Tolerances
 from .errors import (
     AngleOutOfRange,
     BranchResolutionFailure,
@@ -28,6 +28,7 @@ from .errors import (
     QuadratureBudgetExceeded,
 )
 from .models import BinomialModel, _gl_rule
+from .partition import _panel_sums
 from .vanilla import _vanilla_bounds_via_engine
 
 __all__ = [
@@ -81,18 +82,54 @@ def binomial_call_price(model: BinomialModel, strike: float) -> float:
     )
 
 
-def _scanned_maximum(f: float, theta: float, strike: float) -> float:
+def _scanned_maxima(f: float, theta: float, strikes: np.ndarray) -> np.ndarray:
     """Largest two-state call price over an angle grid on the branch
-    [pi/2 - theta, pi/2): ``binomial_calibrate`` and ``binomial_call_price``
-    evaluated at every grid angle at once."""
+    [pi/2 - theta, pi/2), at each strike.
+
+    The grid's models depend only on f and theta, so they are calibrated once
+    for all strikes and priced as (strikes x angles) blocks of at most
+    ``STACK_BYTES``.
+    """
     chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, _SCAN_POINTS)[:-1]
     weight_low, weight_high = np.sin(chi) ** 2, np.cos(chi) ** 2
     low = f * np.cos(theta + chi) ** 2 / weight_low
     high = f * np.sin(theta + chi) ** 2 / weight_high
-    prices = weight_low * np.maximum(low - strike, 0.0) + weight_high * np.maximum(
-        high - strike, 0.0
-    )
-    return float(np.max(prices))
+    best, step = np.empty(strikes.size), max(1, STACK_BYTES // chi.nbytes)
+    for start in range(0, strikes.size, step):
+        k = strikes[start : start + step, None]
+        prices = weight_low * np.maximum(low - k, 0.0) + weight_high * np.maximum(high - k, 0.0)
+        best[start : start + step] = np.max(prices, axis=1)
+    return best
+
+
+def _formula_angle(f: float, theta: float, strike: float) -> float:
+    two_chi = math.atan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strike)
+    if two_chi <= 0.0:
+        two_chi += math.pi
+    return 0.5 * two_chi
+
+
+def _attaining_models(f: float, nu: float, strikes: np.ndarray):
+    """(formula angle, its two-state model, call price) at each strike.
+
+    One angle-grid scan guards every strike: the first strike whose model
+    prices below the scan's maximum raises BranchResolutionFailure.
+    """
+    if not f > 0.0 or not np.all(strikes > 0.0):
+        raise ParameterOutOfRange("price and strike must be positive")
+    theta = _theta(nu)
+    best = _scanned_maxima(f, theta, strikes)
+    found = []
+    for k, top in zip(strikes.tolist(), best.tolist()):
+        chi = _formula_angle(f, theta, k)
+        model = binomial_calibrate(f, nu, chi)
+        achieved = binomial_call_price(model, k)
+        if achieved < top - 1e-9 * max(1.0, f):
+            raise BranchResolutionFailure(
+                f"formula angle {chi} prices {achieved}, below scanned maximum {top}"
+            )
+        found.append((chi, model, achieved))
+    return found
 
 
 def optimal_angle(f: float, nu: float, strike: float, *, guard: bool = True) -> float:
@@ -100,23 +137,14 @@ def optimal_angle(f: float, nu: float, strike: float, *, guard: bool = True) -> 
 
     The tangent equation fixes 2 chi up to the arctangent branch; resolving
     into (pi - 2 theta, pi) picks the branch on which the calibrated model
-    exists, and a coarse price scan guards the selection.
+    exists, and a coarse price scan guards the selection (the one-strike case
+    of ``local_attainment_scan``'s guard).
     """
     if not f > 0.0 or not strike > 0.0:
         raise ParameterOutOfRange("price and strike must be positive")
-    theta = _theta(nu)
-    two_chi = math.atan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strike)
-    if two_chi <= 0.0:
-        two_chi += math.pi
-    chi = 0.5 * two_chi
     if guard:
-        best = _scanned_maximum(f, theta, strike)
-        achieved = binomial_call_price(binomial_calibrate(f, nu, chi), strike)
-        if achieved < best - 1e-9 * max(1.0, f):
-            raise BranchResolutionFailure(
-                f"formula angle {chi} prices {achieved}, below scanned maximum {best}"
-            )
-    return chi
+        return _attaining_models(f, nu, np.array([strike], dtype=float))[0][0]
+    return _formula_angle(f, _theta(nu), strike)
 
 
 @dataclass(frozen=True)
@@ -171,14 +199,7 @@ def local_attainment_scan(
     ks = np.asarray(strikes, dtype=float)
     if ks.ndim != 1 or ks.size == 0 or np.any(ks <= 0.0):
         raise ParameterOutOfRange("need a 1-d grid of positive strikes")
-    angles, lows, highs, prices = [], [], [], []
-    for k in ks:
-        chi = optimal_angle(f, nu, float(k))
-        model = binomial_calibrate(f, nu, chi)
-        angles.append(chi)
-        lows.append(model.low)
-        highs.append(model.high)
-        prices.append(binomial_call_price(model, float(k)))
+    angles, models, prices = zip(*_attaining_models(f, nu, ks))
     prices = np.asarray(prices)
     bounds = _vanilla_bounds_via_engine(f, nu, ks, tol)
     gaps = np.abs(prices - bounds) / np.maximum(np.abs(bounds), 1e-300)
@@ -186,8 +207,8 @@ def local_attainment_scan(
     return AttainmentReport(
         strikes=ks,
         angles=np.asarray(angles),
-        lows=np.asarray(lows),
-        highs=np.asarray(highs),
+        lows=np.array([model.low for model in models]),
+        highs=np.array([model.high for model in models]),
         binomial_prices=prices,
         bounds=bounds,
         gaps=gaps,
@@ -208,19 +229,23 @@ def _bound_excess(x: np.ndarray, nu: float) -> np.ndarray:
     return 4.0 * nu / (np.sqrt(one_minus * one_minus + 4.0 * x * x * nu) + one_minus)
 
 
-def _refine(evaluate, start_nodes: int, target: float, node_budget: int) -> float:
-    """Double quadrature nodes until two successive values agree to target."""
-    nodes = start_nodes
-    value = evaluate(nodes)
-    while True:
+def _refine(evaluate, rows: int, start_nodes: int, target: float, node_budget: int) -> np.ndarray:
+    """Double quadrature nodes until two successive values of each row agree
+    to target; ``evaluate(active, nodes)`` gives the values of rows ``active``.
+    A row leaves once it converges, so each takes the steps it would alone."""
+    active, nodes = np.arange(rows), start_nodes
+    value, result = evaluate(active, nodes), np.empty(rows)
+    while active.size:
         if 2 * nodes > node_budget:
             raise QuadratureBudgetExceeded(
                 f"no convergence to {target} within {node_budget} nodes"
             )
-        refined = evaluate(2 * nodes)
-        if abs(refined - value) <= target:
-            return refined
-        nodes, value = 2 * nodes, refined
+        nodes *= 2
+        refined = evaluate(active, nodes)
+        done = np.abs(refined - value) <= target
+        result[active[done]] = refined[done]
+        active, value = active[~done], refined[~done]
+    return result
 
 
 def carr_madan_sqrt_moment(
@@ -235,32 +260,16 @@ def carr_madan_sqrt_moment(
     to 1 - (1/2) * integral of the rationalised excess over x in [0, 1].
     The panel is split where the square root's curvature peaks, at
     x = sqrt(1 - 2 nu) for nu < 1/2, and refined until the estimated error
-    is below ``target_error``.
+    is below ``target_error``.  The one-point case of
+    ``implied_root_variance_curve``.
     """
-    if not 0.0 <= nu <= 1.0:
-        raise ParameterOutOfRange(f"root-variance must lie in [0, 1], got {nu}")
-    if nu == 0.0:
-        return 1.0
-    edges = [0.0, 1.0]
-    if 0.0 < nu < 0.5:
-        edges = [0.0, math.sqrt(1.0 - 2.0 * nu), 1.0]
-
-    def evaluate(nodes_per_panel: int) -> float:
-        x, w = _gl_rule(nodes_per_panel)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            total += half * float(np.dot(w, _bound_excess(mid + half * x, nu)))
-        return total
-
-    integral = _refine(evaluate, 64, target_error, node_budget)
-    return 1.0 - 0.5 * integral
+    curve = implied_root_variance_curve([nu], target_error=target_error, node_budget=node_budget)
+    return float(curve.sqrt_moment[0])
 
 
 def implied_root_variance(nu: float, **kwargs) -> float:
     """Root-variance of the measure implied by the bound curve, 1 - (E[sqrt(a)]/sqrt(f))^2."""
-    moment = carr_madan_sqrt_moment(nu, **kwargs)
-    return 1.0 - moment * moment
+    return float(implied_root_variance_curve([nu], **kwargs).implied_nu[0])
 
 
 @dataclass(frozen=True)
@@ -283,12 +292,48 @@ class GlobalAttainmentCurve:
         return self.implied_nu - self.constraint_nu
 
 
-def implied_root_variance_curve(nus, **kwargs) -> GlobalAttainmentCurve:
-    """Evaluate the implied root-variance over a grid of constraint values."""
+def implied_root_variance_curve(
+    nus, *, target_error: float = 1e-10, node_budget: int = 1 << 16
+) -> GlobalAttainmentCurve:
+    """Evaluate the implied root-variance over a grid of constraint values.
+
+    ``carr_madan_sqrt_moment``'s refinement runs on the whole grid at once:
+    each node count evaluates the panels of every unconverged nu as (panels x
+    nodes) blocks of at most ``STACK_BYTES``.  The first nu outside [0, 1] in
+    grid order raises.
+    """
     grid = np.asarray(nus, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterOutOfRange("need a 1-d grid of root-variances")
-    moments = np.array([carr_madan_sqrt_moment(float(v), **kwargs) for v in grid])
+    valid = (grid >= 0.0) & (grid <= 1.0)
+    stop = grid.size if valid.all() else int(np.argmin(valid))
+    # nu = 0 is a point mass, moment 1; a bad nu raises after the ones before it.
+    rows = np.flatnonzero(grid[:stop] != 0.0)
+    split = grid[rows] < 0.5
+    edge = np.ones(rows.size)
+    edge[split] = np.sqrt(1.0 - 2.0 * grid[rows[split]])
+
+    def evaluate(active: np.ndarray, nodes: int) -> np.ndarray:
+        # Panels [0, edge] of every row, then [edge, 1] of the split rows.
+        x, w = _gl_rule(nodes)
+        second = active[split[active]]
+        lo = np.concatenate([np.zeros(active.size), edge[second]])
+        hi = np.concatenate([edge[active], np.ones(second.size)])
+        nu = grid[rows[np.concatenate([active, second])]]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        sums, step = np.empty(lo.size), max(1, STACK_BYTES // x.nbytes)
+        for start in range(0, lo.size, step):
+            block = slice(start, start + step)
+            excess = _bound_excess(mid[block, None] + half[block, None] * x, nu[block, None])
+            sums[block] = half[block] * _panel_sums(excess, w)
+        totals = sums[: active.size]
+        totals[split[active]] += sums[active.size :]
+        return totals
+
+    moments = np.ones(stop)
+    moments[rows] = 1.0 - 0.5 * _refine(evaluate, rows.size, 64, target_error, node_budget)
+    if stop < grid.size:
+        raise ParameterOutOfRange(f"root-variance must lie in [0, 1], got {float(grid[stop])}")
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)
 
 
@@ -328,10 +373,8 @@ def general_moment(
             total += half * float(np.dot(w, np.exp(-decay * u) * _bound_excess(np.exp(-u), nu)))
         return total
 
-    def evaluate(nodes_per_panel: int) -> float:
-        return tail_integral(2.0 * n - 1.0, nodes_per_panel) + tail_integral(
-            1.0 - 2.0 * n, nodes_per_panel
-        )
+    def evaluate(_, nodes: int) -> np.ndarray:  # the one row of ``_refine``
+        return np.array([tail_integral(2.0 * n - 1.0, nodes) + tail_integral(1.0 - 2.0 * n, nodes)])
 
-    integral = _refine(evaluate, 24, target_error, node_budget)
+    integral = float(_refine(evaluate, 1, 24, target_error, node_budget)[0])
     return 1.0 + n * (n - 1.0) * integral

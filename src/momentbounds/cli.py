@@ -38,7 +38,7 @@ import numpy as np
 
 from .attainment import implied_root_variance_curve, local_attainment_scan
 from .engine import DEFAULT_TOLERANCES, Tolerances
-from .errors import ConfigError, MomentBoundsError
+from .errors import ConfigError, MomentBoundsError, ParameterOutOfRange
 from .markets import (
     SwapCurveSlice,
     annuity_weights,
@@ -187,10 +187,13 @@ def load_config(path) -> RunConfig:
         raise ConfigError("'output' must be a non-empty file stem without path separators")
     tol_block = _require_mapping(raw.get("tolerances", {}), "tolerances")
     _reject_unknown(tol_block, {"psd", "eig"}, "tolerances")
-    tolerances = Tolerances(
-        psd=_number(tol_block.get("psd", DEFAULT_TOLERANCES.psd), "tolerances.psd"),
-        eig=_number(tol_block.get("eig", DEFAULT_TOLERANCES.eig), "tolerances.eig"),
-    )
+    try:
+        tolerances = Tolerances(
+            psd=_number(tol_block.get("psd", DEFAULT_TOLERANCES.psd), "tolerances.psd"),
+            eig=_number(tol_block.get("eig", DEFAULT_TOLERANCES.eig), "tolerances.eig"),
+        )
+    except ParameterOutOfRange as exc:
+        raise ConfigError(f"invalid tolerances: {exc}") from exc
     sentinel = raw.get("sentinel", DEFAULT_SENTINEL)
     if not isinstance(sentinel, str) or not sentinel:
         raise ConfigError("'sentinel' must be a non-empty string")

@@ -59,10 +59,17 @@ class Tolerances:
             anything below raises NotPositiveSemiDefinite.
         eig: relative threshold below which an eigenvalue of P counts as
             zero and is excluded from the positive sum.
+
+    Values that would under-report the bound (a negative ``psd``, an ``eig``
+    outside [0, 1)) raise ParameterOutOfRange.
     """
 
     psd: float = 1e-10
     eig: float = 1e-12
+
+    def __post_init__(self):
+        if not (self.psd >= 0.0 and 0.0 <= self.eig < 1.0):
+            raise ParameterOutOfRange(f"need psd >= 0 and 0 <= eig < 1, got {self}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -255,7 +255,7 @@ def _bisect(value, lo, hi, prices):
     for _ in range(_BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
         below = value(mid) < prices
-        if np.all(np.where(below, mid == lo, mid == hi)):
+        if (np.where(below, lo, hi) == mid).all():
             break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

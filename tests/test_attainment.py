@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from momentbounds.errors import (
     ParameterOutOfRange,
     QuadratureBudgetExceeded,
 )
+from momentbounds.models import _gl_rule
 from momentbounds.vanilla import vanilla_bound, vanilla_bound_via_engine
 
 
@@ -104,31 +106,94 @@ class TestOptimalAngle:
             assert 0.5 * math.pi - theta - 1e-12 <= chi < 0.5 * math.pi
 
 
+def scalar_scanned_maximum(f, theta, strike):
+    """One-strike reference for the guard scan: the angle grid's models
+    calibrated and priced at a single strike."""
+    chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, attainment._SCAN_POINTS)[:-1]
+    weight_low, weight_high = np.sin(chi) ** 2, np.cos(chi) ** 2
+    low = f * np.cos(theta + chi) ** 2 / weight_low
+    high = f * np.sin(theta + chi) ** 2 / weight_high
+    prices = weight_low * np.maximum(low - strike, 0.0) + weight_high * np.maximum(
+        high - strike, 0.0
+    )
+    return float(np.max(prices))
+
+
+def random_scan_case(rng, strikes):
+    f = float(rng.uniform(0.05, 20.0))
+    nu = float(rng.uniform(1e-4, 0.9999))
+    ks = np.sort(f * np.exp(rng.normal(0.0, 1.5, strikes)))
+    return f, math.acos(math.sqrt(nu)), ks
+
+
 class TestBranchGuard:
     def test_scanned_maximum_matches_per_angle_loop(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            f = float(rng.uniform(0.05, 20.0))
-            nu = float(rng.uniform(1e-4, 0.9999))
-            k = float(f * np.exp(rng.normal(0.0, 1.5)))
-            theta = math.acos(math.sqrt(nu))
+            f, theta, (k,) = random_scan_case(rng, 1)
+            nu = math.cos(theta) ** 2
             grid = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, attainment._SCAN_POINTS)[:-1]
             expected = max(
                 binomial_call_price(binomial_calibrate(f, nu, float(c)), k) for c in grid
             )
-            got = attainment._scanned_maximum(f, theta, k)
-            assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+            got = attainment._scanned_maxima(f, theta, np.array([k]))
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_grid_rows_equal_one_strike_scans(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            f, theta, ks = random_scan_case(rng, int(rng.integers(1, 40)))
+            rows = attainment._scanned_maxima(f, theta, ks)
+            singles = [attainment._scanned_maxima(f, theta, ks[i : i + 1])[0] for i in range(ks.size)]
+            assert rows.tolist() == singles
+            assert singles == [scalar_scanned_maximum(f, theta, k) for k in ks.tolist()]
+
+    def test_grid_beyond_one_block_matches_blockwise(self):
+        f, theta, ks = random_scan_case(np.random.default_rng(23), 1500)
+        per_block = attainment.STACK_BYTES // (8 * (attainment._SCAN_POINTS - 1))
+        assert ks.size > 2 * per_block
+        blockwise = np.concatenate(
+            [attainment._scanned_maxima(f, theta, ks[i : i + 100]) for i in range(0, ks.size, 100)]
+        )
+        got = attainment._scanned_maxima(f, theta, ks).tolist()
+        assert got == blockwise.tolist()
+        assert got == [scalar_scanned_maximum(f, theta, k) for k in ks.tolist()]
 
     def test_guard_still_rejects_a_beaten_angle(self, monkeypatch):
         f, nu, k = 1.0, 0.04, 1.3
         chi = optimal_angle(f, nu, k)
         achieved = binomial_call_price(binomial_calibrate(f, nu, chi), k)
         monkeypatch.setattr(
-            attainment, "_scanned_maximum", lambda *args: achieved + 2e-9 * max(1.0, f)
+            attainment, "_scanned_maxima", lambda *args: np.array([achieved + 2e-9 * max(1.0, f)])
         )
         with pytest.raises(BranchResolutionFailure):
             optimal_angle(f, nu, k)
         assert optimal_angle(f, nu, k, guard=False) == chi
+
+    def test_scan_guard_names_the_first_beaten_strike(self, monkeypatch):
+        f, nu = 1.0, 0.04
+        strikes = np.linspace(0.5, 2.0, 7)
+        real = attainment._scanned_maxima
+
+        def beaten(f_, theta, ks):
+            best = real(f_, theta, ks)
+            best[[2, 5]] += 1e-6
+            return best
+
+        first = optimal_angle(f, nu, float(strikes[2]), guard=False)
+        monkeypatch.setattr(attainment, "_scanned_maxima", beaten)
+        with pytest.raises(BranchResolutionFailure, match=re.escape(f"formula angle {first} ")):
+            local_attainment_scan(f, nu, strikes)
+
+    def test_scan_calibrates_each_strike_once(self, monkeypatch):
+        calls = []
+        real = attainment.binomial_calibrate
+        monkeypatch.setattr(
+            attainment, "binomial_calibrate", lambda *args: calls.append(args) or real(*args)
+        )
+        report = local_attainment_scan(1.0, 0.04, np.linspace(0.5, 2.0, 9))
+        assert [args[2] for args in calls] == report.angles.tolist()
 
 
 class TestLocalAttainment:
@@ -186,6 +251,86 @@ class TestReplicationMoments:
     def test_budget_exceeded(self):
         with pytest.raises(QuadratureBudgetExceeded):
             carr_madan_sqrt_moment(0.3, target_error=1e-30, node_budget=256)
+        with pytest.raises(QuadratureBudgetExceeded, match="within 256 nodes"):
+            implied_root_variance_curve([0.0, 0.3, 0.7], target_error=1e-30, node_budget=256)
+
+
+def scalar_sqrt_moment(nu, target_error=1e-10, node_budget=1 << 16):
+    """One-nu reference for the batched curve: panel by panel with np.dot,
+    doubling the nodes until two successive values agree."""
+    if nu == 0.0:
+        return 1.0
+    edges = [0.0, math.sqrt(1.0 - 2.0 * nu), 1.0] if nu < 0.5 else [0.0, 1.0]
+
+    def evaluate(nodes):
+        x, w = _gl_rule(nodes)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            total += half * float(np.dot(w, attainment._bound_excess(mid + half * x, nu)))
+        return total
+
+    nodes, value = 64, evaluate(64)
+    while True:
+        assert 2 * nodes <= node_budget
+        refined = evaluate(2 * nodes)
+        if abs(refined - value) <= target_error:
+            return 1.0 - 0.5 * refined
+        nodes, value = 2 * nodes, refined
+
+
+class TestBatchedCurve:
+    GRIDS = [
+        [0.0, 1e-9, 0.1, 0.25, 0.4999, 0.5, 0.5000001, 0.8, 1.0],
+        [1.0, 0.0, 0.3, 0.9, 0.3],
+        [0.0],
+        [1.0],
+        [0.49],
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("target_error", [1e-10, 1e-13, 1e-6])
+    def test_equals_per_nu_reference(self, grid, target_error):
+        curve = implied_root_variance_curve(grid, target_error=target_error)
+        expected = [scalar_sqrt_moment(nu, target_error) for nu in grid]
+        assert curve.sqrt_moment.tolist() == expected
+        assert [carr_madan_sqrt_moment(nu, target_error=target_error) for nu in grid] == expected
+
+    def test_random_grids_equal_per_nu_reference(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            grid = rng.uniform(0.0, 1.0, 20)
+            grid[rng.integers(0, 20, 4)] = rng.choice([0.0, 0.5, 1.0], 4)
+            curve = implied_root_variance_curve(grid)
+            assert curve.sqrt_moment.tolist() == [scalar_sqrt_moment(float(nu)) for nu in grid]
+
+    def test_grid_beyond_one_block_matches_per_nu(self):
+        # At 64 nodes a block holds STACK_BYTES / 512 panels, and every nu in
+        # (0, 1/2) brings two.
+        grid = np.random.default_rng(31).uniform(0.0, 0.5, 1500)
+        assert 2 * grid.size > attainment.STACK_BYTES // (64 * 8)
+        curve = implied_root_variance_curve(grid)
+        assert curve.sqrt_moment.tolist() == [scalar_sqrt_moment(float(nu)) for nu in grid]
+
+    def test_first_bad_nu_raises(self):
+        for grid, bad in (([0.2, 1.5, -0.1], "1.5"), ([0.0, math.nan], "nan"), ([-0.1], "-0.1")):
+            with pytest.raises(ParameterOutOfRange, match=f"got {bad}$"):
+                implied_root_variance_curve(grid)
+        with pytest.raises(ParameterOutOfRange):
+            carr_madan_sqrt_moment(1.5)
+
+    def test_budget_before_a_later_bad_nu(self):
+        # A loop over the grid would exhaust the budget on 0.3 before it
+        # reached 1.5; a bad nu in front raises first.
+        with pytest.raises(QuadratureBudgetExceeded):
+            implied_root_variance_curve([0.3, 1.5], target_error=1e-30, node_budget=256)
+        with pytest.raises(ParameterOutOfRange):
+            implied_root_variance_curve([1.5, 0.3], target_error=1e-30, node_budget=256)
+
+    def test_grid_shape_checked(self):
+        for grid in ([], [[0.1, 0.2]]):
+            with pytest.raises(ParameterOutOfRange):
+                implied_root_variance_curve(grid)
 
 
 class TestGeneralMoment:

@@ -407,14 +407,44 @@ class TestExitCodes:
         assert message in err
 
     def test_inconsistent_moments_exit_3(self, tmp_path, capsys):
-        # A negative psd tolerance demands a margin of positive definiteness
-        # that the nearly collinear swap rates do not have.
-        payload = caplet_config()
-        payload["tolerances"] = {"psd": -0.5}
+        # A valid config that fails numerically: hat strikes 50-70x the
+        # forward carry no probability mass under the lognormal model.
+        payload = {
+            "schema_version": 1,
+            "experiment": "LinearRefine",
+            "output": "x",
+            "parameters": {
+                "forward": 1.0,
+                "sigma": 0.2,
+                "strike_sets": [[50.0, 60.0, 70.0]],
+                "eval_strikes": {"start": 0.6, "stop": 1.6, "count": 6},
+            },
+        }
         path = write_config(tmp_path / "c.json", payload)
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err.startswith("error: NotPositiveSemiDefinite:")
-        assert not (tmp_path / "out" / "caplet.csv").exists()
+        assert capsys.readouterr().err.startswith("error: DegenerateCell:")
+        assert not (tmp_path / "out" / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"psd": -0.5},
+            {"psd": -1e-300},
+            {"eig": -2.0},
+            {"eig": -1e-300},
+            {"eig": 1.0},
+            {"eig": 2.0},
+        ],
+    )
+    def test_under_reporting_tolerances_exit_2(self, tmp_path, capsys, tolerances):
+        # A negative psd or an eig outside [0, 1) would let the engine drop
+        # positive eigenvalues or add negative ones, under-reporting the bound.
+        payload = smile_config(tolerances=tolerances)
+        path = write_config(tmp_path / "c.json", payload)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: invalid tolerances:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("first_slice_bad", [True, False])
     def test_multi_slice_caplet_error_order(

@@ -258,6 +258,32 @@ class TestPositiveEigenvalueBound:
         assert result.bound >= 0.0
 
 
+class TestTolerances:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"psd": -0.5},
+            {"psd": -1e-300},
+            {"psd": math.nan},
+            {"eig": -2.0},
+            {"eig": 1.0},
+            {"eig": 2.0},
+            {"eig": math.nan},
+        ],
+    )
+    def test_under_reporting_values_rejected(self, kwargs):
+        with pytest.raises(ParameterOutOfRange):
+            Tolerances(**kwargs)
+
+    def test_edge_values_keep_the_bound(self):
+        # Before the check, eig = -2, 1 or 2 turned this 0.866 bound into 0.
+        q, quantities = MomentMatrix([[1.0, 0.5], [0.5, 1.0]]), QuantityVector([1.0, -1.0])
+        default = positive_eigenvalue_bound(q, quantities).bound
+        assert default == pytest.approx(math.sqrt(0.75), rel=1e-15, abs=0.0)
+        for tol in (Tolerances(psd=0.0, eig=0.0), Tolerances(psd=math.inf)):
+            assert positive_eigenvalue_bound(q, quantities, tol).bound == default
+
+
 class TestEngineProperties:
     def test_scaling(self):
         rng = np.random.default_rng(17)
