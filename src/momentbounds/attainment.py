@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, STACK_BYTES, Tolerances
+from .engine import DEFAULT_TOLERANCES, STACK_BYTES, Tolerances, _checked_grid
 from .errors import (
     AngleOutOfRange,
     BranchResolutionFailure,
@@ -196,9 +196,7 @@ def local_attainment_scan(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> AttainmentReport:
     """Verify the bound is attained strike by strike by optimal two-state models."""
-    ks = np.asarray(strikes, dtype=float)
-    if ks.ndim != 1 or ks.size == 0 or np.any(ks <= 0.0):
-        raise ParameterOutOfRange("need a 1-d grid of positive strikes")
+    ks = _checked_grid(strikes, increasing=False)
     angles, models, prices = zip(*_attaining_models(f, nu, ks))
     prices = np.asarray(prices)
     bounds = _vanilla_bounds_via_engine(f, nu, ks, tol)

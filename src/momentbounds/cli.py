@@ -14,7 +14,10 @@ Config layout (schema_version 1):
 
 Grids are given either as explicit arrays or as {"start", "stop", "count"}.
 Unknown keys, non-finite numbers and integers above ``MAX_COUNT`` are
-rejected everywhere.  Outputs are CSV (LF line endings, header row, 12
+rejected everywhere.  Parameter ranges are validated by the library:
+loading a config builds the library's own values (models, asset moments, FX
+legs, curve slices, partitions, strike grids), and the errors they raise are
+config errors.  Outputs are CSV (LF line endings, header row, 12
 significant digits) plus ``<output>_manifest.json`` carrying the config
 hash, effective tolerances and summary statistics.  Re-running an
 identical config reproduces the outputs byte for byte.  Every run is
@@ -37,18 +40,24 @@ from pathlib import Path
 import numpy as np
 
 from .attainment import implied_root_variance_curve, local_attainment_scan
-from .engine import DEFAULT_TOLERANCES, Tolerances
+from .engine import DEFAULT_TOLERANCES, Tolerances, _checked_grid
 from .errors import ConfigError, MomentBoundsError, ParameterOutOfRange
 from .markets import (
+    FxLegMoments,
     SwapCurveSlice,
     annuity_weights,
     caplet_cdf_scan,
     caplet_point_mass,
-    cross_root_variance,
 )
 from .models import LognormalModel, bs_call_price, implied_normal_vols
-from .partition import flat_conditional_moments, linear_conditional_moments, refined_bounds
-from .vanilla import check_decreasing_convex, smile_curves, vanilla_bound
+from .moments import AssetMoments
+from .partition import (
+    LinearPartition,
+    flat_conditional_moments,
+    linear_conditional_moments,
+    refined_bounds,
+)
+from .vanilla import check_decreasing_convex, smile_curves, vanilla_bounds
 
 __all__ = ["RunConfig", "load_config", "run", "main", "EXPERIMENTS"]
 
@@ -208,9 +217,10 @@ def load_config(path) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each prepare() validates parameters into a plan;
-# execute() turns a plan into (columns, values, summary), with one array of
-# values per column.
+# Experiment runners.  Each prepare() checks the parameters' syntax and builds
+# the library's validated values into a plan, so a value out of range raises
+# the library's own error; execute() turns a plan into (columns, values,
+# summary), with one array of values per column.
 
 
 @dataclass(frozen=True)
@@ -231,13 +241,10 @@ def _prepare_vanilla_smile(config: RunConfig):
         },
         {"expiry": (_number, 1.0)},
     )
+    LognormalModel(p["forward"], 0.0, p["expiry"])  # a positive forward and expiry
     for nu in p["root_variances"]:
-        if not 0.0 <= nu <= 1.0:
-            raise ConfigError(f"root_variances entries must lie in [0, 1], got {nu}")
-    if np.any(p["strikes"] <= 0.0) or np.any(np.diff(p["strikes"]) <= 0.0):
-        raise ConfigError("strikes must be positive and strictly increasing")
-    if not p["forward"] > 0.0 or not p["expiry"] > 0.0:
-        raise ConfigError("forward and expiry must be positive")
+        AssetMoments(p["forward"], nu)
+    _checked_grid(p["strikes"])
     return p
 
 
@@ -273,14 +280,13 @@ def _prepare_refine(config: RunConfig, kind: str):
         if not isinstance(grid, list):
             raise ConfigError(f"parameters.{key}[{i}] must be an array")
         values = np.array([_number(v, f"{key}[{i}]") for v in grid])
-        if values.size and (np.any(values <= 0.0) or np.any(np.diff(values) <= 0.0)):
-            raise ConfigError(f"parameters.{key}[{i}] must be positive and increasing")
-        if kind == "linear" and values.size == 1:
-            raise ConfigError("linear partitions need zero (vanilla) or >= 2 strikes")
+        # An empty linear set is the unrefined (vanilla) bound.
+        if kind == "linear" and values.size:
+            LinearPartition(values)
+        else:
+            _checked_grid(values, f"{key}[{i}]", min_size=0)
         parsed.append(values)
-    strikes = p["eval_strikes"]
-    if np.any(strikes <= 0.0) or np.any(np.diff(strikes) <= 0.0):
-        raise ConfigError("eval_strikes must be positive and strictly increasing")
+    strikes = _checked_grid(p["eval_strikes"], "eval_strikes")
     return {"model": model, "sets": parsed, "strikes": strikes, "kind": kind}
 
 
@@ -325,42 +331,27 @@ def _prepare_fx_cross(config: RunConfig):
             "strikes": _grid,
         },
     )
-    for nu in (p["nu1"], p["nu2"]):
-        if not 0.0 <= nu <= 1.0:
-            raise ConfigError("leg root-variances must lie in [0, 1]")
-    for rho in p["correlations"]:
-        if not -1.0 <= rho <= 1.0:
-            raise ConfigError("correlations must lie in [-1, 1]")
-    if np.any(p["strikes"] <= 0.0) or np.any(np.diff(p["strikes"]) <= 0.0):
-        raise ConfigError("strikes must be positive and strictly increasing")
-    if not p["forward"] > 0.0:
-        raise ConfigError("forward must be positive")
-    return p
+    legs = [FxLegMoments(p["nu1"], p["nu2"], rho, p["forward"]) for rho in p["correlations"]]
+    return {"legs": legs, "strikes": _checked_grid(p["strikes"])}
 
 
 def _run_fx_cross(plan, config: RunConfig):
-    strikes, rhos = plan["strikes"], plan["correlations"]
-    nus, curves = [], []
-    max_rho_increase = -math.inf
-    for rho in rhos:
-        nus.append(cross_root_variance(plan["nu1"], plan["nu2"], rho))
-        bounds = np.array([vanilla_bound(plan["forward"], nus[-1], float(k)) for k in strikes])
-        check_decreasing_convex(strikes, bounds, label=f"fx bound (rho={rho})")
-        if curves:
-            max_rho_increase = max(max_rho_increase, float(np.max(bounds - curves[-1])))
-        curves.append(bounds)
+    strikes, legs = plan["strikes"], plan["legs"]
+    curves = []
+    for leg in legs:
+        curves.append(vanilla_bounds(leg.forward, leg.cross_nu, strikes))
+        check_decreasing_convex(strikes, curves[-1], label=f"fx bound (rho={leg.rho})")
+    rises = [float(np.max(later - earlier)) for earlier, later in zip(curves, curves[1:])]
     size = strikes.size
-    values = [np.repeat(rhos, size), np.tile(strikes, len(rhos)), np.repeat(nus, size)]
-    values.append(np.ravel(curves))
-    summary = {"max_bound_increase_with_rho": None if not curves else max_rho_increase}
+    values = [np.repeat([leg.rho for leg in legs], size), np.tile(strikes, len(legs))]
+    values += [np.repeat([leg.cross_nu for leg in legs], size), np.ravel(curves)]
+    summary = {"max_bound_increase_with_rho": max(rises, default=-math.inf)}
     return ["rho", "strike", "cross_nu", "bound"], values, summary
 
 
 def _prepare_caplet(config: RunConfig, scan_shifts: bool):
     params = dict(config.parameters)
     nu = _root_variance_of(params, "parameters")
-    if not 0.0 <= nu <= 1.0:
-        raise ConfigError(f"root-variance must lie in [0, 1], got {nu}")
     required = {
         "discount_rate": _number,
         "periods": _integer,
@@ -381,6 +372,7 @@ def _prepare_caplet(config: RunConfig, scan_shifts: bool):
         }
     p = _take(params, "parameters", required, optional)
     n = p["period_index"]
+    # No library value holds this rule; the scan checks it only as it runs.
     if not 2 <= n <= p["periods"]:
         raise ConfigError(f"period_index must lie in 2..{p['periods']}")
     shifts = p["shifts"] if scan_shifts else [p["shift"]]
@@ -391,22 +383,15 @@ def _prepare_caplet(config: RunConfig, scan_shifts: bool):
             slices[(alpha, rho)] = SwapCurveSlice.with_flat_discounting(
                 p["discount_rate"], p["periods"], p["daycount"], p["swap_rate"], nu, rho, alpha
             )
-    if np.any(np.diff(p["strikes"]) <= 0.0):
-        raise ConfigError("strikes must be strictly increasing")
     return {
         "slices": slices,
         "n": n,
-        "strikes": p["strikes"],
+        "strikes": _checked_grid(p["strikes"], positive=False),
         "expiry": p["expiry"],
         "shifts": shifts,
         "rhos": rhos,
         "scan_shifts": scan_shifts,
     }
-
-
-def _caplet_forward(slice_: SwapCurveSlice, n: int) -> float:
-    lam = annuity_weights(slice_, n).lam
-    return (lam + 1.0) * float(slice_.forwards[n - 1]) - lam * float(slice_.forwards[n - 2])
 
 
 def _run_caplet(plan, config: RunConfig):
@@ -423,7 +408,8 @@ def _run_caplet(plan, config: RunConfig):
             curve = f"caplet bound (alpha={alpha}, rho={rho})"
             check_decreasing_convex(strikes, scan.bounds, label=curve)
             scans.append(scan)
-            forwards.append(_caplet_forward(slice_, n))
+            swap, previous_swap = slice_.forwards[n - 1], slice_.forwards[n - 2]
+            forwards.append(annuity_weights(slice_, n).forward_from_swaps(swap, previous_swap))
             label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
             summary["switch_strikes"][label] = list(scan.switch_strikes)
             if scan_shifts:
@@ -451,12 +437,11 @@ def _prepare_local_attain(config: RunConfig):
         {"forward": _number, "root_variance": _number, "strikes": _grid},
         {"attain_tol": (_number, 1e-9)},
     )
+    AssetMoments(p["forward"], p["root_variance"])
+    # Held by no library value: a two-state model needs an interior nu.
     if not 0.0 < p["root_variance"] < 1.0:
         raise ConfigError("root_variance must lie strictly inside (0, 1)")
-    if not p["forward"] > 0.0:
-        raise ConfigError("forward must be positive")
-    if np.any(p["strikes"] <= 0.0) or np.any(np.diff(p["strikes"]) <= 0.0):
-        raise ConfigError("strikes must be positive and strictly increasing")
+    _checked_grid(p["strikes"])
     return p
 
 
@@ -482,9 +467,9 @@ def _run_local_attain(plan, config: RunConfig):
 
 def _prepare_global_attain(config: RunConfig):
     p = _take(config.parameters, "parameters", {"root_variances": _grid})
-    grid = p["root_variances"]
-    if np.any(grid < 0.0) or np.any(grid > 1.0) or np.any(np.diff(grid) <= 0.0):
-        raise ConfigError("root_variances must be increasing inside [0, 1]")
+    grid = _checked_grid(p["root_variances"], "root_variances", positive=False)
+    for nu in (grid[0], grid[-1]):  # the grid increases, so its ends bound it
+        AssetMoments(1.0, nu)
     return p
 
 

@@ -81,6 +81,28 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _checked_grid(
+    values,
+    name: str = "strikes",
+    *,
+    positive: bool = True,
+    min_size: int = 1,
+    increasing: bool = True,
+) -> np.ndarray:
+    """``values`` as a float array, raising ParameterOutOfRange unless it is a
+    1-d grid of at least ``min_size`` points, positive with ``positive`` and
+    strictly increasing with ``increasing``.  The one grid rule every layer
+    and the CLI share."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < min_size:
+        raise ParameterOutOfRange(f"{name} must form a 1-d grid of at least {min_size} point(s)")
+    if positive and not np.all(arr > 0.0):
+        raise ParameterOutOfRange(f"{name} must be positive, got {arr[~(arr > 0.0)][0]}")
+    if increasing and not np.all(np.diff(arr) > 0.0):
+        raise ParameterOutOfRange(f"{name} must be strictly increasing")
+    return arr
+
+
 @dataclass(frozen=True)
 class MomentMatrix:
     """Symmetric PSD matrix of pairwise moments E[sqrt(a_m a_n)].

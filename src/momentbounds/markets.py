@@ -22,6 +22,7 @@ from .engine import (
     BoundSweep,
     DEFAULT_TOLERANCES,
     Tolerances,
+    _checked_grid,
     positive_eigenvalue_bounds,
 )
 from .errors import NegativeShiftedRate, ParameterOutOfRange
@@ -286,11 +287,7 @@ def caplet_cdf_scan(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CapletScan:
     """Scan bounds, implied CDF and the eigenvalue regime over a strike grid."""
-    ks = np.asarray(strikes, dtype=float)
-    if ks.ndim != 1 or ks.size < 3:
-        raise ParameterOutOfRange("need a 1-d grid of at least three strikes")
-    if np.any(np.diff(ks) <= 0.0):
-        raise ParameterOutOfRange("strikes must be strictly increasing")
+    ks = _checked_grid(strikes, positive=False, min_size=3)
     sweep = _caplet_bound_results(slice_, n, ks, tol)
     bounds = sweep.bounds
     cdf = np.empty_like(bounds)

@@ -1,12 +1,12 @@
 """Reference models used as oracles: lognormal (Black) prices and partial
 moments, implied lognormal/normal volatility inversion, a two-state binomial
-model, and Gauss-Legendre quadrature.
+model, and the Gauss-Legendre rule the quadratures share.
 
 The vol inversions run one bracketed bisection over a whole strike grid
-(``implied_lognormal_vols``, ``implied_normal_vols``); the one-strike forms
-are their one-element case.  The bisection stops once it is stationary, at
-the first step that moves no bracket, which gives the same vols as running
-all of its steps.
+(``implied_lognormal_vols``, ``implied_normal_vols``); a single strike is a
+one-element grid.  The bisection stops once it is stationary, at the first
+step that moves no bracket, which gives the same vols as running all of its
+steps.
 
 All prices are undiscounted forward values.  Discounting enters only through
 the rates application, via explicit discount factors.
@@ -35,16 +35,12 @@ __all__ = [
     "norm_cdf",
     "norm_pdf",
     "bs_call_price",
-    "bs_put_price",
     "bachelier_call_price",
-    "implied_lognormal_vol",
     "implied_lognormal_vols",
-    "implied_normal_vol",
     "implied_normal_vols",
     "lognormal_partial_moment",
     "lognormal_partial_moments",
     "binomial_price",
-    "gauss_legendre",
 ]
 
 # Bracket for lognormal implied-vol bisection.  Desk-scale prices never need
@@ -158,11 +154,6 @@ def binomial_price(model: BinomialModel, payoff: Callable[[float], float]) -> fl
     return model.weight_low * payoff(model.low) + model.weight_high * payoff(model.high)
 
 
-def _d12(forward: float, strike: float, stdev: float):
-    d1 = (math.log(forward / strike) + 0.5 * stdev * stdev) / stdev
-    return d1, d1 - stdev
-
-
 def bs_call_price(model: LognormalModel, strike: float) -> float:
     """Undiscounted Black call price E[(a - k)^+]."""
     if not strike > 0.0:
@@ -170,19 +161,8 @@ def bs_call_price(model: LognormalModel, strike: float) -> float:
     stdev = model.sigma * math.sqrt(model.expiry)
     if stdev == 0.0:
         return max(model.forward - strike, 0.0)
-    d1, d2 = _d12(model.forward, strike, stdev)
-    return model.forward * float(ndtr(d1)) - strike * float(ndtr(d2))
-
-
-def bs_put_price(model: LognormalModel, strike: float) -> float:
-    """Undiscounted Black put price E[(k - a)^+]."""
-    if not strike > 0.0:
-        raise ParameterOutOfRange(f"strike must be positive, got {strike}")
-    stdev = model.sigma * math.sqrt(model.expiry)
-    if stdev == 0.0:
-        return max(strike - model.forward, 0.0)
-    d1, d2 = _d12(model.forward, strike, stdev)
-    return strike * float(ndtr(-d2)) - model.forward * float(ndtr(-d1))
+    d1 = (math.log(model.forward / strike) + 0.5 * stdev * stdev) / stdev
+    return model.forward * float(ndtr(d1)) - strike * float(ndtr(d1 - stdev))
 
 
 def bachelier_call_price(forward: float, strike: float, sigma: float, expiry: float) -> float:
@@ -327,11 +307,6 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     return vols
 
 
-def implied_lognormal_vol(forward: float, strike: float, expiry: float, price: float) -> float:
-    """One-strike case of ``implied_lognormal_vols``."""
-    return float(implied_lognormal_vols(forward, [strike], expiry, [price])[0])
-
-
 def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     """Invert the Bachelier call formula on a strike grid; supports negative
     forwards and strikes.  ``forward`` is a number or one forward per strike,
@@ -393,11 +368,6 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     return vols
 
 
-def implied_normal_vol(forward: float, strike: float, expiry: float, price: float) -> float:
-    """One-strike case of ``implied_normal_vols``."""
-    return float(implied_normal_vols(forward, [strike], expiry, [price])[0])
-
-
 def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
     """Truncated moments E[a^p 1{e_i < a <= e_{i+1}}] in closed form, for the
     cells between consecutive edges of a grid.
@@ -435,21 +405,8 @@ def lognormal_partial_moment(model: LognormalModel, p: float, lower: float, uppe
 
 @lru_cache(maxsize=None)
 def _gl_rule(n_nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def gauss_legendre(fn, lower: float, upper: float, n_nodes: int = 64) -> float:
-    """Gauss-Legendre quadrature of a vectorised integrand on [lower, upper].
-
-    Exact for polynomials of degree <= 2 n - 1; for analytic integrands the
-    error decays geometrically in ``n_nodes``.
-    """
-    if n_nodes < 1:
-        raise ParameterOutOfRange(f"n_nodes must be >= 1, got {n_nodes}")
-    nodes, weights = _gl_rule(n_nodes)
-    mid = 0.5 * (upper + lower)
-    half = 0.5 * (upper - lower)
-    return half * float(np.dot(weights, np.asarray(fn(mid + half * nodes), dtype=float)))

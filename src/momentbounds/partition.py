@@ -23,7 +23,6 @@ the tests hold both structured paths to.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,6 +34,8 @@ from .engine import (
     DEFAULT_TOLERANCES,
     MomentMatrix,
     Tolerances,
+    _checked_grid,
+    _frozen_array,
     positive_eigenvalue_bounds,
 )
 from .errors import DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
@@ -43,8 +44,6 @@ from .moments import root_variance_from_moments
 from .vanilla import vanilla_bounds
 
 __all__ = [
-    "PartitionKind",
-    "PartitionSpec",
     "ConditionalMoments",
     "flat_conditional_moments",
     "linear_conditional_moments",
@@ -52,7 +51,6 @@ __all__ = [
     "refined_bound",
     "refined_bounds",
     "LinearPartition",
-    "quadrature_partial_moment",
 ]
 
 # Cells with less probability mass than this add pure numerical noise.
@@ -65,40 +63,6 @@ NODE_BUDGET = 1_000_000
 # Log-space cutoff for the density: 13 standard deviations covers any mass
 # above 1e-30, far below every tolerance used here.
 _TAIL_SIGMAS = 13.0
-
-
-class PartitionKind(enum.Enum):
-    FLAT = "flat"
-    LINEAR = "linear"
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """A partition family plus its defining grid.
-
-    For FLAT the grid holds the interior cell boundaries (the endpoints 0 and
-    inf are implicit); for LINEAR it holds the hat-function strikes.
-    """
-
-    kind: PartitionKind
-    grid: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.grid, dtype=float)
-        if arr.ndim != 1:
-            raise ParameterOutOfRange("partition grid must be one-dimensional")
-        if arr.size and (np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0)):
-            raise ParameterOutOfRange("partition grid must be positive and strictly increasing")
-        if self.kind is PartitionKind.LINEAR and arr.size < 2:
-            raise ParameterOutOfRange("linear partitions need at least two strikes")
-        arr.setflags(write=False)
-        object.__setattr__(self, "grid", arr)
-
-    @property
-    def cell_count(self) -> int:
-        if self.kind is PartitionKind.FLAT:
-            return self.grid.size + 1
-        return self.grid.size
 
 
 @dataclass(frozen=True)
@@ -175,7 +139,7 @@ def _density(model: LognormalModel, a: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (a * stdev * math.sqrt(2.0 * math.pi))
 
 
-def quadrature_partial_moment(
+def _quadrature_partial_moment(
     model: LognormalModel,
     p: float,
     lower: float,
@@ -243,8 +207,8 @@ def flat_conditional_moments(
     """
     if model.sigma == 0.0:
         raise ParameterOutOfRange("flat conditional moments require sigma > 0")
-    spec = PartitionSpec(PartitionKind.FLAT, np.asarray(boundaries, dtype=float))
-    edges = np.concatenate([[0.0], spec.grid, [math.inf]])
+    grid = _checked_grid(boundaries, "partition boundaries", min_size=0)
+    edges = np.concatenate([[0.0], grid, [math.inf]])
     digital, first, half = lognormal_partial_moments(model, [0.0, 1.0, 0.5], edges)
     keep = ~(digital < cell_floor)
     dropped = np.flatnonzero(~keep)
@@ -272,8 +236,7 @@ class LinearPartition:
     """
 
     def __init__(self, strikes):
-        spec = PartitionSpec(PartitionKind.LINEAR, np.asarray(strikes, dtype=float))
-        self.strikes = spec.grid
+        self.strikes = _frozen_array(_checked_grid(strikes, "partition strikes", min_size=2))
 
     @property
     def count(self) -> int:
@@ -347,8 +310,8 @@ def linear_conditional_moments(
     orders = (0.0, 0.5, 1.0)
     # Head and tail cells, where the end functions sit flat at one.
     raw = np.zeros((len(orders), n))
-    raw[:, 0] = [quadrature_partial_moment(model, p, 0.0, k[0], n_nodes) for p in orders]
-    raw[:, -1] += [quadrature_partial_moment(model, p, k[-1], math.inf, n_nodes) for p in orders]
+    raw[:, 0] = [_quadrature_partial_moment(model, p, 0.0, k[0], n_nodes) for p in orders]
+    raw[:, -1] += [_quadrature_partial_moment(model, p, k[-1], math.inf, n_nodes) for p in orders]
     nodes, weights = _gl_rule(n_nodes)
     lo, hi = k[:-1, None], k[1:, None]
     width = hi - lo
@@ -478,11 +441,7 @@ def refined_bounds(
     Overlapping (hat) partitions have a banded Q and are solved as banded
     eigenproblems, one per strike after one factorization of Q.
     """
-    ks = np.asarray(strikes, dtype=float)
-    if ks.ndim != 1:
-        raise ParameterOutOfRange("strikes must form a one-dimensional grid")
-    if not np.all(ks > 0.0):
-        raise ParameterOutOfRange(f"strikes must be positive, got {ks[~(ks > 0.0)][0]}")
+    ks = _checked_grid(strikes, min_size=0, increasing=False)
     if moments.cross_price is None:
         cells = vanilla_bounds(moments.price, moments.root_variance, ks[:, None])
         return np.sum(cells * moments.digital, axis=1)

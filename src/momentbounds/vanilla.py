@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, Tolerances, positive_eigenvalue_bounds
+from .engine import DEFAULT_TOLERANCES, Tolerances, _checked_grid, positive_eigenvalue_bounds
 from .errors import MomentBoundsError, ParameterOutOfRange, ShapeViolation
 from .models import implied_lognormal_vols
 from .moments import AssetMoments, assemble_q
@@ -27,7 +27,6 @@ __all__ = [
     "VanillaBoundCurve",
     "vanilla_bound",
     "vanilla_bounds",
-    "vanilla_put_bound",
     "vanilla_bound_via_engine",
     "implied_cdf",
     "smile_curve",
@@ -40,60 +39,38 @@ __all__ = [
 SHAPE_TOL = 1e-10
 
 
-def _validate(f: float, nu: float, k: float) -> None:
-    if not f > 0.0:
-        raise ParameterOutOfRange(f"forward must be positive, got {f}")
-    if not 0.0 <= nu <= 1.0:
-        raise ParameterOutOfRange(f"root-variance must lie in [0, 1], got {nu}")
-    if not k > 0.0:
-        raise ParameterOutOfRange(f"strike must be positive, got {k}")
-
-
-def _discriminant_root(f: float, nu: float, k: float) -> float:
-    return math.sqrt((f - k) ** 2 + 4.0 * f * k * nu)
-
-
 def vanilla_bound(f: float, nu: float, k: float) -> float:
-    """Upper bound for E[(a - k)^+] given price f and root-variance nu.
+    """Upper bound for E[(a - k)^+] given price f and root-variance nu; the
+    one-element case of ``vanilla_bounds``."""
+    return float(vanilla_bounds(f, nu, k))
+
+
+def vanilla_bounds(f, nu, k) -> np.ndarray:
+    """``vanilla_bound`` elementwise over arrays of f, nu and k, broadcast
+    together.
 
     Evaluated in a cancellation-free form: the explicit root when f >= k,
     and the product-of-roots form 2 f k nu / (sqrt(D) + (k - f)) when f < k,
     which stays accurate deep out of the money with tiny nu.
     """
-    _validate(f, nu, k)
-    root = _discriminant_root(f, nu, k)
-    if f >= k:
-        return 0.5 * ((f - k) + root)
-    return 2.0 * f * k * nu / (root + (k - f))
-
-
-def vanilla_bounds(f, nu, k) -> np.ndarray:
-    """``vanilla_bound`` elementwise over arrays of f, nu and k, broadcast
-    together, with the same cancellation-free branches."""
-    f, nu, k = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (f, nu, k)))
-    if not np.all(f > 0.0):
+    f, nu, k = (np.asarray(x, dtype=float) for x in (f, nu, k))
+    if not (f > 0.0).all():
         raise ParameterOutOfRange(f"forward must be positive, got {f[~(f > 0.0)][0]}")
-    if not np.all((nu >= 0.0) & (nu <= 1.0)):
+    if not ((nu >= 0.0) & (nu <= 1.0)).all():
         raise ParameterOutOfRange(
             f"root-variance must lie in [0, 1], got {nu[~((nu >= 0.0) & (nu <= 1.0))][0]}"
         )
-    if not np.all(k > 0.0):
+    if not (k > 0.0).all():
         raise ParameterOutOfRange(f"strike must be positive, got {k[~(k > 0.0)][0]}")
-    root = np.sqrt((f - k) ** 2 + 4.0 * f * k * nu)
+    # d * d, not d ** 2: numpy squares arrays by multiplication but hands a
+    # scalar's power to libm, which may round differently.
+    d = f - k
+    root = np.sqrt(d * d + 4.0 * f * k * nu)
     # The out-of-the-money form divides by zero at f = k, nu = 0, where the
     # explicit root is taken instead.
     with np.errstate(divide="ignore", invalid="ignore"):
         otm = 2.0 * f * k * nu / (root + (k - f))
-    return np.where(f >= k, 0.5 * ((f - k) + root), otm)
-
-
-def vanilla_put_bound(f: float, nu: float, k: float) -> float:
-    """Upper bound for E[(k - a)^+]; related to the call bound by parity."""
-    _validate(f, nu, k)
-    root = _discriminant_root(f, nu, k)
-    if k >= f:
-        return 0.5 * ((k - f) + root)
-    return 2.0 * f * k * nu / (root + (f - k))
+    return np.where(f >= k, 0.5 * (d + root), otm)
 
 
 def vanilla_bound_via_engine(
@@ -113,14 +90,9 @@ def _vanilla_bounds_via_engine(
 ) -> np.ndarray:
     """``vanilla_bound_via_engine`` over a strike grid, factoring the 2x2
     moment matrix once."""
-    ks = np.asarray(strikes, dtype=float)
-    for k in ks:
-        _validate(f, nu, float(k))
-    q = assemble_q(
-        [AssetMoments(f, nu), AssetMoments(1.0, 0.0)],
-        {(0, 1): 0.0},
-        tol,
-    )
+    assets = [AssetMoments(f, nu), AssetMoments(1.0, 0.0)]
+    ks = _checked_grid(strikes, increasing=False)
+    q = assemble_q(assets, {(0, 1): 0.0}, tol)
     quantities = np.column_stack([np.ones(ks.size), -ks])
     return positive_eigenvalue_bounds(q, quantities, tol).bounds
 
@@ -140,7 +112,7 @@ def implied_cdf(f: float, nu: float, k: float) -> float:
         raise ParameterOutOfRange(f"strike must be non-negative, got {k}")
     if k == 0.0:
         return nu
-    root = _discriminant_root(f, nu, k)
+    root = math.sqrt((f - k) ** 2 + 4.0 * f * k * nu)
     if root == 0.0:
         # nu = 0 and k = f: point mass at the forward, CDF right-limit is 1.
         return 1.0
@@ -155,12 +127,10 @@ def check_decreasing_convex(
     Convexity uses divided differences, so unevenly spaced grids are handled;
     both checks allow slack ``shape_tol``.
     """
-    ks = np.asarray(strikes, dtype=float)
+    ks = _checked_grid(strikes, positive=False, min_size=2)
     vs = np.asarray(values, dtype=float)
-    if ks.ndim != 1 or ks.shape != vs.shape or ks.size < 2:
-        raise ParameterOutOfRange("need matching 1-d grids with at least two points")
-    if np.any(np.diff(ks) <= 0.0):
-        raise ParameterOutOfRange("strikes must be strictly increasing")
+    if ks.shape != vs.shape:
+        raise ParameterOutOfRange("curve values must match the strike grid")
     slopes = np.diff(vs) / np.diff(ks)
     if np.any(slopes > shape_tol):
         i = int(np.argmax(slopes))
@@ -211,11 +181,7 @@ def smile_curves(f: float, nus, strikes, expiry: float) -> list:
     grid, one per root-variance in ``nus``.  All bounds invert in one call; if
     it fails, the curves invert one by one, so the first failing curve raises
     as it would on its own."""
-    ks = np.asarray(strikes, dtype=float)
-    if ks.ndim != 1 or ks.size < 2:
-        raise ParameterOutOfRange("need a 1-d grid of at least two strikes")
-    if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
-        raise ParameterOutOfRange("strikes must be positive and strictly increasing")
+    ks = _checked_grid(strikes, min_size=2)
     nus = np.asarray(nus, dtype=float).reshape(-1)
     bounds = vanilla_bounds(f, nus[:, None], ks)
     cdf = [[implied_cdf(f, nu, k) for k in ks.tolist()] for nu in nus.tolist()]

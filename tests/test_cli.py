@@ -364,6 +364,28 @@ def with_parameters(payload, **parameters):
     return payload
 
 
+def experiment_config(experiment, parameters):
+    return {"schema_version": 1, "experiment": experiment, "output": "x", "parameters": parameters}
+
+
+STRIKES = {"start": 0.5, "stop": 2.0, "count": 7}
+
+
+def fx_config(**parameters):
+    defaults = {"forward": 1.0, "nu1": 0.04, "nu2": 0.04, "correlations": [0.5], "strikes": STRIKES}
+    return experiment_config("FxCross", {**defaults, **parameters})
+
+
+def refine_config(experiment, **parameters):
+    defaults = {"forward": 1.0, "sigma": 0.4, "eval_strikes": STRIKES}
+    return experiment_config(experiment, {**defaults, **parameters})
+
+
+def local_attain_config(**parameters):
+    defaults = {"forward": 1.0, "root_variance": 0.01, "strikes": STRIKES}
+    return experiment_config("LocalAttain", {**defaults, **parameters})
+
+
 class TestExitCodes:
     """One exit code per class of bad config: 2 for a config error, 3 for a
     numerical error, 4 for an I/O error, and never a traceback."""
@@ -388,6 +410,23 @@ class TestExitCodes:
                 "at most",
             ),
             (caplet_config(periods=10**11), "at most"),
+            # Ranges the library's own values check as the config is loaded.
+            (with_parameters(smile_config(), root_variances=[0.01, 1.5]), "got 1.5"),
+            (with_parameters(smile_config(), strikes=[1.0, 0.5]), "strictly increasing"),
+            (with_parameters(smile_config(), forward=0.0), "positive, got 0.0"),
+            (fx_config(correlations=[0.5, 1.5]), "got 1.5"),
+            (fx_config(nu2=-0.1), "root-variances"),
+            (refine_config("LinearRefine", strike_sets=[[], [1.0]]), "at least 2"),
+            (refine_config("FlatRefine", partitions=[[1.0, 0.5]]), "strictly increasing"),
+            (caplet_config(strikes=[0.02, 0.01, 0.03]), "strictly increasing"),
+            (caplet_config(period_index=1), "period_index"),
+            (local_attain_config(root_variance=1.0), "strictly inside"),
+            (
+                experiment_config(
+                    "GlobalAttain", {"root_variances": {"start": 0.0, "stop": 1.2, "count": 7}}
+                ),
+                "got 1.2",
+            ),
         ],
         ids=[
             "unknown-key",
@@ -397,14 +436,26 @@ class TestExitCodes:
             "nan-in-list",
             "oversize-count",
             "oversize-periods",
+            "smile-nu-above-one",
+            "decreasing-strikes",
+            "zero-forward",
+            "fx-correlation-above-one",
+            "fx-negative-nu2",
+            "one-strike-linear-set",
+            "decreasing-flat-boundaries",
+            "decreasing-caplet-strikes",
+            "caplet-period-index-one",
+            "local-attain-nu-one",
+            "global-attain-grid-above-one",
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, payload, message):
         path = write_config(tmp_path / "c.json", payload)
-        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ConfigError:")
-        assert message in err
+        for mode in (["--validate-only"], ["--out", str(tmp_path / "out")]):
+            assert main(["--config", str(path), *mode]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ConfigError:")
+            assert message in err
 
     def test_inconsistent_moments_exit_3(self, tmp_path, capsys):
         # A valid config that fails numerically: hat strikes 50-70x the

@@ -18,16 +18,12 @@ from momentbounds.models import (
     bachelier_call_price,
     binomial_price,
     bs_call_price,
-    bs_put_price,
-    gauss_legendre,
-    implied_lognormal_vol,
     implied_lognormal_vols,
-    implied_normal_vol,
     implied_normal_vols,
     lognormal_partial_moment,
     norm_cdf,
 )
-from momentbounds.partition import quadrature_partial_moment
+from momentbounds.partition import _quadrature_partial_moment
 
 
 def erf_normal_cdf(x: float) -> float:
@@ -80,33 +76,26 @@ class TestBlackPrices:
         assert np.all(np.diff(prices) <= 0.0)
         assert np.all(np.diff(prices, 2) >= -1e-12)
 
-    def test_put_call_parity(self):
-        model = LognormalModel(1.3, 0.25, 0.7)
-        for k in (0.5, 1.0, 1.3, 2.4):
-            call = bs_call_price(model, k)
-            put = bs_put_price(model, k)
-            assert call - put == pytest.approx(model.forward - k, abs=1e-14)
-
 
 class TestImpliedLognormalVol:
     def test_intrinsic_price_gives_zero(self):
-        assert implied_lognormal_vol(1.0, 0.8, 1.0, 0.2) == 0.0
+        assert implied_lognormal_vols(1.0, [0.8], 1.0, [0.2])[0] == 0.0
 
     def test_atm_inversion_against_ndtri_oracle(self):
         # 2 Phi(sigma / 2) - 1 = 0.2 inverts to sigma = 2 Phi^{-1}(0.6).
-        sigma = implied_lognormal_vol(1.0, 1.0, 1.0, 0.2)
+        sigma = implied_lognormal_vols(1.0, [1.0], 1.0, [0.2])[0]
         assert sigma == pytest.approx(2.0 * float(ndtri(0.6)), abs=1e-9)
         assert sigma == pytest.approx(0.50669, abs=5e-6)
 
     def test_upper_bound_sentinel(self):
-        assert implied_lognormal_vol(1.0, 1.0, 1.0, 1.0) == math.inf
-        assert implied_lognormal_vol(1.0, 1.0, 1.0, 1.0 - 1e-15) == math.inf
+        assert implied_lognormal_vols(1.0, [1.0], 1.0, [1.0])[0] == math.inf
+        assert implied_lognormal_vols(1.0, [1.0], 1.0, [1.0 - 1e-15])[0] == math.inf
 
     def test_outside_bounds_raises(self):
         with pytest.raises(PriceOutsideArbitrageBounds):
-            implied_lognormal_vol(1.0, 0.8, 1.0, 0.1)
+            implied_lognormal_vols(1.0, [0.8], 1.0, [0.1])
         with pytest.raises(PriceOutsideArbitrageBounds):
-            implied_lognormal_vol(1.0, 0.8, 1.0, 1.1)
+            implied_lognormal_vols(1.0, [0.8], 1.0, [1.1])
 
     def test_round_trip_identity(self):
         for sigma in (0.01, 0.1, 0.4, 1.0, 2.0):
@@ -119,13 +108,13 @@ class TestImpliedLognormalVol:
                 # to 1e-8 in double precision.
                 if price >= 1.0 - 1e-14 or time_value <= 1e-9:
                     continue
-                assert implied_lognormal_vol(1.0, k, 1.0, price) == pytest.approx(
+                assert implied_lognormal_vols(1.0, [k], 1.0, [price])[0] == pytest.approx(
                     sigma, abs=1e-8
                 )
 
     def test_reproduces_price(self):
         price = 0.123
-        sigma = implied_lognormal_vol(1.0, 1.4, 1.0, price)
+        sigma = implied_lognormal_vols(1.0, [1.4], 1.0, [price])[0]
         assert bs_call_price(LognormalModel(1.0, sigma, 1.0), 1.4) == pytest.approx(
             price, abs=1e-10
         )
@@ -133,34 +122,35 @@ class TestImpliedLognormalVol:
 
 class TestImpliedNormalVol:
     def test_intrinsic(self):
-        assert implied_normal_vol(0.02, 0.01, 1.0, 0.01) == 0.0
+        assert implied_normal_vols(0.02, [0.01], 1.0, [0.01])[0] == 0.0
 
     def test_atm_identity_exact(self):
         sigma = 0.0123
         price = sigma * math.sqrt(1.0 / (2.0 * math.pi))
-        assert implied_normal_vol(0.02, 0.02, 1.0, price) == pytest.approx(
+        assert implied_normal_vols(0.02, [0.02], 1.0, [price])[0] == pytest.approx(
             sigma, rel=1e-14, abs=0.0
         )
 
     def test_atm_example(self):
-        assert implied_normal_vol(0.02, 0.02, 1.0, 0.002) == pytest.approx(
+        assert implied_normal_vols(0.02, [0.02], 1.0, [0.002])[0] == pytest.approx(
             0.002 * math.sqrt(2.0 * math.pi), rel=1e-14, abs=0.0
         )
 
     def test_negative_rates_round_trip(self):
         price = bachelier_call_price(-0.01, -0.005, 0.008, 2.0)
-        assert implied_normal_vol(-0.01, -0.005, 2.0, price) == pytest.approx(0.008, abs=1e-10)
+        sigma = implied_normal_vols(-0.01, [-0.005], 2.0, [price])[0]
+        assert sigma == pytest.approx(0.008, abs=1e-10)
 
     def test_below_intrinsic_raises(self):
         with pytest.raises(PriceOutsideArbitrageBounds):
-            implied_normal_vol(0.02, 0.01, 1.0, 0.005)
+            implied_normal_vols(0.02, [0.01], 1.0, [0.005])
 
     def test_roundoff_above_intrinsic_gives_zero(self):
         # A bound equal to intrinsic in exact arithmetic lands a roundoff
         # either side of it; both sides must give the same vol.
-        assert implied_normal_vol(0.02, -0.01, 1.0, 0.03 + 1.5e-16) == 0.0
-        assert implied_normal_vol(0.02, -0.01, 1.0, 0.03 - 1.5e-16) == 0.0
-        assert implied_normal_vol(0.02, -0.01, 1.0, 0.03 + 2e-11) > 0.0
+        assert implied_normal_vols(0.02, [-0.01], 1.0, [0.03 + 1.5e-16])[0] == 0.0
+        assert implied_normal_vols(0.02, [-0.01], 1.0, [0.03 - 1.5e-16])[0] == 0.0
+        assert implied_normal_vols(0.02, [-0.01], 1.0, [0.03 + 2e-11])[0] > 0.0
 
 
 class TestPartialMoments:
@@ -169,7 +159,7 @@ class TestPartialMoments:
         # Both CDF values sit within 1e-9 of one; their difference cancels.
         model = LognormalModel(1.0, 0.13243771936956214, 1.0)
         closed = lognormal_partial_moment(model, p, 2.3, 2.31)
-        numeric = quadrature_partial_moment(model, p, 2.3, 2.31)
+        numeric = _quadrature_partial_moment(model, p, 2.3, 2.31)
         assert abs(closed - numeric) <= 1e-12 * numeric
 
     def test_normalisation(self):
@@ -254,19 +244,22 @@ class TestBinomialModel:
 
 
 class TestGaussLegendre:
+    """The shared rule on [-1, 1], mapped to [0, 1] as x = (1 + t) / 2."""
+
     def test_constant(self):
-        assert gauss_legendre(lambda x: np.ones_like(x), 0.0, 1.0, 8) == pytest.approx(1.0)
+        _, weights = models._gl_rule(8)
+        assert 0.5 * float(np.sum(weights)) == pytest.approx(1.0)
 
     def test_cubic_exact_with_two_nodes(self):
-        value = gauss_legendre(lambda x: x**3, 0.0, 1.0, 2)
+        nodes, weights = models._gl_rule(2)
+        value = 0.5 * float(np.dot(weights, (0.5 + 0.5 * nodes) ** 3))
         assert value == pytest.approx(0.25, abs=1e-15)
 
     def test_constant_excess_level(self):
         # Limit level of the replication integrand at full dispersion.
         nu = 0.5
-        assert gauss_legendre(lambda x: 2.0 * nu * np.ones_like(x), 0.0, 1.0, 4) == pytest.approx(
-            1.0
-        )
+        _, weights = models._gl_rule(4)
+        assert 0.5 * float(np.dot(weights, np.full(4, 2.0 * nu))) == pytest.approx(1.0)
 
     def test_norm_cdf_accuracy(self):
         for x in (-3.0, -1.0, 0.0, 0.5, 2.5):
@@ -280,7 +273,7 @@ class TestVolBracket:
         price = bs_call_price(model, 1.0)
         if price < 1.0 - 1e-14:
             with pytest.raises(ConvergenceFailure):
-                implied_lognormal_vol(1.0, 1.0, 1.0, price)
+                implied_lognormal_vols(1.0, [1.0], 1.0, [price])
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +403,12 @@ class TestArrayInversions:
     def test_scalar_forms_are_the_one_element_case(self):
         forward, strikes, expiry, prices = lognormal_grid(np.random.default_rng(99), size=8)
         for k, p in zip(strikes, prices):
-            assert implied_lognormal_vol(forward, k, expiry, p) == scalar_lognormal_vol(
+            assert implied_lognormal_vols(forward, [k], expiry, [p])[0] == scalar_lognormal_vol(
                 forward, float(k), expiry, float(p)
             )
         forward, strikes, expiry, prices = normal_grid(np.random.default_rng(99), size=8)
         for k, p in zip(strikes, prices):
-            assert implied_normal_vol(forward, k, expiry, p) == scalar_normal_vol(
+            assert implied_normal_vols(forward, [k], expiry, [p])[0] == scalar_normal_vol(
                 forward, float(k), expiry, float(p)
             )
 

@@ -15,8 +15,8 @@ from momentbounds.errors import (
 )
 from momentbounds.models import (
     LognormalModel,
+    _gl_rule,
     bs_call_price,
-    gauss_legendre,
     lognormal_partial_moment,
     lognormal_partial_moments,
     norm_cdf,
@@ -25,12 +25,10 @@ from momentbounds.moments import root_variance_from_moments
 from momentbounds.partition import (
     ConditionalMoments,
     LinearPartition,
-    PartitionKind,
-    PartitionSpec,
+    _quadrature_partial_moment,
     flat_conditional_moments,
     linear_conditional_moments,
     partition_moment_matrix,
-    quadrature_partial_moment,
     refined_bound,
     refined_bounds,
 )
@@ -42,18 +40,17 @@ FIG_BOUNDARIES_30 = np.linspace(0.1, 2.9, 29)
 EVAL_STRIKES = np.linspace(0.4, 2.6, 23)
 
 
-class TestPartitionSpec:
-    def test_flat_cells(self):
-        spec = PartitionSpec(PartitionKind.FLAT, FIG_BOUNDARIES_6)
-        assert spec.cell_count == 6
-
+class TestPartitionGrids:
     def test_linear_needs_two_strikes(self):
         with pytest.raises(ParameterOutOfRange):
-            PartitionSpec(PartitionKind.LINEAR, [1.0])
+            LinearPartition([1.0])
 
     def test_grid_must_increase(self):
-        with pytest.raises(ParameterOutOfRange):
-            PartitionSpec(PartitionKind.FLAT, [1.0, 1.0])
+        for bad in ([1.0, 1.0], [2.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ParameterOutOfRange):
+                flat_conditional_moments(MODEL, bad)
+            with pytest.raises(ParameterOutOfRange):
+                LinearPartition(bad)
 
 
 class TestFlatConditionalMoments:
@@ -248,7 +245,7 @@ class TestQuadratureAgainstClosedForm:
         edges = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, math.inf]
         for lo, hi in zip(edges[:-1], edges[1:]):
             for p in (0.0, 0.5, 1.0):
-                numeric = quadrature_partial_moment(MODEL, p, lo, hi)
+                numeric = _quadrature_partial_moment(MODEL, p, lo, hi)
                 closed = lognormal_partial_moment(MODEL, p, lo, hi)
                 assert abs(numeric - closed) <= 1e-9
 
@@ -469,21 +466,22 @@ class TestWholeGridMoments:
         k = part.strikes
         moments = linear_conditional_moments(model, grid)
 
+        nodes, weights = _gl_rule(64)
+
         def ramp_moment(n, p):
             # The head and tail cells, where u_0 and u_{N-1} are flat at one,
             # plus Gauss-Legendre over each strike interval in the support.
             total = 0.0
             if n == 0:
-                total += quadrature_partial_moment(model, p, 0.0, k[0])
+                total += _quadrature_partial_moment(model, p, 0.0, k[0])
             if n == count - 1:
-                total += quadrature_partial_moment(model, p, k[-1], math.inf)
+                total += _quadrature_partial_moment(model, p, k[-1], math.inf)
             for i in (n - 1, n):
                 if 0 <= i < count - 1:
-                    total += gauss_legendre(
-                        lambda a: part.weight(n, a) * a**p * lognormal_density(model, a),
-                        k[i],
-                        k[i + 1],
-                    )
+                    mid, half = 0.5 * (k[i + 1] + k[i]), 0.5 * (k[i + 1] - k[i])
+                    a = mid + half * nodes
+                    values = part.weight(n, a) * a**p * lognormal_density(model, a)
+                    total += half * float(np.dot(weights, values))
             return total
 
         def cross_moment(i, p):

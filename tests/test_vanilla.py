@@ -20,7 +20,6 @@ from momentbounds.vanilla import (
     vanilla_bound,
     vanilla_bound_via_engine,
     vanilla_bounds,
-    vanilla_put_bound,
 )
 
 
@@ -88,9 +87,18 @@ class TestVanillaBounds:
         grid = vanilla_bounds(f, nu, ks[:, None])
         assert grid.shape == (ks.size, f.size)
         scalar = np.array([[vanilla_bound(a, b, k) for a, b in zip(f, nu)] for k in ks])
-        # The same branches; numpy's square and Python's pow may differ by an ulp.
-        assert np.all(np.abs(grid - scalar) <= 1e-15 * scalar)
+        assert np.array_equal(grid, scalar)
         assert grid[0, 0] == 0.0
+
+    def test_scalar_form_is_the_one_element_case_exactly(self):
+        # Squaring a scalar by pow differs from squaring an array on 4 of
+        # these draws.
+        rng = np.random.default_rng(1)
+        f = rng.uniform(0.01, 10.0, 20_000)
+        k = rng.uniform(0.01, 10.0, 20_000)
+        nu = rng.uniform(0.0, 1.0, 20_000) ** 3
+        scalar = [vanilla_bound(a, b, c) for a, b, c in zip(f.tolist(), nu.tolist(), k.tolist())]
+        assert vanilla_bounds(f, nu, k).tolist() == scalar
 
     @pytest.mark.parametrize(
         "f, nu, k", [(0.0, 0.1, 1.0), (1.0, -0.1, 1.0), (1.0, 1.5, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, 0.0)]
@@ -98,23 +106,6 @@ class TestVanillaBounds:
     def test_parameter_validation(self, f, nu, k):
         with pytest.raises(ParameterOutOfRange):
             vanilla_bounds([1.0, f], [0.1, nu], [1.0, k])
-
-
-class TestPutBound:
-    def test_parity_with_call(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            f = rng.uniform(0.2, 3.0)
-            nu = rng.uniform(0.0, 1.0)
-            k = rng.uniform(0.05, 6.0)
-            call = vanilla_bound(f, nu, k)
-            put = vanilla_put_bound(f, nu, k)
-            assert call - put == pytest.approx(f - k, abs=1e-14 * max(1.0, f, k))
-
-    def test_put_closed_form(self):
-        f, nu, k = 1.0, 0.04, 1.3
-        expected = 0.5 * (k - f) + 0.5 * math.sqrt((k - f) ** 2 + 4.0 * k * f * nu)
-        assert vanilla_put_bound(f, nu, k) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestEngineEquivalence:
