@@ -19,8 +19,7 @@ from momentbounds import (
     binomial_call_price,
     implied_root_variance_curve,
     local_attainment_scan,
-    optimal_angle,
-    vanilla_bound,
+    vanilla_bounds,
 )
 
 FORWARD = 1.0
@@ -43,9 +42,10 @@ def main():
 
     print("\nNo single model attains two strikes at once: reuse the strike-0.8")
     print("optimal model at strike 1.4 and it underprices the bound:")
-    model = binomial_calibrate(FORWARD, NU, optimal_angle(FORWARD, NU, 0.8))
+    angle = local_attainment_scan(FORWARD, NU, [0.8]).angles[0]
+    model = binomial_calibrate(FORWARD, NU, angle)
     reused = binomial_call_price(model, 1.4)
-    target = vanilla_bound(FORWARD, NU, 1.4)
+    target = vanilla_bounds(FORWARD, NU, [1.4])[0]
     print(f"  reused price {reused:.8f} vs bound {target:.8f} (miss {target - reused:.2e})")
 
     print("\nGlobal attainment fails: the root-variance implied by the whole")

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from momentbounds import SwapCurveSlice, caplet_bound, caplet_cdf_scan, caplet_point_mass
+from momentbounds import SwapCurveSlice, caplet_bounds, caplet_cdf_scan, caplet_point_mass
 
 NU = 1.0 - math.exp(-0.04)  # root-variance of a 40%-vol lognormal over one period
 
@@ -43,8 +43,8 @@ def main():
     rhos = [0.975, 0.985, 0.995, 1.0]
     print("Bound (undiscounted) by strike and swap-rate correlation, no shift:")
     print("strike  " + "  ".join(f"rho={rho:<6g}" for rho in rhos))
-    for k in strikes:
-        row = [caplet_bound(build_slice(rho, 0.0), 10, k) for rho in rhos]
+    columns = [caplet_bounds(build_slice(rho, 0.0), 10, strikes).bounds for rho in rhos]
+    for k, row in zip(strikes, zip(*columns)):
         print(f"{k:6.3f}  " + "  ".join(f"{v:10.6f}" for v in row))
     print("Lower correlation decorrelates the swap legs and widens the bound.\n")
 

@@ -12,7 +12,7 @@ as the single free parameter.  Decorrelating the legs widens the cross
 distribution, so the bound grows as rho falls.
 """
 
-from momentbounds import FxLegMoments, cross_root_variance, fx_cross_bound
+from momentbounds import FxLegMoments, cross_root_variance, vanilla_bounds
 
 NU1 = 0.04
 NU2 = 0.09
@@ -36,12 +36,10 @@ def main():
 
     print("\nBound for a call on the cross, by strike and correlation:")
     print("strike  " + "  ".join(f"rho={rho:<5g}" for rho in RHOS))
-    for k in STRIKES:
-        cells = [
-            f"{fx_cross_bound(FxLegMoments(NU1, NU2, rho, CROSS_FORWARD), k):9.6f}"
-            for rho in RHOS
-        ]
-        print(f"{k:5.2f}  " + "  ".join(cells))
+    legs = [FxLegMoments(NU1, NU2, rho, CROSS_FORWARD) for rho in RHOS]
+    columns = [vanilla_bounds(leg.forward, leg.cross_nu, STRIKES) for leg in legs]
+    for k, row in zip(STRIKES, zip(*columns)):
+        print(f"{k:5.2f}  " + "  ".join(f"{v:9.6f}" for v in row))
 
     print("\nThe columns grow left to right: spread risk widens as the legs decorrelate.")
 

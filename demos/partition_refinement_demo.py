@@ -17,7 +17,7 @@ from momentbounds import (
     flat_conditional_moments,
     linear_conditional_moments,
     refined_bounds,
-    vanilla_bound,
+    vanilla_bounds,
 )
 
 MODEL = LognormalModel(forward=1.0, sigma=0.4, expiry=1.0)
@@ -46,7 +46,7 @@ def main():
         for label, moments in (("flat x6", flat6), ("flat x30", flat30),
                                ("hat x5", lin5), ("hat x29", lin29))
     }
-    unpartitioned = np.array([vanilla_bound(1.0, nu, float(k)) for k in STRIKES])
+    unpartitioned = vanilla_bounds(1.0, nu, STRIKES)
     reference = np.array([bs_call_price(MODEL, float(k)) for k in STRIKES])
 
     print("strike   unpartitioned  flat x6   flat x30  hat x5    hat x29   lognormal")

@@ -11,7 +11,7 @@ distribution parks a point mass of size nu at strike zero.
 
 import numpy as np
 
-from momentbounds import implied_cdf, smile_curve, vanilla_bound
+from momentbounds import implied_cdf, smile_curves, vanilla_bounds
 
 FORWARD = 1.0
 STRIKES = np.arange(0.4, 2.61, 0.2)
@@ -24,13 +24,14 @@ def main():
 
     header = "strike  " + "  ".join(f"nu={nu:<7g}" for nu in NU_LEVELS)
     print(header)
-    for k in STRIKES:
-        cells = [f"{vanilla_bound(FORWARD, nu, k):10.6f}" for nu in NU_LEVELS]
-        print(f"{k:5.2f}  " + "  ".join(cells))
+    # One row per strike, one column per root-variance.
+    table = vanilla_bounds(FORWARD, NU_LEVELS, STRIKES[:, None])
+    for k, row in zip(STRIKES, table):
+        print(f"{k:5.2f}  " + "  ".join(f"{v:10.6f}" for v in row))
 
     print("\nImplied lognormal vol of the bound (the interpolated smile):")
     print(header)
-    curves = {nu: smile_curve(FORWARD, nu, STRIKES, 1.0) for nu in NU_LEVELS}
+    curves = dict(zip(NU_LEVELS, smile_curves(FORWARD, NU_LEVELS, STRIKES, 1.0)))
     for i, k in enumerate(STRIKES):
         cells = [f"{curves[nu].implied_vols[i]:10.4f}" for nu in NU_LEVELS]
         print(f"{k:5.2f}  " + "  ".join(cells))
@@ -41,8 +42,8 @@ def main():
         print(f"  nu = {nu:<7g} -> CDF(0+) = {implied_cdf(FORWARD, nu, 1e-12):.6f}")
 
     print("\nATM check: at k = f the bound collapses to sqrt(f k nu):")
-    for nu in NU_LEVELS:
-        print(f"  nu = {nu:<7g} -> bound = {vanilla_bound(FORWARD, nu, FORWARD):.6f}"
+    for nu, bound in zip(NU_LEVELS, vanilla_bounds(FORWARD, NU_LEVELS, FORWARD)):
+        print(f"  nu = {nu:<7g} -> bound = {bound:.6f}"
               f"  vs sqrt = {np.sqrt(FORWARD * FORWARD * nu):.6f}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, STACK_BYTES, Tolerances, _checked_grid
+from .engine import DEFAULT_TOLERANCES, STACK_BYTES, Tolerances, _checked_grid, _frozen_array
 from .errors import (
     AngleOutOfRange,
     BranchResolutionFailure,
@@ -29,17 +29,14 @@ from .errors import (
 )
 from .models import BinomialModel, _gl_rule
 from .partition import _panel_sums
-from .vanilla import _vanilla_bounds_via_engine
+from .vanilla import vanilla_bounds_via_engine
 
 __all__ = [
     "AttainmentReport",
     "GlobalAttainmentCurve",
     "binomial_calibrate",
     "binomial_call_price",
-    "optimal_angle",
     "local_attainment_scan",
-    "carr_madan_sqrt_moment",
-    "implied_root_variance",
     "implied_root_variance_curve",
     "general_moment",
 ]
@@ -103,6 +100,12 @@ def _scanned_maxima(f: float, theta: float, strikes: np.ndarray) -> np.ndarray:
 
 
 def _formula_angle(f: float, theta: float, strike: float) -> float:
+    """Angle of the two-state model whose call price attains the bound, unguarded.
+
+    The tangent equation fixes 2 chi up to the arctangent branch; resolving
+    into (pi - 2 theta, pi) picks the branch on which the calibrated model
+    exists.
+    """
     two_chi = math.atan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strike)
     if two_chi <= 0.0:
         two_chi += math.pi
@@ -132,21 +135,6 @@ def _attaining_models(f: float, nu: float, strikes: np.ndarray):
     return found
 
 
-def optimal_angle(f: float, nu: float, strike: float, *, guard: bool = True) -> float:
-    """Angle of the two-state model whose call price attains the bound.
-
-    The tangent equation fixes 2 chi up to the arctangent branch; resolving
-    into (pi - 2 theta, pi) picks the branch on which the calibrated model
-    exists, and a coarse price scan guards the selection (the one-strike case
-    of ``local_attainment_scan``'s guard).
-    """
-    if not f > 0.0 or not strike > 0.0:
-        raise ParameterOutOfRange("price and strike must be positive")
-    if guard:
-        return _attaining_models(f, nu, np.array([strike], dtype=float))[0][0]
-    return _formula_angle(f, _theta(nu), strike)
-
-
 @dataclass(frozen=True)
 class AttainmentReport:
     """Per-strike local attainment against the closed-form bound.
@@ -172,9 +160,7 @@ class AttainmentReport:
 
     def __post_init__(self):
         for name in ("strikes", "angles", "lows", "highs", "binomial_prices", "bounds", "gaps"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         if np.any(self.gaps > self.attain_tol):
             worst = int(np.argmax(self.gaps))
             raise BranchResolutionFailure(
@@ -199,9 +185,9 @@ def local_attainment_scan(
     ks = _checked_grid(strikes, increasing=False)
     angles, models, prices = zip(*_attaining_models(f, nu, ks))
     prices = np.asarray(prices)
-    bounds = _vanilla_bounds_via_engine(f, nu, ks, tol)
+    bounds = vanilla_bounds_via_engine(f, nu, ks, tol)
     gaps = np.abs(prices - bounds) / np.maximum(np.abs(bounds), 1e-300)
-    moment = carr_madan_sqrt_moment(nu)
+    moment = float(implied_root_variance_curve([nu]).sqrt_moment[0])
     return AttainmentReport(
         strikes=ks,
         angles=np.asarray(angles),
@@ -246,30 +232,6 @@ def _refine(evaluate, rows: int, start_nodes: int, target: float, node_budget: i
     return result
 
 
-def carr_madan_sqrt_moment(
-    nu: float,
-    *,
-    target_error: float = 1e-10,
-    node_budget: int = 1 << 16,
-) -> float:
-    """E[sqrt(a)] / sqrt(f) implied by the bound curve via static replication.
-
-    The strike integral over the bound curve collapses, after substitutions,
-    to 1 - (1/2) * integral of the rationalised excess over x in [0, 1].
-    The panel is split where the square root's curvature peaks, at
-    x = sqrt(1 - 2 nu) for nu < 1/2, and refined until the estimated error
-    is below ``target_error``.  The one-point case of
-    ``implied_root_variance_curve``.
-    """
-    curve = implied_root_variance_curve([nu], target_error=target_error, node_budget=node_budget)
-    return float(curve.sqrt_moment[0])
-
-
-def implied_root_variance(nu: float, **kwargs) -> float:
-    """Root-variance of the measure implied by the bound curve, 1 - (E[sqrt(a)]/sqrt(f))^2."""
-    return float(implied_root_variance_curve([nu], **kwargs).implied_nu[0])
-
-
 @dataclass(frozen=True)
 class GlobalAttainmentCurve:
     """Implied square-root moments and root-variances over a constraint grid."""
@@ -280,9 +242,7 @@ class GlobalAttainmentCurve:
 
     def __post_init__(self):
         for name in ("constraint_nu", "sqrt_moment", "implied_nu"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
     def margins(self) -> np.ndarray:
@@ -293,12 +253,18 @@ class GlobalAttainmentCurve:
 def implied_root_variance_curve(
     nus, *, target_error: float = 1e-10, node_budget: int = 1 << 16
 ) -> GlobalAttainmentCurve:
-    """Evaluate the implied root-variance over a grid of constraint values.
+    """E[sqrt(a)] / sqrt(f) implied by the bound curve via static
+    replication, and its root-variance 1 - (E[sqrt(a)] / sqrt(f))^2, over a
+    grid of constraint values nu.
 
-    ``carr_madan_sqrt_moment``'s refinement runs on the whole grid at once:
-    each node count evaluates the panels of every unconverged nu as (panels x
-    nodes) blocks of at most ``STACK_BYTES``.  The first nu outside [0, 1] in
-    grid order raises.
+    The strike integral over the bound curve collapses, after substitutions,
+    to 1 - (1/2) * integral of the rationalised excess over x in [0, 1].
+    The panel is split where the square root's curvature peaks, at
+    x = sqrt(1 - 2 nu) for nu < 1/2, and nodes double until two successive
+    values agree to ``target_error``.  The refinement runs on the whole grid
+    at once: each node count evaluates the panels of every unconverged nu as
+    (panels x nodes) blocks of at most ``STACK_BYTES``.  The first nu outside
+    [0, 1] in grid order raises.
     """
     grid = np.asarray(nus, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -244,7 +244,7 @@ def _prepare_vanilla_smile(config: RunConfig):
     LognormalModel(p["forward"], 0.0, p["expiry"])  # a positive forward and expiry
     for nu in p["root_variances"]:
         AssetMoments(p["forward"], nu)
-    _checked_grid(p["strikes"])
+    _checked_grid(p["strikes"], min_size=2)  # a curve's shape needs two strikes
     return p
 
 
@@ -272,6 +272,9 @@ def _prepare_refine(config: RunConfig, kind: str):
         {"expiry": (_number, 1.0)},
     )
     model = LognormalModel(p["forward"], p["sigma"], p["expiry"])
+    # Held by no library value: partition moments need a density.
+    if not p["sigma"] > 0.0:
+        raise ConfigError("sigma must be positive")
     sets = p[key]
     if not isinstance(sets, list) or not sets:
         raise ConfigError(f"parameters.{key} must be a non-empty array of grids")
@@ -286,7 +289,7 @@ def _prepare_refine(config: RunConfig, kind: str):
         else:
             _checked_grid(values, f"{key}[{i}]", min_size=0)
         parsed.append(values)
-    strikes = _checked_grid(p["eval_strikes"], "eval_strikes")
+    strikes = _checked_grid(p["eval_strikes"], "eval_strikes", min_size=2)
     return {"model": model, "sets": parsed, "strikes": strikes, "kind": kind}
 
 
@@ -386,7 +389,8 @@ def _prepare_caplet(config: RunConfig, scan_shifts: bool):
     return {
         "slices": slices,
         "n": n,
-        "strikes": _checked_grid(p["strikes"], positive=False),
+        # The scan's central differences need three strikes.
+        "strikes": _checked_grid(p["strikes"], positive=False, min_size=3),
         "expiry": p["expiry"],
         "shifts": shifts,
         "rhos": rhos,

@@ -14,7 +14,7 @@ Everything here is pure and reentrant; inputs are copied and frozen, so
 values can be shared freely.  Strike sweeps hold Q fixed and vary only the
 quantities, so ``positive_eigenvalue_bounds`` factors Q once per sweep, solves
 the eigenproblems of all quantity vectors in stacks and returns the sweep as
-arrays (``BoundSweep``); ``positive_eigenvalue_bound`` is its one-row case.
+arrays (``BoundSweep``).  A single portfolio is a one-row sweep.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "MomentMatrix",
-    "QuantityVector",
     "PsdFactor",
-    "BoundResult",
     "BoundSweep",
     "symmetric_eigenvalues",
     "factor_psd",
-    "positive_eigenvalue_bound",
     "positive_eigenvalue_bounds",
 ]
 
@@ -134,33 +131,6 @@ class MomentMatrix:
 
 
 @dataclass(frozen=True)
-class QuantityVector:
-    """Signed portfolio quantities (the diagonal of the quantity matrix)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.weights)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionMismatch("quantities must form a non-empty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterOutOfRange("quantities must be finite")
-        object.__setattr__(self, "weights", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.weights.size
-
-    @property
-    def is_mixed_sign(self) -> bool:
-        """True when the portfolio holds both long and short positions.
-
-        Otherwise the bound is trivial: zero, or the full portfolio value.
-        """
-        return bool(np.any(self.weights > 0.0) and np.any(self.weights < 0.0))
-
-
-@dataclass(frozen=True)
 class PsdFactor:
     """Rectangular factor S (rank x dim) with Q = S^T S.
 
@@ -179,37 +149,17 @@ class PsdFactor:
 
 
 @dataclass(frozen=True)
-class BoundResult:
-    """Outcome of the positive-eigenvalue bound.
-
-    Attributes:
-        bound: sum of the positive eigenvalues of P (price units, >= 0).
-        eigenvalues: eigenvalues of P in descending order.
-        rank_q: numerical rank of Q detected during factorization.
-        clipped_negative_mass: negative eigenvalue mass of Q, scaled to unit
-            diagonal, clipped to zero.
-        positive_count: number of eigenvalues above the zero threshold.
-    """
-
-    bound: float
-    eigenvalues: np.ndarray
-    rank_q: int
-    clipped_negative_mass: float
-    positive_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
-
-
-@dataclass(frozen=True)
 class BoundSweep:
-    """``BoundResult`` of each row of a sweep, as arrays over the k rows.
+    """Outcome of the positive-eigenvalue bound for each row of a sweep, as
+    arrays over the k rows.
 
     Attributes:
-        bounds: (k,) bound of each row.
+        bounds: (k,) bound of each row: the sum of the positive eigenvalues
+            of its P (price units, >= 0).
         eigenvalues: (k, rank_q) eigenvalues of each row's P, descending.
         rank_q: numerical rank of Q, shared by the sweep.
-        clipped_negative_mass: clipped negative mass of Q, shared likewise.
+        clipped_negative_mass: negative eigenvalue mass of Q, scaled to unit
+            diagonal, clipped to zero; shared likewise.
         positive_counts: (k,) eigenvalues above each row's zero threshold.
     """
 
@@ -223,14 +173,8 @@ class BoundSweep:
         for name in ("bounds", "eigenvalues", "positive_counts"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), None))
 
-    def row(self, i: int) -> BoundResult:
-        """The ``BoundResult`` of row ``i``."""
-        bound, count = float(self.bounds[i]), int(self.positive_counts[i])
-        mass = self.clipped_negative_mass
-        return BoundResult(bound, self.eigenvalues[i], self.rank_q, mass, count)
 
-
-def symmetric_eigenvalues(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def symmetric_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, in descending order.
 
     A stack of shape (k, n, n) gives a (k, n) array, one row per matrix, and
@@ -291,33 +235,21 @@ def factor_psd(q: MomentMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdFact
     return PsdFactor(s, s.shape[0], "eigen", clipped)
 
 
-def positive_eigenvalue_bound(
-    q: MomentMatrix,
-    quantities: QuantityVector,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> BoundResult:
-    """Supremum price of the portfolio option from moments and quantities.
-
-    Computes P = S L S^T for a factor Q = S^T S and returns the sum of the
-    positive eigenvalues of P.  Eigenvalues within ``tol.eig`` of zero
-    (relative to the spectral radius) count as zero.
-    """
-    if isinstance(quantities, QuantityVector):
-        quantities = quantities.weights
-    return positive_eigenvalue_bounds(q, [quantities], tol).row(0)
-
-
 def positive_eigenvalue_bounds(
     q: MomentMatrix,
     quantities,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> BoundSweep:
-    """``positive_eigenvalue_bound`` for each row of a (k, n) quantity array.
+    """Supremum price of the portfolio option for each row of a (k, n)
+    array of signed quantities, from the moment matrix Q.
 
-    Q is validated and factored once; the P matrices are formed and solved in
-    stacks of at most ``STACK_BYTES``.  Each row is checked as a
-    QuantityVector would be and gets its own zero threshold, so row ``i`` of
-    the sweep is identical to what a single-row call returns.
+    Computes P = S L S^T for a factor Q = S^T S and sums the positive
+    eigenvalues of P; eigenvalues within ``tol.eig`` of zero (relative to
+    the spectral radius of P) count as zero.  Q is validated and factored
+    once; the P matrices are formed and solved in stacks of at most
+    ``STACK_BYTES``.  Quantities must be finite, and each row gets its own
+    zero threshold, so row ``i`` of the sweep is identical to what a one-row
+    sweep of that row returns.
     """
     if not isinstance(q, MomentMatrix):
         q = MomentMatrix(q)
@@ -341,7 +273,7 @@ def positive_eigenvalue_bounds(
     eigs = np.empty((len(weights), factor.rank))
     for start in range(0, len(weights), per_stack):
         p = (s[None] * weights[start : start + per_stack, None, :]) @ s.T
-        eigs[start : start + per_stack] = symmetric_eigenvalues(0.5 * (p + p.swapaxes(1, 2)), tol)
+        eigs[start : start + per_stack] = symmetric_eigenvalues(0.5 * (p + p.swapaxes(1, 2)))
     # Each row's positive eigenvalues are a prefix of its descending ones;
     # rows with equal counts sum their prefixes together, as single rows would.
     counts = np.sum(eigs > tol.eig * np.max(np.abs(eigs), axis=1)[:, None], axis=1)

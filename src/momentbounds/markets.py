@@ -2,7 +2,8 @@
 
 * FX cross rates: an option on x1/x2 is a vanilla option whose root-variance
   composes from the two legs' root-variances and their square-root
-  correlation, nu = 1 - (sqrt((1-nu1)(1-nu2)) + rho sqrt(nu1 nu2))^2.
+  correlation, nu = 1 - (sqrt((1-nu1)(1-nu2)) + rho sqrt(nu1 nu2))^2, and
+  its bound is ``vanilla_bounds`` at that root-variance.
 * Forward-starting caplets: the n-period forward rate decomposes as
   r_n = (lam_n + 1) s_n - lam_n s_{n-1} over the swap rates, with
   lam_n fixed by discount factors and daycounts, so the caplet is a
@@ -18,16 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    BoundResult,
     BoundSweep,
     DEFAULT_TOLERANCES,
     Tolerances,
     _checked_grid,
+    _frozen_array,
     positive_eigenvalue_bounds,
 )
 from .errors import NegativeShiftedRate, ParameterOutOfRange
 from .moments import AssetMoments, assemble_q, cross_term
-from .vanilla import vanilla_bound
 
 __all__ = [
     "FxLegMoments",
@@ -35,10 +35,8 @@ __all__ = [
     "AnnuityWeights",
     "CapletScan",
     "cross_root_variance",
-    "fx_cross_bound",
     "annuity_weights",
-    "caplet_bound",
-    "caplet_bound_result",
+    "caplet_bounds",
     "caplet_cdf_scan",
     "caplet_point_mass",
 ]
@@ -77,12 +75,6 @@ class FxLegMoments:
         return cross_root_variance(self.nu1, self.nu2, self.rho)
 
 
-def fx_cross_bound(legs: FxLegMoments, strike: float) -> float:
-    """Upper bound for a call on the cross rate: the vanilla bound at the
-    composed root-variance."""
-    return vanilla_bound(legs.forward, legs.cross_nu, strike)
-
-
 @dataclass(frozen=True)
 class SwapCurveSlice:
     """Curve data for the swap-rate decomposition, periods indexed 1..N.
@@ -107,9 +99,7 @@ class SwapCurveSlice:
 
     def __post_init__(self):
         for name in ("discounts", "daycounts", "forwards", "root_variances", "adjacent_correlations"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         n = self.discounts.size
         if n < 1:
             raise ParameterOutOfRange("need at least one period")
@@ -168,9 +158,7 @@ class AnnuityWeights:
     mean_daycount: float
 
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights", _frozen_array(self.weights))
 
     def forward_from_swaps(self, swap: float, previous_swap: float) -> float:
         """Invert the running average: r_n from s_n and s_{n-1}."""
@@ -209,13 +197,18 @@ def _shifted_inputs(slice_: SwapCurveSlice, n: int):
     return here.lam, f_n, f_prev, strike_shift
 
 
-def _caplet_bound_results(
+def caplet_bounds(
     slice_: SwapCurveSlice, n: int, strikes, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> BoundSweep:
-    """``caplet_bound_result`` for each strike of a grid, as one engine sweep.
+    """Upper bounds for the undiscounted forward-starting caplet E[(r_n - k)^+]
+    over a strike grid, as one engine sweep (bounds, eigenvalues, rank and
+    positive counts per strike).
 
     The three-asset moment matrix does not depend on the strike, so it is
-    assembled and factored once for the whole grid.
+    assembled and factored once for the whole grid.  Strikes may be negative:
+    after shifting each is just the (signed) quantity of the cash asset, and
+    scanning below the shifted floor is what exposes the eigenvalue-regime
+    switch.  Discounting and annuity scaling are the caller's business.
     """
     lam, f_n, f_prev, strike_shift = _shifted_inputs(slice_, n)
     rho = float(slice_.adjacent_correlations[n - 2])
@@ -224,35 +217,13 @@ def _caplet_bound_results(
         AssetMoments(f_prev, float(slice_.root_variances[n - 2])),
         AssetMoments(1.0, 0.0),
     ]
-    q = assemble_q(assets, {(0, 1): rho}, tol)
+    q = assemble_q(assets, {(0, 1): rho})
     shifted = np.asarray(strikes, dtype=float) + strike_shift
     quantities = np.empty((shifted.size, 3))
     quantities[:, 0] = lam + 1.0
     quantities[:, 1] = -lam
     quantities[:, 2] = -shifted
     return positive_eigenvalue_bounds(q, quantities, tol)
-
-
-def caplet_bound_result(
-    slice_: SwapCurveSlice, n: int, strike: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BoundResult:
-    """Full engine result for the caplet bound (eigenvalues, rank, positive count).
-
-    The strike may be negative: after shifting it is just the (signed)
-    quantity of the cash asset, and scanning below the shifted floor is what
-    exposes the eigenvalue-regime switch.
-    """
-    return _caplet_bound_results(slice_, n, [strike], tol).row(0)
-
-
-def caplet_bound(
-    slice_: SwapCurveSlice, n: int, strike: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Upper bound for the undiscounted forward-starting caplet E[(r_n - k)^+].
-
-    Discounting and annuity scaling are the caller's business.
-    """
-    return caplet_bound_result(slice_, n, strike, tol).bound
 
 
 @dataclass(frozen=True)
@@ -275,9 +246,7 @@ class CapletScan:
     def __post_init__(self):
         for name in ("strikes", "bounds", "cdf", "positive_counts"):
             # A copy: freezing the caller's own array would make it read-only.
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), None))
 
 
 def caplet_cdf_scan(
@@ -288,7 +257,7 @@ def caplet_cdf_scan(
 ) -> CapletScan:
     """Scan bounds, implied CDF and the eigenvalue regime over a strike grid."""
     ks = _checked_grid(strikes, positive=False, min_size=3)
-    sweep = _caplet_bound_results(slice_, n, ks, tol)
+    sweep = caplet_bounds(slice_, n, ks, tol)
     bounds = sweep.bounds
     cdf = np.empty_like(bounds)
     cdf[1:-1] = 1.0 + (bounds[2:] - bounds[:-2]) / (ks[2:] - ks[:-2])
@@ -314,7 +283,7 @@ def caplet_point_mass(
     O(step^2) instead of a spurious mass.
     """
     stencil = [strike, strike + step, strike + 2 * step, strike - step, strike - 2 * step]
-    b0, up1, up2, dn1, dn2 = _caplet_bound_results(slice_, n, stencil, tol).bounds.tolist()
+    b0, up1, up2, dn1, dn2 = caplet_bounds(slice_, n, stencil, tol).bounds.tolist()
     right = (-3.0 * b0 + 4.0 * up1 - up2) / (2.0 * step)
     left = (3.0 * b0 - 4.0 * dn1 + dn2) / (2.0 * step)
     return right - left

@@ -38,7 +38,6 @@ __all__ = [
     "bachelier_call_price",
     "implied_lognormal_vols",
     "implied_normal_vols",
-    "lognormal_partial_moment",
     "lognormal_partial_moments",
     "binomial_price",
 ]
@@ -396,11 +395,6 @@ def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
     # Upper tail: the complements are small and keep their digits, where
     # ndtr(hi) - ndtr(lo) would cancel two numbers close to one.
     return moments * np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
-
-
-def lognormal_partial_moment(model: LognormalModel, p: float, lower: float, upper: float) -> float:
-    """One-cell case of ``lognormal_partial_moments``: E[a^p 1{lower < a <= upper}]."""
-    return float(lognormal_partial_moments(model, p, [lower, upper])[0])
 
 
 @lru_cache(maxsize=None)

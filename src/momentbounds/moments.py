@@ -145,7 +145,6 @@ def cross_term(m1: AssetMoments, m2: AssetMoments, rho: float) -> float:
 def assemble_q(
     moments: Sequence[AssetMoments],
     correlations: CorrelationMatrix | Mapping[Tuple[int, int], float],
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> MomentMatrix:
     """Assemble the moment matrix Q_mn = sqrt(f_m f_n) q_mn.
 

@@ -48,7 +48,6 @@ __all__ = [
     "flat_conditional_moments",
     "linear_conditional_moments",
     "partition_moment_matrix",
-    "refined_bound",
     "refined_bounds",
     "LinearPartition",
 ]
@@ -86,9 +85,7 @@ class ConditionalMoments:
 
     def __post_init__(self):
         for name in ("digital", "price", "root_variance"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         n = self.digital.size
         if not (self.price.size == n and self.root_variance.size == n and n >= 1):
             raise ParameterOutOfRange("per-cell sequences must share one length >= 1")
@@ -97,10 +94,9 @@ class ConditionalMoments:
             if any(c is None for c in crosses):
                 raise ParameterOutOfRange("supply all three cross sequences or none")
             for name in ("cross_price", "cross_sqrt", "cross_digital"):
-                arr = np.array(getattr(self, name), dtype=float)
+                arr = _frozen_array(getattr(self, name))
                 if arr.size != n - 1:
                     raise ParameterOutOfRange("cross sequences must have length cells - 1")
-                arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
         sequences = (self.digital, self.price, self.root_variance, self.cross_price,
                      self.cross_sqrt, self.cross_digital)
@@ -437,7 +433,7 @@ def refined_bounds(
 
     The method follows the structure of the moments.  Disjoint (flat) cells
     split Q into one 2x2 vanilla block per cell, so the bound is exactly
-    sum_n d_n vanilla_bound(f_n, nu_n, k), with no rank cutoff to lower it.
+    sum_n d_n vanilla_bounds(f_n, nu_n, k), with no rank cutoff to lower it.
     Overlapping (hat) partitions have a banded Q and are solved as banded
     eigenproblems, one per strike after one factorization of Q.
     """
@@ -446,11 +442,3 @@ def refined_bounds(
         cells = vanilla_bounds(moments.price, moments.root_variance, ks[:, None])
         return np.sum(cells * moments.digital, axis=1)
     return _banded_bounds(moments, ks, tol)
-
-
-def refined_bound(
-    moments: ConditionalMoments, strike: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Partition-refined upper bound for E[(a - k)^+] from conditional moments."""
-    return float(refined_bounds(moments, [strike], tol)[0])
-

@@ -18,18 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, Tolerances, _checked_grid, positive_eigenvalue_bounds
+from .engine import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    _checked_grid,
+    _frozen_array,
+    positive_eigenvalue_bounds,
+)
 from .errors import MomentBoundsError, ParameterOutOfRange, ShapeViolation
 from .models import implied_lognormal_vols
 from .moments import AssetMoments, assemble_q
 
 __all__ = [
     "VanillaBoundCurve",
-    "vanilla_bound",
     "vanilla_bounds",
-    "vanilla_bound_via_engine",
+    "vanilla_bounds_via_engine",
     "implied_cdf",
-    "smile_curve",
     "smile_curves",
     "check_decreasing_convex",
 ]
@@ -39,15 +43,9 @@ __all__ = [
 SHAPE_TOL = 1e-10
 
 
-def vanilla_bound(f: float, nu: float, k: float) -> float:
-    """Upper bound for E[(a - k)^+] given price f and root-variance nu; the
-    one-element case of ``vanilla_bounds``."""
-    return float(vanilla_bounds(f, nu, k))
-
-
 def vanilla_bounds(f, nu, k) -> np.ndarray:
-    """``vanilla_bound`` elementwise over arrays of f, nu and k, broadcast
-    together.
+    """Upper bound for E[(a - k)^+] given price f and root-variance nu,
+    elementwise over arrays of f, nu and k, broadcast together.
 
     Evaluated in a cancellation-free form: the explicit root when f >= k,
     and the product-of-roots form 2 f k nu / (sqrt(D) + (k - f)) when f < k,
@@ -73,26 +71,20 @@ def vanilla_bounds(f, nu, k) -> np.ndarray:
     return np.where(f >= k, 0.5 * (d + root), otm)
 
 
-def vanilla_bound_via_engine(
-    f: float, nu: float, k: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Same bound through the general eigenvalue engine.
-
-    Assembles the 2x2 moment matrix for the asset paired with the constant
-    asset 1 and quantities (1, -k).  Agrees with the closed form to within
-    eigensolver roundoff; kept as an independent route for cross-checks.
-    """
-    return float(_vanilla_bounds_via_engine(f, nu, [k], tol)[0])
-
-
-def _vanilla_bounds_via_engine(
+def vanilla_bounds_via_engine(
     f: float, nu: float, strikes, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
-    """``vanilla_bound_via_engine`` over a strike grid, factoring the 2x2
-    moment matrix once."""
+    """``vanilla_bounds`` over a strike grid through the general eigenvalue
+    engine.
+
+    Assembles the 2x2 moment matrix for the asset paired with the constant
+    asset 1, factors it once, and solves quantities (1, -k) per strike.
+    Agrees with the closed form to within eigensolver roundoff; kept as an
+    independent route for cross-checks.
+    """
     assets = [AssetMoments(f, nu), AssetMoments(1.0, 0.0)]
     ks = _checked_grid(strikes, increasing=False)
-    q = assemble_q(assets, {(0, 1): 0.0}, tol)
+    q = assemble_q(assets, {(0, 1): 0.0})
     quantities = np.column_stack([np.ones(ks.size), -ks])
     return positive_eigenvalue_bounds(q, quantities, tol).bounds
 
@@ -164,9 +156,7 @@ class VanillaBoundCurve:
 
     def __post_init__(self):
         for name in ("strikes", "bounds", "implied_vols", "cdf"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         if not (self.strikes.shape == self.bounds.shape == self.implied_vols.shape == self.cdf.shape):
             raise ParameterOutOfRange("curve columns must share one strike grid")
         check_decreasing_convex(self.strikes, self.bounds)
@@ -194,8 +184,3 @@ def smile_curves(f: float, nus, strikes, expiry: float) -> list:
         VanillaBoundCurve(ks, b, implied_lognormal_vols(f, ks, expiry, b) if v is None else v, c)
         for b, v, c in zip(bounds, vols, cdf)
     ]
-
-
-def smile_curve(f: float, nu: float, strikes, expiry: float) -> VanillaBoundCurve:
-    """One-curve case of ``smile_curves``."""
-    return smile_curves(f, [nu], strikes, expiry)[0]

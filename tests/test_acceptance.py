@@ -17,25 +17,23 @@ from momentbounds.attainment import (
     general_moment,
     implied_root_variance_curve,
     local_attainment_scan,
-    optimal_angle,
 )
 from momentbounds.cli import load_config, run
-from momentbounds.engine import MomentMatrix, QuantityVector, factor_psd, positive_eigenvalue_bound
+from momentbounds.engine import MomentMatrix, factor_psd, positive_eigenvalue_bounds
 from momentbounds.markets import (
     SwapCurveSlice,
     caplet_cdf_scan,
     caplet_point_mass,
     cross_root_variance,
-    fx_cross_bound,
     FxLegMoments,
 )
 from momentbounds.models import LognormalModel, bs_call_price
 from momentbounds.partition import (
     flat_conditional_moments,
     linear_conditional_moments,
-    refined_bound,
+    refined_bounds,
 )
-from momentbounds.vanilla import check_decreasing_convex, vanilla_bound, vanilla_bound_via_engine
+from momentbounds.vanilla import check_decreasing_convex, vanilla_bounds, vanilla_bounds_via_engine
 
 MODEL = LognormalModel(1.0, 0.4, 1.0)
 EVAL_STRIKES = np.linspace(0.4, 2.6, 23)
@@ -54,10 +52,10 @@ def test_01_engine_matches_closed_form():
     worst = 0.0
     for f in (0.5, 1.0, 2.0):
         for nu in (0.0, 0.01, 0.25, 0.99, 1.0):
-            for k in np.geomspace(0.1 * f, 5.0 * f, 30):
-                closed = vanilla_bound(f, nu, float(k))
-                engine = vanilla_bound_via_engine(f, nu, float(k))
-                worst = max(worst, abs(engine - closed) / max(closed, 1e-12 * f))
+            ks = np.geomspace(0.1 * f, 5.0 * f, 30)
+            closed = vanilla_bounds(f, nu, ks)
+            engine = vanilla_bounds_via_engine(f, nu, ks)
+            worst = max(worst, float(np.max(np.abs(engine - closed) / np.maximum(closed, 1e-12 * f))))
     elapsed = time.perf_counter() - started
     report(
         1,
@@ -71,7 +69,7 @@ def test_02_atm_identity():
     worst = 0.0
     for f in (0.5, 1.0, 2.0):
         for nu in (0.0, 1e-6, 0.01, 0.25, 0.5, 0.99, 1.0):
-            worst = max(worst, abs(vanilla_bound(f, nu, f) - math.sqrt(f * f * nu)))
+            worst = max(worst, abs(vanilla_bounds(f, nu, [f])[0] - math.sqrt(f * f * nu)))
     report(2, "ATM bound equals sqrt(f k nu)", worst <= 1e-14, f"max abs diff {worst:.2e}")
 
 
@@ -93,14 +91,14 @@ def test_04_schur_horn_domination():
         a = rng.standard_normal((4, 4))
         q = MomentMatrix(a.T @ a + 1e-3 * np.eye(4))
         lam = rng.standard_normal(4)
-        result = positive_eigenvalue_bound(q, QuantityVector(lam))
+        bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
         s = factor_psd(q).matrix
         p = (s * lam[None, :]) @ s.T
         p = 0.5 * (p + p.T)
         z = np.linalg.qr(rng.standard_normal((2000, 4, 4)))[0]
         diag = np.einsum("bji,jk,bki->bi", z, p, z)
         values = np.sum(np.clip(diag, 0.0, None), axis=1)
-        violations += int(np.count_nonzero(values > result.bound + 1e-12))
+        violations += int(np.count_nonzero(values > bound + 1e-12))
         total_bases += values.size
     elapsed = time.perf_counter() - started
     report(
@@ -115,7 +113,7 @@ def test_05_refinement_sandwich_and_convergence():
     started = time.perf_counter()
     nu = MODEL.root_variance
     reference = np.array([bs_call_price(MODEL, float(k)) for k in EVAL_STRIKES])
-    vanilla = np.array([vanilla_bound(1.0, nu, float(k)) for k in EVAL_STRIKES])
+    vanilla = vanilla_bounds(1.0, nu, EVAL_STRIKES)
 
     flat6 = flat_conditional_moments(MODEL, np.linspace(0.5, 2.5, 5))
     flat30 = flat_conditional_moments(MODEL, np.linspace(0.1, 2.9, 29))
@@ -123,7 +121,7 @@ def test_05_refinement_sandwich_and_convergence():
     linear29 = linear_conditional_moments(MODEL, np.linspace(0.1, 2.9, 29))
 
     curves = {
-        name: np.array([refined_bound(m, float(k)) for k in EVAL_STRIKES])
+        name: refined_bounds(m, EVAL_STRIKES)
         for name, m in (
             ("flat6", flat6),
             ("flat30", flat30),
@@ -167,8 +165,8 @@ def test_07_local_attainment():
     for nu in (0.01, 0.04, 0.25):
         report_obj = local_attainment_scan(1.0, nu, strikes, attain_tol=1e-9)
         worst = max(worst, report_obj.max_gap)
-    chi = optimal_angle(1.0, 0.01, 0.8)
-    cross_miss = vanilla_bound(1.0, 0.01, 1.4) - binomial_call_price(
+    chi = local_attainment_scan(1.0, 0.01, [0.8]).angles[0]
+    cross_miss = vanilla_bounds(1.0, 0.01, [1.4])[0] - binomial_call_price(
         binomial_calibrate(1.0, 0.01, chi), 1.4
     )
     ok = worst <= 1e-9 and cross_miss > 1e-6
@@ -207,12 +205,10 @@ def test_09_fx_composition():
         worst = max(worst, abs(cross_root_variance(nu, nu, 1.0)))
         worst = max(worst, abs(cross_root_variance(0.0, nu, 0.37) - nu))
     monotone = True
-    for k in (0.6, 1.0, 1.8):
-        values = [
-            fx_cross_bound(FxLegMoments(0.04, 0.09, float(r), 1.0), k)
-            for r in np.linspace(-1.0, 1.0, 9)
-        ]
-        monotone &= bool(np.all(np.diff(values) <= 1e-12))
+    # The cross bound is the vanilla bound at the composed root-variance.
+    legs = [FxLegMoments(0.04, 0.09, float(r), 1.0) for r in np.linspace(-1.0, 1.0, 9)]
+    values = np.array([vanilla_bounds(leg.forward, leg.cross_nu, [0.6, 1.0, 1.8]) for leg in legs])
+    monotone &= bool(np.all(np.diff(values, axis=0) <= 1e-12))
     report(
         9,
         "FX cross root-variance composition",

@@ -9,12 +9,9 @@ from momentbounds import attainment
 from momentbounds.attainment import (
     binomial_calibrate,
     binomial_call_price,
-    carr_madan_sqrt_moment,
     general_moment,
-    implied_root_variance,
     implied_root_variance_curve,
     local_attainment_scan,
-    optimal_angle,
 )
 from momentbounds.errors import (
     AngleOutOfRange,
@@ -23,7 +20,7 @@ from momentbounds.errors import (
     QuadratureBudgetExceeded,
 )
 from momentbounds.models import _gl_rule
-from momentbounds.vanilla import vanilla_bound, vanilla_bound_via_engine
+from momentbounds.vanilla import vanilla_bounds, vanilla_bounds_via_engine
 
 
 class TestBinomialCalibrate:
@@ -78,32 +75,36 @@ class TestBinomialCalibrate:
             binomial_calibrate(1.0, 1.0, 1.0)
 
 
+def attaining_angle(f, nu, k):
+    """The guarded angle of the model attaining the bound at one strike."""
+    return local_attainment_scan(f, nu, [k]).angles[0]
+
+
 class TestOptimalAngle:
     def test_atm_angle_identity(self):
         # f = k: tan(2 chi) = -tan(theta), so 2 chi = pi - theta.
         nu = 0.01
         theta = math.acos(math.sqrt(nu))
-        chi = optimal_angle(1.0, nu, 1.0)
+        chi = attaining_angle(1.0, nu, 1.0)
         assert 2.0 * chi == pytest.approx(math.pi - theta, abs=1e-13)
 
     def test_far_strike_limit(self):
         nu = 0.01
-        chi = optimal_angle(1.0, nu, 1e6)
+        chi = attaining_angle(1.0, nu, 1e6)
         assert chi == pytest.approx(0.5 * math.pi, abs=1e-5)
         assert math.tan(2.0 * chi) < 0.0
 
     def test_attains_bound_at_example_strike(self):
         f, nu, k = 1.0, 0.01, 1.4
-        chi = optimal_angle(f, nu, k)
+        chi = attaining_angle(f, nu, k)
         price = binomial_call_price(binomial_calibrate(f, nu, chi), k)
-        assert price == pytest.approx(vanilla_bound(f, nu, k), rel=1e-10, abs=0.0)
+        assert price == pytest.approx(vanilla_bounds(f, nu, [k])[0], rel=1e-10, abs=0.0)
 
     def test_angle_within_branch(self):
         nu = 0.25
         theta = math.acos(math.sqrt(nu))
-        for k in (0.2, 0.9, 1.0, 1.7, 4.0):
-            chi = optimal_angle(1.0, nu, k)
-            assert 0.5 * math.pi - theta - 1e-12 <= chi < 0.5 * math.pi
+        angles = local_attainment_scan(1.0, nu, [0.2, 0.9, 1.0, 1.7, 4.0]).angles
+        assert np.all((0.5 * math.pi - theta - 1e-12 <= angles) & (angles < 0.5 * math.pi))
 
 
 def scalar_scanned_maximum(f, theta, strike):
@@ -162,14 +163,14 @@ class TestBranchGuard:
 
     def test_guard_still_rejects_a_beaten_angle(self, monkeypatch):
         f, nu, k = 1.0, 0.04, 1.3
-        chi = optimal_angle(f, nu, k)
+        chi = attaining_angle(f, nu, k)
         achieved = binomial_call_price(binomial_calibrate(f, nu, chi), k)
         monkeypatch.setattr(
             attainment, "_scanned_maxima", lambda *args: np.array([achieved + 2e-9 * max(1.0, f)])
         )
         with pytest.raises(BranchResolutionFailure):
-            optimal_angle(f, nu, k)
-        assert optimal_angle(f, nu, k, guard=False) == chi
+            attaining_angle(f, nu, k)
+        assert attainment._formula_angle(f, attainment._theta(nu), k) == chi
 
     def test_scan_guard_names_the_first_beaten_strike(self, monkeypatch):
         f, nu = 1.0, 0.04
@@ -181,7 +182,7 @@ class TestBranchGuard:
             best[[2, 5]] += 1e-6
             return best
 
-        first = optimal_angle(f, nu, float(strikes[2]), guard=False)
+        first = attainment._formula_angle(f, attainment._theta(nu), float(strikes[2]))
         monkeypatch.setattr(attainment, "_scanned_maxima", beaten)
         with pytest.raises(BranchResolutionFailure, match=re.escape(f"formula angle {first} ")):
             local_attainment_scan(f, nu, strikes)
@@ -204,9 +205,9 @@ class TestLocalAttainment:
 
     def test_no_single_model_attains_two_strikes(self):
         f, nu = 1.0, 0.01
-        chi_low = optimal_angle(f, nu, 0.8)
+        chi_low = attaining_angle(f, nu, 0.8)
         model = binomial_calibrate(f, nu, chi_low)
-        miss = vanilla_bound(f, nu, 1.4) - binomial_call_price(model, 1.4)
+        miss = vanilla_bounds(f, nu, [1.4])[0] - binomial_call_price(model, 1.4)
         assert miss > 1e-6
 
     def test_report_carries_global_section(self):
@@ -224,11 +225,13 @@ class TestLocalAttainment:
 
 class TestReplicationMoments:
     def test_boundary_values(self):
-        assert carr_madan_sqrt_moment(0.0) == 1.0
-        assert carr_madan_sqrt_moment(1.0) == pytest.approx(0.0, abs=1e-14)
+        at_zero, at_one = implied_root_variance_curve([0.0, 1.0]).sqrt_moment
+        assert at_zero == 1.0
+        assert at_one == pytest.approx(0.0, abs=1e-14)
 
     def test_against_scipy_quadrature(self):
-        for nu in (0.1, 0.5, 0.9):
+        nus = (0.1, 0.5, 0.9)
+        for nu, moment in zip(nus, implied_root_variance_curve(nus).sqrt_moment):
             raw = lambda x: (
                 (math.sqrt((1 - x * x) ** 2 + 4 * x * x * nu) - (1 - x * x)) / (x * x)
                 if x > 0
@@ -236,11 +239,11 @@ class TestReplicationMoments:
             )
             integral, err = quad(raw, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
             assert err < 1e-9
-            assert carr_madan_sqrt_moment(nu) == pytest.approx(1.0 - 0.5 * integral, abs=1e-9)
+            assert moment == pytest.approx(1.0 - 0.5 * integral, abs=1e-9)
 
     def test_implied_exceeds_constraint(self):
-        for nu in (0.05, 0.25, 0.5, 0.75, 0.95):
-            assert implied_root_variance(nu) > nu
+        nus = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+        assert np.all(implied_root_variance_curve(nus).implied_nu > nus)
 
     def test_curve_endpoints_and_interior(self):
         curve = implied_root_variance_curve(np.linspace(0.0, 1.0, 21))
@@ -250,7 +253,7 @@ class TestReplicationMoments:
 
     def test_budget_exceeded(self):
         with pytest.raises(QuadratureBudgetExceeded):
-            carr_madan_sqrt_moment(0.3, target_error=1e-30, node_budget=256)
+            implied_root_variance_curve([0.3], target_error=1e-30, node_budget=256)
         with pytest.raises(QuadratureBudgetExceeded, match="within 256 nodes"):
             implied_root_variance_curve([0.0, 0.3, 0.7], target_error=1e-30, node_budget=256)
 
@@ -294,7 +297,9 @@ class TestBatchedCurve:
         curve = implied_root_variance_curve(grid, target_error=target_error)
         expected = [scalar_sqrt_moment(nu, target_error) for nu in grid]
         assert curve.sqrt_moment.tolist() == expected
-        assert [carr_madan_sqrt_moment(nu, target_error=target_error) for nu in grid] == expected
+        # Each value equals a one-point curve's.
+        alone = [implied_root_variance_curve([nu], target_error=target_error) for nu in grid]
+        assert [curve.sqrt_moment[0] for curve in alone] == expected
 
     def test_random_grids_equal_per_nu_reference(self):
         rng = np.random.default_rng(29)
@@ -316,8 +321,6 @@ class TestBatchedCurve:
         for grid, bad in (([0.2, 1.5, -0.1], "1.5"), ([0.0, math.nan], "nan"), ([-0.1], "-0.1")):
             with pytest.raises(ParameterOutOfRange, match=f"got {bad}$"):
                 implied_root_variance_curve(grid)
-        with pytest.raises(ParameterOutOfRange):
-            carr_madan_sqrt_moment(1.5)
 
     def test_budget_before_a_later_bad_nu(self):
         # A loop over the grid would exhaust the budget on 0.3 before it
@@ -335,10 +338,9 @@ class TestBatchedCurve:
 
 class TestGeneralMoment:
     def test_half_matches_sqrt_moment(self):
-        for nu in (0.04, 0.25, 0.5, 0.9):
-            assert general_moment(nu, 0.5) == pytest.approx(
-                carr_madan_sqrt_moment(nu), abs=1e-9
-            )
+        nus = (0.04, 0.25, 0.5, 0.9)
+        for nu, moment in zip(nus, implied_root_variance_curve(nus).sqrt_moment):
+            assert general_moment(nu, 0.5) == pytest.approx(moment, abs=1e-9)
 
     def test_symmetry(self):
         for nu in (0.25, 0.5):
@@ -367,7 +369,7 @@ class TestGeneralMoment:
 class TestLocalScanBatching:
     def test_bounds_match_single_engine_calls_and_factor_once(self, factor_calls):
         strikes = np.linspace(0.3, 2.5, 12)
-        expected = [vanilla_bound_via_engine(1.0, 0.04, float(k)) for k in strikes]
+        expected = [vanilla_bounds_via_engine(1.0, 0.04, [k])[0] for k in strikes]
         factor_calls.clear()
         report = local_attainment_scan(1.0, 0.04, strikes)
         assert report.bounds.tolist() == expected

@@ -13,7 +13,7 @@ import momentbounds
 from momentbounds import cli
 from momentbounds.cli import EXPERIMENTS, load_config, main, run
 from momentbounds.errors import ConfigError, DegenerateCell, NegativeShiftedRate
-from momentbounds.vanilla import check_decreasing_convex, smile_curve
+from momentbounds.vanilla import check_decreasing_convex, smile_curves
 
 
 def write_config(path, payload):
@@ -227,7 +227,7 @@ class TestRun:
         strikes = np.linspace(0.5, 2.0, 16)
         lines = ["nu,strike,bound,implied_vol,cdf"]
         for nu in payload["parameters"]["root_variances"]:
-            curve = smile_curve(1.0, nu, strikes, 0.75)
+            (curve,) = smile_curves(1.0, [nu], strikes, 0.75)
             for row in zip(curve.strikes, curve.bounds, curve.implied_vols, curve.cdf):
                 lines.append(",".join(f"{v:.11e}" for v in (nu, *row)))
         assert (tmp_path / "out" / "smile.csv").read_text() == "\n".join(lines) + "\n"
@@ -427,6 +427,15 @@ class TestExitCodes:
                 ),
                 "got 1.2",
             ),
+            # Ranges only the run used to check.
+            (with_parameters(smile_config(), strikes=[1.0]), "at least 2"),
+            (refine_config("FlatRefine", partitions=[[1.0]], eval_strikes=[1.0]), "at least 2"),
+            (caplet_config(strikes=[0.01, 0.02]), "at least 3"),
+            (refine_config("FlatRefine", partitions=[[1.0]], sigma=0.0), "sigma must be positive"),
+            (
+                refine_config("LinearRefine", strike_sets=[[0.8, 1.2]], sigma=0.0),
+                "sigma must be positive",
+            ),
         ],
         ids=[
             "unknown-key",
@@ -447,6 +456,11 @@ class TestExitCodes:
             "caplet-period-index-one",
             "local-attain-nu-one",
             "global-attain-grid-above-one",
+            "one-strike-smile",
+            "one-eval-strike-refine",
+            "two-strike-caplet",
+            "zero-sigma-flat-refine",
+            "zero-sigma-linear-refine",
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, payload, message):

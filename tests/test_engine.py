@@ -5,13 +5,10 @@ import pytest
 
 from momentbounds import engine
 from momentbounds.engine import (
-    BoundResult,
     BoundSweep,
     MomentMatrix,
-    QuantityVector,
     Tolerances,
     factor_psd,
-    positive_eigenvalue_bound,
     positive_eigenvalue_bounds,
     symmetric_eigenvalues,
 )
@@ -38,7 +35,7 @@ def exact_rank_two(rng, n):
 def bound_through(factor, quantities, tol=Tolerances()):
     """Positive eigenvalue sum of S L S^T for a given factor S (Q = S^T S)."""
     p = (factor * quantities[None, :]) @ factor.T
-    eigs = symmetric_eigenvalues(0.5 * (p + p.T), tol)
+    eigs = symmetric_eigenvalues(0.5 * (p + p.T))
     return float(np.sum(eigs[eigs > tol.eig * np.max(np.abs(eigs))]))
 
 
@@ -64,16 +61,6 @@ class TestMomentMatrix:
         q = MomentMatrix(np.eye(2))
         with pytest.raises(ValueError):
             q.entries[0, 0] = 2.0
-
-
-class TestQuantityVector:
-    def test_mixed_sign_flag(self):
-        assert QuantityVector([1.0, -2.0]).is_mixed_sign
-        assert not QuantityVector([1.0, 2.0]).is_mixed_sign
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ParameterOutOfRange):
-            QuantityVector([1.0, math.inf])
 
 
 class TestFactorPsd:
@@ -124,7 +111,7 @@ class TestFactorPsd:
         r = 1.0 - 1e-12
         q = MomentMatrix([[1.0, r], [r, 1.0]])
         assert factor_psd(q).rank == 2
-        bound = positive_eigenvalue_bound(q, QuantityVector([1.0, -1.0])).bound
+        bound = positive_eigenvalue_bounds(q, [[1.0, -1.0]]).bounds[0]
         assert bound == pytest.approx(math.sqrt((1.0 - r) * (1.0 + r)), rel=1e-3, abs=0.0)
 
     def test_indefinite_raises(self):
@@ -176,7 +163,7 @@ class TestFactorPsd:
             for k in (0.005, 0.01, 0.015, 0.02):
                 lam = np.array([10.0, -9.0, -k])
                 want = bound_through(cholesky, lam)
-                got = positive_eigenvalue_bound(q, QuantityVector(lam)).bound
+                got = positive_eigenvalue_bounds(q, [lam]).bounds[0]
                 worst = max(worst, abs(got - want) / want)
         assert worst <= 5e-12
 
@@ -224,38 +211,40 @@ class TestSymmetricEigenvalues:
 
 
 class TestPositiveEigenvalueBound:
+    """One portfolio at a time: one-row sweeps."""
+
     def test_identity_case(self):
-        result = positive_eigenvalue_bound(MomentMatrix(np.eye(2)), QuantityVector([1.0, -1.0]))
-        assert result.bound == pytest.approx(1.0, abs=1e-15)
-        assert result.positive_count == 1
-        assert np.allclose(result.eigenvalues, [1.0, -1.0])
+        result = positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), [[1.0, -1.0]])
+        assert result.bounds[0] == pytest.approx(1.0, abs=1e-15)
+        assert result.positive_counts.tolist() == [1]
+        assert np.allclose(result.eigenvalues[0], [1.0, -1.0])
 
     def test_atm_case(self):
         f = k = 1.0
         nu = 0.04
         s = math.sqrt(f * (1.0 - nu))
         q = MomentMatrix([[f, s], [s, 1.0]])
-        result = positive_eigenvalue_bound(q, QuantityVector([1.0, -k]))
-        assert result.bound == pytest.approx(math.sqrt(f * k * nu), rel=1e-14, abs=0.0)
+        bound = positive_eigenvalue_bounds(q, [[1.0, -k]]).bounds[0]
+        assert bound == pytest.approx(math.sqrt(f * k * nu), rel=1e-14, abs=0.0)
 
     def test_single_asset(self):
         q = MomentMatrix([[2.0]])
-        assert positive_eigenvalue_bound(q, QuantityVector([3.0])).bound == pytest.approx(6.0)
-        assert positive_eigenvalue_bound(q, QuantityVector([-3.0])).bound == 0.0
+        assert positive_eigenvalue_bounds(q, [[3.0]]).bounds[0] == pytest.approx(6.0)
+        assert positive_eigenvalue_bounds(q, [[-3.0]]).bounds[0] == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            positive_eigenvalue_bound(MomentMatrix(np.eye(2)), QuantityVector([1.0]))
+            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), [[1.0]])
 
     def test_result_reports_diagnostics(self):
         rng = np.random.default_rng(3)
         q = random_psd(rng, 4)
-        result = positive_eigenvalue_bound(q, QuantityVector(rng.standard_normal(4)))
-        assert isinstance(result, BoundResult)
+        result = positive_eigenvalue_bounds(q, [rng.standard_normal(4)])
+        assert isinstance(result, BoundSweep)
         assert result.rank_q == 4
         assert result.clipped_negative_mass == 0.0
-        assert result.eigenvalues.size == 4
-        assert result.bound >= 0.0
+        assert result.eigenvalues.shape == (1, 4)
+        assert result.bounds[0] >= 0.0
 
 
 class TestTolerances:
@@ -277,11 +266,11 @@ class TestTolerances:
 
     def test_edge_values_keep_the_bound(self):
         # Before the check, eig = -2, 1 or 2 turned this 0.866 bound into 0.
-        q, quantities = MomentMatrix([[1.0, 0.5], [0.5, 1.0]]), QuantityVector([1.0, -1.0])
-        default = positive_eigenvalue_bound(q, quantities).bound
+        q, quantities = MomentMatrix([[1.0, 0.5], [0.5, 1.0]]), [[1.0, -1.0]]
+        default = positive_eigenvalue_bounds(q, quantities).bounds[0]
         assert default == pytest.approx(math.sqrt(0.75), rel=1e-15, abs=0.0)
         for tol in (Tolerances(psd=0.0, eig=0.0), Tolerances(psd=math.inf)):
-            assert positive_eigenvalue_bound(q, quantities, tol).bound == default
+            assert positive_eigenvalue_bounds(q, quantities, tol).bounds[0] == default
 
 
 class TestEngineProperties:
@@ -289,10 +278,10 @@ class TestEngineProperties:
         rng = np.random.default_rng(17)
         for _ in range(20):
             q = random_psd(rng, 4)
-            lam = QuantityVector(rng.standard_normal(4))
-            base = positive_eigenvalue_bound(q, lam).bound
+            lam = [rng.standard_normal(4)]
+            base = positive_eigenvalue_bounds(q, lam).bounds[0]
             for c in (0.25, 3.0, 117.0):
-                scaled = positive_eigenvalue_bound(MomentMatrix(c * q.entries), lam).bound
+                scaled = positive_eigenvalue_bounds(MomentMatrix(c * q.entries), lam).bounds[0]
                 assert scaled == pytest.approx(c * base, rel=1e-12, abs=0.0)
 
     def test_factorization_independence(self):
@@ -302,7 +291,7 @@ class TestEngineProperties:
         for _ in range(25):
             q = random_psd(rng, 5)
             lam = rng.standard_normal(5)
-            via_engine = positive_eigenvalue_bound(q, QuantityVector(lam)).bound
+            via_engine = positive_eigenvalue_bounds(q, [lam]).bounds[0]
             via_cholesky = bound_through(np.linalg.cholesky(q.entries).T, lam)
             scale = max(1.0, abs(via_cholesky))
             assert abs(via_engine - via_cholesky) <= 1e-10 * scale
@@ -313,27 +302,27 @@ class TestEngineProperties:
         rng = np.random.default_rng(29)
         q = random_psd(rng, 4)
         lam = rng.standard_normal(4)
-        result = positive_eigenvalue_bound(q, QuantityVector(lam))
+        bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
         fac = factor_psd(q)
         p = (fac.matrix * lam[None, :]) @ fac.matrix.T
         p = 0.5 * (p + p.T)
         z = np.linalg.qr(rng.standard_normal((2000, 4, 4)))[0]
         diag = np.einsum("bji,jk,bki->bi", z, p, z)
         values = np.sum(np.clip(diag, 0.0, None), axis=1)
-        assert np.all(values <= result.bound + 1e-12)
+        assert np.all(values <= bound + 1e-12)
         _, vectors = np.linalg.eigh(p)
         attained = float(np.sum(np.clip(np.diag(vectors.T @ p @ vectors), 0.0, None)))
-        assert attained == pytest.approx(result.bound, abs=1e-12)
+        assert attained == pytest.approx(bound, abs=1e-12)
 
     def test_monotone_in_quantities(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             q = random_psd(rng, 4)
             lam = rng.standard_normal(4)
-            base = positive_eigenvalue_bound(q, QuantityVector(lam)).bound
+            base = positive_eigenvalue_bounds(q, [lam]).bounds[0]
             bumped = lam.copy()
             bumped[rng.integers(0, 4)] += abs(rng.standard_normal())
-            higher = positive_eigenvalue_bound(q, QuantityVector(bumped)).bound
+            higher = positive_eigenvalue_bounds(q, [bumped]).bounds[0]
             assert higher >= base - 1e-12
 
     def test_dominates_exercise_extremes(self):
@@ -341,9 +330,9 @@ class TestEngineProperties:
         for _ in range(20):
             q = random_psd(rng, 5)
             lam = rng.standard_normal(5)
-            result = positive_eigenvalue_bound(q, QuantityVector(lam))
+            bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
             full_exercise = float(np.dot(lam, np.diag(q.entries)))
-            assert result.bound >= max(0.0, full_exercise) - 1e-12
+            assert bound >= max(0.0, full_exercise) - 1e-12
 
     def test_not_monotone_in_root_variance_under_correlation(self):
         # The exchange option (a1 - a2)^+ with equal prices and square-root
@@ -353,18 +342,10 @@ class TestEngineProperties:
         # others (test_properties).
         def exchange_bound(nu1):
             q = assemble_q([AssetMoments(1.0, nu1), AssetMoments(1.0, 0.25)], {(0, 1): 1.0})
-            return positive_eigenvalue_bound(q, QuantityVector([1.0, -1.0])).bound
+            return positive_eigenvalue_bounds(q, [[1.0, -1.0]]).bounds[0]
 
         assert exchange_bound(0.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)
         assert exchange_bound(0.25) == 0.0
-
-
-def assert_same_result(got: BoundResult, want: BoundResult):
-    assert got.bound == want.bound
-    assert np.array_equal(got.eigenvalues, want.eigenvalues)
-    assert got.rank_q == want.rank_q
-    assert got.clipped_negative_mass == want.clipped_negative_mass
-    assert got.positive_count == want.positive_count
 
 
 def assert_same_sweep(got: BoundSweep, want: BoundSweep):
@@ -388,7 +369,14 @@ class TestPositiveEigenvalueBounds:
         assert sweep.bounds.shape == sweep.positive_counts.shape == (len(rows),)
         assert sweep.eigenvalues.shape == (len(rows), fac.rank)
         for i, row in enumerate(rows):
-            assert_same_result(sweep.row(i), positive_eigenvalue_bound(q, QuantityVector(row)))
+            # Row i of the sweep is the one-row sweep of that row.
+            alone = positive_eigenvalue_bounds(q, [row])
+            assert sweep.bounds[i] == alone.bounds[0]
+            assert np.array_equal(sweep.eigenvalues[i], alone.eigenvalues[0])
+            assert sweep.positive_counts[i] == alone.positive_counts[0]
+            assert (sweep.rank_q, sweep.clipped_negative_mass) == (
+                alone.rank_q, alone.clipped_negative_mass
+            )
             # The unbatched computation, one 2-D eigensolve per row.
             p = (fac.matrix * row[None, :]) @ fac.matrix.T
             eigs = symmetric_eigenvalues(0.5 * (p + p.T))

@@ -8,14 +8,12 @@ from momentbounds.markets import (
     FxLegMoments,
     SwapCurveSlice,
     annuity_weights,
-    caplet_bound,
-    caplet_bound_result,
+    caplet_bounds,
     caplet_cdf_scan,
     caplet_point_mass,
     cross_root_variance,
-    fx_cross_bound,
 )
-from momentbounds.vanilla import check_decreasing_convex, vanilla_bound
+from momentbounds.vanilla import check_decreasing_convex, vanilla_bounds
 
 LOGNORMAL_NU = 1.0 - math.exp(-0.04)
 
@@ -64,19 +62,12 @@ class TestCrossRootVariance:
 
 
 class TestFxCrossBound:
-    def test_equals_vanilla_at_composed_variance(self):
-        legs = FxLegMoments(0.04, 0.09, 0.5, 1.2)
-        assert fx_cross_bound(legs, 1.0) == pytest.approx(
-            vanilla_bound(1.2, legs.cross_nu, 1.0), rel=1e-15, abs=0.0
-        )
-
     def test_bound_decreasing_in_rho(self):
-        for k in (0.6, 1.0, 1.8):
-            values = [
-                fx_cross_bound(FxLegMoments(0.04, 0.04, float(r), 1.0), k)
-                for r in np.linspace(-1.0, 1.0, 17)
-            ]
-            assert np.all(np.diff(values) <= 1e-12)
+        # The cross bound is the vanilla bound at the composed root-variance.
+        ks = [0.6, 1.0, 1.8]
+        legs = [FxLegMoments(0.04, 0.04, float(r), 1.0) for r in np.linspace(-1.0, 1.0, 17)]
+        values = np.array([vanilla_bounds(leg.forward, leg.cross_nu, ks) for leg in legs])
+        assert np.all(np.diff(values, axis=0) <= 1e-12)
 
     def test_validation(self):
         with pytest.raises(ParameterOutOfRange):
@@ -148,20 +139,19 @@ class TestCapletBound:
         # rate with net quantity one, so the 3x3 problem reduces to the
         # 2x2 vanilla problem.
         slice_ = figure_slice(rho=1.0, alpha=0.0)
-        for k in (0.005, 0.02, 0.04):
-            bound = caplet_bound(slice_, 10, k)
-            assert bound == pytest.approx(vanilla_bound(0.02, LOGNORMAL_NU, k), abs=1e-10)
+        ks = [0.005, 0.02, 0.04]
+        bounds = caplet_bounds(slice_, 10, ks).bounds
+        assert bounds == pytest.approx(vanilla_bounds(0.02, LOGNORMAL_NU, ks), abs=1e-10)
 
     def test_decreasing_convex_in_strike(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         ks = np.linspace(0.001, 0.06, 40)
-        bounds = np.array([caplet_bound(slice_, 10, float(k)) for k in ks])
-        check_decreasing_convex(ks, bounds)
+        check_decreasing_convex(ks, caplet_bounds(slice_, 10, ks).bounds)
 
     def test_bound_increases_as_rho_decreases(self):
         for k in (0.01, 0.02, 0.04):
             values = [
-                caplet_bound(figure_slice(rho=float(r), alpha=0.0), 10, k)
+                caplet_bounds(figure_slice(rho=float(r), alpha=0.0), 10, [k]).bounds[0]
                 for r in (0.975, 0.98, 0.985, 0.99, 0.995, 1.0)
             ]
             assert np.all(np.diff(values) <= 1e-12)
@@ -171,22 +161,22 @@ class TestCapletBound:
         # the intrinsic forward value, shifted or not.
         for alpha in (0.0, 0.5, 1.0):
             slice_ = figure_slice(rho=0.995, alpha=alpha, nu=0.0)
-            assert caplet_bound(slice_, 10, 0.01) == pytest.approx(0.01, abs=1e-12)
-            assert caplet_bound(slice_, 10, 0.05) == pytest.approx(0.0, abs=1e-12)
+            bounds = caplet_bounds(slice_, 10, [0.01, 0.05]).bounds
+            assert bounds == pytest.approx([0.01, 0.0], abs=1e-12)
 
     def test_negative_shifted_rate_raises(self):
         slice_ = SwapCurveSlice.with_flat_discounting(
             0.01, 5, 1.0, -0.005, LOGNORMAL_NU, 0.995, 0.0
         )
         with pytest.raises(NegativeShiftedRate):
-            caplet_bound(slice_, 5, 0.01)
+            caplet_bounds(slice_, 5, [0.01])
 
     def test_period_index_validated(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         with pytest.raises(ParameterOutOfRange):
-            caplet_bound(slice_, 1, 0.01)
+            caplet_bounds(slice_, 1, [0.01])
         with pytest.raises(ParameterOutOfRange):
-            caplet_bound(slice_, 11, 0.01)
+            caplet_bounds(slice_, 11, [0.01])
 
 
 class TestCapletScan:
@@ -243,9 +233,8 @@ class TestEigenvalueRegime:
         # the quantities, so two positives below the shifted floor and one
         # above.
         slice_ = figure_slice(rho=0.995, alpha=0.5)
-        assert caplet_bound_result(slice_, 10, -0.51).positive_count == 2
-        assert caplet_bound_result(slice_, 10, -0.49).positive_count == 1
-        assert caplet_bound_result(slice_, 10, 0.02).positive_count == 1
+        sweep = caplet_bounds(slice_, 10, [-0.51, -0.49, 0.02])
+        assert sweep.positive_counts.tolist() == [2, 1, 1]
 
 
 class TestBatchedCaplets:
@@ -254,9 +243,9 @@ class TestBatchedCaplets:
         strikes = np.linspace(-0.03, 0.06, 19)
         scan = caplet_cdf_scan(slice_, 3, strikes)
         for i, k in enumerate(strikes):
-            single = caplet_bound_result(slice_, 3, float(k))
-            assert scan.bounds[i] == single.bound
-            assert scan.positive_counts[i] == single.positive_count
+            single = caplet_bounds(slice_, 3, [k])
+            assert scan.bounds[i] == single.bounds[0]
+            assert scan.positive_counts[i] == single.positive_counts[0]
 
     def test_cdf_scan_factors_once(self, factor_calls):
         caplet_cdf_scan(figure_slice(0.8, 0.5), 3, np.linspace(-0.03, 0.06, 91))
@@ -266,7 +255,7 @@ class TestBatchedCaplets:
         slice_ = figure_slice(0.8, 0.5)
         step = 1e-6
         b0, up1, up2, dn1, dn2 = (
-            caplet_bound(slice_, 3, k) for k in (0.0, step, 2 * step, -step, -2 * step)
+            caplet_bounds(slice_, 3, [k]).bounds[0] for k in (0.0, step, 2 * step, -step, -2 * step)
         )
         expected = (-3.0 * b0 + 4.0 * up1 - up2) / (2.0 * step) - (
             3.0 * b0 - 4.0 * dn1 + dn2

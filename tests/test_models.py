@@ -20,7 +20,7 @@ from momentbounds.models import (
     bs_call_price,
     implied_lognormal_vols,
     implied_normal_vols,
-    lognormal_partial_moment,
+    lognormal_partial_moments,
     norm_cdf,
 )
 from momentbounds.partition import _quadrature_partial_moment
@@ -158,25 +158,25 @@ class TestPartialMoments:
     def test_upper_tail_cell_keeps_relative_digits(self, p):
         # Both CDF values sit within 1e-9 of one; their difference cancels.
         model = LognormalModel(1.0, 0.13243771936956214, 1.0)
-        closed = lognormal_partial_moment(model, p, 2.3, 2.31)
+        closed = lognormal_partial_moments(model, p, [2.3, 2.31])[0]
         numeric = _quadrature_partial_moment(model, p, 2.3, 2.31)
         assert abs(closed - numeric) <= 1e-12 * numeric
 
     def test_normalisation(self):
         model = LognormalModel(1.0, 0.4, 1.0)
-        assert lognormal_partial_moment(model, 0.0, 0.0, math.inf) == pytest.approx(
+        assert lognormal_partial_moments(model, 0.0, [0.0, math.inf])[0] == pytest.approx(
             1.0, rel=1e-14, abs=0.0
         )
 
     def test_martingale_mean(self):
         model = LognormalModel(1.7, 0.3, 0.5)
-        assert lognormal_partial_moment(model, 1.0, 0.0, math.inf) == pytest.approx(
+        assert lognormal_partial_moments(model, 1.0, [0.0, math.inf])[0] == pytest.approx(
             1.7, rel=1e-14, abs=0.0
         )
 
     def test_half_moment_full_line(self):
         model = LognormalModel(1.0, 0.4, 1.0)
-        value = lognormal_partial_moment(model, 0.5, 0.0, math.inf)
+        value = lognormal_partial_moments(model, 0.5, [0.0, math.inf])[0]
         assert value == pytest.approx(math.exp(-0.02), rel=1e-14, abs=0.0)
 
     def test_half_moment_against_quadrature(self):
@@ -190,39 +190,34 @@ class TestPartialMoments:
 
         expected, err = quad(integrand, 1e-12, 60.0, limit=200)
         assert err < 1e-8
-        assert lognormal_partial_moment(model, 0.5, 0.0, math.inf) == pytest.approx(
+        assert lognormal_partial_moments(model, 0.5, [0.0, math.inf])[0] == pytest.approx(
             expected, abs=1e-8
         )
 
     def test_additive_over_adjacent_intervals(self):
         model = LognormalModel(1.0, 0.4, 1.0)
         for p in (0.0, 0.5, 1.0):
-            whole = lognormal_partial_moment(model, p, 0.3, 2.7)
-            split = lognormal_partial_moment(model, p, 0.3, 1.1) + lognormal_partial_moment(
-                model, p, 1.1, 2.7
-            )
+            whole = lognormal_partial_moments(model, p, [0.3, 2.7])[0]
+            left, right = lognormal_partial_moments(model, p, [0.3, 1.1, 2.7])
+            split = left + right
             assert split == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_partition_sums_to_full_moment(self):
         model = LognormalModel(1.0, 0.4, 1.0)
         edges = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, math.inf]
         for p in (0.0, 0.5, 1.0):
-            total = sum(
-                lognormal_partial_moment(model, p, lo, hi)
-                for lo, hi in zip(edges[:-1], edges[1:])
-            )
+            total = sum(lognormal_partial_moments(model, p, edges).tolist())
             assert total == pytest.approx(model.moment(p), rel=1e-12, abs=0.0)
 
     def test_zero_vol_point_mass(self):
         model = LognormalModel(1.5, 0.0, 1.0)
-        assert lognormal_partial_moment(model, 1.0, 0.0, 2.0) == 1.5
-        assert lognormal_partial_moment(model, 1.0, 2.0, 3.0) == 0.0
-        assert lognormal_partial_moment(model, 0.5, 1.0, 1.5) == pytest.approx(math.sqrt(1.5))
+        assert lognormal_partial_moments(model, 1.0, [0.0, 2.0, 3.0]).tolist() == [1.5, 0.0]
+        assert lognormal_partial_moments(model, 0.5, [1.0, 1.5])[0] == pytest.approx(math.sqrt(1.5))
 
     def test_invalid_interval(self):
         model = LognormalModel(1.0, 0.4, 1.0)
         with pytest.raises(ParameterOutOfRange):
-            lognormal_partial_moment(model, 1.0, 2.0, 1.0)
+            lognormal_partial_moments(model, 1.0, [2.0, 1.0])
 
 
 class TestBinomialModel:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from momentbounds.engine import QuantityVector, factor_psd, positive_eigenvalue_bound
+from momentbounds.engine import factor_psd, positive_eigenvalue_bounds
 from momentbounds.errors import (
     DimensionMismatch,
     MomentInconsistency,
@@ -118,7 +118,7 @@ class TestAssembleQ:
         q = assemble_q(moments, {})
         for lam in ([1.0, 1.0, -1.2], [1.0, -1.0, 0.1], [-1.0, -0.1, 0.5]):
             value = float(np.dot(lam, [1.0, 2.0, 3.0]))
-            bound = positive_eigenvalue_bound(q, QuantityVector(lam)).bound
+            bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
             assert bound == pytest.approx(max(0.0, value), abs=1e-12)
 
     def test_sparse_missing_pair_raises(self):

@@ -17,7 +17,6 @@ from momentbounds.models import (
     LognormalModel,
     _gl_rule,
     bs_call_price,
-    lognormal_partial_moment,
     lognormal_partial_moments,
     norm_cdf,
 )
@@ -29,10 +28,9 @@ from momentbounds.partition import (
     flat_conditional_moments,
     linear_conditional_moments,
     partition_moment_matrix,
-    refined_bound,
     refined_bounds,
 )
-from momentbounds.vanilla import vanilla_bound
+from momentbounds.vanilla import vanilla_bounds
 
 MODEL = LognormalModel(1.0, 0.4, 1.0)
 FIG_BOUNDARIES_6 = np.linspace(0.5, 2.5, 5)
@@ -94,13 +92,13 @@ class TestFlatRefinedBound:
         moments = flat_conditional_moments(MODEL, [])
         nu = MODEL.root_variance
         for k in (0.4, 0.8, 1.0, 1.7, 2.6):
-            refined = refined_bound(moments, k)
-            assert refined == pytest.approx(vanilla_bound(1.0, nu, k), rel=1e-12, abs=0.0)
+            refined = refined_bounds(moments, [k])[0]
+            assert refined == pytest.approx(vanilla_bounds(1.0, nu, [k])[0], rel=1e-12, abs=0.0)
 
     def test_six_cell_sandwich_at_atm(self):
         moments = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)
-        v6 = refined_bound(moments, 1.0)
-        vanilla = vanilla_bound(1.0, MODEL.root_variance, 1.0)
+        v6 = refined_bounds(moments, [1.0])[0]
+        vanilla = vanilla_bounds(1.0, MODEL.root_variance, [1.0])[0]
         black = bs_call_price(MODEL, 1.0)
         assert black <= v6 <= vanilla
         assert vanilla - v6 > 1e-3  # the refinement genuinely bites
@@ -110,9 +108,9 @@ class TestFlatRefinedBound:
         m30 = flat_conditional_moments(MODEL, FIG_BOUNDARIES_30)
         nu = MODEL.root_variance
         for k in (0.5, 1.0, 1.6, 2.4):
-            b1 = vanilla_bound(1.0, nu, k)
-            b6 = refined_bound(m6, k)
-            b30 = refined_bound(m30, k)
+            b1 = vanilla_bounds(1.0, nu, [k])[0]
+            b6 = refined_bounds(m6, [k])[0]
+            b30 = refined_bounds(m30, [k])[0]
             assert b1 >= b6 - 1e-10
             assert b6 >= b30 - 1e-10
             assert b30 >= bs_call_price(MODEL, k) - 1e-10
@@ -133,7 +131,7 @@ def max_relative_gap(values, reference):
 
 class TestFlatClosedForm:
     """Disjoint cells make Q a direct sum of 2x2 vanilla blocks, so the flat
-    refined bound is exactly sum_n d_n * vanilla_bound(f_n, nu_n, k), which
+    refined bound is exactly sum_n d_n * vanilla_bounds(f_n, nu_n, k), which
     ``refined_bounds`` evaluates without the engine."""
 
     @pytest.mark.parametrize("cells", [16, 64, 256, 1024])
@@ -148,7 +146,7 @@ class TestFlatClosedForm:
         closed = refined_bounds(moments, strikes)
         per_cell = [
             sum(
-                d * vanilla_bound(f, nu, k)
+                d * vanilla_bounds(f, nu, [k])[0]
                 for d, f, nu in zip(moments.digital, moments.price, moments.root_variance)
             )
             for k in strikes
@@ -246,7 +244,7 @@ class TestQuadratureAgainstClosedForm:
         for lo, hi in zip(edges[:-1], edges[1:]):
             for p in (0.0, 0.5, 1.0):
                 numeric = _quadrature_partial_moment(MODEL, p, lo, hi)
-                closed = lognormal_partial_moment(MODEL, p, lo, hi)
+                closed = lognormal_partial_moments(MODEL, p, [lo, hi])[0]
                 assert abs(numeric - closed) <= 1e-9
 
 
@@ -284,8 +282,8 @@ class TestLinearConditionalMoments:
 
 class TestLinearRefinedBound:
     def test_far_tail_strikes_approach_vanilla(self):
-        bound = refined_bound(linear_conditional_moments(MODEL, [0.02, 18.0]), 1.0)
-        vanilla = vanilla_bound(1.0, MODEL.root_variance, 1.0)
+        bound = refined_bounds(linear_conditional_moments(MODEL, [0.02, 18.0]), [1.0])[0]
+        vanilla = vanilla_bounds(1.0, MODEL.root_variance, [1.0])[0]
         assert bound <= vanilla + 1e-12
         assert bound == pytest.approx(vanilla, abs=5e-3)
 
@@ -293,27 +291,27 @@ class TestLinearRefinedBound:
         lm = linear_conditional_moments(MODEL, FIG_BOUNDARIES_6)
         fm = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)
         nu = MODEL.root_variance
-        atm = refined_bound(lm, 1.0)
-        assert bs_call_price(MODEL, 1.0) <= atm <= vanilla_bound(1.0, nu, 1.0)
-        linear_curve = np.array([refined_bound(lm, float(k)) for k in EVAL_STRIKES])
-        flat_curve = np.array([refined_bound(fm, float(k)) for k in EVAL_STRIKES])
+        atm = refined_bounds(lm, [1.0])[0]
+        assert bs_call_price(MODEL, 1.0) <= atm <= vanilla_bounds(1.0, nu, [1.0])[0]
+        linear_curve = refined_bounds(lm, EVAL_STRIKES)
+        flat_curve = refined_bounds(fm, EVAL_STRIKES)
         # Continuous basis functions produce a visibly smoother bound than
         # the kinked digital partition on the same strike grid.
         assert np.max(np.abs(np.diff(linear_curve, 2))) < np.max(np.abs(np.diff(flat_curve, 2)))
 
     def test_dominates_reference_prices(self):
         lm29 = linear_conditional_moments(MODEL, FIG_BOUNDARIES_30)
-        for k in EVAL_STRIKES:
-            assert refined_bound(lm29, float(k)) >= bs_call_price(MODEL, float(k)) - 1e-10
+        for k, bound in zip(EVAL_STRIKES, refined_bounds(lm29, EVAL_STRIKES)):
+            assert bound >= bs_call_price(MODEL, float(k)) - 1e-10
 
     def test_monotone_against_vanilla_and_finer_grid(self):
         lm5 = linear_conditional_moments(MODEL, FIG_BOUNDARIES_6)
         lm29 = linear_conditional_moments(MODEL, FIG_BOUNDARIES_30)
         nu = MODEL.root_variance
         for k in (0.6, 1.0, 1.9, 2.5):
-            b0 = vanilla_bound(1.0, nu, k)
-            b5 = refined_bound(lm5, k)
-            b29 = refined_bound(lm29, k)
+            b0 = vanilla_bounds(1.0, nu, [k])[0]
+            b5 = refined_bounds(lm5, [k])[0]
+            b29 = refined_bounds(lm29, [k])[0]
             assert b0 >= b5 - 1e-10
             assert b5 >= b29 - 1e-10
 
@@ -355,7 +353,7 @@ class TestConditionalMomentsType:
         )
         q = partition_moment_matrix(moments)
         assert q.dim == 4
-        value = refined_bound(moments, 1.0)
+        value = refined_bounds(moments, [1.0])[0]
         assert value >= 0.0
 
     def test_single_cell_matrix_matches_vanilla_layout(self):
@@ -373,7 +371,7 @@ class TestRefinedBounds:
         sweep = refined_bounds(moments, EVAL_STRIKES)
         assert sweep.shape == EVAL_STRIKES.shape
         for k, value in zip(EVAL_STRIKES, sweep):
-            assert value == refined_bound(moments, float(k))
+            assert value == refined_bounds(moments, [k])[0]
 
     @pytest.mark.parametrize("kind", ["flat", "linear"])
     def test_sweep_factors_once(self, kind, factor_calls, monkeypatch):
@@ -399,7 +397,7 @@ class TestRefinedBounds:
             with pytest.raises(ParameterOutOfRange):
                 refined_bounds(moments, bad)
         with pytest.raises(ParameterOutOfRange):
-            refined_bound(moments, 0.0)
+            refined_bounds(moments, [0.0])
 
 
 def lognormal_density(model, a):
@@ -434,9 +432,9 @@ class TestWholeGridMoments:
             moments = flat_conditional_moments(model, edges[1:-1])
         kept = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < far]
         assert moments.cells == len(kept) == grid.size + 1
-        digital = [lognormal_partial_moment(model, 0.0, lo, hi) for lo, hi in kept]
-        first = [lognormal_partial_moment(model, 1.0, lo, hi) for lo, hi in kept]
-        half = [lognormal_partial_moment(model, 0.5, lo, hi) for lo, hi in kept]
+        digital = [lognormal_partial_moments(model, 0.0, [lo, hi])[0] for lo, hi in kept]
+        first = [lognormal_partial_moments(model, 1.0, [lo, hi])[0] for lo, hi in kept]
+        half = [lognormal_partial_moments(model, 0.5, [lo, hi])[0] for lo, hi in kept]
         price = [f / d for f, d in zip(first, digital)]
         nu = [root_variance_from_moments(f, h / d) for f, h, d in zip(price, half, digital)]
         assert moments.digital.tolist() == digital
@@ -451,7 +449,8 @@ class TestWholeGridMoments:
         assert table.shape == (3, len(edges) - 1)
         for row, p in zip(table, orders):
             cells = zip(edges[:-1], edges[1:])
-            assert row.tolist() == [lognormal_partial_moment(model, p, lo, hi) for lo, hi in cells]
+            one_cell = [lognormal_partial_moments(model, p, [lo, hi])[0] for lo, hi in cells]
+            assert row.tolist() == one_cell
 
     def test_partial_moment_grid_rejects_first_bad_cell(self):
         with pytest.raises(ParameterOutOfRange, match=r"got \(2\.0, 1\.5\)"):

@@ -8,11 +8,7 @@ import numpy as np
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from momentbounds.engine import (
-    MomentMatrix,
-    positive_eigenvalue_bound,
-    positive_eigenvalue_bounds,
-)
+from momentbounds.engine import MomentMatrix, positive_eigenvalue_bounds
 from momentbounds.errors import DegenerateCell
 from momentbounds.models import (
     LognormalModel,
@@ -59,7 +55,7 @@ def moment_problems(draw):
 
 
 def engine_bound(q, quantities):
-    return positive_eigenvalue_bound(MomentMatrix(q), quantities).bound
+    return positive_eigenvalue_bounds(MomentMatrix(q), [quantities]).bounds[0]
 
 
 def bound_slack(q, quantities):
@@ -112,9 +108,9 @@ def test_sweep_rows_equal_single_row_calls(problem, rows, data):
     ]
     sweep = positive_eigenvalue_bounds(MomentMatrix(q), sweep_rows)
     for i, row in enumerate(sweep_rows):
-        single = positive_eigenvalue_bound(MomentMatrix(q), row)
-        assert sweep.bounds[i] == single.bound
-        assert sweep.positive_counts[i] == single.positive_count
+        single = positive_eigenvalue_bounds(MomentMatrix(q), [row])
+        assert sweep.bounds[i] == single.bounds[0]
+        assert sweep.positive_counts[i] == single.positive_counts[0]
 
 
 @st.composite
@@ -156,6 +152,41 @@ def test_engine_bound_monotone_in_root_variance(basket, raised):
     q_high = basket_q(prices, [high, *nus[1:]], corr)
     slack = bound_slack(q_high, quantities)
     assert engine_bound(q_high, quantities) >= engine_bound(q_low, quantities) - slack
+
+
+@st.composite
+def split_baskets(draw):
+    """Prices, root-variances and square-root correlations of 1-4 assets,
+    positive weights w_i and positive strikes k_i splitting K = sum w_i k_i."""
+    n = draw(st.integers(1, 4))
+    prices = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    nus = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    corr = np.eye(n + 1)
+    if n > 1:
+        row = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        a = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+        c = a @ a.T + 1e-3 * np.eye(n)
+        d = np.sqrt(np.diag(c))
+        c = c / np.outer(d, d)
+        c = 0.5 * (c + c.T)
+        np.fill_diagonal(c, 1.0)
+        corr[:n, :n] = c
+    weights = np.array(draw(st.lists(st.floats(0.1, 3.0).map(lambda x: round(x, 6)), min_size=n, max_size=n)))
+    strikes = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+    return prices, nus, CorrelationMatrix(corr), weights, strikes
+
+
+@settings(deadline=None)
+@given(split_baskets())
+def test_engine_bound_below_any_split_into_vanilla_bounds(basket):
+    # Ky Fan: the sum of the positive eigenvalues is subadditive, and
+    # splitting L = sum_i diag(w_i e_i - w_i k_i e_cash) prices each asset
+    # against cash at strike k_i, which is w_i times its vanilla bound.
+    prices, nus, corr, weights, strikes = basket
+    q = basket_q(prices, nus, corr)
+    quantities = np.append(weights, -float(weights @ strikes))
+    split = float(weights @ vanilla_bounds(prices, nus, strikes))
+    assert engine_bound(q, quantities) <= split + bound_slack(q, quantities)
 
 
 @settings(deadline=None)

@@ -15,31 +15,28 @@ from momentbounds.vanilla import (
     VanillaBoundCurve,
     check_decreasing_convex,
     implied_cdf,
-    smile_curve,
     smile_curves,
-    vanilla_bound,
-    vanilla_bound_via_engine,
     vanilla_bounds,
+    vanilla_bounds_via_engine,
 )
 
 
 class TestVanillaBound:
     def test_zero_variance_is_intrinsic(self):
-        assert vanilla_bound(1.0, 0.0, 0.8) == 1.0 - 0.8
-        assert vanilla_bound(1.0, 0.0, 2.0) == 0.0
+        assert vanilla_bounds(1.0, 0.0, [0.8, 2.0]).tolist() == [1.0 - 0.8, 0.0]
 
     def test_atm_reduces_to_sqrt(self):
         for f, nu in ((1.0, 0.04), (0.5, 0.25), (2.0, 0.01)):
-            assert vanilla_bound(f, nu, f) == math.sqrt(f * f * nu)
+            assert vanilla_bounds(f, nu, [f])[0] == math.sqrt(f * f * nu)
 
     def test_full_variance_is_forward(self):
-        for k in (0.3, 1.0, 4.0):
-            assert vanilla_bound(1.0, 1.0, k) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        bounds = vanilla_bounds(1.0, 1.0, [0.3, 1.0, 4.0])
+        assert bounds == pytest.approx([1.0] * 3, rel=1e-14, abs=0.0)
 
     def test_quadratic_root_value(self):
         # f = 1, k = 0.8, nu = 0.04.
         expected = 0.5 * 0.2 + 0.5 * math.sqrt(0.04 + 0.128)
-        assert vanilla_bound(1.0, 0.04, 0.8) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert vanilla_bounds(1.0, 0.04, [0.8])[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_satisfies_quadratic_equation(self):
         rng = np.random.default_rng(2)
@@ -47,7 +44,7 @@ class TestVanillaBound:
             f = rng.uniform(0.2, 3.0)
             nu = rng.uniform(0.0, 1.0)
             k = rng.uniform(0.05, 5.0)
-            p = vanilla_bound(f, nu, k)
+            p = vanilla_bounds(f, nu, [k])[0]
             residual = p * p - (f - k) * p - f * k * nu
             assert abs(residual) <= 1e-12 * max(1.0, p * p)
 
@@ -55,7 +52,7 @@ class TestVanillaBound:
         # The stable branch avoids cancellation: compare against the exact
         # product-of-roots identity p+ = f k nu / |p-|.
         f, nu, k = 1.0, 1e-10, 5.0
-        p = vanilla_bound(f, nu, k)
+        p = vanilla_bounds(f, nu, [k])[0]
         p_minus = 0.5 * ((f - k) - math.sqrt((f - k) ** 2 + 4.0 * f * k * nu))
         assert p == pytest.approx(f * k * nu / abs(p_minus), rel=1e-12, abs=0.0)
         assert 0.0 < p < 1e-9
@@ -66,14 +63,14 @@ class TestVanillaBound:
             f = rng.uniform(0.2, 3.0)
             nu = rng.uniform(0.0, 1.0)
             k = rng.uniform(0.05, 6.0)
-            p = vanilla_bound(f, nu, k)
+            p = vanilla_bounds(f, nu, [k])[0]
             assert max(f - k, 0.0) - 1e-14 <= p <= f + 1e-14
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):
-            vanilla_bound(1.0, -0.1, 1.0)
+            vanilla_bounds(1.0, -0.1, [1.0])
         with pytest.raises(ParameterOutOfRange):
-            vanilla_bound(1.0, 0.1, 0.0)
+            vanilla_bounds(1.0, 0.1, [0.0])
 
 
 class TestVanillaBounds:
@@ -86,18 +83,19 @@ class TestVanillaBounds:
         f[0] = 1.0  # with nu = 0 and k = 1: the 0 / 0 of the out-of-the-money form
         grid = vanilla_bounds(f, nu, ks[:, None])
         assert grid.shape == (ks.size, f.size)
-        scalar = np.array([[vanilla_bound(a, b, k) for a, b in zip(f, nu)] for k in ks])
-        assert np.array_equal(grid, scalar)
+        # Each element equals a one-element call.
+        single = np.array([[vanilla_bounds(a, b, [k])[0] for a, b in zip(f, nu)] for k in ks])
+        assert np.array_equal(grid, single)
         assert grid[0, 0] == 0.0
 
     def test_scalar_form_is_the_one_element_case_exactly(self):
-        # Squaring a scalar by pow differs from squaring an array on 4 of
-        # these draws.
+        # Scalar arguments give the array form's values: squaring a scalar by
+        # pow differs from squaring an array on 4 of these draws.
         rng = np.random.default_rng(1)
         f = rng.uniform(0.01, 10.0, 20_000)
         k = rng.uniform(0.01, 10.0, 20_000)
         nu = rng.uniform(0.0, 1.0, 20_000) ** 3
-        scalar = [vanilla_bound(a, b, c) for a, b, c in zip(f.tolist(), nu.tolist(), k.tolist())]
+        scalar = [float(vanilla_bounds(a, b, c)) for a, b, c in zip(f.tolist(), nu.tolist(), k.tolist())]
         assert vanilla_bounds(f, nu, k).tolist() == scalar
 
     @pytest.mark.parametrize(
@@ -112,14 +110,14 @@ class TestEngineEquivalence:
     def test_engine_matches_closed_form_on_grid(self):
         for f in (0.5, 1.0, 2.0):
             for nu in (0.0, 0.01, 0.25, 0.99, 1.0):
-                for k in np.geomspace(0.1 * f, 5.0 * f, 10):
-                    closed = vanilla_bound(f, nu, float(k))
-                    via_engine = vanilla_bound_via_engine(f, nu, float(k))
-                    assert abs(via_engine - closed) <= 1e-12 * max(closed, f * 1e-3)
+                ks = np.geomspace(0.1 * f, 5.0 * f, 10)
+                closed = vanilla_bounds(f, nu, ks)
+                via_engine = vanilla_bounds_via_engine(f, nu, ks)
+                assert np.all(np.abs(via_engine - closed) <= 1e-12 * np.maximum(closed, f * 1e-3))
 
     def test_examples(self):
-        assert vanilla_bound_via_engine(1.0, 0.04, 1.0) == pytest.approx(0.2, rel=1e-13, abs=0.0)
-        assert vanilla_bound_via_engine(1.0, 0.0, 2.0) == pytest.approx(0.0, abs=1e-15)
+        assert vanilla_bounds_via_engine(1.0, 0.04, [1.0])[0] == pytest.approx(0.2, rel=1e-13, abs=0.0)
+        assert vanilla_bounds_via_engine(1.0, 0.0, [2.0])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestImpliedCdf:
@@ -144,9 +142,8 @@ class TestImpliedCdf:
         h = 1e-5 * f
         for nu in (0.01, 0.2, 0.77):
             for k in (0.3, 0.9, 1.3, 2.6):
-                numeric = 1.0 + (vanilla_bound(f, nu, k + h) - vanilla_bound(f, nu, k - h)) / (
-                    2.0 * h
-                )
+                up, down = vanilla_bounds(f, nu, [k + h, k - h])
+                numeric = 1.0 + (up - down) / (2.0 * h)
                 assert implied_cdf(f, nu, k) == pytest.approx(numeric, abs=1e-7)
 
     def test_values_in_unit_interval_and_monotone(self):
@@ -161,8 +158,7 @@ class TestImpliedCdf:
 class TestShapeChecks:
     def test_accepts_valid_curve(self):
         ks = np.linspace(0.4, 2.6, 23)
-        bounds = np.array([vanilla_bound(1.0, 0.04, float(k)) for k in ks])
-        check_decreasing_convex(ks, bounds)
+        check_decreasing_convex(ks, vanilla_bounds(1.0, 0.04, ks))
 
     def test_rejects_increasing_curve(self):
         with pytest.raises(ShapeViolation):
@@ -177,22 +173,21 @@ class TestSmileCurve:
     def test_monotone_in_nu(self):
         ks = np.linspace(0.4, 2.6, 23)
         previous = None
-        for nu in (0.0025, 0.01, 0.04, 0.09):
-            curve = smile_curve(1.0, nu, ks, 1.0)
+        for curve in smile_curves(1.0, [0.0025, 0.01, 0.04, 0.09], ks, 1.0):
             if previous is not None:
                 assert np.all(curve.bounds >= previous - 1e-12)
             previous = curve.bounds
 
     def test_atm_implied_vol(self):
-        curve = smile_curve(1.0, 0.04, np.array([0.9, 1.0, 1.1]), 1.0)
+        (curve,) = smile_curves(1.0, [0.04], np.array([0.9, 1.0, 1.1]), 1.0)
         assert curve.implied_vols[1] == pytest.approx(0.50669, abs=5e-6)
 
     def test_zero_variance_vols_vanish_off_atm(self):
-        curve = smile_curve(1.0, 0.0, np.array([0.5, 0.8, 1.2, 2.0]), 1.0)
+        (curve,) = smile_curves(1.0, [0.0], np.array([0.5, 0.8, 1.2, 2.0]), 1.0)
         assert np.all(curve.implied_vols == 0.0)
 
     def test_full_variance_hits_sentinel(self):
-        curve = smile_curve(1.0, 1.0, np.array([0.5, 1.0, 2.0]), 1.0)
+        (curve,) = smile_curves(1.0, [1.0], np.array([0.5, 1.0, 2.0]), 1.0)
         assert np.all(np.isinf(curve.implied_vols))
 
     def test_dominates_calibrated_lognormal(self):
@@ -201,8 +196,9 @@ class TestSmileCurve:
         model = LognormalModel(1.0, 0.4, 1.0)
         nu = model.root_variance
         ks = np.linspace(0.2, 4.0, 50)
-        for k in ks:
-            assert vanilla_bound(1.0, nu, float(k)) >= bs_call_price(model, float(k)) - 1e-12
+        bounds = vanilla_bounds(1.0, nu, ks)
+        for k, bound in zip(ks, bounds):
+            assert bound >= bs_call_price(model, float(k)) - 1e-12
 
     def test_curve_invariants_enforced(self):
         ks = np.array([1.0, 2.0, 3.0])
@@ -216,7 +212,7 @@ class TestSmileCurves:
         nus = [0.0, 0.0025, 0.04, 0.09, 1.0]
         curves = smile_curves(1.3, nus, ks, 0.7)
         for nu, curve in zip(nus, curves):
-            alone = smile_curve(1.3, nu, ks, 0.7)
+            (alone,) = smile_curves(1.3, [nu], ks, 0.7)
             for name in ("strikes", "bounds", "implied_vols", "cdf"):
                 assert getattr(curve, name).tolist() == getattr(alone, name).tolist()
             assert curve.bounds.tolist() == vanilla_bounds(1.3, nu, ks).tolist()
@@ -240,7 +236,7 @@ class TestSmileCurves:
         with pytest.raises(ConvergenceFailure) as caught:
             smile_curves(1.0, nus, ks, 1.0)
         with pytest.raises(ConvergenceFailure) as alone:
-            smile_curve(1.0, nus[1], ks, 1.0)
+            smile_curves(1.0, nus[1:2], ks, 1.0)
         assert str(caught.value) == str(alone.value)
 
     def test_shape_error_of_an_earlier_curve_wins(self, monkeypatch):
@@ -254,6 +250,6 @@ class TestSmileCurves:
 
         monkeypatch.setattr(vanilla_module, "vanilla_bounds", bounds)
         with pytest.raises(PriceOutsideArbitrageBounds):
-            smile_curve(1.0, 0.9, ks, 1.0)
+            smile_curves(1.0, [0.9], ks, 1.0)
         with pytest.raises(ShapeViolation):
             smile_curves(1.0, [0.1, 0.9], ks, 1.0)
