@@ -2,11 +2,10 @@
 moments, implied lognormal/normal volatility inversion, a two-state binomial
 model, and the Gauss-Legendre rule the quadratures share.
 
-The vol inversions run one bracketed bisection over a whole strike grid
-(``implied_lognormal_vols``, ``implied_normal_vols``); a single strike is a
-one-element grid.  The bisection stops once it is stationary, at the first
-step that moves no bracket, which gives the same vols as running all of its
-steps.
+The vol inversions run one safeguarded Newton iteration over a whole strike
+grid (``implied_lognormal_vols``, ``implied_normal_vols``); a single strike is
+a one-element grid, and each element takes the same steps in either.  The
+normal CDF is ``math.erfc``, so importing the module loads no scipy.
 
 All prices are undiscounted forward values.  Discounting enters only through
 the rates application, via explicit discount factors.
@@ -20,7 +19,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConvergenceFailure,
@@ -42,11 +40,12 @@ __all__ = [
     "binomial_price",
 ]
 
-# Bracket for lognormal implied-vol bisection.  Desk-scale prices never need
-# vols above 10; anything outside is reported as a convergence failure rather
-# than silently extrapolated.
+# Bracket for the lognormal implied vol.  Desk-scale prices never need vols
+# above 10; anything outside is reported as a convergence failure rather than
+# silently extrapolated.
 _VOL_BRACKET = (1e-8, 10.0)
-_BISECTION_ITERATIONS = 90
+_NEWTON_ITERATIONS = 90
+_LOG_RESIDUAL_FLOOR = 1e-9  # below it, roundoff drives the Newton steps
 # Largest price residual accepted at an inverted vol.
 PRICE_TOL = 1e-10
 
@@ -54,15 +53,22 @@ PRICE_TOL = 1e-10
 # where the implied lognormal volatility diverges.
 UPPER_BOUND_MARGIN = 1e-14
 
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
 
 def norm_cdf(x):
-    """Standard normal CDF.
+    """Standard normal CDF, ``0.5 * math.erfc(-x * sqrt(0.5))``.
 
-    Single shared primitive for all lognormal math; backed by the erf-based
-    ``scipy.special.ndtr``, accurate to better than 1e-15 in absolute terms.
-    Accepts scalars or arrays.
+    Single shared primitive for all lognormal math.  ``erfc`` keeps relative
+    accuracy far into the lower tail: within eps (8 + x^2) of the exact value
+    on [-37.5, 9].  A float gives a float; arrays are mapped element by
+    element.
     """
-    return ndtr(x)
+    if isinstance(x, float):
+        return 0.5 * math.erfc(-x * _SQRT_HALF)
+    z = np.multiply(x, -_SQRT_HALF, dtype=float)
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def norm_pdf(x):
@@ -161,7 +167,7 @@ def bs_call_price(model: LognormalModel, strike: float) -> float:
     if stdev == 0.0:
         return max(model.forward - strike, 0.0)
     d1 = (math.log(model.forward / strike) + 0.5 * stdev * stdev) / stdev
-    return model.forward * float(ndtr(d1)) - strike * float(ndtr(d1 - stdev))
+    return model.forward * norm_cdf(d1) - strike * norm_cdf(d1 - stdev)
 
 
 def bachelier_call_price(forward: float, strike: float, sigma: float, expiry: float) -> float:
@@ -172,7 +178,7 @@ def bachelier_call_price(forward: float, strike: float, sigma: float, expiry: fl
     if stdev == 0.0:
         return max(forward - strike, 0.0)
     d = (forward - strike) / stdev
-    return (forward - strike) * float(ndtr(d)) + stdev * float(norm_pdf(d))
+    return (forward - strike) * norm_cdf(d) + stdev * float(norm_pdf(d))
 
 
 def _as_grid(strikes, prices):
@@ -206,7 +212,7 @@ def _black_calls(forward: float, strikes, log_moneyness, root_expiry: float):
     def value(sigma):
         stdev = sigma * root_expiry
         d1 = (log_moneyness + 0.5 * stdev * stdev) / stdev
-        return forward * ndtr(d1) - strikes * ndtr(d1 - stdev)
+        return forward * norm_cdf(d1) - strikes * norm_cdf(d1 - stdev)
 
     return value
 
@@ -218,32 +224,50 @@ def _bachelier_calls(moneyness, root_expiry: float):
     def value(sigma):
         stdev = sigma * root_expiry
         d = moneyness / stdev
-        return moneyness * ndtr(d) + stdev * norm_pdf(d)
+        return moneyness * norm_cdf(d) + stdev * norm_pdf(d)
 
     return value
 
 
-def _bisect(value, lo, hi, prices):
-    """Bisection of ``value(sigma) = prices``, elementwise.
+def _newton(time_value, s, lo, hi, q):
+    """Solve ``time_value(s) = q`` elementwise, by Newton on the log residual
+    ``log(time_value(s) / q)`` safeguarded by the bracket ``[lo, hi]``.
 
-    Runs at most ``_BISECTION_ITERATIONS`` steps and stops at the first step
-    that leaves every bracket unchanged: the next bracket depends only on the
-    current one, so no later step would move either.  Returns the midpoint
-    vols and the mask of elements whose price residual exceeds ``PRICE_TOL``.
+    ``time_value(s, i)`` gives the time values of the elements ``i`` at ``s``
+    and their derivatives in ``s``.  Each evaluation narrows its element's
+    bracket; a Newton step that lands outside it is replaced by bisection.
+    An element stops once its step is at most 4 eps s, or once its step stops
+    shrinking while the log residual is below ``_LOG_RESIDUAL_FLOOR``.
+    Elements run independently, for at most ``_NEWTON_ITERATIONS`` steps.
     """
-    for _ in range(_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        below = value(mid) < prices
-        if (np.where(below, lo, hi) == mid).all():
+    s, lo, hi = s.copy(), lo.copy(), hi.copy()
+    last = np.full(s.size, math.inf)
+    i = np.arange(s.size)
+    for _ in range(_NEWTON_ITERATIONS):
+        if not i.size:
             break
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    sigma = 0.5 * (lo + hi)
-    return sigma, np.abs(value(sigma) - prices) > PRICE_TOL
+        at = s[i]
+        # Underflowed time values and vegas give infinite or NaN residuals and
+        # steps, which the bracket test turns into bisection.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value, vega = time_value(at, i)
+            residual = np.where(value > 0.0, np.log(value / q[i]), -math.inf)
+            newton = at - residual * value / vega
+        lo[i] = below = np.where(residual < 0.0, at, lo[i])
+        hi[i] = above = np.where(residual > 0.0, at, hi[i])
+        s[i] = np.where((newton >= below) & (newton <= above), newton, 0.5 * (below + above))
+        step = np.abs(s[i] - at)
+        done = (step <= 4.0 * np.finfo(float).eps * at) | (
+            (step >= last[i]) & (np.abs(residual) < _LOG_RESIDUAL_FLOOR)
+        )
+        last[i] = step
+        i = i[~done]
+    return s
 
 
 def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np.ndarray:
-    """Invert the Black call formula by bracketed bisection on a strike grid.
+    """Invert the Black call formula on a strike grid, by Newton from the
+    Manaster-Koehler start within the bracket ``_VOL_BRACKET``.
 
     Returns ``math.inf`` where the price sits at the upper arbitrage bound
     (within ``UPPER_BOUND_MARGIN`` of the forward), where the implied
@@ -292,14 +316,28 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
         ),
     )
     keep = ~unbracketed
-    n = int(keep.sum())
-    value = _black_calls(forward, k[keep], log_moneyness[keep], root_expiry)
-    sigma, off = _bisect(value, np.full(n, lo), np.full(n, hi), p[keep])
-    vols[solve[keep]] = sigma
+    k, p, x = k[keep], p[keep], log_moneyness[keep]
+    # The out-of-the-money option (the put below the forward) has time value
+    # q by put-call parity, and keeps its digits away from the money.
+    q = p - np.maximum(forward - k, 0.0)
+    sign = np.where(x > 0.0, -1.0, 1.0)
+
+    def time_value(s, i):
+        d1 = x[i] / s + 0.5 * s
+        cdf = norm_cdf(sign[i] * np.stack([d1, d1 - s]))
+        return sign[i] * (forward * cdf[0] - k[i] * cdf[1]), forward * norm_pdf(d1)
+
+    # Manaster-Koehler: the price is convex in s below sqrt(2 |x|) and concave
+    # above it.  At the money (f / k rounds to 1), the first-order ATM price.
+    start = np.where(x == 0.0, _SQRT_2PI * q / forward, np.sqrt(2.0 * np.abs(x)))
+    lo_s, hi_s = np.full(k.size, lo * root_expiry), np.full(k.size, hi * root_expiry)
+    s = _newton(time_value, np.clip(start, lo_s, hi_s), lo_s, hi_s, q)
+    off = np.abs(_black_calls(forward, k, x, root_expiry)(s / root_expiry) - p) > PRICE_TOL
+    vols[solve[keep]] = s / root_expiry
     failures += _first(
         solve[keep][off],
         lambda i: ConvergenceFailure(
-            f"bisection residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
+            f"Newton residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
         ),
     )
     _raise_first(failures)
@@ -313,13 +351,13 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
 
     Prices within 1e-12 (relative to the larger of 1, |f| and |k|) of
     intrinsic give zero vol, and at-the-money prices invert exactly.
-    The rest bisect from a closed-form upper bracket; each element takes the
+    The rest run Newton within a closed-form bracket; each element takes the
     same steps, in the same floating-point operations, as a one-strike
     inversion.
 
     Raises, for the first failing strike in grid order:
         PriceOutsideArbitrageBounds: price not finite or below intrinsic.
-        ConvergenceFailure: the vol cannot be bisected to ``PRICE_TOL``.
+        ConvergenceFailure: the vol cannot be solved to ``PRICE_TOL``.
     """
     if not expiry > 0.0:
         raise ParameterOutOfRange(f"expiry must be positive, got {expiry}")
@@ -333,7 +371,7 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     nonfinite = ~np.isfinite(ps)
     below = ~nonfinite & (ps < intrinsic - 1e-12 * scale)
     # Prices within the same slack above intrinsic carry no resolvable time
-    # value: zero vol reproduces them within PRICE_TOL, where a bisection
+    # value: zero vol reproduces them within PRICE_TOL, where an inversion
     # would turn the sign of a roundoff into a vol.
     at_intrinsic = ~(nonfinite | below) & (ps <= intrinsic + 1e-12 * scale)
     # ATM Bachelier identity: price = sigma sqrt(T / 2 pi), inverted exactly.
@@ -351,16 +389,36 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
 
     solve = np.flatnonzero(~(nonfinite | below | at_intrinsic | atm))
     m, p = moneyness[solve], ps[solve]
-    # The upper guess brackets every vol: its stdev s = 2 sqrt(2 pi) (p + |m|)
-    # has |m| / s < 0.2, so the Bachelier price there is at least
-    # s phi(0.2) - |m| / 2 >= 1.96 (p + |m|) - |m| / 2 > p.
-    hi = 2.0 * (p + np.abs(m)) / math.sqrt(expiry / (2.0 * math.pi))
-    sigma, off = _bisect(_bachelier_calls(m, math.sqrt(expiry)), np.zeros(p.size), hi, p)
+    # In s = sigma sqrt(T) the time value q of the out-of-the-money option is
+    # s (phi(d) - d N(-d)) with d = |m| / s.  The upper bracket
+    # s = 2 sqrt(2 pi) (p + |m|) has d < 0.2, so the call price there is at
+    # least s phi(0.2) - |m| / 2 >= 1.96 (p + |m|) - |m| / 2 > p.
+    a = np.abs(m)
+    q = p - np.maximum(m, 0.0)
+
+    def time_value(s, i):
+        d = a[i] / s
+        density = norm_pdf(d)
+        return s * density - a[i] * norm_cdf(-d), density
+
+    # Far from the money q / |m| ~ phi(d) / d^3; two fixed-point steps in
+    # d^2 = -2 log(sqrt(2 pi) d^3 q / |m|).  Otherwise the lower bound
+    # q sqrt(2 pi) from the ATM price, the largest at a given s.
+    log_ratio = 2.0 * (np.log(a) - np.log(_SQRT_2PI * q))
+    d = np.sqrt(np.maximum(log_ratio, 0.0))
+    for _ in range(2):
+        d = np.sqrt(np.maximum(log_ratio - 6.0 * np.log(np.maximum(d, 1.0)), 0.0))
+    start = np.where(d > 1.0, a / np.maximum(d, 1.0), _SQRT_2PI * q)
+    hi = 2.0 * _SQRT_2PI * (p + a)
+    root_expiry = math.sqrt(expiry)
+    s = _newton(time_value, start, np.zeros(p.size), hi, q)
+    sigma = s / root_expiry
+    off = np.abs(_bachelier_calls(m, root_expiry)(sigma) - p) > PRICE_TOL
     vols[solve] = sigma
     failures += _first(
         solve[off],
         lambda i: ConvergenceFailure(
-            f"bisection residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
+            f"Newton residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
         ),
     )
     _raise_first(failures)
@@ -391,10 +449,12 @@ def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
     # off numpy's vectorised log, which differs from it by an ulp on rare inputs.
     logs = np.array([math.log(x / model.forward) if x > 0.0 else -math.inf for x in e.tolist()])
     h = (logs + (0.5 - p[..., None]) * model.total_variance) / stdev
-    lo, hi = h[..., :-1], h[..., 1:]
-    # Upper tail: the complements are small and keep their digits, where
-    # ndtr(hi) - ndtr(lo) would cancel two numbers close to one.
-    return moments * np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    # One CDF per edge: the lower tail t = N(-|h|) keeps its digits on either
+    # side.  Upper-tail cells take differences of the complements t, where
+    # N(hi) - N(lo) would cancel two numbers close to one.
+    t = norm_cdf(-np.abs(h))
+    cdf = np.where(h < 0.0, t, 1.0 - t)
+    return moments * np.where(h[..., :-1] > 0.0, t[..., :-1] - t[..., 1:], np.diff(cdf))
 
 
 @lru_cache(maxsize=None)

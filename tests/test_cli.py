@@ -546,14 +546,31 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: IOError:")
 
 
-def test_import_does_not_load_scipy_linalg():
-    """Only hat-partition sweeps need scipy.linalg; importing the CLI must not
-    pay for it."""
-    source_root = str(Path(momentbounds.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, momentbounds.cli; print('scipy.linalg' in sys.modules)"
+def test_import_and_runs_load_no_scipy(tmp_path):
+    """Only hat-partition sweeps need scipy (``scipy.linalg``, imported when
+    they run); importing the CLI, and running a caplet or smile config, load
+    no scipy module."""
+    source_root = Path(momentbounds.__file__).resolve().parents[1]
+    configs = source_root.parent / "configs"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(source_root), os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys\n"
+        "from momentbounds import cli\n"
+        "def report():\n"
+        "    print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "report()\n"
+        "for config in sys.argv[2:]:\n"
+        "    assert cli.main(['--config', config, '--out', sys.argv[1]]) == 0\n"
+        "report()\n"
+    )
+    runs = [str(configs / "caplet_cdf.json"), str(configs / "vanilla_smile.json")]
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe, str(tmp_path), *runs],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    reports = [line for line in result.stdout.splitlines() if line.startswith("scipy modules:")]
+    assert reports == ["scipy modules: []"] * 2

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -114,6 +115,38 @@ class TestFlatRefinedBound:
             assert b1 >= b6 - 1e-10
             assert b6 >= b30 - 1e-10
             assert b30 >= bs_call_price(MODEL, k) - 1e-10
+
+
+def exact_flat_bounds(model, boundaries, strikes):
+    """Flat refined bounds from 40-digit partial moments of every cell; only
+    the final ``vanilla_bounds`` runs in floating point."""
+    with mpmath.workdps(40):
+        f = mpmath.mpf(model.forward)
+        stdev = mpmath.mpf(model.sigma) * mpmath.sqrt(model.expiry)
+        logs = [mpmath.log(mpmath.mpf(b) / f) for b in boundaries.tolist()]
+
+        def cells(p):
+            p = mpmath.mpf(p)
+            cdf = [0, *(mpmath.ncdf((x + (0.5 - p) * stdev**2) / stdev) for x in logs), 1]
+            scale = f**p * mpmath.exp(p * (p - 1) * stdev**2 / 2)
+            return [scale * (hi - lo) for lo, hi in zip(cdf[:-1], cdf[1:])]
+
+        digital, first, half = cells(0), cells(1), cells(0.5)
+        price = [float(m / d) for m, d in zip(first, digital)]
+        nu = [float(1 - h * h / (m * d)) for h, m, d in zip(half, first, digital)]
+        digital = [float(d) for d in digital]
+    return np.sum(vanilla_bounds(np.array(price), np.array(nu), strikes[:, None]) * digital, axis=1)
+
+
+class TestFlatBoundsAgainstExactMoments:
+    @pytest.mark.parametrize("cells", [1024, 4096])
+    def test_fine_partitions(self, cells):
+        # Each cell's moments difference two CDF values a cell width apart, so
+        # their rounding error, and the bounds', grows in proportion to N.
+        boundaries = np.linspace(0.3, 3.0, cells - 1)
+        exact = exact_flat_bounds(MODEL, boundaries, EVAL_STRIKES)
+        bounds = refined_bounds(flat_conditional_moments(MODEL, boundaries), EVAL_STRIKES)
+        assert max_relative_gap(bounds, exact) <= 5e-14 * cells
 
 
 def dense_engine_bounds(moments, strikes):
