@@ -16,7 +16,7 @@ import numpy as np
 
 from momentbounds import (
     binomial_calibrate,
-    binomial_call_price,
+    binomial_call_prices,
     implied_root_variance_curve,
     local_attainment_scan,
     vanilla_bounds,
@@ -43,8 +43,8 @@ def main():
     print("\nNo single model attains two strikes at once: reuse the strike-0.8")
     print("optimal model at strike 1.4 and it underprices the bound:")
     angle = local_attainment_scan(FORWARD, NU, [0.8]).angles[0]
-    model = binomial_calibrate(FORWARD, NU, angle)
-    reused = binomial_call_price(model, 1.4)
+    low, high = binomial_calibrate(FORWARD, NU, angle)
+    reused = binomial_call_prices(angle, low, high, 1.4)
     target = vanilla_bounds(FORWARD, NU, [1.4])[0]
     print(f"  reused price {reused:.8f} vs bound {target:.8f} (miss {target - reused:.2e})")
 

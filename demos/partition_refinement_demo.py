@@ -13,7 +13,7 @@ import numpy as np
 
 from momentbounds import (
     LognormalModel,
-    bs_call_price,
+    bs_call_prices,
     flat_conditional_moments,
     linear_conditional_moments,
     refined_bounds,
@@ -47,7 +47,7 @@ def main():
                                ("hat x5", lin5), ("hat x29", lin29))
     }
     unpartitioned = vanilla_bounds(1.0, nu, STRIKES)
-    reference = np.array([bs_call_price(MODEL, float(k)) for k in STRIKES])
+    reference = bs_call_prices(MODEL.forward, STRIKES, MODEL.sigma, MODEL.expiry)
 
     print("strike   unpartitioned  flat x6   flat x30  hat x5    hat x29   lognormal")
     for i, k in enumerate(STRIKES):

@@ -11,7 +11,7 @@ distribution parks a point mass of size nu at strike zero.
 
 import numpy as np
 
-from momentbounds import implied_cdf, smile_curves, vanilla_bounds
+from momentbounds import implied_cdfs, smile_curves, vanilla_bounds
 
 FORWARD = 1.0
 STRIKES = np.arange(0.4, 2.61, 0.2)
@@ -38,8 +38,8 @@ def main():
 
     print("\nImplied CDF near zero strike: the distribution carries a point")
     print("mass at zero equal to the root-variance itself.")
-    for nu in NU_LEVELS:
-        print(f"  nu = {nu:<7g} -> CDF(0+) = {implied_cdf(FORWARD, nu, 1e-12):.6f}")
+    for nu, cdf in zip(NU_LEVELS, implied_cdfs(FORWARD, NU_LEVELS, 1e-12)):
+        print(f"  nu = {nu:<7g} -> CDF(0+) = {cdf:.6f}")
 
     print("\nATM check: at k = f the bound collapses to sqrt(f k nu):")
     for nu, bound in zip(NU_LEVELS, vanilla_bounds(FORWARD, NU_LEVELS, FORWARD)):

@@ -5,7 +5,9 @@ the price and root-variance, whose call price meets the bound exactly.  The
 calibration is trigonometric: with nu = cos(theta)^2, the state weights are
 sin(chi)^2 and cos(chi)^2 and the spectrum follows from theta and chi; the
 bound-attaining angle solves tan(2 chi) = -f sin(2 theta) / (f cos(2 theta) + k)
-and depends on the strike.
+and depends on the strike.  The calibration (``binomial_calibrate``) and the
+two-state call price (``binomial_call_prices``) are array forms, so a whole
+strike grid, and the angle grid that guards it, are each one expression.
 
 Global attainment fails: replicating the payoff a^n statically from the
 bound curve yields moments whose implied root-variance strictly exceeds the
@@ -27,7 +29,7 @@ from .errors import (
     ParameterOutOfRange,
     QuadratureBudgetExceeded,
 )
-from .models import BinomialModel, _gl_rule
+from .models import _gl_rule
 from .partition import _panel_sums
 from .vanilla import vanilla_bounds_via_engine
 
@@ -35,10 +37,9 @@ __all__ = [
     "AttainmentReport",
     "GlobalAttainmentCurve",
     "binomial_calibrate",
-    "binomial_call_price",
+    "binomial_call_prices",
     "local_attainment_scan",
     "implied_root_variance_curve",
-    "general_moment",
 ]
 
 _ANGLE_SLACK = 1e-12
@@ -53,86 +54,79 @@ def _theta(nu: float) -> float:
     return math.acos(math.sqrt(nu))
 
 
-def binomial_calibrate(f: float, nu: float, chi: float) -> BinomialModel:
-    """Two-state model with weight angle chi matching price f and root-variance nu.
+def binomial_calibrate(f: float, nu: float, chi):
+    """Two-state models matching price f and root-variance nu, one per weight
+    angle in ``chi``: the arrays ``(low, high)`` of their states, which carry
+    the weights sin(chi)^2 and cos(chi)^2.
 
     Uses the branch with low state below the high state, valid for chi in
     [pi/2 - theta, pi/2) where nu = cos(theta)^2.  The mirror branch is this
-    one with the states swapped under chi -> pi/2 - chi.
+    one with the states swapped under chi -> pi/2 - chi.  The first angle
+    off the branch, in grid order, raises AngleOutOfRange.
     """
     if not f > 0.0:
         raise ParameterOutOfRange(f"price must be positive, got {f}")
     theta = _theta(nu)
-    if chi < 0.5 * math.pi - theta - _ANGLE_SLACK or chi >= 0.5 * math.pi:
+    chi = np.asarray(chi, dtype=float)
+    on_branch = (chi >= 0.5 * math.pi - theta - _ANGLE_SLACK) & (chi > 0.0) & (chi < 0.5 * math.pi)
+    if not on_branch.all():
         raise AngleOutOfRange(
-            f"angle {chi} outside the branch range [{0.5 * math.pi - theta}, pi/2)"
+            f"angle {chi.flat[np.argmin(on_branch)]} outside the branch range "
+            f"[{0.5 * math.pi - theta}, pi/2)"
         )
-    low = f * math.cos(theta + chi) ** 2 / math.sin(chi) ** 2
-    high = f * math.sin(theta + chi) ** 2 / math.cos(chi) ** 2
-    return BinomialModel(low, high, chi)
+    # np.square, not ** 2: a numpy scalar's power goes to libm, which may
+    # round differently from the multiplication arrays get.
+    low = f * np.square(np.cos(theta + chi)) / np.square(np.sin(chi))
+    high = f * np.square(np.sin(theta + chi)) / np.square(np.cos(chi))
+    return low, high
 
 
-def binomial_call_price(model: BinomialModel, strike: float) -> float:
-    """Call price in the two-state model."""
-    return model.weight_low * max(model.low - strike, 0.0) + model.weight_high * max(
-        model.high - strike, 0.0
-    )
+def binomial_call_prices(chi, low, high, k) -> np.ndarray:
+    """Call prices of two-state models with weight angles ``chi`` and states
+    ``low``, ``high`` at strikes ``k``, all broadcast together."""
+    weight_low, weight_high = np.square(np.sin(chi)), np.square(np.cos(chi))
+    return weight_low * np.maximum(low - k, 0.0) + weight_high * np.maximum(high - k, 0.0)
 
 
-def _scanned_maxima(f: float, theta: float, strikes: np.ndarray) -> np.ndarray:
+def _scanned_maxima(f: float, nu: float, strikes: np.ndarray) -> np.ndarray:
     """Largest two-state call price over an angle grid on the branch
     [pi/2 - theta, pi/2), at each strike.
 
-    The grid's models depend only on f and theta, so they are calibrated once
+    The grid's models depend only on f and nu, so they are calibrated once
     for all strikes and priced as (strikes x angles) blocks of at most
     ``STACK_BYTES``.
     """
-    chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, _SCAN_POINTS)[:-1]
-    weight_low, weight_high = np.sin(chi) ** 2, np.cos(chi) ** 2
-    low = f * np.cos(theta + chi) ** 2 / weight_low
-    high = f * np.sin(theta + chi) ** 2 / weight_high
+    chi = np.linspace(0.5 * math.pi - _theta(nu), 0.5 * math.pi, _SCAN_POINTS)[:-1]
+    low, high = binomial_calibrate(f, nu, chi)
     best, step = np.empty(strikes.size), max(1, STACK_BYTES // chi.nbytes)
     for start in range(0, strikes.size, step):
         k = strikes[start : start + step, None]
-        prices = weight_low * np.maximum(low - k, 0.0) + weight_high * np.maximum(high - k, 0.0)
-        best[start : start + step] = np.max(prices, axis=1)
+        best[start : start + step] = np.max(binomial_call_prices(chi, low, high, k), axis=1)
     return best
 
 
-def _formula_angle(f: float, theta: float, strike: float) -> float:
-    """Angle of the two-state model whose call price attains the bound, unguarded.
+def _attaining_models(f: float, nu: float, strikes: np.ndarray):
+    """Formula angles, the states of their two-state models and the models'
+    call prices, as arrays over the strike grid.
 
     The tangent equation fixes 2 chi up to the arctangent branch; resolving
     into (pi - 2 theta, pi) picks the branch on which the calibrated model
-    exists.
+    exists.  One angle-grid scan guards every strike: the first strike whose
+    model prices below the scan's maximum raises BranchResolutionFailure.
     """
-    two_chi = math.atan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strike)
-    if two_chi <= 0.0:
-        two_chi += math.pi
-    return 0.5 * two_chi
-
-
-def _attaining_models(f: float, nu: float, strikes: np.ndarray):
-    """(formula angle, its two-state model, call price) at each strike.
-
-    One angle-grid scan guards every strike: the first strike whose model
-    prices below the scan's maximum raises BranchResolutionFailure.
-    """
-    if not f > 0.0 or not np.all(strikes > 0.0):
-        raise ParameterOutOfRange("price and strike must be positive")
     theta = _theta(nu)
-    best = _scanned_maxima(f, theta, strikes)
-    found = []
-    for k, top in zip(strikes.tolist(), best.tolist()):
-        chi = _formula_angle(f, theta, k)
-        model = binomial_calibrate(f, nu, chi)
-        achieved = binomial_call_price(model, k)
-        if achieved < top - 1e-9 * max(1.0, f):
-            raise BranchResolutionFailure(
-                f"formula angle {chi} prices {achieved}, below scanned maximum {top}"
-            )
-        found.append((chi, model, achieved))
-    return found
+    best = _scanned_maxima(f, nu, strikes)
+    two_chi = np.arctan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strikes)
+    chi = 0.5 * np.where(two_chi <= 0.0, two_chi + math.pi, two_chi)
+    low, high = binomial_calibrate(f, nu, chi)
+    achieved = binomial_call_prices(chi, low, high, strikes)
+    short = np.flatnonzero(achieved < best - 1e-9 * max(1.0, f))
+    if short.size:
+        i = short[0]
+        raise BranchResolutionFailure(
+            f"formula angle {chi[i]} prices {achieved[i]}, below scanned maximum {best[i]}"
+        )
+    return chi, low, high, achieved
 
 
 @dataclass(frozen=True)
@@ -183,16 +177,15 @@ def local_attainment_scan(
 ) -> AttainmentReport:
     """Verify the bound is attained strike by strike by optimal two-state models."""
     ks = _checked_grid(strikes, increasing=False)
-    angles, models, prices = zip(*_attaining_models(f, nu, ks))
-    prices = np.asarray(prices)
+    angles, lows, highs, prices = _attaining_models(f, nu, ks)
     bounds = vanilla_bounds_via_engine(f, nu, ks, tol)
     gaps = np.abs(prices - bounds) / np.maximum(np.abs(bounds), 1e-300)
     moment = float(implied_root_variance_curve([nu]).sqrt_moment[0])
     return AttainmentReport(
         strikes=ks,
-        angles=np.asarray(angles),
-        lows=np.array([model.low for model in models]),
-        highs=np.array([model.high for model in models]),
+        angles=angles,
+        lows=lows,
+        highs=highs,
         binomial_prices=prices,
         bounds=bounds,
         gaps=gaps,
@@ -301,7 +294,7 @@ def implied_root_variance_curve(
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)
 
 
-def general_moment(
+def _general_moment(
     nu: float,
     n: float,
     *,

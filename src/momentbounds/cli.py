@@ -49,7 +49,7 @@ from .markets import (
     caplet_cdf_scan,
     caplet_point_mass,
 )
-from .models import LognormalModel, bs_call_price, implied_normal_vols
+from .models import LognormalModel, bs_call_prices, implied_normal_vols
 from .moments import AssetMoments
 from .partition import (
     LinearPartition,
@@ -309,7 +309,7 @@ def _run_refine(plan, config: RunConfig):
             moments = linear_conditional_moments(model, grid, tol=tol)
             columns.append(f"bound_K{grid.size}")
         curves.append(refined_bounds(moments, strikes, tol))
-    reference = np.array([bs_call_price(model, float(k)) for k in strikes])
+    reference = bs_call_prices(model.forward, strikes, model.sigma, model.expiry)
     columns.append("bs_price")
     for name, curve in zip(columns[1:], curves + [reference]):
         check_decreasing_convex(strikes, curve, label=name)

@@ -1,11 +1,14 @@
-"""Reference models used as oracles: lognormal (Black) prices and partial
-moments, implied lognormal/normal volatility inversion, a two-state binomial
-model, and the Gauss-Legendre rule the quadratures share.
+"""Reference models used as oracles: lognormal (Black) and normal
+(Bachelier) call prices, lognormal partial moments, implied lognormal/normal
+volatility inversion, and the Gauss-Legendre rule the quadratures share.
 
-The vol inversions run one safeguarded Newton iteration over a whole strike
-grid (``implied_lognormal_vols``, ``implied_normal_vols``); a single strike is
-a one-element grid, and each element takes the same steps in either.  The
-normal CDF is ``math.erfc``, so importing the module loads no scipy.
+Each formula has one array form that broadcasts its arguments
+(``bs_call_prices``, ``bachelier_call_prices``); a single strike is a
+one-element grid.  The vol inversions run one safeguarded Newton iteration
+over a whole strike grid (``implied_lognormal_vols``,
+``implied_normal_vols``) and check their residuals with those pricers; each
+element takes the same steps as in a one-strike inversion.  The normal CDF is
+``math.erfc``, so importing the module loads no scipy.
 
 All prices are undiscounted forward values.  Discounting enters only through
 the rates application, via explicit discount factors.
@@ -15,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -29,15 +31,13 @@ from .errors import (
 
 __all__ = [
     "LognormalModel",
-    "BinomialModel",
     "norm_cdf",
     "norm_pdf",
-    "bs_call_price",
-    "bachelier_call_price",
+    "bs_call_prices",
+    "bachelier_call_prices",
     "implied_lognormal_vols",
     "implied_normal_vols",
     "lognormal_partial_moments",
-    "binomial_price",
 ]
 
 # Bracket for the lognormal implied vol.  Desk-scale prices never need vols
@@ -67,8 +67,7 @@ def norm_cdf(x):
     """
     if isinstance(x, float):
         return 0.5 * math.erfc(-x * _SQRT_HALF)
-    z = np.multiply(x, -_SQRT_HALF, dtype=float)
-    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    return 0.5 * _mapped(math.erfc, np.multiply(x, -_SQRT_HALF, dtype=float))
 
 
 def norm_pdf(x):
@@ -116,69 +115,66 @@ class LognormalModel:
         return self.forward**p * math.exp(0.5 * p * (p - 1.0) * self.total_variance)
 
 
-@dataclass(frozen=True)
-class BinomialModel:
-    """Two-state asset with spectrum {low, high} and trigonometric weights.
+def _mapped(fn, x):
+    """``fn`` applied to each element of the array ``x``, in its shape."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
-    The state weights are sin(angle)^2 on ``low`` and cos(angle)^2 on ``high``
-    for an angle strictly inside (0, pi/2), so both weights are positive and
-    sum to one.
+
+def _check_elements(*checks) -> None:
+    """Raise ParameterOutOfRange "<rule>, got <value>" for the first element,
+    in grid order, that breaks a rule.
+
+    ``checks`` are ``(ok, rule, values)`` with ``ok`` True where ``values``
+    keeps the rule, listed in the order a loop over the broadcast elements
+    would test them, so a grid fails exactly as that loop would.
     """
-
-    low: float
-    high: float
-    angle: float
-
-    def __post_init__(self):
-        if self.low < 0.0 or self.high < 0.0:
-            raise ParameterOutOfRange("binomial spectrum must be non-negative")
-        if not 0.0 < self.angle < 0.5 * math.pi:
-            raise ParameterOutOfRange(
-                f"angle must lie strictly inside (0, pi/2), got {self.angle}"
-            )
-
-    @property
-    def weight_low(self) -> float:
-        return math.sin(self.angle) ** 2
-
-    @property
-    def weight_high(self) -> float:
-        return math.cos(self.angle) ** 2
-
-    @property
-    def mean(self) -> float:
-        return self.weight_low * self.low + self.weight_high * self.high
-
-    @property
-    def sqrt_mean(self) -> float:
-        return self.weight_low * math.sqrt(self.low) + self.weight_high * math.sqrt(self.high)
+    valid = reduce(np.logical_and, [ok for ok, _, _ in checks])
+    if not valid.all():
+        i = int(np.argmin(valid))  # the first element that breaks any rule
+        for ok, rule, values in checks:
+            if not np.broadcast_to(ok, valid.shape).flat[i]:
+                value = np.broadcast_to(values, valid.shape).flat[i]
+                raise ParameterOutOfRange(f"{rule}, got {value}")
 
 
-def binomial_price(model: BinomialModel, payoff: Callable[[float], float]) -> float:
-    """Expectation of ``payoff`` over the two-state spectrum."""
-    return model.weight_low * payoff(model.low) + model.weight_high * payoff(model.high)
+def bs_call_prices(forward, strikes, sigma, expiry) -> np.ndarray:
+    """Undiscounted Black call prices E[(a - k)^+], elementwise over arrays of
+    forward, strike, lognormal vol and expiry, broadcast together.
+
+    log(f / k) is ``math.log`` per element: numpy's vectorised log differs
+    from it by an ulp on rare inputs.  Zero vol gives the intrinsic value.
+    """
+    f, k, sigma, expiry = (np.asarray(x, dtype=float) for x in (forward, strikes, sigma, expiry))
+    _check_elements(
+        (f > 0.0, "forward must be positive", f),
+        (sigma >= 0.0, "sigma must be non-negative", sigma),
+        (expiry > 0.0, "expiry must be positive", expiry),
+        (k > 0.0, "strike must be positive", k),
+    )
+    stdev = sigma * np.sqrt(expiry)
+    log_moneyness = _mapped(math.log, f / k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (log_moneyness + 0.5 * stdev * stdev) / stdev
+        prices = f * norm_cdf(d1) - k * norm_cdf(d1 - stdev)
+    return np.where(stdev == 0.0, np.maximum(f - k, 0.0), prices)
 
 
-def bs_call_price(model: LognormalModel, strike: float) -> float:
-    """Undiscounted Black call price E[(a - k)^+]."""
-    if not strike > 0.0:
-        raise ParameterOutOfRange(f"strike must be positive, got {strike}")
-    stdev = model.sigma * math.sqrt(model.expiry)
-    if stdev == 0.0:
-        return max(model.forward - strike, 0.0)
-    d1 = (math.log(model.forward / strike) + 0.5 * stdev * stdev) / stdev
-    return model.forward * norm_cdf(d1) - strike * norm_cdf(d1 - stdev)
-
-
-def bachelier_call_price(forward: float, strike: float, sigma: float, expiry: float) -> float:
-    """Undiscounted Bachelier (normal) call price; supports negative rates and strikes."""
-    if sigma < 0.0:
-        raise ParameterOutOfRange(f"normal vol must be non-negative, got {sigma}")
-    stdev = sigma * math.sqrt(expiry)
-    if stdev == 0.0:
-        return max(forward - strike, 0.0)
-    d = (forward - strike) / stdev
-    return (forward - strike) * norm_cdf(d) + stdev * float(norm_pdf(d))
+def bachelier_call_prices(forward, strikes, sigma, expiry) -> np.ndarray:
+    """Undiscounted Bachelier (normal) call prices, elementwise over arrays of
+    forward, strike, normal vol and expiry, broadcast together; supports
+    negative rates and strikes.  Zero vol gives the intrinsic value."""
+    f, k, sigma, expiry = (np.asarray(x, dtype=float) for x in (forward, strikes, sigma, expiry))
+    _check_elements(
+        (sigma >= 0.0, "normal vol must be non-negative", sigma),
+        (expiry >= 0.0, "expiry must be non-negative", expiry),
+    )
+    stdev = sigma * np.sqrt(expiry)
+    moneyness = f - k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = moneyness / stdev
+        prices = moneyness * norm_cdf(d) + stdev * norm_pdf(d)
+    return np.where(stdev == 0.0, np.maximum(moneyness, 0.0), prices)
 
 
 def _as_grid(strikes, prices):
@@ -192,41 +188,14 @@ def _as_grid(strikes, prices):
 
 
 def _first(indices, error):
-    """``[(i, error(i))]`` for the first grid index ``i`` that fails a check.
-
-    The inversions collect these over all checks and raise the earliest, so
-    a grid fails exactly as a strike-by-strike loop would.
-    """
+    """``[(i, error(i))]`` for the first grid index ``i`` that fails a check;
+    ``_raise_first`` raises the earliest over all checks, as a loop would."""
     return [(indices[0], error(indices[0]))] if len(indices) else []
 
 
 def _raise_first(failures) -> None:
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-
-
-def _black_calls(forward: float, strikes, log_moneyness, root_expiry: float):
-    """``sigma -> bs_call_price`` over a strike grid, in the scalar pricer's
-    floating-point operations; ``log_moneyness`` is log(f / k) per strike."""
-
-    def value(sigma):
-        stdev = sigma * root_expiry
-        d1 = (log_moneyness + 0.5 * stdev * stdev) / stdev
-        return forward * norm_cdf(d1) - strikes * norm_cdf(d1 - stdev)
-
-    return value
-
-
-def _bachelier_calls(moneyness, root_expiry: float):
-    """``sigma -> bachelier_call_price`` over a grid of f - k, for sigma > 0,
-    in the scalar pricer's floating-point operations."""
-
-    def value(sigma):
-        stdev = sigma * root_expiry
-        d = moneyness / stdev
-        return moneyness * norm_cdf(d) + stdev * norm_pdf(d)
-
-    return value
 
 
 def _newton(time_value, s, lo, hi, q):
@@ -303,12 +272,9 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
 
     solve = np.flatnonzero(~(bad_strike | outside | at_upper | at_intrinsic))
     k, p = ks[solve], ps[solve]
-    # log(f / k) does not depend on sigma.  math.log keeps it bit-identical to
-    # the scalar pricer's; np.log differs from it by an ulp on rare inputs.
-    log_moneyness = np.array([math.log(forward / x) for x in k.tolist()])
     root_expiry = math.sqrt(expiry)
     lo, hi = _VOL_BRACKET
-    unbracketed = _black_calls(forward, k, log_moneyness, root_expiry)(np.full(k.size, hi)) < p
+    unbracketed = bs_call_prices(forward, k, hi, expiry) < p
     failures += _first(
         solve[unbracketed],
         lambda i: ConvergenceFailure(
@@ -316,7 +282,8 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
         ),
     )
     keep = ~unbracketed
-    k, p, x = k[keep], p[keep], log_moneyness[keep]
+    k, p = k[keep], p[keep]
+    x = _mapped(math.log, forward / k)  # log(f / k), mapped as in ``bs_call_prices``
     # The out-of-the-money option (the put below the forward) has time value
     # q by put-call parity, and keeps its digits away from the money.
     q = p - np.maximum(forward - k, 0.0)
@@ -332,7 +299,7 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     start = np.where(x == 0.0, _SQRT_2PI * q / forward, np.sqrt(2.0 * np.abs(x)))
     lo_s, hi_s = np.full(k.size, lo * root_expiry), np.full(k.size, hi * root_expiry)
     s = _newton(time_value, np.clip(start, lo_s, hi_s), lo_s, hi_s, q)
-    off = np.abs(_black_calls(forward, k, x, root_expiry)(s / root_expiry) - p) > PRICE_TOL
+    off = np.abs(bs_call_prices(forward, k, s / root_expiry, expiry) - p) > PRICE_TOL
     vols[solve[keep]] = s / root_expiry
     failures += _first(
         solve[keep][off],
@@ -411,10 +378,8 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     start = np.where(d > 1.0, a / np.maximum(d, 1.0), _SQRT_2PI * q)
     hi = 2.0 * _SQRT_2PI * (p + a)
     root_expiry = math.sqrt(expiry)
-    s = _newton(time_value, start, np.zeros(p.size), hi, q)
-    sigma = s / root_expiry
-    off = np.abs(_bachelier_calls(m, root_expiry)(sigma) - p) > PRICE_TOL
-    vols[solve] = sigma
+    vols[solve] = _newton(time_value, start, np.zeros(p.size), hi, q) / root_expiry
+    off = np.abs(bachelier_call_prices(forward, ks, vols, expiry)[solve] - p) > PRICE_TOL
     failures += _first(
         solve[off],
         lambda i: ConvergenceFailure(

@@ -19,12 +19,7 @@ from typing import Mapping, Sequence, Tuple
 import numpy as np
 
 from .engine import DEFAULT_TOLERANCES, MomentMatrix, Tolerances
-from .errors import (
-    DimensionMismatch,
-    MomentInconsistency,
-    NotPositiveSemiDefinite,
-    ParameterOutOfRange,
-)
+from .errors import DimensionMismatch, MomentInconsistency, ParameterOutOfRange
 
 __all__ = [
     "AssetMoments",
@@ -63,15 +58,11 @@ class AssetMoments:
 class CorrelationMatrix:
     """Square-root correlation matrix: symmetric, unit diagonal, entries in [-1, 1].
 
-    Positive semi-definiteness of the correlation matrix itself is validated
-    on construction by default.  Strictly, only the assembled moment matrix
-    needs to be PSD, so the check can be disabled with ``check_psd=False``;
-    inconsistencies then surface when the moment matrix is factored.
+    Joint consistency is checked once, on the assembled moment matrix, where
+    ``engine.factor_psd`` raises NotPositiveSemiDefinite.
     """
 
     entries: np.ndarray
-    check_psd: bool = True
-    psd_tol: float = DEFAULT_TOLERANCES.psd
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -83,13 +74,6 @@ class CorrelationMatrix:
             raise ParameterOutOfRange("correlation matrix must have a unit diagonal")
         if np.any(np.abs(arr) > 1.0):
             raise ParameterOutOfRange("correlations must lie in [-1, 1]")
-        if self.check_psd and arr.shape[0] > 1:
-            min_eig = float(np.linalg.eigvalsh(arr)[0])
-            if min_eig < -self.psd_tol * arr.shape[0]:
-                raise NotPositiveSemiDefinite(
-                    f"correlation matrix has min eigenvalue {min_eig:.3e}; "
-                    "the supplied pairwise correlations are jointly inconsistent"
-                )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -104,15 +88,12 @@ class CorrelationMatrix:
         pairs: Mapping[Tuple[int, int], float],
         *,
         required: Sequence[Tuple[int, int]] = (),
-        check_psd: bool = False,
     ) -> "CorrelationMatrix":
         """Build from sparsely supplied pairs.
 
         Pairs listed in ``required`` must be present (no default correlation
         is ever substituted); all other unspecified pairs are set to zero,
         which is only legitimate when their root-variance product vanishes.
-        The joint PSD check is off by default for sparse input since the
-        filled zeros are placeholders, not data.
         """
         arr = np.eye(dim)
         seen = set()
@@ -128,7 +109,7 @@ class CorrelationMatrix:
                     f"correlation for asset pair ({m}, {n}) was not supplied; "
                     "no default is assumed"
                 )
-        return cls(arr, check_psd=check_psd)
+        return cls(arr)
 
 
 def cross_term(m1: AssetMoments, m2: AssetMoments, rho: float) -> float:

@@ -1,5 +1,5 @@
 """Closed-form two-asset bound for vanilla options, the implied smile and the
-implied cumulative density.
+implied cumulative density, each an array form that broadcasts its arguments.
 
 The option to receive a - k, with only the price f and root-variance nu of
 the asset known, is bounded by the positive root of
@@ -13,7 +13,6 @@ a continuous density on the upper half-line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +25,14 @@ from .engine import (
     positive_eigenvalue_bounds,
 )
 from .errors import MomentBoundsError, ParameterOutOfRange, ShapeViolation
-from .models import implied_lognormal_vols
+from .models import _check_elements, implied_lognormal_vols
 from .moments import AssetMoments, assemble_q
 
 __all__ = [
     "VanillaBoundCurve",
     "vanilla_bounds",
     "vanilla_bounds_via_engine",
-    "implied_cdf",
+    "implied_cdfs",
     "smile_curves",
     "check_decreasing_convex",
 ]
@@ -41,6 +40,19 @@ __all__ = [
 # Slack for curve shape checks: second differences of a valid bound curve may
 # dip this far below zero before we call it an arbitrage violation.
 SHAPE_TOL = 1e-10
+
+
+def _checked(f, nu, k, strike_rule: str):
+    """f, nu and k as float arrays, after the first element in grid order
+    that breaks a rule raises ParameterOutOfRange.  ``strike_rule`` is
+    "positive" or "non-negative"."""
+    f, nu, k = (np.asarray(x, dtype=float) for x in (f, nu, k))
+    _check_elements(
+        (f > 0.0, "forward must be positive", f),
+        ((nu >= 0.0) & (nu <= 1.0), "root-variance must lie in [0, 1]", nu),
+        (k > 0.0 if strike_rule == "positive" else k >= 0.0, f"strike must be {strike_rule}", k),
+    )
+    return f, nu, k
 
 
 def vanilla_bounds(f, nu, k) -> np.ndarray:
@@ -51,15 +63,7 @@ def vanilla_bounds(f, nu, k) -> np.ndarray:
     and the product-of-roots form 2 f k nu / (sqrt(D) + (k - f)) when f < k,
     which stays accurate deep out of the money with tiny nu.
     """
-    f, nu, k = (np.asarray(x, dtype=float) for x in (f, nu, k))
-    if not (f > 0.0).all():
-        raise ParameterOutOfRange(f"forward must be positive, got {f[~(f > 0.0)][0]}")
-    if not ((nu >= 0.0) & (nu <= 1.0)).all():
-        raise ParameterOutOfRange(
-            f"root-variance must lie in [0, 1], got {nu[~((nu >= 0.0) & (nu <= 1.0))][0]}"
-        )
-    if not (k > 0.0).all():
-        raise ParameterOutOfRange(f"strike must be positive, got {k[~(k > 0.0)][0]}")
+    f, nu, k = _checked(f, nu, k, "positive")
     # d * d, not d ** 2: numpy squares arrays by multiplication but hands a
     # scalar's power to libm, which may round differently.
     d = f - k
@@ -89,26 +93,21 @@ def vanilla_bounds_via_engine(
     return positive_eigenvalue_bounds(q, quantities, tol).bounds
 
 
-def implied_cdf(f: float, nu: float, k: float) -> float:
-    """Cumulative density implied by the bound: 1 + d(bound)/dk.
+def implied_cdfs(f, nu, k) -> np.ndarray:
+    """Cumulative density implied by the bound, 1 + d(bound)/dk, elementwise
+    over arrays of f, nu and k >= 0, broadcast together.
 
     Evaluated analytically as 1/2 + (2 f nu - (f - k)) / (2 sqrt(D)).  The
     right-limit convention applies at kinks, so k = 0 reports the point mass
     nu and, for nu = 0, the strike at the forward reports 1.
     """
-    if not f > 0.0:
-        raise ParameterOutOfRange(f"forward must be positive, got {f}")
-    if not 0.0 <= nu <= 1.0:
-        raise ParameterOutOfRange(f"root-variance must lie in [0, 1], got {nu}")
-    if k < 0.0:
-        raise ParameterOutOfRange(f"strike must be non-negative, got {k}")
-    if k == 0.0:
-        return nu
-    root = math.sqrt((f - k) ** 2 + 4.0 * f * k * nu)
-    if root == 0.0:
-        # nu = 0 and k = f: point mass at the forward, CDF right-limit is 1.
-        return 1.0
-    return 0.5 + (2.0 * f * nu - (f - k)) / (2.0 * root)
+    f, nu, k = _checked(f, nu, k, "non-negative")
+    d = f - k
+    root = np.sqrt(d * d + 4.0 * f * k * nu)
+    # root is zero only at nu = 0, k = f: the point mass at the forward.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = np.where(root == 0.0, 1.0, 0.5 + (2.0 * f * nu - d) / (2.0 * root))
+    return np.where(k == 0.0, nu, cdf)
 
 
 def check_decreasing_convex(
@@ -174,7 +173,7 @@ def smile_curves(f: float, nus, strikes, expiry: float) -> list:
     ks = _checked_grid(strikes, min_size=2)
     nus = np.asarray(nus, dtype=float).reshape(-1)
     bounds = vanilla_bounds(f, nus[:, None], ks)
-    cdf = [[implied_cdf(f, nu, k) for k in ks.tolist()] for nu in nus.tolist()]
+    cdf = implied_cdfs(f, nus[:, None], ks)
     try:
         vols = implied_lognormal_vols(f, np.tile(ks, nus.size), expiry, bounds.ravel())
         vols = vols.reshape(bounds.shape)

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from momentbounds.attainment import (
+    _general_moment,
     binomial_calibrate,
-    binomial_call_price,
-    general_moment,
+    binomial_call_prices,
     implied_root_variance_curve,
     local_attainment_scan,
 )
@@ -27,7 +27,7 @@ from momentbounds.markets import (
     cross_root_variance,
     FxLegMoments,
 )
-from momentbounds.models import LognormalModel, bs_call_price
+from momentbounds.models import LognormalModel, bs_call_prices
 from momentbounds.partition import (
     flat_conditional_moments,
     linear_conditional_moments,
@@ -75,10 +75,10 @@ def test_02_atm_identity():
 
 def test_03_point_mass_at_zero_strike():
     worst = 0.0
-    from momentbounds.vanilla import implied_cdf
+    from momentbounds.vanilla import implied_cdfs
 
     for nu in (0.01, 0.04, 0.09):
-        worst = max(worst, abs(implied_cdf(1.0, nu, 1e-9) - nu))
+        worst = max(worst, abs(implied_cdfs(1.0, nu, [1e-9])[0] - nu))
     report(3, "implied CDF point mass at zero", worst <= 1e-8, f"max diff {worst:.2e}")
 
 
@@ -112,7 +112,7 @@ def test_04_schur_horn_domination():
 def test_05_refinement_sandwich_and_convergence():
     started = time.perf_counter()
     nu = MODEL.root_variance
-    reference = np.array([bs_call_price(MODEL, float(k)) for k in EVAL_STRIKES])
+    reference = bs_call_prices(MODEL.forward, EVAL_STRIKES, MODEL.sigma, MODEL.expiry)
     vanilla = vanilla_bounds(1.0, nu, EVAL_STRIKES)
 
     flat6 = flat_conditional_moments(MODEL, np.linspace(0.5, 2.5, 5))
@@ -166,8 +166,8 @@ def test_07_local_attainment():
         report_obj = local_attainment_scan(1.0, nu, strikes, attain_tol=1e-9)
         worst = max(worst, report_obj.max_gap)
     chi = local_attainment_scan(1.0, 0.01, [0.8]).angles[0]
-    cross_miss = vanilla_bounds(1.0, 0.01, [1.4])[0] - binomial_call_price(
-        binomial_calibrate(1.0, 0.01, chi), 1.4
+    cross_miss = vanilla_bounds(1.0, 0.01, [1.4])[0] - binomial_call_prices(
+        chi, *binomial_calibrate(1.0, 0.01, chi), 1.4
     )
     ok = worst <= 1e-9 and cross_miss > 1e-6
     report(
@@ -185,7 +185,7 @@ def test_08_global_non_attainment():
     symmetry = 0.0
     for nu in (0.25, 0.5):
         for n in (0.1, 0.3):
-            symmetry = max(symmetry, abs(general_moment(nu, n) - general_moment(nu, 1.0 - n)))
+            symmetry = max(symmetry, abs(_general_moment(nu, n) - _general_moment(nu, 1.0 - n)))
     ok = (
         bool(np.all(interior > 0.0))
         and max(endpoints) <= 1e-8

@@ -7,9 +7,9 @@ from scipy.integrate import quad
 
 from momentbounds import attainment
 from momentbounds.attainment import (
+    _general_moment,
     binomial_calibrate,
-    binomial_call_price,
-    general_moment,
+    binomial_call_prices,
     implied_root_variance_curve,
     local_attainment_scan,
 )
@@ -23,56 +23,114 @@ from momentbounds.models import _gl_rule
 from momentbounds.vanilla import vanilla_bounds, vanilla_bounds_via_engine
 
 
+def two_state_moments(chi, low, high):
+    """E[a] and E[sqrt(a)] of two-state models with weights sin(chi)^2 on
+    ``low`` and cos(chi)^2 on ``high``."""
+    w_low, w_high = np.sin(chi) ** 2, np.cos(chi) ** 2
+    return w_low * low + w_high * high, w_low * np.sqrt(low) + w_high * np.sqrt(high)
+
+
 class TestBinomialCalibrate:
     def test_moments_reproduced(self):
         f, nu, chi = 1.0, 0.01, 1.2
-        model = binomial_calibrate(f, nu, chi)
-        assert model.mean == pytest.approx(f, abs=1e-12)
-        assert model.sqrt_mean == pytest.approx(math.sqrt(f * (1.0 - nu)), abs=1e-12)
+        mean, sqrt_mean = two_state_moments(chi, *binomial_calibrate(f, nu, chi))
+        assert mean == pytest.approx(f, abs=1e-12)
+        assert sqrt_mean == pytest.approx(math.sqrt(f * (1.0 - nu)), abs=1e-12)
 
     def test_branch_endpoint(self):
         nu = 0.04
-        theta = math.acos(math.sqrt(nu))
-        model = binomial_calibrate(1.0, nu, 0.5 * math.pi - theta)
-        assert model.low == pytest.approx(0.0, abs=1e-25)
-        assert model.mean == pytest.approx(1.0, abs=1e-12)
-        assert model.sqrt_mean == pytest.approx(math.sqrt(0.96), abs=1e-12)
+        chi = 0.5 * math.pi - math.acos(math.sqrt(nu))
+        low, high = binomial_calibrate(1.0, nu, chi)
+        mean, sqrt_mean = two_state_moments(chi, low, high)
+        assert low == pytest.approx(0.0, abs=1e-25)
+        assert mean == pytest.approx(1.0, abs=1e-12)
+        assert sqrt_mean == pytest.approx(math.sqrt(0.96), abs=1e-12)
 
     def test_round_trip_across_angle_range(self):
         f, nu = 1.3, 0.2
         theta = math.acos(math.sqrt(nu))
-        for chi in np.linspace(0.5 * math.pi - theta + 1e-6, 0.5 * math.pi - 1e-6, 25):
-            model = binomial_calibrate(f, nu, float(chi))
-            assert model.mean == pytest.approx(f, abs=1e-12)
-            assert model.sqrt_mean == pytest.approx(math.sqrt(f * (1.0 - nu)), abs=1e-12)
+        chi = np.linspace(0.5 * math.pi - theta + 1e-6, 0.5 * math.pi - 1e-6, 25)
+        mean, sqrt_mean = two_state_moments(chi, *binomial_calibrate(f, nu, chi))
+        assert np.all(np.abs(mean - f) <= 1e-12)
+        assert np.all(np.abs(sqrt_mean - math.sqrt(f * (1.0 - nu))) <= 1e-12)
 
     def test_low_state_below_high_state(self):
-        model = binomial_calibrate(1.0, 0.04, 1.5)
-        assert model.low <= model.high
+        low, high = binomial_calibrate(1.0, 0.04, 1.5)
+        assert low <= high
 
     def test_mirror_branch_swaps_states(self):
         # The ascending-branch spectrum at pi/2 - chi equals this branch's
         # spectrum with the states exchanged.
         f, nu, chi = 1.0, 0.04, 1.45
         theta = math.acos(math.sqrt(nu))
-        model = binomial_calibrate(f, nu, chi)
+        low, high = binomial_calibrate(f, nu, chi)
         mirror_chi = 0.5 * math.pi - chi
         mirror_low = f * math.cos(theta - mirror_chi) ** 2 / math.sin(mirror_chi) ** 2
         mirror_high = f * math.sin(theta - mirror_chi) ** 2 / math.cos(mirror_chi) ** 2
-        assert mirror_low == pytest.approx(model.high, rel=1e-12, abs=0.0)
-        assert mirror_high == pytest.approx(model.low, rel=1e-10, abs=1e-12)
+        assert mirror_low == pytest.approx(high, rel=1e-12, abs=0.0)
+        assert mirror_high == pytest.approx(low, rel=1e-10, abs=1e-12)
+
+    def test_grid_elements_equal_one_element_calls(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            f, nu = float(rng.uniform(0.05, 20.0)), float(rng.uniform(1e-4, 0.9999))
+            theta = math.acos(math.sqrt(nu))
+            chi = rng.uniform(0.5 * math.pi - theta, 0.5 * math.pi, 30)
+            low, high = binomial_calibrate(f, nu, chi)
+            singles = [binomial_calibrate(f, nu, c) for c in chi.tolist()]
+            assert low.tolist() == [float(lo) for lo, _ in singles]
+            assert high.tolist() == [float(hi) for _, hi in singles]
 
     def test_angle_out_of_range(self):
         nu = 0.04
         theta = math.acos(math.sqrt(nu))
         with pytest.raises(AngleOutOfRange):
             binomial_calibrate(1.0, nu, 0.5 * math.pi - theta - 1e-3)
+        with pytest.raises(AngleOutOfRange):
+            binomial_calibrate(1.0, nu, math.nan)
+
+    def test_first_bad_angle_raises_as_a_loop(self):
+        nu = 0.04
+        grid = [1.5, 0.1, 1.55, 2.0]
+
+        def loop():
+            for chi in grid:
+                binomial_calibrate(1.0, nu, chi)
+
+        with pytest.raises(AngleOutOfRange) as looped:
+            loop()
+        with pytest.raises(AngleOutOfRange) as at_once:
+            binomial_calibrate(1.0, nu, grid)
+        assert str(at_once.value) == str(looped.value)
+        assert "angle 0.1 " in str(at_once.value)
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             binomial_calibrate(1.0, 0.0, 1.0)
         with pytest.raises(ParameterOutOfRange):
             binomial_calibrate(1.0, 1.0, 1.0)
+
+
+class TestBinomialCallPrices:
+    def test_zero_strike_prices_the_mean(self):
+        assert binomial_call_prices(math.pi / 4.0, 0.0, 2.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_two_state_expectation(self):
+        chi, low, high = 0.7, 0.5, 2.0
+        expected = math.sin(chi) ** 2 * 0.2 + math.cos(chi) ** 2 * 1.7
+        assert binomial_call_prices(chi, low, high, 0.3) == pytest.approx(expected, rel=1e-15)
+
+    def test_grid_elements_equal_one_element_calls(self):
+        f, nu = 1.3, 0.2
+        theta = math.acos(math.sqrt(nu))
+        chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, 40)[:-1]
+        low, high = binomial_calibrate(f, nu, chi)
+        strikes = np.linspace(0.2, 4.0, 17)
+        grid = binomial_call_prices(chi, low, high, strikes[:, None])
+        assert grid.shape == (strikes.size, chi.size)
+        for i, k in enumerate(strikes.tolist()):
+            for j, (c, lo, hi) in enumerate(zip(chi.tolist(), low.tolist(), high.tolist())):
+                assert grid[i, j] == binomial_call_prices(c, lo, hi, k)
 
 
 def attaining_angle(f, nu, k):
@@ -97,7 +155,7 @@ class TestOptimalAngle:
     def test_attains_bound_at_example_strike(self):
         f, nu, k = 1.0, 0.01, 1.4
         chi = attaining_angle(f, nu, k)
-        price = binomial_call_price(binomial_calibrate(f, nu, chi), k)
+        price = binomial_call_prices(chi, *binomial_calibrate(f, nu, chi), k)
         assert price == pytest.approx(vanilla_bounds(f, nu, [k])[0], rel=1e-10, abs=0.0)
 
     def test_angle_within_branch(self):
@@ -106,10 +164,20 @@ class TestOptimalAngle:
         angles = local_attainment_scan(1.0, nu, [0.2, 0.9, 1.0, 1.7, 4.0]).angles
         assert np.all((0.5 * math.pi - theta - 1e-12 <= angles) & (angles < 0.5 * math.pi))
 
+    def test_grid_elements_equal_one_strike_models(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            f, nu, ks = random_scan_case(rng, int(rng.integers(1, 30)))
+            grid = attainment._attaining_models(f, nu, ks)
+            for i in range(ks.size):
+                single = attainment._attaining_models(f, nu, ks[i : i + 1])
+                assert [column[i] for column in grid] == [column[0] for column in single]
 
-def scalar_scanned_maximum(f, theta, strike):
+
+def scalar_scanned_maximum(f, nu, strike):
     """One-strike reference for the guard scan: the angle grid's models
     calibrated and priced at a single strike."""
+    theta = math.acos(math.sqrt(nu))
     chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, attainment._SCAN_POINTS)[:-1]
     weight_low, weight_high = np.sin(chi) ** 2, np.cos(chi) ** 2
     low = f * np.cos(theta + chi) ** 2 / weight_low
@@ -124,77 +192,81 @@ def random_scan_case(rng, strikes):
     f = float(rng.uniform(0.05, 20.0))
     nu = float(rng.uniform(1e-4, 0.9999))
     ks = np.sort(f * np.exp(rng.normal(0.0, 1.5, strikes)))
-    return f, math.acos(math.sqrt(nu)), ks
+    return f, nu, ks
 
 
 class TestBranchGuard:
     def test_scanned_maximum_matches_per_angle_loop(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            f, theta, (k,) = random_scan_case(rng, 1)
-            nu = math.cos(theta) ** 2
+            f, nu, (k,) = random_scan_case(rng, 1)
+            theta = math.acos(math.sqrt(nu))
             grid = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, attainment._SCAN_POINTS)[:-1]
             expected = max(
-                binomial_call_price(binomial_calibrate(f, nu, float(c)), k) for c in grid
+                binomial_call_prices(c, *binomial_calibrate(f, nu, c), k) for c in grid.tolist()
             )
-            got = attainment._scanned_maxima(f, theta, np.array([k]))
+            got = attainment._scanned_maxima(f, nu, np.array([k]))
             assert got.shape == (1,)
             assert got[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_grid_rows_equal_one_strike_scans(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            f, theta, ks = random_scan_case(rng, int(rng.integers(1, 40)))
-            rows = attainment._scanned_maxima(f, theta, ks)
-            singles = [attainment._scanned_maxima(f, theta, ks[i : i + 1])[0] for i in range(ks.size)]
+            f, nu, ks = random_scan_case(rng, int(rng.integers(1, 40)))
+            rows = attainment._scanned_maxima(f, nu, ks)
+            singles = [attainment._scanned_maxima(f, nu, ks[i : i + 1])[0] for i in range(ks.size)]
             assert rows.tolist() == singles
-            assert singles == [scalar_scanned_maximum(f, theta, k) for k in ks.tolist()]
+            assert singles == [scalar_scanned_maximum(f, nu, k) for k in ks.tolist()]
 
     def test_grid_beyond_one_block_matches_blockwise(self):
-        f, theta, ks = random_scan_case(np.random.default_rng(23), 1500)
+        f, nu, ks = random_scan_case(np.random.default_rng(23), 1500)
         per_block = attainment.STACK_BYTES // (8 * (attainment._SCAN_POINTS - 1))
         assert ks.size > 2 * per_block
         blockwise = np.concatenate(
-            [attainment._scanned_maxima(f, theta, ks[i : i + 100]) for i in range(0, ks.size, 100)]
+            [attainment._scanned_maxima(f, nu, ks[i : i + 100]) for i in range(0, ks.size, 100)]
         )
-        got = attainment._scanned_maxima(f, theta, ks).tolist()
+        got = attainment._scanned_maxima(f, nu, ks).tolist()
         assert got == blockwise.tolist()
-        assert got == [scalar_scanned_maximum(f, theta, k) for k in ks.tolist()]
+        assert got == [scalar_scanned_maximum(f, nu, k) for k in ks.tolist()]
 
     def test_guard_still_rejects_a_beaten_angle(self, monkeypatch):
         f, nu, k = 1.0, 0.04, 1.3
         chi = attaining_angle(f, nu, k)
-        achieved = binomial_call_price(binomial_calibrate(f, nu, chi), k)
+        achieved = binomial_call_prices(chi, *binomial_calibrate(f, nu, chi), k)
         monkeypatch.setattr(
             attainment, "_scanned_maxima", lambda *args: np.array([achieved + 2e-9 * max(1.0, f)])
         )
-        with pytest.raises(BranchResolutionFailure):
+        with pytest.raises(BranchResolutionFailure, match=re.escape(f"formula angle {chi} ")):
             attaining_angle(f, nu, k)
-        assert attainment._formula_angle(f, attainment._theta(nu), k) == chi
 
     def test_scan_guard_names_the_first_beaten_strike(self, monkeypatch):
         f, nu = 1.0, 0.04
         strikes = np.linspace(0.5, 2.0, 7)
         real = attainment._scanned_maxima
 
-        def beaten(f_, theta, ks):
-            best = real(f_, theta, ks)
+        def beaten(f_, nu_, ks):
+            best = real(f_, nu_, ks)
             best[[2, 5]] += 1e-6
             return best
 
-        first = attainment._formula_angle(f, attainment._theta(nu), float(strikes[2]))
+        first = attaining_angle(f, nu, float(strikes[2]))
         monkeypatch.setattr(attainment, "_scanned_maxima", beaten)
         with pytest.raises(BranchResolutionFailure, match=re.escape(f"formula angle {first} ")):
             local_attainment_scan(f, nu, strikes)
 
     def test_scan_calibrates_each_strike_once(self, monkeypatch):
+        # In two calls whatever the number of strikes: one for the guard's
+        # angle grid and one for the formula angles of all strikes.
         calls = []
         real = attainment.binomial_calibrate
         monkeypatch.setattr(
             attainment, "binomial_calibrate", lambda *args: calls.append(args) or real(*args)
         )
-        report = local_attainment_scan(1.0, 0.04, np.linspace(0.5, 2.0, 9))
-        assert [args[2] for args in calls] == report.angles.tolist()
+        for size in (1, 9, 40):
+            calls.clear()
+            report = local_attainment_scan(1.0, 0.04, np.linspace(0.5, 2.0, size))
+            assert len(calls) == 2
+            assert calls[-1][2].tolist() == report.angles.tolist()
 
 
 class TestLocalAttainment:
@@ -206,8 +278,8 @@ class TestLocalAttainment:
     def test_no_single_model_attains_two_strikes(self):
         f, nu = 1.0, 0.01
         chi_low = attaining_angle(f, nu, 0.8)
-        model = binomial_calibrate(f, nu, chi_low)
-        miss = vanilla_bounds(f, nu, [1.4])[0] - binomial_call_price(model, 1.4)
+        low, high = binomial_calibrate(f, nu, chi_low)
+        miss = vanilla_bounds(f, nu, [1.4])[0] - binomial_call_prices(chi_low, low, high, 1.4)
         assert miss > 1e-6
 
     def test_report_carries_global_section(self):
@@ -340,30 +412,30 @@ class TestGeneralMoment:
     def test_half_matches_sqrt_moment(self):
         nus = (0.04, 0.25, 0.5, 0.9)
         for nu, moment in zip(nus, implied_root_variance_curve(nus).sqrt_moment):
-            assert general_moment(nu, 0.5) == pytest.approx(moment, abs=1e-9)
+            assert _general_moment(nu, 0.5) == pytest.approx(moment, abs=1e-9)
 
     def test_symmetry(self):
         for nu in (0.25, 0.5):
             for n in (0.1, 0.3):
-                assert general_moment(nu, n) == pytest.approx(
-                    general_moment(nu, 1.0 - n), abs=1e-9
+                assert _general_moment(nu, n) == pytest.approx(
+                    _general_moment(nu, 1.0 - n), abs=1e-9
                 )
 
     def test_deterministic_asset(self):
         for n in (0.1, 0.5, 0.9):
-            assert general_moment(0.0, n) == 1.0
+            assert _general_moment(0.0, n) == 1.0
 
     def test_full_dispersion_kills_fractional_moments(self):
         # At nu = 1 the integral evaluates to 1/(n(1-n)) and the moment
         # vanishes for every 0 < n < 1.
         for n in (0.2, 0.5, 0.8):
-            assert general_moment(1.0, n) == pytest.approx(0.0, abs=1e-10)
+            assert _general_moment(1.0, n) == pytest.approx(0.0, abs=1e-10)
 
     def test_order_validation(self):
         with pytest.raises(ParameterOutOfRange):
-            general_moment(0.5, 0.0)
+            _general_moment(0.5, 0.0)
         with pytest.raises(ParameterOutOfRange):
-            general_moment(0.5, 1.0)
+            _general_moment(0.5, 1.0)
 
 
 class TestLocalScanBatching:

@@ -7,18 +7,18 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from momentbounds import models
+from momentbounds.attainment import binomial_calibrate
 from momentbounds.errors import (
+    AngleOutOfRange,
     ConvergenceFailure,
     DimensionMismatch,
     ParameterOutOfRange,
     PriceOutsideArbitrageBounds,
 )
 from momentbounds.models import (
-    BinomialModel,
     LognormalModel,
-    bachelier_call_price,
-    binomial_price,
-    bs_call_price,
+    bachelier_call_prices,
+    bs_call_prices,
     implied_lognormal_vols,
     implied_normal_vols,
     lognormal_partial_moments,
@@ -55,28 +55,100 @@ class TestLognormalModel:
 
 class TestBlackPrices:
     def test_zero_vol_is_intrinsic(self):
-        model = LognormalModel(1.2, 0.0, 1.0)
-        assert bs_call_price(model, 1.0) == pytest.approx(0.2, abs=1e-15)
-        assert bs_call_price(model, 1.5) == 0.0
+        assert bs_call_prices(1.2, [1.0], 0.0, 1.0)[0] == pytest.approx(0.2, abs=1e-15)
+        assert bs_call_prices(1.2, [1.5], 0.0, 1.0)[0] == 0.0
 
     def test_small_strike_limit(self):
-        model = LognormalModel(1.0, 0.4, 1.0)
-        assert bs_call_price(model, 1e-10) == pytest.approx(1.0, abs=1e-9)
+        assert bs_call_prices(1.0, [1e-10], 0.4, 1.0)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_atm_value_against_erf_oracle(self):
-        model = LognormalModel(1.0, 0.4, 1.0)
         expected = 2.0 * erf_normal_cdf(0.2) - 1.0
-        assert bs_call_price(model, 1.0) == pytest.approx(expected, abs=1e-15)
+        assert bs_call_prices(1.0, [1.0], 0.4, 1.0)[0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.158519, abs=5e-7)
 
     def test_price_within_static_bounds_and_convex(self):
-        model = LognormalModel(1.0, 0.4, 1.0)
         strikes = np.linspace(0.2, 4.0, 60)
-        prices = np.array([bs_call_price(model, k) for k in strikes])
+        prices = bs_call_prices(1.0, strikes, 0.4, 1.0)
         assert np.all(prices <= 1.0)
         assert np.all(prices >= np.maximum(1.0 - strikes, 0.0))
         assert np.all(np.diff(prices) <= 0.0)
         assert np.all(np.diff(prices, 2) >= -1e-12)
+
+
+def scalar_black(forward, strike, sigma, expiry):
+    """The Black formula in float arithmetic, one strike at a time."""
+    stdev = sigma * math.sqrt(expiry)
+    if stdev == 0.0:
+        return max(forward - strike, 0.0)
+    d1 = (math.log(forward / strike) + 0.5 * stdev * stdev) / stdev
+    return forward * norm_cdf(d1) - strike * norm_cdf(d1 - stdev)
+
+
+def scalar_bachelier(forward, strike, sigma, expiry):
+    """The Bachelier formula in float arithmetic, one strike at a time."""
+    stdev = sigma * math.sqrt(expiry)
+    if stdev == 0.0:
+        return max(forward - strike, 0.0)
+    d = (forward - strike) / stdev
+    return (forward - strike) * norm_cdf(d) + stdev * float(norm_pdf(d))
+
+
+def raised(fn, *args):
+    """(class, message) of the error ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def loop_raised(fn, *grids):
+    """(class, message) of the first error a loop of one-element calls over
+    the broadcast grids raises."""
+    for args in zip(*(grid.ravel().tolist() for grid in np.broadcast_arrays(*grids))):
+        try:
+            fn(*([a] for a in args))
+        except Exception as exc:  # noqa: BLE001 - the error is the result
+            return type(exc), str(exc)
+    raise AssertionError("no element failed")
+
+
+class TestArrayPricers:
+    PRICERS = [(bs_call_prices, scalar_black), (bachelier_call_prices, scalar_bachelier)]
+
+    @pytest.mark.parametrize("pricer, scalar", PRICERS)
+    def test_grid_elements_equal_one_element_calls(self, pricer, scalar):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            forward = float(rng.uniform(0.2, 5.0))
+            strikes = forward * np.exp(rng.normal(0.0, 1.0, (3, 8)))
+            sigmas = rng.uniform(0.0, 2.0, 8)
+            sigmas[0] = 0.0  # intrinsic
+            expiry = float(rng.choice([0.1, 1.0, 5.0]))
+            grid = pricer(forward, strikes, sigmas, expiry)
+            assert grid.shape == strikes.shape
+            for (i, j), k in np.ndenumerate(strikes):
+                single = pricer(forward, [k], sigmas[j], expiry)
+                assert grid[i, j] == single[0]
+                assert grid[i, j] == scalar(forward, float(k), float(sigmas[j]), expiry)
+
+    def test_black_first_bad_element_raises_as_a_loop(self):
+        cases = [
+            (1.0, [1.0, -1.0, 0.0], 0.3, 1.0),
+            ([1.0, -1.0], [-2.0, 1.0], 0.3, 1.0),  # a bad strike before a bad forward
+            (1.0, [1.0, 1.2, 0.8], [0.2, -0.1, math.nan], 1.0),
+            (1.0, [1.0, 1.2], 0.2, [1.0, 0.0]),
+        ]
+        for args in cases:
+            expected = loop_raised(bs_call_prices, *args)
+            assert expected[0] is ParameterOutOfRange
+            assert raised(bs_call_prices, *args) == expected
+        assert "got -2.0" in raised(bs_call_prices, *cases[1])[1]
+
+    def test_bachelier_first_bad_element_raises_as_a_loop(self):
+        cases = [(0.01, [0.0, 0.02], [0.01, -0.01], 1.0), (0.01, 0.0, [0.01, 0.02], [1.0, -1.0])]
+        for args in cases:
+            expected = loop_raised(bachelier_call_prices, *args)
+            assert expected[0] is ParameterOutOfRange
+            assert raised(bachelier_call_prices, *args) == expected
 
 
 class TestImpliedLognormalVol:
@@ -102,8 +174,7 @@ class TestImpliedLognormalVol:
     def test_round_trip_identity(self):
         for sigma in (0.01, 0.1, 0.4, 1.0, 2.0):
             for k in (0.1, 0.5, 1.0, 2.0, 5.0):
-                model = LognormalModel(1.0, sigma, 1.0)
-                price = bs_call_price(model, k)
+                price = bs_call_prices(1.0, [k], sigma, 1.0)[0]
                 time_value = price - max(1.0 - k, 0.0)
                 # Skip prices pinned to a boundary: with time value below
                 # ~1e-9 the vega is so small that sigma is not identifiable
@@ -117,9 +188,7 @@ class TestImpliedLognormalVol:
     def test_reproduces_price(self):
         price = 0.123
         sigma = implied_lognormal_vols(1.0, [1.4], 1.0, [price])[0]
-        assert bs_call_price(LognormalModel(1.0, sigma, 1.0), 1.4) == pytest.approx(
-            price, abs=1e-10
-        )
+        assert bs_call_prices(1.0, [1.4], sigma, 1.0)[0] == pytest.approx(price, abs=1e-10)
 
 
 class TestImpliedNormalVol:
@@ -139,7 +208,7 @@ class TestImpliedNormalVol:
         )
 
     def test_negative_rates_round_trip(self):
-        price = bachelier_call_price(-0.01, -0.005, 0.008, 2.0)
+        price = bachelier_call_prices(-0.01, [-0.005], 0.008, 2.0)[0]
         sigma = implied_normal_vols(-0.01, [-0.005], 2.0, [price])[0]
         assert sigma == pytest.approx(0.008, abs=1e-10)
 
@@ -223,21 +292,18 @@ class TestPartialMoments:
 
 
 class TestBinomialModel:
-    def test_weights_sum_to_one(self):
-        model = BinomialModel(0.5, 2.0, 0.7)
-        assert model.weight_low + model.weight_high == pytest.approx(1.0, abs=1e-15)
-
-    def test_unit_payoff(self):
-        model = BinomialModel(0.5, 2.0, 0.7)
-        assert binomial_price(model, lambda a: 1.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_symmetric_identity_payoff(self):
-        model = BinomialModel(0.0, 2.0, math.pi / 4.0)
-        assert binomial_price(model, lambda a: a) == pytest.approx(1.0, abs=1e-15)
+    """The two-state model of ``attainment.binomial_calibrate``."""
 
     def test_angle_range(self):
-        with pytest.raises(ParameterOutOfRange):
-            BinomialModel(0.5, 2.0, 0.0)
+        # The weight angle must lie strictly inside (0, pi/2): at either end
+        # one state carries zero weight.
+        for chi in (0.0, 0.5 * math.pi):
+            with pytest.raises(AngleOutOfRange):
+                binomial_calibrate(1.0, 0.04, chi)
+        # At nu = 1e-40 the branch starts at pi/2 - theta = 0 in floats, and
+        # the angle 0 is still rejected.
+        with pytest.raises(AngleOutOfRange):
+            binomial_calibrate(1.0, 1e-40, 0.0)
 
 
 class TestGaussLegendre:
@@ -287,8 +353,7 @@ class TestNormCdf:
 class TestVolBracket:
     def test_vol_above_bracket_fails_loudly(self):
         # A price requiring sigma > 10 is reported, not extrapolated.
-        model = LognormalModel(1.0, 12.0, 1.0)
-        price = bs_call_price(model, 1.0)
+        price = bs_call_prices(1.0, [1.0], 12.0, 1.0)[0]
         if price < 1.0 - 1e-14:
             with pytest.raises(ConvergenceFailure):
                 implied_lognormal_vols(1.0, [1.0], 1.0, [price])
@@ -349,7 +414,7 @@ def scalar_lognormal_vol(forward, strike, expiry, price):
     lo, hi = 1e-8, 10.0
 
     def value(sigma):
-        return bs_call_price(LognormalModel(forward, sigma, expiry), strike)
+        return bs_call_prices(forward, [strike], sigma, expiry)[0]
 
     if value(hi) < price:
         raise ConvergenceFailure("above bracket")
@@ -380,19 +445,19 @@ def scalar_normal_vol(forward, strike, expiry, price):
     lo = 0.0
     hi = 2.0 * (price + abs(forward - strike)) / math.sqrt(expiry / (2.0 * math.pi))
     for _ in range(200):
-        if bachelier_call_price(forward, strike, hi, expiry) >= price:
+        if bachelier_call_prices(forward, [strike], hi, expiry)[0] >= price:
             break
         hi *= 2.0
     else:
         raise ConvergenceFailure("could not bracket")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if bachelier_call_price(forward, strike, mid, expiry) < price:
+        if bachelier_call_prices(forward, [strike], mid, expiry)[0] < price:
             lo = mid
         else:
             hi = mid
     sigma = 0.5 * (lo + hi)
-    if abs(bachelier_call_price(forward, strike, sigma, expiry) - price) > 1e-10:
+    if abs(bachelier_call_prices(forward, [strike], sigma, expiry)[0] - price) > 1e-10:
         raise ConvergenceFailure("residual")
     return sigma
 
@@ -413,9 +478,7 @@ def lognormal_grid(rng, size=60):
     strikes = forward * np.exp(rng.normal(0.0, 1.0, size))
     strikes[0] = forward  # at the money
     sigmas = rng.uniform(0.0, 3.0, size)
-    prices = np.array(
-        [bs_call_price(LognormalModel(forward, s, expiry), k) for k, s in zip(strikes, sigmas)]
-    )
+    prices = bs_call_prices(forward, strikes, sigmas, expiry)
     strikes[1], prices[1] = 0.05 * forward, 0.95 * forward  # deep in the money, zero vol
     prices[2] = forward  # upper bound: inf
     prices[3] = forward - 1e-15  # within the margin of the upper bound: inf
@@ -428,9 +491,7 @@ def normal_grid(rng, size=60):
     strikes = forward + rng.normal(0.0, 0.03, size)  # negative strikes too
     strikes[0] = forward  # exact ATM identity
     sigmas = np.abs(rng.normal(0.01, 0.01, size))
-    prices = np.array(
-        [bachelier_call_price(forward, k, s, expiry) for k, s in zip(strikes, sigmas)]
-    )
+    prices = bachelier_call_prices(forward, strikes, sigmas, expiry)
     prices[1] = max(forward - strikes[1], 0.0)  # at intrinsic: zero vol
     strikes[2] = forward - 0.05
     prices[2] = 0.05 * (1.0 - 1e-13)  # inside the below-intrinsic slack: zero vol
@@ -532,8 +593,8 @@ class TestArrayInversionErrors:
         assert f"strike {float(strikes[expected_index])}" in str(info.value)
 
     def test_lognormal_first_failure_wins(self):
-        good = bs_call_price(LognormalModel(1.0, 0.3, 1.0), 1.2)
-        above_bracket = bs_call_price(LognormalModel(1.0, 12.0, 1.0), 1.0)
+        good = bs_call_prices(1.0, [1.2], 0.3, 1.0)[0]
+        above_bracket = bs_call_prices(1.0, [1.0], 12.0, 1.0)[0]
         cases = [
             # below intrinsic before above forward
             ([1.2, 0.8, 1.0, 0.9], [good, 0.1, 1.1, 0.2]),
@@ -550,7 +611,7 @@ class TestArrayInversionErrors:
             self.check(implied_lognormal_vols, scalar_lognormal_vol, 1.0, strikes, 1.0, prices)
 
     def test_normal_first_failure_wins(self):
-        good = bachelier_call_price(-0.01, -0.005, 0.008, 2.0)
+        good = bachelier_call_prices(-0.01, [-0.005], 0.008, 2.0)[0]
         # the first of two below-intrinsic prices
         strikes, prices = [-0.005, -0.02, -0.03], [good, 0.001, 0.002]
         self.check(implied_normal_vols, scalar_normal_vol, -0.01, strikes, 2.0, prices)
@@ -576,7 +637,7 @@ class TestArrayInversionErrors:
                 array_form(forward, np.asarray(strikes), expiry, np.asarray(prices))
             return str(info.value)
 
-        good = bachelier_call_price(-0.01, -0.005, 0.008, 2.0)
+        good = bachelier_call_prices(-0.01, [-0.005], 0.008, 2.0)[0]
         normal = (implied_normal_vols, -0.01)
         # a non-finite price before a below-intrinsic one, and after it
         assert "strike -0.003" in fails_at(
@@ -585,8 +646,8 @@ class TestArrayInversionErrors:
         assert "strike -0.02" in fails_at(
             *normal, [-0.005, -0.02, -0.003], 2.0, [good, 0.001, bad], PriceOutsideArbitrageBounds
         )
-        good = bs_call_price(LognormalModel(1.0, 0.3, 1.0), 1.2)
-        above_bracket = bs_call_price(LognormalModel(1.0, 12.0, 1.0), 1.0)
+        good = bs_call_prices(1.0, [1.2], 0.3, 1.0)[0]
+        above_bracket = bs_call_prices(1.0, [1.0], 12.0, 1.0)[0]
         lognormal = (implied_lognormal_vols, 1.0)
         # before and after an above-bracket price, and after a bad strike
         assert "strike 0.9" in fails_at(

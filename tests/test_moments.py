@@ -70,17 +70,23 @@ class TestCrossTerm:
 
 class TestCorrelationMatrix:
     def test_inconsistent_correlations_rejected(self):
+        # The one PSD check is on the assembled moment matrix.
         rho = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
-        with pytest.raises(NotPositiveSemiDefinite, match="correlation"):
-            CorrelationMatrix(rho)
+        moments = [AssetMoments(1.0, 0.5)] * 3
+        with pytest.raises(NotPositiveSemiDefinite):
+            factor_psd(assemble_q(moments, CorrelationMatrix(rho)))
 
     def test_psd_check_can_be_disabled(self):
+        # CorrelationMatrix carries no PSD check of its own: only the moment
+        # matrix must be PSD, and with zero root-variances the correlations
+        # drop out of it, so jointly inconsistent ones are harmless there.
         rho = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
-        corr = CorrelationMatrix(rho, check_psd=False)
-        moments = [AssetMoments(1.0, 0.5)] * 3
-        # The inconsistency then surfaces when the moment matrix is factored.
-        with pytest.raises(NotPositiveSemiDefinite):
-            factor_psd(assemble_q(moments, corr))
+        corr = CorrelationMatrix(rho)
+        assert np.array_equal(corr.entries, rho)
+        pairs = {(0, 1): 1.0, (0, 2): -1.0, (1, 2): 1.0}
+        assert np.array_equal(CorrelationMatrix.from_pairs(3, pairs).entries, rho)
+        factor = factor_psd(assemble_q([AssetMoments(1.0, 0.0)] * 3, corr))
+        assert factor.rank == 1
 
     def test_unit_diagonal_required(self):
         with pytest.raises(ParameterOutOfRange):

@@ -17,7 +17,7 @@ from momentbounds.errors import (
 from momentbounds.models import (
     LognormalModel,
     _gl_rule,
-    bs_call_price,
+    bs_call_prices,
     lognormal_partial_moments,
     norm_cdf,
 )
@@ -100,7 +100,7 @@ class TestFlatRefinedBound:
         moments = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)
         v6 = refined_bounds(moments, [1.0])[0]
         vanilla = vanilla_bounds(1.0, MODEL.root_variance, [1.0])[0]
-        black = bs_call_price(MODEL, 1.0)
+        black = bs_call_prices(MODEL.forward, [1.0], MODEL.sigma, MODEL.expiry)[0]
         assert black <= v6 <= vanilla
         assert vanilla - v6 > 1e-3  # the refinement genuinely bites
 
@@ -114,7 +114,7 @@ class TestFlatRefinedBound:
             b30 = refined_bounds(m30, [k])[0]
             assert b1 >= b6 - 1e-10
             assert b6 >= b30 - 1e-10
-            assert b30 >= bs_call_price(MODEL, k) - 1e-10
+            assert b30 >= bs_call_prices(MODEL.forward, [k], MODEL.sigma, MODEL.expiry)[0] - 1e-10
 
 
 def exact_flat_bounds(model, boundaries, strikes):
@@ -325,7 +325,8 @@ class TestLinearRefinedBound:
         fm = flat_conditional_moments(MODEL, FIG_BOUNDARIES_6)
         nu = MODEL.root_variance
         atm = refined_bounds(lm, [1.0])[0]
-        assert bs_call_price(MODEL, 1.0) <= atm <= vanilla_bounds(1.0, nu, [1.0])[0]
+        black = bs_call_prices(MODEL.forward, [1.0], MODEL.sigma, MODEL.expiry)[0]
+        assert black <= atm <= vanilla_bounds(1.0, nu, [1.0])[0]
         linear_curve = refined_bounds(lm, EVAL_STRIKES)
         flat_curve = refined_bounds(fm, EVAL_STRIKES)
         # Continuous basis functions produce a visibly smoother bound than
@@ -334,8 +335,8 @@ class TestLinearRefinedBound:
 
     def test_dominates_reference_prices(self):
         lm29 = linear_conditional_moments(MODEL, FIG_BOUNDARIES_30)
-        for k, bound in zip(EVAL_STRIKES, refined_bounds(lm29, EVAL_STRIKES)):
-            assert bound >= bs_call_price(MODEL, float(k)) - 1e-10
+        black = bs_call_prices(MODEL.forward, EVAL_STRIKES, MODEL.sigma, MODEL.expiry)
+        assert np.all(refined_bounds(lm29, EVAL_STRIKES) >= black - 1e-10)
 
     def test_monotone_against_vanilla_and_finer_grid(self):
         lm5 = linear_conditional_moments(MODEL, FIG_BOUNDARIES_6)

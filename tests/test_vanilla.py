@@ -10,11 +10,11 @@ from momentbounds.errors import (
     PriceOutsideArbitrageBounds,
     ShapeViolation,
 )
-from momentbounds.models import LognormalModel, bs_call_price
+from momentbounds.models import LognormalModel, bs_call_prices
 from momentbounds.vanilla import (
     VanillaBoundCurve,
     check_decreasing_convex,
-    implied_cdf,
+    implied_cdfs,
     smile_curves,
     vanilla_bounds,
     vanilla_bounds_via_engine,
@@ -120,22 +120,43 @@ class TestEngineEquivalence:
         assert vanilla_bounds_via_engine(1.0, 0.0, [2.0])[0] == pytest.approx(0.0, abs=1e-15)
 
 
+def scalar_cdf(f, nu, k):
+    """The implied CDF in float arithmetic, one strike at a time."""
+    if k == 0.0:
+        return nu
+    d = f - k
+    root = math.sqrt(d * d + 4.0 * f * k * nu)
+    return 1.0 if root == 0.0 else 0.5 + (2.0 * f * nu - d) / (2.0 * root)
+
+
 class TestImpliedCdf:
     def test_point_mass_at_zero(self):
         for nu in (0.01, 0.04, 0.09):
-            assert implied_cdf(1.0, nu, 0.0) == nu
-            assert implied_cdf(1.0, nu, 1e-9) == pytest.approx(nu, abs=1e-8)
+            assert implied_cdfs(1.0, nu, [0.0])[0] == nu
+            assert implied_cdfs(1.0, nu, [1e-9])[0] == pytest.approx(nu, abs=1e-8)
 
     def test_atm_value(self):
         for nu in (0.01, 0.25, 0.81):
-            assert implied_cdf(1.0, nu, 1.0) == pytest.approx(
+            assert implied_cdfs(1.0, nu, [1.0])[0] == pytest.approx(
                 0.5 + math.sqrt(nu) / 2.0, rel=1e-13, abs=0.0
             )
 
     def test_zero_variance_step(self):
-        assert implied_cdf(1.0, 0.0, 0.5) == 0.0
-        assert implied_cdf(1.0, 0.0, 1.5) == 1.0
-        assert implied_cdf(1.0, 0.0, 1.0) == 1.0  # right-limit at the point mass
+        # The right-limit at the point mass k = f is 1.
+        assert implied_cdfs(1.0, 0.0, [0.5, 1.5, 1.0]).tolist() == [0.0, 1.0, 1.0]
+
+    def test_grid_elements_equal_one_element_calls(self):
+        rng = np.random.default_rng(9)
+        f = rng.uniform(0.05, 4.0, 60)
+        nu = rng.uniform(0.0, 1.0, 60) ** 4
+        nu[:5] = 0.0
+        ks = np.concatenate([[0.0], f[:3], rng.uniform(0.01, 6.0, 20)])
+        grid = implied_cdfs(f, nu, ks[:, None])
+        assert grid.shape == (ks.size, f.size)
+        for (i, j), value in np.ndenumerate(grid):
+            assert value == implied_cdfs(f[j], nu[j], [ks[i]])[0]
+            assert value == scalar_cdf(float(f[j]), float(nu[j]), float(ks[i]))
+
 
     def test_matches_central_difference(self):
         f = 1.3
@@ -144,15 +165,36 @@ class TestImpliedCdf:
             for k in (0.3, 0.9, 1.3, 2.6):
                 up, down = vanilla_bounds(f, nu, [k + h, k - h])
                 numeric = 1.0 + (up - down) / (2.0 * h)
-                assert implied_cdf(f, nu, k) == pytest.approx(numeric, abs=1e-7)
+                assert implied_cdfs(f, nu, [k])[0] == pytest.approx(numeric, abs=1e-7)
 
     def test_values_in_unit_interval_and_monotone(self):
         ks = np.linspace(0.05, 8.0, 200)
         for nu in (0.0, 0.04, 0.5, 1.0):
-            values = np.array([implied_cdf(1.0, nu, float(k)) for k in ks])
+            values = implied_cdfs(1.0, nu, ks)
             assert np.all(values >= -1e-12)
             assert np.all(values <= 1.0 + 1e-12)
             assert np.all(np.diff(values) >= -1e-12)
+
+
+@pytest.mark.parametrize("fn", [vanilla_bounds, implied_cdfs])
+@pytest.mark.parametrize(
+    "f, nu, k",
+    [
+        ([1.0, 0.0], [0.1, 0.1], [1.0, 1.0]),
+        ([1.0, 1.0], [0.1, 1.5], [1.0, 1.0]),
+        ([1.0, 0.0], [0.1, 0.1], [-1.0, 1.0]),  # a bad strike before a bad forward
+        (1.0, [0.1, math.nan, -0.1], 0.5),
+        (1.0, 0.1, [0.5, 0.0, -0.5]),
+    ],
+)
+def test_first_bad_element_raises_as_a_loop(fn, f, nu, k):
+    grids = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (f, nu, k)))
+    with pytest.raises(ParameterOutOfRange) as looped:
+        for a, b, c in zip(*(grid.tolist() for grid in grids)):
+            fn(a, b, [c])
+    with pytest.raises(ParameterOutOfRange) as at_once:
+        fn(f, nu, k)
+    assert str(at_once.value) == str(looped.value)
 
 
 class TestShapeChecks:
@@ -193,12 +235,9 @@ class TestSmileCurve:
     def test_dominates_calibrated_lognormal(self):
         # Matched root-variance: the bound dominates the Black price at
         # every strike.
-        model = LognormalModel(1.0, 0.4, 1.0)
-        nu = model.root_variance
+        nu = LognormalModel(1.0, 0.4, 1.0).root_variance
         ks = np.linspace(0.2, 4.0, 50)
-        bounds = vanilla_bounds(1.0, nu, ks)
-        for k, bound in zip(ks, bounds):
-            assert bound >= bs_call_price(model, float(k)) - 1e-12
+        assert np.all(vanilla_bounds(1.0, nu, ks) >= bs_call_prices(1.0, ks, 0.4, 1.0) - 1e-12)
 
     def test_curve_invariants_enforced(self):
         ks = np.array([1.0, 2.0, 3.0])
