@@ -17,9 +17,10 @@ Unknown keys, non-finite numbers and integers above ``MAX_COUNT`` are
 rejected everywhere.  Parameter ranges are validated by the library:
 loading a config builds the library's own values (models, asset moments, FX
 legs, curve slices, partitions, strike grids), and the errors they raise are
-config errors.  Outputs are CSV (LF line endings, header row, 12
-significant digits) plus ``<output>_manifest.json`` carrying the config
-hash, effective tolerances and summary statistics.  Re-running an
+config errors.  A run executes the read-only plan of those values built at
+load, so it cannot raise a config error.  Outputs are CSV (LF line endings,
+header row, 12 significant digits) plus ``<output>_manifest.json`` carrying
+the config hash, effective tolerances and summary statistics.  Re-running an
 identical config reproduces the outputs byte for byte.  Every run is
 single-threaded: strike sweeps are batched into one solve per fixed moment
 matrix instead.
@@ -34,13 +35,13 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .attainment import implied_root_variance_curve, local_attainment_scan
-from .engine import DEFAULT_TOLERANCES, Tolerances, _checked_grid
+from .engine import DEFAULT_TOLERANCES, Tolerances, _checked_grid, _frozen_array
 from .errors import ConfigError, MomentBoundsError, ParameterOutOfRange
 from .markets import (
     FxLegMoments,
@@ -103,11 +104,11 @@ def _integer(obj, where: str) -> int:
 
 
 def _grid(obj, where: str) -> np.ndarray:
-    """Parse a grid: explicit array or {"start", "stop", "count"}."""
+    """Parse a grid, read-only: explicit array or {"start", "stop", "count"}."""
     if isinstance(obj, list):
         if not obj:
             raise ConfigError(f"{where} must not be empty")
-        return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(obj)])
+        return _frozen_array([_number(v, f"{where}[{i}]") for i, v in enumerate(obj)])
     if isinstance(obj, dict):
         _reject_unknown(obj, {"start", "stop", "count"}, where)
         for key in ("start", "stop", "count"):
@@ -116,7 +117,8 @@ def _grid(obj, where: str) -> np.ndarray:
         count = _integer(obj["count"], f"{where}.count")
         if count < 2:
             raise ConfigError(f"{where}.count must be >= 2")
-        return np.linspace(_number(obj["start"], where), _number(obj["stop"], where), count)
+        start, stop = _number(obj["start"], where), _number(obj["stop"], where)
+        return _frozen_array(np.linspace(start, stop, count))
     raise ConfigError(f"{where} must be an array or a start/stop/count object")
 
 
@@ -155,10 +157,10 @@ def _root_variance_of(params: dict, where: str) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration plus the raw dict it was parsed from."""
+    """A validated run configuration, its raw dict and its read-only plan."""
 
     experiment: str
-    parameters: dict
+    plan: dict = field(compare=False, repr=False)
     output: str
     tolerances: Tolerances
     sentinel: str
@@ -207,13 +209,12 @@ def load_config(path) -> RunConfig:
     if not isinstance(sentinel, str) or not sentinel:
         raise ConfigError("'sentinel' must be a non-empty string")
     parameters = _require_mapping(raw.get("parameters", {}), "parameters")
-    config = RunConfig(experiment, parameters, output, tolerances, sentinel, raw)
-    # Fail fast on bad parameters so --validate-only means something.
+    # Fail fast so --validate-only means something; a run executes this plan.
     try:
-        EXPERIMENTS[experiment].prepare(config)
+        plan = EXPERIMENTS[experiment].prepare(parameters)
     except MomentBoundsError as exc:
         raise ConfigError(f"invalid parameters for {experiment}: {exc}") from exc
-    return config
+    return RunConfig(experiment, plan, output, tolerances, sentinel, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +231,9 @@ class Experiment:
     execute: callable
 
 
-def _prepare_vanilla_smile(config: RunConfig):
+def _prepare_vanilla_smile(parameters: dict):
     p = _take(
-        config.parameters,
+        parameters,
         "parameters",
         {
             "forward": _number,
@@ -263,10 +264,10 @@ def _run_vanilla_smile(plan, config: RunConfig):
     return ["nu", "strike", "bound", "implied_vol", "cdf"], values, summary
 
 
-def _prepare_refine(config: RunConfig, kind: str):
+def _prepare_refine(parameters: dict, kind: str):
     key = "partitions" if kind == "flat" else "strike_sets"
     p = _take(
-        config.parameters,
+        parameters,
         "parameters",
         {"forward": _number, "sigma": _number, key: lambda v, w: v, "eval_strikes": _grid},
         {"expiry": (_number, 1.0)},
@@ -282,7 +283,7 @@ def _prepare_refine(config: RunConfig, kind: str):
     for i, grid in enumerate(sets):
         if not isinstance(grid, list):
             raise ConfigError(f"parameters.{key}[{i}] must be an array")
-        values = np.array([_number(v, f"{key}[{i}]") for v in grid])
+        values = _frozen_array([_number(v, f"{key}[{i}]") for v in grid])
         # An empty linear set is the unrefined (vanilla) bound.
         if kind == "linear" and values.size:
             LinearPartition(values)
@@ -322,9 +323,9 @@ def _run_refine(plan, config: RunConfig):
     return columns, [strikes, *curves, reference], summary
 
 
-def _prepare_fx_cross(config: RunConfig):
+def _prepare_fx_cross(parameters: dict):
     p = _take(
-        config.parameters,
+        parameters,
         "parameters",
         {
             "forward": _number,
@@ -352,8 +353,8 @@ def _run_fx_cross(plan, config: RunConfig):
     return ["rho", "strike", "cross_nu", "bound"], values, summary
 
 
-def _prepare_caplet(config: RunConfig, scan_shifts: bool):
-    params = dict(config.parameters)
+def _prepare_caplet(parameters: dict, scan_shifts: bool):
+    params = dict(parameters)
     nu = _root_variance_of(params, "parameters")
     required = {
         "discount_rate": _number,
@@ -434,9 +435,9 @@ def _run_caplet(plan, config: RunConfig):
     return columns, values, summary
 
 
-def _prepare_local_attain(config: RunConfig):
+def _prepare_local_attain(parameters: dict):
     p = _take(
-        config.parameters,
+        parameters,
         "parameters",
         {"forward": _number, "root_variance": _number, "strikes": _grid},
         {"attain_tol": (_number, 1e-9)},
@@ -469,8 +470,8 @@ def _run_local_attain(plan, config: RunConfig):
     return columns, values, summary
 
 
-def _prepare_global_attain(config: RunConfig):
-    p = _take(config.parameters, "parameters", {"root_variances": _grid})
+def _prepare_global_attain(parameters: dict):
+    p = _take(parameters, "parameters", {"root_variances": _grid})
     grid = _checked_grid(p["root_variances"], "root_variances", positive=False)
     for nu in (grid[0], grid[-1]):  # the grid increases, so its ends bound it
         AssetMoments(1.0, nu)
@@ -496,17 +497,17 @@ EXPERIMENTS = {
         "VanillaSmile", _prepare_vanilla_smile, _run_vanilla_smile
     ),
     "FlatRefine": Experiment(
-        "FlatRefine", lambda c: _prepare_refine(c, "flat"), _run_refine
+        "FlatRefine", lambda p: _prepare_refine(p, "flat"), _run_refine
     ),
     "LinearRefine": Experiment(
-        "LinearRefine", lambda c: _prepare_refine(c, "linear"), _run_refine
+        "LinearRefine", lambda p: _prepare_refine(p, "linear"), _run_refine
     ),
     "FxCross": Experiment("FxCross", _prepare_fx_cross, _run_fx_cross),
     "CapletBound": Experiment(
-        "CapletBound", lambda c: _prepare_caplet(c, scan_shifts=False), _run_caplet
+        "CapletBound", lambda p: _prepare_caplet(p, scan_shifts=False), _run_caplet
     ),
     "CapletCdf": Experiment(
-        "CapletCdf", lambda c: _prepare_caplet(c, scan_shifts=True), _run_caplet
+        "CapletCdf", lambda p: _prepare_caplet(p, scan_shifts=True), _run_caplet
     ),
     "LocalAttain": Experiment("LocalAttain", _prepare_local_attain, _run_local_attain),
     "GlobalAttain": Experiment("GlobalAttain", _prepare_global_attain, _run_global_attain),
@@ -543,21 +544,19 @@ def _jsonable(obj):
 
 
 def run(config: RunConfig, out_dir) -> Path:
-    """Execute one experiment; returns the manifest path.
+    """Execute the plan ``load_config`` built; returns the manifest path.
 
-    Once the config is prepared, earlier outputs are removed, so a failed run
-    leaves none; a config error leaves them as they are.
+    The config was validated as it was loaded, so a run raises no config
+    error.  Earlier outputs are removed first, so a failed run leaves none.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    experiment = EXPERIMENTS[config.experiment]
-    plan = experiment.prepare(config)
     csv_path = out / f"{config.output}.csv"
     manifest_path = out / f"{config.output}_manifest.json"
     for path in (csv_path, manifest_path):
         path.unlink(missing_ok=True)
     try:
-        columns, values, summary = experiment.execute(plan, config)
+        columns, values, summary = EXPERIMENTS[config.experiment].execute(config.plan, config)
         _write_csv(csv_path, columns, values, config.sentinel)
         manifest = {
             "schema_version": SCHEMA_VERSION,

@@ -121,6 +121,11 @@ def _mapped(fn, x):
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _log(x: float) -> float:
+    """``math.log``, with log(0) = -inf: a ratio that underflows to zero."""
+    return -math.inf if x == 0.0 else math.log(x)
+
+
 def _check_elements(*checks) -> None:
     """Raise ParameterOutOfRange "<rule>, got <value>" for the first element,
     in grid order, that breaks a rule.
@@ -142,8 +147,9 @@ def bs_call_prices(forward, strikes, sigma, expiry) -> np.ndarray:
     """Undiscounted Black call prices E[(a - k)^+], elementwise over arrays of
     forward, strike, lognormal vol and expiry, broadcast together.
 
-    log(f / k) is ``math.log`` per element: numpy's vectorised log differs
-    from it by an ulp on rare inputs.  Zero vol gives the intrinsic value.
+    log(f / k) is ``_log`` per element: numpy's vectorised log differs from
+    ``math.log`` by an ulp on rare inputs.  Zero vol gives the intrinsic
+    value, and so does an f / k that overflows or underflows.
     """
     f, k, sigma, expiry = (np.asarray(x, dtype=float) for x in (forward, strikes, sigma, expiry))
     _check_elements(
@@ -153,8 +159,8 @@ def bs_call_prices(forward, strikes, sigma, expiry) -> np.ndarray:
         (k > 0.0, "strike must be positive", k),
     )
     stdev = sigma * np.sqrt(expiry)
-    log_moneyness = _mapped(math.log, f / k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_moneyness = _mapped(_log, f / k)
         d1 = (log_moneyness + 0.5 * stdev * stdev) / stdev
         prices = f * norm_cdf(d1) - k * norm_cdf(d1 - stdev)
     return np.where(stdev == 0.0, np.maximum(f - k, 0.0), prices)
@@ -283,7 +289,7 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     )
     keep = ~unbracketed
     k, p = k[keep], p[keep]
-    x = _mapped(math.log, forward / k)  # log(f / k), mapped as in ``bs_call_prices``
+    x = _mapped(_log, forward / k)  # log(f / k), mapped as in ``bs_call_prices``
     # The out-of-the-money option (the put below the forward) has time value
     # q by put-call parity, and keeps its digits away from the money.
     q = p - np.maximum(forward - k, 0.0)
@@ -410,9 +416,10 @@ def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
     if model.sigma == 0.0:
         return np.where((e[:-1] < model.forward) & (model.forward <= e[1:]), moments, 0.0)
     stdev = model.sigma * math.sqrt(model.expiry)
-    # log(e / f) once per edge, inf at infinity.  math.log keeps the values
+    # log(e / f) once per edge, -inf at zero and inf at infinity.  math.log keeps the values
     # off numpy's vectorised log, which differs from it by an ulp on rare inputs.
-    logs = np.array([math.log(x / model.forward) if x > 0.0 else -math.inf for x in e.tolist()])
+    with np.errstate(over="ignore"):
+        logs = _mapped(_log, e / model.forward)
     h = (logs + (0.5 - p[..., None]) * model.total_variance) / stdev
     # One CDF per edge: the lower tail t = N(-|h|) keeps its digits on either
     # side.  Upper-tail cells take differences of the complements t, where

@@ -38,7 +38,7 @@ from .engine import (
     _frozen_array,
     positive_eigenvalue_bounds,
 )
-from .errors import DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
+from .errors import ConvergenceFailure, DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
 from .models import LognormalModel, lognormal_partial_moments, _gl_rule
 from .moments import root_variance_from_moments
 from .vanilla import vanilla_bounds
@@ -388,7 +388,8 @@ def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances)
     """
     # Imported here: scipy.linalg is slow to import and only hat partitions
     # need it.
-    from scipy.linalg import cholesky_banded, eigvals_banded
+    from scipy.linalg import cholesky_banded
+    from scipy.linalg.lapack import dsbevd
 
     dim = 2 * moments.cells
     diag = np.empty(dim)
@@ -420,7 +421,10 @@ def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances)
             p[:, 3 - o, o : dim - t] += factors * weights[:, o + t :]
     bounds = np.empty(ks.size)
     for i, band_p in enumerate(p):
-        eigs = eigvals_banded(band_p, lower=False, check_finite=False)
+        # LAPACK's dsbevd, which eigvals_banded calls after checking its input.
+        eigs, _, info = dsbevd(band_p, compute_v=0, lower=0)
+        if info > 0:
+            raise ConvergenceFailure(f"banded eigensolve did not converge at strike {ks[i]}")
         positive = eigs[eigs > tol.eig * float(np.max(np.abs(eigs)))]
         bounds[i] = float(np.sum(positive))
     return bounds

@@ -194,18 +194,16 @@ class TestRun:
             run(bad, tmp_path / "out")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
 
-    def test_config_error_leaves_earlier_outputs(self, tmp_path, monkeypatch):
+    def test_config_error_leaves_earlier_outputs(self, tmp_path):
         config = load_config(write_config(tmp_path / "a.json", smile_config()))
         run(config, tmp_path / "out")
         before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-
-        def refuse(config):
-            raise ConfigError("refused")
-
-        refusing = dataclasses.replace(EXPERIMENTS["VanillaSmile"], prepare=refuse)
-        monkeypatch.setitem(EXPERIMENTS, "VanillaSmile", refusing)
+        # A config error is raised as the config loads, before a run starts:
+        # a re-run of the same output stem keeps the earlier outputs.
+        bad = write_config(tmp_path / "b.json", with_parameters(smile_config(), forward=0.0))
         with pytest.raises(ConfigError):
-            run(config, tmp_path / "out")
+            load_config(bad)
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
 
     def test_rerun_replaces_outputs(self, tmp_path):
@@ -231,6 +229,73 @@ class TestRun:
             for row in zip(curve.strikes, curve.bounds, curve.implied_vols, curve.cdf):
                 lines.append(",".join(f"{v:.11e}" for v in (nu, *row)))
         assert (tmp_path / "out" / "smile.csv").read_text() == "\n".join(lines) + "\n"
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def plan_arrays(value):
+    """Every numpy array in a plan, also inside lists, dicts and the
+    library's values."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif not isinstance(value, (list, tuple)):
+        return []
+    return [array for item in value for array in plan_arrays(item)]
+
+
+class TestLoadedPlan:
+    """A run executes the plan ``load_config`` built, and never prepares it
+    again."""
+
+    def test_every_experiment_is_shipped(self):
+        shipped = {json.loads(path.read_text())["experiment"] for path in SHIPPED_CONFIGS}
+        assert shipped == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_loaded_config_reruns_without_prepare(self, tmp_path, monkeypatch, path):
+        config = load_config(path)
+
+        def refuse(parameters):
+            raise AssertionError("prepare called by run")
+
+        for name, experiment in EXPERIMENTS.items():
+            monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(experiment, prepare=refuse))
+        run(config, tmp_path / "first")
+        run(config, tmp_path / "second")
+        monkeypatch.undo()
+        run(load_config(path), tmp_path / "fresh")
+        assert outputs(tmp_path / "first") == outputs(tmp_path / "fresh")
+        assert outputs(tmp_path / "second") == outputs(tmp_path / "fresh")
+
+    @pytest.mark.parametrize(
+        "path", [*SHIPPED_CONFIGS, "explicit-grids"], ids=lambda p: getattr(p, "stem", p)
+    )
+    def test_plan_arrays_are_read_only(self, tmp_path, path):
+        if path == "explicit-grids":
+            payload = refine_config(
+                "LinearRefine", strike_sets=[[], [0.8, 1.2]], eval_strikes=[0.9, 1.1]
+            )
+            path = write_config(tmp_path / "c.json", payload)
+        arrays = plan_arrays(load_config(path).plan)
+        assert arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_plan_is_kept_out_of_equality_and_repr(self, tmp_path):
+        path = write_config(tmp_path / "c.json", smile_config())
+        first, second = load_config(path), load_config(path)
+        assert first == second and first.plan is not second.plan
+        assert "plan" not in repr(first)
 
 
 class TestExperimentOutputs:

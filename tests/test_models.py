@@ -61,6 +61,12 @@ class TestBlackPrices:
     def test_small_strike_limit(self):
         assert bs_call_prices(1.0, [1e-10], 0.4, 1.0)[0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("forward, strike", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_ratio_beyond_float_range_prices_its_limit(self, forward, strike):
+        # f / k underflows to zero or overflows: log(f / k) is -inf or inf,
+        # and the price its limit, the intrinsic value.
+        assert bs_call_prices(forward, [strike], 0.2, 1.0)[0] == max(forward - strike, 0.0)
+
     def test_atm_value_against_erf_oracle(self):
         expected = 2.0 * erf_normal_cdf(0.2) - 1.0
         assert bs_call_prices(1.0, [1.0], 0.4, 1.0)[0] == pytest.approx(expected, abs=1e-15)
@@ -284,6 +290,14 @@ class TestPartialMoments:
         model = LognormalModel(1.5, 0.0, 1.0)
         assert lognormal_partial_moments(model, 1.0, [0.0, 2.0, 3.0]).tolist() == [1.5, 0.0]
         assert lognormal_partial_moments(model, 0.5, [1.0, 1.5])[0] == pytest.approx(math.sqrt(1.5))
+
+    @pytest.mark.parametrize(
+        "forward, edge, masses", [(1e150, 1e-200, [0.0, 1.0]), (1e-150, 1e200, [1.0, 0.0])]
+    )
+    def test_edge_ratio_beyond_float_range(self, forward, edge, masses):
+        # e / f underflows to zero or overflows: log(e / f) is -inf or inf.
+        model = LognormalModel(forward, 0.2, 1.0)
+        assert lognormal_partial_moments(model, 0.0, [0.0, edge, math.inf]).tolist() == masses
 
     def test_invalid_interval(self):
         model = LognormalModel(1.0, 0.4, 1.0)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import scipy.linalg
+import scipy.linalg.lapack
 from scipy.integrate import quad
 
 from momentbounds.engine import positive_eigenvalue_bounds
 from momentbounds.errors import (
+    ConvergenceFailure,
     DegenerateCell,
     NotPositiveSemiDefinite,
     ParameterOutOfRange,
@@ -224,6 +226,42 @@ class TestLinearBanded:
         # Writable like the results of the other paths, not the engine's
         # frozen sweep array.
         assert bounds.flags.writeable
+
+    @pytest.mark.parametrize(
+        "boundaries, strikes",
+        [(np.linspace(0.3, 3.0, count), np.linspace(0.4, 2.6, 12)) for count in (2, 5, 16, 64, 256)]
+        + [(FIG_BOUNDARIES_6, EVAL_STRIKES), (FIG_BOUNDARIES_30, EVAL_STRIKES)],
+    )
+    def test_eigenvalues_equal_eigvals_banded(self, boundaries, strikes, monkeypatch):
+        # The sweep calls LAPACK's dsbevd itself; scipy's eigvals_banded,
+        # which checks its input and then calls the same routine, is the
+        # reference, bit for bit.
+        solves = []
+        original = scipy.linalg.lapack.dsbevd
+
+        def recording(band, **kwargs):
+            result = original(band, **kwargs)
+            solves.append((band.copy(), result[0]))
+            return result
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsbevd", recording)
+        refined_bounds(linear_conditional_moments(MODEL, boundaries), strikes)
+        assert len(solves) == strikes.size
+        for band, eigenvalues in solves:
+            reference = scipy.linalg.eigvals_banded(band, lower=False)
+            assert np.array_equal(eigenvalues, reference)
+
+    def test_unconverged_eigensolve_raises(self, monkeypatch):
+        original = scipy.linalg.lapack.dsbevd
+
+        def unconverged(band, **kwargs):
+            eigenvalues, vectors, _ = original(band, **kwargs)
+            return eigenvalues, vectors, 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsbevd", unconverged)
+        moments = linear_conditional_moments(MODEL, FIG_BOUNDARIES_6)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            refined_bounds(moments, EVAL_STRIKES)
 
     def test_inconsistent_cross_moments_raise(self):
         # E[sqrt(u_0 u_1)] above sqrt(E[u_0] E[u_1]) breaks Cauchy-Schwarz.
