@@ -7,7 +7,7 @@ Config layout (schema_version 1):
       "schema_version": 1,
       "experiment": "VanillaSmile",
       "output": "smile",
-      "sentinel": "inf",                  # optional, for diverging implied vols
+      "sentinel": "inf",                  # optional, written for infinite values
       "tolerances": {"psd": 1e-10, "eig": 1e-12},   # optional
       "parameters": { ... experiment specific ... }
     }
@@ -18,12 +18,20 @@ rejected everywhere.  Parameter ranges are validated by the library:
 loading a config builds the library's own values (models, asset moments, FX
 legs, curve slices, partitions, strike grids), and the errors they raise are
 config errors.  A run executes the read-only plan of those values built at
-load, so it cannot raise a config error.  Outputs are CSV (LF line endings,
-header row, 12 significant digits) plus ``<output>_manifest.json`` carrying
-the config hash, effective tolerances and summary statistics.  Re-running an
-identical config reproduces the outputs byte for byte.  Every run is
-single-threaded: strike sweeps are batched into one solve per fixed moment
-matrix instead.
+load, so it cannot raise a config error.  The config file is read as UTF-8.
+
+Outputs are UTF-8 files, whatever the locale: a CSV (LF line endings, header
+row, 12 significant digits, an infinite value, such as a diverging implied
+vol, written as the sentinel) plus ``<output>_manifest.json`` carrying the
+config hash, effective tolerances and summary statistics.  The sentinel is
+any non-empty string without a comma, double quote, CR, LF or NUL, so every
+row has as many fields as the header.  The manifest is strict JSON: a summary
+value that does not exist (an FX cross's increase with one correlation) is
+``null``, and a non-finite one fails the run with ``NonFiniteResult``.  A table of at least
+``_ARRAY_MIN_CELLS`` cells is formatted in one array pass, with the same
+bytes as cell by cell.  Re-running an identical config reproduces the outputs
+byte for byte.  Every run is single-threaded: strike sweeps are batched into
+one solve per fixed moment matrix instead.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 """
@@ -42,7 +50,7 @@ import numpy as np
 
 from .attainment import implied_root_variance_curve, local_attainment_scan
 from .engine import DEFAULT_TOLERANCES, Tolerances, _checked_grid, _frozen_array
-from .errors import ConfigError, MomentBoundsError, ParameterOutOfRange
+from .errors import ConfigError, MomentBoundsError, NonFiniteResult, ParameterOutOfRange
 from .markets import (
     FxLegMoments,
     SwapCurveSlice,
@@ -64,6 +72,7 @@ __all__ = ["RunConfig", "load_config", "run", "main", "EXPERIMENTS"]
 
 SCHEMA_VERSION = 1
 DEFAULT_SENTINEL = "inf"
+SENTINEL_FORBIDDEN = ',"\r\n\0'
 # Largest integer a config may give: integers size grids and curves, and a
 # bigger one would only exhaust memory.
 MAX_COUNT = 1_000_000
@@ -174,9 +183,11 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read and validate a config file; raises ConfigError on any defect."""
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require_mapping(raw, "config")
@@ -208,6 +219,12 @@ def load_config(path) -> RunConfig:
     sentinel = raw.get("sentinel", DEFAULT_SENTINEL)
     if not isinstance(sentinel, str) or not sentinel:
         raise ConfigError("'sentinel' must be a non-empty string")
+    # A CSV cell holds no separator, quote, line break or NUL, and the file is
+    # UTF-8, which has no code for a lone surrogate.
+    if any(c in SENTINEL_FORBIDDEN or "\ud800" <= c <= "\udfff" for c in sentinel):
+        raise ConfigError(
+            f"'sentinel' must not contain {SENTINEL_FORBIDDEN!r} or a surrogate, got {sentinel!r}"
+        )
     parameters = _require_mapping(raw.get("parameters", {}), "parameters")
     # Fail fast so --validate-only means something; a run executes this plan.
     try:
@@ -349,7 +366,7 @@ def _run_fx_cross(plan, config: RunConfig):
     size = strikes.size
     values = [np.repeat([leg.rho for leg in legs], size), np.tile(strikes, len(legs))]
     values += [np.repeat([leg.cross_nu for leg in legs], size), np.ravel(curves)]
-    summary = {"max_bound_increase_with_rho": max(rises, default=-math.inf)}
+    summary = {"max_bound_increase_with_rho": max(rises, default=None)}
     return ["rho", "strike", "cross_nu", "bound"], values, summary
 
 
@@ -519,18 +536,140 @@ EXPERIMENTS = {
 
 
 def _format_column(values, sentinel: str) -> list:
-    """CSV cells of one column: integers as they are, other values to 12
-    significant digits and infinities as the sentinel."""
+    """CSV cells of one column, one by one: integers as they are, other
+    values to 12 significant digits and infinities as the sentinel.  This is
+    the reference the array kernel below reproduces byte for byte."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         return [str(v) for v in arr.tolist()]
     return [sentinel if math.isinf(v) else f"{v:.11e}" for v in arr.astype(float).tolist()]
 
 
-def _write_csv(path: Path, columns, values, sentinel: str) -> None:
-    cells = [_format_column(column, sentinel) for column in values]
-    lines = [",".join(columns), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n", newline="")
+# A table of at least this many cells is formatted by the array kernel.  Its
+# fixed cost of some 50-90 us makes it slower than formatting cell by cell,
+# at about 0.5 us a cell, below about 100 cells when every cell is a float in
+# range, and below about 250 cells for a caplet CDF table, whose integer
+# column and zero shifts (a third of its cells) still go cell by cell.
+_ARRAY_MIN_CELLS = 256
+# The kernel decides cells whose decimal exponent lies within this of 0, so
+# that every power of ten it reads is a normal double.
+_MAX_EXPONENT = 278
+# A cell whose scaled value has a fraction this close to 0.5 is left to the
+# reference: the kernel's value is within 2.3e-4 of the exact one, too close
+# to tell which way a (round-half-even) tie goes.
+_TIE_MARGIN = 1e-3
+# _POWERS[p + _POWER_OFFSET] is 10**p correctly rounded, p in [1 - E, 11 + E].
+_POWER_OFFSET = _MAX_EXPONENT - 1
+
+
+def _build_format_tables():
+    """Lookup tables of the kernel, built as whole arrays.  The texts are
+    padded with NUL bytes, which the writer drops."""
+    powers = np.array([float(f"1e{p}") for p in range(1 - _MAX_EXPONENT, 12 + _MAX_EXPONENT)])
+    biased = np.arange(2048)
+    # An |x| with biased binary exponent b lies in [2**(b-1023), 2**(b-1022)),
+    # so its decimal exponent is floor((b - 1022) * log10(2)) or one less.
+    estimate = np.floor((biased - 1022) * math.log10(2.0)).astype(np.int64)
+    normal = (biased > 0) & (biased < 2047)
+    in_range = normal & (estimate > -_MAX_EXPONENT) & (estimate <= _MAX_EXPONENT)
+    # Cells out of range are computed as 1.0, whose estimate is 0.
+    estimate[~in_range] = 0
+    ascii_ = np.frombuffer(b"0123456789", np.uint8)
+    # The four ASCII digits of each number below 10000.
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for k, shape in enumerate([(10, 1, 1, 1), (10, 1, 1), (10, 1), (10,)]):
+        digits[..., k] = ascii_.reshape(shape)
+    digits = digits.reshape(10000, 4)
+    quads = digits.view("<u4").ravel()
+    # "NUL NUL s d . d d d" for the sign s (NUL when positive) and 4 digits.
+    quad = quads.astype("<u8")
+    head = (quad & 0xFF) << 24 | ord(".") << 32 | (quad >> 8) << 40
+    head = np.concatenate([head, head | ord("-") << 16])
+    # "e s d d d sep" for each exponent in [-E, E] and each separator, with
+    # the first of three digits dropped when two suffice.
+    exponent = np.arange(-_MAX_EXPONENT, _MAX_EXPONENT + 1)
+    magnitude = np.abs(exponent)
+    tail = np.zeros((exponent.size, 2, 8), np.uint8)
+    tail[..., 0] = ord("e")
+    tail[..., 1] = np.where(exponent < 0, ord("-"), ord("+"))[:, None]
+    tail[..., 2:5] = digits[magnitude, None, 1:]
+    tail[magnitude < 100, :, 2] = 0
+    tail[..., 5] = np.frombuffer(b",\n", np.uint8)
+    return powers, estimate, in_range, quads, head, tail.view("<u8").ravel()
+
+
+_POWERS, _EXPONENT_ESTIMATES, _IN_RANGE, _QUADS, _HEADS, _TAILS = _build_format_tables()
+
+
+def _kernel_slots(table: np.ndarray):
+    """Format the float64 cells of a (rows, columns) table as ``f"{v:.11e}"``,
+    each followed by its separator (a newline in the last column) and padded
+    with NUL bytes to a 24-byte slot; returns the (rows, columns, 3) uint64
+    slots and the mask of cells left to the reference.
+
+    With ``e`` the decimal exponent of ``|x|`` and ``s = |x| * 10**(11 - e)``,
+    the 12 digits are ``s`` rounded.  The power of ten is correctly rounded,
+    so ``s`` is within 2.3e-4 of exact, and the cell is left to the reference
+    when ``s`` is that close to a half integer, or rounds up to 1e12.
+    Correcting the exponent makes ``10**e <= |x|`` hold for the rounded power,
+    so ``s`` rounds to at least 1e11, and to exactly 1e11 when ``|x|`` lies a
+    rounding below ``10**e``, which is also what the reference prints.
+    """
+    a = np.abs(table)
+    biased = a.view(np.int64) >> 52  # the sign bit is clear
+    ok = _IN_RANGE[biased]
+    a = np.where(ok, a, 1.0)
+    e = _EXPONENT_ESTIMATES[biased]
+    e -= a < _POWERS[e + _POWER_OFFSET]  # the exponent correction
+    s = a * _POWERS[11 - e + _POWER_OFFSET]
+    whole = np.floor(s)
+    fraction = s - whole
+    ok &= (s < 1e12 - 0.5) & (np.abs(fraction - 0.5) >= _TIE_MARGIN)
+    n = np.where(ok, whole + (fraction > 0.5), 1e11).astype(np.int64)
+    high, low = np.divmod(n, 100_000_000)
+    middle, low = np.divmod(low, 10000)
+    slots = np.empty(table.shape + (3,), "<u8")
+    slots[..., 0] = _HEADS[high + 10000 * np.signbit(table)]
+    quads = slots[..., 1:2].view("<u4")
+    quads[..., 0], quads[..., 1] = _QUADS[middle], _QUADS[low]
+    last = np.arange(table.shape[1]) == table.shape[1] - 1
+    slots[..., 2] = _TAILS[2 * (e + _MAX_EXPONENT) + last]
+    return slots, ~ok
+
+
+def _csv_bytes(columns, values, sentinel: str) -> bytes:
+    """The CSV table as UTF-8 bytes: a header row, then one row per index of
+    the value columns.  A table of at least ``_ARRAY_MIN_CELLS`` cells is
+    formatted in one array pass, with the same bytes as cell by cell."""
+    header = ",".join(columns) + "\n"
+    arrays = [np.ravel(column) for column in values]
+    rows, width = arrays[0].size, len(arrays)
+    if rows * width < _ARRAY_MIN_CELLS:
+        cells = [_format_column(column, sentinel) for column in arrays]
+        return (header + "".join(",".join(row) + "\n" for row in zip(*cells))).encode()
+    with np.errstate(all="raise"):
+        slots, deferred = _kernel_slots(np.column_stack(arrays).astype(float))
+    deferred[:, [column.dtype.kind in "iu" for column in arrays]] = True
+    slots = slots.reshape(rows * width, 3)
+    # The cells left to the reference get its texts, with their separators.
+    index, texts = [], []
+    for j in np.flatnonzero(deferred.any(axis=0)).tolist():
+        at = np.flatnonzero(deferred[:, j])
+        sep = "\n" if j == width - 1 else ","
+        index.append(at * width + j)
+        texts += [(text + sep).encode() for text in _format_column(arrays[j][at], sentinel)]
+    if texts:
+        slot = max(24, max(map(len, texts)))
+        slot += -slot % 8
+        if slot > 24:
+            slots = np.hstack([slots, np.zeros((rows * width, slot // 8 - 3), "<u8")])
+        padded = b"".join(text.ljust(slot, b"\0") for text in texts)
+        slots.view(np.uint8)[np.concatenate(index)] = np.frombuffer(padded, np.uint8).reshape(
+            -1, slot
+        )
+    flat = slots.view(np.uint8).ravel()
+    # No cell holds a NUL byte (the sentinel may not), so NULs are padding.
+    return header.encode() + flat[flat != 0].tobytes()
 
 
 def _jsonable(obj):
@@ -557,7 +696,7 @@ def run(config: RunConfig, out_dir) -> Path:
         path.unlink(missing_ok=True)
     try:
         columns, values, summary = EXPERIMENTS[config.experiment].execute(config.plan, config)
-        _write_csv(csv_path, columns, values, config.sentinel)
+        csv_path.write_bytes(_csv_bytes(columns, values, config.sentinel))
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "experiment": config.experiment,
@@ -570,7 +709,11 @@ def run(config: RunConfig, out_dir) -> Path:
             "rows": len(values[0]),
             "summary": _jsonable(summary),
         }
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        try:
+            text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:  # JSON has no NaN or infinity
+            raise NonFiniteResult(f"summary value is not finite: {exc}") from exc
+        manifest_path.write_bytes((text + "\n").encode())
     except BaseException:
         for path in (csv_path, manifest_path):
             path.unlink(missing_ok=True)

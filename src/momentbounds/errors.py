@@ -57,5 +57,9 @@ class ShapeViolation(MomentBoundsError):
     """An emitted bound curve fails the decreasing-convexity no-arbitrage check."""
 
 
+class NonFiniteResult(MomentBoundsError):
+    """A result that is written as a number is not finite."""
+
+
 class ConfigError(MomentBoundsError):
     """A run configuration is malformed or fails validation."""

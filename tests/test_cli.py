@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import momentbounds
 from momentbounds import cli
@@ -501,6 +505,12 @@ class TestExitCodes:
                 refine_config("LinearRefine", strike_sets=[[0.8, 1.2]], sigma=0.0),
                 "sigma must be positive",
             ),
+            # A sentinel that would break a row, or the file's UTF-8.
+            (smile_config(sentinel="x,y\nz"), "'sentinel' must not contain"),
+            (smile_config(sentinel='"inf"'), "'sentinel' must not contain"),
+            (smile_config(sentinel="inf\r"), "'sentinel' must not contain"),
+            (smile_config(sentinel="in\0f"), "'sentinel' must not contain"),
+            (smile_config(sentinel="\ud800"), "'sentinel' must not contain"),
         ],
         ids=[
             "unknown-key",
@@ -526,6 +536,11 @@ class TestExitCodes:
             "two-strike-caplet",
             "zero-sigma-flat-refine",
             "zero-sigma-linear-refine",
+            "sentinel-comma-newline",
+            "sentinel-quote",
+            "sentinel-carriage-return",
+            "sentinel-nul",
+            "sentinel-lone-surrogate",
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, payload, message):
@@ -639,3 +654,170 @@ def test_import_and_runs_load_no_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     reports = [line for line in result.stdout.splitlines() if line.startswith("scipy modules:")]
     assert reports == ["scipy modules: []"] * 2
+
+
+# The default, a non-ASCII one and one of 30 characters.
+SENTINELS = ["inf", "∞", "no finite implied vol exists!!"]
+
+
+def strict_json(text):
+    """Parse JSON as a strict parser would: NaN and Infinity are errors."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def cli_subprocess(args, env=None):
+    source_root = Path(momentbounds.__file__).resolve().parents[1]
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([str(source_root), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "momentbounds.cli", *args],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+class TestEncodings:
+    """Configs are read, and outputs written, as UTF-8 whatever the locale."""
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(json.dumps(smile_config(output="smile-OUT")).encode().replace(b"OUT", b"\xff"))
+        result = cli_subprocess(["--config", str(path), "--validate-only"])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(b"error: ConfigError: config is not valid UTF-8")
+
+    def test_non_ascii_sentinel_under_the_c_locale(self, tmp_path):
+        payload = smile_config(sentinel="∞")
+        payload["parameters"]["root_variances"] = [1.0]
+        path = tmp_path / "c.json"
+        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        result = cli_subprocess(["--config", str(path), "--out", str(tmp_path / "out")], env)
+        assert result.returncode == 0, result.stderr
+        data = (tmp_path / "out" / "smile.csv").read_bytes()
+        assert ",∞,".encode() in data
+        strict_json((tmp_path / "out" / "smile_manifest.json").read_bytes().decode())
+
+
+class TestStrictOutputs:
+    def test_single_correlation_fx_cross_writes_null(self, tmp_path):
+        config = load_config(write_config(tmp_path / "c.json", fx_config(correlations=[0.5])))
+        manifest = strict_json(run(config, tmp_path / "out").read_text())
+        assert manifest["summary"] == {"max_bound_increase_with_rho": None}
+
+    def test_non_finite_summary_value_exits_3(self, tmp_path, capsys, monkeypatch):
+        execute = EXPERIMENTS["FxCross"].execute
+
+        def infinite_summary(plan, config):
+            columns, values, summary = execute(plan, config)
+            return columns, values, {"max_bound_increase_with_rho": math.inf}
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "FxCross", dataclasses.replace(EXPERIMENTS["FxCross"], execute=infinite_summary)
+        )
+        path = write_config(tmp_path / "c.json", fx_config())
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: NonFiniteResult: summary value is not finite")
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("sentinel", SENTINELS[1:])
+    @pytest.mark.parametrize("count", [16, 64])  # below and above the array switch
+    def test_every_row_has_the_header_fields(self, tmp_path, sentinel, count):
+        payload = smile_config(sentinel=sentinel)
+        payload["parameters"]["root_variances"] = [1.0, 0.04]
+        payload["parameters"]["strikes"]["count"] = count
+        config = load_config(write_config(tmp_path / "c.json", payload))
+        run(config, tmp_path / "out")
+        with open(tmp_path / "out" / "smile.csv", encoding="utf-8", newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert len(rows) == 2 * count
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[3] for row in rows[:count]] == [sentinel] * count
+
+
+def reference_csv(columns, values, sentinel):
+    """The table formatted cell by cell, as every table was before the array
+    kernel: the bytes the writer must reproduce."""
+    cells = [cli._format_column(column, sentinel) for column in values]
+    return ("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n").encode()
+
+
+def writer_tables(values, width, integer):
+    """Two tables of the values, one below the array kernel's switch and one
+    at or above it; each column is the values rotated by its index."""
+    switch = cli._ARRAY_MIN_CELLS
+    columns = width + integer
+    for rows in (max(1, min(len(values), (switch - 1) // columns)), max(len(values), -(-switch // columns))):
+        column = np.resize(np.array(values, dtype=float), rows)
+        table = [np.roll(column, j) for j in range(width)]
+        if integer:
+            table.append(np.arange(rows, dtype=np.int64) * -12345678901 + 7)
+        yield [f"c{j}" for j in range(columns)], table
+
+
+POWERS_OF_TEN = [
+    float(np.nextafter(float(f"1e{p}"), toward))
+    for p in (-308, -300, -279, -278, -100, -12, -1, 0, 1, 11, 12, 16, 22, 23, 100, 278, 279, 300, 308)
+    for toward in (-math.inf, 0.0, math.inf)
+]
+
+ORDINARY = [1.5, 9.0, -0.07, 640.0, 3.141592653589793, 2.718281828459045e-7, -6.02214076e23]
+
+TIES = [1000000000005.0, 1000000000015.0, -1000000000025.0, 100000000001.5, 12345678901.25]
+
+EDGES = [9.9999999999995, 9.99999999999949, -9.9999999999995e-5, 999999999999.5, 1e300, -1e-300, 5e-324]
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def assert_writer_matches_reference(values, width, integer, sentinel):
+    for columns, table in writer_tables(values, width, integer):
+        assert cli._csv_bytes(columns, table, sentinel) == reference_csv(columns, table, sentinel)
+
+
+class TestCsvWriter:
+    """The array kernel writes the bytes of the per-cell reference."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        values=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=80),
+        width=st.integers(1, 6),
+        integer=st.booleans(),
+        sentinel=st.sampled_from(SENTINELS),
+    )
+    @example(values=ORDINARY, width=2, integer=False, sentinel="inf")
+    @example(values=TIES, width=2, integer=False, sentinel="inf")
+    @example(values=POWERS_OF_TEN, width=3, integer=False, sentinel="inf")
+    @example(values=EDGES, width=1, integer=True, sentinel="∞")
+    @example(values=SPECIALS, width=4, integer=True, sentinel=SENTINELS[2])
+    def test_writer_matches_per_cell_reference(self, values, width, integer, sentinel):
+        assert_writer_matches_reference(values, width, integer, sentinel)
+
+    def test_writer_matches_at_both_ends_of_every_binade(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        tops = np.append(np.nextafter(powers[1:], 0.0), sys.float_info.max)
+        values = np.concatenate([powers, -tops])
+        assert_writer_matches_reference(values.tolist(), 4, False, "inf")
+
+    @pytest.mark.parametrize(
+        "mutation",
+        ["tie margin 0", "no exponent correction"],
+    )
+    def test_property_catches_a_broken_kernel(self, monkeypatch, mutation):
+        if mutation == "tie margin 0":
+            monkeypatch.setattr(cli, "_TIE_MARGIN", 0.0)
+        else:
+            source = inspect.getsource(cli._kernel_slots)
+            correction = "e -= a < _POWERS[e + _POWER_OFFSET]"
+            assert correction in source
+            namespace = dict(vars(cli))
+            exec(compile(source.replace(correction, "pass"), cli.__file__, "exec"), namespace)
+            monkeypatch.setattr(cli, "_kernel_slots", namespace["_kernel_slots"])
+        with pytest.raises(AssertionError):
+            for values in (ORDINARY, TIES, POWERS_OF_TEN, EDGES):
+                assert_writer_matches_reference(values, 2, False, "inf")
