@@ -18,7 +18,9 @@ rejected everywhere.  Parameter ranges are validated by the library:
 loading a config builds the library's own values (models, asset moments, FX
 legs, curve slices, partitions, strike grids), and the errors they raise are
 config errors.  A run executes the read-only plan of those values built at
-load, so it cannot raise a config error.  The config file is read as UTF-8.
+load, so it cannot raise a config error.  The config file is read as UTF-8,
+and the ``output`` stem must have a file name in the locale's file-system
+encoding.
 
 Outputs are UTF-8 files, whatever the locale: a CSV (LF line endings, header
 row, 12 significant digits, an infinite value, such as a diverging implied
@@ -42,6 +44,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -207,6 +210,10 @@ def load_config(path) -> RunConfig:
     output = raw.get("output")
     if not isinstance(output, str) or not output or "/" in output or "\\" in output:
         raise ConfigError("'output' must be a non-empty file stem without path separators")
+    try:
+        os.fsencode(output)
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"'output' {output!r} has no file name in this locale: {exc}") from exc
     tol_block = _require_mapping(raw.get("tolerances", {}), "tolerances")
     _reject_unknown(tol_block, {"psd", "eig"}, "tolerances")
     try:

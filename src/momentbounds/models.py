@@ -4,8 +4,8 @@ volatility inversion, and the Gauss-Legendre rule the quadratures share.
 
 Each formula has one array form that broadcasts its arguments
 (``bs_call_prices``, ``bachelier_call_prices``); a single strike is a
-one-element grid.  The vol inversions run one safeguarded Newton iteration
-over a whole strike grid (``implied_lognormal_vols``,
+one-element grid.  The vol inversions run one safeguarded Halley iteration
+(third order) over a whole strike grid (``implied_lognormal_vols``,
 ``implied_normal_vols``) and check their residuals with those pricers; each
 element takes the same steps as in a one-strike inversion.  The normal CDF is
 ``math.erfc``, so importing the module loads no scipy.
@@ -44,8 +44,8 @@ __all__ = [
 # above 10; anything outside is reported as a convergence failure rather than
 # silently extrapolated.
 _VOL_BRACKET = (1e-8, 10.0)
-_NEWTON_ITERATIONS = 90
-_LOG_RESIDUAL_FLOOR = 1e-9  # below it, roundoff drives the Newton steps
+_ITERATIONS = 90
+_LOG_RESIDUAL_FLOOR = 1e-9  # below it, roundoff drives the steps
 # Largest price residual accepted at an inverted vol.
 PRICE_TOL = 1e-10
 
@@ -204,33 +204,40 @@ def _raise_first(failures) -> None:
         raise min(failures, key=lambda failure: failure[0])[1]
 
 
-def _newton(time_value, s, lo, hi, q):
-    """Solve ``time_value(s) = q`` elementwise, by Newton on the log residual
-    ``log(time_value(s) / q)`` safeguarded by the bracket ``[lo, hi]``.
+def _halley(time_value, s, lo, hi, q):
+    """Solve ``time_value(s) = q`` elementwise, by Halley's method on the log
+    residual ``g = log(time_value(s) / q)`` safeguarded by the bracket
+    ``[lo, hi]``.
 
-    ``time_value(s, i)`` gives the time values of the elements ``i`` at ``s``
-    and their derivatives in ``s``.  Each evaluation narrows its element's
-    bracket; a Newton step that lands outside it is replaced by bisection.
-    An element stops once its step is at most 4 eps s, or once its step stops
-    shrinking while the log residual is below ``_LOG_RESIDUAL_FLOOR``.
-    Elements run independently, for at most ``_NEWTON_ITERATIONS`` steps.
+    ``time_value(s, i)`` gives the time values ``V`` of the elements ``i`` at
+    ``s`` and their first two derivatives ``V'`` and ``V''`` in ``s``.  The
+    third-order step is ``s - 2 g g' / (2 g'^2 - g g'')``, with ``g' = V' / V``
+    and ``g'' = V'' / V - g'^2``.  Each evaluation narrows its element's
+    bracket; a step that lands outside it, or whose denominator is not
+    positive and finite, is replaced by bisection.  An element stops once its
+    step is at most 4 eps s, or once its step stops shrinking while the log
+    residual is below ``_LOG_RESIDUAL_FLOOR``.  Elements run independently,
+    for at most ``_ITERATIONS`` steps.
     """
     s, lo, hi = s.copy(), lo.copy(), hi.copy()
     last = np.full(s.size, math.inf)
     i = np.arange(s.size)
-    for _ in range(_NEWTON_ITERATIONS):
+    for _ in range(_ITERATIONS):
         if not i.size:
             break
         at = s[i]
-        # Underflowed time values and vegas give infinite or NaN residuals and
-        # steps, which the bracket test turns into bisection.
+        # Underflowed time values and derivatives give infinite or NaN
+        # residuals, denominators and steps, which turn into bisection.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            value, vega = time_value(at, i)
+            value, slope, curvature = time_value(at, i)
             residual = np.where(value > 0.0, np.log(value / q[i]), -math.inf)
-            newton = at - residual * value / vega
+            g1 = slope / value
+            denominator = 2.0 * g1 * g1 - residual * (curvature / value - g1 * g1)
+            halley = at - 2.0 * residual * g1 / denominator
         lo[i] = below = np.where(residual < 0.0, at, lo[i])
         hi[i] = above = np.where(residual > 0.0, at, hi[i])
-        s[i] = np.where((newton >= below) & (newton <= above), newton, 0.5 * (below + above))
+        ok = (denominator > 0.0) & (denominator < math.inf) & (halley >= below) & (halley <= above)
+        s[i] = np.where(ok, halley, 0.5 * (below + above))
         step = np.abs(s[i] - at)
         done = (step <= 4.0 * np.finfo(float).eps * at) | (
             (step >= last[i]) & (np.abs(residual) < _LOG_RESIDUAL_FLOOR)
@@ -241,8 +248,11 @@ def _newton(time_value, s, lo, hi, q):
 
 
 def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np.ndarray:
-    """Invert the Black call formula on a strike grid, by Newton from the
-    Manaster-Koehler start within the bracket ``_VOL_BRACKET``.
+    """Invert the Black call formula on a strike grid, by Halley's method
+    within the bracket ``_VOL_BRACKET``.  It starts from the larger of the
+    Manaster-Koehler point ``sqrt(2 |log(f / k)|)`` and the first-order
+    at-the-money estimate ``sqrt(2 pi) q / f`` of ``s = sigma sqrt(T)``,
+    where ``q`` is the out-of-the-money time value.
 
     Returns ``math.inf`` where the price sits at the upper arbitrage bound
     (within ``UPPER_BOUND_MARGIN`` of the forward), where the implied
@@ -297,20 +307,24 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
 
     def time_value(s, i):
         d1 = x[i] / s + 0.5 * s
-        cdf = norm_cdf(sign[i] * np.stack([d1, d1 - s]))
-        return sign[i] * (forward * cdf[0] - k[i] * cdf[1]), forward * norm_pdf(d1)
+        d2 = d1 - s
+        cdf = norm_cdf(sign[i] * np.stack([d1, d2]))
+        vega = forward * norm_pdf(d1)
+        return sign[i] * (forward * cdf[0] - k[i] * cdf[1]), vega, vega * d1 * d2 / s
 
     # Manaster-Koehler: the price is convex in s below sqrt(2 |x|) and concave
-    # above it.  At the money (f / k rounds to 1), the first-order ATM price.
-    start = np.where(x == 0.0, _SQRT_2PI * q / forward, np.sqrt(2.0 * np.abs(x)))
+    # above it.  Near the money, where sqrt(2 |x|) falls towards zero, the
+    # first-order ATM estimate sqrt(2 pi) q / f: it also covers a strike that
+    # is a rounding away from the forward.
+    start = np.maximum(np.sqrt(2.0 * np.abs(x)), _SQRT_2PI * q / forward)
     lo_s, hi_s = np.full(k.size, lo * root_expiry), np.full(k.size, hi * root_expiry)
-    s = _newton(time_value, np.clip(start, lo_s, hi_s), lo_s, hi_s, q)
+    s = _halley(time_value, np.clip(start, lo_s, hi_s), lo_s, hi_s, q)
     off = np.abs(bs_call_prices(forward, k, s / root_expiry, expiry) - p) > PRICE_TOL
     vols[solve[keep]] = s / root_expiry
     failures += _first(
         solve[keep][off],
         lambda i: ConvergenceFailure(
-            f"Newton residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
+            f"price residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
         ),
     )
     _raise_first(failures)
@@ -324,9 +338,9 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
 
     Prices within 1e-12 (relative to the larger of 1, |f| and |k|) of
     intrinsic give zero vol, and at-the-money prices invert exactly.
-    The rest run Newton within a closed-form bracket; each element takes the
-    same steps, in the same floating-point operations, as a one-strike
-    inversion.
+    The rest run Halley's method within a closed-form bracket, from a
+    far-from-the-money or at-the-money start; each element takes the same
+    steps, in the same floating-point operations, as a one-strike inversion.
 
     Raises, for the first failing strike in grid order:
         PriceOutsideArbitrageBounds: price not finite or below intrinsic.
@@ -372,7 +386,7 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     def time_value(s, i):
         d = a[i] / s
         density = norm_pdf(d)
-        return s * density - a[i] * norm_cdf(-d), density
+        return s * density - a[i] * norm_cdf(-d), density, density * d * d / s
 
     # Far from the money q / |m| ~ phi(d) / d^3; two fixed-point steps in
     # d^2 = -2 log(sqrt(2 pi) d^3 q / |m|).  Otherwise the lower bound
@@ -384,12 +398,12 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     start = np.where(d > 1.0, a / np.maximum(d, 1.0), _SQRT_2PI * q)
     hi = 2.0 * _SQRT_2PI * (p + a)
     root_expiry = math.sqrt(expiry)
-    vols[solve] = _newton(time_value, start, np.zeros(p.size), hi, q) / root_expiry
+    vols[solve] = _halley(time_value, start, np.zeros(p.size), hi, q) / root_expiry
     off = np.abs(bachelier_call_prices(forward, ks, vols, expiry)[solve] - p) > PRICE_TOL
     failures += _first(
         solve[off],
         lambda i: ConvergenceFailure(
-            f"Newton residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
+            f"price residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
         ),
     )
     _raise_first(failures)

@@ -24,7 +24,7 @@ from .engine import (
     _frozen_array,
     positive_eigenvalue_bounds,
 )
-from .errors import MomentBoundsError, ParameterOutOfRange, ShapeViolation
+from .errors import MomentBoundsError, NonFiniteResult, ParameterOutOfRange, ShapeViolation
 from .models import _check_elements, implied_lognormal_vols
 from .moments import AssetMoments, assemble_q
 
@@ -61,16 +61,19 @@ def vanilla_bounds(f, nu, k) -> np.ndarray:
 
     Evaluated in a cancellation-free form: the explicit root when f >= k,
     and the product-of-roots form 2 f k nu / (sqrt(D) + (k - f)) when f < k,
-    which stays accurate deep out of the money with tiny nu.
+    which stays accurate deep out of the money with tiny nu.  Products
+    beyond the float range give a non-finite bound, which
+    ``check_decreasing_convex`` rejects.
     """
     f, nu, k = _checked(f, nu, k, "positive")
     # d * d, not d ** 2: numpy squares arrays by multiplication but hands a
     # scalar's power to libm, which may round differently.
     d = f - k
-    root = np.sqrt(d * d + 4.0 * f * k * nu)
+    # An overflow leaves a non-finite bound for the shape check to reject.
     # The out-of-the-money form divides by zero at f = k, nu = 0, where the
     # explicit root is taken instead.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = np.sqrt(d * d + 4.0 * f * k * nu)
         otm = 2.0 * f * k * nu / (root + (k - f))
     return np.where(f >= k, 0.5 * (d + root), otm)
 
@@ -116,12 +119,17 @@ def check_decreasing_convex(
     """Raise ShapeViolation unless the curve is decreasing and convex in strike.
 
     Convexity uses divided differences, so unevenly spaced grids are handled;
-    both checks allow slack ``shape_tol``.
+    both checks allow slack ``shape_tol``.  A value that is not finite raises
+    NonFiniteResult first: its slopes are NaN, which no comparison flags.
     """
     ks = _checked_grid(strikes, positive=False, min_size=2)
     vs = np.asarray(values, dtype=float)
     if ks.shape != vs.shape:
         raise ParameterOutOfRange("curve values must match the strike grid")
+    finite = np.isfinite(vs)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first value that is not finite
+        raise NonFiniteResult(f"{label} is {vs[i]} at strike {ks[i]}")
     slopes = np.diff(vs) / np.diff(ks)
     if np.any(slopes > shape_tol):
         i = int(np.argmax(slopes))

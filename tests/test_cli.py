@@ -703,6 +703,18 @@ class TestEncodings:
         assert ",∞,".encode() in data
         strict_json((tmp_path / "out" / "smile_manifest.json").read_bytes().decode())
 
+    def test_output_stem_without_a_file_name_in_the_locale_exits_2(self, tmp_path):
+        # The C locale's file-system encoding is ASCII, so the stem "smile-é"
+        # names no file there: a config error, not a traceback.
+        path = tmp_path / "c.json"
+        path.write_bytes(json.dumps(smile_config(output="smile-é"), ensure_ascii=False).encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        result = cli_subprocess(["--config", str(path), "--out", str(tmp_path / "out")], env)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(b"error: ConfigError: 'output'")
+        assert b"Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestStrictOutputs:
     def test_single_correlation_fx_cross_writes_null(self, tmp_path):
@@ -723,6 +735,14 @@ class TestStrictOutputs:
         path = write_config(tmp_path / "c.json", fx_config())
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: NonFiniteResult: summary value is not finite")
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_non_finite_bound_curve_exits_3(self, tmp_path, capsys):
+        # f k overflows in the bound, which is then inf or NaN at every strike.
+        payload = fx_config(forward=1e300, strikes={"start": 1e299, "stop": 1.7e308, "count": 5})
+        path = write_config(tmp_path / "c.json", payload)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: NonFiniteResult: fx bound (rho=0.5) is inf")
         assert not list((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("sentinel", SENTINELS[1:])

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -512,6 +514,29 @@ def normal_grid(rng, size=60):
     return forward, strikes, expiry, prices
 
 
+def counted_cdf_calls(monkeypatch) -> list:
+    """Log of the calls to ``models.norm_cdf``, one per time-value evaluation."""
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return norm_cdf(x)
+
+    monkeypatch.setattr(models, "norm_cdf", counting)
+    return calls
+
+
+def strike_for_ratio(forward, ratio):
+    """The strike within a few ulps of ``forward / ratio`` at which the
+    division ``forward / k`` rounds to exactly ``ratio``."""
+    k = forward / ratio
+    for ulps in range(9):
+        for candidate in (k + ulps * math.ulp(k), k - ulps * math.ulp(k)):
+            if forward / candidate == ratio:
+                return candidate
+    raise AssertionError(f"no strike gives f / k = {ratio!r}")
+
+
 class TestArrayInversions:
     @pytest.mark.parametrize("seed", range(20))
     def test_lognormal_matches_scalar_bisection_exactly(self, seed):
@@ -561,17 +586,12 @@ class TestArrayInversions:
         assert vols.tolist() == expected.tolist()
 
     def test_cdf_calls_per_inversion_bounded(self, monkeypatch):
-        # One CDF call per Newton step, plus the checks: for Black two for the
+        # One CDF call per Halley step, plus the checks: for Black two for the
         # bracket and two for the residual, for Bachelier one for the
-        # residual.  Bisection took about 59 steps of two calls (Black) or one
-        # (Bachelier).
-        calls = []
-
-        def counting(x):
-            calls.append(1)
-            return norm_cdf(x)
-
-        monkeypatch.setattr(models, "norm_cdf", counting)
+        # residual.  Over 200 seeds of these grids the most steps measured
+        # were 13 (Black) and 7 (Bachelier); Newton took 19 and 9, and
+        # bisection about 59 steps of two calls (Black) or one (Bachelier).
+        calls = counted_cdf_calls(monkeypatch)
         most = {}
         for seed in range(20):
             for grid, invert, checks in (
@@ -583,8 +603,27 @@ class TestArrayInversions:
                     calls.clear()
                     invert(forward, [k], expiry, [p])
                     most[invert] = max(most.get(invert, 0), len(calls) - checks)
-        assert 0 < most[implied_lognormal_vols] <= 22
-        assert 0 < most[implied_normal_vols] <= 9
+        assert 0 < most[implied_lognormal_vols] <= 13
+        assert 0 < most[implied_normal_vols] <= 7
+
+    @pytest.mark.parametrize("forward", [1.0, 3.3])
+    def test_strike_a_rounding_from_the_forward(self, monkeypatch, forward):
+        # log(f / k) is an ulp or two from zero, so the Manaster-Koehler start
+        # sqrt(2 |x|) is about 2e-8; the at-the-money estimate starts next to
+        # the root instead.  Newton from sqrt(2 |x|) took 13-15 steps here.
+        eps = math.ulp(1.0)
+        ratios = [1.0 - 2.0 * eps, 1.0 - eps, 1.0 + eps, 1.0 + 2.0 * eps]
+        strikes = [strike_for_ratio(forward, ratio) for ratio in ratios]
+        calls = counted_cdf_calls(monkeypatch)
+        for expiry in (0.1, 1.0, 5.0):
+            for sigma in (0.1, 0.3, 0.6):
+                prices = bs_call_prices(forward, strikes, sigma, expiry)
+                for k, p in zip(strikes, prices):
+                    calls.clear()
+                    vol = implied_lognormal_vols(forward, [k], expiry, [p])
+                    assert len(calls) - 4 <= 5, (k, sigma, expiry)
+                    expected = [scalar_lognormal_vol(forward, k, expiry, float(p))]
+                    assert_near_oracle(vol, expected, black_roundoff, forward, [k], expiry)
 
     def test_grid_shapes_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -594,6 +633,40 @@ class TestArrayInversions:
         with pytest.raises(DimensionMismatch):
             implied_lognormal_vols(1.0, [[1.0]], 1.0, [[0.1]])
         assert implied_lognormal_vols(1.0, [], 1.0, []).shape == (0,)
+
+
+# Stress ranges of the round trip: vols from 1e-7 to 9 and expiries from
+# under three days to 30 years, with strikes drawn in standard deviations
+# z = log(f / k) / s (Black) or z = (f - k) / s (Bachelier), s = sigma sqrt(T).
+stress_vols = st.floats(1e-7, 9.0)
+stress_expiries = st.floats(0.007, 30.0)
+stress_z = st.floats(-6.0, 6.0)
+
+
+class TestStressRoundTrip:
+    """Price, invert, and hold the vol to the roundoff bound of the oracle
+    tests, with the pricing vol as the oracle."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(0.01, 100.0), stress_vols, stress_expiries, stress_z)
+    def test_black(self, forward, sigma, expiry, z):
+        strike = forward * math.exp(-z * sigma * math.sqrt(expiry))
+        price = bs_call_prices(forward, [strike], sigma, expiry)[0]
+        # Inside the bracket: above the intrinsic slack, below the upper margin.
+        assume(price - max(forward - strike, 0.0) > 1e-12 * max(1.0, forward))
+        assume(price < forward - models.UPPER_BOUND_MARGIN)
+        vols = implied_lognormal_vols(forward, [strike], expiry, [price])
+        assert_near_oracle(vols, [sigma], black_roundoff, forward, [strike], expiry)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(-0.1, 0.1), stress_vols, stress_expiries, stress_z)
+    def test_bachelier(self, forward, sigma, expiry, z):
+        strike = forward - z * sigma * math.sqrt(expiry)
+        price = bachelier_call_prices(forward, [strike], sigma, expiry)[0]
+        scale = max(1.0, abs(forward), abs(strike))
+        assume(price - max(forward - strike, 0.0) > 1e-12 * scale)
+        vols = implied_normal_vols(forward, [strike], expiry, [price])
+        assert_near_oracle(vols, [sigma], bachelier_roundoff, forward, [strike], expiry)
 
 
 class TestArrayInversionErrors:

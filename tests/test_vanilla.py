@@ -6,6 +6,7 @@ import pytest
 from momentbounds import vanilla as vanilla_module
 from momentbounds.errors import (
     ConvergenceFailure,
+    NonFiniteResult,
     ParameterOutOfRange,
     PriceOutsideArbitrageBounds,
     ShapeViolation,
@@ -209,6 +210,13 @@ class TestShapeChecks:
     def test_rejects_concave_curve(self):
         with pytest.raises(ShapeViolation):
             check_decreasing_convex([1.0, 2.0, 3.0], [1.0, 0.9, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, bad):
+        # NaN slopes pass every comparison, so the shape checks alone let them by.
+        for values in ([bad, 0.5, 0.2], [1.0, bad, 0.2], [1.0, 0.5, bad]):
+            with pytest.raises(NonFiniteResult, match="at strike"):
+                check_decreasing_convex([1.0, 2.0, 3.0], values)
 
 
 class TestSmileCurve:
