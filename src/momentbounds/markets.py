@@ -98,7 +98,8 @@ class SwapCurveSlice:
     shift: float = 0.0
 
     def __post_init__(self):
-        for name in ("discounts", "daycounts", "forwards", "root_variances", "adjacent_correlations"):
+        names = ("discounts", "daycounts", "forwards", "root_variances", "adjacent_correlations")
+        for name in names:
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         n = self.discounts.size
         if n < 1:
@@ -107,6 +108,9 @@ class SwapCurveSlice:
             raise ParameterOutOfRange("per-period arrays must share one length")
         if self.adjacent_correlations.size != max(n - 1, 0):
             raise ParameterOutOfRange("need one correlation per consecutive swap pair")
+        # inf passes the sign checks below, and NaN every comparison.
+        if not all(np.isfinite(getattr(self, name)).all() for name in names):
+            raise ParameterOutOfRange("curve data must be finite")
         if np.any(self.discounts <= 0.0) or np.any(self.daycounts <= 0.0):
             raise ParameterOutOfRange("discount factors and daycounts must be positive")
         if np.any(self.root_variances < 0.0) or np.any(self.root_variances > 1.0):
@@ -132,9 +136,15 @@ class SwapCurveSlice:
         shift: float = 0.0,
     ) -> "SwapCurveSlice":
         """Flat curve: p_n = (1 + r)^-n, constant daycount, rate, nu and rho."""
+        # At r = -1 the discount factors are 1 / 0.  Closer to -1 they may
+        # overflow, and the finiteness check rejects them.
+        if not discount_rate > -1.0:
+            raise ParameterOutOfRange(f"discount rate must exceed -1, got {discount_rate}")
         n = np.arange(1, periods + 1)
+        with np.errstate(over="ignore"):
+            discounts = (1.0 + discount_rate) ** (-n)
         return cls(
-            discounts=(1.0 + discount_rate) ** (-n),
+            discounts=discounts,
             daycounts=np.full(periods, daycount),
             forwards=np.full(periods, swap_rate),
             root_variances=np.full(periods, root_variance),

@@ -11,10 +11,11 @@ are supported, and ``refined_bounds`` solves each by its structure:
   a direct sum of 2x2 blocks, so the bound is a sum of per-cell vanilla
   bounds in closed form.
 * Linear: hat functions anchored at a strike grid.  Only consecutive
-  functions overlap, so the four quadrants are tridiagonal, with the
-  off-diagonal moments computed by quadrature under a reference model.
-  Interleaving the components makes the matrix banded, and the bound is
-  solved as a banded eigenproblem per strike.
+  functions overlap, so the four quadrants are tridiagonal.  The head and
+  tail cells, where the end functions are flat, take their moments in closed
+  form like flat cells; quadrature under the reference model covers only the
+  ramps and crosses between strikes.  Interleaving the components makes the
+  matrix banded, and the bound is solved as a banded eigenproblem per strike.
 
 ``partition_moment_matrix`` assembles the full matrix for the dense engine,
 which is the fallback for a singular hat-partition matrix and the reference
@@ -58,10 +59,6 @@ CELL_FLOOR = 1e-12
 # Default nodes per quadrature panel and overall evaluation budget.
 PANEL_NODES = 64
 NODE_BUDGET = 1_000_000
-
-# Log-space cutoff for the density: 13 standard deviations covers any mass
-# above 1e-30, far below every tolerance used here.
-_TAIL_SIGMAS = 13.0
 
 
 @dataclass(frozen=True)
@@ -135,48 +132,6 @@ def _density(model: LognormalModel, a: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (a * stdev * math.sqrt(2.0 * math.pi))
 
 
-def _quadrature_partial_moment(
-    model: LognormalModel,
-    p: float,
-    lower: float,
-    upper: float,
-    n_nodes: int = PANEL_NODES,
-) -> float:
-    """E[a^p 1{lower < a <= upper}] by Gauss-Legendre quadrature.
-
-    Head cells starting at zero integrate in log coordinates; tail cells
-    ending at infinity use the substitution a = upper_strike / t.  Serves as
-    the independent cross-check for the closed-form partial moments and as
-    the shared panel integrator for partition moments.
-    """
-    if model.sigma == 0.0:
-        raise ParameterOutOfRange("quadrature path requires sigma > 0")
-    if lower < 0.0 or not upper > lower:
-        raise ParameterOutOfRange(f"need 0 <= lower < upper, got ({lower}, {upper})")
-    nodes, weights = _gl_rule(n_nodes)
-    if math.isinf(upper):
-        # a = lower / t maps (lower, inf) to t in (0, 1).
-        if lower <= 0.0:
-            raise ParameterOutOfRange("full-line integrals should be split at a strike")
-        t = 0.5 * (nodes + 1.0)
-        a = lower / t
-        values = a**p * _density(model, a) * (lower / (t * t))
-        return 0.5 * float(np.dot(weights, values))
-    if lower == 0.0:
-        # Log coordinates, cut _TAIL_SIGMAS standard deviations below the median.
-        stdev = model.sigma * math.sqrt(model.expiry)
-        y_lo = math.log(model.forward) - 0.5 * model.total_variance - _TAIL_SIGMAS * stdev
-        y_hi = math.log(upper)
-        if y_hi <= y_lo:
-            return 0.0
-        mid, half = 0.5 * (y_hi + y_lo), 0.5 * (y_hi - y_lo)
-        a = np.exp(mid + half * nodes)
-        return half * float(np.dot(weights, a**p * _density(model, a) * a))
-    mid, half = 0.5 * (upper + lower), 0.5 * (upper - lower)
-    a = mid + half * nodes
-    return half * float(np.dot(weights, a**p * _density(model, a)))
-
-
 def _moments_from_raw(
     digital: np.ndarray, first: np.ndarray, half: np.ndarray, tol: Tolerances
 ):
@@ -190,16 +145,14 @@ def flat_conditional_moments(
     boundaries: Sequence[float],
     *,
     cell_floor: float = CELL_FLOOR,
-    strict: bool = False,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ConditionalMoments:
     """Conditional moments for the digital partition with the given interior boundaries.
 
     Cells are (0, b_1], (b_1, b_2], ..., (b_{N-1}, inf).  Cells with digital
-    price below ``cell_floor`` signal boundaries far in the tail: with
-    ``strict`` they raise DegenerateCell, otherwise they are dropped with a
-    warning (their contribution to any moment is below every tolerance in
-    use).
+    price below ``cell_floor`` signal boundaries far in the tail and are
+    dropped with a warning (their contribution to any moment is below every
+    tolerance in use); DegenerateCell is raised only when no cell is left.
     """
     if model.sigma == 0.0:
         raise ParameterOutOfRange("flat conditional moments require sigma > 0")
@@ -208,9 +161,6 @@ def flat_conditional_moments(
     digital, first, half = lognormal_partial_moments(model, [0.0, 1.0, 0.5], edges)
     keep = ~(digital < cell_floor)
     dropped = np.flatnonzero(~keep)
-    if dropped.size and strict:
-        lo, hi, d = edges[dropped[0]], edges[dropped[0] + 1], digital[dropped[0]]
-        raise DegenerateCell(f"cell ({lo}, {hi}) has digital price {d:.3e} below {cell_floor}")
     if dropped.size:
         warnings.warn(
             f"dropped {dropped.size} partition cell(s) with mass below {cell_floor}: "
@@ -286,28 +236,30 @@ def linear_conditional_moments(
 ) -> ConditionalMoments:
     """Conditional and cross moments of the hat partition under the model.
 
-    All six tridiagonal moment families are integrated against the model
-    density: one Gauss-Legendre panel per strike interval, laid out as one
-    node grid over all intervals, the head cell in log coordinates and the
-    tail cell via the a = k_N / t substitution.  On each interval the
-    descending ramp of u_i and the ascending ramp of u_{i+1} give the diagonal
-    moments, and sqrt(u_i u_{i+1}) the cross moments.
+    The head cell (0, k_1] and the tail cell (k_N, inf), where the end
+    functions sit flat at one, are truncated lognormal moments in closed
+    form.  The rest is integrated against the model density: one
+    Gauss-Legendre panel per strike interval, laid out as one node grid over
+    all intervals.  On each interval the descending ramp of u_i and the
+    ascending ramp of u_{i+1} give the diagonal moments, and sqrt(u_i u_{i+1})
+    the cross moments.
     """
     if model.sigma == 0.0:
         raise ParameterOutOfRange("linear conditional moments require sigma > 0")
     part = LinearPartition(strikes)
     n = part.count
-    planned = (n + 1 + (n - 1)) * n_nodes * 3
+    # N - 1 ramp panels and N - 1 cross panels, three orders each.
+    planned = 2 * (n - 1) * n_nodes * 3
     if planned > node_budget:
         raise QuadratureBudgetExceeded(
             f"{planned} integrand evaluations exceed the budget {node_budget}"
         )
     k = part.strikes
     orders = (0.0, 0.5, 1.0)
-    # Head and tail cells, where the end functions sit flat at one.
+    ends = lognormal_partial_moments(model, orders, [0.0, k[0], k[-1], math.inf])
     raw = np.zeros((len(orders), n))
-    raw[:, 0] = [_quadrature_partial_moment(model, p, 0.0, k[0], n_nodes) for p in orders]
-    raw[:, -1] += [_quadrature_partial_moment(model, p, k[-1], math.inf, n_nodes) for p in orders]
+    raw[:, 0] = ends[:, 0]
+    raw[:, -1] += ends[:, 2]
     nodes, weights = _gl_rule(n_nodes)
     lo, hi = k[:-1, None], k[1:, None]
     width = hi - lo

@@ -61,21 +61,24 @@ def vanilla_bounds(f, nu, k) -> np.ndarray:
 
     Evaluated in a cancellation-free form: the explicit root when f >= k,
     and the product-of-roots form 2 f k nu / (sqrt(D) + (k - f)) when f < k,
-    which stays accurate deep out of the money with tiny nu.  Products
-    beyond the float range give a non-finite bound, which
-    ``check_decreasing_convex`` rejects.
+    which stays accurate deep out of the money with tiny nu.  The bound is
+    homogeneous of degree one in (f, k), so it is evaluated in units of the
+    power of two 2**e with max(f, k) = m 2**e, 1/2 <= m < 1, and scaled back:
+    the squares and products cannot overflow, and where they would not have,
+    the scaling is exact and the result the same.
     """
     f, nu, k = _checked(f, nu, k, "positive")
+    e = np.frexp(np.maximum(f, k))[1]
+    f, k = np.ldexp(f, -e), np.ldexp(k, -e)
     # d * d, not d ** 2: numpy squares arrays by multiplication but hands a
     # scalar's power to libm, which may round differently.
     d = f - k
-    # An overflow leaves a non-finite bound for the shape check to reject.
     # The out-of-the-money form divides by zero at f = k, nu = 0, where the
     # explicit root is taken instead.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(d * d + 4.0 * f * k * nu)
         otm = 2.0 * f * k * nu / (root + (k - f))
-    return np.where(f >= k, 0.5 * (d + root), otm)
+    return np.ldexp(np.where(f >= k, 0.5 * (d + root), otm), e)
 
 
 def vanilla_bounds_via_engine(
@@ -105,6 +108,9 @@ def implied_cdfs(f, nu, k) -> np.ndarray:
     nu and, for nu = 0, the strike at the forward reports 1.
     """
     f, nu, k = _checked(f, nu, k, "non-negative")
+    # Scale-free: evaluated in the units of vanilla_bounds, not scaled back.
+    e = np.frexp(np.maximum(f, k))[1]
+    f, k = np.ldexp(f, -e), np.ldexp(k, -e)
     d = f - k
     root = np.sqrt(d * d + 4.0 * f * k * nu)
     # root is zero only at nu = 0, k = f: the point mass at the forward.
@@ -113,13 +119,11 @@ def implied_cdfs(f, nu, k) -> np.ndarray:
     return np.where(k == 0.0, nu, cdf)
 
 
-def check_decreasing_convex(
-    strikes, values, shape_tol: float = SHAPE_TOL, label: str = "bound curve"
-) -> None:
+def check_decreasing_convex(strikes, values, label: str = "bound curve") -> None:
     """Raise ShapeViolation unless the curve is decreasing and convex in strike.
 
     Convexity uses divided differences, so unevenly spaced grids are handled;
-    both checks allow slack ``shape_tol``.  A value that is not finite raises
+    both checks allow slack ``SHAPE_TOL``.  A value that is not finite raises
     NonFiniteResult first: its slopes are NaN, which no comparison flags.
     """
     ks = _checked_grid(strikes, positive=False, min_size=2)
@@ -131,7 +135,7 @@ def check_decreasing_convex(
         i = int(np.argmin(finite))  # the first value that is not finite
         raise NonFiniteResult(f"{label} is {vs[i]} at strike {ks[i]}")
     slopes = np.diff(vs) / np.diff(ks)
-    if np.any(slopes > shape_tol):
+    if np.any(slopes > SHAPE_TOL):
         i = int(np.argmax(slopes))
         raise ShapeViolation(
             f"{label} increases between strikes {ks[i]} and {ks[i + 1]} "
@@ -139,7 +143,7 @@ def check_decreasing_convex(
         )
     if slopes.size >= 2:
         curvature = np.diff(slopes)
-        if np.any(curvature < -shape_tol):
+        if np.any(curvature < -SHAPE_TOL):
             i = int(np.argmin(curvature))
             raise ShapeViolation(
                 f"{label} is concave around strike {ks[i + 1]} "

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,31 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "x.csv").exists()
 
     @pytest.mark.parametrize(
+        "payload, code, message",
+        [
+            # A hat function of sigma 50 carries no mass: exit 3, with no
+            # density taken where exp underflows to 0 on the way.
+            (
+                refine_config("LinearRefine", sigma=50.0, strike_sets=[[0.5, 1.0, 1.5, 2.0]]),
+                3,
+                "error: DegenerateCell:",
+            ),
+            # (1 + r)^-n divides by zero at r = -1.
+            (caplet_config(discount_rate=-1.0), 2, "error: ConfigError:"),
+            # f * k and (f - k)^2 overflow unless the bound is scaled.
+            (with_parameters(smile_config(), forward=1e300), 0, ""),
+        ],
+        ids=["sigma-50-linear-refine", "discount-rate-minus-one", "smile-forward-1e300"],
+    )
+    def test_extreme_configs_warn_nothing(self, tmp_path, capsys, payload, code, message):
+        path = write_config(tmp_path / "c.json", payload)
+        mode = ["--validate-only"] if code == 2 else ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", str(path), *mode]) == code
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize(
         "tolerances",
         [
             {"psd": -0.5},
@@ -737,10 +763,12 @@ class TestStrictOutputs:
         assert capsys.readouterr().err.startswith("error: NonFiniteResult: summary value is not finite")
         assert not list((tmp_path / "out").iterdir())
 
-    def test_non_finite_bound_curve_exits_3(self, tmp_path, capsys):
-        # f k overflows in the bound, which is then inf or NaN at every strike.
-        payload = fx_config(forward=1e300, strikes={"start": 1e299, "stop": 1.7e308, "count": 5})
-        path = write_config(tmp_path / "c.json", payload)
+    def test_non_finite_bound_curve_exits_3(self, tmp_path, capsys, monkeypatch):
+        def overflowing_bounds(f, nu, k):
+            return np.full(np.shape(k), math.inf)
+
+        monkeypatch.setattr(cli, "vanilla_bounds", overflowing_bounds)
+        path = write_config(tmp_path / "c.json", fx_config())
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: NonFiniteResult: fx bound (rho=0.5) is inf")
         assert not list((tmp_path / "out").iterdir())

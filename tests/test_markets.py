@@ -74,6 +74,32 @@ class TestFxCrossBound:
             FxLegMoments(0.04, 0.04, 1.2, 1.0)
 
 
+class TestSwapCurveSlice:
+    @pytest.mark.parametrize("name", ["discounts", "daycounts", "forwards", "root_variances"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_rejected(self, name, bad):
+        data = {
+            "discounts": np.full(3, 0.99),
+            "daycounts": np.ones(3),
+            "forwards": np.full(3, 0.02),
+            "root_variances": np.full(3, 0.04),
+            "adjacent_correlations": np.full(2, 0.9),
+        }
+        data[name][1] = bad
+        with pytest.raises(ParameterOutOfRange):
+            SwapCurveSlice(**data)
+
+    @pytest.mark.parametrize("rate", [-1.0, -1.5, -math.inf])
+    def test_flat_discounting_needs_rate_above_minus_one(self, rate):
+        with pytest.raises(ParameterOutOfRange, match="exceed -1"):
+            SwapCurveSlice.with_flat_discounting(rate, 10, 1.0, 0.02, 0.04, 0.9)
+
+    def test_flat_discount_factors_beyond_float_range_rejected(self):
+        # (1 + r)^-n overflows for n = 40 at r = -1 + 2^-52.
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            SwapCurveSlice.with_flat_discounting(-1.0 + 2.0**-52, 40, 1.0, 0.02, 0.04, 0.9)
+
+
 class TestAnnuityWeights:
     def test_flat_curve_weights(self):
         slice_ = SwapCurveSlice(

@@ -27,7 +27,6 @@ from momentbounds.moments import root_variance_from_moments
 from momentbounds.partition import (
     ConditionalMoments,
     LinearPartition,
-    _quadrature_partial_moment,
     flat_conditional_moments,
     linear_conditional_moments,
     partition_moment_matrix,
@@ -80,10 +79,6 @@ class TestFlatConditionalMoments:
         with pytest.warns(UserWarning, match="dropped"):
             moments = flat_conditional_moments(MODEL, [1.0, 1e9])
         assert moments.cells == 2
-
-    def test_degenerate_cell_strict_raises(self):
-        with pytest.raises(DegenerateCell):
-            flat_conditional_moments(MODEL, [1.0, 1e9], strict=True)
 
     def test_zero_vol_rejected(self):
         with pytest.raises(ParameterOutOfRange):
@@ -309,16 +304,6 @@ class TestLinearPartitionFunctions:
         assert np.allclose(part.sqrt_cross(0, a), direct, atol=1e-14)
 
 
-class TestQuadratureAgainstClosedForm:
-    def test_panels_match_closed_form(self):
-        edges = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, math.inf]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            for p in (0.0, 0.5, 1.0):
-                numeric = _quadrature_partial_moment(MODEL, p, lo, hi)
-                closed = lognormal_partial_moments(MODEL, p, [lo, hi])[0]
-                assert abs(numeric - closed) <= 1e-9
-
-
 class TestLinearConditionalMoments:
     def test_sums_reproduce_unpartitioned_moments(self):
         moments = linear_conditional_moments(MODEL, FIG_BOUNDARIES_6)
@@ -539,14 +524,30 @@ class TestWholeGridMoments:
 
         nodes, weights = _gl_rule(64)
 
+        stdev = model.sigma * math.sqrt(model.expiry)
+        median = math.log(model.forward) - 0.5 * stdev * stdev
+
+        def end_cell(p, lo, hi):
+            # E[a^p 1{lo < a <= hi}] by adaptive quadrature in y = log a,
+            # where the integrand is a smooth Gaussian.
+            value, error = quad(
+                lambda y: math.exp(p * y - 0.5 * ((y - median) / stdev) ** 2),
+                lo,
+                hi,
+                epsabs=0.0,
+                epsrel=2e-14,
+                limit=200,
+            )
+            return value / (stdev * math.sqrt(2.0 * math.pi))
+
         def ramp_moment(n, p):
             # The head and tail cells, where u_0 and u_{N-1} are flat at one,
             # plus Gauss-Legendre over each strike interval in the support.
             total = 0.0
             if n == 0:
-                total += _quadrature_partial_moment(model, p, 0.0, k[0])
+                total += end_cell(p, -math.inf, math.log(k[0]))
             if n == count - 1:
-                total += _quadrature_partial_moment(model, p, k[-1], math.inf)
+                total += end_cell(p, math.log(k[-1]), math.inf)
             for i in (n - 1, n):
                 if 0 <= i < count - 1:
                     mid, half = 0.5 * (k[i + 1] + k[i]), 0.5 * (k[i + 1] - k[i])
@@ -569,8 +570,8 @@ class TestWholeGridMoments:
         digital = np.array([ramp_moment(n, 0.0) for n in range(count)])
         first = np.array([ramp_moment(n, 1.0) for n in range(count)])
         half = np.array([ramp_moment(n, 0.5) for n in range(count)])
-        # Quadrature orders differ (one panel here, head/tail identical), so
-        # the two computations agree to roundoff, not bit for bit.
+        # The end cells come from another quadrature here and closed form
+        # there, so the two computations agree to roundoff, not bit for bit.
         rel = 1e-13
         assert np.all(np.abs(moments.digital - digital) <= rel * digital)
         assert np.all(np.abs(moments.price * moments.digital - first) <= rel * first)
@@ -581,9 +582,10 @@ class TestWholeGridMoments:
 
     @pytest.mark.parametrize("count, n_nodes", [(2, 8), (5, 16), (30, 64)])
     def test_budget_boundary_unchanged(self, count, n_nodes):
-        # Head, tail, N - 1 ramp panels and N - 1 cross panels, three orders each.
+        # N - 1 ramp panels and N - 1 cross panels, three orders each; the
+        # head and tail cells are in closed form and use no nodes.
         strikes = np.linspace(0.5, 2.0, count)
-        planned = 2 * count * n_nodes * 3
+        planned = 2 * (count - 1) * n_nodes * 3
         linear_conditional_moments(MODEL, strikes, n_nodes=n_nodes, node_budget=planned)
         with pytest.raises(QuadratureBudgetExceeded, match=f"^{planned} integrand"):
             linear_conditional_moments(MODEL, strikes, n_nodes=n_nodes, node_budget=planned - 1)
@@ -602,10 +604,11 @@ class TestWholeGridMoments:
         moments = flat_conditional_moments(MODEL, [1.0, 4.0, 9.0])
         lightest = float(moments.digital[-1])
         assert flat_conditional_moments(MODEL, [1.0, 4.0, 9.0], cell_floor=lightest).cells == 4
-        with pytest.raises(DegenerateCell, match=r"cell \(9\.0, inf\)"):
-            flat_conditional_moments(
-                MODEL, [1.0, 4.0, 9.0], cell_floor=np.nextafter(lightest, 1.0), strict=True
+        with pytest.warns(UserWarning, match=r"dropped 1 partition cell\(s\) .*: \(9, inf\)$"):
+            kept = flat_conditional_moments(
+                MODEL, [1.0, 4.0, 9.0], cell_floor=np.nextafter(lightest, 1.0)
             )
+        assert kept.cells == 3
         with pytest.warns(UserWarning, match="dropped 2"):
             with pytest.raises(DegenerateCell, match="all"):
                 flat_conditional_moments(MODEL, [1.0], cell_floor=0.9)

@@ -219,6 +219,24 @@ def test_vanilla_bounds_within_limits_and_monotone_in_nu(forward, x, nus):
     assert np.all(np.diff(bounds) >= -4.0 * np.finfo(float).eps * bounds[1:])
 
 
+@settings(deadline=None)
+@given(
+    st.floats(1e-6, 1e6),
+    st.just(0.0) | st.floats(1e-12, 1.0),
+    st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=12),
+    st.sampled_from([900, -900]),
+)
+def test_vanilla_bounds_homogeneous_at_extreme_scales(forward, nu, strikes, power):
+    # B(c f, nu, c k) = c B(f, nu, k) exactly for a power of two c, far
+    # beyond the range where f k or (f - k)^2 fit in a float.  The draws keep
+    # every nonzero bound above 1e-18, clear of subnormal rounding.
+    c = 2.0**power
+    bounds = vanilla_bounds(forward, nu, strikes)
+    scaled = vanilla_bounds(c * forward, nu, c * np.array(strikes))
+    assert np.all(np.isfinite(scaled))
+    assert scaled.tolist() == (c * bounds).tolist()
+
+
 def black_price(forward, strike, expiry, sigma):
     return bs_call_prices(forward, [strike], sigma, expiry)[0]
 
