@@ -258,8 +258,7 @@ def linear_conditional_moments(
     orders = (0.0, 0.5, 1.0)
     ends = lognormal_partial_moments(model, orders, [0.0, k[0], k[-1], math.inf])
     raw = np.zeros((len(orders), n))
-    raw[:, 0] = ends[:, 0]
-    raw[:, -1] += ends[:, 2]
+    raw[:, [0, -1]] = ends[:, [0, 2]]
     nodes, weights = _gl_rule(n_nodes)
     lo, hi = k[:-1, None], k[1:, None]
     width = hi - lo
