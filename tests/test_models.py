@@ -264,19 +264,25 @@ def head_interior_tail_cells(seed=0, count=200):
 # Relative error of the closed-form partial moments against the 40-digit
 # oracle, measured at 2.0e-14 on head and tail cells and 4.2e-14 on interior
 # ones over five seeds of ``head_interior_tail_cells``, and 3.4e-14 on the
-# narrow upper-tail cell below.  Gauss-Legendre quadrature on 64 nodes
-# reached only 2.4e-12 on such cells.
+# narrow upper-tail cell of ``test_upper_tail_cell_keeps_relative_digits``.
+# Gauss-Legendre quadrature on 64 nodes reached only 2.4e-12 on such cells.
 PARTIAL_MOMENT_REL = 1e-13
 
 ORACLE_CASES = {
     "head-interior-tail": list(head_interior_tail_cells()),
-    # Both CDF values sit within 1e-9 of one; their difference cancels.
-    "narrow-upper-tail": [(LognormalModel(1.0, 0.13243771936956214, 1.0), [2.3, 2.31])],
     "six-cells": [(LognormalModel(1.0, 0.4, 1.0), [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, math.inf])],
 }
 
 
 class TestPartialMoments:
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_upper_tail_cell_keeps_relative_digits(self, p):
+        # Both CDF values sit within 1e-9 of one; their difference cancels.
+        model = LognormalModel(1.0, 0.13243771936956214, 1.0)
+        closed = lognormal_partial_moments(model, p, [2.3, 2.31])[0]
+        exact = mp_partial_moment(model, p, 2.3, 2.31)
+        assert abs(closed - exact) <= PARTIAL_MOMENT_REL * exact
+
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_cells_match_40_digit_oracle(self, case):
         orders = (0.0, 0.5, 1.0)
