@@ -12,7 +12,9 @@ strike grid, and the angle grid that guards it, are each one expression.
 Global attainment fails: replicating the payoff a^n statically from the
 bound curve yields moments whose implied root-variance strictly exceeds the
 constraint everywhere inside (0, 1), so no single measure matching the
-constraint can generate the bound at all strikes.
+constraint can generate the bound at all strikes.  For a^(1/2) the
+replication integral has the closed form E(1 - nu) - nu K(1 - nu) in complete
+elliptic integrals, evaluated by Gauss's arithmetic-geometric mean.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, STACK_BYTES, Tolerances, _checked_grid, _frozen_array
+from .engine import STACK_BYTES, _checked_grid, _frozen_array
 from .errors import (
     AngleOutOfRange,
     BranchResolutionFailure,
     ParameterOutOfRange,
     QuadratureBudgetExceeded,
 )
-from .models import _gl_rule
-from .partition import _panel_sums
-from .vanilla import vanilla_bounds_via_engine
+from .models import _check_elements, _gl_rule
+from .vanilla import vanilla_bounds
 
 __all__ = [
     "AttainmentReport",
@@ -173,12 +174,12 @@ def local_attainment_scan(
     strikes,
     *,
     attain_tol: float = 1e-9,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> AttainmentReport:
-    """Verify the bound is attained strike by strike by optimal two-state models."""
+    """Verify the closed-form bound is attained strike by strike by optimal
+    two-state models."""
     ks = _checked_grid(strikes, increasing=False)
     angles, lows, highs, prices = _attaining_models(f, nu, ks)
-    bounds = vanilla_bounds_via_engine(f, nu, ks, tol)
+    bounds = vanilla_bounds(f, nu, ks)
     gaps = np.abs(prices - bounds) / np.maximum(np.abs(bounds), 1e-300)
     moment = float(implied_root_variance_curve([nu]).sqrt_moment[0])
     return AttainmentReport(
@@ -206,23 +207,20 @@ def _bound_excess(x: np.ndarray, nu: float) -> np.ndarray:
     return 4.0 * nu / (np.sqrt(one_minus * one_minus + 4.0 * x * x * nu) + one_minus)
 
 
-def _refine(evaluate, rows: int, start_nodes: int, target: float, node_budget: int) -> np.ndarray:
-    """Double quadrature nodes until two successive values of each row agree
-    to target; ``evaluate(active, nodes)`` gives the values of rows ``active``.
-    A row leaves once it converges, so each takes the steps it would alone."""
-    active, nodes = np.arange(rows), start_nodes
-    value, result = evaluate(active, nodes), np.empty(rows)
-    while active.size:
+def _refine(evaluate, nodes: int, target: float, node_budget: int) -> float:
+    """Double quadrature nodes from ``nodes`` until two successive values of
+    ``evaluate(nodes)`` agree to target."""
+    value = evaluate(nodes)
+    while True:
         if 2 * nodes > node_budget:
             raise QuadratureBudgetExceeded(
                 f"no convergence to {target} within {node_budget} nodes"
             )
         nodes *= 2
-        refined = evaluate(active, nodes)
-        done = np.abs(refined - value) <= target
-        result[active[done]] = refined[done]
-        active, value = active[~done], refined[~done]
-    return result
+        refined = evaluate(nodes)
+        if abs(refined - value) <= target:
+            return refined
+        value = refined
 
 
 @dataclass(frozen=True)
@@ -243,54 +241,42 @@ class GlobalAttainmentCurve:
         return self.implied_nu - self.constraint_nu
 
 
-def implied_root_variance_curve(
-    nus, *, target_error: float = 1e-10, node_budget: int = 1 << 16
-) -> GlobalAttainmentCurve:
+def implied_root_variance_curve(nus) -> GlobalAttainmentCurve:
     """E[sqrt(a)] / sqrt(f) implied by the bound curve via static
     replication, and its root-variance 1 - (E[sqrt(a)] / sqrt(f))^2, over a
     grid of constraint values nu.
 
     The strike integral over the bound curve collapses, after substitutions,
     to 1 - (1/2) * integral of the rationalised excess over x in [0, 1].
-    The panel is split where the square root's curvature peaks, at
-    x = sqrt(1 - 2 nu) for nu < 1/2, and nodes double until two successive
-    values agree to ``target_error``.  The refinement runs on the whole grid
-    at once: each node count evaluates the panels of every unconverged nu as
-    (panels x nodes) blocks of at most ``STACK_BYTES``.  The first nu outside
-    [0, 1] in grid order raises.
+    With the radicand Q = x^4 - 2 c x^2 + 1, c = 1 - 2 nu, integration by
+    parts gives 2 - 2 sqrt(nu) + 2 * integral of (x^2 - c) / sqrt(Q), and
+    with the integrals of 1 / sqrt(Q) = K/2 and x^2 / sqrt(Q) = K/2 - E +
+    sqrt(nu), the complete elliptic integrals at m = 1 - nu, the excess
+    integral is 2 (1 - E + nu K): the moment is E(m) - nu K(m).
+    Gauss's arithmetic-geometric mean of 1 and sqrt(nu) gives
+    K = pi / (2 a_inf) and E - nu K = K (m/2 - sum_{n>=1} 2^(n-1) c_n^2)
+    (Abramowitz & Stegun 17.6), a form that does not cancel as nu -> 1.  Each nu stops iterating on its own once c_n <= eps a_n, so
+    it gets the bits a one-point grid gives it.  nu = 0 is a point mass with
+    moment 1.  The first nu outside [0, 1] in grid order raises.
     """
     grid = np.asarray(nus, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterOutOfRange("need a 1-d grid of root-variances")
-    valid = (grid >= 0.0) & (grid <= 1.0)
-    stop = grid.size if valid.all() else int(np.argmin(valid))
-    # nu = 0 is a point mass, moment 1; a bad nu raises after the ones before it.
-    rows = np.flatnonzero(grid[:stop] != 0.0)
-    split = grid[rows] < 0.5
-    edge = np.ones(rows.size)
-    edge[split] = np.sqrt(1.0 - 2.0 * grid[rows[split]])
-
-    def evaluate(active: np.ndarray, nodes: int) -> np.ndarray:
-        # Panels [0, edge] of every row, then [edge, 1] of the split rows.
-        x, w = _gl_rule(nodes)
-        second = active[split[active]]
-        lo = np.concatenate([np.zeros(active.size), edge[second]])
-        hi = np.concatenate([edge[active], np.ones(second.size)])
-        nu = grid[rows[np.concatenate([active, second])]]
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        sums, step = np.empty(lo.size), max(1, STACK_BYTES // x.nbytes)
-        for start in range(0, lo.size, step):
-            block = slice(start, start + step)
-            excess = _bound_excess(mid[block, None] + half[block, None] * x, nu[block, None])
-            sums[block] = half[block] * _panel_sums(excess, w)
-        totals = sums[: active.size]
-        totals[split[active]] += sums[active.size :]
-        return totals
-
-    moments = np.ones(stop)
-    moments[rows] = 1.0 - 0.5 * _refine(evaluate, rows.size, 64, target_error, node_budget)
-    if stop < grid.size:
-        raise ParameterOutOfRange(f"root-variance must lie in [0, 1], got {float(grid[stop])}")
+    _check_elements(((grid >= 0.0) & (grid <= 1.0), "root-variance must lie in [0, 1]", grid))
+    spread = grid != 0.0
+    nu = grid[spread]
+    a, b = np.ones(nu.size), np.sqrt(nu)
+    total, weight = 0.5 * (1.0 - nu), 1.0
+    live = np.arange(nu.size)
+    while live.size:
+        a_live, b_live = a[live], b[live]
+        a[live], b[live] = 0.5 * (a_live + b_live), np.sqrt(a_live * b_live)
+        c = 0.5 * (a_live - b_live)
+        total[live] -= weight * c * c
+        weight *= 2.0
+        live = live[c > np.finfo(float).eps * a[live]]
+    moments = np.ones(grid.size)
+    moments[spread] = 0.5 * math.pi / a * total
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)
 
 
@@ -330,8 +316,7 @@ def _general_moment(
             total += half * float(np.dot(w, np.exp(-decay * u) * _bound_excess(np.exp(-u), nu)))
         return total
 
-    def evaluate(_, nodes: int) -> np.ndarray:  # the one row of ``_refine``
-        return np.array([tail_integral(2.0 * n - 1.0, nodes) + tail_integral(1.0 - 2.0 * n, nodes)])
+    def integral(nodes: int) -> float:
+        return tail_integral(2.0 * n - 1.0, nodes) + tail_integral(1.0 - 2.0 * n, nodes)
 
-    integral = float(_refine(evaluate, 1, 24, target_error, node_budget)[0])
-    return 1.0 + n * (n - 1.0) * integral
+    return 1.0 + n * (n - 1.0) * _refine(integral, 24, target_error, node_budget)

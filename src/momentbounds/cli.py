@@ -250,7 +250,6 @@ def load_config(path) -> RunConfig:
 
 @dataclass(frozen=True)
 class Experiment:
-    name: str
     prepare: callable
     execute: callable
 
@@ -480,7 +479,6 @@ def _run_local_attain(plan, config: RunConfig):
         plan["root_variance"],
         plan["strikes"],
         attain_tol=plan["attain_tol"],
-        tol=config.tolerances,
     )
     check_decreasing_convex(report.strikes, report.bounds, label="attainment bound")
     fields = ("strikes", "angles", "lows", "highs", "binomial_prices", "bounds", "gaps")
@@ -517,24 +515,14 @@ def _run_global_attain(plan, config: RunConfig):
 
 
 EXPERIMENTS = {
-    "VanillaSmile": Experiment(
-        "VanillaSmile", _prepare_vanilla_smile, _run_vanilla_smile
-    ),
-    "FlatRefine": Experiment(
-        "FlatRefine", lambda p: _prepare_refine(p, "flat"), _run_refine
-    ),
-    "LinearRefine": Experiment(
-        "LinearRefine", lambda p: _prepare_refine(p, "linear"), _run_refine
-    ),
-    "FxCross": Experiment("FxCross", _prepare_fx_cross, _run_fx_cross),
-    "CapletBound": Experiment(
-        "CapletBound", lambda p: _prepare_caplet(p, scan_shifts=False), _run_caplet
-    ),
-    "CapletCdf": Experiment(
-        "CapletCdf", lambda p: _prepare_caplet(p, scan_shifts=True), _run_caplet
-    ),
-    "LocalAttain": Experiment("LocalAttain", _prepare_local_attain, _run_local_attain),
-    "GlobalAttain": Experiment("GlobalAttain", _prepare_global_attain, _run_global_attain),
+    "VanillaSmile": Experiment(_prepare_vanilla_smile, _run_vanilla_smile),
+    "FlatRefine": Experiment(lambda p: _prepare_refine(p, "flat"), _run_refine),
+    "LinearRefine": Experiment(lambda p: _prepare_refine(p, "linear"), _run_refine),
+    "FxCross": Experiment(_prepare_fx_cross, _run_fx_cross),
+    "CapletBound": Experiment(lambda p: _prepare_caplet(p, scan_shifts=False), _run_caplet),
+    "CapletCdf": Experiment(lambda p: _prepare_caplet(p, scan_shifts=True), _run_caplet),
+    "LocalAttain": Experiment(_prepare_local_attain, _run_local_attain),
+    "GlobalAttain": Experiment(_prepare_global_attain, _run_global_attain),
 }
 
 

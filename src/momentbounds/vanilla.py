@@ -17,21 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    _checked_grid,
-    _frozen_array,
-    positive_eigenvalue_bounds,
-)
+from .engine import _checked_grid, _frozen_array
 from .errors import MomentBoundsError, NonFiniteResult, ParameterOutOfRange, ShapeViolation
 from .models import _check_elements, implied_lognormal_vols
-from .moments import AssetMoments, assemble_q
 
 __all__ = [
     "VanillaBoundCurve",
     "vanilla_bounds",
-    "vanilla_bounds_via_engine",
     "implied_cdfs",
     "smile_curves",
     "check_decreasing_convex",
@@ -65,9 +57,12 @@ def vanilla_bounds(f, nu, k) -> np.ndarray:
     homogeneous of degree one in (f, k), so it is evaluated in units of the
     power of two 2**e with max(f, k) = m 2**e, 1/2 <= m < 1, and scaled back:
     the squares and products cannot overflow, and where they would not have,
-    the scaling is exact and the result the same.
+    the scaling is exact and the result the same.  Where 2 f k nu is
+    subnormal in those units it has lost digits, so the out-of-the-money
+    bound is taken as the unscaled f times the ratio 2 k nu / (sqrt(D) + k - f).
     """
     f, nu, k = _checked(f, nu, k, "positive")
+    forward = f
     e = np.frexp(np.maximum(f, k))[1]
     f, k = np.ldexp(f, -e), np.ldexp(k, -e)
     # d * d, not d ** 2: numpy squares arrays by multiplication but hands a
@@ -77,26 +72,12 @@ def vanilla_bounds(f, nu, k) -> np.ndarray:
     # explicit root is taken instead.
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(d * d + 4.0 * f * k * nu)
-        otm = 2.0 * f * k * nu / (root + (k - f))
-    return np.ldexp(np.where(f >= k, 0.5 * (d + root), otm), e)
-
-
-def vanilla_bounds_via_engine(
-    f: float, nu: float, strikes, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """``vanilla_bounds`` over a strike grid through the general eigenvalue
-    engine.
-
-    Assembles the 2x2 moment matrix for the asset paired with the constant
-    asset 1, factors it once, and solves quantities (1, -k) per strike.
-    Agrees with the closed form to within eigensolver roundoff; kept as an
-    independent route for cross-checks.
-    """
-    assets = [AssetMoments(f, nu), AssetMoments(1.0, 0.0)]
-    ks = _checked_grid(strikes, increasing=False)
-    q = assemble_q(assets, {(0, 1): 0.0})
-    quantities = np.column_stack([np.ones(ks.size), -ks])
-    return positive_eigenvalue_bounds(q, quantities, tol).bounds
+        product = 2.0 * f * k * nu
+        otm = product / (root + (k - f))
+        tiny_otm = forward * (2.0 * k * nu / (root + (k - f)))
+    tiny = (f < k) & (product < np.finfo(float).tiny)
+    bounds = np.where(f >= k, 0.5 * (d + root), np.where(tiny, tiny_otm, otm))
+    return np.ldexp(bounds, np.where(tiny, 0, e))
 
 
 def implied_cdfs(f, nu, k) -> np.ndarray:

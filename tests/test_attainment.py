@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,8 +20,7 @@ from momentbounds.errors import (
     ParameterOutOfRange,
     QuadratureBudgetExceeded,
 )
-from momentbounds.models import _gl_rule
-from momentbounds.vanilla import vanilla_bounds, vanilla_bounds_via_engine
+from momentbounds.vanilla import vanilla_bounds
 
 
 def two_state_moments(chi, low, high):
@@ -324,34 +324,35 @@ class TestReplicationMoments:
         assert np.all(curve.margins[1:-1] > 0.0)
 
     def test_budget_exceeded(self):
+        # The quadrature route for E[a^n] stops at its node budget.
         with pytest.raises(QuadratureBudgetExceeded):
-            implied_root_variance_curve([0.3], target_error=1e-30, node_budget=256)
-        with pytest.raises(QuadratureBudgetExceeded, match="within 256 nodes"):
-            implied_root_variance_curve([0.0, 0.3, 0.7], target_error=1e-30, node_budget=256)
+            _general_moment(0.3, 0.5, target_error=1e-30, node_budget=96)
+        with pytest.raises(QuadratureBudgetExceeded, match="within 96 nodes"):
+            _general_moment(0.3, 0.2, target_error=1e-30, node_budget=96)
 
 
-def scalar_sqrt_moment(nu, target_error=1e-10, node_budget=1 << 16):
-    """One-nu reference for the batched curve: panel by panel with np.dot,
-    doubling the nodes until two successive values agree."""
-    if nu == 0.0:
-        return 1.0
-    edges = [0.0, math.sqrt(1.0 - 2.0 * nu), 1.0] if nu < 0.5 else [0.0, 1.0]
+def mp_sqrt_moment(nu):
+    """1 - (1/2) * integral over x in [0, 1] of the rationalised excess
+    4 nu / (sqrt((1 - x^2)^2 + 4 x^2 nu) + 1 - x^2), by 60-digit quadrature.
 
-    def evaluate(nodes):
-        x, w = _gl_rule(nodes)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            total += half * float(np.dot(w, attainment._bound_excess(mid + half * x, nu)))
-        return total
+    In t = 1 - x, 1 - x^2 = t (2 - t) keeps its digits where the excess
+    turns, within about sqrt(nu) of x = 1, so the panels break there."""
+    with mpmath.workdps(60):
+        nu = mpmath.mpf(nu)
 
-    nodes, value = 64, evaluate(64)
-    while True:
-        assert 2 * nodes <= node_budget
-        refined = evaluate(2 * nodes)
-        if abs(refined - value) <= target_error:
-            return 1.0 - 0.5 * refined
-        nodes, value = 2 * nodes, refined
+        def excess(t):
+            u = t * (2 - t)
+            return 4 * nu / (mpmath.sqrt(u * u + 4 * (1 - t) ** 2 * nu) + u)
+
+        return 1 - mpmath.quad(excess, [0, mpmath.sqrt(nu), 1]) / 2
+
+
+# From nu = 1e-300, where K(1 - nu) is about 347, to the largest float below
+# 1, where it is pi / 2.
+ORACLE_NUS = [
+    1e-300, 1e-100, 1e-30, 1e-16, 1e-9, 1e-4, 0.01, 0.1, 0.25, 0.49, 0.5, 0.51, 0.75,
+    0.9, 0.99, 1.0 - 1e-9, 1.0 - 2.0**-53,
+]
 
 
 class TestBatchedCurve:
@@ -363,15 +364,17 @@ class TestBatchedCurve:
         [0.49],
     ]
 
-    @pytest.mark.parametrize("grid", GRIDS)
-    @pytest.mark.parametrize("target_error", [1e-10, 1e-13, 1e-6])
-    def test_equals_per_nu_reference(self, grid, target_error):
-        curve = implied_root_variance_curve(grid, target_error=target_error)
-        expected = [scalar_sqrt_moment(nu, target_error) for nu in grid]
-        assert curve.sqrt_moment.tolist() == expected
-        # Each value equals a one-point curve's.
-        alone = [implied_root_variance_curve([nu], target_error=target_error) for nu in grid]
-        assert [curve.sqrt_moment[0] for curve in alone] == expected
+    def test_matches_60_digit_quadrature(self):
+        nus = ORACLE_NUS + np.random.default_rng(37).uniform(0.0, 1.0, 8).tolist()
+        curve = implied_root_variance_curve(nus)
+        for nu, moment in zip(nus, curve.sqrt_moment):
+            assert abs(mpmath.mpf(float(moment)) - mp_sqrt_moment(nu)) <= 1e-14, nu
+
+    @pytest.mark.parametrize("grid", GRIDS + [ORACLE_NUS])
+    def test_each_nu_equals_its_one_point_curve(self, grid):
+        curve = implied_root_variance_curve(grid)
+        alone = [implied_root_variance_curve([nu]).sqrt_moment[0] for nu in grid]
+        assert curve.sqrt_moment.tolist() == alone
 
     def test_random_grids_equal_per_nu_reference(self):
         rng = np.random.default_rng(29)
@@ -379,28 +382,13 @@ class TestBatchedCurve:
             grid = rng.uniform(0.0, 1.0, 20)
             grid[rng.integers(0, 20, 4)] = rng.choice([0.0, 0.5, 1.0], 4)
             curve = implied_root_variance_curve(grid)
-            assert curve.sqrt_moment.tolist() == [scalar_sqrt_moment(float(nu)) for nu in grid]
-
-    def test_grid_beyond_one_block_matches_per_nu(self):
-        # At 64 nodes a block holds STACK_BYTES / 512 panels, and every nu in
-        # (0, 1/2) brings two.
-        grid = np.random.default_rng(31).uniform(0.0, 0.5, 1500)
-        assert 2 * grid.size > attainment.STACK_BYTES // (64 * 8)
-        curve = implied_root_variance_curve(grid)
-        assert curve.sqrt_moment.tolist() == [scalar_sqrt_moment(float(nu)) for nu in grid]
+            alone = [implied_root_variance_curve([nu]).sqrt_moment[0] for nu in grid]
+            assert curve.sqrt_moment.tolist() == alone
 
     def test_first_bad_nu_raises(self):
         for grid, bad in (([0.2, 1.5, -0.1], "1.5"), ([0.0, math.nan], "nan"), ([-0.1], "-0.1")):
             with pytest.raises(ParameterOutOfRange, match=f"got {bad}$"):
                 implied_root_variance_curve(grid)
-
-    def test_budget_before_a_later_bad_nu(self):
-        # A loop over the grid would exhaust the budget on 0.3 before it
-        # reached 1.5; a bad nu in front raises first.
-        with pytest.raises(QuadratureBudgetExceeded):
-            implied_root_variance_curve([0.3, 1.5], target_error=1e-30, node_budget=256)
-        with pytest.raises(ParameterOutOfRange):
-            implied_root_variance_curve([1.5, 0.3], target_error=1e-30, node_budget=256)
 
     def test_grid_shape_checked(self):
         for grid in ([], [[0.1, 0.2]]):
@@ -439,10 +427,8 @@ class TestGeneralMoment:
 
 
 class TestLocalScanBatching:
-    def test_bounds_match_single_engine_calls_and_factor_once(self, factor_calls):
+    def test_bounds_are_the_closed_form_and_factor_nothing(self, factor_calls):
         strikes = np.linspace(0.3, 2.5, 12)
-        expected = [vanilla_bounds_via_engine(1.0, 0.04, [k])[0] for k in strikes]
-        factor_calls.clear()
         report = local_attainment_scan(1.0, 0.04, strikes)
-        assert report.bounds.tolist() == expected
-        assert len(factor_calls) == 1
+        assert report.bounds.tolist() == vanilla_bounds(1.0, 0.04, strikes).tolist()
+        assert factor_calls == []

@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
@@ -235,6 +236,28 @@ def test_vanilla_bounds_homogeneous_at_extreme_scales(forward, nu, strikes, powe
     scaled = vanilla_bounds(c * forward, nu, c * np.array(strikes))
     assert np.all(np.isfinite(scaled))
     assert scaled.tolist() == (c * bounds).tolist()
+
+
+@st.composite
+def far_strikes(draw):
+    """(forward, strike) with f / k from 1 down to 1e-320 and f >= 1e-290."""
+    ratio = draw(st.floats(0.0, 320.0))
+    strike = draw(st.floats(max(ratio - 290.0, -290.0), 300.0))
+    return 10.0 ** (strike - ratio), 10.0**strike
+
+
+@settings(deadline=None)
+@given(far_strikes(), st.floats(1e-12, 1.0))
+@example((1e-300, 1e30), 0.5)
+@example((1e-150, 1e150), 1e-20)
+def test_vanilla_bound_keeps_its_digits_far_below_the_strike(pair, nu):
+    # Against 2 f k nu / (sqrt(D) + k - f) at 60 digits, also where 2 f k nu
+    # is subnormal in the units of max(f, k)'s power of two.
+    forward, strike = pair
+    with mpmath.workdps(60):
+        f, v, k = mpmath.mpf(forward), mpmath.mpf(nu), mpmath.mpf(strike)
+        exact = 2 * f * k * v / (mpmath.sqrt((f - k) ** 2 + 4 * f * k * v) + k - f)
+    assert abs(vanilla_bounds(forward, nu, [strike])[0] - exact) <= 1e-15 * exact
 
 
 def black_price(forward, strike, expiry, sigma):

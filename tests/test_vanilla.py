@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from momentbounds import vanilla as vanilla_module
+from momentbounds.engine import positive_eigenvalue_bounds
 from momentbounds.errors import (
     ConvergenceFailure,
     NonFiniteResult,
@@ -12,14 +14,29 @@ from momentbounds.errors import (
     ShapeViolation,
 )
 from momentbounds.models import LognormalModel, bs_call_prices
+from momentbounds.moments import AssetMoments, assemble_q
 from momentbounds.vanilla import (
     VanillaBoundCurve,
     check_decreasing_convex,
     implied_cdfs,
     smile_curves,
     vanilla_bounds,
-    vanilla_bounds_via_engine,
 )
+
+
+def engine_bounds(f, nu, strikes):
+    """The vanilla bound through the general engine: the asset paired with
+    the constant asset 1, quantities (1, -k) per strike."""
+    q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], {(0, 1): 0.0})
+    quantities = np.column_stack([np.ones(len(strikes)), -np.asarray(strikes, dtype=float)])
+    return positive_eigenvalue_bounds(q, quantities).bounds
+
+
+def mp_otm_bound(f, nu, k):
+    """2 f k nu / (sqrt(D) + k - f), D = (f - k)^2 + 4 f k nu, at 60 digits."""
+    with mpmath.workdps(60):
+        f, nu, k = mpmath.mpf(f), mpmath.mpf(nu), mpmath.mpf(k)
+        return 2 * f * k * nu / (mpmath.sqrt((f - k) ** 2 + 4 * f * k * nu) + k - f)
 
 
 class TestVanillaBound:
@@ -67,6 +84,12 @@ class TestVanillaBound:
             p = vanilla_bounds(f, nu, [k])[0]
             assert max(f - k, 0.0) - 1e-14 <= p <= f + 1e-14
 
+    @pytest.mark.parametrize("f, nu, k", [(1e-300, 0.5, 1e30), (1e-150, 1e-20, 1e150)])
+    def test_bound_far_below_the_strike_keeps_its_digits(self, f, nu, k):
+        # Here 2 f k nu is subnormal in units of the strike's power of two.
+        exact = mp_otm_bound(f, nu, k)
+        assert abs(vanilla_bounds(f, nu, [k])[0] - exact) <= 1e-15 * exact
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):
             vanilla_bounds(1.0, -0.1, [1.0])
@@ -113,12 +136,12 @@ class TestEngineEquivalence:
             for nu in (0.0, 0.01, 0.25, 0.99, 1.0):
                 ks = np.geomspace(0.1 * f, 5.0 * f, 10)
                 closed = vanilla_bounds(f, nu, ks)
-                via_engine = vanilla_bounds_via_engine(f, nu, ks)
+                via_engine = engine_bounds(f, nu, ks)
                 assert np.all(np.abs(via_engine - closed) <= 1e-12 * np.maximum(closed, f * 1e-3))
 
     def test_examples(self):
-        assert vanilla_bounds_via_engine(1.0, 0.04, [1.0])[0] == pytest.approx(0.2, rel=1e-13, abs=0.0)
-        assert vanilla_bounds_via_engine(1.0, 0.0, [2.0])[0] == pytest.approx(0.0, abs=1e-15)
+        assert engine_bounds(1.0, 0.04, [1.0])[0] == pytest.approx(0.2, rel=1e-13, abs=0.0)
+        assert engine_bounds(1.0, 0.0, [2.0])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def scalar_cdf(f, nu, k):
