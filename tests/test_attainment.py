@@ -370,10 +370,19 @@ class TestBatchedCurve:
         for nu, moment in zip(nus, curve.sqrt_moment):
             assert abs(mpmath.mpf(float(moment)) - mp_sqrt_moment(nu)) <= 1e-14, nu
 
-    @pytest.mark.parametrize("grid", GRIDS + [ORACLE_NUS])
-    def test_each_nu_equals_its_one_point_curve(self, grid):
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-13, 1e-6])
+    def test_equals_per_nu_reference(self, grid, tolerance):
         curve = implied_root_variance_curve(grid)
+        for nu, moment in zip(grid, curve.sqrt_moment):
+            assert abs(mpmath.mpf(float(moment)) - mp_sqrt_moment(nu)) <= tolerance, nu
+        # Each value equals a one-point curve's.
         alone = [implied_root_variance_curve([nu]).sqrt_moment[0] for nu in grid]
+        assert curve.sqrt_moment.tolist() == alone
+
+    def test_each_oracle_nu_equals_its_one_point_curve(self):
+        curve = implied_root_variance_curve(ORACLE_NUS)
+        alone = [implied_root_variance_curve([nu]).sqrt_moment[0] for nu in ORACLE_NUS]
         assert curve.sqrt_moment.tolist() == alone
 
     def test_random_grids_equal_per_nu_reference(self):
