@@ -45,6 +45,9 @@ __all__ = [
 
 _ANGLE_SLACK = 1e-12
 _SCAN_POINTS = 241
+# Convergence target and node limit of the quadrature route to E[a^n].
+_TARGET_ERROR = 1e-10
+_NODE_BUDGET = 1 << 16
 
 
 def _theta(nu: float) -> float:
@@ -207,22 +210,6 @@ def _bound_excess(x: np.ndarray, nu: float) -> np.ndarray:
     return 4.0 * nu / (np.sqrt(one_minus * one_minus + 4.0 * x * x * nu) + one_minus)
 
 
-def _refine(evaluate, nodes: int, target: float, node_budget: int) -> float:
-    """Double quadrature nodes from ``nodes`` until two successive values of
-    ``evaluate(nodes)`` agree to target."""
-    value = evaluate(nodes)
-    while True:
-        if 2 * nodes > node_budget:
-            raise QuadratureBudgetExceeded(
-                f"no convergence to {target} within {node_budget} nodes"
-            )
-        nodes *= 2
-        refined = evaluate(nodes)
-        if abs(refined - value) <= target:
-            return refined
-        value = refined
-
-
 @dataclass(frozen=True)
 class GlobalAttainmentCurve:
     """Implied square-root moments and root-variances over a constraint grid."""
@@ -280,13 +267,7 @@ def implied_root_variance_curve(nus) -> GlobalAttainmentCurve:
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)
 
 
-def _general_moment(
-    nu: float,
-    n: float,
-    *,
-    target_error: float = 1e-10,
-    node_budget: int = 1 << 16,
-) -> float:
+def _general_moment(nu: float, n: float) -> float:
     """E[a^n] / f^n implied by the bound curve, for 0 < n < 1.
 
     The integrand carries integrable x^(2n-1) and x^(1-2n) factors, so each
@@ -319,4 +300,11 @@ def _general_moment(
     def integral(nodes: int) -> float:
         return tail_integral(2.0 * n - 1.0, nodes) + tail_integral(1.0 - 2.0 * n, nodes)
 
-    return 1.0 + n * (n - 1.0) * _refine(integral, 24, target_error, node_budget)
+    nodes, value = 24, integral(24)
+    while 2 * nodes <= _NODE_BUDGET:
+        nodes *= 2
+        refined = integral(nodes)
+        if abs(refined - value) <= _TARGET_ERROR:
+            return 1.0 + n * (n - 1.0) * refined
+        value = refined
+    raise QuadratureBudgetExceeded(f"no convergence to {_TARGET_ERROR} within {_NODE_BUDGET} nodes")

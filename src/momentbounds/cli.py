@@ -296,9 +296,9 @@ def _prepare_refine(parameters: dict, kind: str):
         {"expiry": (_number, 1.0)},
     )
     model = LognormalModel(p["forward"], p["sigma"], p["expiry"])
-    # Held by no library value: partition moments need a density.
-    if not p["sigma"] > 0.0:
-        raise ConfigError("sigma must be positive")
+    # Held by no library value: partition moments need a density and a finite sigma^2 T.
+    if not (p["sigma"] > 0.0 and math.isfinite(model.total_variance)):
+        raise ConfigError("sigma must be positive, with sigma^2 * expiry finite")
     sets = p[key]
     if not isinstance(sets, list) or not sets:
         raise ConfigError(f"parameters.{key} must be a non-empty array of grids")

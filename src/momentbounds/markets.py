@@ -9,7 +9,10 @@
   lam_n fixed by discount factors and daycounts, so the caplet is a
   three-asset basket (s_n, s_{n-1}, cash) fed to the eigenvalue engine.
   Negative rates are handled by shifting rates and strike by a proportion
-  of the economic floor, which leaves the payoff unchanged.
+  of the economic floor, which leaves the payoff unchanged.  Where an
+  eigenvalue of P crosses zero the implied CDF jumps by (u . s_c)^2 (u its
+  eigenvector, s_c the cash column of S); with Q of full rank, Sylvester's law
+  leaves one jump, at the shifted floor, of nu_n nu_{n-1} (1-rho^2) / ((1-q)(1+q)).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .engine import (
     Tolerances,
     _checked_grid,
     _frozen_array,
+    factor_psd,
     positive_eigenvalue_bounds,
 )
 from .errors import NegativeShiftedRate, ParameterOutOfRange
@@ -188,8 +192,8 @@ def annuity_weights(slice_: SwapCurveSlice, n: int) -> AnnuityWeights:
     return AnnuityWeights(weights, lam, mean_daycount)
 
 
-def _shifted_inputs(slice_: SwapCurveSlice, n: int):
-    """Inversion weight, shifted swap rates and strike shift of the n-th caplet."""
+def _caplet_q(slice_: SwapCurveSlice, n: int):
+    """Shifted moment matrix, inversion weight and strike shift of the n-th caplet."""
     if not 2 <= n <= slice_.periods:
         raise ParameterOutOfRange(
             f"caplet decomposition needs 2 <= n <= {slice_.periods}, got {n}"
@@ -204,7 +208,13 @@ def _shifted_inputs(slice_: SwapCurveSlice, n: int):
         raise NegativeShiftedRate(
             f"shifted swap rates ({f_n}, {f_prev}) must be positive; increase the shift"
         )
-    return here.lam, f_n, f_prev, strike_shift
+    assets = [
+        AssetMoments(f_n, float(slice_.root_variances[n - 1])),
+        AssetMoments(f_prev, float(slice_.root_variances[n - 2])),
+        AssetMoments(1.0, 0.0),
+    ]
+    q = assemble_q(assets, {(0, 1): float(slice_.adjacent_correlations[n - 2])})
+    return q, here.lam, strike_shift
 
 
 def caplet_bounds(
@@ -220,14 +230,7 @@ def caplet_bounds(
     scanning below the shifted floor is what exposes the eigenvalue-regime
     switch.  Discounting and annuity scaling are the caller's business.
     """
-    lam, f_n, f_prev, strike_shift = _shifted_inputs(slice_, n)
-    rho = float(slice_.adjacent_correlations[n - 2])
-    assets = [
-        AssetMoments(f_n, float(slice_.root_variances[n - 1])),
-        AssetMoments(f_prev, float(slice_.root_variances[n - 2])),
-        AssetMoments(1.0, 0.0),
-    ]
-    q = assemble_q(assets, {(0, 1): rho})
+    q, lam, strike_shift = _caplet_q(slice_, n)
     shifted = np.asarray(strikes, dtype=float) + strike_shift
     quantities = np.empty((shifted.size, 3))
     quantities[:, 0] = lam + 1.0
@@ -283,17 +286,24 @@ def caplet_point_mass(
     n: int,
     strike: float,
     *,
-    step: float = 1e-6,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Discrete probability at a strike: the jump of the implied CDF there.
 
-    Measured as the difference of one-sided strike derivatives of the bound,
-    each from a second-order one-sided stencil, so a smooth bound reports
-    O(step^2) instead of a spurious mass.
+    With P = S diag(w) S^T, w = (lam + 1, -lam, -k') for the shifted strike k',
+    dP/dk = -s_c s_c^T, so by Hellmann-Feynman the CDF jumps by (u . s_c)^2
+    summed over the eigenvectors u of P with zero eigenvalue, within
+    ``tol.eig`` times sum_i |w_i| Q_ii (which bounds ||P|| and stays positive
+    when P vanishes).  With Q of full rank, P has the inertia of diag(w)
+    (Sylvester's law), so only k' = 0 carries mass: the squared distance of
+    s_c from the rate columns' span, nu_n nu_{n-1} (1 - rho^2) / ((1 - q)(1 + q))
+    with q their normalised cross moment, or nu_n when q = +-1.
     """
-    stencil = [strike, strike + step, strike + 2 * step, strike - step, strike - 2 * step]
-    b0, up1, up2, dn1, dn2 = caplet_bounds(slice_, n, stencil, tol).bounds.tolist()
-    right = (-3.0 * b0 + 4.0 * up1 - up2) / (2.0 * step)
-    left = (3.0 * b0 - 4.0 * dn1 + dn2) / (2.0 * step)
-    return right - left
+    if not np.isfinite(strike):
+        raise ParameterOutOfRange(f"strike must be finite, got {strike}")
+    q, lam, strike_shift = _caplet_q(slice_, n)
+    weights = np.array([lam + 1.0, -lam, -(strike + strike_shift)])
+    s = factor_psd(q, tol).matrix
+    eigs, vectors = np.linalg.eigh((s * weights) @ s.T)
+    zero = np.abs(eigs) <= tol.eig * float(np.sum(np.abs(weights) * np.diag(q.entries)))
+    return float(np.sum((s[:, 2] @ vectors[:, zero]) ** 2))

@@ -431,10 +431,11 @@ def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
         return np.where((e[:-1] < model.forward) & (model.forward <= e[1:]), moments, 0.0)
     stdev = model.sigma * math.sqrt(model.expiry)
     # log(e / f) once per edge, -inf at zero and inf at infinity.  math.log keeps the values
-    # off numpy's vectorised log, which differs from it by an ulp on rare inputs.
+    # off numpy's vectorised log, which differs from it by an ulp on rare inputs.  e / f,
+    # and h for a subnormal stdev, overflow to the infinity that is right.
     with np.errstate(over="ignore"):
         logs = _mapped(_log, e / model.forward)
-    h = (logs + (0.5 - p[..., None]) * model.total_variance) / stdev
+        h = (logs + (0.5 - p[..., None]) * model.total_variance) / stdev
     # One CDF per edge: the lower tail t = N(-|h|) keeps its digits on either
     # side.  Upper-tail cells take differences of the complements t, where
     # N(hi) - N(lo) would cancel two numbers close to one.

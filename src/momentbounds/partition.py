@@ -53,10 +53,10 @@ __all__ = [
     "LinearPartition",
 ]
 
-# Cells with less probability mass than this add pure numerical noise.
+# Cells with less probability (and price) mass than this add pure numerical noise.
 CELL_FLOOR = 1e-12
 
-# Default nodes per quadrature panel and overall evaluation budget.
+# Nodes per quadrature panel and overall evaluation budget.
 PANEL_NODES = 64
 NODE_BUDGET = 1_000_000
 
@@ -129,7 +129,9 @@ class ConditionalMoments:
 def _density(model: LognormalModel, a: np.ndarray) -> np.ndarray:
     stdev = model.sigma * math.sqrt(model.expiry)
     z = (np.log(a / model.forward) + 0.5 * model.total_variance) / stdev
-    return np.exp(-0.5 * z * z) / (a * stdev * math.sqrt(2.0 * math.pi))
+    # Near the float maximum a * stdev overflows, where the density is zero.
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / (a * stdev * math.sqrt(2.0 * math.pi))
 
 
 def _moments_from_raw(
@@ -144,33 +146,35 @@ def flat_conditional_moments(
     model: LognormalModel,
     boundaries: Sequence[float],
     *,
-    cell_floor: float = CELL_FLOOR,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ConditionalMoments:
     """Conditional moments for the digital partition with the given interior boundaries.
 
-    Cells are (0, b_1], (b_1, b_2], ..., (b_{N-1}, inf).  Cells with digital
-    price below ``cell_floor`` signal boundaries far in the tail and are
-    dropped with a warning (their contribution to any moment is below every
-    tolerance in use); DegenerateCell is raised only when no cell is left.
+    Cells are (0, b_1], (b_1, b_2], ..., (b_{N-1}, inf).  A cell adds at most
+    its price mass E[a 1_C] to any bound, so one whose digital price and price
+    mass over the forward both lie below ``CELL_FLOOR`` is dropped with a
+    warning; DegenerateCell is raised only when no cell is left.
     """
     if model.sigma == 0.0:
         raise ParameterOutOfRange("flat conditional moments require sigma > 0")
     grid = _checked_grid(boundaries, "partition boundaries", min_size=0)
     edges = np.concatenate([[0.0], grid, [math.inf]])
     digital, first, half = lognormal_partial_moments(model, [0.0, 1.0, 0.5], edges)
-    keep = ~(digital < cell_floor)
+    keep = ~((digital < CELL_FLOOR) & (first < CELL_FLOOR * model.forward))
     dropped = np.flatnonzero(~keep)
     if dropped.size:
         warnings.warn(
-            f"dropped {dropped.size} partition cell(s) with mass below {cell_floor}: "
+            f"dropped {dropped.size} partition cell(s) with mass below {CELL_FLOOR}: "
             + ", ".join(f"({edges[i]:g}, {edges[i + 1]:g})" for i in dropped),
             stacklevel=2,
         )
     if not keep.any():
         raise DegenerateCell("all partition cells are numerically empty")
-    price, nu = _moments_from_raw(digital[keep], first[keep], half[keep], tol)
-    return ConditionalMoments(digital[keep], price, nu)
+    digital, first, half = digital[keep], first[keep], half[keep]
+    if np.any(first > digital * np.finfo(float).max):
+        raise DegenerateCell("a partition cell holds price mass at numerically zero probability")
+    price, nu = _moments_from_raw(digital, first, half, tol)
+    return ConditionalMoments(digital, price, nu)
 
 
 class LinearPartition:
@@ -229,9 +233,6 @@ def linear_conditional_moments(
     model: LognormalModel,
     strikes,
     *,
-    n_nodes: int = PANEL_NODES,
-    node_budget: int = NODE_BUDGET,
-    cell_floor: float = CELL_FLOOR,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ConditionalMoments:
     """Conditional and cross moments of the hat partition under the model.
@@ -249,17 +250,17 @@ def linear_conditional_moments(
     part = LinearPartition(strikes)
     n = part.count
     # N - 1 ramp panels and N - 1 cross panels, three orders each.
-    planned = 2 * (n - 1) * n_nodes * 3
-    if planned > node_budget:
+    planned = 2 * (n - 1) * PANEL_NODES * 3
+    if planned > NODE_BUDGET:
         raise QuadratureBudgetExceeded(
-            f"{planned} integrand evaluations exceed the budget {node_budget}"
+            f"{planned} integrand evaluations exceed the budget {NODE_BUDGET}"
         )
     k = part.strikes
     orders = (0.0, 0.5, 1.0)
     ends = lognormal_partial_moments(model, orders, [0.0, k[0], k[-1], math.inf])
     raw = np.zeros((len(orders), n))
     raw[:, [0, -1]] = ends[:, [0, 2]]
-    nodes, weights = _gl_rule(n_nodes)
+    nodes, weights = _gl_rule(PANEL_NODES)
     lo, hi = k[:-1, None], k[1:, None]
     width = hi - lo
     # Ramps: a^p times the ascending ramp of u_{i+1} and the descending ramp
@@ -279,7 +280,7 @@ def linear_conditional_moments(
     base = 0.25 * math.pi * 0.5 * width * s2 * s2 * _density(model, a)
     crosses = _panel_sums([a**p * base for p in orders], weights)
     cross_digital, cross_sqrt, cross_price = crosses
-    if np.any(digital < cell_floor):
+    if np.any(digital < CELL_FLOOR):
         raise DegenerateCell(
             "a hat function carries numerically zero mass; move its strike toward the forward"
         )

@@ -1,6 +1,6 @@
 import pytest
 
-from momentbounds import engine
+from momentbounds import engine, markets
 
 
 @pytest.fixture
@@ -13,5 +13,7 @@ def factor_calls(monkeypatch) -> list:
         calls.append(q)
         return original(q, tol)
 
-    monkeypatch.setattr(engine, "factor_psd", counting)
+    # markets binds the name itself, for the caplet point mass.
+    for module in (engine, markets):
+        monkeypatch.setattr(module, "factor_psd", counting)
     return calls

@@ -323,12 +323,14 @@ class TestReplicationMoments:
         assert abs(curve.implied_nu[-1] - 1.0) <= 1e-8
         assert np.all(curve.margins[1:-1] > 0.0)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         # The quadrature route for E[a^n] stops at its node budget.
+        monkeypatch.setattr(attainment, "_TARGET_ERROR", 1e-30)
+        monkeypatch.setattr(attainment, "_NODE_BUDGET", 96)
         with pytest.raises(QuadratureBudgetExceeded):
-            _general_moment(0.3, 0.5, target_error=1e-30, node_budget=96)
+            _general_moment(0.3, 0.5)
         with pytest.raises(QuadratureBudgetExceeded, match="within 96 nodes"):
-            _general_moment(0.3, 0.2, target_error=1e-30, node_budget=96)
+            _general_moment(0.3, 0.2)
 
 
 def mp_sqrt_moment(nu):

@@ -506,6 +506,15 @@ class TestExitCodes:
                 refine_config("LinearRefine", strike_sets=[[0.8, 1.2]], sigma=0.0),
                 "sigma must be positive",
             ),
+            # sigma^2 T overflows, and the moments' closed forms turn NaN.
+            (
+                refine_config("FlatRefine", partitions=[[0.8, 1.2]], sigma=1.7e308),
+                "sigma^2 * expiry finite",
+            ),
+            (
+                refine_config("LinearRefine", strike_sets=[[0.8, 1.2]], forward=1e-12, sigma=1e300),
+                "sigma^2 * expiry finite",
+            ),
             # A sentinel that would break a row, or the file's UTF-8.
             (smile_config(sentinel="x,y\nz"), "'sentinel' must not contain"),
             (smile_config(sentinel='"inf"'), "'sentinel' must not contain"),
@@ -537,6 +546,8 @@ class TestExitCodes:
             "two-strike-caplet",
             "zero-sigma-flat-refine",
             "zero-sigma-linear-refine",
+            "overflowing-variance-flat-refine",
+            "overflowing-variance-linear-refine",
             "sentinel-comma-newline",
             "sentinel-quote",
             "sentinel-carriage-return",
@@ -581,17 +592,33 @@ class TestExitCodes:
                 3,
                 "error: DegenerateCell:",
             ),
+            # A hat strike near the float maximum: a * stdev overflows where
+            # the density is zero, and the hat carries no mass.
+            (
+                refine_config("LinearRefine", sigma=1.0, strike_sets=[[1.0, 1.7e308]]),
+                3,
+                "error: DegenerateCell:",
+            ),
             # (1 + r)^-n divides by zero at r = -1.
             (caplet_config(discount_rate=-1.0), 2, "error: ConfigError:"),
             # f * k and (f - k)^2 overflow unless the bound is scaled.
             (with_parameters(smile_config(), forward=1e300), 0, ""),
+            # A subnormal stdev: the edges' standardised logs overflow to +-inf.
+            (refine_config("FlatRefine", sigma=5e-324, partitions=[[2.0, 1e300]]), 0, ""),
         ],
-        ids=["sigma-50-linear-refine", "discount-rate-minus-one", "smile-forward-1e300"],
+        ids=[
+            "sigma-50-linear-refine",
+            "hat-strike-near-float-max",
+            "discount-rate-minus-one",
+            "smile-forward-1e300",
+            "subnormal-sigma-flat-refine",
+        ],
     )
     def test_extreme_configs_warn_nothing(self, tmp_path, capsys, payload, code, message):
         path = write_config(tmp_path / "c.json", payload)
         mode = ["--validate-only"] if code == 2 else ["--out", str(tmp_path / "out")]
-        with warnings.catch_warnings():
+        # Recorded, not shown: a partition cell the run drops warns by design.
+        with warnings.catch_warnings(record=True):
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["--config", str(path), *mode]) == code
         assert capsys.readouterr().err.startswith(message)

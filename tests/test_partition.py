@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 from scipy.integrate import quad
 
+from momentbounds import partition
 from momentbounds.engine import positive_eigenvalue_bounds
 from momentbounds.errors import (
     ConvergenceFailure,
@@ -321,9 +323,10 @@ class TestLinearConditionalMoments:
         # half the shared support mass.
         assert np.all(moments.cross_digital <= 0.5)
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(partition, "NODE_BUDGET", 100)
         with pytest.raises(QuadratureBudgetExceeded):
-            linear_conditional_moments(MODEL, FIG_BOUNDARIES_6, node_budget=100)
+            linear_conditional_moments(MODEL, FIG_BOUNDARIES_6)
 
     def test_moment_matrix_is_psd_tridiagonal(self):
         moments = linear_conditional_moments(MODEL, FIG_BOUNDARIES_6)
@@ -581,34 +584,65 @@ class TestWholeGridMoments:
             assert np.all(np.abs(getattr(moments, name) - expected) <= 1e-10 * expected), name
 
     @pytest.mark.parametrize("count, n_nodes", [(2, 8), (5, 16), (30, 64)])
-    def test_budget_boundary_unchanged(self, count, n_nodes):
+    def test_budget_boundary_unchanged(self, count, n_nodes, monkeypatch):
         # N - 1 ramp panels and N - 1 cross panels, three orders each; the
         # head and tail cells are in closed form and use no nodes.
         strikes = np.linspace(0.5, 2.0, count)
         planned = 2 * (count - 1) * n_nodes * 3
-        linear_conditional_moments(MODEL, strikes, n_nodes=n_nodes, node_budget=planned)
+        monkeypatch.setattr(partition, "PANEL_NODES", n_nodes)
+        monkeypatch.setattr(partition, "NODE_BUDGET", planned)
+        linear_conditional_moments(MODEL, strikes)
+        monkeypatch.setattr(partition, "NODE_BUDGET", planned - 1)
         with pytest.raises(QuadratureBudgetExceeded, match=f"^{planned} integrand"):
-            linear_conditional_moments(MODEL, strikes, n_nodes=n_nodes, node_budget=planned - 1)
+            linear_conditional_moments(MODEL, strikes)
 
-    def test_zero_mass_boundary_unchanged(self):
-        strikes = [0.5, 1.0, 2.0, 12.0]
-        lightest = float(np.min(linear_conditional_moments(MODEL, strikes).digital))
-        linear_conditional_moments(MODEL, strikes, cell_floor=lightest)
-        with pytest.raises(DegenerateCell, match="zero mass"):
-            linear_conditional_moments(MODEL, strikes, cell_floor=np.nextafter(lightest, 1.0))
+    def test_zero_mass_boundary_unchanged(self, monkeypatch):
         # Strikes 50x the forward leave a hat function with no mass at all.
         with pytest.raises(DegenerateCell, match="zero mass"):
             linear_conditional_moments(MODEL, [1.0, 50.0, 60.0])
+        strikes = [0.5, 1.0, 2.0, 12.0]
+        lightest = float(np.min(linear_conditional_moments(MODEL, strikes).digital))
+        monkeypatch.setattr(partition, "CELL_FLOOR", lightest)
+        linear_conditional_moments(MODEL, strikes)
+        monkeypatch.setattr(partition, "CELL_FLOOR", np.nextafter(lightest, 1.0))
+        with pytest.raises(DegenerateCell, match="zero mass"):
+            linear_conditional_moments(MODEL, strikes)
 
-    def test_flat_floor_boundary_unchanged(self):
-        moments = flat_conditional_moments(MODEL, [1.0, 4.0, 9.0])
-        lightest = float(moments.digital[-1])
-        assert flat_conditional_moments(MODEL, [1.0, 4.0, 9.0], cell_floor=lightest).cells == 4
+    def test_flat_floor_boundary_unchanged(self, monkeypatch):
+        # A cell is dropped only when its probability and its price mass
+        # relative to the forward both lie below the floor.  Above 9 the
+        # price mass is the larger, so it sets the boundary.
+        edges = [0.0, 1.0, 4.0, 9.0, math.inf]
+        digital, first, _ = lognormal_partial_moments(MODEL, [0.0, 1.0, 0.5], edges)
+        price_mass = float(first[-1]) / MODEL.forward
+        assert price_mass > digital[-1]
+        monkeypatch.setattr(partition, "CELL_FLOOR", price_mass)
+        assert flat_conditional_moments(MODEL, [1.0, 4.0, 9.0]).cells == 4
+        monkeypatch.setattr(partition, "CELL_FLOOR", np.nextafter(price_mass, 1.0))
         with pytest.warns(UserWarning, match=r"dropped 1 partition cell\(s\) .*: \(9, inf\)$"):
-            kept = flat_conditional_moments(
-                MODEL, [1.0, 4.0, 9.0], cell_floor=np.nextafter(lightest, 1.0)
-            )
+            kept = flat_conditional_moments(MODEL, [1.0, 4.0, 9.0])
         assert kept.cells == 3
+        monkeypatch.setattr(partition, "CELL_FLOOR", 0.9)
         with pytest.warns(UserWarning, match="dropped 2"):
             with pytest.raises(DegenerateCell, match="all"):
-                flat_conditional_moments(MODEL, [1.0], cell_floor=0.9)
+                flat_conditional_moments(MODEL, [1.0])
+
+    @pytest.mark.parametrize(
+        "sigma, boundaries, dropped",
+        [
+            # (1.2, inf) has probability 2.5e-89 and holds all of the price.
+            (40.0, [0.8, 1.2], 1),
+            # (2e7, inf) has probability 6.1e-13 and holds 2.03e-5 of it.
+            (3.0, [0.5, 2.0, 2e7], 0),
+        ],
+    )
+    def test_improbable_cell_keeps_its_price(self, sigma, boundaries, dropped):
+        model = LognormalModel(1.0, sigma, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            moments = flat_conditional_moments(model, boundaries)
+        assert len(caught) == dropped
+        assert moments.cells == len(boundaries) + 1 - dropped
+        strikes = np.array([0.5, 1.0, 1.5])
+        reference = bs_call_prices(1.0, strikes, sigma, 1.0)
+        assert np.all(refined_bounds(moments, strikes) >= reference - 1e-10)
