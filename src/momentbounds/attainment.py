@@ -35,6 +35,7 @@ from .models import _check_elements, _gl_rule
 from .vanilla import vanilla_bounds
 
 __all__ = [
+    "ATTAIN_TOL",
     "AttainmentReport",
     "GlobalAttainmentCurve",
     "binomial_calibrate",
@@ -43,6 +44,9 @@ __all__ = [
     "implied_root_variance_curve",
 ]
 
+# Largest relative gap between a two-state model's price and the bound it
+# attains.
+ATTAIN_TOL = 1e-9
 _ANGLE_SLACK = 1e-12
 _SCAN_POINTS = 241
 # Convergence target and node limit of the quadrature route to E[a^n].
@@ -138,7 +142,7 @@ class AttainmentReport:
     """Per-strike local attainment against the closed-form bound.
 
     ``gaps`` holds |binomial price - bound| relative to the bound; the
-    constructor rejects any gap above ``attain_tol``, so constructing the
+    constructor rejects any gap above ``ATTAIN_TOL``, so constructing the
     report is the attainment check.  The global section records the moment
     implied by the whole bound curve and its root-variance, which strictly
     exceeds ``constraint_nu`` away from the edges.
@@ -154,16 +158,15 @@ class AttainmentReport:
     constraint_nu: float
     implied_sqrt_moment: float
     implied_nu: float
-    attain_tol: float
 
     def __post_init__(self):
         for name in ("strikes", "angles", "lows", "highs", "binomial_prices", "bounds", "gaps"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        if np.any(self.gaps > self.attain_tol):
+        if np.any(self.gaps > ATTAIN_TOL):
             worst = int(np.argmax(self.gaps))
             raise BranchResolutionFailure(
                 f"attainment gap {self.gaps[worst]:.3e} at strike {self.strikes[worst]} "
-                f"exceeds {self.attain_tol}"
+                f"exceeds {ATTAIN_TOL}"
             )
 
     @property
@@ -171,13 +174,7 @@ class AttainmentReport:
         return float(np.max(self.gaps))
 
 
-def local_attainment_scan(
-    f: float,
-    nu: float,
-    strikes,
-    *,
-    attain_tol: float = 1e-9,
-) -> AttainmentReport:
+def local_attainment_scan(f: float, nu: float, strikes) -> AttainmentReport:
     """Verify the closed-form bound is attained strike by strike by optimal
     two-state models."""
     ks = _checked_grid(strikes, increasing=False)
@@ -196,7 +193,6 @@ def local_attainment_scan(
         constraint_nu=nu,
         implied_sqrt_moment=moment,
         implied_nu=1.0 - moment * moment,
-        attain_tol=attain_tol,
     )
 
 

@@ -8,7 +8,6 @@ Config layout (schema_version 1):
       "experiment": "VanillaSmile",
       "output": "smile",
       "sentinel": "inf",                  # optional, written for infinite values
-      "tolerances": {"psd": 1e-10, "eig": 1e-12},   # optional
       "parameters": { ... experiment specific ... }
     }
 
@@ -25,7 +24,7 @@ encoding.
 Outputs are UTF-8 files, whatever the locale: a CSV (LF line endings, header
 row, 12 significant digits, an infinite value, such as a diverging implied
 vol, written as the sentinel) plus ``<output>_manifest.json`` carrying the
-config hash, effective tolerances and summary statistics.  The sentinel is
+config hash, the fixed tolerances and summary statistics.  The sentinel is
 any non-empty string without a comma, double quote, CR, LF or NUL, so every
 row has as many fields as the header.  The manifest is strict JSON: a summary
 value that does not exist (an FX cross's increase with one correlation) is
@@ -52,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .attainment import implied_root_variance_curve, local_attainment_scan
-from .engine import DEFAULT_TOLERANCES, Tolerances, _checked_grid, _frozen_array
-from .errors import ConfigError, MomentBoundsError, NonFiniteResult, ParameterOutOfRange
+from .engine import EIG_TOL, PSD_TOL, _checked_grid, _frozen_array
+from .errors import ConfigError, MomentBoundsError, NonFiniteResult
 from .markets import (
     FxLegMoments,
     SwapCurveSlice,
@@ -174,7 +173,6 @@ class RunConfig:
     experiment: str
     plan: dict = field(compare=False, repr=False)
     output: str
-    tolerances: Tolerances
     sentinel: str
     raw: dict
 
@@ -196,7 +194,7 @@ def load_config(path) -> RunConfig:
     _require_mapping(raw, "config")
     _reject_unknown(
         raw,
-        {"schema_version", "experiment", "output", "parameters", "tolerances", "sentinel"},
+        {"schema_version", "experiment", "output", "parameters", "sentinel"},
         "config",
     )
     version = raw.get("schema_version")
@@ -214,15 +212,6 @@ def load_config(path) -> RunConfig:
         os.fsencode(output)
     except UnicodeEncodeError as exc:
         raise ConfigError(f"'output' {output!r} has no file name in this locale: {exc}") from exc
-    tol_block = _require_mapping(raw.get("tolerances", {}), "tolerances")
-    _reject_unknown(tol_block, {"psd", "eig"}, "tolerances")
-    try:
-        tolerances = Tolerances(
-            psd=_number(tol_block.get("psd", DEFAULT_TOLERANCES.psd), "tolerances.psd"),
-            eig=_number(tol_block.get("eig", DEFAULT_TOLERANCES.eig), "tolerances.eig"),
-        )
-    except ParameterOutOfRange as exc:
-        raise ConfigError(f"invalid tolerances: {exc}") from exc
     sentinel = raw.get("sentinel", DEFAULT_SENTINEL)
     if not isinstance(sentinel, str) or not sentinel:
         raise ConfigError("'sentinel' must be a non-empty string")
@@ -238,7 +227,7 @@ def load_config(path) -> RunConfig:
         plan = EXPERIMENTS[experiment].prepare(parameters)
     except MomentBoundsError as exc:
         raise ConfigError(f"invalid parameters for {experiment}: {exc}") from exc
-    return RunConfig(experiment, plan, output, tolerances, sentinel, raw)
+    return RunConfig(experiment, plan, output, sentinel, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +308,19 @@ def _prepare_refine(parameters: dict, kind: str):
 
 def _run_refine(plan, config: RunConfig):
     model, strikes = plan["model"], plan["strikes"]
-    tol = config.tolerances
     columns = ["strike"]
     curves = []
     for grid in plan["sets"]:
         if plan["kind"] == "flat":
-            moments = flat_conditional_moments(model, grid, tol=tol)
+            moments = flat_conditional_moments(model, grid)
             columns.append(f"bound_N{moments.cells}")
         elif grid.size == 0:
-            moments = flat_conditional_moments(model, [], tol=tol)
+            moments = flat_conditional_moments(model, [])
             columns.append("bound_K0")
         else:
-            moments = linear_conditional_moments(model, grid, tol=tol)
+            moments = linear_conditional_moments(model, grid)
             columns.append(f"bound_K{grid.size}")
-        curves.append(refined_bounds(moments, strikes, tol))
+        curves.append(refined_bounds(moments, strikes))
     reference = bs_call_prices(model.forward, strikes, model.sigma, model.expiry)
     columns.append("bs_price")
     for name, curve in zip(columns[1:], curves + [reference]):
@@ -423,7 +411,7 @@ def _prepare_caplet(parameters: dict, scan_shifts: bool):
 
 
 def _run_caplet(plan, config: RunConfig):
-    tol, strikes, n = config.tolerances, plan["strikes"], plan["n"]
+    strikes, n = plan["strikes"], plan["n"]
     scan_shifts = plan["scan_shifts"]
     columns = ["alpha" if scan_shifts else "rho", "strike", "bound", "implied_normal_vol", "cdf"]
     summary = {"switch_strikes": {}, "point_mass_at_zero": {}} if scan_shifts else {"switch_strikes": {}}
@@ -432,7 +420,7 @@ def _run_caplet(plan, config: RunConfig):
     try:
         for alpha, rho in keys:
             slice_ = plan["slices"][(alpha, rho)]
-            scan = caplet_cdf_scan(slice_, n, strikes, tol)
+            scan = caplet_cdf_scan(slice_, n, strikes)
             curve = f"caplet bound (alpha={alpha}, rho={rho})"
             check_decreasing_convex(strikes, scan.bounds, label=curve)
             scans.append(scan)
@@ -441,7 +429,7 @@ def _run_caplet(plan, config: RunConfig):
             label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
             summary["switch_strikes"][label] = list(scan.switch_strikes)
             if scan_shifts:
-                summary["point_mass_at_zero"][label] = caplet_point_mass(slice_, n, 0.0, tol=tol)
+                summary["point_mass_at_zero"][label] = caplet_point_mass(slice_, n, 0.0)
     finally:
         # The scanned slices invert in one call, also when a later slice
         # failed: an earlier slice's vol error then wins, as slice by slice.
@@ -463,7 +451,6 @@ def _prepare_local_attain(parameters: dict):
         parameters,
         "parameters",
         {"forward": _number, "root_variance": _number, "strikes": _grid},
-        {"attain_tol": (_number, 1e-9)},
     )
     AssetMoments(p["forward"], p["root_variance"])
     # Held by no library value: a two-state model needs an interior nu.
@@ -474,12 +461,7 @@ def _prepare_local_attain(parameters: dict):
 
 
 def _run_local_attain(plan, config: RunConfig):
-    report = local_attainment_scan(
-        plan["forward"],
-        plan["root_variance"],
-        plan["strikes"],
-        attain_tol=plan["attain_tol"],
-    )
+    report = local_attainment_scan(plan["forward"], plan["root_variance"], plan["strikes"])
     check_decreasing_convex(report.strikes, report.bounds, label="attainment bound")
     fields = ("strikes", "angles", "lows", "highs", "binomial_prices", "bounds", "gaps")
     values = [getattr(report, name) for name in fields]
@@ -696,10 +678,7 @@ def run(config: RunConfig, out_dir) -> Path:
             "schema_version": SCHEMA_VERSION,
             "experiment": config.experiment,
             "config_sha256": config.sha256,
-            "tolerances": {
-                "psd": config.tolerances.psd,
-                "eig": config.tolerances.eig,
-            },
+            "tolerances": {"psd": PSD_TOL, "eig": EIG_TOL},
             "outputs": [csv_path.name],
             "rows": len(values[0]),
             "summary": _jsonable(summary),

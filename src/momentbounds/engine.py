@@ -31,8 +31,8 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "PSD_TOL",
+    "EIG_TOL",
     "MomentMatrix",
     "PsdFactor",
     "BoundSweep",
@@ -46,30 +46,12 @@ __all__ = [
 STACK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances for the bound engine.
-
-    Attributes:
-        psd: allowance for negative eigenvalues of Q scaled to unit
-            diagonal.  Eigenvalues in [-psd, 0) are clipped to zero;
-            anything below raises NotPositiveSemiDefinite.
-        eig: relative threshold below which an eigenvalue of P counts as
-            zero and is excluded from the positive sum.
-
-    Values that would under-report the bound (a negative ``psd``, an ``eig``
-    outside [0, 1)) raise ParameterOutOfRange.
-    """
-
-    psd: float = 1e-10
-    eig: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.psd >= 0.0 and 0.0 <= self.eig < 1.0):
-            raise ParameterOutOfRange(f"need psd >= 0 and 0 <= eig < 1, got {self}")
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Roundoff allowance for negative eigenvalues of Q scaled to unit diagonal:
+# those in [-PSD_TOL, 0) are clipped to zero, anything below is an error.
+PSD_TOL = 1e-10
+# Relative threshold below which an eigenvalue of P counts as zero and is
+# left out of the positive sum.
+EIG_TOL = 1e-12
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -199,21 +181,21 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     return eigs[..., ::-1].copy()
 
 
-def factor_psd(q: MomentMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdFactor:
+def factor_psd(q: MomentMatrix) -> PsdFactor:
     """Eigen square root of Q scaled to unit diagonal.
 
     With D = diag(sqrt(diag Q)) and D^-1 Q D^-1 = V diag(w) V^T, the factor
     is S = diag(sqrt(w)) V^T D.  The scaling resolves each eigenvalue against
     the diagonal entries it comes from rather than the largest one, so the
     small eigenvalue of two nearly collinear assets far below the largest
-    price keeps its digits.  Eigenvalues in [-psd, 0) are roundoff in the
+    price keeps its digits.  Eigenvalues in [-PSD_TOL, 0) are roundoff in the
     moments: they are clipped to zero and their mass is reported.  The rank
     cutoff sits at roundoff level, ``dim * eps * w_max`` (Higham 1990), so
     every direction Q resolves in double precision is kept and the bound is
     never under-reported.
 
     Raises:
-        NotPositiveSemiDefinite: min eigenvalue below -psd.
+        NotPositiveSemiDefinite: min eigenvalue below -PSD_TOL.
         ConvergenceFailure: the symmetric eigensolver failed.
     """
     if not isinstance(q, MomentMatrix):
@@ -223,10 +205,10 @@ def factor_psd(q: MomentMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdFact
         w, v = np.linalg.eigh(q.entries / np.outer(d, d))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
-    if w[0] < -tol.psd:
+    if w[0] < -PSD_TOL:
         raise NotPositiveSemiDefinite(
             f"min eigenvalue {w[0]:.3e} of the unit-diagonal moment matrix is below "
-            f"{-tol.psd:.3e}; input moments are inconsistent"
+            f"{-PSD_TOL:.3e}; input moments are inconsistent"
         )
     clipped = float(-np.sum(w[w < 0.0]))
     # The unit diagonal makes w_max >= 1, so at least one row is kept.
@@ -235,21 +217,20 @@ def factor_psd(q: MomentMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdFact
     return PsdFactor(s, s.shape[0], "eigen", clipped)
 
 
-def positive_eigenvalue_bounds(
-    q: MomentMatrix,
-    quantities,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> BoundSweep:
+def positive_eigenvalue_bounds(q: MomentMatrix, quantities) -> BoundSweep:
     """Supremum price of the portfolio option for each row of a (k, n)
     array of signed quantities, from the moment matrix Q.
 
     Computes P = S L S^T for a factor Q = S^T S and sums the positive
-    eigenvalues of P; eigenvalues within ``tol.eig`` of zero (relative to
+    eigenvalues of P; eigenvalues within ``EIG_TOL`` of zero (relative to
     the spectral radius of P) count as zero.  Q is validated and factored
     once; the P matrices are formed and solved in stacks of at most
-    ``STACK_BYTES``.  Quantities must be finite, and each row gets its own
-    zero threshold, so row ``i`` of the sweep is identical to what a one-row
-    sweep of that row returns.
+    ``STACK_BYTES``.  Each row is solved in units of the power of two of its
+    largest quantity, which is exact and keeps P finite for quantities near
+    the float maximum; the bound is homogeneous of degree one in them.
+    Quantities must be finite, and each row gets its own zero threshold, so
+    row ``i`` of the sweep is identical to what a one-row sweep of that row
+    returns.
     """
     if not isinstance(q, MomentMatrix):
         q = MomentMatrix(q)
@@ -267,8 +248,10 @@ def positive_eigenvalue_bounds(
         raise DimensionMismatch(
             f"quantity vector has length {weights.shape[1]}, moment matrix is {q.dim}x{q.dim}"
         )
-    factor = factor_psd(q, tol)
+    factor = factor_psd(q)
     s = factor.matrix
+    e = np.frexp(np.max(np.abs(weights), axis=1))[1]
+    weights = np.ldexp(weights, -e[:, None])
     per_stack = max(1, STACK_BYTES // s.nbytes)
     eigs = np.empty((len(weights), factor.rank))
     for start in range(0, len(weights), per_stack):
@@ -276,9 +259,10 @@ def positive_eigenvalue_bounds(
         eigs[start : start + per_stack] = symmetric_eigenvalues(0.5 * (p + p.swapaxes(1, 2)))
     # Each row's positive eigenvalues are a prefix of its descending ones;
     # rows with equal counts sum their prefixes together, as single rows would.
-    counts = np.sum(eigs > tol.eig * np.max(np.abs(eigs), axis=1)[:, None], axis=1)
+    counts = np.sum(eigs > EIG_TOL * np.max(np.abs(eigs), axis=1)[:, None], axis=1)
     bounds = np.zeros(len(weights))
     for m in np.unique(counts[counts > 0]):
         rows = counts == m
         bounds[rows] = np.sum(eigs[rows, :m], axis=1)
+    bounds, eigs = np.ldexp(bounds, e), np.ldexp(eigs, e[:, None])
     return BoundSweep(bounds, eigs, factor.rank, factor.clipped_negative_mass, counts)

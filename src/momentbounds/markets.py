@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    EIG_TOL,
     BoundSweep,
-    DEFAULT_TOLERANCES,
-    Tolerances,
     _checked_grid,
     _frozen_array,
     factor_psd,
@@ -217,9 +216,7 @@ def _caplet_q(slice_: SwapCurveSlice, n: int):
     return q, here.lam, strike_shift
 
 
-def caplet_bounds(
-    slice_: SwapCurveSlice, n: int, strikes, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BoundSweep:
+def caplet_bounds(slice_: SwapCurveSlice, n: int, strikes) -> BoundSweep:
     """Upper bounds for the undiscounted forward-starting caplet E[(r_n - k)^+]
     over a strike grid, as one engine sweep (bounds, eigenvalues, rank and
     positive counts per strike).
@@ -236,7 +233,7 @@ def caplet_bounds(
     quantities[:, 0] = lam + 1.0
     quantities[:, 1] = -lam
     quantities[:, 2] = -shifted
-    return positive_eigenvalue_bounds(q, quantities, tol)
+    return positive_eigenvalue_bounds(q, quantities)
 
 
 @dataclass(frozen=True)
@@ -262,15 +259,10 @@ class CapletScan:
             object.__setattr__(self, name, _frozen_array(getattr(self, name), None))
 
 
-def caplet_cdf_scan(
-    slice_: SwapCurveSlice,
-    n: int,
-    strikes,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> CapletScan:
+def caplet_cdf_scan(slice_: SwapCurveSlice, n: int, strikes) -> CapletScan:
     """Scan bounds, implied CDF and the eigenvalue regime over a strike grid."""
     ks = _checked_grid(strikes, positive=False, min_size=3)
-    sweep = caplet_bounds(slice_, n, ks, tol)
+    sweep = caplet_bounds(slice_, n, ks)
     bounds = sweep.bounds
     cdf = np.empty_like(bounds)
     cdf[1:-1] = 1.0 + (bounds[2:] - bounds[:-2]) / (ks[2:] - ks[:-2])
@@ -281,29 +273,27 @@ def caplet_cdf_scan(
     return CapletScan(ks, bounds, cdf, counts, switches)
 
 
-def caplet_point_mass(
-    slice_: SwapCurveSlice,
-    n: int,
-    strike: float,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def caplet_point_mass(slice_: SwapCurveSlice, n: int, strike: float) -> float:
     """Discrete probability at a strike: the jump of the implied CDF there.
 
     With P = S diag(w) S^T, w = (lam + 1, -lam, -k') for the shifted strike k',
     dP/dk = -s_c s_c^T, so by Hellmann-Feynman the CDF jumps by (u . s_c)^2
     summed over the eigenvectors u of P with zero eigenvalue, within
-    ``tol.eig`` times sum_i |w_i| Q_ii (which bounds ||P|| and stays positive
+    ``EIG_TOL`` times sum_i |w_i| Q_ii (which bounds ||P|| and stays positive
     when P vanishes).  With Q of full rank, P has the inertia of diag(w)
-    (Sylvester's law), so only k' = 0 carries mass: the squared distance of
-    s_c from the rate columns' span, nu_n nu_{n-1} (1 - rho^2) / ((1 - q)(1 + q))
+    (Sylvester's law), so no eigenvalue crosses zero off k' = 0 and the mass
+    there is exactly 0.  At k' = 0 it is the squared distance of s_c from
+    the rate columns' span, nu_n nu_{n-1} (1 - rho^2) / ((1 - q)(1 + q))
     with q their normalised cross moment, or nu_n when q = +-1.
     """
     if not np.isfinite(strike):
         raise ParameterOutOfRange(f"strike must be finite, got {strike}")
     q, lam, strike_shift = _caplet_q(slice_, n)
     weights = np.array([lam + 1.0, -lam, -(strike + strike_shift)])
-    s = factor_psd(q, tol).matrix
+    factor = factor_psd(q)
+    if factor.rank == 3 and weights[2] != 0.0:
+        return 0.0
+    s = factor.matrix
     eigs, vectors = np.linalg.eigh((s * weights) @ s.T)
-    zero = np.abs(eigs) <= tol.eig * float(np.sum(np.abs(weights) * np.diag(q.entries)))
+    zero = np.abs(eigs) <= EIG_TOL * float(np.sum(np.abs(weights) * np.diag(q.entries)))
     return float(np.sum((s[:, 2] @ vectors[:, zero]) ** 2))

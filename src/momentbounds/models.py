@@ -372,7 +372,10 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
             f"price {ps[i]} below intrinsic {intrinsic[i]} for strike {ks[i]}"
         ),
     )
-    vols = np.where(atm, ps * math.sqrt(2.0 * math.pi / expiry), 0.0)
+    # Only the at-the-money prices are scaled: an off-the-money price near
+    # the float maximum would overflow.
+    vols = np.zeros(ps.shape)
+    vols[atm] = ps[atm] * math.sqrt(2.0 * math.pi / expiry)
 
     solve = np.flatnonzero(~(nonfinite | below | at_intrinsic | atm))
     m, p = moneyness[solve], ps[solve]

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCES, MomentMatrix, Tolerances
+from .engine import PSD_TOL, MomentMatrix
 from .errors import DimensionMismatch, MomentInconsistency, ParameterOutOfRange
 
 __all__ = [
@@ -162,11 +162,14 @@ def assemble_q(
     return MomentMatrix(entries)
 
 
-def root_variance_from_moments(e_a, e_sqrt_a, tol: Tolerances = DEFAULT_TOLERANCES):
+def root_variance_from_moments(e_a, e_sqrt_a):
     """Root-variance nu = (E[a] - E[sqrt(a)]^2) / E[a] from raw moments.
 
     Raises MomentInconsistency when the moments violate Cauchy-Schwarz
-    (E[sqrt(a)]^2 > E[a]) beyond tolerance; small violations are clamped.
+    (E[sqrt(a)]^2 > E[a]) by more than ``engine.PSD_TOL`` relative to E[a];
+    smaller violations are roundoff and are clamped.  For the 2x2 (asset,
+    cash) moment matrix, a relative excess delta is a unit-diagonal
+    eigenvalue of about -delta/2, so this is the engine's own allowance.
     Arrays of moments give an array of root-variances, and the first failing
     element raises, as an element-by-element loop would.
     """
@@ -176,7 +179,7 @@ def root_variance_from_moments(e_a, e_sqrt_a, tol: Tolerances = DEFAULT_TOLERANC
     checks = (
         (~(a > 0.0), lambda i: ParameterOutOfRange(f"E[a] must be positive, got {a[i]}")),
         (s < 0.0, lambda i: ParameterOutOfRange(f"E[sqrt(a)] must be non-negative, got {s[i]}")),
-        (ratio > 1.0 + tol.psd, lambda i: MomentInconsistency(
+        (ratio > 1.0 + PSD_TOL, lambda i: MomentInconsistency(
             f"E[sqrt(a)]^2 = {s[i]**2} exceeds E[a] = {a[i]}; moments are inconsistent")),
     )
     bad = np.flatnonzero(np.any([mask.ravel() for mask, _ in checks], axis=0))

@@ -32,9 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    DEFAULT_TOLERANCES,
+    EIG_TOL,
     MomentMatrix,
-    Tolerances,
     _checked_grid,
     _frozen_array,
     positive_eigenvalue_bounds,
@@ -134,20 +133,13 @@ def _density(model: LognormalModel, a: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * z * z) / (a * stdev * math.sqrt(2.0 * math.pi))
 
 
-def _moments_from_raw(
-    digital: np.ndarray, first: np.ndarray, half: np.ndarray, tol: Tolerances
-):
+def _moments_from_raw(digital: np.ndarray, first: np.ndarray, half: np.ndarray):
     """Convert raw partial moments (p = 0, 1, 1/2) to conditional quantities."""
     price = first / digital
-    return price, root_variance_from_moments(price, half / digital, tol)
+    return price, root_variance_from_moments(price, half / digital)
 
 
-def flat_conditional_moments(
-    model: LognormalModel,
-    boundaries: Sequence[float],
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ConditionalMoments:
+def flat_conditional_moments(model: LognormalModel, boundaries: Sequence[float]) -> ConditionalMoments:
     """Conditional moments for the digital partition with the given interior boundaries.
 
     Cells are (0, b_1], (b_1, b_2], ..., (b_{N-1}, inf).  A cell adds at most
@@ -173,7 +165,7 @@ def flat_conditional_moments(
     digital, first, half = digital[keep], first[keep], half[keep]
     if np.any(first > digital * np.finfo(float).max):
         raise DegenerateCell("a partition cell holds price mass at numerically zero probability")
-    price, nu = _moments_from_raw(digital, first, half, tol)
+    price, nu = _moments_from_raw(digital, first, half)
     return ConditionalMoments(digital, price, nu)
 
 
@@ -229,12 +221,7 @@ def _panel_sums(values, weights) -> np.ndarray:
     return (np.asarray(values)[..., None, :] @ weights[:, None])[..., 0, 0]
 
 
-def linear_conditional_moments(
-    model: LognormalModel,
-    strikes,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ConditionalMoments:
+def linear_conditional_moments(model: LognormalModel, strikes) -> ConditionalMoments:
     """Conditional and cross moments of the hat partition under the model.
 
     The head cell (0, k_1] and the tail cell (k_N, inf), where the end
@@ -284,7 +271,7 @@ def linear_conditional_moments(
         raise DegenerateCell(
             "a hat function carries numerically zero mass; move its strike toward the forward"
         )
-    price, nu = _moments_from_raw(digital, first, half, tol)
+    price, nu = _moments_from_raw(digital, first, half)
     return ConditionalMoments(digital, price, nu, cross_price, cross_sqrt, cross_digital)
 
 
@@ -318,16 +305,16 @@ def partition_moment_matrix(moments: ConditionalMoments) -> MomentMatrix:
     return MomentMatrix(q)
 
 
-def _dense_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _dense_bounds(moments: ConditionalMoments, ks: np.ndarray) -> np.ndarray:
     """Refined bounds through the dense engine, factoring Q once per grid."""
     n = moments.cells
     quantities = np.ones((ks.size, 2 * n))
     quantities[:, n:] = -ks[:, None]
-    sweep = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities, tol)
+    sweep = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities)
     return sweep.bounds.copy()  # writable, like the other paths' results
 
 
-def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray) -> np.ndarray:
     """Refined bounds of a hat partition from banded factorizations.
 
     With the components interleaved as (a u_0, u_0, a u_1, u_1, ...), Q has
@@ -361,7 +348,7 @@ def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances)
     try:
         r = cholesky_banded(band, lower=False, check_finite=False)
     except np.linalg.LinAlgError:
-        return _dense_bounds(moments, ks, tol)
+        return _dense_bounds(moments, ks)
     # Diagonal of D L D per strike: quantities 1 on a u_n and -k on u_n.
     weights = np.tile(diag, (ks.size, 1))
     weights[:, 1::2] *= -ks[:, None]
@@ -377,14 +364,12 @@ def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray, tol: Tolerances)
         eigs, _, info = dsbevd(band_p, compute_v=0, lower=0)
         if info > 0:
             raise ConvergenceFailure(f"banded eigensolve did not converge at strike {ks[i]}")
-        positive = eigs[eigs > tol.eig * float(np.max(np.abs(eigs)))]
+        positive = eigs[eigs > EIG_TOL * float(np.max(np.abs(eigs)))]
         bounds[i] = float(np.sum(positive))
     return bounds
 
 
-def refined_bounds(
-    moments: ConditionalMoments, strikes, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def refined_bounds(moments: ConditionalMoments, strikes) -> np.ndarray:
     """Partition-refined upper bounds for E[(a - k)^+] over a strike grid.
 
     The method follows the structure of the moments.  Disjoint (flat) cells
@@ -397,4 +382,4 @@ def refined_bounds(
     if moments.cross_price is None:
         cells = vanilla_bounds(moments.price, moments.root_variance, ks[:, None])
         return np.sum(cells * moments.digital, axis=1)
-    return _banded_bounds(moments, ks, tol)
+    return _banded_bounds(moments, ks)

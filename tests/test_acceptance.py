@@ -165,7 +165,7 @@ def test_07_local_attainment():
     strikes = np.linspace(0.4, 2.6, 20)
     worst = 0.0
     for nu in (0.01, 0.04, 0.25):
-        report_obj = local_attainment_scan(1.0, nu, strikes, attain_tol=1e-9)
+        report_obj = local_attainment_scan(1.0, nu, strikes)
         worst = max(worst, report_obj.max_gap)
     chi = local_attainment_scan(1.0, 0.01, [0.8]).angles[0]
     cross_miss = vanilla_bounds(1.0, 0.01, [1.4])[0] - binomial_call_prices(

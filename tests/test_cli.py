@@ -91,10 +91,10 @@ class TestConfigValidation:
             load_config(path)
 
     def test_tolerance_override(self, tmp_path):
+        # The tolerances are engine constants; a config cannot override them.
         payload = smile_config(tolerances={"psd": 1e-9})
-        config = load_config(write_config(tmp_path / "c.json", payload))
-        assert config.tolerances.psd == 1e-9
-        assert config.tolerances.eig == 1e-12
+        with pytest.raises(ConfigError, match="unknown key\\(s\\) in config: tolerances"):
+            load_config(write_config(tmp_path / "c.json", payload))
 
 
 class TestRun:
@@ -105,6 +105,7 @@ class TestRun:
         assert manifest["experiment"] == "VanillaSmile"
         assert manifest["config_sha256"] == config.sha256
         assert manifest["outputs"] == ["smile.csv"]
+        assert manifest["tolerances"] == {"eig": 1e-12, "psd": 1e-10}
         csv_path = tmp_path / "out" / "smile.csv"
         text = csv_path.read_text()
         assert text.splitlines()[0] == "nu,strike,bound,implied_vol,cdf"
@@ -236,7 +237,8 @@ class TestRun:
         assert (tmp_path / "out" / "smile.csv").read_text() == "\n".join(lines) + "\n"
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def outputs(directory):
@@ -429,6 +431,12 @@ def caplet_config(**parameters):
     return payload
 
 
+def caplet_cdf_config(**parameters):
+    payload = json.loads((CONFIG_DIR / "caplet_cdf.json").read_text())
+    payload["parameters"].update(parameters)
+    return payload
+
+
 def with_parameters(payload, **parameters):
     payload["parameters"].update(parameters)
     return payload
@@ -491,6 +499,9 @@ class TestExitCodes:
             (caplet_config(strikes=[0.02, 0.01, 0.03]), "strictly increasing"),
             (caplet_config(period_index=1), "period_index"),
             (local_attain_config(root_variance=1.0), "strictly inside"),
+            # The tolerances are engine constants, not config knobs.
+            (smile_config(tolerances={"psd": 1e-10, "eig": 1e-12}), "tolerances"),
+            (local_attain_config(attain_tol=1e-9), "attain_tol"),
             (
                 experiment_config(
                     "GlobalAttain", {"root_variances": {"start": 0.0, "stop": 1.2, "count": 7}}
@@ -540,6 +551,8 @@ class TestExitCodes:
             "decreasing-caplet-strikes",
             "caplet-period-index-one",
             "local-attain-nu-one",
+            "tolerances-block",
+            "local-attain-attain-tol",
             "global-attain-grid-above-one",
             "one-strike-smile",
             "one-eval-strike-refine",
@@ -605,6 +618,9 @@ class TestExitCodes:
             (with_parameters(smile_config(), forward=1e300), 0, ""),
             # A subnormal stdev: the edges' standardised logs overflow to +-inf.
             (refine_config("FlatRefine", sigma=5e-324, partitions=[[2.0, 1e300]]), 0, ""),
+            # A caplet strike near the float maximum: P = S L S^T overflows
+            # unless each sweep row is solved in units of its largest quantity.
+            (caplet_cdf_config(strikes=[0.01, 0.02, 1.7e308]), 0, ""),
         ],
         ids=[
             "sigma-50-linear-refine",
@@ -612,6 +628,7 @@ class TestExitCodes:
             "discount-rate-minus-one",
             "smile-forward-1e300",
             "subnormal-sigma-flat-refine",
+            "caplet-cdf-strike-near-float-max",
         ],
     )
     def test_extreme_configs_warn_nothing(self, tmp_path, capsys, payload, code, message):
@@ -622,6 +639,20 @@ class TestExitCodes:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["--config", str(path), *mode]) == code
         assert capsys.readouterr().err.startswith(message)
+
+    def test_far_negative_caplet_strikes_bound_minus_strike(self, tmp_path):
+        # Strikes near minus the float maximum run without an overflow, and
+        # the bound is -k: the forward is far below the last digit written.
+        strikes = [-1.7e308, -1.6e308, -1.5e308]
+        path = write_config(tmp_path / "c.json", caplet_config(strikes=strikes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "caplet.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [float(row["strike"]) for row in rows] == strikes
+        for row in rows:
+            assert float(row["bound"]) == pytest.approx(-float(row["strike"]), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "tolerances",
@@ -637,11 +668,12 @@ class TestExitCodes:
     def test_under_reporting_tolerances_exit_2(self, tmp_path, capsys, tolerances):
         # A negative psd or an eig outside [0, 1) would let the engine drop
         # positive eigenvalues or add negative ones, under-reporting the bound.
+        # No config sets a tolerance, so none of them reaches the engine.
         payload = smile_config(tolerances=tolerances)
         path = write_config(tmp_path / "c.json", payload)
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ConfigError: invalid tolerances:")
+        assert err.startswith("error: ConfigError: unknown key(s) in config: tolerances")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("first_slice_bad", [True, False])
@@ -654,11 +686,11 @@ class TestExitCodes:
         real_scan = cli.caplet_cdf_scan
         calls = []
 
-        def scan(slice_, n, strikes, tol):
+        def scan(slice_, n, strikes):
             calls.append(slice_)
             if len(calls) == 2:
                 raise NegativeShiftedRate("second slice")
-            result = real_scan(slice_, n, strikes, tol)
+            result = real_scan(slice_, n, strikes)
             # Half the bound is below intrinsic in the money, but still
             # decreasing and convex.
             if first_slice_bad:

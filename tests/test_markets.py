@@ -366,6 +366,19 @@ class TestCapletPointMass:
                     assert caplet_point_mass(slice_, n, strike) == 0.0, (n, strike)
         assert checked > 100
 
+    def test_nearly_singular_full_rank_slices_have_no_mass_off_the_floor(self):
+        # The same law nearer +-1, where P's eigenvalue through zero at the
+        # floor moves with the strike only at the slope of the tiny floor
+        # mass: no threshold on it may put mass off the floor.
+        checked = 0
+        for slice_, n, floor in random_caplet_slices(2029, 400):
+            near = 1.0 - abs(float(slice_.adjacent_correlations[n - 2])) < self.FULL_RANK_GAP
+            if near and factor_psd(_caplet_q(slice_, n)[0]).rank == 3:
+                checked += 1
+                for step in (-1e-2, -1e-3, 1e-3, 1e-2):
+                    assert caplet_point_mass(slice_, n, floor + step) == 0.0, (n, step)
+        assert checked > 100
+
     def test_deterministic_rates_put_all_mass_at_the_forward(self):
         for alpha in (0.0, 0.5, 1.0):
             slice_ = figure_slice(rho=0.995, alpha=alpha, nu=0.0)

@@ -84,6 +84,16 @@ def test_bound_positively_homogeneous_in_q(problem, scale):
 
 
 @settings(deadline=None)
+@given(moment_problems(), st.sampled_from([1, -1, 300, -300, 900, -900, 1000, -1000]))
+def test_bound_homogeneous_in_quantities_at_extreme_scales(problem, power):
+    # Bit for bit: each sweep row is solved in units of the power of two of
+    # its largest quantity, also where P = S L S^T leaves the float range.
+    q, quantities = problem
+    scaled = engine_bound(q, np.ldexp(quantities, power))
+    assert scaled == np.ldexp(engine_bound(q, quantities), power)
+
+
+@settings(deadline=None)
 @given(moment_problems())
 def test_bound_within_price_limits(problem):
     # Exercising always gives the intrinsic (sum lam_i f_i)^+, and the long
