@@ -12,7 +12,7 @@ as the single free parameter.  Decorrelating the legs widens the cross
 distribution, so the bound grows as rho falls.
 """
 
-from momentbounds import FxLegMoments, cross_root_variance, vanilla_bounds
+from momentbounds import cross_root_variance, vanilla_bounds
 
 NU1 = 0.04
 NU2 = 0.09
@@ -36,8 +36,9 @@ def main():
 
     print("\nBound for a call on the cross, by strike and correlation:")
     print("strike  " + "  ".join(f"rho={rho:<5g}" for rho in RHOS))
-    legs = [FxLegMoments(NU1, NU2, rho, CROSS_FORWARD) for rho in RHOS]
-    columns = [vanilla_bounds(leg.forward, leg.cross_nu, STRIKES) for leg in legs]
+    columns = [
+        vanilla_bounds(CROSS_FORWARD, cross_root_variance(NU1, NU2, rho), STRIKES) for rho in RHOS
+    ]
     for k, row in zip(STRIKES, zip(*columns)):
         print(f"{k:5.2f}  " + "  ".join(f"{v:9.6f}" for v in row))
 

@@ -7,32 +7,30 @@ Config layout (schema_version 1):
       "schema_version": 1,
       "experiment": "VanillaSmile",
       "output": "smile",
-      "sentinel": "inf",                  # optional, written for infinite values
       "parameters": { ... experiment specific ... }
     }
 
 Grids are given either as explicit arrays or as {"start", "stop", "count"}.
 Unknown keys, non-finite numbers and integers above ``MAX_COUNT`` are
 rejected everywhere.  Parameter ranges are validated by the library:
-loading a config builds the library's own values (models, asset moments, FX
-legs, curve slices, partitions, strike grids), and the errors they raise are
-config errors.  A run executes the read-only plan of those values built at
-load, so it cannot raise a config error.  The config file is read as UTF-8,
-and the ``output`` stem must have a file name in the locale's file-system
-encoding.
+loading a config builds the library's own values (models, asset moments,
+cross root-variances, curve slices, partitions, strike grids), and the errors
+they raise are config errors.  A run executes the read-only plan of those
+values built at load, so it cannot raise a config error.  The config file is
+read as UTF-8, and the ``output`` stem must have a file name in the locale's
+file-system encoding.
 
-Outputs are UTF-8 files, whatever the locale: a CSV (LF line endings, header
+Outputs are ASCII files, whatever the locale: a CSV (LF line endings, header
 row, 12 significant digits, an infinite value, such as a diverging implied
-vol, written as the sentinel) plus ``<output>_manifest.json`` carrying the
-config hash, the fixed tolerances and summary statistics.  The sentinel is
-any non-empty string without a comma, double quote, CR, LF or NUL, so every
-row has as many fields as the header.  The manifest is strict JSON: a summary
-value that does not exist (an FX cross's increase with one correlation) is
-``null``, and a non-finite one fails the run with ``NonFiniteResult``.  A table of at least
-``_ARRAY_MIN_CELLS`` cells is formatted in one array pass, with the same
-bytes as cell by cell.  Re-running an identical config reproduces the outputs
-byte for byte.  Every run is single-threaded: strike sweeps are batched into
-one solve per fixed moment matrix instead.
+vol, written ``inf``) plus ``<output>_manifest.json`` carrying the config
+hash, the fixed tolerances and summary statistics.  The manifest is strict
+JSON: a summary value that does not exist (an FX cross's increase with one
+correlation) is ``null``, and a non-finite one fails the run with
+``NonFiniteResult``.  A table of at least ``_ARRAY_MIN_CELLS`` cells is
+formatted in one array pass, with the same bytes as cell by cell.
+Re-running an identical config reproduces the outputs byte for byte.  Every
+run is single-threaded: strike sweeps are batched into one solve per fixed
+moment matrix instead.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 """
@@ -54,11 +52,11 @@ from .attainment import implied_root_variance_curve, local_attainment_scan
 from .engine import EIG_TOL, PSD_TOL, _checked_grid, _frozen_array
 from .errors import ConfigError, MomentBoundsError, NonFiniteResult
 from .markets import (
-    FxLegMoments,
     SwapCurveSlice,
     annuity_weights,
     caplet_cdf_scan,
     caplet_point_mass,
+    cross_root_variance,
 )
 from .models import LognormalModel, bs_call_prices, implied_normal_vols
 from .moments import AssetMoments
@@ -73,8 +71,6 @@ from .vanilla import check_decreasing_convex, smile_curves, vanilla_bounds
 __all__ = ["RunConfig", "load_config", "run", "main", "EXPERIMENTS"]
 
 SCHEMA_VERSION = 1
-DEFAULT_SENTINEL = "inf"
-SENTINEL_FORBIDDEN = ',"\r\n\0'
 # Largest integer a config may give: integers size grids and curves, and a
 # bigger one would only exhaust memory.
 MAX_COUNT = 1_000_000
@@ -173,7 +169,6 @@ class RunConfig:
     experiment: str
     plan: dict = field(compare=False, repr=False)
     output: str
-    sentinel: str
     raw: dict
 
     @property
@@ -192,11 +187,7 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require_mapping(raw, "config")
-    _reject_unknown(
-        raw,
-        {"schema_version", "experiment", "output", "parameters", "sentinel"},
-        "config",
-    )
+    _reject_unknown(raw, {"schema_version", "experiment", "output", "parameters"}, "config")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -212,22 +203,13 @@ def load_config(path) -> RunConfig:
         os.fsencode(output)
     except UnicodeEncodeError as exc:
         raise ConfigError(f"'output' {output!r} has no file name in this locale: {exc}") from exc
-    sentinel = raw.get("sentinel", DEFAULT_SENTINEL)
-    if not isinstance(sentinel, str) or not sentinel:
-        raise ConfigError("'sentinel' must be a non-empty string")
-    # A CSV cell holds no separator, quote, line break or NUL, and the file is
-    # UTF-8, which has no code for a lone surrogate.
-    if any(c in SENTINEL_FORBIDDEN or "\ud800" <= c <= "\udfff" for c in sentinel):
-        raise ConfigError(
-            f"'sentinel' must not contain {SENTINEL_FORBIDDEN!r} or a surrogate, got {sentinel!r}"
-        )
     parameters = _require_mapping(raw.get("parameters", {}), "parameters")
     # Fail fast so --validate-only means something; a run executes this plan.
     try:
         plan = EXPERIMENTS[experiment].prepare(parameters)
     except MomentBoundsError as exc:
         raise ConfigError(f"invalid parameters for {experiment}: {exc}") from exc
-    return RunConfig(experiment, plan, output, sentinel, raw)
+    return RunConfig(experiment, plan, output, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +328,22 @@ def _prepare_fx_cross(parameters: dict):
             "strikes": _grid,
         },
     )
-    legs = [FxLegMoments(p["nu1"], p["nu2"], rho, p["forward"]) for rho in p["correlations"]]
-    return {"legs": legs, "strikes": _checked_grid(p["strikes"])}
+    # cross_root_variance checks each leg's root-variance and each correlation.
+    rhos = p["correlations"]
+    nus = _frozen_array([cross_root_variance(p["nu1"], p["nu2"], rho) for rho in rhos])
+    AssetMoments(p["forward"], 0.0)  # a positive forward
+    strikes = _checked_grid(p["strikes"], min_size=2)  # a curve's shape needs two strikes
+    return {"forward": p["forward"], "rhos": rhos, "nus": nus, "strikes": strikes}
 
 
 def _run_fx_cross(plan, config: RunConfig):
-    strikes, legs = plan["strikes"], plan["legs"]
-    curves = []
-    for leg in legs:
-        curves.append(vanilla_bounds(leg.forward, leg.cross_nu, strikes))
-        check_decreasing_convex(strikes, curves[-1], label=f"fx bound (rho={leg.rho})")
+    strikes, rhos, nus = plan["strikes"], plan["rhos"], plan["nus"]
+    curves = vanilla_bounds(plan["forward"], nus[:, None], strikes)
+    for rho, curve in zip(rhos, curves):
+        check_decreasing_convex(strikes, curve, label=f"fx bound (rho={rho})")
     rises = [float(np.max(later - earlier)) for earlier, later in zip(curves, curves[1:])]
-    size = strikes.size
-    values = [np.repeat([leg.rho for leg in legs], size), np.tile(strikes, len(legs))]
-    values += [np.repeat([leg.cross_nu for leg in legs], size), np.ravel(curves)]
+    values = [np.repeat(rhos, strikes.size), np.tile(strikes, len(rhos))]
+    values += [np.repeat(nus, strikes.size), curves.ravel()]
     summary = {"max_bound_increase_with_rho": max(rises, default=None)}
     return ["rho", "strike", "cross_nu", "bound"], values, summary
 
@@ -456,7 +440,7 @@ def _prepare_local_attain(parameters: dict):
     # Held by no library value: a two-state model needs an interior nu.
     if not 0.0 < p["root_variance"] < 1.0:
         raise ConfigError("root_variance must lie strictly inside (0, 1)")
-    _checked_grid(p["strikes"])
+    _checked_grid(p["strikes"], min_size=2)  # a curve's shape needs two strikes
     return p
 
 
@@ -512,14 +496,14 @@ EXPERIMENTS = {
 # Output
 
 
-def _format_column(values, sentinel: str) -> list:
+def _format_column(values) -> list:
     """CSV cells of one column, one by one: integers as they are, other
-    values to 12 significant digits and infinities as the sentinel.  This is
-    the reference the array kernel below reproduces byte for byte."""
+    values to 12 significant digits and infinities as ``inf``.  This is the
+    reference the array kernel below reproduces byte for byte."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         return [str(v) for v in arr.tolist()]
-    return [sentinel if math.isinf(v) else f"{v:.11e}" for v in arr.astype(float).tolist()]
+    return ["inf" if math.isinf(v) else f"{v:.11e}" for v in arr.astype(float).tolist()]
 
 
 # A table of at least this many cells is formatted by the array kernel.  Its
@@ -614,49 +598,34 @@ def _kernel_slots(table: np.ndarray):
     return slots, ~ok
 
 
-def _csv_bytes(columns, values, sentinel: str) -> bytes:
-    """The CSV table as UTF-8 bytes: a header row, then one row per index of
+def _csv_bytes(columns, values) -> bytes:
+    """The CSV table as ASCII bytes: a header row, then one row per index of
     the value columns.  A table of at least ``_ARRAY_MIN_CELLS`` cells is
     formatted in one array pass, with the same bytes as cell by cell."""
     header = ",".join(columns) + "\n"
     arrays = [np.ravel(column) for column in values]
     rows, width = arrays[0].size, len(arrays)
     if rows * width < _ARRAY_MIN_CELLS:
-        cells = [_format_column(column, sentinel) for column in arrays]
+        cells = [_format_column(column) for column in arrays]
         return (header + "".join(",".join(row) + "\n" for row in zip(*cells))).encode()
     with np.errstate(all="raise"):
         slots, deferred = _kernel_slots(np.column_stack(arrays).astype(float))
     deferred[:, [column.dtype.kind in "iu" for column in arrays]] = True
     slots = slots.reshape(rows * width, 3)
-    # The cells left to the reference get its texts, with their separators.
+    # The cells left to the reference get its texts and separators, which fit
+    # a 24-byte slot: a float takes at most 19 characters, an int64 20.
     index, texts = [], []
     for j in np.flatnonzero(deferred.any(axis=0)).tolist():
         at = np.flatnonzero(deferred[:, j])
         sep = "\n" if j == width - 1 else ","
         index.append(at * width + j)
-        texts += [(text + sep).encode() for text in _format_column(arrays[j][at], sentinel)]
+        texts += [(text + sep).encode() for text in _format_column(arrays[j][at])]
     if texts:
-        slot = max(24, max(map(len, texts)))
-        slot += -slot % 8
-        if slot > 24:
-            slots = np.hstack([slots, np.zeros((rows * width, slot // 8 - 3), "<u8")])
-        padded = b"".join(text.ljust(slot, b"\0") for text in texts)
-        slots.view(np.uint8)[np.concatenate(index)] = np.frombuffer(padded, np.uint8).reshape(
-            -1, slot
-        )
+        padded = b"".join(text.ljust(24, b"\0") for text in texts)
+        slots[np.concatenate(index)] = np.frombuffer(padded, "<u8").reshape(-1, 3)
     flat = slots.view(np.uint8).ravel()
-    # No cell holds a NUL byte (the sentinel may not), so NULs are padding.
+    # No cell holds a NUL byte, so NULs are padding.
     return header.encode() + flat[flat != 0].tobytes()
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def run(config: RunConfig, out_dir) -> Path:
@@ -673,7 +642,7 @@ def run(config: RunConfig, out_dir) -> Path:
         path.unlink(missing_ok=True)
     try:
         columns, values, summary = EXPERIMENTS[config.experiment].execute(config.plan, config)
-        csv_path.write_bytes(_csv_bytes(columns, values, config.sentinel))
+        csv_path.write_bytes(_csv_bytes(columns, values))
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "experiment": config.experiment,
@@ -681,7 +650,7 @@ def run(config: RunConfig, out_dir) -> Path:
             "tolerances": {"psd": PSD_TOL, "eig": EIG_TOL},
             "outputs": [csv_path.name],
             "rows": len(values[0]),
-            "summary": _jsonable(summary),
+            "summary": summary,
         }
         try:
             text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)

@@ -33,7 +33,6 @@ from .errors import NegativeShiftedRate, ParameterOutOfRange
 from .moments import AssetMoments, assemble_q, cross_term
 
 __all__ = [
-    "FxLegMoments",
     "SwapCurveSlice",
     "AnnuityWeights",
     "CapletScan",
@@ -54,28 +53,6 @@ def cross_root_variance(nu1: float, nu2: float, rho: float) -> float:
     """
     q = cross_term(AssetMoments(1.0, nu1), AssetMoments(1.0, nu2), rho)
     return min(1.0, max(0.0, 1.0 - q * q))
-
-
-@dataclass(frozen=True)
-class FxLegMoments:
-    """Domestic-measure moments of two FX legs and the cross forward."""
-
-    nu1: float
-    nu2: float
-    rho: float
-    forward: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.nu1 <= 1.0 or not 0.0 <= self.nu2 <= 1.0:
-            raise ParameterOutOfRange("leg root-variances must lie in [0, 1]")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ParameterOutOfRange(f"correlation must lie in [-1, 1], got {self.rho}")
-        if not self.forward > 0.0:
-            raise ParameterOutOfRange(f"cross forward must be positive, got {self.forward}")
-
-    @property
-    def cross_nu(self) -> float:
-        return cross_root_variance(self.nu1, self.nu2, self.rho)
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,11 @@ def implied_cdfs(f, nu, k) -> np.ndarray:
 def check_decreasing_convex(strikes, values, label: str = "bound curve") -> None:
     """Raise ShapeViolation unless the curve is decreasing and convex in strike.
 
-    Convexity uses divided differences, so unevenly spaced grids are handled;
-    both checks allow slack ``SHAPE_TOL``.  A value that is not finite raises
-    NonFiniteResult first: its slopes are NaN, which no comparison flags.
+    Convexity uses divided differences, so unevenly spaced grids are handled.
+    Both checks allow slack ``SHAPE_TOL`` plus the roundoff, 4 eps |v| a
+    value, of the values each slope spans, over its step.  A value that is
+    not finite raises NonFiniteResult first: its slopes are NaN, which no
+    comparison flags.
     """
     ks = _checked_grid(strikes, positive=False, min_size=2)
     vs = np.asarray(values, dtype=float)
@@ -115,17 +117,21 @@ def check_decreasing_convex(strikes, values, label: str = "bound curve") -> None
     if not finite.all():
         i = int(np.argmin(finite))  # the first value that is not finite
         raise NonFiniteResult(f"{label} is {vs[i]} at strike {ks[i]}")
-    slopes = np.diff(vs) / np.diff(ks)
-    if np.any(slopes > SHAPE_TOL):
-        i = int(np.argmax(slopes))
+    steps = np.diff(ks)
+    slopes = np.diff(vs) / steps
+    roundoff = 4.0 * np.finfo(float).eps * np.abs(vs)
+    slack = (roundoff[:-1] + roundoff[1:]) / steps
+    if np.any(slopes - slack > SHAPE_TOL):
+        i = int(np.argmax(slopes - slack))
         raise ShapeViolation(
             f"{label} increases between strikes {ks[i]} and {ks[i + 1]} "
             f"(slope {slopes[i]:.3e})"
         )
     if slopes.size >= 2:
         curvature = np.diff(slopes)
-        if np.any(curvature < -SHAPE_TOL):
-            i = int(np.argmin(curvature))
+        slack = slack[:-1] + slack[1:]
+        if np.any(curvature + slack < -SHAPE_TOL):
+            i = int(np.argmin(curvature + slack))
             raise ShapeViolation(
                 f"{label} is concave around strike {ks[i + 1]} "
                 f"(slope change {curvature[i]:.3e})"

@@ -25,7 +25,6 @@ from momentbounds.markets import (
     caplet_cdf_scan,
     caplet_point_mass,
     cross_root_variance,
-    FxLegMoments,
 )
 from momentbounds.models import LognormalModel, bs_call_prices
 from momentbounds.moments import AssetMoments, assemble_q
@@ -208,8 +207,8 @@ def test_09_fx_composition():
         worst = max(worst, abs(cross_root_variance(0.0, nu, 0.37) - nu))
     monotone = True
     # The cross bound is the vanilla bound at the composed root-variance.
-    legs = [FxLegMoments(0.04, 0.09, float(r), 1.0) for r in np.linspace(-1.0, 1.0, 9)]
-    values = np.array([vanilla_bounds(leg.forward, leg.cross_nu, [0.6, 1.0, 1.8]) for leg in legs])
+    nus = [cross_root_variance(0.04, 0.09, float(r)) for r in np.linspace(-1.0, 1.0, 9)]
+    values = np.array([vanilla_bounds(1.0, nu, [0.6, 1.0, 1.8]) for nu in nus])
     monotone &= bool(np.all(np.diff(values, axis=0) <= 1e-12))
     report(
         9,

@@ -144,12 +144,12 @@ class TestRun:
         assert len(factor_calls) == 0
 
     def test_infinite_vol_uses_sentinel(self, tmp_path):
-        payload = smile_config(sentinel="NA")
+        payload = smile_config()
         payload["parameters"]["root_variances"] = [1.0]
         config = load_config(write_config(tmp_path / "c.json", payload))
         run(config, tmp_path / "out")
         text = (tmp_path / "out" / "smile.csv").read_text()
-        assert ",NA," in text
+        assert ",inf," in text
 
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         payload = {
@@ -493,7 +493,7 @@ class TestExitCodes:
             (with_parameters(smile_config(), strikes=[1.0, 0.5]), "strictly increasing"),
             (with_parameters(smile_config(), forward=0.0), "positive, got 0.0"),
             (fx_config(correlations=[0.5, 1.5]), "got 1.5"),
-            (fx_config(nu2=-0.1), "root-variances"),
+            (fx_config(nu2=-0.1), "root-variance must lie in [0, 1], got -0.1"),
             (refine_config("LinearRefine", strike_sets=[[], [1.0]]), "at least 2"),
             (refine_config("FlatRefine", partitions=[[1.0, 0.5]]), "strictly increasing"),
             (caplet_config(strikes=[0.02, 0.01, 0.03]), "strictly increasing"),
@@ -510,6 +510,8 @@ class TestExitCodes:
             ),
             # Ranges only the run used to check.
             (with_parameters(smile_config(), strikes=[1.0]), "at least 2"),
+            (fx_config(strikes=[1.0]), "at least 2"),
+            (local_attain_config(strikes=[1.0]), "at least 2"),
             (refine_config("FlatRefine", partitions=[[1.0]], eval_strikes=[1.0]), "at least 2"),
             (caplet_config(strikes=[0.01, 0.02]), "at least 3"),
             (refine_config("FlatRefine", partitions=[[1.0]], sigma=0.0), "sigma must be positive"),
@@ -526,12 +528,14 @@ class TestExitCodes:
                 refine_config("LinearRefine", strike_sets=[[0.8, 1.2]], forward=1e-12, sigma=1e300),
                 "sigma^2 * expiry finite",
             ),
-            # A sentinel that would break a row, or the file's UTF-8.
-            (smile_config(sentinel="x,y\nz"), "'sentinel' must not contain"),
-            (smile_config(sentinel='"inf"'), "'sentinel' must not contain"),
-            (smile_config(sentinel="inf\r"), "'sentinel' must not contain"),
-            (smile_config(sentinel="in\0f"), "'sentinel' must not contain"),
-            (smile_config(sentinel="\ud800"), "'sentinel' must not contain"),
+            # Infinities are always written inf: a sentinel is no config key,
+            # whether it once was the default or would have broken a row.
+            (smile_config(sentinel="inf"), "unknown key(s) in config: sentinel"),
+            (smile_config(sentinel="x,y\nz"), "unknown key(s) in config: sentinel"),
+            (smile_config(sentinel='"inf"'), "unknown key(s) in config: sentinel"),
+            (smile_config(sentinel="inf\r"), "unknown key(s) in config: sentinel"),
+            (smile_config(sentinel="in\0f"), "unknown key(s) in config: sentinel"),
+            (smile_config(sentinel="\ud800"), "unknown key(s) in config: sentinel"),
         ],
         ids=[
             "unknown-key",
@@ -555,12 +559,15 @@ class TestExitCodes:
             "local-attain-attain-tol",
             "global-attain-grid-above-one",
             "one-strike-smile",
+            "one-strike-fx-cross",
+            "one-strike-local-attain",
             "one-eval-strike-refine",
             "two-strike-caplet",
             "zero-sigma-flat-refine",
             "zero-sigma-linear-refine",
             "overflowing-variance-flat-refine",
             "overflowing-variance-linear-refine",
+            "sentinel-key",
             "sentinel-comma-newline",
             "sentinel-quote",
             "sentinel-carriage-return",
@@ -621,6 +628,17 @@ class TestExitCodes:
             # A caplet strike near the float maximum: P = S L S^T overflows
             # unless each sweep row is solved in units of its largest quantity.
             (caplet_cdf_config(strikes=[0.01, 0.02, 1.7e308]), 0, ""),
+            # Strikes 1e-9 apart: the values' roundoff over the step exceeds
+            # SHAPE_TOL, and the shape check allows for it.
+            (
+                with_parameters(
+                    smile_config(),
+                    root_variances=[0.0025, 0.01, 0.04, 0.09],
+                    strikes=[1.0 + i * 1e-9 for i in range(10)],
+                ),
+                0,
+                "",
+            ),
         ],
         ids=[
             "sigma-50-linear-refine",
@@ -629,6 +647,7 @@ class TestExitCodes:
             "smile-forward-1e300",
             "subnormal-sigma-flat-refine",
             "caplet-cdf-strike-near-float-max",
+            "smile-strikes-1e-9-apart",
         ],
     )
     def test_extreme_configs_warn_nothing(self, tmp_path, capsys, payload, code, message):
@@ -741,10 +760,6 @@ def test_import_and_runs_load_no_scipy(tmp_path):
     assert reports == ["scipy modules: []"] * 2
 
 
-# The default, a non-ASCII one and one of 30 characters.
-SENTINELS = ["inf", "∞", "no finite implied vol exists!!"]
-
-
 def strict_json(text):
     """Parse JSON as a strict parser would: NaN and Infinity are errors."""
 
@@ -775,18 +790,6 @@ class TestEncodings:
         result = cli_subprocess(["--config", str(path), "--validate-only"])
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith(b"error: ConfigError: config is not valid UTF-8")
-
-    def test_non_ascii_sentinel_under_the_c_locale(self, tmp_path):
-        payload = smile_config(sentinel="∞")
-        payload["parameters"]["root_variances"] = [1.0]
-        path = tmp_path / "c.json"
-        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode())
-        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-        result = cli_subprocess(["--config", str(path), "--out", str(tmp_path / "out")], env)
-        assert result.returncode == 0, result.stderr
-        data = (tmp_path / "out" / "smile.csv").read_bytes()
-        assert ",∞,".encode() in data
-        strict_json((tmp_path / "out" / "smile_manifest.json").read_bytes().decode())
 
     def test_output_stem_without_a_file_name_in_the_locale_exits_2(self, tmp_path):
         # The C locale's file-system encoding is ASCII, so the stem "smile-é"
@@ -824,7 +827,7 @@ class TestStrictOutputs:
 
     def test_non_finite_bound_curve_exits_3(self, tmp_path, capsys, monkeypatch):
         def overflowing_bounds(f, nu, k):
-            return np.full(np.shape(k), math.inf)
+            return np.full(np.broadcast(f, nu, k).shape, math.inf)
 
         monkeypatch.setattr(cli, "vanilla_bounds", overflowing_bounds)
         path = write_config(tmp_path / "c.json", fx_config())
@@ -832,25 +835,25 @@ class TestStrictOutputs:
         assert capsys.readouterr().err.startswith("error: NonFiniteResult: fx bound (rho=0.5) is inf")
         assert not list((tmp_path / "out").iterdir())
 
-    @pytest.mark.parametrize("sentinel", SENTINELS[1:])
     @pytest.mark.parametrize("count", [16, 64])  # below and above the array switch
-    def test_every_row_has_the_header_fields(self, tmp_path, sentinel, count):
-        payload = smile_config(sentinel=sentinel)
+    def test_every_row_has_the_header_fields(self, tmp_path, count):
+        payload = smile_config()
         payload["parameters"]["root_variances"] = [1.0, 0.04]
         payload["parameters"]["strikes"]["count"] = count
         config = load_config(write_config(tmp_path / "c.json", payload))
         run(config, tmp_path / "out")
-        with open(tmp_path / "out" / "smile.csv", encoding="utf-8", newline="") as handle:
+        assert all(path.read_bytes().isascii() for path in (tmp_path / "out").iterdir())
+        with open(tmp_path / "out" / "smile.csv", encoding="ascii", newline="") as handle:
             header, *rows = list(csv.reader(handle))
         assert len(rows) == 2 * count
         assert all(len(row) == len(header) for row in rows)
-        assert [row[3] for row in rows[:count]] == [sentinel] * count
+        assert [row[3] for row in rows[:count]] == ["inf"] * count
 
 
-def reference_csv(columns, values, sentinel):
+def reference_csv(columns, values):
     """The table formatted cell by cell, as every table was before the array
     kernel: the bytes the writer must reproduce."""
-    cells = [cli._format_column(column, sentinel) for column in values]
+    cells = [cli._format_column(column) for column in values]
     return ("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n").encode()
 
 
@@ -882,9 +885,9 @@ EDGES = [9.9999999999995, 9.99999999999949, -9.9999999999995e-5, 999999999999.5,
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 
 
-def assert_writer_matches_reference(values, width, integer, sentinel):
+def assert_writer_matches_reference(values, width, integer):
     for columns, table in writer_tables(values, width, integer):
-        assert cli._csv_bytes(columns, table, sentinel) == reference_csv(columns, table, sentinel)
+        assert cli._csv_bytes(columns, table) == reference_csv(columns, table)
 
 
 class TestCsvWriter:
@@ -895,21 +898,20 @@ class TestCsvWriter:
         values=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=80),
         width=st.integers(1, 6),
         integer=st.booleans(),
-        sentinel=st.sampled_from(SENTINELS),
     )
-    @example(values=ORDINARY, width=2, integer=False, sentinel="inf")
-    @example(values=TIES, width=2, integer=False, sentinel="inf")
-    @example(values=POWERS_OF_TEN, width=3, integer=False, sentinel="inf")
-    @example(values=EDGES, width=1, integer=True, sentinel="∞")
-    @example(values=SPECIALS, width=4, integer=True, sentinel=SENTINELS[2])
-    def test_writer_matches_per_cell_reference(self, values, width, integer, sentinel):
-        assert_writer_matches_reference(values, width, integer, sentinel)
+    @example(values=ORDINARY, width=2, integer=False)
+    @example(values=TIES, width=2, integer=False)
+    @example(values=POWERS_OF_TEN, width=3, integer=False)
+    @example(values=EDGES, width=1, integer=True)
+    @example(values=SPECIALS, width=4, integer=True)
+    def test_writer_matches_per_cell_reference(self, values, width, integer):
+        assert_writer_matches_reference(values, width, integer)
 
     def test_writer_matches_at_both_ends_of_every_binade(self):
         powers = np.ldexp(1.0, np.arange(-1074, 1024))
         tops = np.append(np.nextafter(powers[1:], 0.0), sys.float_info.max)
         values = np.concatenate([powers, -tops])
-        assert_writer_matches_reference(values.tolist(), 4, False, "inf")
+        assert_writer_matches_reference(values.tolist(), 4, False)
 
     @pytest.mark.parametrize(
         "mutation",
@@ -927,4 +929,4 @@ class TestCsvWriter:
             monkeypatch.setattr(cli, "_kernel_slots", namespace["_kernel_slots"])
         with pytest.raises(AssertionError):
             for values in (ORDINARY, TIES, POWERS_OF_TEN, EDGES):
-                assert_writer_matches_reference(values, 2, False, "inf")
+                assert_writer_matches_reference(values, 2, False)

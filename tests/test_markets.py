@@ -8,7 +8,6 @@ from momentbounds import markets
 from momentbounds.engine import factor_psd
 from momentbounds.errors import NegativeShiftedRate, ParameterOutOfRange
 from momentbounds.markets import (
-    FxLegMoments,
     SwapCurveSlice,
     _caplet_q,
     annuity_weights,
@@ -69,13 +68,13 @@ class TestFxCrossBound:
     def test_bound_decreasing_in_rho(self):
         # The cross bound is the vanilla bound at the composed root-variance.
         ks = [0.6, 1.0, 1.8]
-        legs = [FxLegMoments(0.04, 0.04, float(r), 1.0) for r in np.linspace(-1.0, 1.0, 17)]
-        values = np.array([vanilla_bounds(leg.forward, leg.cross_nu, ks) for leg in legs])
+        nus = [cross_root_variance(0.04, 0.04, float(r)) for r in np.linspace(-1.0, 1.0, 17)]
+        values = np.array([vanilla_bounds(1.0, nu, ks) for nu in nus])
         assert np.all(np.diff(values, axis=0) <= 1e-12)
 
     def test_validation(self):
         with pytest.raises(ParameterOutOfRange):
-            FxLegMoments(0.04, 0.04, 1.2, 1.0)
+            cross_root_variance(0.04, 0.04, 1.2)
 
 
 class TestSwapCurveSlice:

@@ -234,6 +234,17 @@ class TestShapeChecks:
         with pytest.raises(ShapeViolation):
             check_decreasing_convex([1.0, 2.0, 3.0], [1.0, 0.9, 0.5])
 
+    def test_strikes_1e_9_apart_tell_roundoff_from_a_kink(self):
+        # A few ulps of value roundoff over a step of 1e-9 exceed SHAPE_TOL in
+        # the slopes' changes, yet each curve is convex; a real kink of slope
+        # change -1e-5 on the same grid still fails.
+        ks = 1.0 + 1e-9 * np.arange(10)
+        for nu in (0.0025, 0.01, 0.04, 0.09):
+            check_decreasing_convex(ks, vanilla_bounds(1.0, nu, ks))
+        values = vanilla_bounds(1.0, 0.04, ks) - 1e-5 * np.maximum(ks - ks[5], 0.0)
+        with pytest.raises(ShapeViolation, match=f"concave around strike {ks[5]} "):
+            check_decreasing_convex(ks, values)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_values(self, bad):
         # NaN slopes pass every comparison, so the shape checks alone let them by.
