@@ -835,11 +835,16 @@ class TestStrictOutputs:
         assert capsys.readouterr().err.startswith("error: NonFiniteResult: fx bound (rho=0.5) is inf")
         assert not list((tmp_path / "out").iterdir())
 
+    # Sentinels the config once accepted: a 30-character and a non-ASCII one.
+    @pytest.mark.parametrize("sentinel", ["∞", "no finite implied vol exists!!"])
     @pytest.mark.parametrize("count", [16, 64])  # below and above the array switch
-    def test_every_row_has_the_header_fields(self, tmp_path, count):
-        payload = smile_config()
+    def test_every_row_has_the_header_fields(self, tmp_path, sentinel, count):
+        payload = smile_config(sentinel=sentinel)
         payload["parameters"]["root_variances"] = [1.0, 0.04]
         payload["parameters"]["strikes"]["count"] = count
+        with pytest.raises(ConfigError, match="unknown key\\(s\\) in config: sentinel"):
+            load_config(write_config(tmp_path / "c.json", payload))
+        del payload["sentinel"]
         config = load_config(write_config(tmp_path / "c.json", payload))
         run(config, tmp_path / "out")
         assert all(path.read_bytes().isascii() for path in (tmp_path / "out").iterdir())
