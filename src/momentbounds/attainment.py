@@ -9,10 +9,10 @@ and depends on the strike.  The calibration (``binomial_calibrate``) and the
 two-state call price (``binomial_call_prices``) are array forms, so a whole
 strike grid, and the angle grid that guards it, are each one expression.
 
-Global attainment fails: replicating the payoff a^n statically from the
-bound curve yields moments whose implied root-variance strictly exceeds the
-constraint everywhere inside (0, 1), so no single measure matching the
-constraint can generate the bound at all strikes.  For a^(1/2) the
+Global attainment fails: replicating the payoff a^(1/2) statically from the
+bound curve yields a square-root moment whose implied root-variance strictly
+exceeds the constraint everywhere inside (0, 1), so no single measure
+matching the constraint can generate the bound at all strikes.  The
 replication integral has the closed form E(1 - nu) - nu K(1 - nu) in complete
 elliptic integrals, evaluated by Gauss's arithmetic-geometric mean.
 """
@@ -25,13 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import STACK_BYTES, _checked_grid, _frozen_array
-from .errors import (
-    AngleOutOfRange,
-    BranchResolutionFailure,
-    ParameterOutOfRange,
-    QuadratureBudgetExceeded,
-)
-from .models import _check_elements, _gl_rule
+from .errors import AngleOutOfRange, BranchResolutionFailure, ParameterOutOfRange
+from .models import _check_elements
 from .vanilla import vanilla_bounds
 
 __all__ = [
@@ -49,9 +44,6 @@ __all__ = [
 ATTAIN_TOL = 1e-9
 _ANGLE_SLACK = 1e-12
 _SCAN_POINTS = 241
-# Convergence target and node limit of the quadrature route to E[a^n].
-_TARGET_ERROR = 1e-10
-_NODE_BUDGET = 1 << 16
 
 
 def _theta(nu: float) -> float:
@@ -196,16 +188,6 @@ def local_attainment_scan(f: float, nu: float, strikes) -> AttainmentReport:
     )
 
 
-def _bound_excess(x: np.ndarray, nu: float) -> np.ndarray:
-    """(sqrt((1-x^2)^2 + 4 x^2 nu) - (1 - x^2)) / x^2, cancellation-free.
-
-    Rationalising gives 4 nu / (sqrt((1-x^2)^2 + 4 x^2 nu) + (1 - x^2)),
-    smooth on [0, 1] with value 2 nu at x = 0 and 2 sqrt(nu) at x = 1.
-    """
-    one_minus = 1.0 - x * x
-    return 4.0 * nu / (np.sqrt(one_minus * one_minus + 4.0 * x * x * nu) + one_minus)
-
-
 @dataclass(frozen=True)
 class GlobalAttainmentCurve:
     """Implied square-root moments and root-variances over a constraint grid."""
@@ -261,46 +243,3 @@ def implied_root_variance_curve(nus) -> GlobalAttainmentCurve:
     moments = np.ones(grid.size)
     moments[spread] = 0.5 * math.pi / a * total
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)
-
-
-def _general_moment(nu: float, n: float) -> float:
-    """E[a^n] / f^n implied by the bound curve, for 0 < n < 1.
-
-    The integrand carries integrable x^(2n-1) and x^(1-2n) factors, so each
-    term is integrated in log coordinates, x = exp(-u), where it becomes an
-    analytic, exponentially decaying function of u.  The expression is
-    symmetric under n -> 1 - n by construction, and n = 1/2 reproduces the
-    square-root moment through an independent quadrature route.
-    """
-    if not 0.0 <= nu <= 1.0:
-        raise ParameterOutOfRange(f"root-variance must lie in [0, 1], got {nu}")
-    if not 0.0 < n < 1.0:
-        raise ParameterOutOfRange(f"moment order must lie in (0, 1), got {n}")
-    if nu == 0.0:
-        return 1.0
-
-    def tail_integral(s: float, nodes_per_panel: int) -> float:
-        # integral over (0, 1] of x^s * excess(x) dx with x = exp(-u).
-        decay = s + 1.0
-        u_max = 41.0 / decay
-        panels = max(8, int(math.ceil(u_max / (2.0 / decay))))
-        edges = np.linspace(0.0, u_max, panels + 1)
-        x, w = _gl_rule(nodes_per_panel)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            u = mid + half * x
-            total += half * float(np.dot(w, np.exp(-decay * u) * _bound_excess(np.exp(-u), nu)))
-        return total
-
-    def integral(nodes: int) -> float:
-        return tail_integral(2.0 * n - 1.0, nodes) + tail_integral(1.0 - 2.0 * n, nodes)
-
-    nodes, value = 24, integral(24)
-    while 2 * nodes <= _NODE_BUDGET:
-        nodes *= 2
-        refined = integral(nodes)
-        if abs(refined - value) <= _TARGET_ERROR:
-            return 1.0 + n * (n - 1.0) * refined
-        value = refined
-    raise QuadratureBudgetExceeded(f"no convergence to {_TARGET_ERROR} within {_NODE_BUDGET} nodes")

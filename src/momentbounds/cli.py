@@ -22,8 +22,8 @@ file-system encoding.
 
 Outputs are ASCII files, whatever the locale: a CSV (LF line endings, header
 row, 12 significant digits, an infinite value, such as a diverging implied
-vol, written ``inf``) plus ``<output>_manifest.json`` carrying the config
-hash, the fixed tolerances and summary statistics.  The manifest is strict
+vol, written ``inf`` or ``-inf``) plus ``<output>_manifest.json`` carrying
+the config hash, the fixed tolerances and summary statistics.  The manifest is strict
 JSON: a summary value that does not exist (an FX cross's increase with one
 correlation) is ``null``, and a non-finite one fails the run with
 ``NonFiniteResult``.  A table of at least ``_ARRAY_MIN_CELLS`` cells is
@@ -498,12 +498,12 @@ EXPERIMENTS = {
 
 def _format_column(values) -> list:
     """CSV cells of one column, one by one: integers as they are, other
-    values to 12 significant digits and infinities as ``inf``.  This is the
-    reference the array kernel below reproduces byte for byte."""
+    values to 12 significant digits and infinities as ``inf`` or ``-inf``.
+    This is the reference the array kernel below reproduces byte for byte."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         return [str(v) for v in arr.tolist()]
-    return ["inf" if math.isinf(v) else f"{v:.11e}" for v in arr.astype(float).tolist()]
+    return [f"{v:.11e}" for v in arr.astype(float).tolist()]
 
 
 # A table of at least this many cells is formatted by the array kernel.  Its

@@ -1,6 +1,7 @@
 """Reference models used as oracles: lognormal (Black) and normal
 (Bachelier) call prices, lognormal partial moments, implied lognormal/normal
-volatility inversion, and the Gauss-Legendre rule the quadratures share.
+volatility inversion, and the Gauss-Legendre rule that serves the
+hat-partition quadrature.
 
 Each formula has one array form that broadcasts its arguments
 (``bs_call_prices``, ``bachelier_call_prices``); a single strike is a

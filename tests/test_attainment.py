@@ -8,18 +8,12 @@ from scipy.integrate import quad
 
 from momentbounds import attainment
 from momentbounds.attainment import (
-    _general_moment,
     binomial_calibrate,
     binomial_call_prices,
     implied_root_variance_curve,
     local_attainment_scan,
 )
-from momentbounds.errors import (
-    AngleOutOfRange,
-    BranchResolutionFailure,
-    ParameterOutOfRange,
-    QuadratureBudgetExceeded,
-)
+from momentbounds.errors import AngleOutOfRange, BranchResolutionFailure, ParameterOutOfRange
 from momentbounds.vanilla import vanilla_bounds
 
 
@@ -323,15 +317,6 @@ class TestReplicationMoments:
         assert abs(curve.implied_nu[-1] - 1.0) <= 1e-8
         assert np.all(curve.margins[1:-1] > 0.0)
 
-    def test_budget_exceeded(self, monkeypatch):
-        # The quadrature route for E[a^n] stops at its node budget.
-        monkeypatch.setattr(attainment, "_TARGET_ERROR", 1e-30)
-        monkeypatch.setattr(attainment, "_NODE_BUDGET", 96)
-        with pytest.raises(QuadratureBudgetExceeded):
-            _general_moment(0.3, 0.5)
-        with pytest.raises(QuadratureBudgetExceeded, match="within 96 nodes"):
-            _general_moment(0.3, 0.2)
-
 
 def mp_sqrt_moment(nu):
     """1 - (1/2) * integral over x in [0, 1] of the rationalised excess
@@ -405,36 +390,6 @@ class TestBatchedCurve:
         for grid in ([], [[0.1, 0.2]]):
             with pytest.raises(ParameterOutOfRange):
                 implied_root_variance_curve(grid)
-
-
-class TestGeneralMoment:
-    def test_half_matches_sqrt_moment(self):
-        nus = (0.04, 0.25, 0.5, 0.9)
-        for nu, moment in zip(nus, implied_root_variance_curve(nus).sqrt_moment):
-            assert _general_moment(nu, 0.5) == pytest.approx(moment, abs=1e-9)
-
-    def test_symmetry(self):
-        for nu in (0.25, 0.5):
-            for n in (0.1, 0.3):
-                assert _general_moment(nu, n) == pytest.approx(
-                    _general_moment(nu, 1.0 - n), abs=1e-9
-                )
-
-    def test_deterministic_asset(self):
-        for n in (0.1, 0.5, 0.9):
-            assert _general_moment(0.0, n) == 1.0
-
-    def test_full_dispersion_kills_fractional_moments(self):
-        # At nu = 1 the integral evaluates to 1/(n(1-n)) and the moment
-        # vanishes for every 0 < n < 1.
-        for n in (0.2, 0.5, 0.8):
-            assert _general_moment(1.0, n) == pytest.approx(0.0, abs=1e-10)
-
-    def test_order_validation(self):
-        with pytest.raises(ParameterOutOfRange):
-            _general_moment(0.5, 0.0)
-        with pytest.raises(ParameterOutOfRange):
-            _general_moment(0.5, 1.0)
 
 
 class TestLocalScanBatching:

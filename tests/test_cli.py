@@ -918,6 +918,13 @@ class TestCsvWriter:
         values = np.concatenate([powers, -tops])
         assert_writer_matches_reference(values.tolist(), 4, False)
 
+    @pytest.mark.parametrize("rows", [2, cli._ARRAY_MIN_CELLS])  # below and above the array switch
+    def test_infinities_keep_their_sign(self, rows):
+        signed = np.resize([-math.inf, math.inf], rows)
+        text = cli._csv_bytes(["a", "b"], [signed, np.arange(rows, dtype=float)])
+        cells = [line.split(b",")[0] for line in text.splitlines()[1:]]
+        assert cells == [b"-inf", b"inf"] * (rows // 2)
+
     @pytest.mark.parametrize(
         "mutation",
         ["tie margin 0", "no exponent correction"],
