@@ -14,11 +14,11 @@ Grids are given either as explicit arrays or as {"start", "stop", "count"}.
 Unknown keys, non-finite numbers and integers above ``MAX_COUNT`` are
 rejected everywhere.  Parameter ranges are validated by the library:
 loading a config builds the library's own values (models, asset moments,
-cross root-variances, curve slices, partitions, strike grids), and the errors
-they raise are config errors.  A run executes the read-only plan of those
-values built at load, so it cannot raise a config error.  The config file is
-read as UTF-8, and the ``output`` stem must have a file name in the locale's
-file-system encoding.
+cross root-variances, curve slices and their caplet moment matrices,
+partitions, strike grids), and the errors they raise are config errors.  A
+run executes the read-only plan of those values built at load, so it cannot
+raise a config error.  The config file is read as UTF-8, and the ``output``
+stem must have a file name in the locale's file-system encoding.
 
 Outputs are ASCII files, whatever the locale: a CSV (LF line endings, header
 row, 12 significant digits, an infinite value, such as a diverging implied
@@ -53,6 +53,7 @@ from .engine import EIG_TOL, PSD_TOL, _checked_grid, _frozen_array
 from .errors import ConfigError, MomentBoundsError, NonFiniteResult
 from .markets import (
     SwapCurveSlice,
+    _caplet_q,
     annuity_weights,
     caplet_cdf_scan,
     caplet_point_mass,
@@ -149,19 +150,6 @@ def _take(params: dict, where: str, required: dict, optional: dict | None = None
     return out
 
 
-def _root_variance_of(params: dict, where: str) -> float:
-    """Accept root_variance directly, or sigma + expiry via the lognormal identity."""
-    has_nu = "root_variance" in params
-    has_sigma = "sigma" in params
-    if has_nu == has_sigma:
-        raise ConfigError(f"{where} needs exactly one of 'root_variance' or 'sigma'")
-    if has_nu:
-        return _number(params.pop("root_variance"), f"{where}.root_variance")
-    sigma = _number(params.pop("sigma"), f"{where}.sigma")
-    expiry = _number(params.get("expiry", 1.0), f"{where}.expiry")
-    return LognormalModel(1.0, sigma, expiry).root_variance
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A validated run configuration, its raw dict and its read-only plan."""
@@ -243,7 +231,7 @@ def _prepare_vanilla_smile(parameters: dict):
     return p
 
 
-def _run_vanilla_smile(plan, config: RunConfig):
+def _run_vanilla_smile(plan):
     strikes, nus = plan["strikes"], plan["root_variances"]
     # Each curve checks its own shape on construction.
     curves = smile_curves(plan["forward"], nus, strikes, plan["expiry"])
@@ -288,7 +276,7 @@ def _prepare_refine(parameters: dict, kind: str):
     return {"model": model, "sets": parsed, "strikes": strikes, "kind": kind}
 
 
-def _run_refine(plan, config: RunConfig):
+def _run_refine(plan):
     model, strikes = plan["model"], plan["strikes"]
     columns = ["strike"]
     curves = []
@@ -336,7 +324,7 @@ def _prepare_fx_cross(parameters: dict):
     return {"forward": p["forward"], "rhos": rhos, "nus": nus, "strikes": strikes}
 
 
-def _run_fx_cross(plan, config: RunConfig):
+def _run_fx_cross(plan):
     strikes, rhos, nus = plan["strikes"], plan["rhos"], plan["nus"]
     curves = vanilla_bounds(plan["forward"], nus[:, None], strikes)
     for rho, curve in zip(rhos, curves):
@@ -349,13 +337,12 @@ def _run_fx_cross(plan, config: RunConfig):
 
 
 def _prepare_caplet(parameters: dict, scan_shifts: bool):
-    params = dict(parameters)
-    nu = _root_variance_of(params, "parameters")
     required = {
         "discount_rate": _number,
         "periods": _integer,
         "period_index": _integer,
         "swap_rate": _number,
+        "sigma": _number,
         "strikes": _grid,
     }
     if scan_shifts:
@@ -369,9 +356,11 @@ def _prepare_caplet(parameters: dict, scan_shifts: bool):
             "shift": (_number, 0.0),
             "expiry": (_number, 1.0),
         }
-    p = _take(params, "parameters", required, optional)
+    p = _take(parameters, "parameters", required, optional)
+    nu = LognormalModel(1.0, p["sigma"], p["expiry"]).root_variance
     n = p["period_index"]
-    # No library value holds this rule; the scan checks it only as it runs.
+    # markets._caplet_q below holds this rule too; checked first so that the
+    # message names the config key.
     if not 2 <= n <= p["periods"]:
         raise ConfigError(f"period_index must lie in 2..{p['periods']}")
     shifts = p["shifts"] if scan_shifts else [p["shift"]]
@@ -379,9 +368,11 @@ def _prepare_caplet(parameters: dict, scan_shifts: bool):
     slices = {}
     for alpha in shifts:
         for rho in rhos:
-            slices[(alpha, rho)] = SwapCurveSlice.with_flat_discounting(
+            slice_ = SwapCurveSlice.with_flat_discounting(
                 p["discount_rate"], p["periods"], p["daycount"], p["swap_rate"], nu, rho, alpha
             )
+            _caplet_q(slice_, n)  # shifted swap rates must be positive
+            slices[(alpha, rho)] = slice_
     return {
         "slices": slices,
         "n": n,
@@ -394,7 +385,7 @@ def _prepare_caplet(parameters: dict, scan_shifts: bool):
     }
 
 
-def _run_caplet(plan, config: RunConfig):
+def _run_caplet(plan):
     strikes, n = plan["strikes"], plan["n"]
     scan_shifts = plan["scan_shifts"]
     columns = ["alpha" if scan_shifts else "rho", "strike", "bound", "implied_normal_vol", "cdf"]
@@ -444,7 +435,7 @@ def _prepare_local_attain(parameters: dict):
     return p
 
 
-def _run_local_attain(plan, config: RunConfig):
+def _run_local_attain(plan):
     report = local_attainment_scan(plan["forward"], plan["root_variance"], plan["strikes"])
     check_decreasing_convex(report.strikes, report.bounds, label="attainment bound")
     fields = ("strikes", "angles", "lows", "highs", "binomial_prices", "bounds", "gaps")
@@ -466,7 +457,7 @@ def _prepare_global_attain(parameters: dict):
     return p
 
 
-def _run_global_attain(plan, config: RunConfig):
+def _run_global_attain(plan):
     curve = implied_root_variance_curve(plan["root_variances"])
     interior = curve.margins[1:-1] if curve.constraint_nu.size > 2 else curve.margins
     summary = {
@@ -641,7 +632,7 @@ def run(config: RunConfig, out_dir) -> Path:
     for path in (csv_path, manifest_path):
         path.unlink(missing_ok=True)
     try:
-        columns, values, summary = EXPERIMENTS[config.experiment].execute(config.plan, config)
+        columns, values, summary = EXPERIMENTS[config.experiment].execute(config.plan)
         csv_path.write_bytes(_csv_bytes(columns, values))
         manifest = {
             "schema_version": SCHEMA_VERSION,

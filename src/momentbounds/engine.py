@@ -49,8 +49,10 @@ STACK_BYTES = 1 << 20
 # Roundoff allowance for negative eigenvalues of Q scaled to unit diagonal:
 # those in [-PSD_TOL, 0) are clipped to zero, anything below is an error.
 PSD_TOL = 1e-10
-# Relative threshold below which an eigenvalue of P counts as zero and is
-# left out of the positive sum.
+# Relative threshold below which an eigenvalue of P is not counted as
+# positive (``BoundSweep.positive_counts``), or counts as zero in
+# ``markets.caplet_point_mass``.  It only counts: the bound sums every
+# positive eigenvalue, so it never drops positive mass.
 EIG_TOL = 1e-12
 
 
@@ -142,7 +144,8 @@ class BoundSweep:
         rank_q: numerical rank of Q, shared by the sweep.
         clipped_negative_mass: negative eigenvalue mass of Q, scaled to unit
             diagonal, clipped to zero; shared likewise.
-        positive_counts: (k,) eigenvalues above each row's zero threshold.
+        positive_counts: (k,) eigenvalues above ``EIG_TOL`` times each
+            row's largest |eigenvalue|.
     """
 
     bounds: np.ndarray
@@ -221,14 +224,14 @@ def positive_eigenvalue_bounds(q: MomentMatrix, quantities) -> BoundSweep:
     """Supremum price of the portfolio option for each row of a (k, n)
     array of signed quantities, from the moment matrix Q.
 
-    Computes P = S L S^T for a factor Q = S^T S and sums the positive
-    eigenvalues of P; eigenvalues within ``EIG_TOL`` of zero (relative to
-    the spectral radius of P) count as zero.  Q is validated and factored
+    Computes P = S L S^T for a factor Q = S^T S and sums every positive
+    eigenvalue of P; ``EIG_TOL`` (relative to the spectral radius of P) only
+    sets which of them ``positive_counts`` counts.  Q is validated and factored
     once; the P matrices are formed and solved in stacks of at most
     ``STACK_BYTES``.  Each row is solved in units of the power of two of its
     largest quantity, which is exact and keeps P finite for quantities near
     the float maximum; the bound is homogeneous of degree one in them.
-    Quantities must be finite, and each row gets its own zero threshold, so
+    Quantities must be finite, and each row gets its own count threshold, so
     row ``i`` of the sweep is identical to what a one-row sweep of that row
     returns.
     """
@@ -259,10 +262,11 @@ def positive_eigenvalue_bounds(q: MomentMatrix, quantities) -> BoundSweep:
         eigs[start : start + per_stack] = symmetric_eigenvalues(0.5 * (p + p.swapaxes(1, 2)))
     # Each row's positive eigenvalues are a prefix of its descending ones;
     # rows with equal counts sum their prefixes together, as single rows would.
-    counts = np.sum(eigs > EIG_TOL * np.max(np.abs(eigs), axis=1)[:, None], axis=1)
+    positive = np.sum(eigs > 0.0, axis=1)
     bounds = np.zeros(len(weights))
-    for m in np.unique(counts[counts > 0]):
-        rows = counts == m
+    for m in np.unique(positive[positive > 0]):
+        rows = positive == m
         bounds[rows] = np.sum(eigs[rows, :m], axis=1)
+    counts = np.sum(eigs > EIG_TOL * np.max(np.abs(eigs), axis=1)[:, None], axis=1)
     bounds, eigs = np.ldexp(bounds, e), np.ldexp(eigs, e[:, None])
     return BoundSweep(bounds, eigs, factor.rank, factor.clipped_negative_mass, counts)

@@ -189,7 +189,8 @@ def _caplet_q(slice_: SwapCurveSlice, n: int):
         AssetMoments(f_prev, float(slice_.root_variances[n - 2])),
         AssetMoments(1.0, 0.0),
     ]
-    q = assemble_q(assets, {(0, 1): float(slice_.adjacent_correlations[n - 2])})
+    rho = float(slice_.adjacent_correlations[n - 2])
+    q = assemble_q(assets, [[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
     return q, here.lam, strike_shift
 
 

@@ -2,7 +2,7 @@
 
 A moment matrix is assembled from per-asset prices f_n, root-variances nu_n
 (the normalised variance of the square-root of each asset) and pairwise
-square-root correlations rho_mn:
+square-root correlations rho_mn, given as the full correlation matrix:
 
     q_mn = sqrt((1 - nu_m)(1 - nu_n)) + rho_mn sqrt(nu_m nu_n)
     Q_mn = sqrt(f_m f_n) q_mn
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -81,36 +81,6 @@ class CorrelationMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_pairs(
-        cls,
-        dim: int,
-        pairs: Mapping[Tuple[int, int], float],
-        *,
-        required: Sequence[Tuple[int, int]] = (),
-    ) -> "CorrelationMatrix":
-        """Build from sparsely supplied pairs.
-
-        Pairs listed in ``required`` must be present (no default correlation
-        is ever substituted); all other unspecified pairs are set to zero,
-        which is only legitimate when their root-variance product vanishes.
-        """
-        arr = np.eye(dim)
-        seen = set()
-        for (m, n), rho in pairs.items():
-            if not (0 <= m < dim and 0 <= n < dim) or m == n:
-                raise ParameterOutOfRange(f"invalid correlation pair ({m}, {n})")
-            arr[m, n] = rho
-            arr[n, m] = rho
-            seen.add((min(m, n), max(m, n)))
-        for m, n in required:
-            if (min(m, n), max(m, n)) not in seen:
-                raise ParameterOutOfRange(
-                    f"correlation for asset pair ({m}, {n}) was not supplied; "
-                    "no default is assumed"
-                )
-        return cls(arr)
-
 
 def cross_term(m1: AssetMoments, m2: AssetMoments, rho: float) -> float:
     """Normalised cross moment q = sqrt((1-nu1)(1-nu2)) + rho sqrt(nu1 nu2).
@@ -123,39 +93,27 @@ def cross_term(m1: AssetMoments, m2: AssetMoments, rho: float) -> float:
     return math.sqrt((1.0 - n1) * (1.0 - n2)) + rho * math.sqrt(n1 * n2)
 
 
-def assemble_q(
-    moments: Sequence[AssetMoments],
-    correlations: CorrelationMatrix | Mapping[Tuple[int, int], float],
-) -> MomentMatrix:
+def assemble_q(moments: Sequence[AssetMoments], correlations: CorrelationMatrix) -> MomentMatrix:
     """Assemble the moment matrix Q_mn = sqrt(f_m f_n) q_mn.
 
-    ``correlations`` is either a full CorrelationMatrix or a sparse mapping
-    of index pairs to correlations.  With sparse input, every pair whose
-    root-variance product is nonzero must be supplied explicitly.
+    ``correlations`` is the full n x n correlation matrix: a
+    CorrelationMatrix, or an array that CorrelationMatrix validates.
     """
     n = len(moments)
     if n < 1:
         raise DimensionMismatch("need at least one asset")
-    if isinstance(correlations, CorrelationMatrix):
-        corr = correlations
-    else:
-        required = [
-            (m, k)
-            for m in range(n)
-            for k in range(m + 1, n)
-            if moments[m].root_variance > 0.0 and moments[k].root_variance > 0.0
-        ]
-        corr = CorrelationMatrix.from_pairs(n, correlations, required=required)
-    if corr.dim != n:
+    if not isinstance(correlations, CorrelationMatrix):
+        correlations = CorrelationMatrix(correlations)
+    if correlations.dim != n:
         raise DimensionMismatch(
-            f"correlation matrix is {corr.dim}x{corr.dim} but there are {n} assets"
+            f"correlation matrix is {correlations.dim}x{correlations.dim} but there are {n} assets"
         )
     entries = np.empty((n, n))
     for m in range(n):
         entries[m, m] = moments[m].price
         for k in range(m + 1, n):
             value = math.sqrt(moments[m].price * moments[k].price) * cross_term(
-                moments[m], moments[k], float(corr.entries[m, k])
+                moments[m], moments[k], float(correlations.entries[m, k])
             )
             entries[m, k] = value
             entries[k, m] = value

@@ -32,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    EIG_TOL,
     MomentMatrix,
     _checked_grid,
     _frozen_array,
@@ -364,8 +363,7 @@ def _banded_bounds(moments: ConditionalMoments, ks: np.ndarray) -> np.ndarray:
         eigs, _, info = dsbevd(band_p, compute_v=0, lower=0)
         if info > 0:
             raise ConvergenceFailure(f"banded eigensolve did not converge at strike {ks[i]}")
-        positive = eigs[eigs > EIG_TOL * float(np.max(np.abs(eigs)))]
-        bounds[i] = float(np.sum(positive))
+        bounds[i] = float(np.sum(eigs[eigs > 0.0]))
     return bounds
 
 

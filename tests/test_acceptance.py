@@ -53,7 +53,7 @@ def test_01_engine_matches_closed_form():
         for nu in (0.0, 0.01, 0.25, 0.99, 1.0):
             ks = np.geomspace(0.1 * f, 5.0 * f, 30)
             closed = vanilla_bounds(f, nu, ks)
-            q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], {(0, 1): 0.0})
+            q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], np.eye(2))
             engine = positive_eigenvalue_bounds(q, np.column_stack([np.ones(ks.size), -ks])).bounds
             worst = max(worst, float(np.max(np.abs(engine - closed) / np.maximum(closed, 1e-12 * f))))
     elapsed = time.perf_counter() - started

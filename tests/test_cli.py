@@ -151,23 +151,9 @@ class TestRun:
         text = (tmp_path / "out" / "smile.csv").read_text()
         assert ",inf," in text
 
-    def test_partial_outputs_removed_on_failure(self, tmp_path):
-        payload = {
-            "schema_version": 1,
-            "experiment": "CapletBound",
-            "output": "caplet",
-            "parameters": {
-                "discount_rate": 0.01,
-                "periods": 5,
-                "period_index": 5,
-                "swap_rate": -0.05,
-                "root_variance": 0.04,
-                "correlations": [0.99],
-                "shift": 0.0,
-                "strikes": {"start": 0.0, "stop": 0.04, "count": 5},
-            },
-        }
-        config = load_config(write_config(tmp_path / "c.json", payload))
+    def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "caplet_cdf_scan", failing_caplet_scan)
+        config = load_config(write_config(tmp_path / "c.json", caplet_config()))
         with pytest.raises(Exception):
             run(config, tmp_path / "out")
         assert not (tmp_path / "out" / "caplet.csv").exists()
@@ -383,23 +369,9 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ConfigError:")
 
-    def test_numerical_error_exit_code(self, tmp_path, capsys):
-        payload = {
-            "schema_version": 1,
-            "experiment": "CapletBound",
-            "output": "caplet",
-            "parameters": {
-                "discount_rate": 0.01,
-                "periods": 5,
-                "period_index": 5,
-                "swap_rate": -0.05,
-                "root_variance": 0.04,
-                "correlations": [0.99],
-                "shift": 0.0,
-                "strikes": {"start": 0.0, "stop": 0.04, "count": 5},
-            },
-        }
-        path = write_config(tmp_path / "c.json", payload)
+    def test_numerical_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "caplet_cdf_scan", failing_caplet_scan)
+        path = write_config(tmp_path / "c.json", caplet_config())
         code = main(["--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
@@ -422,13 +394,19 @@ def caplet_config(**parameters):
             "periods": 5,
             "period_index": 5,
             "swap_rate": 0.02,
-            "root_variance": 0.04,
+            "sigma": 0.4,
             "correlations": [0.99],
             "strikes": {"start": 0.0, "stop": 0.04, "count": 5},
         },
     }
     payload["parameters"].update(parameters)
     return payload
+
+
+def failing_caplet_scan(slice_, n, strikes):
+    # A numerical failure of the run: load_config already rejects a config
+    # whose shifted swap rates the real scan would refuse.
+    raise NegativeShiftedRate("shifted swap rates must be positive")
 
 
 def caplet_cdf_config(**parameters):
@@ -498,6 +476,14 @@ class TestExitCodes:
             (refine_config("FlatRefine", partitions=[[1.0, 0.5]]), "strictly increasing"),
             (caplet_config(strikes=[0.02, 0.01, 0.03]), "strictly increasing"),
             (caplet_config(period_index=1), "period_index"),
+            # A shifted swap rate a run would refuse, and a vol spelling
+            # other than sigma.
+            (caplet_config(swap_rate=-0.05), "shifted swap rates (-0.05, -0.05) must be positive"),
+            (
+                caplet_cdf_config(swap_rate=-0.05, shifts=[0.0, 0.5]),
+                "shifted swap rates (-0.05, -0.05) must be positive",
+            ),
+            (caplet_config(root_variance=0.04), "unknown key(s) in parameters: root_variance"),
             (local_attain_config(root_variance=1.0), "strictly inside"),
             # The tolerances are engine constants, not config knobs.
             (smile_config(tolerances={"psd": 1e-10, "eig": 1e-12}), "tolerances"),
@@ -554,6 +540,9 @@ class TestExitCodes:
             "decreasing-flat-boundaries",
             "decreasing-caplet-strikes",
             "caplet-period-index-one",
+            "caplet-negative-shifted-rate",
+            "caplet-cdf-negative-shifted-rate",
+            "caplet-root-variance-key",
             "local-attain-nu-one",
             "tolerances-block",
             "local-attain-attain-tol",
@@ -813,8 +802,8 @@ class TestStrictOutputs:
     def test_non_finite_summary_value_exits_3(self, tmp_path, capsys, monkeypatch):
         execute = EXPERIMENTS["FxCross"].execute
 
-        def infinite_summary(plan, config):
-            columns, values, summary = execute(plan, config)
+        def infinite_summary(plan):
+            columns, values, summary = execute(plan)
             return columns, values, {"max_bound_increase_with_rho": math.inf}
 
         monkeypatch.setitem(

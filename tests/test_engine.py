@@ -323,7 +323,7 @@ class TestEngineProperties:
         # Monotonicity in nu holds only for an asset uncorrelated with the
         # others (test_properties).
         def exchange_bound(nu1):
-            q = assemble_q([AssetMoments(1.0, nu1), AssetMoments(1.0, 0.25)], {(0, 1): 1.0})
+            q = assemble_q([AssetMoments(1.0, nu1), AssetMoments(1.0, 0.25)], np.ones((2, 2)))
             return positive_eigenvalue_bounds(q, [[1.0, -1.0]]).bounds[0]
 
         assert exchange_bound(0.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)

@@ -193,6 +193,17 @@ class TestCapletBound:
             bounds = caplet_bounds(slice_, 10, [0.01, 0.05]).bounds
             assert bounds == pytest.approx([0.01, 0.0], abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1e10, 1e11])
+    def test_far_strike_keeps_positive_eigenvalue(self, k):
+        # The one positive eigenvalue lies below EIG_TOL times the cash
+        # eigenvalue -k, so it is not counted, but the bound still sums it.
+        # A 60-digit eigensolve of the same Q gives 4.8373e-3 at every k
+        # from 1e8 to 1e20.
+        slice_ = SwapCurveSlice.with_flat_discounting(0.01, 10, 1.0, 0.02, 0.15, 0.995, 0.0)
+        sweep = caplet_bounds(slice_, 10, [k])
+        assert sweep.bounds[0] == pytest.approx(4.8373e-3, rel=1e-3, abs=0.0)
+        assert sweep.positive_counts[0] == 0
+
     def test_negative_shifted_rate_raises(self):
         slice_ = SwapCurveSlice.with_flat_discounting(
             0.01, 5, 1.0, -0.005, LOGNORMAL_NU, 0.995, 0.0

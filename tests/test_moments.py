@@ -83,8 +83,6 @@ class TestCorrelationMatrix:
         rho = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
         corr = CorrelationMatrix(rho)
         assert np.array_equal(corr.entries, rho)
-        pairs = {(0, 1): 1.0, (0, 2): -1.0, (1, 2): 1.0}
-        assert np.array_equal(CorrelationMatrix.from_pairs(3, pairs).entries, rho)
         factor = factor_psd(assemble_q([AssetMoments(1.0, 0.0)] * 3, corr))
         assert factor.rank == 1
 
@@ -92,22 +90,16 @@ class TestCorrelationMatrix:
         with pytest.raises(ParameterOutOfRange):
             CorrelationMatrix([[1.0, 0.0], [0.0, 0.9]])
 
-    def test_sparse_pairs_require_relevant_entries(self):
-        with pytest.raises(ParameterOutOfRange, match="pair"):
-            CorrelationMatrix.from_pairs(3, {(0, 1): 0.5}, required=[(0, 1), (1, 2)])
-        corr = CorrelationMatrix.from_pairs(3, {(0, 1): 0.5, (1, 2): 0.1}, required=[(0, 1), (1, 2)])
-        assert corr.entries[2, 1] == 0.1
-
 
 class TestAssembleQ:
     def test_singleton(self):
-        q = assemble_q([AssetMoments(2.0, 0.3)], {})
+        q = assemble_q([AssetMoments(2.0, 0.3)], np.eye(1))
         assert q.entries.shape == (1, 1)
         assert q.entries[0, 0] == 2.0
 
     def test_vanilla_pair(self):
         f, nu = 1.7, 0.21
-        q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], {(0, 1): 0.0})
+        q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], np.eye(2))
         s = math.sqrt(f * (1.0 - nu))
         assert np.allclose(q.entries, [[f, s], [s, 1.0]], rtol=1e-15)
 
@@ -121,26 +113,31 @@ class TestAssembleQ:
 
     def test_deterministic_bound_is_portfolio_value(self):
         moments = [AssetMoments(f, 0.0) for f in (1.0, 2.0, 3.0)]
-        q = assemble_q(moments, {})
+        q = assemble_q(moments, np.eye(3))
         for lam in ([1.0, 1.0, -1.2], [1.0, -1.0, 0.1], [-1.0, -0.1, 0.5]):
             value = float(np.dot(lam, [1.0, 2.0, 3.0]))
             bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
             assert bound == pytest.approx(max(0.0, value), abs=1e-12)
 
-    def test_sparse_missing_pair_raises(self):
-        moments = [AssetMoments(1.0, 0.1), AssetMoments(1.0, 0.2)]
-        with pytest.raises(ParameterOutOfRange, match="pair"):
-            assemble_q(moments, {})
-
-    def test_sparse_pair_irrelevant_when_variance_zero(self):
+    def test_correlation_irrelevant_when_variance_zero(self):
         moments = [AssetMoments(1.0, 0.1), AssetMoments(1.0, 0.0)]
-        q = assemble_q(moments, {})
-        assert q.entries[0, 1] == pytest.approx(math.sqrt(0.9), rel=1e-15, abs=0.0)
+        for rho in (-1.0, 0.0, 1.0):
+            q = assemble_q(moments, [[1.0, rho], [rho, 1.0]])
+            assert q.entries[0, 1] == pytest.approx(math.sqrt(0.9), rel=1e-15, abs=0.0)
+
+    def test_plain_nested_list(self):
+        moments = [AssetMoments(1.0, 0.2), AssetMoments(2.0, 0.4)]
+        rho = [[1.0, 0.3], [0.3, 1.0]]
+        q = assemble_q(moments, rho)
+        assert np.array_equal(q.entries, assemble_q(moments, CorrelationMatrix(rho)).entries)
+        with pytest.raises(ParameterOutOfRange, match="unit diagonal"):
+            assemble_q(moments, [[1.0, 0.3], [0.3, 0.9]])
 
     def test_entries_monotone_in_rho(self):
         moments = [AssetMoments(1.0, 0.2), AssetMoments(1.0, 0.4)]
         values = [
-            assemble_q(moments, {(0, 1): rho}).entries[0, 1] for rho in np.linspace(-1, 1, 9)
+            assemble_q(moments, [[1.0, rho], [rho, 1.0]]).entries[0, 1]
+            for rho in np.linspace(-1, 1, 9)
         ]
         assert np.all(np.diff(values) >= 0.0)
 

@@ -4,6 +4,9 @@ Every module-level private function, class and constant in
 ``src/momentbounds`` must be loaded somewhere in the package, by name or as
 an attribute, outside its own definition.  A helper which only tests call
 belongs in ``tests/``, beside the tests that call it.
+
+Every name a module imports must be loaded by that module; ``__init__.py``,
+which imports to re-export, and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -84,3 +87,55 @@ def test_guard_flags_a_helper_only_tests_call(tmp_path):
         "from . import kept\n\nVALUE = kept._Box\n", encoding="utf-8"
     )
     assert unused_private_names(tmp_path) == ["kept.py:_B", "kept.py:_recurse"]
+
+
+def _imported_names(tree) -> list:
+    """The names a module's import statements bind, ``__future__`` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    return names
+
+
+def unused_imports(source: Path = SOURCE) -> list:
+    """Imported names that no statement of the importing module loads, in
+    the package's modules other than ``__init__.py``."""
+    unused = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += sorted(f"{path.name}:{name}" for name in _imported_names(tree) if name not in loaded)
+    return unused
+
+
+def test_every_import_is_used_by_its_module():
+    assert unused_imports() == []
+
+
+def test_guard_flags_an_import_its_module_never_loads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .kept import public\n", encoding="utf-8")
+    (tmp_path / "kept.py").write_text(
+        "from __future__ import annotations\n"
+        "\n"
+        "import math\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Mapping, Sequence, Tuple\n"
+        "\n"
+        "def public(values: Sequence) -> float:\n"
+        "    from json import dumps\n"
+        "\n"
+        "    return float(np.sum(values)) + len(dumps(os.sep))\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "other.py").write_text("from . import kept\n\nVALUE = kept.math\n", encoding="utf-8")
+    assert unused_imports(tmp_path) == ["kept.py:Mapping", "kept.py:Tuple", "kept.py:math"]

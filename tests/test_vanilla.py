@@ -27,7 +27,7 @@ from momentbounds.vanilla import (
 def engine_bounds(f, nu, strikes):
     """The vanilla bound through the general engine: the asset paired with
     the constant asset 1, quantities (1, -k) per strike."""
-    q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], {(0, 1): 0.0})
+    q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], np.eye(2))
     quantities = np.column_stack([np.ones(len(strikes)), -np.asarray(strikes, dtype=float)])
     return positive_eigenvalue_bounds(q, quantities).bounds
 
