@@ -17,14 +17,21 @@ import math
 
 import numpy as np
 
-from momentbounds import SwapCurveSlice, caplet_bounds, caplet_cdf_scan, caplet_point_mass
+from momentbounds import (
+    SwapCurveSlice,
+    caplet_basket,
+    caplet_bounds,
+    caplet_cdf_scan,
+    caplet_point_mass,
+)
 
 NU = 1.0 - math.exp(-0.04)  # root-variance of a 40%-vol lognormal over one period
 
 
-def build_slice(rho: float, alpha: float) -> SwapCurveSlice:
-    # Flat curve: 1% discounting, annual periods, both swap rates at 2%.
-    return SwapCurveSlice.with_flat_discounting(
+def build_basket(rho: float, alpha: float):
+    # Flat curve: 1% discounting, annual periods, both swap rates at 2%; the
+    # caplet on the 10th forward rate, its moment matrix factored once here.
+    slice_ = SwapCurveSlice.with_flat_discounting(
         discount_rate=0.01,
         periods=10,
         daycount=1.0,
@@ -33,6 +40,7 @@ def build_slice(rho: float, alpha: float) -> SwapCurveSlice:
         correlation=rho,
         shift=alpha,
     )
+    return caplet_basket(slice_, 10)
 
 
 def main():
@@ -43,27 +51,27 @@ def main():
     rhos = [0.975, 0.985, 0.995, 1.0]
     print("Bound (undiscounted) by strike and swap-rate correlation, no shift:")
     print("strike  " + "  ".join(f"rho={rho:<6g}" for rho in rhos))
-    columns = [caplet_bounds(build_slice(rho, 0.0), 10, strikes).bounds for rho in rhos]
+    columns = [caplet_bounds(build_basket(rho, 0.0), strikes).bounds for rho in rhos]
     for k, row in zip(strikes, zip(*columns)):
         print(f"{k:6.3f}  " + "  ".join(f"{v:10.6f}" for v in row))
     print("Lower correlation decorrelates the swap legs and widens the bound.\n")
 
     print("The shift moves the discrete probability of the implied distribution:")
     for alpha in (0.0, 0.5, 1.0):
-        slice_ = build_slice(0.995, alpha)
+        basket = build_basket(0.995, alpha)
         floor = -alpha  # daycount 1 -> floor strike is -alpha
         grid = np.linspace(floor - 0.02, floor + 0.02, 41)
-        scan = caplet_cdf_scan(slice_, 10, grid)
-        mass_zero = caplet_point_mass(slice_, 10, 0.0)
-        mass_floor = caplet_point_mass(slice_, 10, floor)
+        scan = caplet_cdf_scan(basket, grid)
+        mass_zero = caplet_point_mass(basket, 0.0)
+        mass_floor = caplet_point_mass(basket, floor)
         switch = scan.switch_strikes[0] if scan.switch_strikes else float("nan")
         print(f"  alpha = {alpha:3.1f}: eigenvalue count drops 2 -> 1 at strike {switch:+.3f}; "
               f"point mass {mass_floor:.4f} there, {mass_zero:+.2e} at strike 0")
 
     print("\nPer-strike eigenvalue regime around the floor (alpha = 0.5):")
-    slice_ = build_slice(0.995, 0.5)
+    basket = build_basket(0.995, 0.5)
     for k in (-0.52, -0.51, -0.5, -0.49, -0.48):
-        scan = caplet_cdf_scan(slice_, 10, np.array([k - 0.001, k, k + 0.001]))
+        scan = caplet_cdf_scan(basket, np.array([k - 0.001, k, k + 0.001]))
         print(f"  strike {k:+.2f}: positive eigenvalues = {scan.positive_counts[1]}")
 
 

@@ -14,8 +14,9 @@ Grids are given either as explicit arrays or as {"start", "stop", "count"}.
 Unknown keys, non-finite numbers and integers above ``MAX_COUNT`` are
 rejected everywhere.  Parameter ranges are validated by the library:
 loading a config builds the library's own values (models, asset moments,
-cross root-variances, curve slices and their caplet moment matrices,
-partitions, strike grids), and the errors they raise are config errors.  A
+cross root-variances, caplet baskets, partitions, strike grids), and the
+errors they raise are config errors.  A caplet basket holds its moment
+matrix, assembled and factored once per config, and the forward rate.  A
 run executes the read-only plan of those values built at load, so it cannot
 raise a config error.  The config file is read as UTF-8, and the ``output``
 stem must have a file name in the locale's file-system encoding.
@@ -53,8 +54,7 @@ from .engine import EIG_TOL, PSD_TOL, _checked_grid, _frozen_array
 from .errors import ConfigError, MomentBoundsError, NonFiniteResult
 from .markets import (
     SwapCurveSlice,
-    _caplet_q,
-    annuity_weights,
+    caplet_basket,
     caplet_cdf_scan,
     caplet_point_mass,
     cross_root_variance,
@@ -359,52 +359,50 @@ def _prepare_caplet(parameters: dict, scan_shifts: bool):
     p = _take(parameters, "parameters", required, optional)
     nu = LognormalModel(1.0, p["sigma"], p["expiry"]).root_variance
     n = p["period_index"]
-    # markets._caplet_q below holds this rule too; checked first so that the
-    # message names the config key.
+    # markets.caplet_basket below holds this rule too; checked first so that
+    # the message names the config key.
     if not 2 <= n <= p["periods"]:
         raise ConfigError(f"period_index must lie in 2..{p['periods']}")
     shifts = p["shifts"] if scan_shifts else [p["shift"]]
     rhos = [p["correlation"]] if scan_shifts else p["correlations"]
-    slices = {}
+    # Each slice's label keys its summary entries, so no two may share one.
+    slices, leads = [], {}
     for alpha in shifts:
         for rho in rhos:
+            lead = alpha if scan_shifts else rho
+            label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
+            if label in leads:
+                raise ConfigError(f"{leads[label]!r} and {lead!r} share the summary label {label}")
+            leads[label] = lead
             slice_ = SwapCurveSlice.with_flat_discounting(
                 p["discount_rate"], p["periods"], p["daycount"], p["swap_rate"], nu, rho, alpha
             )
-            _caplet_q(slice_, n)  # shifted swap rates must be positive
-            slices[(alpha, rho)] = slice_
+            slices.append((alpha, rho, label, caplet_basket(slice_, n)))
     return {
         "slices": slices,
-        "n": n,
         # The scan's central differences need three strikes.
         "strikes": _checked_grid(p["strikes"], positive=False, min_size=3),
         "expiry": p["expiry"],
-        "shifts": shifts,
-        "rhos": rhos,
         "scan_shifts": scan_shifts,
     }
 
 
 def _run_caplet(plan):
-    strikes, n = plan["strikes"], plan["n"]
+    strikes, slices = plan["strikes"], plan["slices"]
     scan_shifts = plan["scan_shifts"]
     columns = ["alpha" if scan_shifts else "rho", "strike", "bound", "implied_normal_vol", "cdf"]
     summary = {"switch_strikes": {}, "point_mass_at_zero": {}} if scan_shifts else {"switch_strikes": {}}
-    keys = [(a, r) for a in plan["shifts"] for r in plan["rhos"]]
     scans, forwards = [], []
     try:
-        for alpha, rho in keys:
-            slice_ = plan["slices"][(alpha, rho)]
-            scan = caplet_cdf_scan(slice_, n, strikes)
+        for alpha, rho, label, basket in slices:
+            scan = caplet_cdf_scan(basket, strikes)
             curve = f"caplet bound (alpha={alpha}, rho={rho})"
             check_decreasing_convex(strikes, scan.bounds, label=curve)
             scans.append(scan)
-            swap, previous_swap = slice_.forwards[n - 1], slice_.forwards[n - 2]
-            forwards.append(annuity_weights(slice_, n).forward_from_swaps(swap, previous_swap))
-            label = f"alpha={alpha:g}" if scan_shifts else f"rho={rho:g}"
+            forwards.append(basket.forward)
             summary["switch_strikes"][label] = list(scan.switch_strikes)
             if scan_shifts:
-                summary["point_mass_at_zero"][label] = caplet_point_mass(slice_, n, 0.0)
+                summary["point_mass_at_zero"][label] = caplet_point_mass(basket, 0.0)
     finally:
         # The scanned slices invert in one call, also when a later slice
         # failed: an earlier slice's vol error then wins, as slice by slice.
@@ -412,8 +410,8 @@ def _run_caplet(plan):
         vols = implied_normal_vols(
             np.repeat(forwards, strikes.size), np.tile(strikes, len(scans)), plan["expiry"], bounds
         )
-    leads = [alpha if scan_shifts else rho for alpha, rho in keys]
-    values = [np.repeat(leads, strikes.size), np.tile(strikes, len(keys)), bounds, vols]
+    leads = [alpha if scan_shifts else rho for alpha, rho, _, _ in slices]
+    values = [np.repeat(leads, strikes.size), np.tile(strikes, len(slices)), bounds, vols]
     values.append(np.ravel([scan.cdf for scan in scans]))
     if scan_shifts:
         columns.append("positive_eigenvalues")

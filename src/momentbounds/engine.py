@@ -14,7 +14,8 @@ Everything here is pure and reentrant; inputs are copied and frozen, so
 values can be shared freely.  Strike sweeps hold Q fixed and vary only the
 quantities, so ``positive_eigenvalue_bounds`` factors Q once per sweep, solves
 the eigenproblems of all quantity vectors in stacks and returns the sweep as
-arrays (``BoundSweep``).  A single portfolio is a one-row sweep.
+arrays (``BoundSweep``).  A single portfolio is a one-row sweep.  A caplet
+basket keeps its factor, and its sweeps factor nothing.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _checked_grid(
         raise ParameterOutOfRange(f"{name} must form a 1-d grid of at least {min_size} point(s)")
     if positive and not np.all(arr > 0.0):
         raise ParameterOutOfRange(f"{name} must be positive, got {arr[~(arr > 0.0)][0]}")
-    if increasing and not np.all(np.diff(arr) > 0.0):
+    if increasing and not np.all(arr[1:] - arr[:-1] > 0.0):
         raise ParameterOutOfRange(f"{name} must be strictly increasing")
     return arr
 
@@ -237,6 +238,13 @@ def positive_eigenvalue_bounds(q: MomentMatrix, quantities) -> BoundSweep:
     """
     if not isinstance(q, MomentMatrix):
         q = MomentMatrix(q)
+    return _factored_sweep(factor_psd(q), quantities)
+
+
+def _factored_sweep(factor: PsdFactor, quantities) -> BoundSweep:
+    """``positive_eigenvalue_bounds`` over a given factor of Q, for callers
+    that hold one: a caplet basket factors its Q once, as it is built."""
+    dim = factor.matrix.shape[1]
     try:
         weights = np.array(quantities, dtype=float)
     except ValueError as exc:
@@ -247,11 +255,10 @@ def positive_eigenvalue_bounds(q: MomentMatrix, quantities) -> BoundSweep:
         )
     if not np.all(np.isfinite(weights)):
         raise ParameterOutOfRange("quantities must be finite")
-    if weights.shape[1] != q.dim:
+    if weights.shape[1] != dim:
         raise DimensionMismatch(
-            f"quantity vector has length {weights.shape[1]}, moment matrix is {q.dim}x{q.dim}"
+            f"quantity vector has length {weights.shape[1]}, moment matrix is {dim}x{dim}"
         )
-    factor = factor_psd(q)
     s = factor.matrix
     e = np.frexp(np.max(np.abs(weights), axis=1))[1]
     weights = np.ldexp(weights, -e[:, None])

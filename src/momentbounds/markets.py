@@ -8,6 +8,8 @@
   r_n = (lam_n + 1) s_n - lam_n s_{n-1} over the swap rates, with
   lam_n fixed by discount factors and daycounts, so the caplet is a
   three-asset basket (s_n, s_{n-1}, cash) fed to the eigenvalue engine.
+  ``caplet_basket`` assembles and factors its strike-free moment matrix once,
+  for every strike sweep, point mass and vol inversion of the caplet.
   Negative rates are handled by shifting rates and strike by a proportion
   of the economic floor, which leaves the payoff unchanged.  Where an
   eigenvalue of P crosses zero the implied CDF jumps by (u . s_c)^2 (u its
@@ -24,10 +26,12 @@ import numpy as np
 from .engine import (
     EIG_TOL,
     BoundSweep,
+    MomentMatrix,
+    PsdFactor,
     _checked_grid,
+    _factored_sweep,
     _frozen_array,
     factor_psd,
-    positive_eigenvalue_bounds,
 )
 from .errors import NegativeShiftedRate, ParameterOutOfRange
 from .moments import AssetMoments, assemble_q, cross_term
@@ -35,9 +39,11 @@ from .moments import AssetMoments, assemble_q, cross_term
 __all__ = [
     "SwapCurveSlice",
     "AnnuityWeights",
+    "CapletBasket",
     "CapletScan",
     "cross_root_variance",
     "annuity_weights",
+    "caplet_basket",
     "caplet_bounds",
     "caplet_cdf_scan",
     "caplet_point_mass",
@@ -168,8 +174,26 @@ def annuity_weights(slice_: SwapCurveSlice, n: int) -> AnnuityWeights:
     return AnnuityWeights(weights, lam, mean_daycount)
 
 
-def _caplet_q(slice_: SwapCurveSlice, n: int):
-    """Shifted moment matrix, inversion weight and strike shift of the n-th caplet."""
+@dataclass(frozen=True)
+class CapletBasket:
+    """The n-th caplet as a three-asset basket (s_n, s_{n-1}, cash): ``q``
+    the strike-free moment matrix of the shifted swap rates and cash,
+    ``factor`` its ``factor_psd``, ``lam`` the inversion weight,
+    ``strike_shift`` the shift alpha / delta_n every strike takes, and
+    ``forward`` the unshifted forward rate r_n = (lam + 1) s_n - lam s_{n-1}."""
+
+    q: MomentMatrix
+    factor: PsdFactor
+    lam: float
+    strike_shift: float
+    forward: float
+
+
+def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
+    """Assemble and factor the basket of the n-th caplet (2 <= n <= periods).
+
+    Raises NegativeShiftedRate unless both shifted swap rates are positive.
+    """
     if not 2 <= n <= slice_.periods:
         raise ParameterOutOfRange(
             f"caplet decomposition needs 2 <= n <= {slice_.periods}, got {n}"
@@ -191,27 +215,27 @@ def _caplet_q(slice_: SwapCurveSlice, n: int):
     ]
     rho = float(slice_.adjacent_correlations[n - 2])
     q = assemble_q(assets, [[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    return q, here.lam, strike_shift
+    forward = here.forward_from_swaps(slice_.forwards[n - 1], slice_.forwards[n - 2])
+    return CapletBasket(q, factor_psd(q), here.lam, strike_shift, float(forward))
 
 
-def caplet_bounds(slice_: SwapCurveSlice, n: int, strikes) -> BoundSweep:
+def caplet_bounds(basket: CapletBasket, strikes) -> BoundSweep:
     """Upper bounds for the undiscounted forward-starting caplet E[(r_n - k)^+]
     over a strike grid, as one engine sweep (bounds, eigenvalues, rank and
     positive counts per strike).
 
-    The three-asset moment matrix does not depend on the strike, so it is
-    assembled and factored once for the whole grid.  Strikes may be negative:
-    after shifting each is just the (signed) quantity of the cash asset, and
-    scanning below the shifted floor is what exposes the eigenvalue-regime
-    switch.  Discounting and annuity scaling are the caller's business.
+    The sweep reads the basket's factor, so Q is factored once however many
+    grids are swept.  Strikes may be negative: after shifting each is just
+    the (signed) quantity of the cash asset, and scanning below the shifted
+    floor is what exposes the eigenvalue-regime switch.  Discounting and
+    annuity scaling are the caller's business.
     """
-    q, lam, strike_shift = _caplet_q(slice_, n)
-    shifted = np.asarray(strikes, dtype=float) + strike_shift
+    shifted = np.asarray(strikes, dtype=float) + basket.strike_shift
     quantities = np.empty((shifted.size, 3))
-    quantities[:, 0] = lam + 1.0
-    quantities[:, 1] = -lam
+    quantities[:, 0] = basket.lam + 1.0
+    quantities[:, 1] = -basket.lam
     quantities[:, 2] = -shifted
-    return positive_eigenvalue_bounds(q, quantities)
+    return _factored_sweep(basket.factor, quantities)
 
 
 @dataclass(frozen=True)
@@ -237,10 +261,10 @@ class CapletScan:
             object.__setattr__(self, name, _frozen_array(getattr(self, name), None))
 
 
-def caplet_cdf_scan(slice_: SwapCurveSlice, n: int, strikes) -> CapletScan:
+def caplet_cdf_scan(basket: CapletBasket, strikes) -> CapletScan:
     """Scan bounds, implied CDF and the eigenvalue regime over a strike grid."""
     ks = _checked_grid(strikes, positive=False, min_size=3)
-    sweep = caplet_bounds(slice_, n, ks)
+    sweep = caplet_bounds(basket, ks)
     bounds = sweep.bounds
     cdf = np.empty_like(bounds)
     cdf[1:-1] = 1.0 + (bounds[2:] - bounds[:-2]) / (ks[2:] - ks[:-2])
@@ -251,7 +275,7 @@ def caplet_cdf_scan(slice_: SwapCurveSlice, n: int, strikes) -> CapletScan:
     return CapletScan(ks, bounds, cdf, counts, switches)
 
 
-def caplet_point_mass(slice_: SwapCurveSlice, n: int, strike: float) -> float:
+def caplet_point_mass(basket: CapletBasket, strike: float) -> float:
     """Discrete probability at a strike: the jump of the implied CDF there.
 
     With P = S diag(w) S^T, w = (lam + 1, -lam, -k') for the shifted strike k',
@@ -262,16 +286,16 @@ def caplet_point_mass(slice_: SwapCurveSlice, n: int, strike: float) -> float:
     (Sylvester's law), so no eigenvalue crosses zero off k' = 0 and the mass
     there is exactly 0.  At k' = 0 it is the squared distance of s_c from
     the rate columns' span, nu_n nu_{n-1} (1 - rho^2) / ((1 - q)(1 + q))
-    with q their normalised cross moment, or nu_n when q = +-1.
+    with q their normalised cross moment, or nu_n when q = +-1.  S is the
+    basket's factor: nothing is factored here.
     """
     if not np.isfinite(strike):
         raise ParameterOutOfRange(f"strike must be finite, got {strike}")
-    q, lam, strike_shift = _caplet_q(slice_, n)
-    weights = np.array([lam + 1.0, -lam, -(strike + strike_shift)])
-    factor = factor_psd(q)
+    lam, factor = basket.lam, basket.factor
+    weights = np.array([lam + 1.0, -lam, -(strike + basket.strike_shift)])
     if factor.rank == 3 and weights[2] != 0.0:
         return 0.0
     s = factor.matrix
     eigs, vectors = np.linalg.eigh((s * weights) @ s.T)
-    zero = np.abs(eigs) <= EIG_TOL * float(np.sum(np.abs(weights) * np.diag(q.entries)))
+    zero = np.abs(eigs) <= EIG_TOL * float(np.sum(np.abs(weights) * np.diag(basket.q.entries)))
     return float(np.sum((s[:, 2] @ vectors[:, zero]) ** 2))

@@ -117,8 +117,8 @@ def check_decreasing_convex(strikes, values, label: str = "bound curve") -> None
     if not finite.all():
         i = int(np.argmin(finite))  # the first value that is not finite
         raise NonFiniteResult(f"{label} is {vs[i]} at strike {ks[i]}")
-    steps = np.diff(ks)
-    slopes = np.diff(vs) / steps
+    steps = ks[1:] - ks[:-1]
+    slopes = (vs[1:] - vs[:-1]) / steps
     roundoff = 4.0 * np.finfo(float).eps * np.abs(vs)
     slack = (roundoff[:-1] + roundoff[1:]) / steps
     if np.any(slopes - slack > SHAPE_TOL):
@@ -128,7 +128,7 @@ def check_decreasing_convex(strikes, values, label: str = "bound curve") -> None
             f"(slope {slopes[i]:.3e})"
         )
     if slopes.size >= 2:
-        curvature = np.diff(slopes)
+        curvature = slopes[1:] - slopes[:-1]
         slack = slack[:-1] + slack[1:]
         if np.any(curvature + slack < -SHAPE_TOL):
             i = int(np.argmin(curvature + slack))

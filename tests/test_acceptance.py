@@ -21,6 +21,7 @@ from momentbounds.cli import load_config, run
 from momentbounds.engine import MomentMatrix, factor_psd, positive_eigenvalue_bounds
 from momentbounds.markets import (
     SwapCurveSlice,
+    caplet_basket,
     caplet_cdf_scan,
     caplet_point_mass,
     cross_root_variance,
@@ -215,11 +216,12 @@ def test_10_caplet_regime_switch():
     details = []
     for alpha in (0.0, 0.5, 1.0):
         slice_ = SwapCurveSlice.with_flat_discounting(0.01, 10, 1.0, 0.02, nu, 0.995, alpha)
+        basket = caplet_basket(slice_, 10)
         floor = -alpha
         grid = np.linspace(floor - 0.025, floor + 0.025, 51)
-        scan = caplet_cdf_scan(slice_, 10, grid)
+        scan = caplet_cdf_scan(basket, grid)
         ok &= len(scan.switch_strikes) == 1
-        mass = caplet_point_mass(slice_, 10, 0.0)
+        mass = caplet_point_mass(basket, 0.0)
         if alpha == 0.0:
             ok &= mass > 1e-6
         if alpha == 1.0:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentbounds
-from momentbounds import cli
+from momentbounds import cli, markets
 from momentbounds.cli import EXPERIMENTS, load_config, main, run
 from momentbounds.errors import ConfigError, DegenerateCell, NegativeShiftedRate
 from momentbounds.vanilla import check_decreasing_convex, smile_curves
@@ -143,6 +143,20 @@ class TestRun:
         # Flat partitions are solved per cell in closed form, with no factor.
         assert len(factor_calls) == 0
 
+    def test_caplet_assembles_and_factors_each_slice_once(self, tmp_path, factor_calls, monkeypatch):
+        assembled = []
+        original = markets.assemble_q
+
+        def counting(*args):
+            assembled.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(markets, "assemble_q", counting)
+        run(load_config(CONFIG_DIR / "caplet_cdf.json"), tmp_path / "out")
+        # One basket per shift, built at load; the sweep, the point mass and
+        # the vol inversion of a run all read it.
+        assert (len(assembled), len(factor_calls)) == (3, 3)
+
     def test_infinite_vol_uses_sentinel(self, tmp_path):
         payload = smile_config()
         payload["parameters"]["root_variances"] = [1.0]
@@ -154,7 +168,7 @@ class TestRun:
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "caplet_cdf_scan", failing_caplet_scan)
         config = load_config(write_config(tmp_path / "c.json", caplet_config()))
-        with pytest.raises(Exception):
+        with pytest.raises(NegativeShiftedRate):
             run(config, tmp_path / "out")
         assert not (tmp_path / "out" / "caplet.csv").exists()
         assert not (tmp_path / "out" / "caplet_manifest.json").exists()
@@ -403,7 +417,7 @@ def caplet_config(**parameters):
     return payload
 
 
-def failing_caplet_scan(slice_, n, strikes):
+def failing_caplet_scan(basket, strikes):
     # A numerical failure of the run: load_config already rejects a config
     # whose shifted swap rates the real scan would refuse.
     raise NegativeShiftedRate("shifted swap rates must be positive")
@@ -411,6 +425,12 @@ def failing_caplet_scan(slice_, n, strikes):
 
 def caplet_cdf_config(**parameters):
     payload = json.loads((CONFIG_DIR / "caplet_cdf.json").read_text())
+    payload["parameters"].update(parameters)
+    return payload
+
+
+def caplet_bound_config(**parameters):
+    payload = json.loads((CONFIG_DIR / "caplet_bound.json").read_text())
     payload["parameters"].update(parameters)
     return payload
 
@@ -484,6 +504,12 @@ class TestExitCodes:
                 "shifted swap rates (-0.05, -0.05) must be positive",
             ),
             (caplet_config(root_variance=0.04), "unknown key(s) in parameters: root_variance"),
+            # Two slices whose summary entries would share one label.
+            (
+                caplet_bound_config(correlations=[0.9999991, 0.9999992]),
+                "0.9999991 and 0.9999992 share the summary label rho=0.999999",
+            ),
+            (caplet_cdf_config(shifts=[0.5, 0.5]), "0.5 and 0.5 share the summary label alpha=0.5"),
             (local_attain_config(root_variance=1.0), "strictly inside"),
             # The tolerances are engine constants, not config knobs.
             (smile_config(tolerances={"psd": 1e-10, "eig": 1e-12}), "tolerances"),
@@ -543,6 +569,8 @@ class TestExitCodes:
             "caplet-negative-shifted-rate",
             "caplet-cdf-negative-shifted-rate",
             "caplet-root-variance-key",
+            "caplet-correlation-labels-collide",
+            "caplet-cdf-shift-labels-collide",
             "local-attain-nu-one",
             "tolerances-block",
             "local-attain-attain-tol",
@@ -694,11 +722,11 @@ class TestExitCodes:
         real_scan = cli.caplet_cdf_scan
         calls = []
 
-        def scan(slice_, n, strikes):
-            calls.append(slice_)
+        def scan(basket, strikes):
+            calls.append(basket)
             if len(calls) == 2:
                 raise NegativeShiftedRate("second slice")
-            result = real_scan(slice_, n, strikes)
+            result = real_scan(basket, strikes)
             # Half the bound is below intrinsic in the money, but still
             # decreasing and convex.
             if first_slice_bad:

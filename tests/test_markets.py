@@ -9,8 +9,8 @@ from momentbounds.engine import factor_psd
 from momentbounds.errors import NegativeShiftedRate, ParameterOutOfRange
 from momentbounds.markets import (
     SwapCurveSlice,
-    _caplet_q,
     annuity_weights,
+    caplet_basket,
     caplet_bounds,
     caplet_cdf_scan,
     caplet_point_mass,
@@ -169,18 +169,18 @@ class TestCapletBound:
         # 2x2 vanilla problem.
         slice_ = figure_slice(rho=1.0, alpha=0.0)
         ks = [0.005, 0.02, 0.04]
-        bounds = caplet_bounds(slice_, 10, ks).bounds
+        bounds = caplet_bounds(caplet_basket(slice_, 10), ks).bounds
         assert bounds == pytest.approx(vanilla_bounds(0.02, LOGNORMAL_NU, ks), abs=1e-10)
 
     def test_decreasing_convex_in_strike(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         ks = np.linspace(0.001, 0.06, 40)
-        check_decreasing_convex(ks, caplet_bounds(slice_, 10, ks).bounds)
+        check_decreasing_convex(ks, caplet_bounds(caplet_basket(slice_, 10), ks).bounds)
 
     def test_bound_increases_as_rho_decreases(self):
         for k in (0.01, 0.02, 0.04):
             values = [
-                caplet_bounds(figure_slice(rho=float(r), alpha=0.0), 10, [k]).bounds[0]
+                caplet_bounds(caplet_basket(figure_slice(rho=float(r), alpha=0.0), 10), [k]).bounds[0]
                 for r in (0.975, 0.98, 0.985, 0.99, 0.995, 1.0)
             ]
             assert np.all(np.diff(values) <= 1e-12)
@@ -190,7 +190,7 @@ class TestCapletBound:
         # the intrinsic forward value, shifted or not.
         for alpha in (0.0, 0.5, 1.0):
             slice_ = figure_slice(rho=0.995, alpha=alpha, nu=0.0)
-            bounds = caplet_bounds(slice_, 10, [0.01, 0.05]).bounds
+            bounds = caplet_bounds(caplet_basket(slice_, 10), [0.01, 0.05]).bounds
             assert bounds == pytest.approx([0.01, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize("k", [1e10, 1e11])
@@ -200,7 +200,7 @@ class TestCapletBound:
         # A 60-digit eigensolve of the same Q gives 4.8373e-3 at every k
         # from 1e8 to 1e20.
         slice_ = SwapCurveSlice.with_flat_discounting(0.01, 10, 1.0, 0.02, 0.15, 0.995, 0.0)
-        sweep = caplet_bounds(slice_, 10, [k])
+        sweep = caplet_bounds(caplet_basket(slice_, 10), [k])
         assert sweep.bounds[0] == pytest.approx(4.8373e-3, rel=1e-3, abs=0.0)
         assert sweep.positive_counts[0] == 0
 
@@ -209,21 +209,21 @@ class TestCapletBound:
             0.01, 5, 1.0, -0.005, LOGNORMAL_NU, 0.995, 0.0
         )
         with pytest.raises(NegativeShiftedRate):
-            caplet_bounds(slice_, 5, [0.01])
+            caplet_basket(slice_, 5)
 
     def test_period_index_validated(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         with pytest.raises(ParameterOutOfRange):
-            caplet_bounds(slice_, 1, [0.01])
+            caplet_basket(slice_, 1)
         with pytest.raises(ParameterOutOfRange):
-            caplet_bounds(slice_, 11, [0.01])
+            caplet_basket(slice_, 11)
 
 
 class TestCapletScan:
     def test_deterministic_rates_make_step_cdf(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0, nu=0.0)
         ks = np.linspace(0.001, 0.04, 40)
-        scan = caplet_cdf_scan(slice_, 10, ks)
+        scan = caplet_cdf_scan(caplet_basket(slice_, 10), ks)
         below = scan.strikes < 0.0195
         above = scan.strikes > 0.0205
         assert np.allclose(scan.cdf[below], 0.0, atol=1e-9)
@@ -234,28 +234,28 @@ class TestCapletScan:
         slice_ = figure_slice(rho=0.995, alpha=alpha)
         floor = -alpha  # daycount 1.0
         ks = np.linspace(floor - 0.02, floor + 0.02, 41)
-        scan = caplet_cdf_scan(slice_, 10, ks)
+        scan = caplet_cdf_scan(caplet_basket(slice_, 10), ks)
         assert len(scan.switch_strikes) == 1
         assert scan.switch_strikes[0] == pytest.approx(floor, abs=1.1e-3)
         assert scan.positive_counts[0] == 2
         assert scan.positive_counts[-1] == 1
 
     def test_point_mass_moves_with_shift(self):
-        mass_at_zero_unshifted = caplet_point_mass(figure_slice(0.995, 0.0), 10, 0.0)
+        mass_at_zero_unshifted = caplet_point_mass(caplet_basket(figure_slice(0.995, 0.0), 10), 0.0)
         assert mass_at_zero_unshifted > 1e-3
-        shifted = figure_slice(0.995, 1.0)
-        assert abs(caplet_point_mass(shifted, 10, 0.0)) < 1e-8
-        assert caplet_point_mass(shifted, 10, -1.0) > 1e-3
+        shifted = caplet_basket(figure_slice(0.995, 1.0), 10)
+        assert abs(caplet_point_mass(shifted, 0.0)) < 1e-8
+        assert caplet_point_mass(shifted, -1.0) > 1e-3
 
     def test_point_mass_smooth_region_is_tiny(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
-        assert abs(caplet_point_mass(slice_, 10, 0.02)) < 1e-8
+        assert abs(caplet_point_mass(caplet_basket(slice_, 10), 0.02)) < 1e-8
 
     def test_scan_leaves_caller_strikes_writable(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         ks = np.linspace(0.001, 0.04, 9)
         assert ks.flags.writeable
-        scan = caplet_cdf_scan(slice_, 10, ks)
+        scan = caplet_cdf_scan(caplet_basket(slice_, 10), ks)
         assert ks.flags.writeable
         ks[0] = 0.5
         assert scan.strikes[0] == 0.001
@@ -264,7 +264,7 @@ class TestCapletScan:
     def test_scan_requires_increasing_grid(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         with pytest.raises(ParameterOutOfRange):
-            caplet_cdf_scan(slice_, 10, [0.02, 0.01, 0.03])
+            caplet_cdf_scan(caplet_basket(slice_, 10), [0.02, 0.01, 0.03])
 
 
 class TestEigenvalueRegime:
@@ -273,30 +273,42 @@ class TestEigenvalueRegime:
         # the quantities, so two positives below the shifted floor and one
         # above.
         slice_ = figure_slice(rho=0.995, alpha=0.5)
-        sweep = caplet_bounds(slice_, 10, [-0.51, -0.49, 0.02])
+        sweep = caplet_bounds(caplet_basket(slice_, 10), [-0.51, -0.49, 0.02])
         assert sweep.positive_counts.tolist() == [2, 1, 1]
 
 
 class TestBatchedCaplets:
     def test_scan_matches_single_strikes_exactly(self):
-        slice_ = figure_slice(0.8, 0.5)
+        basket = caplet_basket(figure_slice(0.8, 0.5), 3)
         strikes = np.linspace(-0.03, 0.06, 19)
-        scan = caplet_cdf_scan(slice_, 3, strikes)
+        scan = caplet_cdf_scan(basket, strikes)
         for i, k in enumerate(strikes):
-            single = caplet_bounds(slice_, 3, [k])
+            single = caplet_bounds(basket, [k])
             assert scan.bounds[i] == single.bounds[0]
             assert scan.positive_counts[i] == single.positive_counts[0]
 
     def test_cdf_scan_factors_once(self, factor_calls):
-        caplet_cdf_scan(figure_slice(0.8, 0.5), 3, np.linspace(-0.03, 0.06, 91))
+        basket = caplet_basket(figure_slice(0.8, 0.5), 3)
+        assert len(factor_calls) == 1
+        caplet_cdf_scan(basket, np.linspace(-0.03, 0.06, 91))
+        caplet_bounds(basket, [0.01])
         assert len(factor_calls) == 1
 
     def test_point_mass_factors_once_without_the_sweep(self, factor_calls, monkeypatch):
+        # The one factor is the basket's: the point mass reads it.
+        basket = caplet_basket(figure_slice(0.8, 0.5), 3)
         sweeps = []
-        monkeypatch.setattr(markets, "positive_eigenvalue_bounds", lambda *args: sweeps.append(args))
-        caplet_point_mass(figure_slice(0.8, 0.5), 3, 0.0)
+        monkeypatch.setattr(markets, "_factored_sweep", lambda *args: sweeps.append(args))
+        caplet_point_mass(basket, 0.0)
         assert len(factor_calls) == 1
         assert sweeps == []
+
+    def test_basket_forward_is_the_annuity_inversion(self):
+        # Bit for bit: the runner inverts implied vols about this forward.
+        for slice_, n, _ in random_caplet_slices(2030, 50):
+            swap, previous_swap = slice_.forwards[n - 1], slice_.forwards[n - 2]
+            expected = annuity_weights(slice_, n).forward_from_swaps(swap, previous_swap)
+            assert caplet_basket(slice_, n).forward == expected
 
 
 def mp_floor_mass(nu_n: float, nu_prev: float, rho: float):
@@ -357,7 +369,7 @@ class TestCapletPointMass:
             exact, gap = mp_floor_mass(
                 slice_.root_variances[n - 1], slice_.root_variances[n - 2], rho
             )
-            mass = caplet_point_mass(slice_, n, floor)
+            mass = caplet_point_mass(caplet_basket(slice_, n), floor)
             if 1.0 - abs(rho) >= self.FULL_RANK_GAP:
                 tolerance = 1e-13
             else:
@@ -373,7 +385,7 @@ class TestCapletPointMass:
             if 1.0 - abs(float(slice_.adjacent_correlations[n - 2])) >= self.FULL_RANK_GAP:
                 checked += 1
                 for strike in (floor - 1e-3, floor + 1e-3, 0.013):
-                    assert caplet_point_mass(slice_, n, strike) == 0.0, (n, strike)
+                    assert caplet_point_mass(caplet_basket(slice_, n), strike) == 0.0, (n, strike)
         assert checked > 100
 
     def test_nearly_singular_full_rank_slices_have_no_mass_off_the_floor(self):
@@ -383,10 +395,11 @@ class TestCapletPointMass:
         checked = 0
         for slice_, n, floor in random_caplet_slices(2029, 400):
             near = 1.0 - abs(float(slice_.adjacent_correlations[n - 2])) < self.FULL_RANK_GAP
-            if near and factor_psd(_caplet_q(slice_, n)[0]).rank == 3:
+            basket = caplet_basket(slice_, n)
+            if near and basket.factor.rank == 3:
                 checked += 1
                 for step in (-1e-2, -1e-3, 1e-3, 1e-2):
-                    assert caplet_point_mass(slice_, n, floor + step) == 0.0, (n, step)
+                    assert caplet_point_mass(basket, floor + step) == 0.0, (n, step)
         assert checked > 100
 
     def test_deterministic_rates_put_all_mass_at_the_forward(self):
@@ -394,30 +407,31 @@ class TestCapletPointMass:
             slice_ = figure_slice(rho=0.995, alpha=alpha, nu=0.0)
             weights = annuity_weights(slice_, 10)
             forward = weights.forward_from_swaps(slice_.forwards[9], slice_.forwards[8])
-            assert caplet_point_mass(slice_, 10, forward) == pytest.approx(1.0, abs=1e-12)
+            mass = caplet_point_mass(caplet_basket(slice_, 10), forward)
+            assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_perfectly_anticorrelated_atom_leaves_the_floor(self):
         # rho = -1 makes Q of rank two, P = A_0 - k' s_c s_c^T a 2x2 matrix;
         # by the matrix determinant lemma it is singular at
         # k' = 1 / (s_c^T y), y = A_0^-1 s_c, with null vector y.
-        slice_ = figure_slice(rho=-1.0, alpha=0.3)
-        q, lam, strike_shift = _caplet_q(slice_, 10)
-        s = factor_psd(q).matrix
+        basket = caplet_basket(figure_slice(rho=-1.0, alpha=0.3), 10)
+        lam = basket.lam
+        s = factor_psd(basket.q).matrix
         cash = s[:, 2]
         y = np.linalg.solve((s * [lam + 1.0, -lam, 0.0]) @ s.T, cash)
-        atom = 1.0 / (cash @ y) - strike_shift
+        atom = 1.0 / (cash @ y) - basket.strike_shift
         assert atom == pytest.approx(-122.0459, abs=1e-4)
-        mass = caplet_point_mass(slice_, 10, atom)
+        mass = caplet_point_mass(basket, atom)
         assert mass == pytest.approx((cash @ y) ** 2 / (y @ y), rel=1e-10, abs=0.0)
-        assert caplet_point_mass(slice_, 10, -0.3) == 0.0
+        assert caplet_point_mass(basket, -0.3) == 0.0
 
     def test_parallel_rate_columns_give_nu_at_the_floor(self):
         for alpha in (0.0, 0.3, 1.0):
             slice_ = figure_slice(rho=1.0, alpha=alpha)
-            mass = caplet_point_mass(slice_, 10, -alpha)
+            mass = caplet_point_mass(caplet_basket(slice_, 10), -alpha)
             assert mass == pytest.approx(LOGNORMAL_NU, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("strike", [math.inf, -math.inf, math.nan])
     def test_non_finite_strike_raises(self, strike):
         with pytest.raises(ParameterOutOfRange, match="finite"):
-            caplet_point_mass(figure_slice(0.995, 0.0), 10, strike)
+            caplet_point_mass(caplet_basket(figure_slice(0.995, 0.0), 10), strike)
