@@ -392,24 +392,21 @@ def _run_caplet(plan):
     scan_shifts = plan["scan_shifts"]
     columns = ["alpha" if scan_shifts else "rho", "strike", "bound", "implied_normal_vol", "cdf"]
     summary = {"switch_strikes": {}, "point_mass_at_zero": {}} if scan_shifts else {"switch_strikes": {}}
-    scans, forwards = [], []
-    try:
-        for alpha, rho, label, basket in slices:
-            scan = caplet_cdf_scan(basket, strikes)
-            curve = f"caplet bound (alpha={alpha}, rho={rho})"
-            check_decreasing_convex(strikes, scan.bounds, label=curve)
-            scans.append(scan)
-            forwards.append(basket.forward)
-            summary["switch_strikes"][label] = list(scan.switch_strikes)
-            if scan_shifts:
-                summary["point_mass_at_zero"][label] = caplet_point_mass(basket, 0.0)
-    finally:
-        # The scanned slices invert in one call, also when a later slice
-        # failed: an earlier slice's vol error then wins, as slice by slice.
-        bounds = np.ravel([scan.bounds for scan in scans])
-        vols = implied_normal_vols(
-            np.repeat(forwards, strikes.size), np.tile(strikes, len(scans)), plan["expiry"], bounds
-        )
+    scans = []
+    for alpha, rho, label, basket in slices:
+        scan = caplet_cdf_scan(basket, strikes)
+        curve = f"caplet bound (alpha={alpha}, rho={rho})"
+        check_decreasing_convex(strikes, scan.bounds, label=curve)
+        scans.append(scan)
+        summary["switch_strikes"][label] = list(scan.switch_strikes)
+        if scan_shifts:
+            summary["point_mass_at_zero"][label] = caplet_point_mass(basket, 0.0)
+    # Every slice is scanned first; then all of them invert in one call.
+    forwards = [basket.forward for _, _, _, basket in slices]
+    bounds = np.ravel([scan.bounds for scan in scans])
+    vols = implied_normal_vols(
+        np.repeat(forwards, strikes.size), np.tile(strikes, len(slices)), plan["expiry"], bounds
+    )
     leads = [alpha if scan_shifts else rho for alpha, rho, _, _ in slices]
     values = [np.repeat(leads, strikes.size), np.tile(strikes, len(slices)), bounds, vols]
     values.append(np.ravel([scan.cdf for scan in scans]))

@@ -12,10 +12,10 @@ every eigenvalue above roundoff level (``factor_psd``).
 
 Everything here is pure and reentrant; inputs are copied and frozen, so
 values can be shared freely.  Strike sweeps hold Q fixed and vary only the
-quantities, so ``positive_eigenvalue_bounds`` factors Q once per sweep, solves
-the eigenproblems of all quantity vectors in stacks and returns the sweep as
-arrays (``BoundSweep``).  A single portfolio is a one-row sweep.  A caplet
-basket keeps its factor, and its sweeps factor nothing.
+quantities, so a caller factors Q once with ``factor_psd`` and hands the
+factor to ``positive_eigenvalue_bounds``, which solves the eigenproblems of
+all quantity vectors in stacks and returns the sweep as arrays
+(``BoundSweep``).  A single portfolio is a one-row sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "MomentMatrix",
     "PsdFactor",
     "BoundSweep",
-    "symmetric_eigenvalues",
     "factor_psd",
     "positive_eigenvalue_bounds",
 ]
@@ -141,48 +140,19 @@ class BoundSweep:
     Attributes:
         bounds: (k,) bound of each row: the sum of the positive eigenvalues
             of its P (price units, >= 0).
-        eigenvalues: (k, rank_q) eigenvalues of each row's P, descending.
-        rank_q: numerical rank of Q, shared by the sweep.
-        clipped_negative_mass: negative eigenvalue mass of Q, scaled to unit
-            diagonal, clipped to zero; shared likewise.
+        eigenvalues: (k, rank) eigenvalues of each row's P, descending, with
+            ``rank`` that of the factor.
         positive_counts: (k,) eigenvalues above ``EIG_TOL`` times each
             row's largest |eigenvalue|.
     """
 
     bounds: np.ndarray
     eigenvalues: np.ndarray
-    rank_q: int
-    clipped_negative_mass: float
     positive_counts: np.ndarray
 
     def __post_init__(self):
         for name in ("bounds", "eigenvalues", "positive_counts"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), None))
-
-
-def symmetric_eigenvalues(matrix) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, in descending order.
-
-    A stack of shape (k, n, n) gives a (k, n) array, one row per matrix, and
-    each matrix is checked for symmetry on its own scale.  Raises
-    ConvergenceFailure if the underlying QR iteration fails, which signals
-    pathological scaling of the inputs.
-    """
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {arr.shape}")
-    transposed = arr.swapaxes(-1, -2)
-    if arr.size:
-        scale = np.max(np.abs(arr), axis=(-2, -1))
-        asymmetry = np.max(np.abs(arr - transposed), axis=(-2, -1))
-        if np.any((scale > 0.0) & (asymmetry > 16.0 * np.finfo(float).eps * scale)):
-            raise ParameterOutOfRange("matrix is not symmetric within representation")
-    sym = 0.5 * (arr + transposed)
-    try:
-        eigs = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return eigs[..., ::-1].copy()
 
 
 def factor_psd(q: MomentMatrix) -> PsdFactor:
@@ -221,29 +191,25 @@ def factor_psd(q: MomentMatrix) -> PsdFactor:
     return PsdFactor(s, s.shape[0], "eigen", clipped)
 
 
-def positive_eigenvalue_bounds(q: MomentMatrix, quantities) -> BoundSweep:
+def positive_eigenvalue_bounds(factor: PsdFactor, quantities) -> BoundSweep:
     """Supremum price of the portfolio option for each row of a (k, n)
-    array of signed quantities, from the moment matrix Q.
+    array of signed quantities, from a factor Q = S^T S of the moment matrix
+    (``factor_psd``).
 
-    Computes P = S L S^T for a factor Q = S^T S and sums every positive
-    eigenvalue of P; ``EIG_TOL`` (relative to the spectral radius of P) only
-    sets which of them ``positive_counts`` counts.  Q is validated and factored
-    once; the P matrices are formed and solved in stacks of at most
-    ``STACK_BYTES``.  Each row is solved in units of the power of two of its
-    largest quantity, which is exact and keeps P finite for quantities near
-    the float maximum; the bound is homogeneous of degree one in them.
-    Quantities must be finite, and each row gets its own count threshold, so
-    row ``i`` of the sweep is identical to what a one-row sweep of that row
-    returns.
+    Computes P = S L S^T and sums every positive eigenvalue of P; ``EIG_TOL``
+    (relative to the spectral radius of P) only sets which of them
+    ``positive_counts`` counts.  The P matrices are formed, symmetrised and
+    solved in stacks of at most ``STACK_BYTES``.  Each row is solved in units
+    of the power of two of its largest quantity, which is exact and keeps P
+    finite for quantities near the float maximum; the bound is homogeneous of
+    degree one in them.  Quantities must be finite, and each row gets its own
+    count threshold, so row ``i`` of the sweep is identical to what a one-row
+    sweep of that row returns.
+
+    Raises:
+        ConvergenceFailure: the symmetric eigensolver failed, which signals
+            pathological scaling of the inputs.
     """
-    if not isinstance(q, MomentMatrix):
-        q = MomentMatrix(q)
-    return _factored_sweep(factor_psd(q), quantities)
-
-
-def _factored_sweep(factor: PsdFactor, quantities) -> BoundSweep:
-    """``positive_eigenvalue_bounds`` over a given factor of Q, for callers
-    that hold one: a caplet basket factors its Q once, as it is built."""
     dim = factor.matrix.shape[1]
     try:
         weights = np.array(quantities, dtype=float)
@@ -266,7 +232,11 @@ def _factored_sweep(factor: PsdFactor, quantities) -> BoundSweep:
     eigs = np.empty((len(weights), factor.rank))
     for start in range(0, len(weights), per_stack):
         p = (s[None] * weights[start : start + per_stack, None, :]) @ s.T
-        eigs[start : start + per_stack] = symmetric_eigenvalues(0.5 * (p + p.swapaxes(1, 2)))
+        try:
+            stack = np.linalg.eigvalsh(0.5 * (p + p.swapaxes(1, 2)))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
+        eigs[start : start + per_stack] = stack[:, ::-1]
     # Each row's positive eigenvalues are a prefix of its descending ones;
     # rows with equal counts sum their prefixes together, as single rows would.
     positive = np.sum(eigs > 0.0, axis=1)
@@ -276,4 +246,4 @@ def _factored_sweep(factor: PsdFactor, quantities) -> BoundSweep:
         bounds[rows] = np.sum(eigs[rows, :m], axis=1)
     counts = np.sum(eigs > EIG_TOL * np.max(np.abs(eigs), axis=1)[:, None], axis=1)
     bounds, eigs = np.ldexp(bounds, e), np.ldexp(eigs, e[:, None])
-    return BoundSweep(bounds, eigs, factor.rank, factor.clipped_negative_mass, counts)
+    return BoundSweep(bounds, eigs, counts)

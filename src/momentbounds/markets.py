@@ -29,9 +29,9 @@ from .engine import (
     MomentMatrix,
     PsdFactor,
     _checked_grid,
-    _factored_sweep,
     _frozen_array,
     factor_psd,
+    positive_eigenvalue_bounds,
 )
 from .errors import NegativeShiftedRate, ParameterOutOfRange
 from .moments import AssetMoments, assemble_q, cross_term
@@ -221,8 +221,8 @@ def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
 
 def caplet_bounds(basket: CapletBasket, strikes) -> BoundSweep:
     """Upper bounds for the undiscounted forward-starting caplet E[(r_n - k)^+]
-    over a strike grid, as one engine sweep (bounds, eigenvalues, rank and
-    positive counts per strike).
+    over a strike grid, as one engine sweep (bounds, eigenvalues and positive
+    counts per strike).
 
     The sweep reads the basket's factor, so Q is factored once however many
     grids are swept.  Strikes may be negative: after shifting each is just
@@ -235,7 +235,7 @@ def caplet_bounds(basket: CapletBasket, strikes) -> BoundSweep:
     quantities[:, 0] = basket.lam + 1.0
     quantities[:, 1] = -basket.lam
     quantities[:, 2] = -shifted
-    return _factored_sweep(basket.factor, quantities)
+    return positive_eigenvalue_bounds(basket.factor, quantities)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .engine import (
     MomentMatrix,
     _checked_grid,
     _frozen_array,
+    factor_psd,
     positive_eigenvalue_bounds,
 )
 from .errors import ConvergenceFailure, DegenerateCell, ParameterOutOfRange, QuadratureBudgetExceeded
@@ -309,7 +310,7 @@ def _dense_bounds(moments: ConditionalMoments, ks: np.ndarray) -> np.ndarray:
     n = moments.cells
     quantities = np.ones((ks.size, 2 * n))
     quantities[:, n:] = -ks[:, None]
-    sweep = positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities)
+    sweep = positive_eigenvalue_bounds(factor_psd(partition_moment_matrix(moments)), quantities)
     return sweep.bounds.copy()  # writable, like the other paths' results
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _checked_grid, _frozen_array
-from .errors import MomentBoundsError, NonFiniteResult, ParameterOutOfRange, ShapeViolation
+from .errors import NonFiniteResult, ParameterOutOfRange, ShapeViolation
 from .models import _check_elements, implied_lognormal_vols
 
 __all__ = [
@@ -166,19 +166,12 @@ class VanillaBoundCurve:
 
 def smile_curves(f: float, nus, strikes, expiry: float) -> list:
     """Bound curves with implied lognormal vols and implied CDF on one strike
-    grid, one per root-variance in ``nus``.  All bounds invert in one call; if
-    it fails, the curves invert one by one, so the first failing curve raises
-    as it would on its own."""
+    grid, one per root-variance in ``nus``.  All bounds invert in one call,
+    and then the curves are built."""
     ks = _checked_grid(strikes, min_size=2)
     nus = np.asarray(nus, dtype=float).reshape(-1)
     bounds = vanilla_bounds(f, nus[:, None], ks)
     cdf = implied_cdfs(f, nus[:, None], ks)
-    try:
-        vols = implied_lognormal_vols(f, np.tile(ks, nus.size), expiry, bounds.ravel())
-        vols = vols.reshape(bounds.shape)
-    except MomentBoundsError:
-        vols = [None] * nus.size
-    return [
-        VanillaBoundCurve(ks, b, implied_lognormal_vols(f, ks, expiry, b) if v is None else v, c)
-        for b, v, c in zip(bounds, vols, cdf)
-    ]
+    vols = implied_lognormal_vols(f, np.tile(ks, nus.size), expiry, bounds.ravel())
+    vols = vols.reshape(bounds.shape)
+    return [VanillaBoundCurve(ks, b, v, c) for b, v, c in zip(bounds, vols, cdf)]

@@ -1,6 +1,6 @@
 import pytest
 
-from momentbounds import engine, markets
+from momentbounds import engine, markets, partition
 
 
 @pytest.fixture
@@ -13,7 +13,8 @@ def factor_calls(monkeypatch) -> list:
         calls.append(q)
         return original(q)
 
-    # markets binds the name itself, for the caplet point mass.
-    for module in (engine, markets):
+    # markets binds the name itself, for caplet_basket, and partition for its
+    # dense fallback.
+    for module in (engine, markets, partition):
         monkeypatch.setattr(module, "factor_psd", counting)
     return calls

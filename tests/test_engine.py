@@ -10,9 +10,9 @@ from momentbounds.engine import (
     MomentMatrix,
     factor_psd,
     positive_eigenvalue_bounds,
-    symmetric_eigenvalues,
 )
 from momentbounds.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NotPositiveSemiDefinite,
     ParameterOutOfRange,
@@ -35,8 +35,8 @@ def exact_rank_two(rng, n):
 def bound_through(factor, quantities):
     """Positive eigenvalue sum of S L S^T for a given factor S (Q = S^T S)."""
     p = (factor * quantities[None, :]) @ factor.T
-    eigs = symmetric_eigenvalues(0.5 * (p + p.T))
-    return float(np.sum(eigs[eigs > EIG_TOL * np.max(np.abs(eigs))]))
+    eigs = np.linalg.eigvalsh(0.5 * (p + p.T))[::-1]
+    return float(np.sum(eigs[eigs > 0.0]))
 
 
 class TestMomentMatrix:
@@ -65,7 +65,7 @@ class TestMomentMatrix:
 
 class TestFactorPsd:
     def test_identity(self):
-        fac = factor_psd(MomentMatrix(np.eye(2)))
+        fac = factor_psd(np.eye(2))
         assert fac.rank == 2
         assert np.allclose(fac.matrix, np.eye(2))
 
@@ -111,7 +111,7 @@ class TestFactorPsd:
         r = 1.0 - 1e-12
         q = MomentMatrix([[1.0, r], [r, 1.0]])
         assert factor_psd(q).rank == 2
-        bound = positive_eigenvalue_bounds(q, [[1.0, -1.0]]).bounds[0]
+        bound = positive_eigenvalue_bounds(factor_psd(q), [[1.0, -1.0]]).bounds[0]
         assert bound == pytest.approx(math.sqrt((1.0 - r) * (1.0 + r)), rel=1e-3, abs=0.0)
 
     def test_indefinite_raises(self):
@@ -163,58 +163,16 @@ class TestFactorPsd:
             for k in (0.005, 0.01, 0.015, 0.02):
                 lam = np.array([10.0, -9.0, -k])
                 want = bound_through(cholesky, lam)
-                got = positive_eigenvalue_bounds(q, [lam]).bounds[0]
+                got = positive_eigenvalue_bounds(factor_psd(q), [lam]).bounds[0]
                 worst = max(worst, abs(got - want) / want)
         assert worst <= 5e-12
-
-
-class TestSymmetricEigenvalues:
-    def test_diagonal_case(self):
-        assert np.allclose(symmetric_eigenvalues(np.diag([3.0, -1.0, 0.0])), [3.0, 0.0, -1.0])
-
-    def test_exchange_matrix(self):
-        assert np.allclose(symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]]), [1.0, -1.0])
-
-    def test_vanilla_p_matrix_roots(self):
-        # P for f = 1, k = 0.8, nu = 0.04; eigenvalues are the roots of
-        # p^2 - 0.2 p - 0.032 = 0.
-        f, k, nu = 1.0, 0.8, 0.04
-        p = np.array(
-            [
-                [f * nu, f * math.sqrt(nu * (1.0 - nu))],
-                [f * math.sqrt(nu * (1.0 - nu)), f * (1.0 - nu) - k],
-            ]
-        )
-        disc = math.sqrt(0.2**2 + 4.0 * 0.032)
-        expected = [(0.2 + disc) / 2.0, (0.2 - disc) / 2.0]
-        assert np.allclose(symmetric_eigenvalues(p), expected, atol=1e-14)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ParameterOutOfRange):
-            symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
-
-    def test_stack_matches_single_matrices(self):
-        rng = np.random.default_rng(41)
-        a = rng.standard_normal((6, 4, 4))
-        stack = a + a.transpose(0, 2, 1)
-        eigs = symmetric_eigenvalues(stack)
-        assert eigs.shape == (6, 4)
-        for row, matrix in zip(eigs, stack):
-            assert np.array_equal(row, symmetric_eigenvalues(matrix))
-
-    def test_stack_checks_each_matrix_on_its_own_scale(self):
-        # The second matrix's asymmetry is tiny next to the first's entries
-        # but not next to its own.
-        stack = np.array([[[1e6, 0.0], [0.0, 1e6]], [[0.0, 1.0], [1.0 + 1e-12, 0.0]]])
-        with pytest.raises(ParameterOutOfRange):
-            symmetric_eigenvalues(stack)
 
 
 class TestPositiveEigenvalueBound:
     """One portfolio at a time: one-row sweeps."""
 
     def test_identity_case(self):
-        result = positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), [[1.0, -1.0]])
+        result = positive_eigenvalue_bounds(factor_psd(np.eye(2)), [[1.0, -1.0]])
         assert result.bounds[0] == pytest.approx(1.0, abs=1e-15)
         assert result.positive_counts.tolist() == [1]
         assert np.allclose(result.eigenvalues[0], [1.0, -1.0])
@@ -224,25 +182,33 @@ class TestPositiveEigenvalueBound:
         nu = 0.04
         s = math.sqrt(f * (1.0 - nu))
         q = MomentMatrix([[f, s], [s, 1.0]])
-        bound = positive_eigenvalue_bounds(q, [[1.0, -k]]).bounds[0]
+        bound = positive_eigenvalue_bounds(factor_psd(q), [[1.0, -k]]).bounds[0]
         assert bound == pytest.approx(math.sqrt(f * k * nu), rel=1e-14, abs=0.0)
 
+    def test_vanilla_p_matrix_roots(self):
+        # The vanilla Q for f = 1, nu = 0.04 with quantities (1, -0.8): the
+        # eigenvalues are the roots of p^2 - 0.2 p - 0.032 = 0.
+        f, k, nu = 1.0, 0.8, 0.04
+        q = MomentMatrix([[f, math.sqrt(f * (1.0 - nu))], [math.sqrt(f * (1.0 - nu)), 1.0]])
+        eigs = positive_eigenvalue_bounds(factor_psd(q), [[1.0, -k]]).eigenvalues[0]
+        disc = math.sqrt(0.2**2 + 4.0 * 0.032)
+        expected = [(0.2 + disc) / 2.0, (0.2 - disc) / 2.0]
+        assert np.allclose(eigs, expected, atol=1e-14)
+
     def test_single_asset(self):
-        q = MomentMatrix([[2.0]])
-        assert positive_eigenvalue_bounds(q, [[3.0]]).bounds[0] == pytest.approx(6.0)
-        assert positive_eigenvalue_bounds(q, [[-3.0]]).bounds[0] == 0.0
+        fac = factor_psd(MomentMatrix([[2.0]]))
+        assert positive_eigenvalue_bounds(fac, [[3.0]]).bounds[0] == pytest.approx(6.0)
+        assert positive_eigenvalue_bounds(fac, [[-3.0]]).bounds[0] == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), [[1.0]])
+            positive_eigenvalue_bounds(factor_psd(np.eye(2)), [[1.0]])
 
     def test_result_reports_diagnostics(self):
         rng = np.random.default_rng(3)
         q = random_psd(rng, 4)
-        result = positive_eigenvalue_bounds(q, [rng.standard_normal(4)])
+        result = positive_eigenvalue_bounds(factor_psd(q), [rng.standard_normal(4)])
         assert isinstance(result, BoundSweep)
-        assert result.rank_q == 4
-        assert result.clipped_negative_mass == 0.0
         assert result.eigenvalues.shape == (1, 4)
         assert result.bounds[0] >= 0.0
 
@@ -251,7 +217,7 @@ class TestTolerances:
     def test_edge_values_keep_the_bound(self):
         # An eig threshold of -2, 1 or 2 would turn this 0.866 bound into 0.
         q, quantities = MomentMatrix([[1.0, 0.5], [0.5, 1.0]]), [[1.0, -1.0]]
-        bound = positive_eigenvalue_bounds(q, quantities).bounds[0]
+        bound = positive_eigenvalue_bounds(factor_psd(q), quantities).bounds[0]
         assert bound == pytest.approx(math.sqrt(0.75), rel=1e-15, abs=0.0)
 
 
@@ -261,9 +227,9 @@ class TestEngineProperties:
         for _ in range(20):
             q = random_psd(rng, 4)
             lam = [rng.standard_normal(4)]
-            base = positive_eigenvalue_bounds(q, lam).bounds[0]
+            base = positive_eigenvalue_bounds(factor_psd(q), lam).bounds[0]
             for c in (0.25, 3.0, 117.0):
-                scaled = positive_eigenvalue_bounds(MomentMatrix(c * q.entries), lam).bounds[0]
+                scaled = positive_eigenvalue_bounds(factor_psd(c * q.entries), lam).bounds[0]
                 assert scaled == pytest.approx(c * base, rel=1e-12, abs=0.0)
 
     def test_factorization_independence(self):
@@ -273,7 +239,7 @@ class TestEngineProperties:
         for _ in range(25):
             q = random_psd(rng, 5)
             lam = rng.standard_normal(5)
-            via_engine = positive_eigenvalue_bounds(q, [lam]).bounds[0]
+            via_engine = positive_eigenvalue_bounds(factor_psd(q), [lam]).bounds[0]
             via_cholesky = bound_through(np.linalg.cholesky(q.entries).T, lam)
             scale = max(1.0, abs(via_cholesky))
             assert abs(via_engine - via_cholesky) <= 1e-10 * scale
@@ -284,8 +250,8 @@ class TestEngineProperties:
         rng = np.random.default_rng(29)
         q = random_psd(rng, 4)
         lam = rng.standard_normal(4)
-        bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
         fac = factor_psd(q)
+        bound = positive_eigenvalue_bounds(fac, [lam]).bounds[0]
         p = (fac.matrix * lam[None, :]) @ fac.matrix.T
         p = 0.5 * (p + p.T)
         z = np.linalg.qr(rng.standard_normal((2000, 4, 4)))[0]
@@ -301,10 +267,11 @@ class TestEngineProperties:
         for _ in range(20):
             q = random_psd(rng, 4)
             lam = rng.standard_normal(4)
-            base = positive_eigenvalue_bounds(q, [lam]).bounds[0]
+            fac = factor_psd(q)
+            base = positive_eigenvalue_bounds(fac, [lam]).bounds[0]
             bumped = lam.copy()
             bumped[rng.integers(0, 4)] += abs(rng.standard_normal())
-            higher = positive_eigenvalue_bounds(q, [bumped]).bounds[0]
+            higher = positive_eigenvalue_bounds(fac, [bumped]).bounds[0]
             assert higher >= base - 1e-12
 
     def test_dominates_exercise_extremes(self):
@@ -312,7 +279,7 @@ class TestEngineProperties:
         for _ in range(20):
             q = random_psd(rng, 5)
             lam = rng.standard_normal(5)
-            bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
+            bound = positive_eigenvalue_bounds(factor_psd(q), [lam]).bounds[0]
             full_exercise = float(np.dot(lam, np.diag(q.entries)))
             assert bound >= max(0.0, full_exercise) - 1e-12
 
@@ -324,7 +291,7 @@ class TestEngineProperties:
         # others (test_properties).
         def exchange_bound(nu1):
             q = assemble_q([AssetMoments(1.0, nu1), AssetMoments(1.0, 0.25)], np.ones((2, 2)))
-            return positive_eigenvalue_bounds(q, [[1.0, -1.0]]).bounds[0]
+            return positive_eigenvalue_bounds(factor_psd(q), [[1.0, -1.0]]).bounds[0]
 
         assert exchange_bound(0.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)
         assert exchange_bound(0.25) == 0.0
@@ -333,8 +300,6 @@ class TestEngineProperties:
 def assert_same_sweep(got: BoundSweep, want: BoundSweep):
     assert np.array_equal(got.bounds, want.bounds)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
-    assert got.rank_q == want.rank_q
-    assert got.clipped_negative_mass == want.clipped_negative_mass
     assert np.array_equal(got.positive_counts, want.positive_counts)
 
 
@@ -346,24 +311,21 @@ def sweep_rows(rng, n):
 
 class TestPositiveEigenvalueBounds:
     def check_rows_match(self, q, rows):
-        sweep = positive_eigenvalue_bounds(q, rows)
         fac = factor_psd(q)
+        sweep = positive_eigenvalue_bounds(fac, rows)
         assert sweep.bounds.shape == sweep.positive_counts.shape == (len(rows),)
         assert sweep.eigenvalues.shape == (len(rows), fac.rank)
         for i, row in enumerate(rows):
             # Row i of the sweep is the one-row sweep of that row.
-            alone = positive_eigenvalue_bounds(q, [row])
+            alone = positive_eigenvalue_bounds(fac, [row])
             assert sweep.bounds[i] == alone.bounds[0]
             assert np.array_equal(sweep.eigenvalues[i], alone.eigenvalues[0])
             assert sweep.positive_counts[i] == alone.positive_counts[0]
-            assert (sweep.rank_q, sweep.clipped_negative_mass) == (
-                alone.rank_q, alone.clipped_negative_mass
-            )
             # The unbatched computation, one 2-D eigensolve per row.
             p = (fac.matrix * row[None, :]) @ fac.matrix.T
-            eigs = symmetric_eigenvalues(0.5 * (p + p.T))
+            eigs = np.linalg.eigvalsh(0.5 * (p + p.T))[::-1]
             assert np.array_equal(sweep.eigenvalues[i], eigs)
-            assert sweep.bounds[i] == float(np.sum(eigs[eigs > 1e-12 * np.max(np.abs(eigs))]))
+            assert sweep.bounds[i] == float(np.sum(eigs[eigs > 0.0]))
 
     def test_full_rank_rows_match_single_calls_exactly(self):
         rng = np.random.default_rng(43)
@@ -377,7 +339,7 @@ class TestPositiveEigenvalueBounds:
         q = random_psd(rng, 24)
         rows = np.vstack([sweep_rows(rng, 24), np.abs(rng.standard_normal((3, 24)))])
         rows[-1, :20] *= -1.0
-        sweep = positive_eigenvalue_bounds(q, rows)
+        sweep = positive_eigenvalue_bounds(factor_psd(q), rows)
         assert len(set(sweep.positive_counts.tolist()) & set(range(8, 25))) >= 2
         self.check_rows_match(q, rows)
 
@@ -397,7 +359,7 @@ class TestPositiveEigenvalueBounds:
     def test_one_sign_rows_are_trivial(self):
         rng = np.random.default_rng(59)
         q = random_psd(rng, 4)
-        sweep = positive_eigenvalue_bounds(q, [[1.0, 2.0, 0.5, 1.0], [-1.0, -2.0, -0.5, -1.0]])
+        sweep = positive_eigenvalue_bounds(factor_psd(q), [[1.0, 2.0, 0.5, 1.0], [-1.0, -2.0, -0.5, -1.0]])
         full = float(np.dot([1.0, 2.0, 0.5, 1.0], np.diag(q.entries)))
         assert sweep.bounds[0] == pytest.approx(full, rel=1e-12, abs=0.0)
         assert sweep.bounds[1] == 0.0
@@ -406,41 +368,61 @@ class TestPositiveEigenvalueBounds:
     def test_each_row_has_its_own_zero_threshold(self):
         # A huge row in the same stack must not zero the small eigenvalue of
         # the next row.
-        sweep = positive_eigenvalue_bounds(np.eye(3), [[1e9, -1.0, -1.0], [1.0, 1e-6, -1.0]])
+        sweep = positive_eigenvalue_bounds(factor_psd(np.eye(3)), [[1e9, -1.0, -1.0], [1.0, 1e-6, -1.0]])
         assert sweep.positive_counts.tolist() == [1, 2]
         assert sweep.bounds[1] == 1.0 + 1e-6
+
+    def test_positive_eigenvalue_below_count_threshold_is_summed(self):
+        # 1e-13 lies below EIG_TOL times the spectral radius 1: it is not
+        # counted, but the bound keeps it.
+        sweep = positive_eigenvalue_bounds(factor_psd(np.eye(2)), [[1e-13, -1.0]])
+        assert 1e-13 < EIG_TOL
+        assert sweep.bounds[0] == pytest.approx(1e-13, rel=1e-15, abs=0.0)
+        assert sweep.positive_counts.tolist() == [0]
 
     def test_stack_boundaries_do_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(61)
         q = random_psd(rng, 5)
         rows = sweep_rows(rng, 5)
-        whole = positive_eigenvalue_bounds(q, rows)
+        factor = factor_psd(q)
+        whole = positive_eigenvalue_bounds(factor, rows)
         # Two 5x5 S L products per stack, so the rows split into uneven stacks.
         monkeypatch.setattr(engine, "STACK_BYTES", 2 * 5 * 5 * 8)
-        assert_same_sweep(positive_eigenvalue_bounds(q, rows), whole)
+        assert_same_sweep(positive_eigenvalue_bounds(factor, rows), whole)
 
     def test_sweep_is_frozen(self):
-        sweep = positive_eigenvalue_bounds(np.eye(2), [[1.0, -1.0], [2.0, -1.0]])
+        sweep = positive_eigenvalue_bounds(factor_psd(np.eye(2)), [[1.0, -1.0], [2.0, -1.0]])
         for arr in (sweep.bounds, sweep.eigenvalues, sweep.positive_counts):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_factors_q_once(self, factor_calls):
+        # The caller factors Q once; the sweep factors nothing.
         rng = np.random.default_rng(67)
-        positive_eigenvalue_bounds(random_psd(rng, 3), sweep_rows(rng, 3))
+        factor = engine.factor_psd(random_psd(rng, 3))
+        positive_eigenvalue_bounds(factor, sweep_rows(rng, 3))
         assert len(factor_calls) == 1
 
+    def test_eigensolver_failure_raises_convergence_failure(self, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        factor = factor_psd(np.eye(2))
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            positive_eigenvalue_bounds(factor, [[1.0, -1.0]])
+
     def test_no_rows_gives_no_results(self):
-        sweep = positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), np.zeros((0, 2)))
+        sweep = positive_eigenvalue_bounds(factor_psd(np.eye(2)), np.zeros((0, 2)))
         assert sweep.bounds.shape == sweep.positive_counts.shape == (0,)
         assert sweep.eigenvalues.shape == (0, 2)
 
     def test_rejects_wrong_row_length(self):
         q = MomentMatrix(np.eye(3))
         with pytest.raises(DimensionMismatch):
-            positive_eigenvalue_bounds(q, np.ones((4, 2)))
+            positive_eigenvalue_bounds(factor_psd(q), np.ones((4, 2)))
         with pytest.raises(DimensionMismatch):
-            positive_eigenvalue_bounds(q, [[1.0, -1.0, 0.5], [1.0, -1.0]])
+            positive_eigenvalue_bounds(factor_psd(q), [[1.0, -1.0, 0.5], [1.0, -1.0]])
 
     def test_rejects_non_finite_row(self):
         # A bad entry in any row of the sweep, first, middle or last.
@@ -449,10 +431,10 @@ class TestPositiveEigenvalueBounds:
                 rows = np.ones((3, 2))
                 rows[bad_row, 1] = bad
                 with pytest.raises(ParameterOutOfRange):
-                    positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), rows)
+                    positive_eigenvalue_bounds(factor_psd(np.eye(2)), rows)
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(DimensionMismatch):
-            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), [1.0, -1.0])
+            positive_eigenvalue_bounds(factor_psd(np.eye(2)), [1.0, -1.0])
         with pytest.raises(DimensionMismatch):
-            positive_eigenvalue_bounds(MomentMatrix(np.eye(2)), np.zeros((2, 0)))
+            positive_eigenvalue_bounds(factor_psd(np.eye(2)), np.zeros((2, 0)))

@@ -294,11 +294,24 @@ class TestBatchedCaplets:
         caplet_bounds(basket, [0.01])
         assert len(factor_calls) == 1
 
+    def test_cdf_scan_sweeps_through_the_engine_once(self, monkeypatch):
+        basket = caplet_basket(figure_slice(0.8, 0.5), 3)
+        factors = []
+        original = markets.positive_eigenvalue_bounds
+
+        def counting(factor, quantities):
+            factors.append(factor)
+            return original(factor, quantities)
+
+        monkeypatch.setattr(markets, "positive_eigenvalue_bounds", counting)
+        caplet_cdf_scan(basket, np.linspace(-0.03, 0.06, 91))
+        assert len(factors) == 1 and factors[0] is basket.factor
+
     def test_point_mass_factors_once_without_the_sweep(self, factor_calls, monkeypatch):
         # The one factor is the basket's: the point mass reads it.
         basket = caplet_basket(figure_slice(0.8, 0.5), 3)
         sweeps = []
-        monkeypatch.setattr(markets, "_factored_sweep", lambda *args: sweeps.append(args))
+        monkeypatch.setattr(markets, "positive_eigenvalue_bounds", lambda *args: sweeps.append(args))
         caplet_point_mass(basket, 0.0)
         assert len(factor_calls) == 1
         assert sweeps == []

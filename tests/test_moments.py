@@ -116,7 +116,7 @@ class TestAssembleQ:
         q = assemble_q(moments, np.eye(3))
         for lam in ([1.0, 1.0, -1.2], [1.0, -1.0, 0.1], [-1.0, -0.1, 0.5]):
             value = float(np.dot(lam, [1.0, 2.0, 3.0]))
-            bound = positive_eigenvalue_bounds(q, [lam]).bounds[0]
+            bound = positive_eigenvalue_bounds(factor_psd(q), [lam]).bounds[0]
             assert bound == pytest.approx(max(0.0, value), abs=1e-12)
 
     def test_correlation_irrelevant_when_variance_zero(self):

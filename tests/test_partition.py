@@ -10,7 +10,7 @@ import scipy.linalg.lapack
 from scipy.integrate import quad
 
 from momentbounds import partition
-from momentbounds.engine import positive_eigenvalue_bounds
+from momentbounds.engine import factor_psd, positive_eigenvalue_bounds
 from momentbounds.errors import (
     ConvergenceFailure,
     DegenerateCell,
@@ -154,7 +154,8 @@ def dense_engine_bounds(moments, strikes):
     n = moments.cells
     quantities = np.ones((len(strikes), 2 * n))
     quantities[:, n:] = -np.asarray(strikes)[:, None]
-    return positive_eigenvalue_bounds(partition_moment_matrix(moments), quantities).bounds
+    factor = factor_psd(partition_moment_matrix(moments))
+    return positive_eigenvalue_bounds(factor, quantities).bounds
 
 
 def max_relative_gap(values, reference):

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from momentbounds.engine import MomentMatrix, positive_eigenvalue_bounds
+from momentbounds.engine import MomentMatrix, factor_psd, positive_eigenvalue_bounds
 from momentbounds.errors import DegenerateCell
 from momentbounds.models import (
     LognormalModel,
@@ -57,7 +57,7 @@ def moment_problems(draw):
 
 
 def engine_bound(q, quantities):
-    return positive_eigenvalue_bounds(MomentMatrix(q), [quantities]).bounds[0]
+    return positive_eigenvalue_bounds(factor_psd(MomentMatrix(q)), [quantities]).bounds[0]
 
 
 def bound_slack(q, quantities):
@@ -118,9 +118,10 @@ def test_sweep_rows_equal_single_row_calls(problem, rows, data):
         np.array(data.draw(st.lists(weights, min_size=q.shape[0], max_size=q.shape[0])))
         for _ in range(rows - 1)
     ]
-    sweep = positive_eigenvalue_bounds(MomentMatrix(q), sweep_rows)
+    factor = factor_psd(MomentMatrix(q))
+    sweep = positive_eigenvalue_bounds(factor, sweep_rows)
     for i, row in enumerate(sweep_rows):
-        single = positive_eigenvalue_bounds(MomentMatrix(q), [row])
+        single = positive_eigenvalue_bounds(factor, [row])
         assert sweep.bounds[i] == single.bounds[0]
         assert sweep.positive_counts[i] == single.positive_counts[0]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momentbounds import vanilla as vanilla_module
-from momentbounds.engine import positive_eigenvalue_bounds
+from momentbounds.engine import factor_psd, positive_eigenvalue_bounds
 from momentbounds.errors import (
     ConvergenceFailure,
     NonFiniteResult,
@@ -29,7 +29,7 @@ def engine_bounds(f, nu, strikes):
     the constant asset 1, quantities (1, -k) per strike."""
     q = assemble_q([AssetMoments(f, nu), AssetMoments(1.0, 0.0)], np.eye(2))
     quantities = np.column_stack([np.ones(len(strikes)), -np.asarray(strikes, dtype=float)])
-    return positive_eigenvalue_bounds(q, quantities).bounds
+    return positive_eigenvalue_bounds(factor_psd(q), quantities).bounds
 
 
 def mp_otm_bound(f, nu, k):
@@ -320,9 +320,10 @@ class TestSmileCurves:
             smile_curves(1.0, nus[1:2], ks, 1.0)
         assert str(caught.value) == str(alone.value)
 
-    def test_shape_error_of_an_earlier_curve_wins(self, monkeypatch):
+    def test_inversion_error_beats_an_earlier_shape_error(self, monkeypatch):
         # Curve 0 inverts but increases in strike; curve 1 sits above the
-        # forward.  Curve by curve, curve 0's shape check fails first.
+        # forward.  All curves invert before any is built, so curve 1's
+        # inversion error wins over curve 0's shape error.
         ks = np.linspace(0.5, 2.0, 7)
 
         def bounds(f, nu, k):
@@ -333,4 +334,6 @@ class TestSmileCurves:
         with pytest.raises(PriceOutsideArbitrageBounds):
             smile_curves(1.0, [0.9], ks, 1.0)
         with pytest.raises(ShapeViolation):
+            smile_curves(1.0, [0.1], ks, 1.0)
+        with pytest.raises(PriceOutsideArbitrageBounds):
             smile_curves(1.0, [0.1, 0.9], ks, 1.0)
