@@ -27,11 +27,14 @@ vol, written ``inf`` or ``-inf``) plus ``<output>_manifest.json`` carrying
 the config hash, the fixed tolerances and summary statistics.  The manifest is strict
 JSON: a summary value that does not exist (an FX cross's increase with one
 correlation) is ``null``, and a non-finite one fails the run with
-``NonFiniteResult``.  A table of at least ``_ARRAY_MIN_CELLS`` cells is
-formatted in one array pass, with the same bytes as cell by cell.
-Re-running an identical config reproduces the outputs byte for byte.  Every
-run is single-threaded: strike sweeps are batched into one solve per fixed
-moment matrix instead.
+``NonFiniteResult``.  The config hash is taken once, as the config loads.
+A table of at least ``_ARRAY_MIN_CELLS`` cells is formatted in one array
+pass, with the same bytes as cell by cell: the pass writes the floats in
+range, the zeros and the integers below ``_SMALL_INTEGERS``, and only the
+rest (non-finite or subnormal values, near ties, other integers) are
+formatted one by one.  Re-running an identical config reproduces the
+outputs byte for byte.  Every run is single-threaded: strike sweeps are
+batched into one solve per fixed moment matrix instead.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 """
@@ -152,17 +155,15 @@ def _take(params: dict, where: str, required: dict, optional: dict | None = None
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration, its raw dict and its read-only plan."""
+    """A validated run configuration, its raw dict and its read-only plan.
+    ``sha256`` hashes the raw dict's canonical JSON (sorted keys, no
+    spaces), once as the config loads."""
 
     experiment: str
     plan: dict = field(compare=False, repr=False)
     output: str
     raw: dict
-
-    @property
-    def sha256(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+    sha256: str
 
 
 def load_config(path) -> RunConfig:
@@ -197,7 +198,8 @@ def load_config(path) -> RunConfig:
         plan = EXPERIMENTS[experiment].prepare(parameters)
     except MomentBoundsError as exc:
         raise ConfigError(f"invalid parameters for {experiment}: {exc}") from exc
-    return RunConfig(experiment, plan, output, raw)
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return RunConfig(experiment, plan, output, raw, hashlib.sha256(canonical.encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +495,11 @@ def _format_column(values) -> list:
 
 
 # A table of at least this many cells is formatted by the array kernel.  Its
-# fixed cost of some 50-90 us makes it slower than formatting cell by cell,
-# at about 0.5 us a cell, below about 100 cells when every cell is a float in
-# range, and below about 250 cells for a caplet CDF table, whose integer
-# column and zero shifts (a third of its cells) still go cell by cell.
+# fixed cost of some 50-70 us makes it slower than formatting cell by cell,
+# at about 0.45 us a cell, below 100-150 cells, both when every cell is a
+# float in range and for a caplet CDF table, a third of whose cells are
+# zeros and small counts (6-column tables, best of 15 x 300 calls, on a
+# 2-core Xeon with Python 3.11 and NumPy 2.4).
 _ARRAY_MIN_CELLS = 256
 # The kernel decides cells whose decimal exponent lies within this of 0, so
 # that every power of ten it reads is a normal double.
@@ -507,6 +510,9 @@ _MAX_EXPONENT = 278
 _TIE_MARGIN = 1e-3
 # _POWERS[p + _POWER_OFFSET] is 10**p correctly rounded, p in [1 - E, 11 + E].
 _POWER_OFFSET = _MAX_EXPONENT - 1
+# Integer cells from 0 to one below this (at most 10000) are written from a
+# table: they hold counts, such as a caplet's positive eigenvalues.
+_SMALL_INTEGERS = 1000
 
 
 def _build_format_tables():
@@ -542,10 +548,20 @@ def _build_format_tables():
     tail[..., 2:5] = digits[magnitude, None, 1:]
     tail[magnitude < 100, :, 2] = 0
     tail[..., 5] = np.frombuffer(b",\n", np.uint8)
-    return powers, estimate, in_range, quads, head, tail.view("<u8").ravel()
+    # "d[d[d[d]]] sep" as a whole slot for each small integer and separator:
+    # its four digits with the leading zeros dropped.
+    number = np.arange(_SMALL_INTEGERS)
+    drop = np.sum(number[:, None] < [10, 100, 1000], axis=1, dtype="<u8")
+    seps = np.array([ord(","), ord("\n")], "<u8")
+    integers = np.zeros((_SMALL_INTEGERS, 2, 3), "<u8")
+    text = quad[:_SMALL_INTEGERS] >> 8 * drop
+    integers[..., 0] = text[:, None] | seps << 8 * (4 - drop)[:, None]
+    return powers, estimate, in_range, quads, head, tail.view("<u8").ravel(), integers
 
 
-_POWERS, _EXPONENT_ESTIMATES, _IN_RANGE, _QUADS, _HEADS, _TAILS = _build_format_tables()
+_POWERS, _EXPONENT_ESTIMATES, _IN_RANGE, _QUADS, _HEADS, _TAILS, _INTEGER_SLOTS = (
+    _build_format_tables()
+)
 
 
 def _kernel_slots(table: np.ndarray):
@@ -555,7 +571,8 @@ def _kernel_slots(table: np.ndarray):
     slots and the mask of cells left to the reference.
 
     With ``e`` the decimal exponent of ``|x|`` and ``s = |x| * 10**(11 - e)``,
-    the 12 digits are ``s`` rounded.  The power of ten is correctly rounded,
+    the 12 digits are ``s`` rounded; ``+0.0`` and ``-0.0`` are written too.
+    The power of ten is correctly rounded,
     so ``s`` is within 2.3e-4 of exact, and the cell is left to the reference
     when ``s`` is that close to a half integer, or rounds up to 1e12.
     Correcting the exponent makes ``10**e <= |x|`` hold for the rounded power,
@@ -565,6 +582,7 @@ def _kernel_slots(table: np.ndarray):
     a = np.abs(table)
     biased = a.view(np.int64) >> 52  # the sign bit is clear
     ok = _IN_RANGE[biased]
+    zero = a == 0.0
     a = np.where(ok, a, 1.0)
     e = _EXPONENT_ESTIMATES[biased]
     e -= a < _POWERS[e + _POWER_OFFSET]  # the exponent correction
@@ -572,7 +590,9 @@ def _kernel_slots(table: np.ndarray):
     whole = np.floor(s)
     fraction = s - whole
     ok &= (s < 1e12 - 0.5) & (np.abs(fraction - 0.5) >= _TIE_MARGIN)
-    n = np.where(ok, whole + (fraction > 0.5), 1e11).astype(np.int64)
+    # A cell out of range gets the digits of 0 and the exponent of 1.0: the
+    # text of a zero, whose sign the head takes from the table.
+    n = np.where(ok, whole + (fraction > 0.5), 0.0).astype(np.int64)
     high, low = np.divmod(n, 100_000_000)
     middle, low = np.divmod(low, 10000)
     slots = np.empty(table.shape + (3,), "<u8")
@@ -581,13 +601,16 @@ def _kernel_slots(table: np.ndarray):
     quads[..., 0], quads[..., 1] = _QUADS[middle], _QUADS[low]
     last = np.arange(table.shape[1]) == table.shape[1] - 1
     slots[..., 2] = _TAILS[2 * (e + _MAX_EXPONENT) + last]
-    return slots, ~ok
+    return slots, ~(ok | zero)
 
 
 def _csv_bytes(columns, values) -> bytes:
     """The CSV table as ASCII bytes: a header row, then one row per index of
     the value columns.  A table of at least ``_ARRAY_MIN_CELLS`` cells is
-    formatted in one array pass, with the same bytes as cell by cell."""
+    formatted in one array pass, with the same bytes as cell by cell: the
+    pass writes every float in range, every zero and every integer in
+    [0, ``_SMALL_INTEGERS``), and leaves the rest (non-finite, subnormal and
+    near-tie floats, other integers) to ``_format_column``."""
     header = ",".join(columns) + "\n"
     arrays = [np.ravel(column) for column in values]
     rows, width = arrays[0].size, len(arrays)
@@ -596,7 +619,13 @@ def _csv_bytes(columns, values) -> bytes:
         return (header + "".join(",".join(row) + "\n" for row in zip(*cells))).encode()
     with np.errstate(all="raise"):
         slots, deferred = _kernel_slots(np.column_stack(arrays).astype(float))
-    deferred[:, [column.dtype.kind in "iu" for column in arrays]] = True
+    # Integer cells in [0, _SMALL_INTEGERS) take their texts from a table;
+    # the other integers go to the reference.
+    for j, column in enumerate(arrays):
+        if column.dtype.kind in "iu":
+            small = (column >= 0) & (column < _SMALL_INTEGERS)
+            slots[small, j] = _INTEGER_SLOTS[column[small], int(j == width - 1)]
+            deferred[:, j] = ~small
     slots = slots.reshape(rows * width, 3)
     # The cells left to the reference get its texts and separators, which fit
     # a 24-byte slot: a float takes at most 19 characters, an int64 20.

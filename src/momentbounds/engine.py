@@ -244,6 +244,8 @@ def positive_eigenvalue_bounds(factor: PsdFactor, quantities) -> BoundSweep:
     for m in np.unique(positive[positive > 0]):
         rows = positive == m
         bounds[rows] = np.sum(eigs[rows, :m], axis=1)
-    counts = np.sum(eigs > EIG_TOL * np.max(np.abs(eigs), axis=1)[:, None], axis=1)
+    # The spectral radius of a descending row is the larger of its ends.
+    radius = np.maximum(eigs[:, 0], -eigs[:, -1])
+    counts = np.sum(eigs > EIG_TOL * radius[:, None], axis=1)
     bounds, eigs = np.ldexp(bounds, e), np.ldexp(eigs, e[:, None])
     return BoundSweep(bounds, eigs, counts)

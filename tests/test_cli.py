@@ -880,14 +880,16 @@ def reference_csv(columns, values):
 
 def writer_tables(values, width, integer):
     """Two tables of the values, one below the array kernel's switch and one
-    at or above it; each column is the values rotated by its index."""
+    at or above it; each column is the values rotated by its index.  With
+    ``integer``, two int64 columns follow: wide integers and small ones."""
     switch = cli._ARRAY_MIN_CELLS
-    columns = width + integer
+    columns = width + 2 * integer
     for rows in (max(1, min(len(values), (switch - 1) // columns)), max(len(values), -(-switch // columns))):
         column = np.resize(np.array(values, dtype=float), rows)
         table = [np.roll(column, j) for j in range(width)]
         if integer:
             table.append(np.arange(rows, dtype=np.int64) * -12345678901 + 7)
+            table.append(np.resize(np.array(SMALL_INTEGERS, dtype=np.int64), rows))
         yield [f"c{j}" for j in range(columns)], table
 
 
@@ -904,6 +906,12 @@ TIES = [1000000000005.0, 1000000000015.0, -1000000000025.0, 100000000001.5, 1234
 EDGES = [9.9999999999995, 9.99999999999949, -9.9999999999995e-5, 999999999999.5, 1e300, -1e-300, 5e-324]
 
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+ZEROS = [0.0, -0.0, 0.0, 7.0, -0.0, -0.25]
+
+# Counts the kernel writes from its table, on both sides of each digit count
+# and of the table's end, and integers it leaves to the reference.
+SMALL_INTEGERS = [0, 1, 9, 10, 99, 100, 998, 999, 1000, 1001, 12345, -1, -999]
 
 
 def assert_writer_matches_reference(values, width, integer):
@@ -925,8 +933,34 @@ class TestCsvWriter:
     @example(values=POWERS_OF_TEN, width=3, integer=False)
     @example(values=EDGES, width=1, integer=True)
     @example(values=SPECIALS, width=4, integer=True)
+    @example(values=ZEROS, width=2, integer=True)
     def test_writer_matches_per_cell_reference(self, values, width, integer):
         assert_writer_matches_reference(values, width, integer)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_caplet_cdf_table_needs_no_cell_by_cell_text(self, monkeypatch, dtype):
+        # The shape of a CapletCdf table: lead shifts with a zero, strikes,
+        # bounds, vols and cdfs in [0, 1] with zeros, and a count column.
+        # Every float has a short decimal expansion, so none is a near tie.
+        rows = 3 * 129
+        strikes = np.tile(np.arange(-16, 113) / 1024, 3)
+        cdf = np.clip(strikes * 8, 0.0, 1.0)
+        cdf[1::7] = -0.0
+        values = [np.repeat([0.0, -0.015625, 0.03125], 129), strikes, (rows - np.arange(rows)) / 4096]
+        values += [np.resize([0.0, 0.0078125, 0.25], rows), cdf, np.arange(rows).astype(dtype) % 4]
+        columns = ["alpha", "strike", "bound", "implied_normal_vol", "cdf", "positive_eigenvalues"]
+        assert rows * len(columns) >= cli._ARRAY_MIN_CELLS
+        expected = reference_csv(columns, values)
+        formatted = []
+        reference = cli._format_column
+
+        def counting(column):
+            formatted.append(len(column))
+            return reference(column)
+
+        monkeypatch.setattr(cli, "_format_column", counting)
+        assert cli._csv_bytes(columns, values) == expected
+        assert formatted == []
 
     def test_writer_matches_at_both_ends_of_every_binade(self):
         powers = np.ldexp(1.0, np.arange(-1074, 1024))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import ndtri
 
 from momentbounds import models
 from momentbounds.attainment import binomial_calibrate
+from momentbounds.cli import load_config
 from momentbounds.errors import (
     AngleOutOfRange,
     ConvergenceFailure,
@@ -17,6 +19,7 @@ from momentbounds.errors import (
     ParameterOutOfRange,
     PriceOutsideArbitrageBounds,
 )
+from momentbounds.markets import caplet_cdf_scan
 from momentbounds.models import (
     LognormalModel,
     bachelier_call_prices,
@@ -27,6 +30,9 @@ from momentbounds.models import (
     norm_cdf,
     norm_pdf,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def erf_normal_cdf(x: float) -> float:
@@ -641,8 +647,14 @@ class TestArrayInversions:
         # One CDF call per Halley step, plus the checks: for Black two for the
         # bracket and two for the residual, for Bachelier one for the
         # residual.  Over 200 seeds of these grids the most steps measured
-        # were 13 (Black) and 7 (Bachelier); Newton took 19 and 9, and
-        # bisection about 59 steps of two calls (Black) or one (Bachelier).
+        # were 13 (Black) and 7 (Bachelier), and 6 (Bachelier) over the 20
+        # seeds below, where the far-from-the-money or at-the-money start
+        # took 7.  The cached start puts most strikes 2 steps from their
+        # root; the slowest have time values a roundoff above the intrinsic
+        # slack, where roundoff in q sets the count.  Newton took 19 and 9,
+        # and bisection about 59 steps of two calls (Black) or one
+        # (Bachelier).
+        models._normal_start_table()  # built once per process, outside the count
         calls = counted_cdf_calls(monkeypatch)
         most = {}
         for seed in range(20):
@@ -656,7 +668,22 @@ class TestArrayInversions:
                     invert(forward, [k], expiry, [p])
                     most[invert] = max(most.get(invert, 0), len(calls) - checks)
         assert 0 < most[implied_lognormal_vols] <= 13
-        assert 0 < most[implied_normal_vols] <= 7
+        assert 0 < most[implied_normal_vols] <= 6
+
+    @pytest.mark.parametrize("name", ["caplet_cdf", "caplet_bound"])
+    def test_shipped_caplet_grids_invert_in_three_evaluations(self, monkeypatch, name):
+        # A caplet job inverts its whole strike x slice grid of bounds in one
+        # call, as ``cli`` does.  The cached start lies within 3e-7 of each
+        # root, so Halley confirms it in at most 3 evaluations; from the
+        # far-from-the-money or at-the-money start it took 5 on both configs.
+        plan = load_config(CONFIG_DIR / f"{name}.json").plan
+        strikes, baskets = plan["strikes"], [basket for *_, basket in plan["slices"]]
+        bounds = np.ravel([caplet_cdf_scan(basket, strikes).bounds for basket in baskets])
+        forwards = np.repeat([basket.forward for basket in baskets], strikes.size)
+        models._normal_start_table()
+        calls = counted_cdf_calls(monkeypatch)
+        implied_normal_vols(forwards, np.tile(strikes, len(baskets)), plan["expiry"], bounds)
+        assert 0 < len(calls) - 1 <= 3
 
     @pytest.mark.parametrize("forward", [1.0, 3.3])
     def test_strike_a_rounding_from_the_forward(self, monkeypatch, forward):
@@ -685,6 +712,62 @@ class TestArrayInversions:
         with pytest.raises(DimensionMismatch):
             implied_lognormal_vols(1.0, [[1.0]], 1.0, [[0.1]])
         assert implied_lognormal_vols(1.0, [], 1.0, []).shape == (0,)
+
+
+def normalised_time_value(d) -> float:
+    """phi(d) - d N(-d) to 40 digits, rounded: the out-of-the-money
+    Bachelier time value at s = 1 and |f - k| = d."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d)
+        return float(mpmath.npdf(d) - d * mpmath.ncdf(-d))
+
+
+class TestNormalStart:
+    """The start of the Bachelier inversion: s = 1 is the root at a = d,
+    q = phi~(d), and the start is homogeneous in (a, q)."""
+
+    def test_table_is_cached_increasing_and_read_only(self):
+        table = models._normal_start_table()
+        assert models._normal_start_table() is table
+        u, d, slope = table
+        assert u.size == d.size == slope.size == 200
+        assert np.all(np.diff(u) > 0.0) and np.all(np.diff(d) > 0.0) and np.all(slope > 0.0)
+        assert d[0] == pytest.approx(1e-3, rel=1e-15) and d[-1] == pytest.approx(37.0, rel=1e-15)
+        assert not any(nodes.flags.writeable for nodes in table)
+
+    @pytest.mark.parametrize("scale", [1.0, 3e-5, 2e4])
+    def test_start_within_1e_6_of_the_root_across_the_table(self, scale):
+        ds = np.geomspace(1.2e-3, 30.0, 1500)
+        q = np.array([normalised_time_value(d) for d in ds.tolist()])
+        start = models._normal_start(scale * ds, scale * q)
+        assert np.max(np.abs(start / scale - 1.0)) <= 1e-6
+
+    def test_below_the_table_the_at_the_money_expansion(self):
+        ds = np.array([1e-9, 1e-6, 5e-4, 9e-4])
+        q = np.array([normalised_time_value(d) for d in ds.tolist()])
+        assert np.all(np.log(ds) - np.log(q) < models._normal_start_table()[0][0])
+        start = models._normal_start(ds, q)
+        assert start.tolist() == (math.sqrt(2.0 * math.pi) * (q + 0.5 * ds)).tolist()
+        assert np.max(np.abs(start - 1.0)) <= 1e-6
+
+    def test_above_the_table_the_far_from_the_money_fixed_point(self):
+        # q / a ~ phi(d) / d^3: two fixed-point steps in
+        # d^2 = -2 log(sqrt(2 pi) d^3 q / a).  Scaled, so that q stays normal.
+        ds = [38.0, 40.0, 42.0]
+        with mpmath.workdps(40):
+            q = [
+                float(mpmath.mpf(10) ** 280 * (mpmath.npdf(d) - d * mpmath.ncdf(-d)))
+                for d in ds
+            ]
+        a = 1e280 * np.array(ds)
+        start = models._normal_start(a, np.array(q))
+        for d, scaled, expected in zip(ds, q, start.tolist()):
+            log_ratio = 2.0 * (math.log(1e280 * d) - math.log(math.sqrt(2.0 * math.pi) * scaled))
+            fixed = math.sqrt(log_ratio)
+            for _ in range(2):
+                fixed = math.sqrt(log_ratio - 6.0 * math.log(fixed))
+            assert expected == pytest.approx(1e280 * d / fixed, rel=1e-13)
+            assert expected == pytest.approx(1e280, rel=1e-2)
 
 
 # Stress ranges of the round trip: vols from 1e-7 to 9 and expiries from
