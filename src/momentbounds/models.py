@@ -10,7 +10,7 @@ one-element grid.  The vol inversions run one safeguarded Halley iteration
 ``implied_normal_vols``) and check their residuals with those pricers; each
 element takes the same steps as in a one-strike inversion.  The Bachelier
 inversion starts from a cubic-Hermite inverse of the normalised time value,
-one table built on the first call and cached, within 3e-7 of each root.
+one table built on the first call and cached, within 1e-7 of each root.
 The normal CDF is ``math.erfc``, so importing the module loads no scipy.
 
 All prices are undiscounted forward values.  Discounting enters only through
@@ -338,11 +338,14 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
 def _normal_start_table():
     """Nodes of the inverse of ``u(d) = log d - log phi~(d)``, cached and
     read-only: ``u``, ``d`` and ``dd/du`` at 200 geometric nodes of ``d`` on
-    [1e-3, 37], where ``phi~(d) = phi(d) - d N(-d)`` is the normalised
+    [1e-3, 7], where ``phi~(d) = phi(d) - d N(-d)`` is the normalised
     out-of-the-money Bachelier time value.  ``u`` increases with ``d``, and
-    ``phi~'(d) = -N(-d)`` gives ``du/dd = 1 / d + N(-d) / phi~(d)``.
+    ``phi~'(d) = -N(-d)`` gives ``du/dd = 1 / d + N(-d) / phi~(d)``.  The
+    table ends above every solved strike: ``implied_normal_vols`` solves
+    only ``q > 1e-12 max(1, |f|, |k|) >= 5e-13 |f - k|``, so ``u < log 2e12``
+    and ``d < 6.6``.
     """
-    d = 1e-3 * 37e3 ** (np.arange(200) / 199.0)
+    d = 1e-3 * 7e3 ** (np.arange(200) / 199.0)
     tail = norm_cdf(-d)
     excess = norm_pdf(d) - d * tail
     u = np.log(d) - np.log(excess)
@@ -359,11 +362,10 @@ def _normal_start(a, q):
     With ``d = a / s`` the price satisfies ``q / a = phi~(d) / d``, so ``d``
     is the inverse of ``u = log a - log q`` for every strike, forward and
     expiry; the start ``a / d(u)`` interpolates it by cubic Hermite between
-    the nodes of ``_normal_start_table``, within 3e-7 relative of ``d``.
+    the nodes of ``_normal_start_table``, within 1e-7 relative of ``d``.
     Below the table (``d < 1e-3``) it is the at-the-money expansion
-    ``sqrt(2 pi) (q + a / 2)``.  Above it, far from the money, ``q / a ~
-    phi(d) / d^3``, and it takes two fixed-point steps in ``d^2 = -2 log(
-    sqrt(2 pi) d^3 q / a)``.
+    ``sqrt(2 pi) (q + a / 2)``; above it, which no solved strike reaches,
+    ``d`` is held at the last node, a start inside Halley's bracket.
     """
     nodes, ds, slopes = _normal_start_table()
     u = np.log(a) - np.log(q)
@@ -377,15 +379,7 @@ def _normal_start(a, q):
     r = 1.0 - t
     d = r * r * ((1.0 + 2.0 * t) * ds[j] + t * h * slopes[j])
     d += t * t * ((3.0 - 2.0 * t) * ds[j + 1] - r * h * slopes[j + 1])
-    start = np.where(u < nodes[0], _SQRT_2PI * (q + 0.5 * a), a / d)
-    far = np.flatnonzero(u > nodes[-1])
-    if far.size:
-        log_ratio = 2.0 * (u[far] - math.log(_SQRT_2PI))
-        d = np.sqrt(log_ratio)
-        for _ in range(2):
-            d = np.sqrt(log_ratio - 6.0 * np.log(d))
-        start[far] = a[far] / d
-    return start
+    return np.where(u < nodes[0], _SQRT_2PI * (q + 0.5 * a), a / d)
 
 
 def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
@@ -398,7 +392,7 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     The rest run Halley's method within a closed-form bracket.  Each starts
     from ``_normal_start``: ``d = |f - k| / s`` is one function of ``log |f -
     k| - log q`` for every strike, forward and expiry, and a cached cubic-
-    Hermite table of it starts within 3e-7 of the root, so Halley takes 2-3
+    Hermite table of it starts within 1e-7 of the root, so Halley takes 2-3
     evaluations on the shipped caplet grids.  Each element takes the same
     steps, in the same floating-point operations, as a one-strike inversion.
 
