@@ -14,6 +14,7 @@ matrix, which drops from two positives to one exactly at the floor strike.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from momentbounds import (
 )
 
 NU = 1.0 - math.exp(-0.04)  # root-variance of a 40%-vol lognormal over one period
+# The far-strike bound of the slice below at k = 1e16, from a 60-digit
+# eigensolve of the same float moment matrix.
+FAR_STRIKE_BOUND = 4.837264906565124e-3
 
 
 def build_basket(rho: float, alpha: float):
@@ -51,8 +55,8 @@ def main():
     rhos = [0.975, 0.985, 0.995, 1.0]
     print("Bound (undiscounted) by strike and swap-rate correlation, no shift:")
     print("strike  " + "  ".join(f"rho={rho:<6g}" for rho in rhos))
-    columns = [caplet_bounds(build_basket(rho, 0.0), strikes).bounds for rho in rhos]
-    for k, row in zip(strikes, zip(*columns)):
+    rows = caplet_bounds([build_basket(rho, 0.0) for rho in rhos], strikes).bounds.T
+    for k, row in zip(strikes, rows):
         print(f"{k:6.3f}  " + "  ".join(f"{v:10.6f}" for v in row))
     print("Lower correlation decorrelates the swap legs and widens the bound.\n")
 
@@ -61,18 +65,28 @@ def main():
         basket = build_basket(0.995, alpha)
         floor = -alpha  # daycount 1 -> floor strike is -alpha
         grid = np.linspace(floor - 0.02, floor + 0.02, 41)
-        scan = caplet_cdf_scan(basket, grid)
+        (switches,) = caplet_cdf_scan([basket], grid).switch_strikes
         mass_zero = caplet_point_mass(basket, 0.0)
         mass_floor = caplet_point_mass(basket, floor)
-        switch = scan.switch_strikes[0] if scan.switch_strikes else float("nan")
+        switch = switches[0] if switches else float("nan")
         print(f"  alpha = {alpha:3.1f}: eigenvalue count drops 2 -> 1 at strike {switch:+.3f}; "
               f"point mass {mass_floor:.4f} there, {mass_zero:+.2e} at strike 0")
 
     print("\nPer-strike eigenvalue regime around the floor (alpha = 0.5):")
-    basket = build_basket(0.995, 0.5)
-    for k in (-0.52, -0.51, -0.5, -0.49, -0.48):
-        scan = caplet_cdf_scan(basket, np.array([k - 0.001, k, k + 0.001]))
-        print(f"  strike {k:+.2f}: positive eigenvalues = {scan.positive_counts[1]}")
+    strikes = [-0.52, -0.51, -0.5, -0.49, -0.48]
+    counts = caplet_bounds([build_basket(0.995, 0.5)], strikes).positive_counts[0]
+    for k, count in zip(strikes, counts):
+        print(f"  strike {k:+.2f}: positive eigenvalues = {count}")
+
+    # Far strikes: the one positive eigenvalue of P is 5e-19 of its norm at
+    # k = 1e16, yet the closed-form sweep keeps its digits.
+    slice_ = SwapCurveSlice.with_flat_discounting(0.01, 10, 1.0, 0.02, 0.15, 0.995)
+    far = caplet_bounds([caplet_basket(slice_, 10)], [1e16]).bounds[0, 0]
+    error = abs(far - FAR_STRIKE_BOUND) / FAR_STRIKE_BOUND
+    print(f"\nFar strike k = 1e16 (nu = 0.15, rho = 0.995): bound {far:.10e}, "
+          f"60-digit value {FAR_STRIKE_BOUND:.4e}, relative difference {error:.1e}")
+    if error > 1e-12:
+        sys.exit(f"far-strike bound {far!r} is {error:.1e} from {FAR_STRIKE_BOUND}")
 
 
 if __name__ == "__main__":

@@ -394,27 +394,22 @@ def _run_caplet(plan):
     scan_shifts = plan["scan_shifts"]
     columns = ["alpha" if scan_shifts else "rho", "strike", "bound", "implied_normal_vol", "cdf"]
     summary = {"switch_strikes": {}, "point_mass_at_zero": {}} if scan_shifts else {"switch_strikes": {}}
-    scans = []
-    for alpha, rho, label, basket in slices:
-        scan = caplet_cdf_scan(basket, strikes)
-        curve = f"caplet bound (alpha={alpha}, rho={rho})"
-        check_decreasing_convex(strikes, scan.bounds, label=curve)
-        scans.append(scan)
-        summary["switch_strikes"][label] = list(scan.switch_strikes)
+    baskets = [basket for *_, basket in slices]
+    scan = caplet_cdf_scan(baskets, strikes)
+    for (alpha, rho, label, basket), bounds, switches in zip(slices, scan.bounds, scan.switch_strikes):
+        check_decreasing_convex(strikes, bounds, label=f"caplet bound (alpha={alpha}, rho={rho})")
+        summary["switch_strikes"][label] = list(switches)
         if scan_shifts:
             summary["point_mass_at_zero"][label] = caplet_point_mass(basket, 0.0)
-    # Every slice is scanned first; then all of them invert in one call.
-    forwards = [basket.forward for _, _, _, basket in slices]
-    bounds = np.ravel([scan.bounds for scan in scans])
-    vols = implied_normal_vols(
-        np.repeat(forwards, strikes.size), np.tile(strikes, len(slices)), plan["expiry"], bounds
-    )
+    # Every slice is scanned and checked first; then all of them invert in one call.
+    bounds = scan.bounds.ravel()
+    forwards = np.repeat([basket.forward for basket in baskets], strikes.size)
+    vols = implied_normal_vols(forwards, np.tile(strikes, len(slices)), plan["expiry"], bounds)
     leads = [alpha if scan_shifts else rho for alpha, rho, _, _ in slices]
-    values = [np.repeat(leads, strikes.size), np.tile(strikes, len(slices)), bounds, vols]
-    values.append(np.ravel([scan.cdf for scan in scans]))
+    values = [np.repeat(leads, strikes.size), np.tile(strikes, len(slices)), bounds, vols, scan.cdf.ravel()]
     if scan_shifts:
         columns.append("positive_eigenvalues")
-        values.append(np.ravel([scan.positive_counts for scan in scans]))
+        values.append(scan.positive_counts.ravel())
     return columns, values, summary
 
 

@@ -7,9 +7,9 @@
 * Forward-starting caplets: the n-period forward rate decomposes as
   r_n = (lam_n + 1) s_n - lam_n s_{n-1} over the swap rates, with
   lam_n fixed by discount factors and daycounts, so the caplet is a
-  three-asset basket (s_n, s_{n-1}, cash) fed to the eigenvalue engine.
-  ``caplet_basket`` assembles and factors its strike-free moment matrix once,
-  for every strike sweep, point mass and vol inversion of the caplet.
+  three-asset basket (s_n, s_{n-1}, cash).  ``caplet_basket`` builds its
+  strike-free moment matrix Q, factor and minors once for every sweep, point
+  mass and vol inversion; a sweep solves the cubic det(mu I - W Q) = 0.
   Negative rates are handled by shifting rates and strike by a proportion
   of the economic floor, which leaves the payoff unchanged.  Where an
   eigenvalue of P crosses zero the implied CDF jumps by (u . s_c)^2 (u its
@@ -31,7 +31,6 @@ from .engine import (
     _checked_grid,
     _frozen_array,
     factor_psd,
-    positive_eigenvalue_bounds,
 )
 from .errors import NegativeShiftedRate, ParameterOutOfRange
 from .moments import AssetMoments, assemble_q, cross_term
@@ -180,13 +179,18 @@ class CapletBasket:
     the strike-free moment matrix of the shifted swap rates and cash,
     ``factor`` its ``factor_psd``, ``lam`` the inversion weight,
     ``strike_shift`` the shift alpha / delta_n every strike takes, and
-    ``forward`` the unshifted forward rate r_n = (lam + 1) s_n - lam s_{n-1}."""
+    ``forward`` the unshifted forward rate r_n = (lam + 1) s_n - lam s_{n-1}.
+    ``minors`` (M12, M13, M23) are Q's principal 2x2 minors and ``det`` its
+    determinant, each exact for the float ``q`` and rounded once, or 0 beyond
+    the factor's rank."""
 
     q: MomentMatrix
     factor: PsdFactor
     lam: float
     strike_shift: float
     forward: float
+    minors: tuple
+    det: float
 
 
 def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
@@ -216,37 +220,73 @@ def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
     rho = float(slice_.adjacent_correlations[n - 2])
     q = assemble_q(assets, [[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
     forward = here.forward_from_swaps(slice_.forwards[n - 1], slice_.forwards[n - 2])
-    return CapletBasket(q, factor_psd(q), here.lam, strike_shift, float(forward))
+    factor = factor_psd(q)
+    # Q's minors in integers over the entries' common power-of-two denominator,
+    # each rounded once; those beyond the factor's rank are roundoff, and 0.
+    ratios = [x.as_integer_ratio() for x in q.entries.ravel().tolist()]
+    scale = max(den for _, den in ratios)
+    a, b, c, _, e, f, _, _, i = (num * (scale // den) for num, den in ratios)
+    m12, m13, m23 = a * e - b * b, a * i - c * c, e * i - f * f
+    det = (a * m23 - b * (b * i - c * f) + c * (b * f - c * e)) * (factor.rank == 3) / scale**3
+    minors = tuple(m * (factor.rank > 1) / scale**2 for m in (m12, m13, m23))
+    return CapletBasket(q, factor, here.lam, strike_shift, float(forward), minors, det)
 
 
-def caplet_bounds(basket: CapletBasket, strikes) -> BoundSweep:
-    """Upper bounds for the undiscounted forward-starting caplet E[(r_n - k)^+]
-    over a strike grid, as one engine sweep (bounds, eigenvalues and positive
-    counts per strike).
+def caplet_bounds(baskets, strikes) -> BoundSweep:
+    """Upper bounds for the undiscounted caplets E[(r_n - k)^+] of a config's
+    baskets over one strike grid, as a sweep with a leading slice axis.
 
-    The sweep reads the basket's factor, so Q is factored once however many
-    grids are swept.  Strikes may be negative: after shifting each is just
-    the (signed) quantity of the cash asset, and scanning below the shifted
-    floor is what exposes the eigenvalue-regime switch.  Discounting and
-    annuity scaling are the caller's business.
+    At the shifted strike k', with w = (lam + 1, -lam, -k'), P's eigenvalues
+    are the roots of mu^3 - c2 mu^2 + c1 mu - c0, c2 = sum_i w_i Q_ii,
+    c1 = sum_{i<j} w_i w_j M_ij and c0 = w_1 w_2 w_3 det Q.  The largest |root|
+    comes from the trigonometric form, the other two from Vieta's formulas,
+    so the one positive root at a far strike keeps its relative accuracy.
+    The bound sums every positive root; ``EIG_TOL`` times the largest |root|
+    only sets which ``positive_counts`` counts.  Each slice is solved in units
+    of the power of two of its largest price, each strike in those of its
+    largest quantity: exact, and the coefficients stay finite.
     """
-    shifted = np.asarray(strikes, dtype=float) + basket.strike_shift
-    quantities = np.empty((shifted.size, 3))
-    quantities[:, 0] = basket.lam + 1.0
-    quantities[:, 1] = -basket.lam
-    quantities[:, 2] = -shifted
-    return positive_eigenvalue_bounds(basket.factor, quantities)
+    lam = np.array([[basket.lam] for basket in baskets])
+    shifted = np.asarray(strikes, dtype=float)[None, :] + [[b.strike_shift] for b in baskets]
+    if not np.all(np.isfinite(shifted)):
+        raise ParameterOutOfRange("shifted strikes must be finite")
+    terms = np.array([[*np.diag(b.q.entries), *b.minors, b.det] for b in baskets])
+    g = np.frexp(np.max(terms[:, :3], axis=1, keepdims=True))[1]
+    d1, d2, d3, m12, m13, m23, det = np.ldexp(terms, -g * [1, 1, 1, 2, 2, 2, 3]).T[..., None]
+    e = np.frexp(np.maximum(lam + 1.0, np.abs(shifted)))[1]
+    w1, w2, w3 = np.ldexp(lam + 1.0, -e), np.ldexp(-lam, -e), np.ldexp(-shifted, -e)
+    c2 = w1 * d1 + w2 * d2 + w3 * d3
+    c1 = w1 * w2 * m12 + w3 * (w1 * m13 + w2 * m23)
+    c0 = w1 * w2 * w3 * det
+    # The roots are h + 2 r cos(theta - 2 pi j / 3): top at j = 0, bottom at j = 2.
+    h = c2 / 3.0
+    r = np.sqrt(np.maximum(h * h - c1 / 3.0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos3 = np.where(r > 0.0, (c0 - c1 * h + 2.0 * h**3) / (2.0 * r**3), 1.0)
+        theta = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+        top, bottom = h + 2.0 * r * np.cos(theta), h + 2.0 * r * np.cos(theta + 2.0 * np.pi / 3.0)
+        big = np.where(np.abs(top) >= np.abs(bottom), top, bottom)
+        # The other two have product c0 / big and sum (c1 - c0 / big) / big.
+        product = np.where(big != 0.0, c0 / big, 0.0)
+        total = np.where(big != 0.0, (c1 - product) / big, 0.0)
+        gap = np.sqrt(np.maximum(total * total - 4.0 * product, 0.0))
+        half = 0.5 * (total + np.copysign(gap, total))
+        other = np.where(half != 0.0, product / half, 0.0)
+    eigs = np.sort(np.stack([big, half, other], axis=-1), axis=-1)[..., ::-1]
+    counts = np.sum(eigs > EIG_TOL * np.max(np.abs(eigs), axis=-1, keepdims=True), axis=-1)
+    bounds, scale = np.sum(np.maximum(eigs, 0.0), axis=-1), e + g
+    return BoundSweep(np.ldexp(bounds, scale), np.ldexp(eigs, scale[..., None]), counts)
 
 
 @dataclass(frozen=True)
 class CapletScan:
-    """Strike scan of the caplet bound.
+    """Strike scan of the caplet bounds of a config's slices (the leading axis).
 
     ``cdf`` holds 1 + d(bound)/dk by central differences on the grid
     (one-sided at the ends).  ``positive_counts`` is the number of positive
-    eigenvalues of P per strike, and ``switch_strikes`` the grid strikes
-    where that count drops from two to one; each marks the location of a
-    discrete probability in the implied distribution.
+    eigenvalues of P per strike, and ``switch_strikes`` holds, per slice, the
+    grid strikes where that count drops from two to one; each marks the
+    location of a discrete probability in the implied distribution.
     """
 
     strikes: np.ndarray
@@ -261,17 +301,18 @@ class CapletScan:
             object.__setattr__(self, name, _frozen_array(getattr(self, name), None))
 
 
-def caplet_cdf_scan(basket: CapletBasket, strikes) -> CapletScan:
-    """Scan bounds, implied CDF and the eigenvalue regime over a strike grid."""
+def caplet_cdf_scan(baskets, strikes) -> CapletScan:
+    """Scan bounds, implied CDF and the eigenvalue regime of every basket
+    over one strike grid, in one ``caplet_bounds`` sweep."""
     ks = _checked_grid(strikes, positive=False, min_size=3)
-    sweep = caplet_bounds(basket, ks)
+    sweep = caplet_bounds(baskets, ks)
     bounds = sweep.bounds
     cdf = np.empty_like(bounds)
-    cdf[1:-1] = 1.0 + (bounds[2:] - bounds[:-2]) / (ks[2:] - ks[:-2])
-    cdf[0] = 1.0 + (bounds[1] - bounds[0]) / (ks[1] - ks[0])
-    cdf[-1] = 1.0 + (bounds[-1] - bounds[-2]) / (ks[-1] - ks[-2])
+    cdf[:, 1:-1] = 1.0 + (bounds[:, 2:] - bounds[:, :-2]) / (ks[2:] - ks[:-2])
+    cdf[:, 0] = 1.0 + (bounds[:, 1] - bounds[:, 0]) / (ks[1] - ks[0])
+    cdf[:, -1] = 1.0 + (bounds[:, -1] - bounds[:, -2]) / (ks[-1] - ks[-2])
     counts = sweep.positive_counts
-    switches = tuple(ks[1:][(counts[:-1] == 2) & (counts[1:] == 1)].tolist())
+    switches = tuple(tuple(ks[1:][(row[:-1] == 2) & (row[1:] == 1)].tolist()) for row in counts)
     return CapletScan(ks, bounds, cdf, counts, switches)
 
 

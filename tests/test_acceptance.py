@@ -221,14 +221,14 @@ def test_10_caplet_regime_switch():
         basket = caplet_basket(slice_, 10)
         floor = -alpha
         grid = np.linspace(floor - 0.025, floor + 0.025, 51)
-        scan = caplet_cdf_scan(basket, grid)
-        ok &= len(scan.switch_strikes) == 1
+        (switches,) = caplet_cdf_scan([basket], grid).switch_strikes
+        ok &= len(switches) == 1
         mass = caplet_point_mass(basket, 0.0)
         if alpha == 0.0:
             ok &= mass > 1e-6
         if alpha == 1.0:
             ok &= abs(mass) < 1e-6
-        details.append(f"alpha={alpha:g}: switch@{scan.switch_strikes[0]:+.3f}, mass@0={mass:.2e}")
+        details.append(f"alpha={alpha:g}: switch@{switches[0]:+.3f}, mass@0={mass:.2e}")
     report(10, "caplet eigenvalue-regime switch", ok, "; ".join(details))
 
 

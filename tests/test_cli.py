@@ -417,7 +417,7 @@ def caplet_config(**parameters):
     return payload
 
 
-def failing_caplet_scan(basket, strikes):
+def failing_caplet_scan(baskets, strikes):
     # A numerical failure of the run: load_config already rejects a config
     # whose shifted swap rates the real scan would refuse.
     raise NegativeShiftedRate("shifted swap rates must be positive")
@@ -690,6 +690,20 @@ class TestExitCodes:
         for row in rows:
             assert float(row["bound"]) == pytest.approx(-float(row["strike"]), rel=1e-12, abs=0.0)
 
+    def test_far_caplet_strikes_keep_the_positive_eigenvalue(self, tmp_path):
+        # The far-strike slice of test_markets (nu = 0.15, rho = 0.995): its
+        # bound is 4.837264906565e-3 at every strike from 1e10 to 1e20, the
+        # one positive eigenvalue of P, 5e-19 of ||P|| at 1e16.
+        sigma = 2.0 * math.sqrt(-math.log(0.85))  # root-variance 0.15
+        payload = caplet_config(
+            periods=10, period_index=10, sigma=sigma, correlations=[0.995], strikes=[1e10, 1e13, 1e16]
+        )
+        path = write_config(tmp_path / "c.json", payload)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "caplet.csv", encoding="utf-8", newline="") as handle:
+            bounds = [float(row["bound"]) for row in csv.DictReader(handle)]
+        assert bounds == pytest.approx([4.837264906565e-3] * 3, rel=1e-11, abs=0.0)
+
     @pytest.mark.parametrize(
         "tolerances",
         [
@@ -716,27 +730,29 @@ class TestExitCodes:
     def test_multi_slice_caplet_error_order(
         self, tmp_path, capsys, monkeypatch, first_slice_bad
     ):
-        # Every slice is scanned before the slices' vols invert in one call,
-        # so a scan error of the second slice wins, also over a vol error of
-        # the first.
+        # Every slice is scanned in one sweep and shape-checked before the
+        # slices' vols invert in one call, so a shape error of the second
+        # slice wins, also over a vol error of the first.
         real_scan = cli.caplet_cdf_scan
         calls = []
 
-        def scan(basket, strikes):
-            calls.append(basket)
-            if len(calls) == 2:
-                raise NegativeShiftedRate("second slice")
-            result = real_scan(basket, strikes)
+        def scan(baskets, strikes):
+            calls.append(baskets)
+            result = real_scan(baskets, strikes)
+            bounds = result.bounds.copy()
             # Half the bound is below intrinsic in the money, but still
             # decreasing and convex.
             if first_slice_bad:
-                return dataclasses.replace(result, bounds=0.5 * result.bounds)
-            return result
+                bounds[0] *= 0.5
+            bounds[1] = bounds[1, ::-1]
+            return dataclasses.replace(result, bounds=bounds)
 
         monkeypatch.setattr(cli, "caplet_cdf_scan", scan)
         path = write_config(tmp_path / "c.json", caplet_config(correlations=[0.99, 0.995]))
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err.startswith("error: NegativeShiftedRate: second slice")
+        assert [len(baskets) for baskets in calls] == [2]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ShapeViolation: caplet bound (alpha=0.0, rho=0.995) increases")
 
     def test_unwritable_output_exit_4(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", smile_config())

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momentbounds import markets
 from momentbounds.engine import factor_psd
@@ -19,6 +21,11 @@ from momentbounds.markets import (
 from momentbounds.vanilla import check_decreasing_convex, vanilla_bounds
 
 LOGNORMAL_NU = 1.0 - math.exp(-0.04)
+# |bound - oracle| <= ORACLE_C eps sum_i |w_i| Q_ii for a caplet sweep.  Set
+# once from measurement: over 18000 flat slices (nu, rho and the shift drawn
+# as below, plus nu and 1 -+ rho at 10^-u, u up to 16; ten strikes each from
+# -1 to 1e20, k' = 0 among them) the largest ratio was 1.52.
+ORACLE_C = 4.0
 
 
 def figure_slice(rho: float, alpha: float, nu: float = LOGNORMAL_NU) -> SwapCurveSlice:
@@ -169,20 +176,21 @@ class TestCapletBound:
         # 2x2 vanilla problem.
         slice_ = figure_slice(rho=1.0, alpha=0.0)
         ks = [0.005, 0.02, 0.04]
-        bounds = caplet_bounds(caplet_basket(slice_, 10), ks).bounds
+        bounds = caplet_bounds([caplet_basket(slice_, 10)], ks).bounds[0]
         assert bounds == pytest.approx(vanilla_bounds(0.02, LOGNORMAL_NU, ks), abs=1e-10)
 
     def test_decreasing_convex_in_strike(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         ks = np.linspace(0.001, 0.06, 40)
-        check_decreasing_convex(ks, caplet_bounds(caplet_basket(slice_, 10), ks).bounds)
+        check_decreasing_convex(ks, caplet_bounds([caplet_basket(slice_, 10)], ks).bounds[0])
 
     def test_bound_increases_as_rho_decreases(self):
         for k in (0.01, 0.02, 0.04):
-            values = [
-                caplet_bounds(caplet_basket(figure_slice(rho=float(r), alpha=0.0), 10), [k]).bounds[0]
+            baskets = [
+                caplet_basket(figure_slice(rho=float(r), alpha=0.0), 10)
                 for r in (0.975, 0.98, 0.985, 0.99, 0.995, 1.0)
             ]
+            values = caplet_bounds(baskets, [k]).bounds[:, 0]
             assert np.all(np.diff(values) <= 1e-12)
 
     def test_shift_preserves_payoff_at_degenerate_variance(self):
@@ -190,19 +198,21 @@ class TestCapletBound:
         # the intrinsic forward value, shifted or not.
         for alpha in (0.0, 0.5, 1.0):
             slice_ = figure_slice(rho=0.995, alpha=alpha, nu=0.0)
-            bounds = caplet_bounds(caplet_basket(slice_, 10), [0.01, 0.05]).bounds
+            bounds = caplet_bounds([caplet_basket(slice_, 10)], [0.01, 0.05]).bounds[0]
             assert bounds == pytest.approx([0.01, 0.0], abs=1e-12)
 
-    @pytest.mark.parametrize("k", [1e10, 1e11])
+    @pytest.mark.parametrize("k", [1e10, 1e11, 1e13, 1e16, 1e20])
     def test_far_strike_keeps_positive_eigenvalue(self, k):
-        # The one positive eigenvalue lies below EIG_TOL times the cash
-        # eigenvalue -k, so it is not counted, but the bound still sums it.
-        # A 60-digit eigensolve of the same Q gives 4.8373e-3 at every k
-        # from 1e8 to 1e20.
+        # The one positive eigenvalue, about 4.8373e-3, lies below EIG_TOL
+        # times the cash eigenvalue -k, so it is not counted, but the bound
+        # still sums it.  At k = 1e16 it is 5e-19 of ||P||, below what a
+        # dense eigensolve resolves; Vieta's formulas keep its digits.
         slice_ = SwapCurveSlice.with_flat_discounting(0.01, 10, 1.0, 0.02, 0.15, 0.995, 0.0)
-        sweep = caplet_bounds(caplet_basket(slice_, 10), [k])
-        assert sweep.bounds[0] == pytest.approx(4.8373e-3, rel=1e-3, abs=0.0)
-        assert sweep.positive_counts[0] == 0
+        basket = caplet_basket(slice_, 10)
+        sweep = caplet_bounds([basket], [k])
+        exact = mp_caplet_bound(basket, k)
+        assert abs(sweep.bounds[0, 0] - exact) <= 1e-12 * exact
+        assert sweep.positive_counts[0, 0] == 0
 
     def test_negative_shifted_rate_raises(self):
         slice_ = SwapCurveSlice.with_flat_discounting(
@@ -223,22 +233,23 @@ class TestCapletScan:
     def test_deterministic_rates_make_step_cdf(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0, nu=0.0)
         ks = np.linspace(0.001, 0.04, 40)
-        scan = caplet_cdf_scan(caplet_basket(slice_, 10), ks)
+        scan = caplet_cdf_scan([caplet_basket(slice_, 10)], ks)
         below = scan.strikes < 0.0195
         above = scan.strikes > 0.0205
-        assert np.allclose(scan.cdf[below], 0.0, atol=1e-9)
-        assert np.allclose(scan.cdf[above], 1.0, atol=1e-9)
+        assert np.allclose(scan.cdf[0, below], 0.0, atol=1e-9)
+        assert np.allclose(scan.cdf[0, above], 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_single_regime_switch_at_shifted_floor(self, alpha):
         slice_ = figure_slice(rho=0.995, alpha=alpha)
         floor = -alpha  # daycount 1.0
         ks = np.linspace(floor - 0.02, floor + 0.02, 41)
-        scan = caplet_cdf_scan(caplet_basket(slice_, 10), ks)
-        assert len(scan.switch_strikes) == 1
-        assert scan.switch_strikes[0] == pytest.approx(floor, abs=1.1e-3)
-        assert scan.positive_counts[0] == 2
-        assert scan.positive_counts[-1] == 1
+        scan = caplet_cdf_scan([caplet_basket(slice_, 10)], ks)
+        (switches,) = scan.switch_strikes
+        assert len(switches) == 1
+        assert switches[0] == pytest.approx(floor, abs=1.1e-3)
+        assert scan.positive_counts[0, 0] == 2
+        assert scan.positive_counts[0, -1] == 1
 
     def test_point_mass_moves_with_shift(self):
         mass_at_zero_unshifted = caplet_point_mass(caplet_basket(figure_slice(0.995, 0.0), 10), 0.0)
@@ -255,7 +266,7 @@ class TestCapletScan:
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         ks = np.linspace(0.001, 0.04, 9)
         assert ks.flags.writeable
-        scan = caplet_cdf_scan(caplet_basket(slice_, 10), ks)
+        scan = caplet_cdf_scan([caplet_basket(slice_, 10)], ks)
         assert ks.flags.writeable
         ks[0] = 0.5
         assert scan.strikes[0] == 0.001
@@ -264,7 +275,7 @@ class TestCapletScan:
     def test_scan_requires_increasing_grid(self):
         slice_ = figure_slice(rho=0.995, alpha=0.0)
         with pytest.raises(ParameterOutOfRange):
-            caplet_cdf_scan(caplet_basket(slice_, 10), [0.02, 0.01, 0.03])
+            caplet_cdf_scan([caplet_basket(slice_, 10)], [0.02, 0.01, 0.03])
 
 
 class TestEigenvalueRegime:
@@ -273,45 +284,68 @@ class TestEigenvalueRegime:
         # the quantities, so two positives below the shifted floor and one
         # above.
         slice_ = figure_slice(rho=0.995, alpha=0.5)
-        sweep = caplet_bounds(caplet_basket(slice_, 10), [-0.51, -0.49, 0.02])
-        assert sweep.positive_counts.tolist() == [2, 1, 1]
+        sweep = caplet_bounds([caplet_basket(slice_, 10)], [-0.51, -0.49, 0.02])
+        assert sweep.positive_counts.tolist() == [[2, 1, 1]]
+
+
+class TestCapletSweepOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nu=st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+        rho=st.one_of(st.sampled_from([1.0, 1.0 - 1e-7, -1.0]), st.floats(-1.0, 1.0)),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]),
+        strikes=st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(1.0, 1e20)), min_size=1, max_size=4),
+    )
+    # P's one positive eigenvalue is 3e-13 of ||P|| here.
+    @example(nu=0.15, rho=1.0 - 1e-7, alpha=0.0, strikes=[1e10])
+    def test_sweep_matches_the_50_digit_oracle(self, nu, rho, alpha, strikes):
+        basket = caplet_basket(figure_slice(rho, alpha, nu), 10)
+        ks = np.array([*strikes, -basket.strike_shift])  # and k' = 0
+        sweep = caplet_bounds([basket], ks)
+        for k, bound in zip(ks, sweep.bounds[0]):
+            weights = np.array([basket.lam + 1.0, -basket.lam, -(k + basket.strike_shift)])
+            scale = float(np.sum(np.abs(weights) * np.diag(basket.q.entries)))
+            error = abs(mpmath.mpf(bound) - mp_caplet_bound(basket, k))
+            assert error <= ORACLE_C * np.finfo(float).eps * scale, (k, float(error))
 
 
 class TestBatchedCaplets:
     def test_scan_matches_single_strikes_exactly(self):
-        basket = caplet_basket(figure_slice(0.8, 0.5), 3)
+        # Each slice and strike is solved on its own coefficients, so a
+        # config's sweep holds what one-slice, one-strike sweeps return.
+        baskets = [caplet_basket(figure_slice(rho, 0.5), 3) for rho in (0.8, 0.995, 1.0)]
         strikes = np.linspace(-0.03, 0.06, 19)
-        scan = caplet_cdf_scan(basket, strikes)
-        for i, k in enumerate(strikes):
-            single = caplet_bounds(basket, [k])
-            assert scan.bounds[i] == single.bounds[0]
-            assert scan.positive_counts[i] == single.positive_counts[0]
+        scan = caplet_cdf_scan(baskets, strikes)
+        for s, basket in enumerate(baskets):
+            for i, k in enumerate(strikes):
+                single = caplet_bounds([basket], [k])
+                assert scan.bounds[s, i] == single.bounds[0, 0]
+                assert scan.positive_counts[s, i] == single.positive_counts[0, 0]
 
     def test_cdf_scan_factors_once(self, factor_calls):
         basket = caplet_basket(figure_slice(0.8, 0.5), 3)
         assert len(factor_calls) == 1
-        caplet_cdf_scan(basket, np.linspace(-0.03, 0.06, 91))
-        caplet_bounds(basket, [0.01])
+        caplet_cdf_scan([basket], np.linspace(-0.03, 0.06, 91))
+        caplet_bounds([basket], [0.01])
         assert len(factor_calls) == 1
 
-    def test_cdf_scan_sweeps_through_the_engine_once(self, monkeypatch):
-        basket = caplet_basket(figure_slice(0.8, 0.5), 3)
-        factors = []
-        original = markets.positive_eigenvalue_bounds
+    def test_cdf_scan_runs_no_eigensolver(self, monkeypatch):
+        baskets = [caplet_basket(figure_slice(rho, 0.5), 3) for rho in (0.8, 1.0)]
 
-        def counting(factor, quantities):
-            factors.append(factor)
-            return original(factor, quantities)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the caplet sweep called an eigensolver")
 
-        monkeypatch.setattr(markets, "positive_eigenvalue_bounds", counting)
-        caplet_cdf_scan(basket, np.linspace(-0.03, 0.06, 91))
-        assert len(factors) == 1 and factors[0] is basket.factor
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert not hasattr(markets, "positive_eigenvalue_bounds")
+        scan = caplet_cdf_scan(baskets, np.linspace(-0.03, 0.06, 91))
+        assert scan.bounds.shape == scan.positive_counts.shape == (2, 91)
 
     def test_point_mass_factors_once_without_the_sweep(self, factor_calls, monkeypatch):
         # The one factor is the basket's: the point mass reads it.
         basket = caplet_basket(figure_slice(0.8, 0.5), 3)
         sweeps = []
-        monkeypatch.setattr(markets, "positive_eigenvalue_bounds", lambda *args: sweeps.append(args))
+        monkeypatch.setattr(markets, "caplet_bounds", lambda *args: sweeps.append(args))
         caplet_point_mass(basket, 0.0)
         assert len(factor_calls) == 1
         assert sweeps == []
@@ -322,6 +356,32 @@ class TestBatchedCaplets:
             swap, previous_swap = slice_.forwards[n - 1], slice_.forwards[n - 2]
             expected = annuity_weights(slice_, n).forward_from_swaps(swap, previous_swap)
             assert caplet_basket(slice_, n).forward == expected
+
+
+def mp_caplet_bound(basket, strike: float, dps: int = 50):
+    """Sum of the positive eigenvalues of W Q to ``dps`` digits, for the
+    basket's float Q and the float quantities a sweep forms at ``strike``.
+
+    Where the factor finds Q singular, det(W Q) is roundoff and zero, as the
+    basket's determinant is: one root is 0 and the others solve
+    mu^2 - c2 mu + c1 = 0, with c2 the trace of W Q and c1 the sum of its
+    2x2 principal minors (also zero at rank one).  A complex pair, which a Q
+    indefinite by roundoff may leave, counts its real parts.
+    """
+    weights = [basket.lam + 1.0, -basket.lam, -(strike + basket.strike_shift)]
+    rank = basket.factor.rank
+    with mpmath.workdps(dps):
+        wq = mpmath.matrix(
+            [[mpmath.mpf(w) * mpmath.mpf(q) for q in row] for w, row in zip(weights, basket.q.entries.tolist())]
+        )
+        if rank == 3:
+            roots = mpmath.eig(wq, left=False, right=False)
+        else:
+            c2 = sum(wq[i, i] for i in range(3))
+            c1 = (c2**2 - sum(wq[i, j] * wq[j, i] for i in range(3) for j in range(3))) / 2 if rank == 2 else 0
+            gap = mpmath.sqrt(c2**2 - 4 * c1)
+            roots = [(c2 + gap) / 2, (c2 - gap) / 2]
+        return sum(max(mpmath.re(mu), 0) for mu in roots)
 
 
 def mp_floor_mass(nu_n: float, nu_prev: float, rho: float):
@@ -413,6 +473,22 @@ class TestCapletPointMass:
                 checked += 1
                 for step in (-1e-2, -1e-3, 1e-3, 1e-2):
                     assert caplet_point_mass(basket, floor + step) == 0.0, (n, step)
+        assert checked > 100
+
+    def test_floor_mass_is_det_over_the_rate_minor(self):
+        # Two routes to the same atom: P's null eigenvectors at the floor, and
+        # the Schur complement det Q / M12 from the basket's exact minors.
+        # Relative to 1e-12, or 1e-13 absolute for small masses: measured over
+        # 13687 such slices (seeds 2000-2059), the eigenvectors resolve the
+        # mass to 8.5e-14 absolute, 2.5e-10 relative at a mass of 4.9e-6.
+        checked = 0
+        for slice_, n, floor in random_caplet_slices(2031, 400):
+            if 1.0 - abs(float(slice_.adjacent_correlations[n - 2])) >= self.FULL_RANK_GAP:
+                checked += 1
+                basket = caplet_basket(slice_, n)
+                schur = basket.det / basket.minors[0]
+                assert caplet_point_mass(basket, floor) == pytest.approx(schur, rel=1e-12, abs=1e-13)
+                assert caplet_point_mass(basket, floor + 1e-3) == 0.0
         assert checked > 100
 
     def test_deterministic_rates_put_all_mass_at_the_forward(self):

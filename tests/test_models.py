@@ -4,7 +4,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
@@ -679,7 +679,7 @@ class TestArrayInversions:
         # the far-from-the-money or at-the-money start it took 5 on both.
         plan = load_config(CONFIG_DIR / f"{name}.json").plan
         strikes, baskets = plan["strikes"], [basket for *_, basket in plan["slices"]]
-        bounds = np.ravel([caplet_cdf_scan(basket, strikes).bounds for basket in baskets])
+        bounds = caplet_cdf_scan(baskets, strikes).bounds.ravel()
         forwards = np.repeat([basket.forward for basket in baskets], strikes.size)
         models._normal_start_table()
         calls = counted_cdf_calls(monkeypatch)
@@ -772,24 +772,32 @@ class TestStressRoundTrip:
 
     @settings(deadline=None, max_examples=60)
     @given(st.floats(0.01, 100.0), stress_vols, stress_expiries, stress_z)
+    # price - intrinsic is 2.70006e-11, above 1e-12 f = 2.7e-11, yet
+    # intrinsic + 2.7e-11 rounds to the price: the library reads it as at
+    # intrinsic, so a filter on the difference admitted it.
+    @example(27.0, 4.842470462386931, 0.9997987896909023, 4.692777042674852)
     def test_black(self, forward, sigma, expiry, z):
         strike = forward * math.exp(-z * sigma * math.sqrt(expiry))
         price = bs_call_prices(forward, [strike], sigma, expiry)[0]
-        # Inside the bracket: above the intrinsic slack, below the upper margin.
-        assume(price - max(forward - strike, 0.0) > 1e-12 * max(1.0, forward))
         assume(price < forward - models.UPPER_BOUND_MARGIN)
         vols = implied_lognormal_vols(forward, [strike], expiry, [price])
-        assert_near_oracle(vols, [sigma], black_roundoff, forward, [strike], expiry)
+        # The library's own comparison: within the slack of intrinsic, vol 0.
+        if price <= max(forward - strike, 0.0) + 1e-12 * max(1.0, forward):
+            assert vols[0] == 0.0
+        else:
+            assert_near_oracle(vols, [sigma], black_roundoff, forward, [strike], expiry)
 
     @settings(deadline=None, max_examples=60)
     @given(st.floats(-0.1, 0.1), stress_vols, stress_expiries, stress_z)
     def test_bachelier(self, forward, sigma, expiry, z):
         strike = forward - z * sigma * math.sqrt(expiry)
         price = bachelier_call_prices(forward, [strike], sigma, expiry)[0]
-        scale = max(1.0, abs(forward), abs(strike))
-        assume(price - max(forward - strike, 0.0) > 1e-12 * scale)
         vols = implied_normal_vols(forward, [strike], expiry, [price])
-        assert_near_oracle(vols, [sigma], bachelier_roundoff, forward, [strike], expiry)
+        # The library's own comparison: within the slack of intrinsic, vol 0.
+        if price <= max(forward - strike, 0.0) + 1e-12 * max(1.0, abs(forward), abs(strike)):
+            assert vols[0] == 0.0
+        else:
+            assert_near_oracle(vols, [sigma], bachelier_roundoff, forward, [strike], expiry)
 
 
 class TestArrayInversionErrors:
