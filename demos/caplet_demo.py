@@ -28,13 +28,14 @@ from momentbounds import (
 
 NU = 1.0 - math.exp(-0.04)  # root-variance of a 40%-vol lognormal over one period
 # The far-strike bound of the slice below at k = 1e16, from a 60-digit
-# eigensolve of the same float moment matrix.
-FAR_STRIKE_BOUND = 4.837264906565124e-3
+# eigensolve of the model's moment matrix.
+FAR_STRIKE_BOUND = 4.837264906565021e-3
 
 
 def build_basket(rho: float, alpha: float):
     # Flat curve: 1% discounting, annual periods, both swap rates at 2%; the
-    # caplet on the 10th forward rate, its moment matrix factored once here.
+    # caplet on the 10th forward rate, its moment matrix's invariants computed
+    # once here.
     slice_ = SwapCurveSlice.with_flat_discounting(
         discount_rate=0.01,
         periods=10,

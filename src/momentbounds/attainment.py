@@ -7,7 +7,7 @@ sin(chi)^2 and cos(chi)^2 and the spectrum follows from theta and chi; the
 bound-attaining angle solves tan(2 chi) = -f sin(2 theta) / (f cos(2 theta) + k)
 and depends on the strike.  The calibration (``binomial_calibrate``) and the
 two-state call price (``binomial_call_prices``) are array forms, so a whole
-strike grid, and the angle grid that guards it, are each one expression.
+strike grid is one expression.
 
 Global attainment fails: replicating the payoff a^(1/2) statically from the
 bound curve yields a square-root moment whose implied root-variance strictly
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import STACK_BYTES, _checked_grid, _frozen_array
+from .engine import _checked_grid, _frozen_array
 from .errors import AngleOutOfRange, BranchResolutionFailure, ParameterOutOfRange
 from .models import _check_elements
 from .vanilla import vanilla_bounds
@@ -43,7 +43,6 @@ __all__ = [
 # attains.
 ATTAIN_TOL = 1e-9
 _ANGLE_SLACK = 1e-12
-_SCAN_POINTS = 241
 
 
 def _theta(nu: float) -> float:
@@ -88,45 +87,21 @@ def binomial_call_prices(chi, low, high, k) -> np.ndarray:
     return weight_low * np.maximum(low - k, 0.0) + weight_high * np.maximum(high - k, 0.0)
 
 
-def _scanned_maxima(f: float, nu: float, strikes: np.ndarray) -> np.ndarray:
-    """Largest two-state call price over an angle grid on the branch
-    [pi/2 - theta, pi/2), at each strike.
-
-    The grid's models depend only on f and nu, so they are calibrated once
-    for all strikes and priced as (strikes x angles) blocks of at most
-    ``STACK_BYTES``.
-    """
-    chi = np.linspace(0.5 * math.pi - _theta(nu), 0.5 * math.pi, _SCAN_POINTS)[:-1]
-    low, high = binomial_calibrate(f, nu, chi)
-    best, step = np.empty(strikes.size), max(1, STACK_BYTES // chi.nbytes)
-    for start in range(0, strikes.size, step):
-        k = strikes[start : start + step, None]
-        best[start : start + step] = np.max(binomial_call_prices(chi, low, high, k), axis=1)
-    return best
-
-
 def _attaining_models(f: float, nu: float, strikes: np.ndarray):
     """Formula angles, the states of their two-state models and the models'
     call prices, as arrays over the strike grid.
 
     The tangent equation fixes 2 chi up to the arctangent branch; resolving
     into (pi - 2 theta, pi) picks the branch on which the calibrated model
-    exists.  One angle-grid scan guards every strike: the first strike whose
-    model prices below the scan's maximum raises BranchResolutionFailure.
+    exists.  Every two-state model matching f and nu prices at or below the
+    bound, so a wrongly resolved angle shows as a gap, which
+    ``AttainmentReport`` rejects.
     """
     theta = _theta(nu)
-    best = _scanned_maxima(f, nu, strikes)
     two_chi = np.arctan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strikes)
     chi = 0.5 * np.where(two_chi <= 0.0, two_chi + math.pi, two_chi)
     low, high = binomial_calibrate(f, nu, chi)
-    achieved = binomial_call_prices(chi, low, high, strikes)
-    short = np.flatnonzero(achieved < best - 1e-9 * max(1.0, f))
-    if short.size:
-        i = short[0]
-        raise BranchResolutionFailure(
-            f"formula angle {chi[i]} prices {achieved[i]}, below scanned maximum {best[i]}"
-        )
-    return chi, low, high, achieved
+    return chi, low, high, binomial_call_prices(chi, low, high, strikes)
 
 
 @dataclass(frozen=True)
@@ -134,8 +109,9 @@ class AttainmentReport:
     """Per-strike local attainment against the closed-form bound.
 
     ``gaps`` holds |binomial price - bound| relative to the bound; the
-    constructor rejects any gap above ``ATTAIN_TOL``, so constructing the
-    report is the attainment check.  The global section records the moment
+    constructor rejects any gap above ``ATTAIN_TOL`` with
+    BranchResolutionFailure, so constructing the report is the attainment
+    check, and it catches a formula angle resolved onto the wrong branch.  The global section records the moment
     implied by the whole bound curve and its root-variance, which strictly
     exceeds ``constraint_nu`` away from the edges.
     """

@@ -16,7 +16,7 @@ rejected everywhere.  Parameter ranges are validated by the library:
 loading a config builds the library's own values (models, asset moments,
 cross root-variances, caplet baskets, partitions, strike grids), and the
 errors they raise are config errors.  A caplet basket holds its moment
-matrix, assembled and factored once per config, and the forward rate.  A
+matrix's invariants, computed once per config, and the forward rate.  A
 run executes the read-only plan of those values built at load, so it cannot
 raise a config error.  The config file is read as UTF-8, and the ``output``
 stem must have a file name in the locale's file-system encoding.

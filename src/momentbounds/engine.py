@@ -50,9 +50,10 @@ STACK_BYTES = 1 << 20
 # those in [-PSD_TOL, 0) are clipped to zero, anything below is an error.
 PSD_TOL = 1e-10
 # Relative threshold below which an eigenvalue of P is not counted as
-# positive (``BoundSweep.positive_counts``), or counts as zero in
-# ``markets.caplet_point_mass``.  It only counts: the bound sums every
-# positive eigenvalue, so it never drops positive mass.
+# positive (``BoundSweep.positive_counts``), or a singular caplet basket's
+# moving eigenvalue counts as zero in ``markets.caplet_point_mass``.  It only
+# counts: the bound sums every positive eigenvalue, so it never drops
+# positive mass.
 EIG_TOL = 1e-12
 
 

@@ -50,7 +50,8 @@ class AngleOutOfRange(MomentBoundsError):
 
 
 class BranchResolutionFailure(MomentBoundsError):
-    """The closed-form optimal angle disagrees with a direct scan beyond tolerance."""
+    """A formula angle's two-state model misses the bound by more than
+    ``attainment.ATTAIN_TOL``: the angle was resolved onto the wrong branch."""
 
 
 class ShapeViolation(MomentBoundsError):

@@ -7,33 +7,28 @@
 * Forward-starting caplets: the n-period forward rate decomposes as
   r_n = (lam_n + 1) s_n - lam_n s_{n-1} over the swap rates, with
   lam_n fixed by discount factors and daycounts, so the caplet is a
-  three-asset basket (s_n, s_{n-1}, cash).  ``caplet_basket`` builds its
-  strike-free moment matrix Q, factor and minors once for every sweep, point
-  mass and vol inversion; a sweep solves the cubic det(mu I - W Q) = 0.
-  Negative rates are handled by shifting rates and strike by a proportion
-  of the economic floor, which leaves the payoff unchanged.  Where an
-  eigenvalue of P crosses zero the implied CDF jumps by (u . s_c)^2 (u its
-  eigenvector, s_c the cash column of S); with Q of full rank, Sylvester's law
-  leaves one jump, at the shifted floor, of nu_n nu_{n-1} (1-rho^2) / ((1-q)(1+q)).
+  three-asset basket (s_n, s_{n-1}, cash).  Its strike-free moment matrix Q
+  enters only through its diagonal, its principal 2x2 minors and its
+  determinant, which ``caplet_basket`` computes once, in closed form from
+  the model; a sweep solves the cubic det(mu I - W Q) = 0 and the point
+  mass reads the same numbers, so nothing on the caplet path assembles,
+  factors or eigensolves a matrix.  Negative rates are handled by shifting
+  rates and strike by a proportion of the economic floor, which leaves the
+  payoff unchanged.  Where an eigenvalue of P crosses zero the implied CDF
+  jumps by its slope in the strike; with Q of full rank, Sylvester's law
+  leaves one jump, at the shifted floor, of det Q / M12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    EIG_TOL,
-    BoundSweep,
-    MomentMatrix,
-    PsdFactor,
-    _checked_grid,
-    _frozen_array,
-    factor_psd,
-)
+from .engine import EIG_TOL, BoundSweep, _checked_grid, _frozen_array
 from .errors import NegativeShiftedRate, ParameterOutOfRange
-from .moments import AssetMoments, assemble_q, cross_term
+from .moments import AssetMoments, cross_term
 
 __all__ = [
     "SwapCurveSlice",
@@ -175,17 +170,16 @@ def annuity_weights(slice_: SwapCurveSlice, n: int) -> AnnuityWeights:
 
 @dataclass(frozen=True)
 class CapletBasket:
-    """The n-th caplet as a three-asset basket (s_n, s_{n-1}, cash): ``q``
-    the strike-free moment matrix of the shifted swap rates and cash,
-    ``factor`` its ``factor_psd``, ``lam`` the inversion weight,
-    ``strike_shift`` the shift alpha / delta_n every strike takes, and
-    ``forward`` the unshifted forward rate r_n = (lam + 1) s_n - lam s_{n-1}.
-    ``minors`` (M12, M13, M23) are Q's principal 2x2 minors and ``det`` its
-    determinant, each exact for the float ``q`` and rounded once, or 0 beyond
-    the factor's rank."""
+    """The n-th caplet as a three-asset basket (s_n, s_{n-1}, cash): ``prices``
+    (f_n, f_{n-1}, 1) of the shifted swap rates and cash, the diagonal of the
+    strike-free moment matrix Q = E[v v^T] with v = (sqrt s_n, sqrt s_{n-1}, 1);
+    ``lam`` the inversion weight, ``strike_shift`` the shift alpha / delta_n
+    every strike takes, and ``forward`` the unshifted forward rate
+    r_n = (lam + 1) s_n - lam s_{n-1}.  ``minors`` (M12, M13, M23) are Q's
+    principal 2x2 minors and ``det`` its determinant, in closed form from the
+    model: each is exactly 0 where it vanishes in exact arithmetic."""
 
-    q: MomentMatrix
-    factor: PsdFactor
+    prices: tuple
     lam: float
     strike_shift: float
     forward: float
@@ -194,7 +188,16 @@ class CapletBasket:
 
 
 def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
-    """Assemble and factor the basket of the n-th caplet (2 <= n <= periods).
+    """The basket of the n-th caplet (2 <= n <= periods), with Q's invariants.
+
+    With x = sqrt(nu_{n-1} (1 - nu_n)) and y = sqrt(nu_n (1 - nu_{n-1})),
+    M13 = f_n nu_n, M23 = f_{n-1} nu_{n-1}, det Q = f_n f_{n-1} nu_n nu_{n-1}
+    (1 - rho)(1 + rho) (the Schur complement of the cash entry), and
+    M12 = f_n f_{n-1} (1 - q^2), q the rates' normalised cross moment, as
+    f_n f_{n-1} [nu_n nu_{n-1} (1 - rho)(1 + rho) + (x - y)^2 + 2 (1 - rho) x y]
+    with x - y = (nu_{n-1} - nu_n) / (x + y).  Each is a sum of non-negative
+    products, so it keeps its relative digits and is an exact zero where Q is
+    singular.
 
     Raises NegativeShiftedRate unless both shifted swap rates are positive.
     """
@@ -212,24 +215,16 @@ def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
         raise NegativeShiftedRate(
             f"shifted swap rates ({f_n}, {f_prev}) must be positive; increase the shift"
         )
-    assets = [
-        AssetMoments(f_n, float(slice_.root_variances[n - 1])),
-        AssetMoments(f_prev, float(slice_.root_variances[n - 2])),
-        AssetMoments(1.0, 0.0),
-    ]
+    nu_n, nu_prev = float(slice_.root_variances[n - 1]), float(slice_.root_variances[n - 2])
     rho = float(slice_.adjacent_correlations[n - 2])
-    q = assemble_q(assets, [[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    x, y = math.sqrt(nu_prev * (1.0 - nu_n)), math.sqrt(nu_n * (1.0 - nu_prev))
+    spread = (nu_prev - nu_n) / (x + y) if x + y else 0.0
+    schur = nu_n * nu_prev * (1.0 - rho) * (1.0 + rho)
+    m12 = f_n * f_prev * (schur + spread * spread + 2.0 * (1.0 - rho) * x * y)
+    det = f_n * f_prev * nu_n * nu_prev * (1.0 - rho) * (1.0 + rho)
     forward = here.forward_from_swaps(slice_.forwards[n - 1], slice_.forwards[n - 2])
-    factor = factor_psd(q)
-    # Q's minors in integers over the entries' common power-of-two denominator,
-    # each rounded once; those beyond the factor's rank are roundoff, and 0.
-    ratios = [x.as_integer_ratio() for x in q.entries.ravel().tolist()]
-    scale = max(den for _, den in ratios)
-    a, b, c, _, e, f, _, _, i = (num * (scale // den) for num, den in ratios)
-    m12, m13, m23 = a * e - b * b, a * i - c * c, e * i - f * f
-    det = (a * m23 - b * (b * i - c * f) + c * (b * f - c * e)) * (factor.rank == 3) / scale**3
-    minors = tuple(m * (factor.rank > 1) / scale**2 for m in (m12, m13, m23))
-    return CapletBasket(q, factor, here.lam, strike_shift, float(forward), minors, det)
+    minors = (m12, f_n * nu_n, f_prev * nu_prev)
+    return CapletBasket((f_n, f_prev, 1.0), here.lam, strike_shift, float(forward), minors, det)
 
 
 def caplet_bounds(baskets, strikes) -> BoundSweep:
@@ -250,7 +245,7 @@ def caplet_bounds(baskets, strikes) -> BoundSweep:
     shifted = np.asarray(strikes, dtype=float)[None, :] + [[b.strike_shift] for b in baskets]
     if not np.all(np.isfinite(shifted)):
         raise ParameterOutOfRange("shifted strikes must be finite")
-    terms = np.array([[*np.diag(b.q.entries), *b.minors, b.det] for b in baskets])
+    terms = np.array([[*b.prices, *b.minors, b.det] for b in baskets])
     g = np.frexp(np.max(terms[:, :3], axis=1, keepdims=True))[1]
     d1, d2, d3, m12, m13, m23, det = np.ldexp(terms, -g * [1, 1, 1, 2, 2, 2, 3]).T[..., None]
     e = np.frexp(np.maximum(lam + 1.0, np.abs(shifted)))[1]
@@ -319,24 +314,30 @@ def caplet_cdf_scan(baskets, strikes) -> CapletScan:
 def caplet_point_mass(basket: CapletBasket, strike: float) -> float:
     """Discrete probability at a strike: the jump of the implied CDF there.
 
-    With P = S diag(w) S^T, w = (lam + 1, -lam, -k') for the shifted strike k',
-    dP/dk = -s_c s_c^T, so by Hellmann-Feynman the CDF jumps by (u . s_c)^2
-    summed over the eigenvectors u of P with zero eigenvalue, within
-    ``EIG_TOL`` times sum_i |w_i| Q_ii (which bounds ||P|| and stays positive
-    when P vanishes).  With Q of full rank, P has the inertia of diag(w)
-    (Sylvester's law), so no eigenvalue crosses zero off k' = 0 and the mass
-    there is exactly 0.  At k' = 0 it is the squared distance of s_c from
-    the rate columns' span, nu_n nu_{n-1} (1 - rho^2) / ((1 - q)(1 + q))
-    with q their normalised cross moment, or nu_n when q = +-1.  S is the
-    basket's factor: nothing is factored here.
+    With w = (lam + 1, -lam, -k') for the shifted strike k', the elementary
+    symmetric functions of W Q's eigenvalues are e_j(k') = a_j - k' b_j, with
+    a = (1, w1 f_n + w2 f_{n-1}, w1 w2 M12, 0) and
+    b = (0, 1, w1 M13 + w2 M23, w1 w2 det Q).  With r the last j whose e_j is
+    not identically zero, r eigenvalues of W Q move with the strike and the
+    rest stay 0; one of them crosses zero where e_r(k') = 0, with slope
+    -b_r / e_{r-1}(k'), which is the jump of the CDF (by Hellmann-Feynman,
+    the (u . s_c)^2 of its eigenvector u of P = S W S^T, s_c the cash column
+    of S).  At r = 3 (det Q > 0) P has the inertia of diag(w) (Sylvester's
+    law), so the only crossing is at k' = 0 exactly, with mass det Q / M12.
+    At r < 3, e_r counts as zero within ``EIG_TOL`` times
+    sum_i |w_i| Q_ii (which bounds ||P|| and stays positive when P vanishes)
+    times |e_{r-1}|.  Nothing is factored or solved here.
     """
     if not np.isfinite(strike):
         raise ParameterOutOfRange(f"strike must be finite, got {strike}")
-    lam, factor = basket.lam, basket.factor
-    weights = np.array([lam + 1.0, -lam, -(strike + basket.strike_shift)])
-    if factor.rank == 3 and weights[2] != 0.0:
-        return 0.0
-    s = factor.matrix
-    eigs, vectors = np.linalg.eigh((s * weights) @ s.T)
-    zero = np.abs(eigs) <= EIG_TOL * float(np.sum(np.abs(weights) * np.diag(basket.q.entries)))
-    return float(np.sum((s[:, 2] @ vectors[:, zero]) ** 2))
+    shifted = strike + basket.strike_shift
+    w1, w2 = basket.lam + 1.0, -basket.lam
+    (f_n, f_prev, _), (m12, m13, m23) = basket.prices, basket.minors
+    a = (1.0, w1 * f_n + w2 * f_prev, w1 * w2 * m12, 0.0)
+    b = (0.0, 1.0, w1 * m13 + w2 * m23, w1 * w2 * basket.det)
+    r = max(j for j in range(4) if a[j] or b[j])
+    if r == 3:
+        return basket.det / m12 if shifted == 0.0 else 0.0
+    e_r, e_below = (a[j] - shifted * b[j] for j in (r, r - 1))
+    scale = w1 * f_n - w2 * f_prev + abs(shifted)
+    return abs(b[r] / e_below) if abs(e_r) <= EIG_TOL * scale * abs(e_below) else 0.0

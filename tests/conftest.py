@@ -1,6 +1,6 @@
 import pytest
 
-from momentbounds import engine, markets, partition
+from momentbounds import engine, moments, partition
 
 
 @pytest.fixture
@@ -13,8 +13,21 @@ def factor_calls(monkeypatch) -> list:
         calls.append(q)
         return original(q)
 
-    # markets binds the name itself, for caplet_basket, and partition for its
-    # dense fallback.
-    for module in (engine, markets, partition):
+    # partition binds the name itself, for its dense fallback.
+    for module in (engine, partition):
         monkeypatch.setattr(module, "factor_psd", counting)
+    return calls
+
+
+@pytest.fixture
+def assemble_calls(monkeypatch) -> list:
+    """Log of the arguments passed to moments.assemble_q."""
+    calls = []
+    original = moments.assemble_q
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moments, "assemble_q", counting)
     return calls

@@ -1,5 +1,4 @@
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -169,10 +168,10 @@ class TestOptimalAngle:
 
 
 def scalar_scanned_maximum(f, nu, strike):
-    """One-strike reference for the guard scan: the angle grid's models
-    calibrated and priced at a single strike."""
+    """The largest call price at one strike over 240 two-state models on an
+    angle grid over the branch [pi/2 - theta, pi/2)."""
     theta = math.acos(math.sqrt(nu))
-    chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, attainment._SCAN_POINTS)[:-1]
+    chi = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, 241)[:-1]
     weight_low, weight_high = np.sin(chi) ** 2, np.cos(chi) ** 2
     low = f * np.cos(theta + chi) ** 2 / weight_low
     high = f * np.sin(theta + chi) ** 2 / weight_high
@@ -190,67 +189,37 @@ def random_scan_case(rng, strikes):
 
 
 class TestBranchGuard:
-    def test_scanned_maximum_matches_per_angle_loop(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            f, nu, (k,) = random_scan_case(rng, 1)
-            theta = math.acos(math.sqrt(nu))
-            grid = np.linspace(0.5 * math.pi - theta, 0.5 * math.pi, attainment._SCAN_POINTS)[:-1]
-            expected = max(
-                binomial_call_prices(c, *binomial_calibrate(f, nu, c), k) for c in grid.tolist()
-            )
-            got = attainment._scanned_maxima(f, nu, np.array([k]))
-            assert got.shape == (1,)
-            assert got[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
-
-    def test_grid_rows_equal_one_strike_scans(self):
-        rng = np.random.default_rng(17)
+    def test_no_scanned_model_beats_the_bound(self):
+        # The property that lets the report's gap check guard the branch:
+        # every two-state model matching (f, nu) prices at or below the bound.
+        # Measured over 3000 random (f, nu), 20 strikes each: the angle grid's
+        # maximum was always below the bound, by at least 1.4e-15 relative.
+        rng = np.random.default_rng(29)
         for _ in range(100):
-            f, nu, ks = random_scan_case(rng, int(rng.integers(1, 40)))
-            rows = attainment._scanned_maxima(f, nu, ks)
-            singles = [attainment._scanned_maxima(f, nu, ks[i : i + 1])[0] for i in range(ks.size)]
-            assert rows.tolist() == singles
-            assert singles == [scalar_scanned_maximum(f, nu, k) for k in ks.tolist()]
-
-    def test_grid_beyond_one_block_matches_blockwise(self):
-        f, nu, ks = random_scan_case(np.random.default_rng(23), 1500)
-        per_block = attainment.STACK_BYTES // (8 * (attainment._SCAN_POINTS - 1))
-        assert ks.size > 2 * per_block
-        blockwise = np.concatenate(
-            [attainment._scanned_maxima(f, nu, ks[i : i + 100]) for i in range(0, ks.size, 100)]
-        )
-        got = attainment._scanned_maxima(f, nu, ks).tolist()
-        assert got == blockwise.tolist()
-        assert got == [scalar_scanned_maximum(f, nu, k) for k in ks.tolist()]
+            f, nu, ks = random_scan_case(rng, 5)
+            for k, bound in zip(ks.tolist(), vanilla_bounds(f, nu, ks).tolist()):
+                assert scalar_scanned_maximum(f, nu, k) <= bound * (1.0 + 4.0 * np.finfo(float).eps)
 
     def test_guard_still_rejects_a_beaten_angle(self, monkeypatch):
-        f, nu, k = 1.0, 0.04, 1.3
+        # The mirror branch's angle pi/2 - chi, calibrated on this branch
+        # (here it lies on it: chi <= theta), is a model that misses the bound.
+        f, nu, k = 1.0, 0.04, 1.0
         chi = attaining_angle(f, nu, k)
-        achieved = binomial_call_prices(chi, *binomial_calibrate(f, nu, chi), k)
-        monkeypatch.setattr(
-            attainment, "_scanned_maxima", lambda *args: np.array([achieved + 2e-9 * max(1.0, f)])
-        )
-        with pytest.raises(BranchResolutionFailure, match=re.escape(f"formula angle {chi} ")):
-            attaining_angle(f, nu, k)
+        assert 0.5 * math.pi - chi >= 0.5 * math.pi - math.acos(math.sqrt(nu))
+        real = attainment._attaining_models
 
-    def test_scan_guard_names_the_first_beaten_strike(self, monkeypatch):
-        f, nu = 1.0, 0.04
-        strikes = np.linspace(0.5, 2.0, 7)
-        real = attainment._scanned_maxima
+        def mirrored(f_, nu_, ks):
+            angles = 0.5 * math.pi - real(f_, nu_, ks)[0]
+            low, high = binomial_calibrate(f_, nu_, angles)
+            return angles, low, high, binomial_call_prices(angles, low, high, ks)
 
-        def beaten(f_, nu_, ks):
-            best = real(f_, nu_, ks)
-            best[[2, 5]] += 1e-6
-            return best
-
-        first = attaining_angle(f, nu, float(strikes[2]))
-        monkeypatch.setattr(attainment, "_scanned_maxima", beaten)
-        with pytest.raises(BranchResolutionFailure, match=re.escape(f"formula angle {first} ")):
-            local_attainment_scan(f, nu, strikes)
+        monkeypatch.setattr(attainment, "_attaining_models", mirrored)
+        with pytest.raises(BranchResolutionFailure, match="attainment gap"):
+            local_attainment_scan(f, nu, [k])
 
     def test_scan_calibrates_each_strike_once(self, monkeypatch):
-        # In two calls whatever the number of strikes: one for the guard's
-        # angle grid and one for the formula angles of all strikes.
+        # In one call whatever the number of strikes: the formula angles of
+        # all strikes.
         calls = []
         real = attainment.binomial_calibrate
         monkeypatch.setattr(
@@ -259,7 +228,7 @@ class TestBranchGuard:
         for size in (1, 9, 40):
             calls.clear()
             report = local_attainment_scan(1.0, 0.04, np.linspace(0.5, 2.0, size))
-            assert len(calls) == 2
+            assert len(calls) == 1
             assert calls[-1][2].tolist() == report.angles.tolist()
 
 
