@@ -34,7 +34,9 @@ range, the zeros and the integers below ``_SMALL_INTEGERS``, and only the
 rest (non-finite or subnormal values, near ties, other integers) are
 formatted one by one.  Re-running an identical config reproduces the
 outputs byte for byte.  Every run is single-threaded: strike sweeps are
-batched into one solve per fixed moment matrix instead.
+batched into one solve per fixed moment matrix instead.  A run makes a
+missing output directory, removes earlier outputs first, writes each file
+with one ``os.open`` and removes both outputs if anything fails.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 """
@@ -295,8 +297,7 @@ def _run_refine(plan):
         curves.append(refined_bounds(moments, strikes))
     reference = bs_call_prices(model.forward, strikes, model.sigma, model.expiry)
     columns.append("bs_price")
-    for name, curve in zip(columns[1:], curves + [reference]):
-        check_decreasing_convex(strikes, curve, label=name)
+    check_decreasing_convex(strikes, [*curves, reference], label=columns[1:])
     gaps = [float(np.max(curve - reference)) for curve in curves]
     summary = {
         "max_gap_by_column": dict(zip(columns[1:-1], gaps)),
@@ -329,8 +330,7 @@ def _prepare_fx_cross(parameters: dict):
 def _run_fx_cross(plan):
     strikes, rhos, nus = plan["strikes"], plan["rhos"], plan["nus"]
     curves = vanilla_bounds(plan["forward"], nus[:, None], strikes)
-    for rho, curve in zip(rhos, curves):
-        check_decreasing_convex(strikes, curve, label=f"fx bound (rho={rho})")
+    check_decreasing_convex(strikes, curves, label=[f"fx bound (rho={rho})" for rho in rhos])
     rises = [float(np.max(later - earlier)) for earlier, later in zip(curves, curves[1:])]
     values = [np.repeat(rhos, strikes.size), np.tile(strikes, len(rhos))]
     values += [np.repeat(nus, strikes.size), curves.ravel()]
@@ -396,8 +396,8 @@ def _run_caplet(plan):
     summary = {"switch_strikes": {}, "point_mass_at_zero": {}} if scan_shifts else {"switch_strikes": {}}
     baskets = [basket for *_, basket in slices]
     scan = caplet_cdf_scan(baskets, strikes)
-    for (alpha, rho, label, basket), bounds, switches in zip(slices, scan.bounds, scan.switch_strikes):
-        check_decreasing_convex(strikes, bounds, label=f"caplet bound (alpha={alpha}, rho={rho})")
+    check_decreasing_convex(strikes, scan.bounds, [f"caplet bound (alpha={a}, rho={r})" for a, r, _, _ in slices])
+    for (_, _, label, basket), switches in zip(slices, scan.switch_strikes):
         summary["switch_strikes"][label] = list(switches)
         if scan_shifts:
             summary["point_mass_at_zero"][label] = caplet_point_mass(basket, 0.0)
@@ -490,12 +490,11 @@ def _format_column(values) -> list:
 
 
 # A table of at least this many cells is formatted by the array kernel.  Its
-# fixed cost of some 50-70 us makes it slower than formatting cell by cell,
-# at about 0.45 us a cell, below 100-150 cells, both when every cell is a
-# float in range and for a caplet CDF table, a third of whose cells are
-# zeros and small counts (6-column tables, best of 15 x 300 calls, on a
-# 2-core Xeon with Python 3.11 and NumPy 2.4).
-_ARRAY_MIN_CELLS = 256
+# fixed cost of 50-65 us makes it slower than formatting cell by cell, at about
+# 0.6 us a cell, below 80-125 cells on the benchmark workloads' own 3- to
+# 7-column tables cut to 42-160 cells; from 128 cells on it was never slower
+# (best of 15 x 100 calls a path, on a 2-core Xeon, Python 3.11, NumPy 2.4).
+_ARRAY_MIN_CELLS = 128
 # The kernel decides cells whose decimal exponent lies within this of 0, so
 # that every power of ten it reads is a normal double.
 _MAX_EXPONENT = 278
@@ -633,9 +632,26 @@ def _csv_bytes(columns, values) -> bytes:
     if texts:
         padded = b"".join(text.ljust(24, b"\0") for text in texts)
         slots[np.concatenate(index)] = np.frombuffer(padded, "<u8").reshape(-1, 3)
-    flat = slots.view(np.uint8).ravel()
     # No cell holds a NUL byte, so NULs are padding.
-    return header.encode() + flat[flat != 0].tobytes()
+    return header.encode() + slots.tobytes().translate(None, b"\0")
+
+
+def _remove(*paths) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+
+
+def _write(path, data: bytes) -> None:
+    """Create or truncate ``path`` and write ``data`` to it, finishing short writes."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 def run(config: RunConfig, out_dir) -> Path:
@@ -644,21 +660,21 @@ def run(config: RunConfig, out_dir) -> Path:
     The config was validated as it was loaded, so a run raises no config
     error.  Earlier outputs are removed first, so a failed run leaves none.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{config.output}.csv"
-    manifest_path = out / f"{config.output}_manifest.json"
-    for path in (csv_path, manifest_path):
-        path.unlink(missing_ok=True)
+    out = os.fspath(out_dir) or os.curdir
+    if not os.path.isdir(out):
+        os.makedirs(out, exist_ok=True)
+    csv_path = os.path.join(out, f"{config.output}.csv")
+    manifest_path = os.path.join(out, f"{config.output}_manifest.json")
+    _remove(csv_path, manifest_path)
     try:
         columns, values, summary = EXPERIMENTS[config.experiment].execute(config.plan)
-        csv_path.write_bytes(_csv_bytes(columns, values))
+        _write(csv_path, _csv_bytes(columns, values))
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "experiment": config.experiment,
             "config_sha256": config.sha256,
             "tolerances": {"psd": PSD_TOL, "eig": EIG_TOL},
-            "outputs": [csv_path.name],
+            "outputs": [os.path.basename(csv_path)],
             "rows": len(values[0]),
             "summary": summary,
         }
@@ -666,12 +682,11 @@ def run(config: RunConfig, out_dir) -> Path:
             text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:  # JSON has no NaN or infinity
             raise NonFiniteResult(f"summary value is not finite: {exc}") from exc
-        manifest_path.write_bytes((text + "\n").encode())
+        _write(manifest_path, (text + "\n").encode())
     except BaseException:
-        for path in (csv_path, manifest_path):
-            path.unlink(missing_ok=True)
+        _remove(csv_path, manifest_path)
         raise
-    return manifest_path
+    return Path(manifest_path)
 
 
 def main(argv=None) -> int:

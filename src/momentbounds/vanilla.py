@@ -100,42 +100,46 @@ def implied_cdfs(f, nu, k) -> np.ndarray:
     return np.where(k == 0.0, nu, cdf)
 
 
-def check_decreasing_convex(strikes, values, label: str = "bound curve") -> None:
-    """Raise ShapeViolation unless the curve is decreasing and convex in strike.
+def check_decreasing_convex(strikes, values, label="bound curve") -> None:
+    """Raise ShapeViolation unless each curve is decreasing and convex in strike.
 
-    Convexity uses divided differences, so unevenly spaced grids are handled.
-    Both checks allow slack ``SHAPE_TOL`` plus the roundoff, 4 eps |v| a
-    value, of the values each slope spans, over its step.  A value that is
-    not finite raises NonFiniteResult first: its slopes are NaN, which no
-    comparison flags.
+    ``values`` is one curve or a (curves, strikes) stack, with one ``label``
+    for every curve or a sequence of one per row; for the first failing row,
+    a stack raises the error a loop over its rows would.  Convexity uses
+    divided differences, so unevenly spaced grids are handled.  Both checks
+    allow slack ``SHAPE_TOL`` plus the roundoff, 4 eps |v| a value, of the
+    values each slope spans, over its step.  A value that is not finite
+    raises NonFiniteResult before its row's shape checks: its slopes are NaN,
+    which no comparison flags.
     """
     ks = _checked_grid(strikes, positive=False, min_size=2)
     vs = np.asarray(values, dtype=float)
-    if ks.shape != vs.shape:
+    if vs.ndim > 2 or vs.shape[-1:] != ks.shape:
         raise ParameterOutOfRange("curve values must match the strike grid")
-    finite = np.isfinite(vs)
-    if not finite.all():
-        i = int(np.argmin(finite))  # the first value that is not finite
-        raise NonFiniteResult(f"{label} is {vs[i]} at strike {ks[i]}")
+    rows = vs.reshape(-1, ks.size)
+    labels = [label] * len(rows) if isinstance(label, str) else list(label)
+    if len(labels) != len(rows):
+        raise ParameterOutOfRange("a curve stack needs one label per row")
+    finite = np.isfinite(rows)
+    # Where the first value that is not finite lies: no row from it on gets slopes.
+    bad, at = (len(rows), 0) if finite.all() else divmod(int(np.argmin(finite)), ks.size)
+    checked = rows[:bad]
     steps = ks[1:] - ks[:-1]
-    slopes = (vs[1:] - vs[:-1]) / steps
-    roundoff = 4.0 * np.finfo(float).eps * np.abs(vs)
-    slack = (roundoff[:-1] + roundoff[1:]) / steps
-    if np.any(slopes - slack > SHAPE_TOL):
-        i = int(np.argmax(slopes - slack))
-        raise ShapeViolation(
-            f"{label} increases between strikes {ks[i]} and {ks[i + 1]} "
-            f"(slope {slopes[i]:.3e})"
-        )
-    if slopes.size >= 2:
-        curvature = slopes[1:] - slopes[:-1]
-        slack = slack[:-1] + slack[1:]
-        if np.any(curvature + slack < -SHAPE_TOL):
-            i = int(np.argmin(curvature + slack))
-            raise ShapeViolation(
-                f"{label} is concave around strike {ks[i + 1]} "
-                f"(slope change {curvature[i]:.3e})"
-            )
+    slopes = (checked[:, 1:] - checked[:, :-1]) / steps
+    roundoff = 4.0 * np.finfo(float).eps * np.abs(checked)
+    slack = (roundoff[:, :-1] + roundoff[:, 1:]) / steps
+    rises, curvature = slopes - slack, slopes[:, 1:] - slopes[:, :-1]
+    bends = curvature + (slack[:, :-1] + slack[:, 1:])
+    increasing, concave = rises > SHAPE_TOL, bends < -SHAPE_TOL
+    if increasing.any() or concave.any():
+        r = int(np.argmax(increasing.any(axis=1) | concave.any(axis=1)))
+        if increasing[r].any():
+            i = int(np.argmax(rises[r]))
+            raise ShapeViolation(f"{labels[r]} increases between strikes {ks[i]} and {ks[i + 1]} (slope {slopes[r, i]:.3e})")
+        i = int(np.argmin(bends[r]))
+        raise ShapeViolation(f"{labels[r]} is concave around strike {ks[i + 1]} (slope change {curvature[r, i]:.3e})")
+    if bad < len(rows):
+        raise NonFiniteResult(f"{labels[bad]} is {rows[bad, at]} at strike {ks[at]}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import inspect
 import json
 import math
@@ -232,6 +233,106 @@ class TestRun:
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+
+def no_space_left(fd, data):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestWriter:
+    """A run writes its outputs through ``os``: it makes a missing output
+    directory, finishes short writes and closes every file it opens."""
+
+    def test_csv_path_occupied_by_a_directory_exits_4(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", smile_config())
+        (tmp_path / "out" / "smile.csv").mkdir(parents=True)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: IOError:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "smile_manifest.json").exists()
+
+    def test_missing_nested_output_directory_is_created(self, tmp_path):
+        config = load_config(write_config(tmp_path / "c.json", smile_config()))
+        run(config, tmp_path / "flat")
+        nested = tmp_path / "a" / "b" / "c"
+        manifest = run(config, str(nested))
+        assert isinstance(manifest, Path)
+        assert manifest == nested / "smile_manifest.json"
+        assert outputs(nested) == outputs(tmp_path / "flat")
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        config = load_config(CONFIG_DIR / "caplet_cdf.json")
+        run(config, tmp_path / "whole")
+        write = os.write
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return write(fd, data[:4093])
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        run(config, tmp_path / "short")
+        monkeypatch.undo()
+        assert len(calls) > 2
+        assert outputs(tmp_path / "short") == outputs(tmp_path / "whole")
+
+    def test_failed_write_exits_4_and_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path / "c.json", smile_config())
+        run(load_config(path), tmp_path / "out")
+        monkeypatch.setattr(cli.os, "write", no_space_left)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        monkeypatch.undo()
+        assert capsys.readouterr().err.startswith("error: IOError: [Errno 28] No space left on device")
+        assert outputs(tmp_path / "out") == {}
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts the descriptors in /proc/self/fd")
+    def test_repeated_runs_leak_no_file_descriptor(self, tmp_path, monkeypatch):
+        # -X dev's ResourceWarning sees unclosed file objects, not raw
+        # descriptors, so they are counted.
+        config = load_config(write_config(tmp_path / "c.json", smile_config()))
+        run(config, tmp_path / "out")
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(10):
+            run(config, tmp_path / "out")
+        monkeypatch.setattr(cli.os, "write", no_space_left)
+        for _ in range(10):
+            with pytest.raises(OSError):
+                run(config, tmp_path / "out")
+        monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestOneShapeCheckPerJob:
+    """Each runner with several curves checks all of them in one call."""
+
+    @pytest.mark.parametrize(
+        "name, curves",
+        [
+            ("fx_cross.json", 6),
+            ("caplet_bound.json", 6),
+            ("caplet_cdf.json", 3),
+            ("flat_refine.json", None),
+            ("linear_refine.json", None),
+        ],
+    )
+    def test_one_call_per_job(self, tmp_path, monkeypatch, name, curves):
+        calls = []
+        check = cli.check_decreasing_convex
+
+        def counting(strikes, values, label="bound curve"):
+            calls.append((np.shape(values), label))
+            check(strikes, values, label)
+
+        monkeypatch.setattr(cli, "check_decreasing_convex", counting)
+        manifest = run(load_config(CONFIG_DIR / name), tmp_path)
+        with open(manifest.with_name(json.loads(manifest.read_text())["outputs"][0])) as handle:
+            header = handle.readline().strip().split(",")
+        ((shape, labels),) = calls
+        if curves is None:  # each refined bound, then the Black reference, named by its column
+            assert list(labels) == header[1:]
+            curves = len(header) - 1
+        assert shape[0] == len(labels) == curves
 
 
 def outputs(directory):

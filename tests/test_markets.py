@@ -64,6 +64,30 @@ class TestCrossRootVariance:
         values = [cross_root_variance(0.1, 0.2, float(r)) for r in rhos]
         assert np.all(np.diff(values) <= 1e-15)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        sigma1=st.floats(0.01, 1.5),
+        sigma2=st.floats(0.01, 1.5),
+        log_rho=st.floats(-1.0, 1.0),
+        expiry=st.floats(0.05, 5.0),
+    )
+    def test_lognormal_legs_give_the_cross_root_variance_under_leg_2s_numeraire(
+        self, sigma1, sigma2, log_rho, expiry
+    ):
+        # Lognormal legs a1, a2 with log-correlation log_rho.  Under leg 2's
+        # numeraire the cross rate a1 / a2 is lognormal with variance
+        # sigma_x^2 T, so its root-variance there is 1 - exp(-sigma_x^2 T / 4).
+        # Each leg's own is nu_i = 1 - exp(-sigma_i^2 T / 4), and the square
+        # roots' correlation rho_s follows from E[sqrt(a1 a2)].
+        nu1, nu2 = (1.0 - math.exp(-s * s * expiry / 4.0) for s in (sigma1, sigma2))
+        root_moment = math.exp(-(sigma1**2 + sigma2**2) * expiry / 8.0 + log_rho * sigma1 * sigma2 * expiry / 4.0)
+        rho_s = (root_moment - math.sqrt((1.0 - nu1) * (1.0 - nu2))) / math.sqrt(nu1 * nu2)
+        # A correlation by Cauchy-Schwarz; roundoff may move it an ulp past 1.
+        rho_s = min(1.0, max(-1.0, rho_s))
+        cross_variance = sigma1**2 + sigma2**2 - 2.0 * log_rho * sigma1 * sigma2
+        expected = 1.0 - math.exp(-cross_variance * expiry / 4.0)
+        assert abs(cross_root_variance(nu1, nu2, rho_s) - expected) <= 8.0 * np.finfo(float).eps
+
     def test_range(self):
         rng = np.random.default_rng(13)
         for _ in range(200):

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentbounds import vanilla as vanilla_module
 from momentbounds.engine import factor_psd, positive_eigenvalue_bounds
@@ -251,6 +253,81 @@ class TestShapeChecks:
         for values in ([bad, 0.5, 0.2], [1.0, bad, 0.2], [1.0, 0.5, bad]):
             with pytest.raises(NonFiniteResult, match="at strike"):
                 check_decreasing_convex([1.0, 2.0, 3.0], values)
+
+
+def shape_error(check):
+    """The type and message of the error ``check()`` raises, or None."""
+    try:
+        check()
+    except (ShapeViolation, NonFiniteResult) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+STACK_STRIKES = np.linspace(0.5, 2.0, 7)
+# Curves over STACK_STRIKES: a valid bound, the same bound with a concave
+# kink at 1.0 and with a rise after it, and the bound with one value that is
+# not finite, at 1.25.
+STACK_ROWS = {
+    "valid": vanilla_bounds(1.0, 0.04, STACK_STRIKES),
+    "concave": vanilla_bounds(1.0, 0.04, STACK_STRIKES) - 0.3 * np.maximum(STACK_STRIKES - 1.0, 0.0),
+    "increasing": vanilla_bounds(1.0, 0.04, STACK_STRIKES) + 0.5 * np.maximum(STACK_STRIKES - 1.0, 0.0),
+    **{
+        name: np.where(STACK_STRIKES == 1.25, bad, vanilla_bounds(1.0, 0.04, STACK_STRIKES))
+        for name, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))
+    },
+}
+
+
+class TestStackedShapeCheck:
+    """A (curves, strikes) stack raises, for its first failing row, the
+    error a loop over the rows raises."""
+
+    def test_concave_row_before_a_non_finite_row(self):
+        stack = [STACK_ROWS["valid"], STACK_ROWS["concave"], STACK_ROWS["inf"]]
+        labels = ["row 0", "row 1", "row 2"]
+        looped = shape_error(lambda: [check_decreasing_convex(STACK_STRIKES, v, label=n) for v, n in zip(stack, labels)])
+        stacked = shape_error(lambda: check_decreasing_convex(STACK_STRIKES, stack, label=labels))
+        assert looped[0] is ShapeViolation
+        assert looped[1].startswith("row 1 is concave around strike 1.0 ")
+        assert stacked == looped
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(STACK_ROWS)), min_size=1, max_size=5))
+    def test_stack_raises_what_a_row_loop_raises(self, kinds):
+        stack = np.array([STACK_ROWS[kind] for kind in kinds])
+        labels = [f"curve {i} ({kind})" for i, kind in enumerate(kinds)]
+        looped = shape_error(lambda: [check_decreasing_convex(STACK_STRIKES, v, label=n) for v, n in zip(stack, labels)])
+        assert shape_error(lambda: check_decreasing_convex(STACK_STRIKES, stack, label=labels)) == looped
+
+    @pytest.mark.parametrize("kind", sorted(STACK_ROWS))
+    def test_one_curve_is_a_one_row_stack(self, kind):
+        # A 1-D call names its curve with the default label, or the one
+        # given, and raises what the one-row stack raises.
+        values = STACK_ROWS[kind]
+        expected = shape_error(lambda: check_decreasing_convex(STACK_STRIKES, [values], label=["bound curve"]))
+        assert shape_error(lambda: check_decreasing_convex(STACK_STRIKES, values)) == expected
+        assert (expected is None) == (kind == "valid")
+        if expected is not None:
+            assert expected[1].startswith("bound curve ")
+
+    def test_one_label_names_every_row(self):
+        stack = [STACK_ROWS["valid"], STACK_ROWS["increasing"]]
+        with pytest.raises(ShapeViolation, match="^fx bound increases between strikes "):
+            check_decreasing_convex(STACK_STRIKES, stack, label="fx bound")
+
+    @pytest.mark.parametrize(
+        "values, labels",
+        [
+            ([STACK_ROWS["valid"]] * 2, ["only one"]),
+            ([[STACK_ROWS["valid"]]], ["a"]),
+            (STACK_ROWS["valid"][:-1], "short"),
+            (1.0, "scalar"),
+        ],
+    )
+    def test_stack_must_match_the_grid_and_the_labels(self, values, labels):
+        with pytest.raises(ParameterOutOfRange):
+            check_decreasing_convex(STACK_STRIKES, values, label=labels)
 
 
 class TestSmileCurve:
