@@ -31,10 +31,10 @@ def main():
 
     print("\nImplied lognormal vol of the bound (the interpolated smile):")
     print(header)
-    curves = dict(zip(NU_LEVELS, smile_curves(FORWARD, NU_LEVELS, STRIKES, 1.0)))
-    for i, k in enumerate(STRIKES):
-        cells = [f"{curves[nu].implied_vols[i]:10.4f}" for nu in NU_LEVELS]
-        print(f"{k:5.2f}  " + "  ".join(cells))
+    # One stacked curve: a row of vols per root-variance, a column per strike.
+    smile = smile_curves(FORWARD, NU_LEVELS, STRIKES, 1.0)
+    for k, vols in zip(STRIKES, smile.implied_vols.T):
+        print(f"{k:5.2f}  " + "  ".join(f"{v:10.4f}" for v in vols))
 
     print("\nImplied CDF near zero strike: the distribution carries a point")
     print("mass at zero equal to the root-variance itself.")

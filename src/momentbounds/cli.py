@@ -237,16 +237,10 @@ def _prepare_vanilla_smile(parameters: dict):
 
 def _run_vanilla_smile(plan):
     strikes, nus = plan["strikes"], plan["root_variances"]
-    # Each curve checks its own shape on construction.
-    curves = smile_curves(plan["forward"], nus, strikes, plan["expiry"])
-    values = [np.repeat(nus, strikes.size), np.tile(strikes, len(curves))] + [
-        np.ravel([getattr(c, name) for c in curves]) for name in ("bounds", "implied_vols", "cdf")
-    ]
-    summary = {
-        "curve_count": len(curves),
-        "strike_count": int(strikes.size),
-        "max_bound": max(float(np.max(c.bounds)) for c in curves),
-    }
+    curve = smile_curves(plan["forward"], nus, strikes, plan["expiry"])
+    values = [np.repeat(nus, strikes.size), np.tile(strikes, len(nus))]
+    values += [curve.bounds.ravel(), curve.implied_vols.ravel(), curve.cdf.ravel()]
+    summary = {"curve_count": len(nus), "strike_count": int(strikes.size), "max_bound": float(np.max(curve.bounds))}
     return ["nu", "strike", "bound", "implied_vol", "cdf"], values, summary
 
 
@@ -637,11 +631,17 @@ def _csv_bytes(columns, values) -> bytes:
 
 
 def _remove(*paths) -> None:
+    """Unlink every path that exists, then raise the first error."""
+    errors = []
     for path in paths:
         try:
             os.unlink(path)
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
 
 
 def _write(path, data: bytes) -> None:

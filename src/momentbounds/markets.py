@@ -199,7 +199,8 @@ def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
     products, so it keeps its relative digits and is an exact zero where Q is
     singular.
 
-    Raises NegativeShiftedRate unless both shifted swap rates are positive.
+    Raises NegativeShiftedRate unless both shifted swap rates are positive,
+    and ParameterOutOfRange if a minor or the determinant is not finite.
     """
     if not 2 <= n <= slice_.periods:
         raise ParameterOutOfRange(
@@ -224,6 +225,8 @@ def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
     det = f_n * f_prev * nu_n * nu_prev * (1.0 - rho) * (1.0 + rho)
     forward = here.forward_from_swaps(slice_.forwards[n - 1], slice_.forwards[n - 2])
     minors = (m12, f_n * nu_n, f_prev * nu_prev)
+    if not all(map(math.isfinite, (*minors, det))):
+        raise ParameterOutOfRange(f"caplet moment invariants overflow at shifted rates ({f_n}, {f_prev})")
     return CapletBasket((f_n, f_prev, 1.0), here.lam, strike_shift, float(forward), minors, det)
 
 

@@ -265,7 +265,7 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     Raises, for the first failing strike in grid order:
         ParameterOutOfRange: non-positive forward, strike or expiry.
         PriceOutsideArbitrageBounds: price not finite or outside [(f-k)^+, f].
-        ConvergenceFailure: price requires a volatility above the bracket.
+        ConvergenceFailure: no vol in the bracket reproduces the price.
     """
     if not forward > 0.0 or not expiry > 0.0:
         raise ParameterOutOfRange(f"forward and expiry must be positive, got {forward}, {expiry}")
@@ -293,15 +293,6 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     k, p = ks[solve], ps[solve]
     root_expiry = math.sqrt(expiry)
     lo, hi = _VOL_BRACKET
-    unbracketed = bs_call_prices(forward, k, hi, expiry) < p
-    failures += _first(
-        solve[unbracketed],
-        lambda i: ConvergenceFailure(
-            f"implied lognormal vol above bracket {hi} for price {ps[i]} at strike {ks[i]}"
-        ),
-    )
-    keep = ~unbracketed
-    k, p = k[keep], p[keep]
     x = _mapped(_log, forward / k)  # log(f / k), mapped as in ``bs_call_prices``
     # The out-of-the-money option (the put below the forward) has time value
     # q by put-call parity, and keeps its digits away from the money.
@@ -321,13 +312,17 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     # is a rounding away from the forward.
     start = np.maximum(np.sqrt(2.0 * np.abs(x)), _SQRT_2PI * q / forward)
     lo_s, hi_s = np.full(k.size, lo * root_expiry), np.full(k.size, hi * root_expiry)
+    # A price above the bracket's top has no root: Halley's safeguard pins
+    # it at the top, and the residual check reports it.
     s = _halley(time_value, np.clip(start, lo_s, hi_s), lo_s, hi_s, q)
     off = np.abs(bs_call_prices(forward, k, s / root_expiry, expiry) - p) > PRICE_TOL
-    vols[solve[keep]] = s / root_expiry
+    vols[solve] = s / root_expiry
     failures += _first(
-        solve[keep][off],
+        solve[off],
         lambda i: ConvergenceFailure(
-            f"price residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
+            f"implied lognormal vol above bracket {hi} for price {ps[i]} at strike {ks[i]}"
+            if bs_call_prices(forward, ks[i], hi, expiry) < ps[i]
+            else f"price residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
         ),
     )
     _raise_first(failures)

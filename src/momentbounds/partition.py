@@ -127,10 +127,12 @@ class ConditionalMoments:
 
 def _density(model: LognormalModel, a: np.ndarray) -> np.ndarray:
     stdev = model.sigma * math.sqrt(model.expiry)
-    z = (np.log(a / model.forward) + 0.5 * model.total_variance) / stdev
-    # Near the float maximum a * stdev overflows, where the density is zero.
-    with np.errstate(over="ignore"):
-        return np.exp(-0.5 * z * z) / (a * stdev * math.sqrt(2.0 * math.pi))
+    # Near the float maximum a * stdev overflows; for a subnormal stdev z overflows
+    # and a * stdev may round to zero.  Where the exponential is zero, so is the density.
+    with np.errstate(over="ignore", divide="ignore"):
+        z = (np.log(a / model.forward) + 0.5 * model.total_variance) / stdev
+        kernel = np.exp(-0.5 * z * z)
+        return np.divide(kernel, a * stdev * math.sqrt(2.0 * math.pi), out=np.zeros(kernel.shape), where=kernel > 0.0)
 
 
 def _moments_from_raw(digital: np.ndarray, first: np.ndarray, half: np.ndarray):

@@ -144,11 +144,12 @@ def check_decreasing_convex(strikes, values, label="bound curve") -> None:
 
 @dataclass(frozen=True)
 class VanillaBoundCurve:
-    """Bound, implied-vol and implied-CDF values over a strike grid.
+    """Bound, implied-vol and implied-CDF values over a strike grid, for one
+    curve or a (curves, strikes) stack of them.
 
-    Construction enforces the no-arbitrage shape invariants: bounds are
-    decreasing and convex in strike, the CDF is non-decreasing with values
-    in [0, 1].  Implied vols use math.inf as the diverging-vol sentinel.
+    Construction enforces the no-arbitrage shape invariants on every row:
+    bounds decreasing and convex in strike, the CDF non-decreasing in [0, 1].
+    Implied vols use math.inf as the diverging-vol sentinel.
     """
 
     strikes: np.ndarray
@@ -159,23 +160,21 @@ class VanillaBoundCurve:
     def __post_init__(self):
         for name in ("strikes", "bounds", "implied_vols", "cdf"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        if not (self.strikes.shape == self.bounds.shape == self.implied_vols.shape == self.cdf.shape):
+        if not self.bounds.shape == self.implied_vols.shape == self.cdf.shape:
             raise ParameterOutOfRange("curve columns must share one strike grid")
-        check_decreasing_convex(self.strikes, self.bounds)
+        check_decreasing_convex(self.strikes, self.bounds)  # also matches the rows to the grid
         if np.any(np.diff(self.cdf) < -SHAPE_TOL):
             raise ShapeViolation("implied CDF must be non-decreasing in strike")
         if np.any(self.cdf < -SHAPE_TOL) or np.any(self.cdf > 1.0 + SHAPE_TOL):
             raise ShapeViolation("implied CDF must take values in [0, 1]")
 
 
-def smile_curves(f: float, nus, strikes, expiry: float) -> list:
+def smile_curves(f: float, nus, strikes, expiry: float) -> VanillaBoundCurve:
     """Bound curves with implied lognormal vols and implied CDF on one strike
-    grid, one per root-variance in ``nus``.  All bounds invert in one call,
-    and then the curves are built."""
+    grid, one row per root-variance in ``nus``, as one stacked curve.  All
+    bounds invert in one call before the stack checks its shape."""
     ks = _checked_grid(strikes, min_size=2)
-    nus = np.asarray(nus, dtype=float).reshape(-1)
-    bounds = vanilla_bounds(f, nus[:, None], ks)
-    cdf = implied_cdfs(f, nus[:, None], ks)
+    nus = np.asarray(nus, dtype=float).reshape(-1, 1)
+    bounds = vanilla_bounds(f, nus, ks)
     vols = implied_lognormal_vols(f, np.tile(ks, nus.size), expiry, bounds.ravel())
-    vols = vols.reshape(bounds.shape)
-    return [VanillaBoundCurve(ks, b, v, c) for b, v, c in zip(bounds, vols, cdf)]
+    return VanillaBoundCurve(ks, bounds, vols.reshape(bounds.shape), implied_cdfs(f, nus, ks))

@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import dataclasses
 import errno
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import momentbounds
 from momentbounds import cli
+from momentbounds import vanilla as vanilla_module
 from momentbounds.cli import EXPERIMENTS, load_config, main, run
 from momentbounds.errors import ConfigError, DegenerateCell, NegativeShiftedRate
 from momentbounds.vanilla import check_decreasing_convex, smile_curves
@@ -225,8 +229,8 @@ class TestRun:
         strikes = np.linspace(0.5, 2.0, 16)
         lines = ["nu,strike,bound,implied_vol,cdf"]
         for nu in payload["parameters"]["root_variances"]:
-            (curve,) = smile_curves(1.0, [nu], strikes, 0.75)
-            for row in zip(curve.strikes, curve.bounds, curve.implied_vols, curve.cdf):
+            curve = smile_curves(1.0, [nu], strikes, 0.75)
+            for row in zip(curve.strikes, *curve.bounds, *curve.implied_vols, *curve.cdf):
                 lines.append(",".join(f"{v:.11e}" for v in (nu, *row)))
         assert (tmp_path / "out" / "smile.csv").read_text() == "\n".join(lines) + "\n"
 
@@ -244,8 +248,13 @@ class TestWriter:
     directory, finishes short writes and closes every file it opens."""
 
     def test_csv_path_occupied_by_a_directory_exits_4(self, tmp_path, capsys):
+        # The earlier run's manifest goes too, though the CSV path cannot be
+        # unlinked.
         path = write_config(tmp_path / "c.json", smile_config())
-        (tmp_path / "out" / "smile.csv").mkdir(parents=True)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        (tmp_path / "out" / "smile.csv").unlink()
+        (tmp_path / "out" / "smile.csv").mkdir()
+        capsys.readouterr()
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: IOError:")
@@ -333,6 +342,18 @@ class TestOneShapeCheckPerJob:
             assert list(labels) == header[1:]
             curves = len(header) - 1
         assert shape[0] == len(labels) == curves
+
+    def test_smile_job_checks_its_curves_once(self, tmp_path, monkeypatch):
+        calls = []
+        check = vanilla_module.check_decreasing_convex
+
+        def counting(strikes, values, label="bound curve"):
+            calls.append(np.shape(values))
+            check(strikes, values, label)
+
+        monkeypatch.setattr(vanilla_module, "check_decreasing_convex", counting)
+        run(load_config(CONFIG_DIR / "vanilla_smile.json"), tmp_path)
+        assert calls == [(4, 23)]
 
 
 def outputs(directory):
@@ -854,6 +875,77 @@ class TestExitCodes:
         blocker.write_text("")
         assert main(["--config", str(path), "--out", str(blocker / "out")]) == 4
         assert capsys.readouterr().err.startswith("error: IOError:")
+
+
+# Values a mutated numeric leaf takes: edges of the ranges the library
+# checks, and values that overflow, underflow or round next to 1.  The
+# integers stay integers, so an integer leaf keeps its type.
+FUZZ_VALUES = [0, 1, -1, 0.5, 2, 3, 100, 1e6, 1e15, 1e-300, -1e-300, 5e-324, 1e-15, 1e-8, 1e300]
+FUZZ_VALUES += [1.0 + 1e-15, 1.0 - 1e-15, 0.999999999]
+
+
+def numeric_leaves(value, path=()):
+    """Paths to the numbers (not booleans) inside ``value``, in document order."""
+    if isinstance(value, dict):
+        return [leaf for key in value for leaf in numeric_leaves(value[key], path + (key,))]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in numeric_leaves(item, path + (i,))]
+    return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def mutated(payload, picks):
+    """A copy of ``payload`` with each pick ``(leaf, value)`` applied to its
+    parameters.  ``leaf`` is an index into the numeric leaves, taken modulo
+    their count, or the name of the key that holds the leaf; a name that no
+    leaf has is skipped."""
+    payload = json.loads(json.dumps(payload))
+    leaves = numeric_leaves(payload["parameters"])
+    for leaf, value in picks:
+        paths = [leaves[leaf % len(leaves)]] if isinstance(leaf, int) else [p for p in leaves if p[-1] == leaf]
+        for *parents, key in paths:
+            node = payload["parameters"]
+            for step in parents:
+                node = node[step]
+            node[key] = value
+    return payload
+
+
+class TestMutatedShippedConfigs:
+    """Each shipped config, with one to three numeric leaves set to edge
+    values, ends in exit code 0, 2, 3 or 4 without a warning.  A config that
+    validates never exits 2, and every exit-0 output is strict and finite,
+    apart from the diverging implied-vol sentinel."""
+
+    @pytest.mark.parametrize("name", [path.name for path in SHIPPED_CONFIGS])
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(picks=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))
+    # A subnormal sigma sqrt(T), where the hat density's z overflows, and a
+    # daycount so small that the caplet basket's invariants overflow.
+    @example(picks=[("sigma", 5e-324)])
+    @example(picks=[("daycount", 1e-300)])
+    def test_exit_codes_and_outputs(self, name, picks):
+        payload = mutated(json.loads((CONFIG_DIR / name).read_text()), picks)
+        # A dropped-cell UserWarning is the library's own report, recorded
+        # here out of the log; a RuntimeWarning fails the test.
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            path = write_config(Path(tmp) / "c.json", payload)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                valid = main(["--config", str(path), "--validate-only"])
+                code = main(["--config", str(path), "--out", str(Path(tmp) / "out")])
+            assert valid in (0, 2)
+            assert code in (0, 2, 3, 4)
+            assert (code == 2) == (valid == 2)
+            if code == 0:
+                manifest = strict_json((Path(tmp) / "out" / f"{payload['output']}_manifest.json").read_text())
+                with open(Path(tmp) / "out" / manifest["outputs"][0], encoding="ascii", newline="") as handle:
+                    header, *rows = csv.reader(handle)
+                assert rows and all(len(row) == len(header) for row in rows)
+                for column, cells in zip(header, zip(*rows)):
+                    values = np.array(cells, dtype=float)
+                    sentinel = np.isposinf(values) if column == "implied_vol" else False
+                    assert np.all(np.isfinite(values) | sentinel), column
 
 
 def test_import_and_runs_load_no_scipy(tmp_path):

@@ -432,6 +432,31 @@ class TestVolBracket:
             with pytest.raises(ConvergenceFailure):
                 implied_lognormal_vols(1.0, [1.0], 1.0, [price])
 
+    def test_above_bracket_message_names_the_bracket(self):
+        good = bs_call_prices(1.0, [1.2], 0.3, 1.0)[0]
+        above_bracket = bs_call_prices(1.0, [1.0], 12.0, 1.0)[0]
+        message = f"implied lognormal vol above bracket 10.0 for price {above_bracket} at strike 1.0"
+        with pytest.raises(ConvergenceFailure, match=f"^{message}$"):
+            implied_lognormal_vols(1.0, [1.2, 1.0], 1.0, [good, above_bracket])
+
+    def test_a_price_the_bracket_top_reproduces_returns_the_top(self):
+        # Above the bracket-top price, but within PRICE_TOL of it: Halley pins
+        # the vol at the top, whose residual passes.
+        price = bs_call_prices(1.0, [1.0], 10.0, 1.0)[0] + 0.5 * models.PRICE_TOL
+        (vol,) = implied_lognormal_vols(1.0, [1.0], 1.0, [price])
+        assert vol == pytest.approx(10.0, rel=1e-12)
+
+    def test_one_pricing_pass_after_the_solve(self, monkeypatch):
+        log = []
+        price, solve = models.bs_call_prices, models._halley
+        strikes = np.linspace(0.5, 2.0, 7)
+        prices = price(1.0, strikes, 0.3, 1.0)
+        monkeypatch.setattr(models, "bs_call_prices", lambda *args: log.append("price") or price(*args))
+        monkeypatch.setattr(models, "_halley", lambda *args: log.append("solve") or solve(*args))
+        vols = implied_lognormal_vols(1.0, strikes, 1.0, prices)
+        assert log == ["solve", "price"]
+        assert vols == pytest.approx(0.3, rel=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # Array inversions against the strike-by-strike bisection they replaced.
@@ -644,22 +669,22 @@ class TestArrayInversions:
         assert vols.tolist() == expected.tolist()
 
     def test_cdf_calls_per_inversion_bounded(self, monkeypatch):
-        # One CDF call per Halley step, plus the checks: for Black two for the
-        # bracket and two for the residual, for Bachelier one for the
-        # residual.  Over 200 seeds of these grids the most steps measured
-        # were 13 (Black) and 6 (Bachelier), and 5 (Bachelier) over the 20
-        # seeds below, where the far-from-the-money or at-the-money start
-        # took 7; the bound keeps one step of headroom for roundoff.  The
-        # cached start puts most strikes 2 steps from their root; the
-        # slowest have time values a roundoff above the intrinsic slack,
-        # where roundoff in q sets the count.  Newton took 19 and 9, and
-        # bisection about 59 steps of two calls (Black) or one (Bachelier).
+        # One CDF call per Halley step, plus the residual check: two calls for
+        # Black, one for Bachelier.  Over 200 seeds of these grids the most
+        # steps measured were 13 (Black) and 6 (Bachelier), and 5
+        # (Bachelier) over the 20 seeds below, where the far-from-the-money
+        # or at-the-money start took 7; the bound keeps one step of headroom
+        # for roundoff.  The cached start puts most strikes 2 steps from
+        # their root; the slowest have time values a roundoff above the
+        # intrinsic slack, where roundoff in q sets the count.  Newton took 19
+        # and 9, and bisection about 59 steps of two calls (Black) or one
+        # (Bachelier).
         models._normal_start_table()  # built once per process, outside the count
         calls = counted_cdf_calls(monkeypatch)
         most = {}
         for seed in range(20):
             for grid, invert, checks in (
-                (lognormal_grid, implied_lognormal_vols, 4),
+                (lognormal_grid, implied_lognormal_vols, 2),
                 (normal_grid, implied_normal_vols, 1),
             ):
                 forward, strikes, expiry, prices = grid(np.random.default_rng(seed))

@@ -609,6 +609,16 @@ class TestWholeGridMoments:
         with pytest.raises(DegenerateCell, match="zero mass"):
             linear_conditional_moments(MODEL, strikes)
 
+    @pytest.mark.parametrize("strikes", [[0.5, 1.0, 1.5, 2.0, 2.5], [0.1, 0.2, 0.3, 0.4]])
+    def test_subnormal_stdev_leaves_zero_mass(self, strikes):
+        # sigma sqrt(T) = 5e-324: z overflows at every node, and below a = 0.5
+        # so does a * stdev round to zero.  The density there is zero, so every
+        # hat is empty, with no overflow, divide or invalid warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateCell, match="zero mass"):
+                linear_conditional_moments(LognormalModel(1.0, 5e-324, 1.0), strikes)
+
     def test_flat_floor_boundary_unchanged(self, monkeypatch):
         # A cell is dropped only when its probability and its price mass
         # relative to the forward both lie below the floor.  Above 9 the

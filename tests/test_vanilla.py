@@ -334,21 +334,21 @@ class TestSmileCurve:
     def test_monotone_in_nu(self):
         ks = np.linspace(0.4, 2.6, 23)
         previous = None
-        for curve in smile_curves(1.0, [0.0025, 0.01, 0.04, 0.09], ks, 1.0):
+        for bounds in smile_curves(1.0, [0.0025, 0.01, 0.04, 0.09], ks, 1.0).bounds:
             if previous is not None:
-                assert np.all(curve.bounds >= previous - 1e-12)
-            previous = curve.bounds
+                assert np.all(bounds >= previous - 1e-12)
+            previous = bounds
 
     def test_atm_implied_vol(self):
-        (curve,) = smile_curves(1.0, [0.04], np.array([0.9, 1.0, 1.1]), 1.0)
-        assert curve.implied_vols[1] == pytest.approx(0.50669, abs=5e-6)
+        (vols,) = smile_curves(1.0, [0.04], np.array([0.9, 1.0, 1.1]), 1.0).implied_vols
+        assert vols[1] == pytest.approx(0.50669, abs=5e-6)
 
     def test_zero_variance_vols_vanish_off_atm(self):
-        (curve,) = smile_curves(1.0, [0.0], np.array([0.5, 0.8, 1.2, 2.0]), 1.0)
+        curve = smile_curves(1.0, [0.0], np.array([0.5, 0.8, 1.2, 2.0]), 1.0)
         assert np.all(curve.implied_vols == 0.0)
 
     def test_full_variance_hits_sentinel(self):
-        (curve,) = smile_curves(1.0, [1.0], np.array([0.5, 1.0, 2.0]), 1.0)
+        curve = smile_curves(1.0, [1.0], np.array([0.5, 1.0, 2.0]), 1.0)
         assert np.all(np.isinf(curve.implied_vols))
 
     def test_dominates_calibrated_lognormal(self):
@@ -363,17 +363,35 @@ class TestSmileCurve:
         with pytest.raises(ShapeViolation):
             VanillaBoundCurve(ks, np.array([0.1, 0.3, 0.2]), np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "bounds, cdf, error",
+        [
+            ([[0.3, 0.2, 0.1], [0.3, 0.25, 0.1]], [[0.0, 0.5, 1.0]] * 2, ShapeViolation),
+            ([[0.3, 0.2, 0.1]] * 2, [[0.0, 0.5, 1.0], [0.0, 0.5, 0.4]], ShapeViolation),
+            ([[0.3, 0.2, 0.1]] * 2, [[0.0, 0.5, 1.0], [0.0, 0.5, 1.5]], ShapeViolation),
+            ([[0.3, 0.2, 0.1]] * 2, [[0.0, 0.5, 1.0]], ParameterOutOfRange),
+            ([[0.3, 0.2]] * 2, [[0.0, 0.5]] * 2, ParameterOutOfRange),
+        ],
+    )
+    def test_stacked_curve_checks_every_row(self, bounds, cdf, error):
+        # Row 0 is a valid curve.  Row 1 is concave, or its CDF falls or
+        # leaves [0, 1], or the columns do not share the grid.
+        ks = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(error):
+            VanillaBoundCurve(ks, bounds, np.zeros(np.shape(bounds)), cdf)
+
 
 class TestSmileCurves:
     def test_curves_equal_one_curve_calls(self):
         ks = np.linspace(0.4, 2.6, 23)
         nus = [0.0, 0.0025, 0.04, 0.09, 1.0]
         curves = smile_curves(1.3, nus, ks, 0.7)
-        for nu, curve in zip(nus, curves):
-            (alone,) = smile_curves(1.3, [nu], ks, 0.7)
-            for name in ("strikes", "bounds", "implied_vols", "cdf"):
-                assert getattr(curve, name).tolist() == getattr(alone, name).tolist()
-            assert curve.bounds.tolist() == vanilla_bounds(1.3, nu, ks).tolist()
+        for i, nu in enumerate(nus):
+            alone = smile_curves(1.3, [nu], ks, 0.7)
+            assert curves.strikes.tolist() == alone.strikes.tolist()
+            for name in ("bounds", "implied_vols", "cdf"):
+                assert getattr(curves, name)[i].tolist() == getattr(alone, name)[0].tolist()
+            assert curves.bounds[i].tolist() == vanilla_bounds(1.3, nu, ks).tolist()
 
     def test_all_curves_invert_in_one_call(self, monkeypatch):
         calls = []
