@@ -10,7 +10,8 @@ one-element grid.  The vol inversions run one safeguarded Halley iteration
 ``implied_normal_vols``) and check their residuals with those pricers; each
 element takes the same steps as in a one-strike inversion.  The Bachelier
 inversion starts from a cubic-Hermite inverse of the normalised time value,
-one table built on the first call and cached, within 1e-7 of each root.
+one table built on the first call and cached, within 1e-7 of each root, so
+one Halley step usually finishes an element.
 The normal CDF is ``math.erfc``, so importing the module loads no scipy.
 
 All prices are undiscounted forward values.  Discounting enters only through
@@ -49,6 +50,7 @@ __all__ = [
 _VOL_BRACKET = (1e-8, 10.0)
 _ITERATIONS = 90
 _LOG_RESIDUAL_FLOOR = 1e-9  # below it, roundoff drives the steps
+_CONVERGED_STEP = 1e-6  # a Halley step this small leaves a correction below roundoff
 # Largest price residual accepted at an inverted vol.
 PRICE_TOL = 1e-10
 
@@ -218,9 +220,11 @@ def _halley(time_value, s, lo, hi, q):
     and ``g'' = V'' / V - g'^2``.  Each evaluation narrows its element's
     bracket; a step that lands outside it, or whose denominator is not
     positive and finite, is replaced by bisection.  An element stops once its
-    step is at most 4 eps s, or once its step stops shrinking while the log
-    residual is below ``_LOG_RESIDUAL_FLOOR``.  Elements run independently,
-    for at most ``_ITERATIONS`` steps.
+    step is at most 4 eps s; once an accepted Halley step is at most
+    ``_CONVERGED_STEP`` s, as the next correction, about the cube of that
+    one, would be below roundoff; or once its step stops shrinking while the
+    log residual is below ``_LOG_RESIDUAL_FLOOR``.  Elements run
+    independently, for at most ``_ITERATIONS`` steps.
     """
     s, lo, hi = s.copy(), lo.copy(), hi.copy()
     last = np.full(s.size, math.inf)
@@ -242,9 +246,8 @@ def _halley(time_value, s, lo, hi, q):
         ok = (denominator > 0.0) & (denominator < math.inf) & (halley >= below) & (halley <= above)
         s[i] = np.where(ok, halley, 0.5 * (below + above))
         step = np.abs(s[i] - at)
-        done = (step <= 4.0 * np.finfo(float).eps * at) | (
-            (step >= last[i]) & (np.abs(residual) < _LOG_RESIDUAL_FLOOR)
-        )
+        done = (step <= 4.0 * np.finfo(float).eps * at) | (ok & (step <= _CONVERGED_STEP * at))
+        done |= (step >= last[i]) & (np.abs(residual) < _LOG_RESIDUAL_FLOOR)
         last[i] = step
         i = i[~done]
     return s
@@ -387,8 +390,8 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     The rest run Halley's method within a closed-form bracket.  Each starts
     from ``_normal_start``: ``d = |f - k| / s`` is one function of ``log |f -
     k| - log q`` for every strike, forward and expiry, and a cached cubic-
-    Hermite table of it starts within 1e-7 of the root, so Halley takes 2-3
-    evaluations on the shipped caplet grids.  Each element takes the same
+    Hermite table of it starts within 1e-7 of the root, so Halley takes one
+    evaluation on the shipped caplet grids.  Each element takes the same
     steps, in the same floating-point operations, as a one-strike inversion.
 
     Raises, for the first failing strike in grid order:

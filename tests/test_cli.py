@@ -951,23 +951,30 @@ class TestMutatedShippedConfigs:
 def test_import_and_runs_load_no_scipy(tmp_path):
     """Only hat-partition sweeps need scipy (``scipy.linalg``, imported when
     they run); importing the CLI, and running a caplet or smile config, load
-    no scipy module."""
+    no scipy module.  Importing the CLI and loading every shipped config
+    builds none of the lazy tables (the Bachelier start, the Gauss-Legendre
+    rules): a run that needs one builds it."""
     source_root = Path(momentbounds.__file__).resolve().parents[1]
     configs = source_root.parent / "configs"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(source_root), os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys\n"
-        "from momentbounds import cli\n"
+        "from pathlib import Path\n"
+        "from momentbounds import cli, models\n"
+        "for config in sorted(Path(sys.argv[2]).glob('*.json')):\n"
+        "    cli.load_config(config)\n"
+        "tables = (models._normal_start_table, models._gl_rule)\n"
+        "assert [table.cache_info().currsize for table in tables] == [0, 0]\n"
         "def report():\n"
         "    print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "report()\n"
-        "for config in sys.argv[2:]:\n"
+        "for config in sys.argv[3:]:\n"
         "    assert cli.main(['--config', config, '--out', sys.argv[1]]) == 0\n"
         "report()\n"
     )
     runs = [str(configs / "caplet_cdf.json"), str(configs / "vanilla_smile.json")]
     result = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path), *runs],
+        [sys.executable, "-c", probe, str(tmp_path), str(configs), *runs],
         env=env,
         capture_output=True,
         text=True,

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentbounds import engine
 from momentbounds.engine import (
@@ -30,6 +33,23 @@ def exact_rank_two(rng, n):
     a = rng.standard_normal((2, n))
     q = a.T @ a
     return MomentMatrix(0.5 * (q + q.T))
+
+
+def wishart_problem(rng, n):
+    """A positive definite Q = B^T B, B (n + 2) x n Gaussian with column
+    scales spread over e^4, and two rows of signed quantities spread over e^4:
+    the scaling to unit diagonal and mixed-sign rows both matter."""
+    b = rng.standard_normal((n + 2, n)) * np.exp(rng.uniform(-2.0, 2.0, n))
+    q = b.T @ b
+    weights = rng.standard_normal((2, n)) * np.exp(rng.uniform(-2.0, 2.0, (2, n)))
+    return MomentMatrix(0.5 * (q + q.T)), weights
+
+
+# |bound - oracle| <= DENSE_ORACLE_C eps sum_i |w_i| Q_ii against the 50-digit
+# bound of the same float Q; sum_i |w_i| Q_ii bounds the sum of |eigenvalues|
+# of P.  Over 10000 rows of ``wishart_problem`` (5000 problems, 2-6 assets)
+# the largest gap was 15.4, the 99th percentile 6.4 and the median 0.48.
+DENSE_ORACLE_C = 16.0
 
 
 def bound_through(factor, quantities):
@@ -438,3 +458,15 @@ class TestPositiveEigenvalueBounds:
             positive_eigenvalue_bounds(factor_psd(np.eye(2)), [1.0, -1.0])
         with pytest.raises(DimensionMismatch):
             positive_eigenvalue_bounds(factor_psd(np.eye(2)), np.zeros((2, 0)))
+
+
+class TestDenseEngineOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_match_the_50_digit_oracle(self, mp_positive_eigenvalue_bound, n, seed):
+        q, weights = wishart_problem(np.random.default_rng(seed), n)
+        sweep = positive_eigenvalue_bounds(factor_psd(q), weights)
+        for bound, w in zip(sweep.bounds, weights):
+            scale = float(np.sum(np.abs(w) * np.diag(q.entries)))
+            error = abs(mpmath.mpf(bound) - mp_positive_eigenvalue_bound(q.entries, w))
+            assert error <= DENSE_ORACLE_C * np.finfo(float).eps * scale, (bound, float(error))

@@ -4,10 +4,13 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scipy.linalg
 import scipy.linalg.lapack
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from momentbounds import partition
 from momentbounds.engine import factor_psd, positive_eigenvalue_bounds
@@ -198,6 +201,25 @@ class TestFlatClosedForm:
         ) <= 1e-12
 
 
+def hat_problem(sigma, expiry, gaps):
+    """Hat moments under ``LognormalModel(1, sigma, expiry)`` with strikes at
+    the model quantiles ``cumsum(gaps)``, and the strikes to bound: the hat
+    strikes, half the first and twice the last."""
+    model = LognormalModel(1.0, sigma, expiry)
+    stdev = sigma * math.sqrt(expiry)
+    strikes = np.exp(stdev * ndtri(np.cumsum(gaps)) - 0.5 * stdev * stdev)
+    bounded = np.array([0.5 * strikes[0], *strikes, 2.0 * strikes[-1]])
+    return linear_conditional_moments(model, strikes), bounded
+
+
+# |bound - oracle| <= HAT_ORACLE_C eps sum_i |w_i| Q_ii against the 50-digit
+# bound of the same float Q, as for the dense engine.  Over 5982 strikes of
+# ``hat_problem`` (1000 partitions of 2-6 hats, sigma in [0.1, 0.8], expiry
+# in [0.25, 4], quantile gaps in [0.02, 0.16]) the largest gap was 12.7, the
+# 99th percentile 4.9 and the median 0.77.
+HAT_ORACLE_C = 13.0
+
+
 class TestLinearBanded:
     """Hat partitions are solved as banded eigenproblems; the dense engine on
     the same moments is the oracle."""
@@ -210,6 +232,21 @@ class TestLinearBanded:
         # Solved as a band, not through the dense fallback.
         assert len(factor_calls) == 0
         assert max_relative_gap(bounds, dense_engine_bounds(moments, strikes)) <= 1e-12
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.1, 0.8),
+        expiry=st.floats(0.25, 4.0),
+        gaps=st.lists(st.floats(0.02, 0.16), min_size=2, max_size=6),
+    )
+    def test_matches_the_50_digit_oracle(self, mp_positive_eigenvalue_bound, sigma, expiry, gaps):
+        moments, strikes = hat_problem(sigma, expiry, gaps)
+        q = partition_moment_matrix(moments).entries
+        for k, bound in zip(strikes, refined_bounds(moments, strikes)):
+            weights = np.repeat([1.0, -k], moments.cells)
+            scale = float(np.sum(np.abs(weights) * np.diag(q)))
+            error = abs(mpmath.mpf(bound) - mp_positive_eigenvalue_bound(q, weights))
+            assert error <= HAT_ORACLE_C * np.finfo(float).eps * scale, (k, float(error))
 
     def test_singular_q_falls_back_to_dense_engine(self, factor_calls):
         # All moments 1: Q is the 4x4 matrix of ones, rank 1, so the banded
