@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _checked_grid, _frozen_array
-from .errors import AngleOutOfRange, BranchResolutionFailure, ParameterOutOfRange
+from .errors import AngleOutOfRange, BranchResolutionFailure, NonFiniteResult, ParameterOutOfRange
 from .models import _check_elements
 from .vanilla import vanilla_bounds
 
@@ -43,6 +43,7 @@ __all__ = [
 # attains.
 ATTAIN_TOL = 1e-9
 _ANGLE_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def _theta(nu: float) -> float:
@@ -100,7 +101,12 @@ def _attaining_models(f: float, nu: float, strikes: np.ndarray):
     theta = _theta(nu)
     two_chi = np.arctan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strikes)
     chi = 0.5 * np.where(two_chi <= 0.0, two_chi + math.pi, two_chi)
-    low, high = binomial_calibrate(f, nu, chi)
+    # Near the float maximum a state can lie above the float range.
+    with np.errstate(over="ignore"):
+        low, high = binomial_calibrate(f, nu, chi)
+    above = ~(np.isfinite(low) & np.isfinite(high))
+    if above.any():
+        raise NonFiniteResult(f"two-state model state above the float range at strike {strikes[np.argmax(above)]}")
     return chi, low, high, binomial_call_prices(chi, low, high, strikes)
 
 
@@ -149,7 +155,7 @@ def local_attainment_scan(f: float, nu: float, strikes) -> AttainmentReport:
     angles, lows, highs, prices = _attaining_models(f, nu, ks)
     bounds = vanilla_bounds(f, nu, ks)
     gaps = np.abs(prices - bounds) / np.maximum(np.abs(bounds), 1e-300)
-    moment = float(implied_root_variance_curve([nu]).sqrt_moment[0])
+    moment = _sqrt_moment(nu)
     return AttainmentReport(
         strikes=ks,
         angles=angles,
@@ -182,6 +188,21 @@ class GlobalAttainmentCurve:
         return self.implied_nu - self.constraint_nu
 
 
+def _sqrt_moment(nu: float) -> float:
+    """E(1 - nu) - nu K(1 - nu) for one nu in [0, 1], by the arithmetic-
+    geometric mean of 1 and sqrt(nu) (see ``implied_root_variance_curve``)."""
+    if nu == 0.0:
+        return 1.0
+    a, b = 1.0, math.sqrt(nu)
+    total, weight = 0.5 * (1.0 - nu), 1.0
+    while True:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        total -= weight * c * c
+        weight *= 2.0
+        if not c > _EPS * a:
+            return 0.5 * math.pi / a * total
+
+
 def implied_root_variance_curve(nus) -> GlobalAttainmentCurve:
     """E[sqrt(a)] / sqrt(f) implied by the bound curve via static
     replication, and its root-variance 1 - (E[sqrt(a)] / sqrt(f))^2, over a
@@ -196,26 +217,15 @@ def implied_root_variance_curve(nus) -> GlobalAttainmentCurve:
     integral is 2 (1 - E + nu K): the moment is E(m) - nu K(m).
     Gauss's arithmetic-geometric mean of 1 and sqrt(nu) gives
     K = pi / (2 a_inf) and E - nu K = K (m/2 - sum_{n>=1} 2^(n-1) c_n^2)
-    (Abramowitz & Stegun 17.6), a form that does not cancel as nu -> 1.  Each nu stops iterating on its own once c_n <= eps a_n, so
-    it gets the bits a one-point grid gives it.  nu = 0 is a point mass with
-    moment 1.  The first nu outside [0, 1] in grid order raises.
+    (Abramowitz & Stegun 17.6), a form that does not cancel as nu -> 1.  The
+    recurrence is one scalar function of nu, in floats, mapped over the grid;
+    it stops once c_n <= eps a_n, so every nu gets the bits it gets alone.
+    nu = 0 is a point mass with moment 1.  The first nu outside [0, 1] in
+    grid order raises.
     """
     grid = np.asarray(nus, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterOutOfRange("need a 1-d grid of root-variances")
     _check_elements(((grid >= 0.0) & (grid <= 1.0), "root-variance must lie in [0, 1]", grid))
-    spread = grid != 0.0
-    nu = grid[spread]
-    a, b = np.ones(nu.size), np.sqrt(nu)
-    total, weight = 0.5 * (1.0 - nu), 1.0
-    live = np.arange(nu.size)
-    while live.size:
-        a_live, b_live = a[live], b[live]
-        a[live], b[live] = 0.5 * (a_live + b_live), np.sqrt(a_live * b_live)
-        c = 0.5 * (a_live - b_live)
-        total[live] -= weight * c * c
-        weight *= 2.0
-        live = live[c > np.finfo(float).eps * a[live]]
-    moments = np.ones(grid.size)
-    moments[spread] = 0.5 * math.pi / a * total
+    moments = np.fromiter(map(_sqrt_moment, grid.tolist()), float, grid.size)
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)

@@ -7,11 +7,13 @@ Each formula has one array form that broadcasts its arguments
 (``bs_call_prices``, ``bachelier_call_prices``); a single strike is a
 one-element grid.  The vol inversions run one safeguarded Halley iteration
 (third order) over a whole strike grid (``implied_lognormal_vols``,
-``implied_normal_vols``) and check their residuals with those pricers; each
-element takes the same steps as in a one-strike inversion.  The Bachelier
-inversion starts from a cubic-Hermite inverse of the normalised time value,
-one table built on the first call and cached, within 1e-7 of each root, so
-one Halley step usually finishes an element.
+``implied_normal_vols``) and check their residuals with those pricers,
+against ``PRICE_TOL`` times the larger of 1 and the price scale, since a
+price's roundoff grows with its size; each element takes the same steps as
+in a one-strike inversion.  The Bachelier inversion starts from a
+cubic-Hermite inverse of the normalised time value, one table built on the
+first call and cached, within 1e-7 of each root, so one Halley step usually
+finishes an element.
 The normal CDF is ``math.erfc``, so importing the module loads no scipy.
 
 All prices are undiscounted forward values.  Discounting enters only through
@@ -51,7 +53,8 @@ _VOL_BRACKET = (1e-8, 10.0)
 _ITERATIONS = 90
 _LOG_RESIDUAL_FLOOR = 1e-9  # below it, roundoff drives the steps
 _CONVERGED_STEP = 1e-6  # a Halley step this small leaves a correction below roundoff
-# Largest price residual accepted at an inverted vol.
+# Largest price residual accepted at an inverted vol, in units of the larger
+# of 1 and the price scale: the forward (Black), or |f| and |k| (Bachelier).
 PRICE_TOL = 1e-10
 
 # Prices this close to the forward are treated as the upper arbitrage bound,
@@ -268,7 +271,8 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     Raises, for the first failing strike in grid order:
         ParameterOutOfRange: non-positive forward, strike or expiry.
         PriceOutsideArbitrageBounds: price not finite or outside [(f-k)^+, f].
-        ConvergenceFailure: no vol in the bracket reproduces the price.
+        ConvergenceFailure: no vol in the bracket reproduces the price within
+            ``PRICE_TOL max(1, f)``.
     """
     if not forward > 0.0 or not expiry > 0.0:
         raise ParameterOutOfRange(f"forward and expiry must be positive, got {forward}, {expiry}")
@@ -318,7 +322,7 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     # A price above the bracket's top has no root: Halley's safeguard pins
     # it at the top, and the residual check reports it.
     s = _halley(time_value, np.clip(start, lo_s, hi_s), lo_s, hi_s, q)
-    off = np.abs(bs_call_prices(forward, k, s / root_expiry, expiry) - p) > PRICE_TOL
+    off = np.abs(bs_call_prices(forward, k, s / root_expiry, expiry) - p) > PRICE_TOL * max(1.0, forward)
     vols[solve] = s / root_expiry
     failures += _first(
         solve[off],
@@ -396,7 +400,8 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
 
     Raises, for the first failing strike in grid order:
         PriceOutsideArbitrageBounds: price not finite or below intrinsic.
-        ConvergenceFailure: the vol cannot be solved to ``PRICE_TOL``.
+        ConvergenceFailure: the vol cannot be solved to ``PRICE_TOL max(1,
+            |f|, |k|)``.
     """
     if not expiry > 0.0:
         raise ParameterOutOfRange(f"expiry must be positive, got {expiry}")
@@ -446,7 +451,7 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     hi = 2.0 * _SQRT_2PI * (p + a)
     root_expiry = math.sqrt(expiry)
     vols[solve] = _halley(time_value, _normal_start(a, q), np.zeros(p.size), hi, q) / root_expiry
-    off = np.abs(bachelier_call_prices(forward, ks, vols, expiry)[solve] - p) > PRICE_TOL
+    off = np.abs(bachelier_call_prices(forward, ks, vols, expiry)[solve] - p) > PRICE_TOL * scale[solve]
     failures += _first(
         solve[off],
         lambda i: ConvergenceFailure(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,7 +13,12 @@ from momentbounds.attainment import (
     implied_root_variance_curve,
     local_attainment_scan,
 )
-from momentbounds.errors import AngleOutOfRange, BranchResolutionFailure, ParameterOutOfRange
+from momentbounds.errors import (
+    AngleOutOfRange,
+    BranchResolutionFailure,
+    NonFiniteResult,
+    ParameterOutOfRange,
+)
 from momentbounds.vanilla import vanilla_bounds
 
 
@@ -350,6 +356,14 @@ class TestBatchedCurve:
             alone = [implied_root_variance_curve([nu]).sqrt_moment[0] for nu in grid]
             assert curve.sqrt_moment.tolist() == alone
 
+    def test_local_scan_moment_is_the_curve_moment(self):
+        # Both routes run one recurrence; 0.9 is a strike at which every
+        # oracle nu has an attaining two-state model.
+        for nu in ORACLE_NUS:
+            moment = local_attainment_scan(1.0, nu, [0.9]).implied_sqrt_moment
+            assert moment == implied_root_variance_curve([nu]).sqrt_moment[0], nu
+            assert abs(mpmath.mpf(moment) - mp_sqrt_moment(nu)) <= 1e-14, nu
+
     def test_first_bad_nu_raises(self):
         for grid, bad in (([0.2, 1.5, -0.1], "1.5"), ([0.0, math.nan], "nan"), ([-0.1], "-0.1")):
             with pytest.raises(ParameterOutOfRange, match=f"got {bad}$"):
@@ -362,6 +376,11 @@ class TestBatchedCurve:
 
 
 class TestLocalScanBatching:
+    def test_state_above_the_float_range_raises(self):
+        strikes = np.linspace(4e299, 1e308, 23)
+        with pytest.raises(NonFiniteResult, match=re.escape(f"at strike {strikes[1]}") + "$"):
+            local_attainment_scan(1e300, 0.01, strikes)
+
     def test_bounds_are_the_closed_form_and_factor_nothing(self, factor_calls):
         strikes = np.linspace(0.3, 2.5, 12)
         report = local_attainment_scan(1.0, 0.04, strikes)

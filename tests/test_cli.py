@@ -234,6 +234,23 @@ class TestRun:
                 lines.append(",".join(f"{v:.11e}" for v in (nu, *row)))
         assert (tmp_path / "out" / "smile.csv").read_text() == "\n".join(lines) + "\n"
 
+    def test_smile_scaled_by_a_power_of_two_keeps_vol_and_cdf_columns(self, tmp_path):
+        # The shipped smile with its forward and strikes times 2^20: the
+        # prices scale exactly, so the vol and CDF cells keep their text.
+        payload = json.loads((CONFIG_DIR / "vanilla_smile.json").read_text())
+        run(load_config(write_config(tmp_path / "c.json", payload)), tmp_path / "plain")
+        parameters = payload["parameters"]
+        parameters["forward"] *= 2.0**20
+        for end in ("start", "stop"):
+            parameters["strikes"][end] *= 2.0**20
+        run(load_config(write_config(tmp_path / "c.json", payload)), tmp_path / "scaled")
+        columns = []
+        for out in ("plain", "scaled"):
+            with open(tmp_path / out / f"{payload['output']}.csv", encoding="ascii", newline="") as handle:
+                header, *rows = csv.reader(handle)
+            columns.append([[row[header.index(name)] for row in rows] for name in ("implied_vol", "cdf")])
+        assert columns[0] == columns[1]
+
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -923,6 +940,8 @@ class TestMutatedShippedConfigs:
     # daycount so small that the caplet basket's invariants overflow.
     @example(picks=[("sigma", 5e-324)])
     @example(picks=[("daycount", 1e-300)])
+    # A two-state model whose high state lies above the float range.
+    @example(picks=[("forward", 1e300), ("start", 4e299), ("stop", 1e308)])
     def test_exit_codes_and_outputs(self, name, picks):
         payload = mutated(json.loads((CONFIG_DIR / name).read_text()), picks)
         # A dropped-cell UserWarning is the library's own report, recorded

@@ -237,6 +237,19 @@ class TestImpliedNormalVol:
         assert implied_normal_vols(0.02, [-0.01], 1.0, [0.03 + 2e-11])[0] > 0.0
 
 
+    @pytest.mark.parametrize("power", [-20, 20, 200, 1000])
+    def test_scaled_prices_invert_to_scaled_vols(self, power):
+        # f, k and the prices scaled by a power of two scale the vols, up to
+        # the roundoff of the start; the residual check scales with |f| and
+        # |k| above 1, where a price's roundoff grows with it.
+        c = 2.0**power
+        strikes = 0.03 + np.linspace(-0.04, 0.04, 17)
+        prices = bachelier_call_prices(0.03, strikes, 0.01, 2.0)
+        vols = implied_normal_vols(0.03, strikes, 2.0, prices)
+        scaled = implied_normal_vols(c * 0.03, c * strikes, 2.0, c * prices)
+        assert np.all(np.abs(scaled / c - vols) <= 1e-14 * vols)
+
+
 def mp_partial_moment(model, p, lo, hi):
     """E[a^p 1{lo < a <= hi}] at 40 digits: f^p exp(p (p - 1) v / 2) times the
     normal mass between the edges, taken on the side of the median where it
