@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _checked_grid, _frozen_array
+from .engine import _checked_grid, _frozen_array, _reject_first_bad, _rule
 from .errors import AngleOutOfRange, BranchResolutionFailure, NonFiniteResult, ParameterOutOfRange
-from .models import _check_elements
 from .vanilla import vanilla_bounds
 
 __all__ = [
@@ -61,19 +60,16 @@ def binomial_calibrate(f: float, nu: float, chi):
 
     Uses the branch with low state below the high state, valid for chi in
     [pi/2 - theta, pi/2) where nu = cos(theta)^2.  The mirror branch is this
-    one with the states swapped under chi -> pi/2 - chi.  The first angle
-    off the branch, in grid order, raises AngleOutOfRange.
+    one with the states swapped under chi -> pi/2 - chi.  An angle off the
+    branch raises AngleOutOfRange.
     """
     if not f > 0.0:
         raise ParameterOutOfRange(f"price must be positive, got {f}")
     theta = _theta(nu)
     chi = np.asarray(chi, dtype=float)
     on_branch = (chi >= 0.5 * math.pi - theta - _ANGLE_SLACK) & (chi > 0.0) & (chi < 0.5 * math.pi)
-    if not on_branch.all():
-        raise AngleOutOfRange(
-            f"angle {chi.flat[np.argmin(on_branch)]} outside the branch range "
-            f"[{0.5 * math.pi - theta}, pi/2)"
-        )
+    _reject_first_bad((on_branch, lambda angle: AngleOutOfRange(
+        f"angle {angle} outside the branch range [{0.5 * math.pi - theta}, pi/2)"), chi))
     # np.square, not ** 2: a numpy scalar's power goes to libm, which may
     # round differently from the multiplication arrays get.
     low = f * np.square(np.cos(theta + chi)) / np.square(np.sin(chi))
@@ -99,14 +95,17 @@ def _attaining_models(f: float, nu: float, strikes: np.ndarray):
     ``AttainmentReport`` rejects.
     """
     theta = _theta(nu)
-    two_chi = np.arctan2(-f * math.sin(2.0 * theta), f * math.cos(2.0 * theta) + strikes)
+    # The angle is scale-free: in units of the power of two of max(f, k), as
+    # in ``vanilla_bounds``, f cos(2 theta) + k cannot overflow.
+    e = np.frexp(np.maximum(f, strikes))[1]
+    g, k = np.ldexp(f, -e), np.ldexp(strikes, -e)
+    two_chi = np.arctan2(-g * math.sin(2.0 * theta), g * math.cos(2.0 * theta) + k)
     chi = 0.5 * np.where(two_chi <= 0.0, two_chi + math.pi, two_chi)
     # Near the float maximum a state can lie above the float range.
     with np.errstate(over="ignore"):
         low, high = binomial_calibrate(f, nu, chi)
-    above = ~(np.isfinite(low) & np.isfinite(high))
-    if above.any():
-        raise NonFiniteResult(f"two-state model state above the float range at strike {strikes[np.argmax(above)]}")
+    _reject_first_bad((np.isfinite(low) & np.isfinite(high), lambda k: NonFiniteResult(
+        f"two-state model state above the float range at strike {k}"), strikes))
     return chi, low, high, binomial_call_prices(chi, low, high, strikes)
 
 
@@ -220,12 +219,12 @@ def implied_root_variance_curve(nus) -> GlobalAttainmentCurve:
     (Abramowitz & Stegun 17.6), a form that does not cancel as nu -> 1.  The
     recurrence is one scalar function of nu, in floats, mapped over the grid;
     it stops once c_n <= eps a_n, so every nu gets the bits it gets alone.
-    nu = 0 is a point mass with moment 1.  The first nu outside [0, 1] in
-    grid order raises.
+    nu = 0 is a point mass with moment 1.  A nu outside [0, 1] raises
+    ParameterOutOfRange.
     """
     grid = np.asarray(nus, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterOutOfRange("need a 1-d grid of root-variances")
-    _check_elements(((grid >= 0.0) & (grid <= 1.0), "root-variance must lie in [0, 1]", grid))
+    _reject_first_bad(((grid >= 0.0) & (grid <= 1.0), _rule("root-variance must lie in [0, 1]"), grid))
     moments = np.fromiter(map(_sqrt_moment, grid.tolist()), float, grid.size)
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)

@@ -21,6 +21,7 @@ all quantity vectors in stacks and returns the sweep as arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -63,6 +64,30 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _reject_first_bad(*checks) -> None:
+    """The package's one rule for bad grid elements: a grid raises, for the
+    first bad element in grid order, the error a loop over the elements
+    would raise.
+
+    ``checks`` are ``(ok, error, *values)`` in the order the loop tests
+    them: ``ok`` is True where an element passes, and ``error`` builds the
+    exception from the failing element's entries of ``values``; masks and
+    values broadcast together.  The first element that fails any check
+    raises the error of the first check it fails, the only error built.
+    """
+    valid = reduce(np.logical_and, [check[0] for check in checks])
+    if not valid.all():
+        i = int(np.argmin(valid))
+        _, error, *values = next(c for c in checks if not np.broadcast_to(c[0], valid.shape).flat[i])
+        raise error(*(np.broadcast_to(v, valid.shape).flat[i] for v in values))
+
+
+def _rule(rule: str):
+    """The ``error`` of a check whose failing value v raises
+    ParameterOutOfRange "<rule>, got <v>"."""
+    return lambda value: ParameterOutOfRange(f"{rule}, got {value}")
+
+
 def _checked_grid(
     values,
     name: str = "strikes",
@@ -78,8 +103,8 @@ def _checked_grid(
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < min_size:
         raise ParameterOutOfRange(f"{name} must form a 1-d grid of at least {min_size} point(s)")
-    if positive and not np.all(arr > 0.0):
-        raise ParameterOutOfRange(f"{name} must be positive, got {arr[~(arr > 0.0)][0]}")
+    if positive:
+        _reject_first_bad((arr > 0.0, _rule(f"{name} must be positive"), arr))
     if increasing and not np.all(arr[1:] - arr[:-1] > 0.0):
         raise ParameterOutOfRange(f"{name} must be strictly increasing")
     return arr

@@ -160,11 +160,15 @@ def annuity_weights(slice_: SwapCurveSlice, n: int) -> AnnuityWeights:
     if not 1 <= n <= slice_.periods:
         raise ParameterOutOfRange(f"period index {n} outside 1..{slice_.periods}")
     p = slice_.discounts[:n]
-    d = slice_.daycounts[:n]
+    # The weights and lam are homogeneous of degree 0 in the daycounts, and
+    # the mean daycount of degree 1: evaluated in units of the power of two
+    # of the largest daycount, no sum overflows, and the scaling is exact.
+    e = np.frexp(np.max(slice_.daycounts[:n]))[1]
+    d = np.ldexp(slice_.daycounts[:n], -e)
     annuity = float(np.sum(p * d))
     weights = p * d / annuity
     lam = float(np.sum(p[:-1] * d[:-1]) / (p[-1] * d[-1]))
-    mean_daycount = float(np.sum(p * d) / np.sum(p))
+    mean_daycount = math.ldexp(float(np.sum(p * d) / np.sum(p)), int(e))
     return AnnuityWeights(weights, lam, mean_daycount)
 
 

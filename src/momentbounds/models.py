@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
+from .engine import _reject_first_bad, _rule
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -134,23 +135,6 @@ def _log(x: float) -> float:
     return -math.inf if x == 0.0 else math.log(x)
 
 
-def _check_elements(*checks) -> None:
-    """Raise ParameterOutOfRange "<rule>, got <value>" for the first element,
-    in grid order, that breaks a rule.
-
-    ``checks`` are ``(ok, rule, values)`` with ``ok`` True where ``values``
-    keeps the rule, listed in the order a loop over the broadcast elements
-    would test them, so a grid fails exactly as that loop would.
-    """
-    valid = reduce(np.logical_and, [ok for ok, _, _ in checks])
-    if not valid.all():
-        i = int(np.argmin(valid))  # the first element that breaks any rule
-        for ok, rule, values in checks:
-            if not np.broadcast_to(ok, valid.shape).flat[i]:
-                value = np.broadcast_to(values, valid.shape).flat[i]
-                raise ParameterOutOfRange(f"{rule}, got {value}")
-
-
 def bs_call_prices(forward, strikes, sigma, expiry) -> np.ndarray:
     """Undiscounted Black call prices E[(a - k)^+], elementwise over arrays of
     forward, strike, lognormal vol and expiry, broadcast together.
@@ -160,11 +144,11 @@ def bs_call_prices(forward, strikes, sigma, expiry) -> np.ndarray:
     value, and so does an f / k that overflows or underflows.
     """
     f, k, sigma, expiry = (np.asarray(x, dtype=float) for x in (forward, strikes, sigma, expiry))
-    _check_elements(
-        (f > 0.0, "forward must be positive", f),
-        (sigma >= 0.0, "sigma must be non-negative", sigma),
-        (expiry > 0.0, "expiry must be positive", expiry),
-        (k > 0.0, "strike must be positive", k),
+    _reject_first_bad(
+        (f > 0.0, _rule("forward must be positive"), f),
+        (sigma >= 0.0, _rule("sigma must be non-negative"), sigma),
+        (expiry > 0.0, _rule("expiry must be positive"), expiry),
+        (k > 0.0, _rule("strike must be positive"), k),
     )
     stdev = sigma * np.sqrt(expiry)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -179,9 +163,9 @@ def bachelier_call_prices(forward, strikes, sigma, expiry) -> np.ndarray:
     forward, strike, normal vol and expiry, broadcast together; supports
     negative rates and strikes.  Zero vol gives the intrinsic value."""
     f, k, sigma, expiry = (np.asarray(x, dtype=float) for x in (forward, strikes, sigma, expiry))
-    _check_elements(
-        (sigma >= 0.0, "normal vol must be non-negative", sigma),
-        (expiry >= 0.0, "expiry must be non-negative", expiry),
+    _reject_first_bad(
+        (sigma >= 0.0, _rule("normal vol must be non-negative"), sigma),
+        (expiry >= 0.0, _rule("expiry must be non-negative"), expiry),
     )
     stdev = sigma * np.sqrt(expiry)
     moneyness = f - k
@@ -199,17 +183,6 @@ def _as_grid(strikes, prices):
             f"need matching 1-d strike and price grids, got {ks.shape} and {ps.shape}"
         )
     return ks, ps
-
-
-def _first(indices, error):
-    """``[(i, error(i))]`` for the first grid index ``i`` that fails a check;
-    ``_raise_first`` raises the earliest over all checks, as a loop would."""
-    return [(indices[0], error(indices[0]))] if len(indices) else []
-
-
-def _raise_first(failures) -> None:
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def _halley(time_value, s, lo, hi, q):
@@ -268,7 +241,7 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     volatility diverges.  Each element takes the same steps, in the same
     floating-point operations, as a one-strike inversion.
 
-    Raises, for the first failing strike in grid order:
+    Raises:
         ParameterOutOfRange: non-positive forward, strike or expiry.
         PriceOutsideArbitrageBounds: price not finite or outside [(f-k)^+, f].
         ConvergenceFailure: no vol in the bracket reproduces the price within
@@ -279,24 +252,13 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     ks, ps = _as_grid(strikes, prices)
     intrinsic = np.maximum(forward - ks, 0.0)
     slack = 1e-12 * max(1.0, forward)
-    bad_strike = ~(ks > 0.0)
-    outside = ~bad_strike & ~((ps >= intrinsic - slack) & (ps <= forward + slack))
-    at_upper = ~(bad_strike | outside) & (ps >= forward - UPPER_BOUND_MARGIN)
+    positive = ks > 0.0
+    inside = (ps >= intrinsic - slack) & (ps <= forward + slack)
+    at_upper = ps >= forward - UPPER_BOUND_MARGIN
+    vols = np.where(at_upper, math.inf, 0.0)
     # Deep in the money the time value collapses below representable
     # resolution; zero vol reproduces such prices within PRICE_TOL.
-    at_intrinsic = ~(bad_strike | outside | at_upper) & (ps <= intrinsic + slack)
-    failures = _first(
-        np.flatnonzero(bad_strike),
-        lambda i: ParameterOutOfRange(f"strike must be positive, got {ks[i]}"),
-    ) + _first(
-        np.flatnonzero(outside),
-        lambda i: PriceOutsideArbitrageBounds(
-            f"price {ps[i]} outside [{intrinsic[i]}, {forward}] for strike {ks[i]}"
-        ),
-    )
-    vols = np.where(at_upper, math.inf, 0.0)
-
-    solve = np.flatnonzero(~(bad_strike | outside | at_upper | at_intrinsic))
+    solve = np.flatnonzero(positive & inside & ~at_upper & ~(ps <= intrinsic + slack))
     k, p = ks[solve], ps[solve]
     root_expiry = math.sqrt(expiry)
     lo, hi = _VOL_BRACKET
@@ -322,17 +284,19 @@ def implied_lognormal_vols(forward: float, strikes, expiry: float, prices) -> np
     # A price above the bracket's top has no root: Halley's safeguard pins
     # it at the top, and the residual check reports it.
     s = _halley(time_value, np.clip(start, lo_s, hi_s), lo_s, hi_s, q)
-    off = np.abs(bs_call_prices(forward, k, s / root_expiry, expiry) - p) > PRICE_TOL * max(1.0, forward)
     vols[solve] = s / root_expiry
-    failures += _first(
-        solve[off],
-        lambda i: ConvergenceFailure(
-            f"implied lognormal vol above bracket {hi} for price {ps[i]} at strike {ks[i]}"
-            if bs_call_prices(forward, ks[i], hi, expiry) < ps[i]
-            else f"price residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
-        ),
+    converged = np.ones(ks.shape, dtype=bool)
+    converged[solve] = ~(np.abs(bs_call_prices(forward, k, vols[solve], expiry) - p) > PRICE_TOL * max(1.0, forward))
+    _reject_first_bad(
+        (positive, _rule("strike must be positive"), ks),
+        (inside, lambda p, lo, k: PriceOutsideArbitrageBounds(f"price {p} outside [{lo}, {forward}] for strike {k}"),
+         ps, intrinsic, ks),
+        (converged, lambda p, k, v: ConvergenceFailure(
+            f"implied lognormal vol above bracket {hi} for price {p} at strike {k}"
+            if bs_call_prices(forward, k, hi, expiry) < p
+            else f"price residual exceeds tolerance at sigma={v} for strike {k}"
+        ), ps, ks, vols),
     )
-    _raise_first(failures)
     return vols
 
 
@@ -398,7 +362,7 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     evaluation on the shipped caplet grids.  Each element takes the same
     steps, in the same floating-point operations, as a one-strike inversion.
 
-    Raises, for the first failing strike in grid order:
+    Raises:
         PriceOutsideArbitrageBounds: price not finite or below intrinsic.
         ConvergenceFailure: the vol cannot be solved to ``PRICE_TOL max(1,
             |f|, |k|)``.
@@ -413,22 +377,13 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     intrinsic = np.maximum(moneyness, 0.0)
     scale = np.maximum(np.maximum(1.0, np.abs(forward)), np.abs(ks))
     nonfinite = ~np.isfinite(ps)
-    below = ~nonfinite & (ps < intrinsic - 1e-12 * scale)
+    below = ps < intrinsic - 1e-12 * scale
     # Prices within the same slack above intrinsic carry no resolvable time
     # value: zero vol reproduces them within PRICE_TOL, where an inversion
     # would turn the sign of a roundoff into a vol.
     at_intrinsic = ~(nonfinite | below) & (ps <= intrinsic + 1e-12 * scale)
     # ATM Bachelier identity: price = sigma sqrt(T / 2 pi), inverted exactly.
     atm = ~(nonfinite | below | at_intrinsic) & (ks == forward)
-    failures = _first(
-        np.flatnonzero(nonfinite),
-        lambda i: PriceOutsideArbitrageBounds(f"price {ps[i]} is not finite for strike {ks[i]}"),
-    ) + _first(
-        np.flatnonzero(below),
-        lambda i: PriceOutsideArbitrageBounds(
-            f"price {ps[i]} below intrinsic {intrinsic[i]} for strike {ks[i]}"
-        ),
-    )
     # Only the at-the-money prices are scaled: an off-the-money price near
     # the float maximum would overflow.
     vols = np.zeros(ps.shape)
@@ -451,14 +406,15 @@ def implied_normal_vols(forward, strikes, expiry: float, prices) -> np.ndarray:
     hi = 2.0 * _SQRT_2PI * (p + a)
     root_expiry = math.sqrt(expiry)
     vols[solve] = _halley(time_value, _normal_start(a, q), np.zeros(p.size), hi, q) / root_expiry
-    off = np.abs(bachelier_call_prices(forward, ks, vols, expiry)[solve] - p) > PRICE_TOL * scale[solve]
-    failures += _first(
-        solve[off],
-        lambda i: ConvergenceFailure(
-            f"price residual exceeds tolerance at sigma={vols[i]} for strike {ks[i]}"
-        ),
+    converged = np.ones(ks.shape, dtype=bool)
+    converged[solve] = ~(np.abs(bachelier_call_prices(forward, ks, vols, expiry)[solve] - p) > PRICE_TOL * scale[solve])
+    _reject_first_bad(
+        (~nonfinite, lambda p, k: PriceOutsideArbitrageBounds(f"price {p} is not finite for strike {k}"), ps, ks),
+        (~below, lambda p, lo, k: PriceOutsideArbitrageBounds(f"price {p} below intrinsic {lo} for strike {k}"),
+         ps, intrinsic, ks),
+        (converged, lambda v, k: ConvergenceFailure(f"price residual exceeds tolerance at sigma={v} for strike {k}"),
+         vols, ks),
     )
-    _raise_first(failures)
     return vols
 
 
@@ -475,9 +431,8 @@ def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
     e = np.asarray(edges, dtype=float)
     if e.ndim != 1 or e.size < 2:
         raise ParameterOutOfRange("need a 1-d grid of at least two cell edges")
-    bad = np.flatnonzero(~((e[:-1] >= 0.0) & (e[1:] > e[:-1])))
-    if bad.size:
-        raise ParameterOutOfRange(f"need 0 <= lower < upper, got ({e[bad[0]]}, {e[bad[0] + 1]})")
+    _reject_first_bad(((e[:-1] >= 0.0) & (e[1:] > e[:-1]),
+                       lambda lo, hi: ParameterOutOfRange(f"need 0 <= lower < upper, got ({lo}, {hi})"), e[:-1], e[1:]))
     moments = np.reshape([model.moment(q) for q in p.ravel().tolist()], p.shape + (1,))
     if model.sigma == 0.0:
         return np.where((e[:-1] < model.forward) & (model.forward <= e[1:]), moments, 0.0)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import PSD_TOL, MomentMatrix
+from .engine import PSD_TOL, MomentMatrix, _reject_first_bad, _rule
 from .errors import DimensionMismatch, MomentInconsistency, ParameterOutOfRange
 
 __all__ = [
@@ -128,22 +128,17 @@ def root_variance_from_moments(e_a, e_sqrt_a):
     smaller violations are roundoff and are clamped.  For the 2x2 (asset,
     cash) moment matrix, a relative excess delta is a unit-diagonal
     eigenvalue of about -delta/2, so this is the engine's own allowance.
-    Arrays of moments give an array of root-variances, and the first failing
-    element raises, as an element-by-element loop would.
+    Arrays of moments give an array of root-variances.
     """
     a, s = np.broadcast_arrays(np.asarray(e_a, dtype=float), np.asarray(e_sqrt_a, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (s * s) / a
-    checks = (
-        (~(a > 0.0), lambda i: ParameterOutOfRange(f"E[a] must be positive, got {a[i]}")),
-        (s < 0.0, lambda i: ParameterOutOfRange(f"E[sqrt(a)] must be non-negative, got {s[i]}")),
-        (ratio > 1.0 + PSD_TOL, lambda i: MomentInconsistency(
-            f"E[sqrt(a)]^2 = {s[i]**2} exceeds E[a] = {a[i]}; moments are inconsistent")),
+    _reject_first_bad(
+        (a > 0.0, _rule("E[a] must be positive"), a),
+        (~(s < 0.0), _rule("E[sqrt(a)] must be non-negative"), s),
+        (~(ratio > 1.0 + PSD_TOL), lambda a, s: MomentInconsistency(
+            f"E[sqrt(a)]^2 = {s**2} exceeds E[a] = {a}; moments are inconsistent"), a, s),
     )
-    bad = np.flatnonzero(np.any([mask.ravel() for mask, _ in checks], axis=0))
-    if bad.size:
-        i = np.unravel_index(bad[0], a.shape)
-        raise next(error(i) for mask, error in checks if mask[i])
     # Clamped to [0, 1]; a NaN E[sqrt(a)] passes the checks and gives 0.
     nu = np.where(1.0 - ratio > 0.0, np.minimum(1.0 - ratio, 1.0), 0.0)
     return float(nu) if nu.ndim == 0 else nu

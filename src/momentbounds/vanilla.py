@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _checked_grid, _frozen_array
+from .engine import _checked_grid, _frozen_array, _reject_first_bad, _rule
 from .errors import NonFiniteResult, ParameterOutOfRange, ShapeViolation
-from .models import _check_elements, implied_lognormal_vols
+from .models import implied_lognormal_vols
 
 __all__ = [
     "VanillaBoundCurve",
@@ -35,14 +35,14 @@ SHAPE_TOL = 1e-10
 
 
 def _checked(f, nu, k, strike_rule: str):
-    """f, nu and k as float arrays, after the first element in grid order
-    that breaks a rule raises ParameterOutOfRange.  ``strike_rule`` is
-    "positive" or "non-negative"."""
+    """f, nu and k as float arrays, after an element that breaks a rule
+    raises ParameterOutOfRange.  ``strike_rule`` is "positive" or
+    "non-negative"."""
     f, nu, k = (np.asarray(x, dtype=float) for x in (f, nu, k))
-    _check_elements(
-        (f > 0.0, "forward must be positive", f),
-        ((nu >= 0.0) & (nu <= 1.0), "root-variance must lie in [0, 1]", nu),
-        (k > 0.0 if strike_rule == "positive" else k >= 0.0, f"strike must be {strike_rule}", k),
+    _reject_first_bad(
+        (f > 0.0, _rule("forward must be positive"), f),
+        ((nu >= 0.0) & (nu <= 1.0), _rule("root-variance must lie in [0, 1]"), nu),
+        (k > 0.0 if strike_rule == "positive" else k >= 0.0, _rule(f"strike must be {strike_rule}"), k),
     )
     return f, nu, k
 
@@ -69,8 +69,9 @@ def vanilla_bounds(f, nu, k) -> np.ndarray:
     # scalar's power to libm, which may round differently.
     d = f - k
     # The out-of-the-money form divides by zero at f = k, nu = 0, where the
-    # explicit root is taken instead.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # explicit root is taken instead, and its unscaled form may overflow
+    # where it is not taken.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         root = np.sqrt(d * d + 4.0 * f * k * nu)
         product = 2.0 * f * k * nu
         otm = product / (root + (k - f))
@@ -127,7 +128,9 @@ def check_decreasing_convex(strikes, values, label="bound curve") -> None:
     steps = ks[1:] - ks[:-1]
     slopes = (checked[:, 1:] - checked[:, :-1]) / steps
     roundoff = 4.0 * np.finfo(float).eps * np.abs(checked)
-    slack = (roundoff[:, :-1] + roundoff[:, 1:]) / steps
+    # Over a step too short for roundoff to resolve a slope, the slack is infinite.
+    with np.errstate(over="ignore"):
+        slack = (roundoff[:, :-1] + roundoff[:, 1:]) / steps
     rises, curvature = slopes - slack, slopes[:, 1:] - slopes[:, :-1]
     bends = curvature + (slack[:, :-1] + slack[:, 1:])
     increasing, concave = rises > SHAPE_TOL, bends < -SHAPE_TOL

@@ -366,8 +366,12 @@ class TestBatchedCurve:
 
     def test_first_bad_nu_raises(self):
         for grid, bad in (([0.2, 1.5, -0.1], "1.5"), ([0.0, math.nan], "nan"), ([-0.1], "-0.1")):
-            with pytest.raises(ParameterOutOfRange, match=f"got {bad}$"):
+            with pytest.raises(ParameterOutOfRange, match=f"got {bad}$") as at_once:
                 implied_root_variance_curve(grid)
+            with pytest.raises(ParameterOutOfRange) as looped:
+                for nu in grid:
+                    implied_root_variance_curve([nu])
+            assert str(at_once.value) == str(looped.value)
 
     def test_grid_shape_checked(self):
         for grid in ([], [[0.1, 0.2]]):

@@ -942,6 +942,14 @@ class TestMutatedShippedConfigs:
     @example(picks=[("daycount", 1e-300)])
     # A two-state model whose high state lies above the float range.
     @example(picks=[("forward", 1e300), ("start", 4e299), ("stop", 1e308)])
+    # Float-edge attainment scans: strike steps too short to resolve a slope,
+    # f cos(2 theta) + k above the float range, and an out-of-the-money form
+    # that overflows where it is not taken.
+    @example(picks=[("forward", 1e300), ("start", 1e-300), ("stop", 1e-200)])
+    @example(picks=[("forward", 1e308), ("root_variance", 1.0 - 1e-15), ("start", 4e299), ("stop", 1e308)])
+    @example(picks=[("forward", 1.7e308), ("root_variance", 1e-15), ("start", 5e-324), ("stop", 1e308)])
+    # A daycount whose annuity overflows.
+    @example(picks=[("daycount", 1.7e308)])
     def test_exit_codes_and_outputs(self, name, picks):
         payload = mutated(json.loads((CONFIG_DIR / name).read_text()), picks)
         # A dropped-cell UserWarning is the library's own report, recorded

@@ -83,6 +83,16 @@ class TestMomentMatrix:
             q.entries[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("grid", [[1.0, -2.0, 0.0], [0.5, math.nan, -1.0], [0.0, 2.0, -1.0]])
+def test_grid_of_two_non_positive_values_raises_as_a_loop(grid):
+    with pytest.raises(ParameterOutOfRange) as at_once:
+        engine._checked_grid(grid, increasing=False)
+    with pytest.raises(ParameterOutOfRange) as looped:
+        for value in grid:
+            engine._checked_grid([value])
+    assert str(at_once.value) == str(looped.value)
+
+
 class TestFactorPsd:
     def test_identity(self):
         fac = factor_psd(np.eye(2))

@@ -149,6 +149,7 @@ class TestArrayPricers:
             ([1.0, -1.0], [-2.0, 1.0], 0.3, 1.0),  # a bad strike before a bad forward
             (1.0, [1.0, 1.2, 0.8], [0.2, -0.1, math.nan], 1.0),
             (1.0, [1.0, 1.2], 0.2, [1.0, 0.0]),
+            (1.0, [1.0, 1.2], [0.2, -0.1], [0.0, 1.0]),  # a bad expiry before a bad sigma
         ]
         for args in cases:
             expected = loop_raised(bs_call_prices, *args)
@@ -157,7 +158,11 @@ class TestArrayPricers:
         assert "got -2.0" in raised(bs_call_prices, *cases[1])[1]
 
     def test_bachelier_first_bad_element_raises_as_a_loop(self):
-        cases = [(0.01, [0.0, 0.02], [0.01, -0.01], 1.0), (0.01, 0.0, [0.01, 0.02], [1.0, -1.0])]
+        cases = [
+            (0.01, [0.0, 0.02], [0.01, -0.01], 1.0),
+            (0.01, 0.0, [0.01, 0.02], [1.0, -1.0]),
+            (0.01, 0.0, [0.01, -0.01], [-1.0, 1.0]),  # a bad expiry before a bad vol
+        ]
         for args in cases:
             expected = loop_raised(bachelier_call_prices, *args)
             assert expected[0] is ParameterOutOfRange

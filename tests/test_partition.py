@@ -586,10 +586,20 @@ class TestWholeGridMoments:
             assert row.tolist() == one_cell
 
     def test_partial_moment_grid_rejects_first_bad_cell(self):
-        with pytest.raises(ParameterOutOfRange, match=r"got \(2\.0, 1\.5\)"):
-            lognormal_partial_moments(MODEL, 0.0, [0.0, 2.0, 1.5, 1.0])
-        with pytest.raises(ParameterOutOfRange, match=r"got \(-1\.0, 1\.0\)"):
-            lognormal_partial_moments(MODEL, 0.0, [-1.0, 1.0])
+        cases = [
+            ([0.0, 2.0, 1.5, 1.0], "got (2.0, 1.5)"),
+            ([-1.0, 1.0], "got (-1.0, 1.0)"),
+            ([-1.0, 1.0, 0.5, 2.0], "got (-1.0, 1.0)"),  # two bad cells, the first one raises
+            ([0.5, 1.0, 1.0, math.nan], "got (1.0, 1.0)"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(ParameterOutOfRange) as at_once:
+                lognormal_partial_moments(MODEL, 0.0, edges)
+            assert str(at_once.value).endswith(message)
+            with pytest.raises(ParameterOutOfRange) as looped:
+                for lo, hi in zip(edges[:-1], edges[1:]):
+                    lognormal_partial_moments(MODEL, 0.0, [lo, hi])
+            assert str(at_once.value) == str(looped.value)
 
     @pytest.mark.parametrize("seed, count", [(0, 2), (1, 5), (2, 17), (3, 40)])
     def test_hat_moments_match_per_interval_quadrature(self, seed, count):
