@@ -114,11 +114,12 @@ class AttainmentReport:
     """Per-strike local attainment against the closed-form bound.
 
     ``gaps`` holds |binomial price - bound| relative to the bound; the
-    constructor rejects any gap above ``ATTAIN_TOL`` with
-    BranchResolutionFailure, so constructing the report is the attainment
-    check, and it catches a formula angle resolved onto the wrong branch.  The global section records the moment
-    implied by the whole bound curve and its root-variance, which strictly
-    exceeds ``constraint_nu`` away from the edges.
+    constructor raises BranchResolutionFailure for the first strike whose gap
+    exceeds ``ATTAIN_TOL``, so constructing the report is the attainment
+    check, and it catches a formula angle resolved onto the wrong branch.
+    The global section records the moment implied by the whole bound curve
+    and its root-variance, which strictly exceeds ``constraint_nu`` away from
+    the edges.
     """
 
     strikes: np.ndarray
@@ -135,12 +136,8 @@ class AttainmentReport:
     def __post_init__(self):
         for name in ("strikes", "angles", "lows", "highs", "binomial_prices", "bounds", "gaps"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        if np.any(self.gaps > ATTAIN_TOL):
-            worst = int(np.argmax(self.gaps))
-            raise BranchResolutionFailure(
-                f"attainment gap {self.gaps[worst]:.3e} at strike {self.strikes[worst]} "
-                f"exceeds {ATTAIN_TOL}"
-            )
+        _reject_first_bad((~(self.gaps > ATTAIN_TOL), lambda gap, k: BranchResolutionFailure(
+            f"attainment gap {gap:.3e} at strike {k} exceeds {ATTAIN_TOL}"), self.gaps, self.strikes))
 
     @property
     def max_gap(self) -> float:
@@ -222,9 +219,7 @@ def implied_root_variance_curve(nus) -> GlobalAttainmentCurve:
     nu = 0 is a point mass with moment 1.  A nu outside [0, 1] raises
     ParameterOutOfRange.
     """
-    grid = np.asarray(nus, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ParameterOutOfRange("need a 1-d grid of root-variances")
+    grid = _checked_grid(nus, "root-variances", positive=False, increasing=False)
     _reject_first_bad(((grid >= 0.0) & (grid <= 1.0), _rule("root-variance must lie in [0, 1]"), grid))
     moments = np.fromiter(map(_sqrt_moment, grid.tolist()), float, grid.size)
     return GlobalAttainmentCurve(grid, moments, 1.0 - moments * moments)

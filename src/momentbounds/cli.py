@@ -131,6 +131,8 @@ def _grid(obj, where: str) -> np.ndarray:
         if count < 2:
             raise ConfigError(f"{where}.count must be >= 2")
         start, stop = _number(obj["start"], where), _number(obj["stop"], where)
+        if not math.isfinite(stop - start):
+            raise ConfigError(f"{where} spans {start} to {stop}, wider than the float range")
         return _frozen_array(np.linspace(start, stop, count))
     raise ConfigError(f"{where} must be an array or a start/stop/count object")
 
@@ -157,14 +159,13 @@ def _take(params: dict, where: str, required: dict, optional: dict | None = None
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration, its raw dict and its read-only plan.
-    ``sha256`` hashes the raw dict's canonical JSON (sorted keys, no
-    spaces), once as the config loads."""
+    """A validated run configuration and its read-only plan.  ``sha256``
+    hashes the raw config's canonical JSON (sorted keys, no spaces), once as
+    the config loads."""
 
     experiment: str
     plan: dict = field(compare=False, repr=False)
     output: str
-    raw: dict
     sha256: str
 
 
@@ -201,7 +202,7 @@ def load_config(path) -> RunConfig:
     except MomentBoundsError as exc:
         raise ConfigError(f"invalid parameters for {experiment}: {exc}") from exc
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return RunConfig(experiment, plan, output, raw, hashlib.sha256(canonical.encode()).hexdigest())
+    return RunConfig(experiment, plan, output, hashlib.sha256(canonical.encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +342,13 @@ def _prepare_caplet(parameters: dict, scan_shifts: bool):
         "sigma": _number,
         "strikes": _grid,
     }
+    optional = {"daycount": (_number, 1.0), "expiry": (_number, 1.0)}
     if scan_shifts:
         required["correlation"] = _number
         required["shifts"] = _float_list
-        optional = {"daycount": (_number, 1.0), "expiry": (_number, 1.0)}
     else:
         required["correlations"] = _float_list
-        optional = {
-            "daycount": (_number, 1.0),
-            "shift": (_number, 0.0),
-            "expiry": (_number, 1.0),
-        }
+        optional["shift"] = (_number, 0.0)
     p = _take(parameters, "parameters", required, optional)
     nu = LognormalModel(1.0, p["sigma"], p["expiry"]).root_variance
     n = p["period_index"]

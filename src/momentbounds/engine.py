@@ -105,8 +105,9 @@ def _checked_grid(
         raise ParameterOutOfRange(f"{name} must form a 1-d grid of at least {min_size} point(s)")
     if positive:
         _reject_first_bad((arr > 0.0, _rule(f"{name} must be positive"), arr))
-    if increasing and not np.all(arr[1:] - arr[:-1] > 0.0):
-        raise ParameterOutOfRange(f"{name} must be strictly increasing")
+    if increasing:
+        _reject_first_bad((arr[1:] > arr[:-1], lambda lo, hi: ParameterOutOfRange(
+            f"{name} must be strictly increasing, got {hi} after {lo}"), arr[:-1], arr[1:]))
     return arr
 
 
@@ -245,8 +246,8 @@ def positive_eigenvalue_bounds(factor: PsdFactor, quantities) -> BoundSweep:
         raise DimensionMismatch(
             f"quantities must form a (k, n) array of non-empty rows, got shape {weights.shape}"
         )
-    if not np.all(np.isfinite(weights)):
-        raise ParameterOutOfRange("quantities must be finite")
+    _reject_first_bad((np.isfinite(weights), lambda row, column, value: ParameterOutOfRange(
+        f"quantities must be finite, got {value} in row {row}, column {column}"), *np.indices(weights.shape), weights))
     if weights.shape[1] != dim:
         raise DimensionMismatch(
             f"quantity vector has length {weights.shape[1]}, moment matrix is {dim}x{dim}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EIG_TOL, BoundSweep, _checked_grid, _frozen_array
+from .engine import EIG_TOL, BoundSweep, _checked_grid, _frozen_array, _reject_first_bad
 from .errors import NegativeShiftedRate, ParameterOutOfRange
 from .moments import AssetMoments, cross_term
 
@@ -151,8 +151,12 @@ class AnnuityWeights:
         object.__setattr__(self, "weights", _frozen_array(self.weights))
 
     def forward_from_swaps(self, swap: float, previous_swap: float) -> float:
-        """Invert the running average: r_n from s_n and s_{n-1}."""
-        return (self.lam + 1.0) * swap - self.lam * previous_swap
+        """Invert the running average: r_n from s_n and s_{n-1}, in units of the power of two of max |s|."""
+        e = math.frexp(max(abs(swap), abs(previous_swap)))[1]
+        forward = (self.lam + 1.0) * math.ldexp(swap, -e) - self.lam * math.ldexp(previous_swap, -e)
+        if not math.isfinite(forward) or math.frexp(forward)[1] + e > 1024:
+            raise ParameterOutOfRange(f"forward rate from swap rates ({swap}, {previous_swap}) overflows")
+        return math.ldexp(forward, e)
 
 
 def annuity_weights(slice_: SwapCurveSlice, n: int) -> AnnuityWeights:
@@ -204,7 +208,7 @@ def caplet_basket(slice_: SwapCurveSlice, n: int) -> CapletBasket:
     singular.
 
     Raises NegativeShiftedRate unless both shifted swap rates are positive,
-    and ParameterOutOfRange if a minor or the determinant is not finite.
+    and ParameterOutOfRange if the forward rate, a minor or the determinant is not finite.
     """
     if not 2 <= n <= slice_.periods:
         raise ParameterOutOfRange(
@@ -249,9 +253,11 @@ def caplet_bounds(baskets, strikes) -> BoundSweep:
     largest quantity: exact, and the coefficients stay finite.
     """
     lam = np.array([[basket.lam] for basket in baskets])
-    shifted = np.asarray(strikes, dtype=float)[None, :] + [[b.strike_shift] for b in baskets]
-    if not np.all(np.isfinite(shifted)):
-        raise ParameterOutOfRange("shifted strikes must be finite")
+    ks = np.asarray(strikes, dtype=float)
+    shifted = ks + [[b.strike_shift] for b in baskets]
+    _reject_first_bad((np.isfinite(shifted), lambda i, k, value: ParameterOutOfRange(
+        f"shifted strikes must be finite, got {value} at strike {k} of slice {i}"),
+        np.arange(len(baskets))[:, None], ks, shifted))
     terms = np.array([[*b.prices, *b.minors, b.det] for b in baskets])
     g = np.frexp(np.max(terms[:, :3], axis=1, keepdims=True))[1]
     d1, d2, d3, m12, m13, m23, det = np.ldexp(terms, -g * [1, 1, 1, 2, 2, 2, 3]).T[..., None]

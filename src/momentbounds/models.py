@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import _reject_first_bad, _rule
+from .engine import _checked_grid, _reject_first_bad, _rule
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -428,9 +428,7 @@ def lognormal_partial_moments(model: LognormalModel, p, edges) -> np.ndarray:
     as a point mass at the forward.
     """
     p = np.asarray(p, dtype=float)
-    e = np.asarray(edges, dtype=float)
-    if e.ndim != 1 or e.size < 2:
-        raise ParameterOutOfRange("need a 1-d grid of at least two cell edges")
+    e = _checked_grid(edges, "cell edges", positive=False, min_size=2, increasing=False)
     _reject_first_bad(((e[:-1] >= 0.0) & (e[1:] > e[:-1]),
                        lambda lo, hi: ParameterOutOfRange(f"need 0 <= lower < upper, got ({lo}, {hi})"), e[:-1], e[1:]))
     moments = np.reshape([model.moment(q) for q in p.ravel().tolist()], p.shape + (1,))

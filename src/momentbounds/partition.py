@@ -35,6 +35,7 @@ from .engine import (
     MomentMatrix,
     _checked_grid,
     _frozen_array,
+    _reject_first_bad,
     factor_psd,
     positive_eigenvalue_bounds,
 )
@@ -165,8 +166,9 @@ def flat_conditional_moments(model: LognormalModel, boundaries: Sequence[float])
     if not keep.any():
         raise DegenerateCell("all partition cells are numerically empty")
     digital, first, half = digital[keep], first[keep], half[keep]
-    if np.any(first > digital * np.finfo(float).max):
-        raise DegenerateCell("a partition cell holds price mass at numerically zero probability")
+    _reject_first_bad((~(first > digital * np.finfo(float).max), lambda lo, hi: DegenerateCell(
+        f"partition cell ({lo:g}, {hi:g}) holds price mass at numerically zero probability"),
+        edges[:-1][keep], edges[1:][keep]))
     price, nu = _moments_from_raw(digital, first, half)
     return ConditionalMoments(digital, price, nu)
 
@@ -269,10 +271,8 @@ def linear_conditional_moments(model: LognormalModel, strikes) -> ConditionalMom
     base = 0.25 * math.pi * 0.5 * width * s2 * s2 * _density(model, a)
     crosses = _panel_sums([a**p * base for p in orders], weights)
     cross_digital, cross_sqrt, cross_price = crosses
-    if np.any(digital < CELL_FLOOR):
-        raise DegenerateCell(
-            "a hat function carries numerically zero mass; move its strike toward the forward"
-        )
+    _reject_first_bad((~(digital < CELL_FLOOR), lambda strike: DegenerateCell(
+        f"the hat function at strike {strike} carries numerically zero mass; move its strike toward the forward"), k))
     price, nu = _moments_from_raw(digital, first, half)
     return ConditionalMoments(digital, price, nu, cross_price, cross_sqrt, cross_digital)
 

@@ -105,13 +105,14 @@ def check_decreasing_convex(strikes, values, label="bound curve") -> None:
     """Raise ShapeViolation unless each curve is decreasing and convex in strike.
 
     ``values`` is one curve or a (curves, strikes) stack, with one ``label``
-    for every curve or a sequence of one per row; for the first failing row,
-    a stack raises the error a loop over its rows would.  Convexity uses
-    divided differences, so unevenly spaced grids are handled.  Both checks
-    allow slack ``SHAPE_TOL`` plus the roundoff, 4 eps |v| a value, of the
-    values each slope spans, over its step.  A value that is not finite
-    raises NonFiniteResult before its row's shape checks: its slopes are NaN,
-    which no comparison flags.
+    for every curve or a sequence of one per row.  A stack raises what a loop
+    over its rows, then strikes, raises first: a row with a value that is not
+    finite raises NonFiniteResult for its first such value, before its shape
+    checks; any other row raises ShapeViolation at the first strike k_j where
+    the slope to k_(j+1) rises or the slopes bend around k_j, a rise first.
+    Convexity uses divided differences, so uneven grids are handled.  Both
+    checks allow slack ``SHAPE_TOL`` plus the roundoff, 4 eps |v| a value, of
+    the values each slope spans, over its step.
     """
     ks = _checked_grid(strikes, positive=False, min_size=2)
     vs = np.asarray(values, dtype=float)
@@ -121,28 +122,26 @@ def check_decreasing_convex(strikes, values, label="bound curve") -> None:
     labels = [label] * len(rows) if isinstance(label, str) else list(label)
     if len(labels) != len(rows):
         raise ParameterOutOfRange("a curve stack needs one label per row")
-    finite = np.isfinite(rows)
-    # Where the first value that is not finite lies: no row from it on gets slopes.
-    bad, at = (len(rows), 0) if finite.all() else divmod(int(np.argmin(finite)), ks.size)
-    checked = rows[:bad]
+    finite, roundoff = np.isfinite(rows), 4.0 * np.finfo(float).eps * np.abs(rows)
+    # Cell (r, j) checks value j, then slope j, from k_j to k_(j+1), and its
+    # bend from slope j - 1.  Column j + 1 of ``ds`` and ``slack`` holds slope j
+    # and its slack, infinite over a step too short for roundoff to resolve a
+    # slope; for n strikes, columns 0 and n are NaN: cell 0 has no bend, cell n-1 no slope.
+    ds, slack = np.full((2, len(rows), ks.size + 1), np.nan)
     steps = ks[1:] - ks[:-1]
-    slopes = (checked[:, 1:] - checked[:, :-1]) / steps
-    roundoff = 4.0 * np.finfo(float).eps * np.abs(checked)
-    # Over a step too short for roundoff to resolve a slope, the slack is infinite.
-    with np.errstate(over="ignore"):
-        slack = (roundoff[:, :-1] + roundoff[:, 1:]) / steps
-    rises, curvature = slopes - slack, slopes[:, 1:] - slopes[:, :-1]
-    bends = curvature + (slack[:, :-1] + slack[:, 1:])
-    increasing, concave = rises > SHAPE_TOL, bends < -SHAPE_TOL
-    if increasing.any() or concave.any():
-        r = int(np.argmax(increasing.any(axis=1) | concave.any(axis=1)))
-        if increasing[r].any():
-            i = int(np.argmax(rises[r]))
-            raise ShapeViolation(f"{labels[r]} increases between strikes {ks[i]} and {ks[i + 1]} (slope {slopes[r, i]:.3e})")
-        i = int(np.argmin(bends[r]))
-        raise ShapeViolation(f"{labels[r]} is concave around strike {ks[i + 1]} (slope change {curvature[r, i]:.3e})")
-    if bad < len(rows):
-        raise NonFiniteResult(f"{labels[bad]} is {rows[bad, at]} at strike {ks[at]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds[:, 1:-1] = (rows[:, 1:] - rows[:, :-1]) / steps
+        slack[:, 1:-1] = (roundoff[:, :-1] + roundoff[:, 1:]) / steps
+        curvature = ds[:, 1:] - ds[:, :-1]
+        rises, bends = ds[:, 1:] - slack[:, 1:], curvature + (slack[:, :-1] + slack[:, 1:])
+    finite_rows, row, column = finite.all(axis=1, keepdims=True), np.arange(len(rows))[:, None], np.arange(ks.size)
+    _reject_first_bad(
+        (finite, lambda r, j: NonFiniteResult(f"{labels[r]} is {rows[r, j]} at strike {ks[j]}"), row, column),
+        (~(finite_rows & (rises > SHAPE_TOL)), lambda r, j: ShapeViolation(
+            f"{labels[r]} increases between strikes {ks[j]} and {ks[j + 1]} (slope {ds[r, j + 1]:.3e})"), row, column),
+        (~(finite_rows & (bends < -SHAPE_TOL)), lambda r, j: ShapeViolation(
+            f"{labels[r]} is concave around strike {ks[j]} (slope change {curvature[r, j]:.3e})"), row, column),
+    )
 
 
 @dataclass(frozen=True)
@@ -166,10 +165,12 @@ class VanillaBoundCurve:
         if not self.bounds.shape == self.implied_vols.shape == self.cdf.shape:
             raise ParameterOutOfRange("curve columns must share one strike grid")
         check_decreasing_convex(self.strikes, self.bounds)  # also matches the rows to the grid
-        if np.any(np.diff(self.cdf) < -SHAPE_TOL):
-            raise ShapeViolation("implied CDF must be non-decreasing in strike")
-        if np.any(self.cdf < -SHAPE_TOL) or np.any(self.cdf > 1.0 + SHAPE_TOL):
-            raise ShapeViolation("implied CDF must take values in [0, 1]")
+        ks, cdf = self.strikes, self.cdf.reshape(-1, self.strikes.size)
+        row = np.arange(len(cdf))[:, None]
+        _reject_first_bad((~(np.diff(cdf) < -SHAPE_TOL), lambda r, k: ShapeViolation(
+            f"implied CDF must be non-decreasing in strike, falls after strike {k} in row {r}"), row, ks[:-1]))
+        _reject_first_bad((~((cdf < -SHAPE_TOL) | (cdf > 1.0 + SHAPE_TOL)), lambda r, k, v: ShapeViolation(
+            f"implied CDF must take values in [0, 1], got {v} at strike {k} in row {r}"), row, ks, cdf))
 
 
 def smile_curves(f: float, nus, strikes, expiry: float) -> VanillaBoundCurve:

@@ -223,6 +223,14 @@ class TestBranchGuard:
         with pytest.raises(BranchResolutionFailure, match="attainment gap"):
             local_attainment_scan(f, nu, [k])
 
+    def test_report_names_the_first_gap_above_tolerance(self):
+        # Both 2e-9 at strike 2.0 and 5e-9 at strike 3.0 exceed ATTAIN_TOL.
+        report = local_attainment_scan(1.0, 0.04, [1.0, 2.0, 3.0])
+        fields = {name: getattr(report, name) for name in report.__dataclass_fields__}
+        with pytest.raises(BranchResolutionFailure) as raised:
+            type(report)(**{**fields, "gaps": np.array([0.0, 2e-9, 5e-9])})
+        assert str(raised.value) == f"attainment gap 2.000e-09 at strike 2.0 exceeds {attainment.ATTAIN_TOL}"
+
     def test_scan_calibrates_each_strike_once(self, monkeypatch):
         # In one call whatever the number of strikes: the formula angles of
         # all strikes.

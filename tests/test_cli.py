@@ -768,8 +768,25 @@ class TestExitCodes:
                 3,
                 "error: DegenerateCell:",
             ),
+            # A flat cell of sigma 80 with price mass at zero probability,
+            # named by its edges; the cell (0.8, 1.2) is dropped first.
+            (
+                refine_config("FlatRefine", sigma=80.0, partitions=[[0.8, 1.2]]),
+                3,
+                "error: DegenerateCell: partition cell (1.2, inf) holds price mass at numerically zero probability\n",
+            ),
             # (1 + r)^-n divides by zero at r = -1.
             (caplet_config(discount_rate=-1.0), 2, "error: ConfigError:"),
+            # A swap rate near the float maximum: the forward rate is formed
+            # without an overflow, and the basket's invariants overflow.
+            (caplet_bound_config(swap_rate=1.7e308), 2, "error: ConfigError: invalid parameters for CapletBound: caplet"),
+            (caplet_cdf_config(swap_rate=1.7e308), 2, "error: ConfigError: invalid parameters for CapletCdf: caplet"),
+            # A strike grid wider than the float range.
+            (
+                caplet_cdf_config(strikes={"start": -1e308, "stop": 1e308, "count": 5}),
+                2,
+                "error: ConfigError: invalid parameters for CapletCdf: parameters.strikes spans -1e+308 to 1e+308",
+            ),
             # f * k and (f - k)^2 overflow unless the bound is scaled.
             (with_parameters(smile_config(), forward=1e300), 0, ""),
             # A subnormal stdev: the edges' standardised logs overflow to +-inf.
@@ -792,7 +809,11 @@ class TestExitCodes:
         ids=[
             "sigma-50-linear-refine",
             "hat-strike-near-float-max",
+            "sigma-80-flat-refine",
             "discount-rate-minus-one",
+            "caplet-bound-swap-rate-near-float-max",
+            "caplet-cdf-swap-rate-near-float-max",
+            "caplet-cdf-grid-wider-than-the-float-range",
             "smile-forward-1e300",
             "subnormal-sigma-flat-refine",
             "caplet-cdf-strike-near-float-max",
@@ -950,6 +971,10 @@ class TestMutatedShippedConfigs:
     @example(picks=[("forward", 1.7e308), ("root_variance", 1e-15), ("start", 5e-324), ("stop", 1e308)])
     # A daycount whose annuity overflows.
     @example(picks=[("daycount", 1.7e308)])
+    # A swap rate whose forward-rate inversion overflows unless scaled.
+    @example(picks=[("swap_rate", 1.7e308)])
+    # A start/stop grid whose span overflows.
+    @example(picks=[("start", -1e308), ("stop", 1e308)])
     def test_exit_codes_and_outputs(self, name, picks):
         payload = mutated(json.loads((CONFIG_DIR / name).read_text()), picks)
         # A dropped-cell UserWarning is the library's own report, recorded

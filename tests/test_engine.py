@@ -93,6 +93,24 @@ def test_grid_of_two_non_positive_values_raises_as_a_loop(grid):
     assert str(at_once.value) == str(looped.value)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([1.0, 3.0, 2.0, 2.0], "must be strictly increasing, got 2.0 after 3.0"),
+        ([1.0, 1.0, 0.5], "must be strictly increasing, got 1.0 after 1.0"),
+        ([1.0, math.nan, 0.5], "must be strictly increasing, got nan after 1.0"),
+        # The steps overflow, yet each value exceeds the one before.
+        ([-1e308, 1e308, 1.7e308], None),
+    ],
+)
+def test_grid_names_its_first_step_that_does_not_increase(grid, message):
+    if message is None:
+        assert engine._checked_grid(grid, positive=False).tolist() == grid
+    else:
+        with pytest.raises(ParameterOutOfRange, match=f"^strikes {message}$"):
+            engine._checked_grid(grid, positive=False)
+
+
 class TestFactorPsd:
     def test_identity(self):
         fac = factor_psd(np.eye(2))
@@ -462,6 +480,11 @@ class TestPositiveEigenvalueBounds:
                 rows[bad_row, 1] = bad
                 with pytest.raises(ParameterOutOfRange):
                     positive_eigenvalue_bounds(factor_psd(np.eye(2)), rows)
+
+    def test_names_the_first_quantity_that_is_not_finite(self):
+        rows = [[1.0, 2.0], [3.0, math.inf], [math.nan, 1.0]]
+        with pytest.raises(ParameterOutOfRange, match=r"^quantities must be finite, got inf in row 1, column 1$"):
+            positive_eigenvalue_bounds(factor_psd(np.eye(2)), rows)
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(DimensionMismatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -195,6 +196,21 @@ class TestAnnuityWeights:
             assert rebuilt == pytest.approx(forwards[n - 1], abs=1e-13)
 
 
+    def test_forward_inversion_is_scale_free(self):
+        # Exact in units of the power of two of the larger |swap rate|: the
+        # unscaled formula's bits below the float maximum, a finite forward
+        # near it, and ParameterOutOfRange above it.
+        rng = np.random.default_rng(36)
+        slice_ = figure_slice(0.99, 0.0)
+        weights = annuity_weights(slice_, 10)
+        for swap, previous in rng.uniform(-0.05, 0.1, (200, 2)).tolist():
+            assert weights.forward_from_swaps(swap, previous) == (weights.lam + 1.0) * swap - weights.lam * previous
+        assert weights.forward_from_swaps(1.7e308, 1.7e308) == pytest.approx(1.7e308, rel=1e-14)
+        message = r"^forward rate from swap rates \(1.7e\+308, -1.7e\+308\) overflows$"
+        with pytest.raises(ParameterOutOfRange, match=message):
+            weights.forward_from_swaps(1.7e308, -1.7e308)
+
+
 class TestCapletBound:
     def test_perfect_correlation_collapses_to_vanilla(self):
         # rho = 1 with matched moments: the swap legs cancel down to one
@@ -340,6 +356,13 @@ class TestCapletSweepOracle:
 
 
 class TestBatchedCaplets:
+    def test_names_the_first_shifted_strike_that_is_not_finite(self):
+        baskets = [caplet_basket(figure_slice(rho, 0.5), 3) for rho in (0.8, 0.995)]
+        baskets[1] = dataclasses.replace(baskets[1], strike_shift=math.inf)
+        message = r"^shifted strikes must be finite, got inf at strike 0.01 of slice 1$"
+        with pytest.raises(ParameterOutOfRange, match=message):
+            caplet_bounds(baskets, [0.01, 0.02])
+
     def test_scan_matches_single_strikes_exactly(self):
         # Each slice and strike is solved on its own coefficients, so a
         # config's sweep holds what one-slice, one-strike sweeps return.

@@ -679,6 +679,11 @@ class TestWholeGridMoments:
         with pytest.raises(QuadratureBudgetExceeded, match=f"^{planned} integrand"):
             linear_conditional_moments(MODEL, strikes)
 
+    def test_names_the_first_hat_without_mass(self):
+        # Hats at 60 and 70 both carry no mass; the one at 50 still does.
+        with pytest.raises(DegenerateCell, match=r"^the hat function at strike 60.0 carries numerically zero mass;"):
+            linear_conditional_moments(MODEL, [1.0, 50.0, 60.0, 70.0])
+
     def test_zero_mass_boundary_unchanged(self, monkeypatch):
         # Strikes 50x the forward leave a hat function with no mass at all.
         with pytest.raises(DegenerateCell, match="zero mass"):
@@ -719,6 +724,13 @@ class TestWholeGridMoments:
         with pytest.warns(UserWarning, match="dropped 2"):
             with pytest.raises(DegenerateCell, match="all"):
                 flat_conditional_moments(MODEL, [1.0])
+
+    def test_cell_with_price_at_zero_probability_is_named(self):
+        # At sigma 80, (0.8, 1.2) is dropped, and (1.2, inf) holds the price
+        # at a probability that rounds to zero.
+        with pytest.warns(UserWarning, match=r"dropped 1 partition cell\(s\) .*: \(0.8, 1.2\)$"):
+            with pytest.raises(DegenerateCell, match=r"^partition cell \(1.2, inf\) holds price mass at numerically"):
+                flat_conditional_moments(LognormalModel(1.0, 80.0, 1.0), [0.8, 1.2])
 
     @pytest.mark.parametrize(
         "sigma, boundaries, dropped",

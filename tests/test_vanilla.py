@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentbounds import vanilla as vanilla_module
@@ -276,6 +276,28 @@ class TestShapeChecks:
         with pytest.raises(ShapeViolation, match=f"concave around strike {ks[5]} "):
             check_decreasing_convex(ks, values)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # The first rise, not the steepest (between 3.0 and 4.0).
+            ([1.0, 1.1, 0.9, 1.5, 0.2], "increases between strikes 1.0 and 2.0 (slope 1.000e-01)"),
+            # A bend around 2.0 comes before the rise from 3.0 to 4.0.
+            ([1.0, 0.9, 0.5, 0.6, 0.6], "is concave around strike 2.0 (slope change -3.000e-01)"),
+            # The rise from 2.0 to 3.0 comes before the bend around 3.0.
+            ([1.0, 0.5, 0.7, 0.6, 0.5], "increases between strikes 2.0 and 3.0 (slope 2.000e-01)"),
+            # The first concave bend, not the sharpest (around 4.0).
+            ([1.0, 0.8, 0.7, 0.5, 0.0], "is concave around strike 3.0 (slope change -1.000e-01)"),
+        ],
+    )
+    def test_names_the_first_failing_strike(self, values, message):
+        with pytest.raises(ShapeViolation) as raised:
+            check_decreasing_convex([1.0, 2.0, 3.0, 4.0, 5.0], values)
+        assert str(raised.value) == f"bound curve {message}"
+
+    def test_non_finite_value_wins_over_an_earlier_shape_failure(self):
+        with pytest.raises(NonFiniteResult, match=r"^bound curve is nan at strike 3.0$"):
+            check_decreasing_convex([1.0, 2.0, 3.0, 4.0], [0.5, 0.9, math.nan, math.inf])
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_values(self, bad):
         # NaN slopes pass every comparison, so the shape checks alone let them by.
@@ -308,9 +330,67 @@ STACK_ROWS = {
 }
 
 
+def looped_shape_error(strikes, stack, labels):
+    """The type and message of the error a plain loop over the rows of a
+    curve stack, and in each row over its strikes, raises first, or None:
+    the rule ``check_decreasing_convex`` states, in float arithmetic."""
+    ks = [float(k) for k in strikes]
+    for row, label in zip(np.asarray(stack, dtype=float).tolist(), labels):
+        for k, value in zip(ks, row):
+            if not math.isfinite(value):
+                return NonFiniteResult, f"{label} is {value} at strike {k}"
+        previous = None
+        for j in range(len(ks) - 1):
+            step = ks[j + 1] - ks[j]
+            slope = (row[j + 1] - row[j]) / step
+            slack = (4.0 * np.finfo(float).eps * abs(row[j]) + 4.0 * np.finfo(float).eps * abs(row[j + 1])) / step
+            if slope - slack > vanilla_module.SHAPE_TOL:
+                return ShapeViolation, f"{label} increases between strikes {ks[j]} and {ks[j + 1]} (slope {slope:.3e})"
+            if previous is not None:
+                change = slope - previous[0]
+                if change + (previous[1] + slack) < -vanilla_module.SHAPE_TOL:
+                    return ShapeViolation, f"{label} is concave around strike {ks[j]} (slope change {change:.3e})"
+            previous = slope, slack
+    return None
+
+
+@st.composite
+def damaged_stacks(draw):
+    """Strikes and a stack of bound curves with rises, bends and values that
+    are not finite injected into them."""
+    ks = np.cumsum(draw(st.lists(st.sampled_from([0.05, 0.1, 0.25, 0.5]), min_size=2, max_size=9)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = vanilla_bounds(1.0, draw(st.sampled_from([0.0, 0.01, 0.04, 0.5, 1.0])), ks)
+        for _ in range(draw(st.integers(0, 3))):
+            j = draw(st.integers(0, ks.size - 1))
+            kind = draw(st.sampled_from(["value", "kink", "nan", "inf", "-inf"]))
+            if kind == "value":
+                row[j] += draw(st.sampled_from([-0.3, -0.05, 0.05, 0.3]))
+            elif kind == "kink":
+                row = row + draw(st.sampled_from([-0.5, -0.1, 0.2, 1.0])) * np.maximum(ks - ks[j], 0.0)
+            else:
+                row[j] = float(kind)
+        rows.append(row)
+    return ks, np.array(rows)
+
+
 class TestStackedShapeCheck:
-    """A (curves, strikes) stack raises, for its first failing row, the
-    error a loop over the rows raises."""
+    """A (curves, strikes) stack raises the error a loop over its rows, and
+    in each row over its strikes, raises first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=damaged_stacks())
+    # Rises between 1.0 and 2.0 and between 3.0 and 4.0, the later steeper.
+    @example(problem=(np.arange(1.0, 6.0), np.array([[1.0, 1.1, 0.9, 1.5, 0.2]])))
+    # A valid row, then a row that bends around 2.0 and rises from 3.0 to 4.0,
+    # then a row that is not finite.
+    @example(problem=(np.arange(1.0, 5.0), np.array([[1.0, 0.6, 0.3, 0.1], [1.0, 0.9, 0.5, 0.6], [1, math.inf, 0.5, 0.2]])))
+    def test_stack_raises_what_a_strike_loop_raises(self, problem):
+        ks, stack = problem
+        labels = [f"curve {i}" for i in range(len(stack))]
+        expected = looped_shape_error(ks, stack, labels)
+        assert shape_error(lambda: check_decreasing_convex(ks, stack, label=labels)) == expected
 
     def test_concave_row_before_a_non_finite_row(self):
         stack = [STACK_ROWS["valid"], STACK_ROWS["concave"], STACK_ROWS["inf"]]
@@ -408,6 +488,22 @@ class TestSmileCurve:
         ks = np.array([1.0, 2.0, 3.0])
         with pytest.raises(error):
             VanillaBoundCurve(ks, bounds, np.zeros(np.shape(bounds)), cdf)
+
+
+    @pytest.mark.parametrize(
+        "cdf, message",
+        [
+            # Row 1 falls after 1.0 and after 2.0; row 0 is valid.
+            ([[0.0, 0.5, 1.0], [0.6, 0.5, 0.4]], "must be non-decreasing in strike, falls after strike 1.0 in row 1"),
+            ([[0.0, 0.5, 1.0], [0.0, 1.5, 2.0]], "must take values in [0, 1], got 1.5 at strike 2.0 in row 1"),
+            ([[-0.5, 0.5, 2.0], [0.0, 0.5, 1.0]], "must take values in [0, 1], got -0.5 at strike 1.0 in row 0"),
+        ],
+    )
+    def test_cdf_checks_name_their_first_failing_cell(self, cdf, message):
+        ks = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ShapeViolation) as raised:
+            VanillaBoundCurve(ks, [[0.3, 0.2, 0.1]] * 2, np.zeros((2, 3)), cdf)
+        assert str(raised.value) == f"implied CDF {message}"
 
 
 class TestSmileCurves:
